@@ -1,8 +1,8 @@
 """The geometry engine, from a single link to a full estimate.
 
 No city is materialized here.  For one user/UAV pair the engine lists
-the handful of building faces the ground track crosses, compares the
-ray height at each face against a Rayleigh roof draw and calls the
+the handful of buildings the ground track enters, compares the ray
+height at each entry point against a Rayleigh roof draw and calls the
 link.  This script prints that candidate list for one link, then runs
 the estimator over elevation angles for each user zone, including the
 aligned-view cases that must come out at exactly 1.0.
@@ -13,10 +13,10 @@ import numpy as np
 from uavlos import (
     ENVIRONMENTS,
     GeomScenario,
-    candidate_ops,
     derive_layout,
     estimate_plos,
     sample_user,
+    track_entries,
     uav_position_from_angles,
 )
 
@@ -32,10 +32,13 @@ def show_one_link() -> None:
 
     print(f"user at ({user.x:.1f}, {user.y:.1f}), UAV at "
           f"({uav.x:.1f}, {uav.y:.1f}, {uav.z:.0f}), elevation 25 deg\n")
-    print(f"{'face':>8} {'at':>18} {'r_op':>8} {'building':>10}")
-    for cand in candidate_ops(user, uav, layout):
-        print(f"{cand.kind:>8} ({cand.x:>7.1f}, {cand.y:>7.1f}) {cand.r_op:>8.1f} "
-              f"{f'({cand.building_ix}, {cand.building_iy})':>10}")
+    dx, dy = uav.x - user.x, uav.y - user.y
+    r_rx = float(np.hypot(dx, dy))
+    print(f"{'entry at':>18} {'r_op':>8} {'building':>10}")
+    _, ix, iy, t = track_entries(layout, user.x, user.y, uav.x, uav.y)
+    for bx, by, tb in zip(ix.tolist(), iy.tolist(), t.tolist()):
+        print(f"({user.x + tb * dx:>7.1f}, {user.y + tb * dy:>7.1f}) "
+              f"{(1.0 - tb) * r_rx:>8.1f} {f'({bx}, {by})':>10}")
 
 
 def sweep_zones() -> None:

@@ -2,8 +2,9 @@
 
 Two independent engines estimate P_LoS in ITU-parameterized Manhattan
 cities: :mod:`uavlos.sim3d` materializes a full height grid and ray
-traces each link, while :mod:`uavlos.simgeom` enumerates only the
-street-grid lines a link can cross.  :mod:`uavlos.baselines` holds
+traces each link, while :mod:`uavlos.simgeom` draws only the buildings
+a link's ground track enters.  Both find those buildings with one
+ground-track kernel, :func:`uavlos.citygeom.track_entries`.  :mod:`uavlos.baselines` holds
 closed-form reference models, and :mod:`uavlos.harness` runs seeded
 sweeps with Wilson confidence intervals and CSV output.
 """
@@ -23,6 +24,7 @@ from .citygeom import (
     derive_layout,
     sample_height,
     sample_heights,
+    track_entries,
     uav_position_from_angles,
 )
 from .errors import (
@@ -58,7 +60,7 @@ from .sim3d import (
     place_users_circle,
     save_city,
 )
-from .simgeom import GeomScenario, candidate_ops, estimate_plos, sample_user, simulate_link
+from .simgeom import GeomScenario, estimate_plos, sample_user, simulate_link
 from .stats import PLosEstimate, wilson_interval
 
 __version__ = "0.1.0"
@@ -79,6 +81,7 @@ __all__ = [
     "classify_point",
     "sample_height",
     "sample_heights",
+    "track_entries",
     "uav_position_from_angles",
     # 3D engine
     "City",
@@ -97,7 +100,6 @@ __all__ = [
     # geometry engine
     "GeomScenario",
     "sample_user",
-    "candidate_ops",
     "simulate_link",
     "estimate_plos",
     # baselines

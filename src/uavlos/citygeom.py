@@ -11,7 +11,10 @@ separated by streets of width ``s = 1000/sqrt(beta) - w``; the pattern
 repeats with period ``s + w``.  The origin sits on a crossroad corner:
 along each axis the half-open interval ``[0, s)`` is street and
 ``[s, s + w)`` is the first building footprint, so a coordinate at
-exactly ``s`` (mod period) belongs to the building.
+exactly ``s`` (mod period) belongs to the building.  Point
+classification uses these half-open bands; line of sight uses closed
+building boxes, so a ground track that only grazes a face or a corner
+still meets the building (:func:`track_entries`).
 
 All distances are metres; angles are degrees at every public interface
 and converted to radians only inside trigonometric calls.
@@ -39,6 +42,7 @@ __all__ = [
     "GHENT",
     "derive_layout",
     "classify_point",
+    "track_entries",
     "rayleigh_pdf",
     "height_from_uniform",
     "sample_height",
@@ -209,6 +213,72 @@ def classify_point(x: float, y: float, layout: CityLayout) -> CellKind:
     if x_build or y_build:
         return Street()
     return Crossroad()
+
+
+#: Slack, in grid periods, when listing the bands a track may visit; the
+#: exact t-interval test that follows drops the extra candidates.
+_BAND_SLACK = 1e-9
+
+
+def _band_visits(c0, dc, t_lo, t_hi, p: float, s: float):
+    """Closed bands [i*p + s, (i+1)*p] of one axis visited by c0 + t*dc
+    for t in [t_lo, t_hi], one row per (window, band).
+
+    Returns (row, i, lo, hi): the input row, the 0-based band and the
+    sub-window of t spent inside that band.
+    """
+    ca = c0 + dc * t_lo
+    cb = c0 + dc * t_hi
+    first = np.ceil(np.minimum(ca, cb) / p - 1.0 - _BAND_SLACK).astype(np.int64)
+    last = np.floor((np.maximum(ca, cb) - s) / p + _BAND_SLACK).astype(np.int64)
+    count = np.maximum(last - first + 1, 0)
+    row = np.repeat(np.arange(count.size), count)
+    i = first[row] + np.arange(row.size) - np.repeat(np.cumsum(count) - count, count)
+    c, d = c0[row], dc[row]
+    near = i * p + s
+    far = (i + 1) * p
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ta = (near - c) / d
+        tb = (far - c) / d
+    moving = d != 0.0
+    lo = np.maximum(np.where(moving, np.minimum(ta, tb), -np.inf), t_lo[row])
+    hi = np.minimum(np.where(moving, np.maximum(ta, tb), np.inf), t_hi[row])
+    # A coordinate that does not move is inside its band for the whole
+    # window or not at all.
+    keep = (lo <= hi) & (moving | ((near <= c) & (c <= far)))
+    return row[keep], i[keep], lo[keep], hi[keep]
+
+
+def track_entries(layout: CityLayout, x_rx, y_rx, x_tx, y_tx):
+    """Building boxes entered by a batch of ground tracks.
+
+    Track n runs from the user's ground point (x_rx[n], y_rx[n]) to the
+    UAV's (x_tx[n], y_tx[n]), in any direction; scalars broadcast.  The
+    grid is unbounded and its boxes are closed: box (ix, iy), 1-based,
+    covers [(ix-1)*p + s, ix*p] x [(iy-1)*p + s, iy*p], so a track that
+    runs along a face or touches a corner meets the box.  A zero-length
+    track meets the boxes that contain its point.
+
+    Returns arrays (link, ix, iy, t), one entry per box a track meets:
+    the track index, the cell and the fraction t in [0, 1] of the track
+    from the user to the point where it enters the box.  With flat
+    roofs the ray is lowest over a box exactly there.  Entries are
+    ordered by link, then from the UAV end toward the user (t
+    descending).
+    """
+    p, s = layout.period, layout.s
+    x0, y0, x1, y1 = np.broadcast_arrays(
+        *(np.atleast_1d(np.asarray(v, dtype=float)) for v in (x_rx, y_rx, x_tx, y_tx))
+    )
+    dx, dy = x1 - x0, y1 - y0
+    zeros = np.zeros(x0.size)
+    # Column bands over the whole track, then the row bands crossed while
+    # the track stays inside each column band.
+    link, i, lo, hi = _band_visits(x0, dx, zeros, zeros + 1.0, p, s)
+    row, j, t, _ = _band_visits(y0[link], dy[link], lo, hi, p, s)
+    link, i = link[row], i[row]
+    order = np.lexsort((-t, link))
+    return link[order], i[order] + 1, j[order] + 1, t[order]
 
 
 def rayleigh_pdf(h, gamma: float):

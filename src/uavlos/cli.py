@@ -24,6 +24,8 @@ from .harness import (
     DEFAULT_ALTITUDES,
     DEFAULT_RADIUS_GRID,
     DEFAULT_THETA_GRID,
+    UAV_POLICIES,
+    USER_ZONES,
     SweepAxis,
     SweepSpec,
     atomic_write_text,
@@ -97,10 +99,10 @@ _OPTS: dict[str, tuple] = {
     "runs": (int, dict(type=int, help="Monte-Carlo runs per grid point")),
     "seed": (int, dict(type=int, help="master seed (required)")),
     "uav_height": (float, dict(type=float, help="UAV altitude in m")),
-    "uav_policy": (str, dict(choices=["random", "crossroad-center", "street-center", "building-top"])),
+    "uav_policy": (str, dict(choices=list(UAV_POLICIES))),
     "rx_height": (float, dict(type=float, help="user height in m")),
     "n_users": (int, dict(type=int, help="users on the elevation circle (sim3d)")),
-    "user_zone": (str, dict(choices=["street", "crossroad", "mixed"])),
+    "user_zone": (str, dict(choices=list(USER_ZONES))),
     "out": (str, dict(help="output path")),
     "models": (str, dict(help="baseline model set file")),
     "timing": (_parse_bool, dict(action="store_true", help="write measured ms_per_point")),

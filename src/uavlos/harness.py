@@ -19,14 +19,14 @@ from __future__ import annotations
 import math
 import os
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Mapping
 
 import numpy as np
 
 from .baselines import BaselineModel, GridProduct, evaluate
-from .citygeom import Building, BuiltUpParams, LinkGeometry, Node, classify_point, derive_layout
+from .citygeom import BuiltUpParams, Node
 from .errors import IllegalSpec, InvalidParams, UavLosError
 from .sim3d import (
     BuildingTop,
@@ -34,13 +34,14 @@ from .sim3d import (
     CrossroadCenter,
     RandomOverCity,
     StreetCenter,
-    check_los_edges,
+    first_blockers,
     generate_city,
     place_uav,
-    place_users_circle,
+    place_users,
+    roof_under,
 )
-from .simgeom import GeomScenario, simulate_link
-from .stats import PLosEstimate, wilson_interval  # noqa: F401  (re-exported)
+from .simgeom import USER_ZONES, GeomScenario, estimate_plos
+from .stats import PLosEstimate
 
 __all__ = [
     "SweepAxis",
@@ -52,7 +53,6 @@ __all__ = [
     "compare_engines",
     "result_to_csv",
     "write_csv",
-    "wilson_interval",
     "PLosEstimate",
     "DEFAULT_THETA_GRID",
     "DEFAULT_RADIUS_GRID",
@@ -60,8 +60,13 @@ __all__ = [
 ]
 
 AXIS_NAMES = ("theta", "phi", "radius", "h_uav", "gamma", "alpha")
-USER_ZONES = ("street", "crossroad", "mixed")
-UAV_POLICIES = ("random", "crossroad-center", "street-center", "building-top")
+#: UAV placement policies by their spec and command-line names.
+UAV_POLICIES = {
+    "random": RandomOverCity,
+    "crossroad-center": CrossroadCenter,
+    "street-center": StreetCenter,
+    "building-top": BuildingTop,
+}
 
 #: Default grids used by the command-line sweeps.
 DEFAULT_THETA_GRID = tuple(float(t) for t in range(5, 95, 5))
@@ -150,7 +155,9 @@ class SweepSpec:
         if self.user_zone not in USER_ZONES:
             raise IllegalSpec(f"user_zone must be one of {USER_ZONES}, got {self.user_zone!r}")
         if self.uav_policy not in UAV_POLICIES:
-            raise IllegalSpec(f"uav_policy must be one of {UAV_POLICIES}, got {self.uav_policy!r}")
+            raise IllegalSpec(
+                f"uav_policy must be one of {tuple(UAV_POLICIES)}, got {self.uav_policy!r}"
+            )
         if self.engine.startswith("baseline") and "phi" in names:
             raise IllegalSpec("baseline models have no azimuth axis")
 
@@ -221,94 +228,29 @@ class CompareRow:
     abs_delta: float
 
 
-def _street_weight(params: BuiltUpParams) -> float:
-    # Free space splits into two street rectangles (s*w each) and one
-    # crossroad square (s*s) per period cell.
-    layout = derive_layout(params)
-    return 2.0 * layout.w / (layout.s + 2.0 * layout.w)
-
-
 def _child_seed(rng: np.random.Generator) -> int:
     return int(rng.integers(0, 2**63))
 
 
-def _estimate_geom(
-    params: BuiltUpParams,
-    zone: str,
-    theta: float,
-    phi: float | None,
-    h_uav: float,
-    h_rx: float,
-    n_runs: int,
-    seed: int,
-) -> PLosEstimate:
-    """Geometry-engine point estimate; zone "mixed" draws street or
-    crossroad per run with free-space area weights."""
-    phi_arg = (0.0, 90.0) if phi is None else phi
-    scenarios = {}
-    for z in ("street", "crossroad"):
-        scenarios[z] = GeomScenario(
-            params=params,
-            user_zone=z,
-            theta_deg=theta,
-            phi_deg=phi_arg,
-            h_uav=h_uav,
-            h_rx=h_rx,
-        )
-    w_street = _street_weight(params)
-    k = 0
-    for child in np.random.SeedSequence(seed).spawn(n_runs):
-        rng = np.random.default_rng(child)
-        if zone == "mixed":
-            z = "street" if rng.random() < w_street else "crossroad"
-        else:
-            z = zone
-        if simulate_link(scenarios[z], rng).is_los:
-            k += 1
-    return PLosEstimate.from_counts(k, n_runs)
-
-
 def _draw_uav(city: City, policy_name: str, h_uav: float, rng: np.random.Generator) -> Node:
-    policy = {
-        "random": RandomOverCity(h_uav),
-        "crossroad-center": CrossroadCenter(h_uav),
-        "street-center": StreetCenter(h_uav),
-        "building-top": BuildingTop(h_uav),
-    }[policy_name]
+    policy = UAV_POLICIES[policy_name](h_uav)
     for _ in range(1000):
         uav = place_uav(city, policy, rng)
-        cell = classify_point(uav.x, uav.y, city.layout)
-        if isinstance(cell, Building):
-            nx, ny = city.heights.shape
-            if cell.ix <= nx and cell.iy <= ny:
-                if city.heights[cell.ix - 1, cell.iy - 1] >= uav.z:
-                    continue  # inside a building volume; redraw
-        return uav
+        under = roof_under(city, uav.x, uav.y)
+        if under is None or under[2] < uav.z:
+            return uav
+        # inside a building volume; redraw
     raise InvalidParams(
         f"could not place a UAV at {h_uav} m clear of rooftops after 1000 tries"
     )
 
 
-def _point_users(
-    city: City, uav: Node, theta: float, phi: float | None, n_users: int, h_rx: float
-) -> list[Node]:
-    if theta == 90.0:
-        candidates = [(uav.x, uav.y)]
-    elif phi is not None:
-        d = (uav.z - h_rx) / math.tan(math.radians(theta))
-        a = math.radians(phi)
-        candidates = [(uav.x + d * math.cos(a), uav.y + d * math.sin(a))]
-    else:
-        return place_users_circle(city, uav, theta, n_users, h_rx)
-    layout = city.layout
-    users = []
-    for x, y in candidates:
-        if not (0.0 <= x <= layout.extent_x and 0.0 <= y <= layout.extent_y):
-            continue
-        if isinstance(classify_point(x, y, layout), Building):
-            continue
-        users.append(Node(x, y, h_rx))
-    return users
+#: The 3D engine decides the users of whole cities in one kernel pass,
+#: closed once it holds PASS_USERS users or PASS_CELLS height cells: a full
+#: circle of users gets a pass of its own, while one-user cities (fixed phi,
+#: theta = 90) share one without holding many height grids at once.
+PASS_USERS = 64
+PASS_CELLS = 1 << 16
 
 
 def _estimate_sim3d(
@@ -324,24 +266,35 @@ def _estimate_sim3d(
     seed: int,
 ) -> PLosEstimate:
     """Fresh-city protocol: per run, generate a city, place the UAV and
-    pool the LoS states of every valid user on the theta circle."""
+    pool the LoS states of every valid user on the theta circle (one
+    user at azimuth phi when phi is fixed, or straight under the UAV at
+    theta = 90), decided a few cities per ground-track kernel pass."""
     k = 0
     n = 0
-    for child in np.random.SeedSequence(seed).spawn(n_runs):
+    runs, users, cells = [], 0, 0
+    for i, child in enumerate(np.random.SeedSequence(seed).spawn(n_runs)):
         rng = np.random.default_rng(child)
         city = generate_city(params, extent[0], extent[1], _child_seed(rng))
         uav = _draw_uav(city, policy_name, h_uav, rng)
-        for user in _point_users(city, uav, theta, phi, n_users, h_rx):
-            link = LinkGeometry.from_nodes(tx=uav, rx=user)
-            n += 1
-            if check_los_edges(city, link).is_los:
-                k += 1
+        x, y = place_users(city, uav, theta, n_users, h_rx, phi)
+        runs.append((city, uav, x, y))
+        users += x.size
+        cells += city.heights.size
+        if users >= PASS_USERS or cells >= PASS_CELLS or i == n_runs - 1:
+            n += users
+            k += users - first_blockers(runs, h_rx)[0].size
+            runs, users, cells = [], 0, 0
     if n == 0:
         raise UavLosError(
             "no valid user positions over the whole sweep point; "
             "enlarge the extent or the user count"
         )
     return PLosEstimate.from_counts(k, n)
+
+
+def _with_swept_params(base: BuiltUpParams, var: Mapping[str, float]) -> BuiltUpParams:
+    """base with the swept alpha and gamma values of one grid point."""
+    return replace(base, **{name: var[name] for name in ("alpha", "gamma") if name in var})
 
 
 def _resolve_model(spec: SweepSpec, var: Mapping[str, float]) -> BaselineModel:
@@ -364,13 +317,7 @@ def _resolve_model(spec: SweepSpec, var: Mapping[str, float]) -> BaselineModel:
             f"engine {spec.engine!r} names no loaded model; available: "
             f"{sorted(models) + ['grid']}"
         )
-    if "gamma" in var or "alpha" in var:
-        base = BuiltUpParams(
-            alpha=var.get("alpha", base.alpha),
-            beta=base.beta,
-            gamma=var.get("gamma", base.gamma),
-        )
-    return GridProduct(base)
+    return GridProduct(_with_swept_params(base, var))
 
 
 def run_sweep(spec: SweepSpec) -> SweepResult:
@@ -400,13 +347,7 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
     for combo, child in zip(combos, children):
         var = dict(zip(axis_names, combo))
         pt_seed = _child_seed(np.random.default_rng(child))
-        params_pt = spec.params
-        if "gamma" in var or "alpha" in var:
-            params_pt = BuiltUpParams(
-                alpha=var.get("alpha", spec.params.alpha),
-                beta=spec.params.beta,
-                gamma=var.get("gamma", spec.params.gamma),
-            )
+        params_pt = _with_swept_params(spec.params, var)
         h_uav = var.get("h_uav", spec.h_uav)
         if "theta" in var:
             theta = var["theta"]
@@ -419,10 +360,11 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
 
         start = time.perf_counter()
         if spec.engine == "geom":
-            est = _estimate_geom(
-                params_pt, spec.user_zone, theta, phi, h_uav, spec.h_rx,
-                spec.n_runs, pt_seed,
+            scenario = GeomScenario(
+                params_pt, spec.user_zone, theta,
+                phi_deg=(0.0, 90.0) if phi is None else phi, h_uav=h_uav, h_rx=spec.h_rx,
             )
+            est = estimate_plos(scenario, spec.n_runs, pt_seed)
         elif spec.engine == "sim3d":
             est = _estimate_sim3d(
                 params_pt, spec.extent, theta, phi, h_uav, spec.h_rx,
@@ -461,8 +403,8 @@ def compare_engines(
         est3d = _estimate_sim3d(
             params, extent, theta, None, h_uav, h_rx, "random", n_users, n3d, seed3d
         )
-        estgm = _estimate_geom(
-            params, "mixed", theta, None, h_uav, h_rx, ngeom, seedgm
+        estgm = estimate_plos(
+            GeomScenario(params, "mixed", theta, h_uav=h_uav, h_rx=h_rx), ngeom, seedgm
         )
         rows.append(
             CompareRow(

@@ -2,12 +2,11 @@
 
 A :class:`City` materializes one Rayleigh height per building cell of
 the grid described in :mod:`uavlos.citygeom`.  Line-of-sight between a
-transmitter and a receiver is decided by walking the ground projection
-of the link through the grid: for every building footprint the segment
-crosses, the ray height is evaluated at the single obstruction point
-where the segment exits the footprint toward the receiver (the edge
-facing the user); the link is blocked as soon as a building roof
-reaches that height.  Flat rooftops make this edge test exact, which
+transmitter and its receivers is decided from the ground track of each
+link: :func:`uavlos.citygeom.track_entries` lists every closed building
+box the track meets and the point where it enters the box seen from the
+receiver, and the link is blocked when a roof reaches the ray height
+there.  Flat rooftops make this edge test exact, which
 :func:`check_los_dense` verifies by brute force.
 """
 
@@ -28,6 +27,7 @@ from .citygeom import (
     classify_point,
     derive_layout,
     sample_heights,
+    track_entries,
 )
 from .errors import (
     DegenerateCircle,
@@ -52,9 +52,11 @@ __all__ = [
     "UavPlacementPolicy",
     "generate_city",
     "ray_height_at",
-    "footprint_crossings",
+    "roof_under",
+    "first_blockers",
     "check_los_edges",
     "check_los_dense",
+    "place_users",
     "place_users_circle",
     "place_uav",
     "city_to_text",
@@ -179,90 +181,88 @@ def _require_in_extent(layout: CityLayout, node: Node, label: str) -> None:
         )
 
 
-def _reject_inside_building(city: City, node: Node, label: str) -> None:
-    # Positions with z strictly greater than the rooftop are valid; z at or
-    # below the rooftop inside a footprint is rejected.
-    cell = classify_point(node.x, node.y, city.layout)
+def roof_under(city: City, x: float, y: float) -> tuple[int, int, float] | None:
+    """The materialized building cell under a ground point and its roof.
+
+    Returns (ix, iy, roof) with 1-based indices, or None over streets,
+    crossroads and the unbuilt fringe of the extent.
+    """
+    cell = classify_point(x, y, city.layout)
     if isinstance(cell, Building):
         nx, ny = city.heights.shape
         if cell.ix <= nx and cell.iy <= ny:
-            roof = city.heights[cell.ix - 1, cell.iy - 1]
-            if node.z <= roof:
-                raise EndpointInsideBuilding(
-                    f"{label} at height {node.z} inside building "
-                    f"({cell.ix}, {cell.iy}) with roof {roof}"
-                )
+            return cell.ix, cell.iy, city.heights[cell.ix - 1, cell.iy - 1]
+    return None
+
+
+def _reject_inside_building(city: City, node: Node, label: str) -> None:
+    # Positions with z strictly greater than the rooftop are valid; z at or
+    # below the rooftop inside a footprint is rejected.
+    under = roof_under(city, node.x, node.y)
+    if under is not None and node.z <= under[2]:
+        raise EndpointInsideBuilding(
+            f"{label} at height {node.z} inside building {under[:2]} with roof {under[2]}"
+        )
 
 
 def _vertical_outcome(city: City, link: LinkGeometry) -> LoSOutcome:
     # Overhead case: blocked only when the shared ground cell is a building
     # at least as tall as the transmitter.
-    cell = classify_point(link.tx.x, link.tx.y, city.layout)
-    if isinstance(cell, Building):
-        nx, ny = city.heights.shape
-        if cell.ix <= nx and cell.iy <= ny:
-            if city.heights[cell.ix - 1, cell.iy - 1] >= link.tx.z:
-                return LoSOutcome.nlos(Blocker(cell.ix, cell.iy, 0.0))
+    under = roof_under(city, link.tx.x, link.tx.y)
+    if under is not None and under[2] >= link.tx.z:
+        return LoSOutcome.nlos(Blocker(under[0], under[1], 0.0))
     return LoSOutcome.los()
 
 
-def _boundary_ts(c0: float, dc: float, s: float, p: float) -> list[float]:
-    # t values strictly inside (0, 1) where c(t) = c0 + t*dc crosses a band
-    # boundary (multiples of p start a street, offsets +s start a building).
-    if dc == 0.0:
-        return []
-    lo, hi = (c0, c0 + dc) if dc > 0.0 else (c0 + dc, c0)
-    ts = []
-    for k in range(math.floor(lo / p), math.floor(hi / p) + 2):
-        base = k * p
-        for c in (base, base + s):
-            if lo < c < hi:
-                t = (c - c0) / dc
-                if 0.0 < t < 1.0:
-                    ts.append(t)
-    return ts
+def first_blockers(runs, h_rx: float):
+    """Decide the links of several cities in one ground-track kernel call.
 
+    ``runs`` is a sequence of (city, tx, rx_x, rx_y): a city, its
+    transmitter and the ground positions of its receivers, all at
+    height h_rx.  The cities share one layout; links are numbered
+    across runs in order.  A building blocks a link when its roof
+    reaches the ray height where the ground track enters its closed box
+    seen from the receiver (a roof exactly at ray height blocks); cells
+    beyond the materialized grid are open space.  Endpoints are not
+    validated.
 
-def footprint_crossings(
-    city: City, a: Node, b: Node
-) -> list[tuple[int, int, float, float]]:
-    """Building footprints crossed by the ground segment a -> b.
-
-    Returns (ix, iy, t_in, t_out) per crossed cell, 1-based indices,
-    t as a fraction of the segment, ordered by t_out ascending.  Only
-    materialized cells are reported; the extent fringe is open space.
+    Returns arrays (link, ix, iy, t) for the blocked links only, one
+    entry each: the blocking cell nearest the transmitter and the
+    fraction t of the track from the receiver to its entry point.
     """
-    layout = city.layout
-    p, s = layout.period, layout.s
-    dx = b.x - a.x
-    dy = b.y - a.y
-    ts = sorted(
-        _boundary_ts(a.x, dx, s, p) + _boundary_ts(a.y, dy, s, p) + [0.0, 1.0]
+    counts = [len(rx_x) for _, _, rx_x, _ in runs]
+    tx_x, tx_y, tx_z = np.repeat([(tx.x, tx.y, tx.z) for _, tx, _, _ in runs], counts, axis=0).T
+    link, ix, iy, t = track_entries(
+        runs[0][0].layout,
+        np.concatenate([rx_x for _, _, rx_x, _ in runs]),
+        np.concatenate([rx_y for _, _, _, rx_y in runs]),
+        tx_x,
+        tx_y,
     )
-    nx, ny = city.heights.shape
-    out = []
-    for i in range(len(ts) - 1):
-        ta, tb = ts[i], ts[i + 1]
-        if tb - ta < 1e-15:
-            continue
-        tm = 0.5 * (ta + tb)
-        xm = a.x + dx * tm
-        ym = a.y + dy * tm
-        if (xm % p) >= s and (ym % p) >= s:
-            ix = int(xm // p)
-            iy = int(ym // p)
-            if 0 <= ix < nx and 0 <= iy < ny:
-                out.append((ix + 1, iy + 1, ta, tb))
-    return out
+    roof = np.full(t.size, -np.inf)
+    # Entries are ordered by link, so each city's entries are contiguous.
+    bounds = np.searchsorted(link, np.cumsum([0] + counts))
+    for (city, _, _, _), a, b in zip(runs, bounds[:-1], bounds[1:]):
+        nx, ny = city.heights.shape
+        cx, cy = ix[a:b], iy[a:b]
+        built = (cx >= 1) & (cx <= nx) & (cy >= 1) & (cy <= ny)
+        roof[a:b][built] = city.heights[cx[built] - 1, cy[built] - 1]
+    blocked = roof >= h_rx + t * (tx_z[link] - h_rx)
+    link, ix, iy, t = link[blocked], ix[blocked], iy[blocked], t[blocked]
+    # Entries come nearest the transmitter first within each link.
+    first = np.ones(link.size, dtype=bool)
+    first[1:] = link[1:] != link[:-1]
+    return link[first], ix[first], iy[first], t[first]
 
 
 def check_los_edges(city: City, link: LinkGeometry) -> LoSOutcome:
-    """Decide LoS by evaluating the ray at footprint exit edges.
+    """Decide LoS by evaluating the ray at footprint entry edges.
 
-    Walks the ground projection transmitter -> receiver; for every
-    building footprint crossed, the ray height at the exit point toward
-    the receiver is compared with the roof (a roof exactly at ray
-    height blocks).  Returns the blocker with the smallest r_op.
+    For every closed building box the ground track meets, the ray
+    height where the track enters the box seen from the receiver is
+    compared with the roof (a roof exactly at ray height blocks).  This
+    is :func:`first_blockers` for one link, after validating both
+    endpoints.  Returns the blocker with the smallest r_op.
     """
     _require_in_extent(city.layout, link.tx, "transmitter")
     _require_in_extent(city.layout, link.rx, "receiver")
@@ -271,13 +271,10 @@ def check_los_edges(city: City, link: LinkGeometry) -> LoSOutcome:
     _reject_inside_building(city, link.tx, "transmitter")
     _reject_inside_building(city, link.rx, "receiver")
 
-    heights = city.heights
-    drop = link.tx.z - link.rx.z
-    for ix, iy, _t_in, t_out in footprint_crossings(city, link.tx, link.rx):
-        ray = link.tx.z - t_out * drop
-        if heights[ix - 1, iy - 1] >= ray:
-            return LoSOutcome.nlos(Blocker(ix, iy, t_out * link.r_rx))
-    return LoSOutcome.los()
+    _, ix, iy, t = first_blockers([(city, link.tx, [link.rx.x], [link.rx.y])], link.rx.z)
+    if t.size == 0:
+        return LoSOutcome.los()
+    return LoSOutcome.nlos(Blocker(int(ix[0]), int(iy[0]), float((1.0 - t[0]) * link.r_rx)))
 
 
 def check_los_dense(city: City, link: LinkGeometry, step: float = 0.1) -> LoSOutcome:
@@ -286,7 +283,7 @@ def check_los_dense(city: City, link: LinkGeometry, step: float = 0.1) -> LoSOut
     Samples every ``step`` metres plus every band-boundary crossing and
     both endpoints, and tests each sample against the closed building
     box it may touch (boundary contact counts, matching the edge
-    check's tie rule).  Independent of the interval walk in
+    check's tie rule).  Independent of the ground-track kernel behind
     :func:`check_los_edges`; with flat rooftops the two agree exactly.
     """
     layout = city.layout
@@ -306,7 +303,7 @@ def check_los_dense(city: City, link: LinkGeometry, step: float = 0.1) -> LoSOut
     r_rx = link.r_rx
 
     # Boundary crossings enumerated by direct line scan (kept separate from
-    # the interval walk so the oracle does not share its logic).
+    # the ground-track kernel so the oracle does not share its logic).
     crossing_ts = []
     for c0, dc in ((x0, dx), (y0, dy)):
         if dc == 0.0:
@@ -353,6 +350,43 @@ def check_los_dense(city: City, link: LinkGeometry, step: float = 0.1) -> LoSOut
     )
 
 
+def place_users(
+    city: City,
+    uav: Node,
+    theta_deg: float,
+    n: int,
+    h_rx: float = 1.5,
+    phi_deg: float | None = None,
+):
+    """Ground positions of the users that see the UAV at elevation theta.
+
+    Users stand on the circle of radius d = (uav.z - h_rx)/tan(theta)
+    around the UAV's ground point: at n azimuths spaced uniformly from
+    0 degrees, or at the single azimuth phi_deg when it is given; theta
+    = 90 puts one user straight under the UAV.  Positions outside the
+    extent or inside a building footprint are dropped.
+
+    Returns arrays (x, y) of the kept positions, in azimuth order.
+    """
+    if theta_deg == 90.0:
+        d, azimuths = 0.0, np.zeros(1)
+    else:
+        d = (uav.z - h_rx) / math.tan(math.radians(theta_deg))
+        if phi_deg is None:
+            azimuths = 2.0 * math.pi * np.arange(n) / n
+        else:
+            azimuths = np.array([math.radians(phi_deg)])
+    x = uav.x + d * np.cos(azimuths)
+    y = uav.y + d * np.sin(azimuths)
+    layout = city.layout
+    p, s = layout.period, layout.s
+    kept = (
+        (0.0 <= x) & (x <= layout.extent_x) & (0.0 <= y) & (y <= layout.extent_y)
+        & ~((x % p >= s) & (y % p >= s))
+    )
+    return x[kept], y[kept]
+
+
 def place_users_circle(
     city: City, uav: Node, theta_deg: float, n: int, h_rx: float = 1.5
 ) -> list[Node]:
@@ -360,7 +394,7 @@ def place_users_circle(
 
     n azimuths are spaced uniformly starting at 0 degrees; positions
     outside the extent or inside a building footprint are dropped, so
-    fewer than n users may come back.
+    fewer than n users may come back (see :func:`place_users`).
     """
     if n < 1:
         raise InvalidParams(f"need at least one user, got n={n}")
@@ -368,21 +402,10 @@ def place_users_circle(
         raise InvalidAngle(f"theta must be in (0, 90) for a circle, got {theta_deg}")
     if uav.z < h_rx:
         raise InvalidParams(f"UAV height {uav.z} below user height {h_rx}")
-    d = (uav.z - h_rx) / math.tan(math.radians(theta_deg))
-    if d == 0.0:
+    if uav.z == h_rx:
         raise DegenerateCircle(f"zero-radius circle (uav.z = h_rx = {h_rx})")
-    layout = city.layout
-    users = []
-    for k in range(n):
-        a = 2.0 * math.pi * k / n
-        x = uav.x + d * math.cos(a)
-        y = uav.y + d * math.sin(a)
-        if not (0.0 <= x <= layout.extent_x and 0.0 <= y <= layout.extent_y):
-            continue
-        if isinstance(classify_point(x, y, layout), Building):
-            continue
-        users.append(Node(x, y, h_rx))
-    return users
+    x, y = place_users(city, uav, theta_deg, n, h_rx)
+    return [Node(xi, yi, h_rx) for xi, yi in zip(x.tolist(), y.tolist())]
 
 
 def _count_from(first: float, limit: float, p: float) -> int:

@@ -2,23 +2,21 @@
 
 Instead of materializing a whole city, each run builds only what one
 link needs: a user near the origin crossroad, a UAV in the first
-quadrant, the candidate obstruction points where the link's ground
-projection enters building footprints, and one Rayleigh height draw
-per crossed building.  By first-quadrant symmetry an azimuth in
-[0, 90] degrees covers every direction.
+quadrant, the building boxes the link's ground track enters, and one
+Rayleigh height draw per building met.  By first-quadrant symmetry an
+azimuth in [0, 90] degrees covers every direction.
 
-Candidate obstruction points lie on the building faces that look
-toward the user: the vertical lines x = (i-1)*(s+w) + s (west faces of
-column i) and the horizontal lines y = (j-1)*(s+w) + s (south faces of
-row j).  A crossing counts only when the other coordinate falls within
-a building band, i.e. the segment meets the face of an actual
-building.  With flat rooftops the ray is lowest over a footprint at
-exactly that entry face, so one comparison per building decides it.
+The buildings come from :func:`uavlos.citygeom.track_entries`, the
+kernel the 3D engine uses too, with the grid treated as unbounded.
+With flat rooftops the ray is lowest over a footprint where the track
+enters it seen from the user, so one comparison per building decides
+it.  The estimator hands the kernel :data:`CHUNK_LINKS` links per call;
+each link still draws from its own Generator, so the chunking does not
+change a single draw.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Literal
 
@@ -27,26 +25,33 @@ import numpy as np
 from .citygeom import (
     BuiltUpParams,
     CityLayout,
-    LinkGeometry,
     Node,
     derive_layout,
     sample_height,
+    sample_heights,
+    track_entries,
     uav_position_from_angles,
 )
-from .errors import InvalidAngle, InvalidParams, InvalidQuadrant
-from .sim3d import Blocker, LoSOutcome, ray_height_at
+from .errors import InvalidAngle, InvalidParams
+from .sim3d import Blocker, LoSOutcome
 from .stats import PLosEstimate
 
 __all__ = [
     "GeomScenario",
-    "CandidateOP",
+    "USER_ZONES",
+    "CHUNK_LINKS",
     "sample_user",
-    "candidate_ops",
     "simulate_link",
     "estimate_plos",
 ]
 
-UserZone = Literal["street", "crossroad"]
+UserZone = Literal["street", "crossroad", "mixed"]
+
+#: "mixed" draws street or crossroad per link with free-space area weights.
+USER_ZONES = ("street", "crossroad", "mixed")
+
+#: Links per ground-track kernel call in :func:`estimate_plos`.
+CHUNK_LINKS = 128
 
 
 def _check_range(name: str, rng_: tuple[float, float], lo: float, hi: float) -> None:
@@ -61,7 +66,9 @@ class GeomScenario:
 
     phi_deg and h_uav are either fixed floats or (lo, hi) ranges drawn
     uniformly per run; the defaults sweep the azimuth over the first
-    quadrant and the UAV altitude over [0, 500] m.
+    quadrant and the UAV altitude over [0, 500] m.  user_zone "mixed"
+    draws the zone per link, street or crossroad in proportion to their
+    free area.
     """
 
     params: BuiltUpParams
@@ -72,7 +79,7 @@ class GeomScenario:
     h_rx: float = 1.5
 
     def __post_init__(self):
-        if self.user_zone not in ("street", "crossroad"):
+        if self.user_zone not in USER_ZONES:
             raise InvalidParams(f"unknown user zone {self.user_zone!r}")
         if not 0.0 < self.theta_deg <= 90.0:
             raise InvalidAngle(f"theta must be in (0, 90], got {self.theta_deg}")
@@ -101,25 +108,6 @@ class GeomScenario:
         return derive_layout(self.params)
 
 
-@dataclass(frozen=True)
-class CandidateOP:
-    """A candidate obstruction point on a building face.
-
-    kind - "x_face" for west faces x = (i-1)*period + s, "y_face" for
-    south faces y = (j-1)*period + s; face_index is i or j (1-based).
-    r_op is the ground distance from the UAV projection, ready for the
-    ray-height evaluation.  building_ix/iy name the crossed cell.
-    """
-
-    kind: Literal["x_face", "y_face"]
-    face_index: int
-    x: float
-    y: float
-    r_op: float
-    building_ix: int
-    building_iy: int
-
-
 def sample_user(
     layout: CityLayout,
     zone: UserZone,
@@ -144,96 +132,26 @@ def sample_user(
     return Node(x, y, h_rx)
 
 
-def candidate_ops(user: Node, uav: Node, layout: CityLayout) -> list[CandidateOP]:
-    """Candidate obstruction points between a user and a first-quadrant UAV.
+def _place(scenario: GeomScenario, layout: CityLayout, rng: np.random.Generator):
+    """One link's draws up to its ground track, in stream order: zone,
+    user, azimuth, altitude and the roof under the UAV, all redrawn
+    (except the zone) until the UAV hovers in free air.
 
-    Intersections of the ground segment with the toward-user face
-    lines, kept when strictly between the endpoints and on the face of
-    an actual building cell, sorted by r_op ascending (nearest the UAV
-    first).  At most one candidate arises per crossed building.
+    Returns (user x, user y, UAV x, UAV y, UAV z, cell ix, cell iy,
+    roof) for the building under the UAV, or cell (-1, -1) and roof 0
+    over open ground: box -1 lies at negative coordinates, which no
+    first-quadrant track from the origin crossroad reaches.
     """
-    dx = uav.x - user.x
-    dy = uav.y - user.y
-    if dx < 0.0 or dy < 0.0:
-        raise InvalidQuadrant(
-            f"UAV offset ({dx}, {dy}) leaves the first quadrant; phi must be in [0, 90]"
-        )
-    r_rx = math.hypot(dx, dy)
-    if r_rx == 0.0:
-        return []
-    p, s = layout.period, layout.s
-    cands: list[CandidateOP] = []
-
-    if dx > 0.0:
-        k = math.floor((user.x - s) / p) + 1  # first face line strictly right of the user
-        while True:
-            c = k * p + s
-            if c >= uav.x:
-                break
-            if c > user.x:
-                t = (c - user.x) / dx
-                if 0.0 < t < 1.0:
-                    y_at = user.y + dy * t
-                    if (y_at % p) >= s:
-                        cands.append(
-                            CandidateOP(
-                                kind="x_face",
-                                face_index=k + 1,
-                                x=c,
-                                y=y_at,
-                                r_op=(1.0 - t) * r_rx,
-                                building_ix=k + 1,
-                                building_iy=int(y_at // p) + 1,
-                            )
-                        )
-            k += 1
-
-    if dy > 0.0:
-        k = math.floor((user.y - s) / p) + 1
-        while True:
-            c = k * p + s
-            if c >= uav.y:
-                break
-            if c > user.y:
-                t = (c - user.y) / dy
-                if 0.0 < t < 1.0:
-                    x_at = user.x + dx * t
-                    if (x_at % p) >= s:
-                        cands.append(
-                            CandidateOP(
-                                kind="y_face",
-                                face_index=k + 1,
-                                x=x_at,
-                                y=c,
-                                r_op=(1.0 - t) * r_rx,
-                                building_ix=int(x_at // p) + 1,
-                                building_iy=k + 1,
-                            )
-                        )
-            k += 1
-
-    cands.sort(key=lambda cand: cand.r_op)
-    return cands
-
-
-def simulate_link(scenario: GeomScenario, rng: np.random.Generator) -> LoSOutcome:
-    """Run one link: draw user, azimuth, altitude and building heights.
-
-    Each distinct building along the path receives one independent
-    Rayleigh(gamma) height; the link is NLoS at the first candidate
-    whose drawn height reaches the ray height there (ties block).
-
-    The UAV hovers in free air.  When its ground projection lands on a
-    building whose drawn height reaches the UAV altitude, the whole
-    configuration is redrawn, matching a placement that rejects
-    positions inside building volumes.  The accepted height is reused
-    for that building's candidate face.
-    """
-    layout = scenario.layout()
+    zone = scenario.user_zone
+    if zone == "mixed":
+        # Free space splits into two street rectangles (s*w each) and one
+        # crossroad square (s*s) per period cell.
+        w_street = 2.0 * layout.w / (layout.s + 2.0 * layout.w)
+        zone = "street" if rng.random() < w_street else "crossroad"
     p = layout.period
 
     for _ in range(100000):
-        user = sample_user(layout, scenario.user_zone, rng, scenario.h_rx)
+        user = sample_user(layout, zone, rng, scenario.h_rx)
 
         if isinstance(scenario.phi_deg, tuple):
             phi = rng.uniform(*scenario.phi_deg)
@@ -257,42 +175,86 @@ def simulate_link(scenario: GeomScenario, rng: np.random.Generator) -> LoSOutcom
 
         uav = uav_position_from_angles(user, scenario.theta_deg, phi, h_uav)
 
-        uav_cell = None
-        uav_roof = 0.0
         if (uav.x % p) >= layout.s and (uav.y % p) >= layout.s:
-            uav_cell = (int(uav.x // p) + 1, int(uav.y // p) + 1)
             uav_roof = sample_height(scenario.params.gamma, rng)
             if uav_roof >= h_uav:
                 continue
-        break
-    else:
-        raise InvalidParams(
-            f"no free-air UAV placement found at h_uav={scenario.h_uav}"
-        )
+            return user.x, user.y, uav.x, uav.y, h_uav, uav.x // p + 1, uav.y // p + 1, uav_roof
+        return user.x, user.y, uav.x, uav.y, h_uav, -1, -1, 0.0
+    raise InvalidParams(
+        f"no free-air UAV placement found at h_uav={scenario.h_uav}"
+    )
 
-    link = LinkGeometry.from_nodes(tx=uav, rx=user)
-    seen: set[tuple[int, int]] = set()
-    for cand in candidate_ops(user, uav, layout):
-        cell = (cand.building_ix, cand.building_iy)
-        if cell in seen:
-            continue
-        seen.add(cell)
-        if cell == uav_cell:
-            roof = uav_roof
-        else:
-            roof = sample_height(scenario.params.gamma, rng)
-        if roof >= ray_height_at(link, cand.r_op):
-            return LoSOutcome.nlos(Blocker(cand.building_ix, cand.building_iy, cand.r_op))
-    return LoSOutcome.los()
+
+def _first_blockers(scenario: GeomScenario, layout: CityLayout, rngs):
+    """Decide a chunk of links, link i drawing from rngs[i] only.
+
+    Every building a track enters gets one Rayleigh(gamma) roof; the
+    building under the UAV keeps the roof drawn at placement, the others
+    draw theirs from the link's stream nearest the UAV first.  A link is
+    NLoS when a roof reaches the ray height at the building's entry
+    point (ties block).
+
+    Returns arrays (link, ix, iy, r_op) for the NLoS links only: the
+    blocking cell nearest the UAV and its ground distance from the UAV.
+    """
+    placed = np.array([_place(scenario, layout, rng) for rng in rngs])
+    ux, uy, vx, vy, vz, cell_x, cell_y, uav_roof = placed.T
+
+    link, ix, iy, t = track_entries(layout, ux, uy, vx, vy)
+    own = (ix == cell_x[link]) & (iy == cell_y[link])
+    fresh = np.bincount(link[~own], minlength=len(rngs))
+    roof = np.empty(t.size)
+    roof[~own] = np.concatenate(
+        [sample_heights(scenario.params.gamma, rng, m) for rng, m in zip(rngs, fresh)]
+    )
+    roof[own] = uav_roof[link[own]]
+    h_rx = scenario.h_rx
+    blocked = roof >= h_rx + t * (vz[link] - h_rx)
+    link, ix, iy, t = link[blocked], ix[blocked], iy[blocked], t[blocked]
+    # Entries come nearest the UAV first within each link.
+    first = np.ones(link.size, dtype=bool)
+    first[1:] = link[1:] != link[:-1]
+    link, ix, iy, t = link[first], ix[first], iy[first], t[first]
+    r_rx = np.hypot(vx[link] - ux[link], vy[link] - uy[link])
+    return link, ix, iy, (1.0 - t) * r_rx
+
+
+def simulate_link(scenario: GeomScenario, rng: np.random.Generator) -> LoSOutcome:
+    """Run one link: draw user, azimuth, altitude and building heights.
+
+    Each distinct building along the path receives one independent
+    Rayleigh(gamma) height; the link is NLoS at the building nearest the
+    UAV whose drawn height reaches the ray height at its entry point
+    (ties block).
+
+    The UAV hovers in free air.  When its ground projection lands on a
+    building whose drawn height reaches the UAV altitude, the whole
+    configuration is redrawn, matching a placement that rejects
+    positions inside building volumes.  The accepted height is reused
+    when the track enters that building.  This is one link of the
+    chunks :func:`estimate_plos` decides.
+    """
+    _, ix, iy, r_op = _first_blockers(scenario, scenario.layout(), [rng])
+    if r_op.size == 0:
+        return LoSOutcome.los()
+    return LoSOutcome.nlos(Blocker(int(ix[0]), int(iy[0]), float(r_op[0])))
 
 
 def estimate_plos(scenario: GeomScenario, n_runs: int, seed: int) -> PLosEstimate:
-    """Monte-Carlo P_LoS estimate over independent per-run substreams."""
+    """Monte-Carlo P_LoS estimate over independent per-run substreams.
+
+    Run i draws from the i-th child of SeedSequence(seed) alone.
+    """
     if n_runs < 1:
         raise InvalidParams(f"need at least one run, got {n_runs}")
-    k = 0
-    for child in np.random.SeedSequence(seed).spawn(n_runs):
-        rng = np.random.default_rng(child)
-        if simulate_link(scenario, rng).is_los:
-            k += 1
-    return PLosEstimate.from_counts(k, n_runs)
+    layout = scenario.layout()
+    root = np.random.SeedSequence(seed)
+    nlos = 0
+    for start in range(0, n_runs, CHUNK_LINKS):
+        # spawn() continues the child numbering, so chunks see the same
+        # children as one spawn(n_runs) would.
+        children = root.spawn(min(CHUNK_LINKS, n_runs - start))
+        rngs = [np.random.default_rng(child) for child in children]
+        nlos += _first_blockers(scenario, layout, rngs)[0].size
+    return PLosEstimate.from_counts(n_runs - nlos, n_runs)

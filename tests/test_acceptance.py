@@ -21,17 +21,13 @@ from uavlos.citygeom import (
     classify_point,
     derive_layout,
     sample_heights,
+    track_entries,
     uav_position_from_angles,
 )
 from uavlos.cli import main as cli_main
 from uavlos.harness import SweepAxis, SweepSpec, compare_engines, run_sweep
-from uavlos.sim3d import (
-    check_los_dense,
-    check_los_edges,
-    footprint_crossings,
-    generate_city,
-)
-from uavlos.simgeom import GeomScenario, candidate_ops, estimate_plos, sample_user
+from uavlos.sim3d import check_los_dense, check_los_edges, generate_city
+from uavlos.simgeom import GeomScenario, estimate_plos, sample_user
 
 URBAN = ENVIRONMENTS["urban"]
 COMPARE_THETAS = tuple(float(t) for t in range(10, 90, 10))
@@ -247,13 +243,16 @@ def test_criterion_9_geometry_engine_is_cheaper():
     rng = np.random.default_rng(2)
     theta = 5.0
 
+    nx, ny = city.heights.shape
     cost_3d, cost_geom = [], []
     for _ in range(20):
         user = sample_user(layout, "street", rng, h_rx=1.5)
         phi = rng.uniform(0.0, 90.0)
         uav = uav_position_from_angles(user, theta, phi, 100.0)
-        cost_geom.append(len(candidate_ops(user, uav, layout)))
-        cost_3d.append(gen_cost + len(footprint_crossings(city, user, uav)))
+        _, ix, iy, _ = track_entries(layout, user.x, user.y, uav.x, uav.y)
+        cost_geom.append(len(ix))
+        materialized = (ix >= 1) & (ix <= nx) & (iy >= 1) & (iy <= ny)
+        cost_3d.append(gen_cost + int(materialized.sum()))
     ratio = (sum(cost_3d) / len(cost_3d)) / (sum(cost_geom) / len(cost_geom))
     detail = (
         f"buildings touched per link at theta=5 in a 10km city: "

@@ -13,6 +13,7 @@ from uavlos.citygeom import (
     Street,
     classify_point,
     derive_layout,
+    track_entries,
 )
 from uavlos.errors import (
     DegenerateCircle,
@@ -35,10 +36,11 @@ from uavlos.sim3d import (
     check_los_edges,
     city_from_text,
     city_to_text,
-    footprint_crossings,
+    first_blockers,
     generate_city,
     load_city,
     place_uav,
+    place_users,
     place_users_circle,
     ray_height_at,
     save_city,
@@ -96,15 +98,14 @@ def test_ray_height_endpoints_and_midpoint():
 
 
 def test_footprint_crossings_along_a_row():
-    city = toy_city()
-    # y = 7.5 runs through the iy=1 building band; x crosses boxes at
-    # [5,10], [15,20], [25,30]
-    crossings = footprint_crossings(city, Node(2.0, 7.5, 100.0), Node(32.0, 7.5, 1.5))
-    cells = [(ix, iy) for ix, iy, _, _ in crossings]
-    assert cells == [(1, 1), (2, 1), (3, 1)]
-    t_outs = [t_out for _, _, _, t_out in crossings]
-    assert t_outs == pytest.approx([8 / 30, 18 / 30, 28 / 30], rel=1e-12)
-    assert all(t_in < t_out for _, _, t_in, t_out in crossings)
+    layout = toy_city().layout
+    # y = 7.5 runs through the iy=1 building band; the track from the user
+    # at x=32 to the UAV at x=2 meets boxes at [25,30], [15,20], [5,10]
+    link, ix, iy, t = track_entries(layout, 32.0, 7.5, 2.0, 7.5)
+    assert link.tolist() == [0, 0, 0]
+    assert list(zip(ix.tolist(), iy.tolist())) == [(1, 1), (2, 1), (3, 1)]  # UAV end first
+    # entry points x = 10, 20, 30 lie 8, 18 and 28 m from the UAV
+    assert (1.0 - t).tolist() == pytest.approx([8 / 30, 18 / 30, 28 / 30], rel=1e-12)
 
 
 def test_single_blocker_roof_decides():
@@ -123,12 +124,12 @@ def test_single_blocker_roof_decides():
 def test_roof_exactly_at_ray_height_blocks():
     city = toy_city()
     tx, rx = Node(2.0, 7.5, 100.0), Node(32.0, 7.5, 1.5)
-    _, _, _, t_out = footprint_crossings(city, tx, rx)[1]
-    ray_at_exit = 100.0 - t_out * (100.0 - 1.5)
-    tie = toy_city({(2, 1): ray_at_exit})
+    t = track_entries(city.layout, rx.x, rx.y, tx.x, tx.y)[3][1]
+    ray_at_entry = 1.5 + t * (100.0 - 1.5)
+    tie = toy_city({(2, 1): ray_at_entry})
     out = check_los_edges(tie, LinkGeometry.from_nodes(tx=tx, rx=rx))
     assert not out.is_los
-    below = toy_city({(2, 1): ray_at_exit - 1e-9})
+    below = toy_city({(2, 1): ray_at_entry - 1e-9})
     assert check_los_edges(below, LinkGeometry.from_nodes(tx=tx, rx=rx)).is_los
 
 
@@ -220,6 +221,47 @@ def test_edge_walk_agrees_with_dense_oracle(env):
         assert a.is_los == b.is_los
 
 
+#: Links on the toy grid that only run along a building face or touch a
+#: corner, as (transmitter, receiver) ground points.  Closed boxes count
+#: that contact as crossing the building.
+BOUNDARY_LINKS = {
+    "along north face y=10": ((2.0, 10.0), (32.0, 10.0)),
+    "along east face x=10": ((10.0, 2.0), (10.0, 32.0)),
+    "along south face y=5": ((2.0, 5.0), (32.0, 5.0)),
+    "along west face x=5": ((5.0, 2.0), (5.0, 32.0)),
+    "touches corner (10, 10)": ((7.0, 13.0), (13.0, 7.0)),
+    "touches corner (5, 5)": ((2.0, 8.0), (8.0, 2.0)),
+    "touches corner (10, 5)": ((8.0, 3.0), (12.0, 7.0)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BOUNDARY_LINKS))
+def test_boundary_contact_agrees_with_dense_oracle(name):
+    city = toy_city({(ix, iy): 200.0 for ix in range(1, 11) for iy in range(1, 11)})
+    (tx, ty), (rx, ry) = BOUNDARY_LINKS[name]
+    link = LinkGeometry.from_nodes(tx=Node(tx, ty, 100.0), rx=Node(rx, ry, 1.5))
+    dense = check_los_dense(city, link, step=0.1)
+    assert not dense.is_los
+    assert check_los_edges(city, link).is_los == dense.is_los
+
+
+def test_one_pass_over_several_cities_matches_single_links():
+    params = ENVIRONMENTS["dense-urban"]
+    rng = np.random.default_rng(41)
+    runs, singles = [], []
+    for seed in (1, 2, 3):
+        city = generate_city(params, 1000.0, 1000.0, seed)
+        tx = random_free_node(city, rng, 30.0, 120.0)
+        rxs = [random_free_node(city, rng, 1.5, 1.5) for _ in range(40)]
+        runs.append((city, tx, [r.x for r in rxs], [r.y for r in rxs]))
+        singles += [check_los_edges(city, LinkGeometry.from_nodes(tx=tx, rx=r)) for r in rxs]
+    link, ix, iy, _ = first_blockers(runs, 1.5)
+    assert link.tolist() == [i for i, out in enumerate(singles) if not out.is_los]
+    assert 0 < link.size < len(singles)
+    for i, bx, by in zip(link.tolist(), ix.tolist(), iy.tolist()):
+        assert (singles[i].blocker.ix, singles[i].blocker.iy) == (bx, by)
+
+
 def test_outcome_survives_transposition():
     # swapping x and y everywhere maps the grid onto itself
     params = ENVIRONMENTS["urban"]
@@ -258,6 +300,18 @@ def test_place_users_circle_geometry():
     # first azimuth is 0 degrees: due east of the UAV, if it survived
     assert users[0].x == pytest.approx(600.0, rel=1e-12)
     assert users[0].y == pytest.approx(500.0, abs=1e-9)
+
+
+def test_place_users_at_a_fixed_azimuth_or_overhead():
+    city = toy_city(extent=1000.0)
+    uav = Node(500.0, 500.0, 101.5)
+    x, y = place_users(city, uav, 45.0, 36, h_rx=1.5, phi_deg=90.0)
+    assert x.tolist() == pytest.approx([500.0]) and y.tolist() == pytest.approx([600.0])
+    x, y = place_users(city, uav, 90.0, 36, h_rx=1.5)
+    assert (x.tolist(), y.tolist()) == ([500.0], [500.0])
+    # a user who would stand on a building footprint is dropped
+    x, y = place_users(city, Node(507.5, 507.5, 101.5), 90.0, 36, h_rx=1.5)
+    assert x.size == 0
 
 
 def test_place_users_circle_validation():

@@ -12,12 +12,12 @@ from uavlos.citygeom import (
     Street,
     classify_point,
     derive_layout,
+    track_entries,
     uav_position_from_angles,
 )
-from uavlos.errors import InvalidAngle, InvalidParams, InvalidQuadrant
+from uavlos.errors import InvalidAngle, InvalidParams
 from uavlos.simgeom import (
     GeomScenario,
-    candidate_ops,
     estimate_plos,
     sample_user,
     simulate_link,
@@ -70,35 +70,51 @@ def test_sample_user_matches_classifier():
             assert isinstance(classify_point(su.x, su.y, layout), Street)
 
 
+def candidate_r_ops(user, uav, layout):
+    """Ground distances from the UAV of the track's building entry points,
+    nearest the UAV first."""
+    _, _, _, t = track_entries(layout, user.x, user.y, uav.x, uav.y)
+    return ((1.0 - t) * math.hypot(uav.x - user.x, uav.y - user.y)).tolist()
+
+
 def test_candidate_ops_worked_example():
     layout = derive_layout(TOY)
     user = Node(2.0, 7.0, 0.0)
     uav = Node(32.0, 27.0, 100.0)
     r = math.hypot(30.0, 20.0)
-    cands = candidate_ops(user, uav, layout)
-    cells = [(c.building_ix, c.building_iy) for c in cands]
+    _, ix, iy, t = track_entries(layout, user.x, user.y, uav.x, uav.y)
+    cells = list(zip(ix.tolist(), iy.tolist()))
     assert cells == [(3, 3), (2, 2), (1, 1)]  # sorted by distance from the UAV
-    assert [c.kind for c in cands] == ["y_face", "x_face", "x_face"]
-    assert [c.r_op for c in cands] == pytest.approx([0.1 * r, (17 / 30) * r, 0.9 * r], rel=1e-12)
-    # face coordinates lie on the grid lines
-    assert cands[0].y == 25.0
-    assert cands[1].x == 15.0
-    assert cands[2].x == 5.0
+    assert candidate_r_ops(user, uav, layout) == pytest.approx(
+        [0.1 * r, (17 / 30) * r, 0.9 * r], rel=1e-12
+    )
+    # entry points lie on the user-facing faces: y = 25, x = 15, x = 5
+    x = user.x + t * (uav.x - user.x)
+    y = user.y + t * (uav.y - user.y)
+    assert y[0] == 25.0
+    assert x[1] == 15.0
+    assert x[2] == 5.0
 
 
-def test_candidate_ops_requires_first_quadrant():
+def test_track_entries_in_any_direction():
     layout = derive_layout(TOY)
-    user = Node(2.0, 2.0, 0.0)
-    with pytest.raises(InvalidQuadrant):
-        candidate_ops(user, Node(-10.0, 10.0, 100.0), layout)
-    with pytest.raises(InvalidQuadrant):
-        candidate_ops(user, Node(10.0, -10.0, 100.0), layout)
+    # The worked example mirrored through x = 7.5, which maps the grid onto
+    # itself with column ix going to 2 - ix: the same boxes are entered at
+    # the same fractions of the track.
+    _, ix, iy, t = track_entries(layout, 2.0, 7.0, 32.0, 27.0)
+    _, mx, my, mt = track_entries(layout, 13.0, 7.0, -17.0, 27.0)
+    assert (2 - mx).tolist() == ix.tolist()
+    assert my.tolist() == iy.tolist()
+    assert mt.tolist() == pytest.approx(t.tolist(), rel=1e-12)
+    # Reversing the track enters the same boxes from the other side.
+    _, rx, ry, _ = track_entries(layout, 32.0, 27.0, 2.0, 7.0)
+    assert sorted(zip(rx.tolist(), ry.tolist())) == sorted(zip(ix.tolist(), iy.tolist()))
 
 
 def test_candidate_ops_vertical_link_has_none():
     layout = derive_layout(TOY)
     user = Node(2.0, 2.0, 0.0)
-    assert candidate_ops(user, Node(2.0, 2.0, 100.0), layout) == []
+    assert candidate_r_ops(user, Node(2.0, 2.0, 100.0), layout) == []
 
 
 def brute_force_ops(user, uav, layout):
@@ -136,7 +152,7 @@ def test_candidate_ops_match_brute_force(env):
         theta = rng.uniform(1.0, 89.0)
         phi = rng.uniform(0.0, 90.0)
         uav = uav_position_from_angles(user, theta, phi, rng.uniform(20.0, 400.0))
-        got = sorted(round(c.r_op, 9) for c in candidate_ops(user, uav, layout))
+        got = sorted(round(r, 9) for r in candidate_r_ops(user, uav, layout))
         assert got == brute_force_ops(user, uav, layout)
 
 
@@ -149,16 +165,18 @@ def test_candidate_count_bound_and_order():
             user, rng.uniform(2.0, 80.0), rng.uniform(0.0, 90.0), rng.uniform(30.0, 300.0)
         )
         r_rx = math.hypot(uav.x - user.x, uav.y - user.y)
-        cands = candidate_ops(user, uav, layout)
-        assert len(cands) <= 2 * math.ceil(r_rx / layout.period) + 2
-        r_ops = [c.r_op for c in cands]
+        link, _, _, t = track_entries(layout, user.x, user.y, uav.x, uav.y)
+        assert len(t) <= 2 * math.ceil(r_rx / layout.period) + 2
+        r_ops = candidate_r_ops(user, uav, layout)
         assert r_ops == sorted(r_ops)
         assert all(0.0 < r < r_rx for r in r_ops)
-        # faces sit on their grid lines
-        for c in cands:
-            line = c.x if c.kind == "x_face" else c.y
-            m = (line - layout.s) % layout.period
-            assert min(m, layout.period - m) < 1e-6
+        # entry points sit on a user-facing face line
+        for ti in t:
+            gaps = []
+            for start, end in ((user.x, uav.x), (user.y, uav.y)):
+                m = (start + ti * (end - start) - layout.s) % layout.period
+                gaps.append(min(m, layout.period - m))
+            assert min(gaps) < 1e-6
 
 
 def test_street_user_along_street_is_always_los():
