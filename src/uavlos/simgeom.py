@@ -50,8 +50,11 @@ UserZone = Literal["street", "crossroad", "mixed"]
 #: "mixed" draws street or crossroad per link with free-space area weights.
 USER_ZONES = ("street", "crossroad", "mixed")
 
-#: Links per ground-track kernel call in :func:`estimate_plos`.
-CHUNK_LINKS = 128
+#: Links per ground-track kernel call in :func:`estimate_plos`.  A call
+#: costs about as much as a few links' draws, so one call per link would
+#: dominate; the kernel's temporaries grow with links times track length,
+#: so much larger chunks cost peak memory for little time.
+CHUNK_LINKS = 32
 
 
 def _check_range(name: str, rng_: tuple[float, float], lo: float, hi: float) -> None:
