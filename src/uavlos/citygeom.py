@@ -225,7 +225,8 @@ def _band_visits(c0, dc, t_lo, t_hi, p: float, s: float):
     for t in [t_lo, t_hi], one row per (window, band).
 
     Returns (row, i, lo, hi): the input row, the 0-based band and the
-    sub-window of t spent inside that band.
+    sub-window of t spent inside that band.  Rows keep the input order,
+    and the bands of one window come latest-visited first.
     """
     ca = c0 + dc * t_lo
     cb = c0 + dc * t_hi
@@ -233,8 +234,9 @@ def _band_visits(c0, dc, t_lo, t_hi, p: float, s: float):
     last = np.floor((np.maximum(ca, cb) - s) / p + _BAND_SLACK).astype(np.int64)
     count = np.maximum(last - first + 1, 0)
     row = np.repeat(np.arange(count.size), count)
-    i = first[row] + np.arange(row.size) - np.repeat(np.cumsum(count) - count, count)
+    k = np.arange(row.size) - np.repeat(np.cumsum(count) - count, count)
     c, d = c0[row], dc[row]
+    i = np.where(d > 0.0, last[row] - k, first[row] + k)
     near = i * p + s
     far = (i + 1) * p
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -273,12 +275,13 @@ def track_entries(layout: CityLayout, x_rx, y_rx, x_tx, y_tx):
     dx, dy = x1 - x0, y1 - y0
     zeros = np.zeros(x0.size)
     # Column bands over the whole track, then the row bands crossed while
-    # the track stays inside each column band.
+    # the track stays inside each column band.  Column windows are
+    # disjoint and ordered along the track, so listing both the columns
+    # and the rows within a column latest-visited first orders each
+    # track's entries by t descending.
     link, i, lo, hi = _band_visits(x0, dx, zeros, zeros + 1.0, p, s)
     row, j, t, _ = _band_visits(y0[link], dy[link], lo, hi, p, s)
-    link, i = link[row], i[row]
-    order = np.lexsort((-t, link))
-    return link[order], i[order] + 1, j[order] + 1, t[order]
+    return link[row], i[row] + 1, j + 1, t
 
 
 def rayleigh_pdf(h, gamma: float):

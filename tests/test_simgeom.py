@@ -109,6 +109,18 @@ def test_track_entries_in_any_direction():
     # Reversing the track enters the same boxes from the other side.
     _, rx, ry, _ = track_entries(layout, 32.0, 27.0, 2.0, 7.0)
     assert sorted(zip(rx.tolist(), ry.tolist())) == sorted(zip(ix.tolist(), iy.tolist()))
+    # A batch of tracks in every direction: each track's entries equal a
+    # call of its own, grouped by link and nearest the UAV end first.
+    rng = np.random.default_rng(4)
+    ends = rng.uniform(-60.0, 60.0, size=(4, 200))
+    link, bx, by, bt = track_entries(layout, *ends)
+    assert (np.diff(link) >= 0).all()
+    for n in range(200):
+        _, sx, sy, st = track_entries(layout, *ends[:, n])
+        mine = link == n
+        assert bx[mine].tolist() == sx.tolist() and by[mine].tolist() == sy.tolist()
+        assert bt[mine].tolist() == st.tolist()
+        assert (np.diff(st) <= 0.0).all()
 
 
 def test_candidate_ops_vertical_link_has_none():
@@ -165,7 +177,7 @@ def test_candidate_count_bound_and_order():
             user, rng.uniform(2.0, 80.0), rng.uniform(0.0, 90.0), rng.uniform(30.0, 300.0)
         )
         r_rx = math.hypot(uav.x - user.x, uav.y - user.y)
-        link, _, _, t = track_entries(layout, user.x, user.y, uav.x, uav.y)
+        _, _, _, t = track_entries(layout, user.x, user.y, uav.x, uav.y)
         assert len(t) <= 2 * math.ceil(r_rx / layout.period) + 2
         r_ops = candidate_r_ops(user, uav, layout)
         assert r_ops == sorted(r_ops)
