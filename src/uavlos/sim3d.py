@@ -219,8 +219,8 @@ def first_blockers(runs, h_rx: float):
 
     ``runs`` is a sequence of (city, tx, rx_x, rx_y): a city, its
     transmitter and the ground positions of its receivers, all at
-    height h_rx.  The cities share one layout; links are numbered
-    across runs in order.  A building blocks a link when its roof
+    height h_rx.  The cities share one layout, hence one grid shape;
+    links are numbered across runs in order.  A building blocks a link when its roof
     reaches the ray height where the ground track enters its closed box
     seen from the receiver (a roof exactly at ray height blocks); cells
     beyond the materialized grid are open space.  Endpoints are not
@@ -239,14 +239,15 @@ def first_blockers(runs, h_rx: float):
         tx_x,
         tx_y,
     )
-    roof = np.full(t.size, -np.inf)
+    nx, ny = runs[0][0].heights.shape
+    built = (ix >= 1) & (ix <= nx) & (iy >= 1) & (iy <= ny)
+    link, ix, iy, t = link[built], ix[built], iy[built], t[built]
+    cell = (ix - 1) * ny + (iy - 1)
+    roof = np.empty(t.size)
     # Entries are ordered by link, so each city's entries are contiguous.
     bounds = np.searchsorted(link, np.cumsum([0] + counts))
     for (city, _, _, _), a, b in zip(runs, bounds[:-1], bounds[1:]):
-        nx, ny = city.heights.shape
-        cx, cy = ix[a:b], iy[a:b]
-        built = (cx >= 1) & (cx <= nx) & (cy >= 1) & (cy <= ny)
-        roof[a:b][built] = city.heights[cx[built] - 1, cy[built] - 1]
+        roof[a:b] = city.heights.ravel()[cell[a:b]]
     blocked = roof >= h_rx + t * (tx_z[link] - h_rx)
     link, ix, iy, t = link[blocked], ix[blocked], iy[blocked], t[blocked]
     # Entries come nearest the transmitter first within each link.
@@ -382,7 +383,7 @@ def place_users(
     p, s = layout.period, layout.s
     kept = (
         (0.0 <= x) & (x <= layout.extent_x) & (0.0 <= y) & (y <= layout.extent_y)
-        & ~((x % p >= s) & (y % p >= s))
+        & ((x % p < s) | (y % p < s))
     )
     return x[kept], y[kept]
 
