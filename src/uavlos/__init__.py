@@ -4,9 +4,10 @@ Two independent engines estimate P_LoS in ITU-parameterized Manhattan
 cities: :mod:`uavlos.sim3d` materializes a full height grid and ray
 traces each link, while :mod:`uavlos.simgeom` draws only the buildings
 a link's ground track enters.  Both find those buildings with one
-ground-track kernel, :func:`uavlos.citygeom.track_entries`.  :mod:`uavlos.baselines` holds
-closed-form reference models, and :mod:`uavlos.harness` runs seeded
-sweeps with Wilson confidence intervals and CSV output.
+ground-track kernel, :func:`uavlos.citygeom.track_entries`.
+:mod:`uavlos.baselines` holds closed-form reference models, and
+:mod:`uavlos.harness` runs seeded sweeps with Wilson confidence
+intervals and CSV output.
 """
 
 from .baselines import GridProduct, Sigmoid, StepTable, evaluate, load_model_set
