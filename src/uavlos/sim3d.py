@@ -220,11 +220,11 @@ def first_blockers(runs, h_rx: float):
     ``runs`` is a sequence of (city, tx, rx_x, rx_y): a city, its
     transmitter and the ground positions of its receivers, all at
     height h_rx.  The cities share one layout, hence one grid shape;
-    links are numbered across runs in order.  A building blocks a link when its roof
-    reaches the ray height where the ground track enters its closed box
-    seen from the receiver (a roof exactly at ray height blocks); cells
-    beyond the materialized grid are open space.  Endpoints are not
-    validated.
+    links are numbered across runs in order.  A building blocks a link
+    when its roof reaches the ray height where the ground track enters
+    its closed box seen from the receiver (a roof exactly at ray height
+    blocks); cells beyond the materialized grid are open space.
+    Endpoints are not validated.
 
     Returns arrays (link, ix, iy, t) for the blocked links only, one
     entry each: the blocking cell nearest the transmitter and the
