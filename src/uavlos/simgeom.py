@@ -10,13 +10,20 @@ The buildings come from :func:`uavlos.citygeom.track_entries`, the
 kernel the 3D engine uses too, with the grid treated as unbounded.
 With flat rooftops the ray is lowest over a footprint where the track
 enters it seen from the user, so one comparison per building decides
-it.  The estimator hands the kernel :data:`CHUNK_LINKS` links per call;
-each link still draws from its own Generator, so the chunking does not
-change a single draw.
+it.
+
+The estimator decides :data:`CHUNK_LINKS` links at a time.  A chunk
+draws from one Generator: each draw (zone, user, azimuth, altitude,
+roofs) is one array draw over the chunk's links, the UAV-in-building
+redraw is a masked loop over the links still inside a building, and one
+kernel call lists every track's buildings.  A chunk's stream is fixed
+by the seed and the chunk size, so the same seed gives the same
+estimate.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Literal
 
@@ -27,10 +34,8 @@ from .citygeom import (
     CityLayout,
     Node,
     derive_layout,
-    sample_height,
     sample_heights,
     track_entries,
-    uav_position_from_angles,
 )
 from .errors import InvalidAngle, InvalidParams
 from .sim3d import Blocker, LoSOutcome
@@ -50,11 +55,13 @@ UserZone = Literal["street", "crossroad", "mixed"]
 #: "mixed" draws street or crossroad per link with free-space area weights.
 USER_ZONES = ("street", "crossroad", "mixed")
 
-#: Links per ground-track kernel call in :func:`estimate_plos`.  A call
-#: costs about as much as a few links' draws, so one call per link would
-#: dominate; the kernel's temporaries grow with links times track length,
-#: so much larger chunks cost peak memory for little time.
-CHUNK_LINKS = 32
+#: Links per chunk in :func:`estimate_plos`: one Generator, one set of
+#: array draws and one ground-track kernel call each.  Seeding and each
+#: numpy call cost about as much as a few links' work, so small chunks
+#: spend their time there; the kernel's temporaries grow with links
+#: times track length, so much larger chunks cost peak memory for little
+#: time.
+CHUNK_LINKS = 256
 
 
 def _check_range(name: str, rng_: tuple[float, float], lo: float, hi: float) -> None:
@@ -111,6 +118,15 @@ class GeomScenario:
         return derive_layout(self.params)
 
 
+def _zone_draws(layout: CityLayout, street: np.ndarray, rng: np.random.Generator):
+    """User ground points for a batch of links, street[i] picking link
+    i's zone: x, then y, each one array draw over the batch."""
+    s, w = layout.s, layout.w
+    x = rng.uniform(0.0, s, street.size)
+    y = rng.uniform(np.where(street, s, 0.0), np.where(street, s + w, s))
+    return x, y
+
+
 def sample_user(
     layout: CityLayout,
     zone: UserZone,
@@ -122,95 +138,112 @@ def sample_user(
     Crossroad users fill the square [0, s]^2; street users fill the
     north-south street segment right of it (x in [0, s], y in
     [s, s + w]), which by the grid's diagonal symmetry stands for both
-    street orientations when the azimuth is drawn uniformly.
+    street orientations when the azimuth is drawn uniformly.  The
+    geometry engine places its users with the same rule.
     """
-    s, w = layout.s, layout.w
-    x = rng.uniform(0.0, s)
-    if zone == "crossroad":
-        y = rng.uniform(0.0, s)
-    elif zone == "street":
-        y = rng.uniform(s, s + w)
-    else:
+    if zone not in ("street", "crossroad"):
         raise InvalidParams(f"unknown user zone {zone!r}")
-    return Node(x, y, h_rx)
+    x, y = _zone_draws(layout, np.array([zone == "street"]), rng)
+    return Node(float(x[0]), float(y[0]), h_rx)
 
 
-def _place(scenario: GeomScenario, layout: CityLayout, rng: np.random.Generator):
-    """One link's draws up to its ground track, in stream order: zone,
-    user, azimuth, altitude and the roof under the UAV, all redrawn
-    (except the zone) until the UAV hovers in free air.
+#: Placement rounds before a link whose UAV keeps landing inside a
+#: building is given up; each round redraws every such link once.
+PLACEMENT_ROUNDS = 100_000
 
-    Returns (user x, user y, UAV x, UAV y, UAV z, cell ix, cell iy,
-    roof) for the building under the UAV, or cell (-1, -1) and roof 0
-    over open ground: box -1 lies at negative coordinates, which no
+#: Redraws of an altitude at or below the user before giving up.
+ALTITUDE_REDRAWS = 1000
+
+
+def _altitudes(scenario: GeomScenario, rng: np.random.Generator, n: int) -> np.ndarray:
+    """n UAV altitudes, each strictly above the user."""
+    if not isinstance(scenario.h_uav, tuple):
+        return np.full(n, scenario.h_uav)
+    # Redraw the rare altitude at or below the user; the elevation
+    # construction needs the transmitter strictly above the receiver.
+    h = rng.uniform(*scenario.h_uav, n)
+    for _ in range(ALTITUDE_REDRAWS):
+        low = np.flatnonzero(h <= scenario.h_rx)
+        if low.size == 0:
+            return h
+        h[low] = rng.uniform(*scenario.h_uav, low.size)
+    if (h <= scenario.h_rx).any():
+        raise InvalidParams(
+            f"h_uav range {scenario.h_uav} never exceeds h_rx={scenario.h_rx}"
+        )
+    return h
+
+
+def _draw_links(scenario: GeomScenario, layout: CityLayout, rng: np.random.Generator, n: int):
+    """Draw n links up to their ground tracks, UAVs in free air.
+
+    Draw order: the zone of every link (for "mixed"), then rounds of
+    user x, user y, azimuth, altitude and one roof per UAV that lands
+    over a building, each an array draw over the links still pending.
+    A link whose roof reaches its UAV is pending again next round, zone
+    kept.
+
+    Returns arrays (user x, user y, UAV x, UAV y, UAV z, cell ix, cell
+    iy, roof) for the building under each UAV, or cell (-1, -1) and roof
+    0 over open ground: box -1 lies at negative coordinates, which no
     first-quadrant track from the origin crossroad reaches.
     """
-    zone = scenario.user_zone
-    if zone == "mixed":
+    if scenario.user_zone == "mixed":
         # Free space splits into two street rectangles (s*w each) and one
         # crossroad square (s*s) per period cell.
         w_street = 2.0 * layout.w / (layout.s + 2.0 * layout.w)
-        zone = "street" if rng.random() < w_street else "crossroad"
-    p = layout.period
-
-    for _ in range(100000):
-        user = sample_user(layout, zone, rng, scenario.h_rx)
-
+        street = rng.random(n) < w_street
+    else:
+        street = np.full(n, scenario.user_zone == "street")
+    p, s = layout.period, layout.s
+    theta = math.radians(scenario.theta_deg)
+    placed = np.empty((8, n))
+    pending = np.arange(n)
+    for _ in range(PLACEMENT_ROUNDS):
+        m = pending.size
+        ux, uy = _zone_draws(layout, street[pending], rng)
         if isinstance(scenario.phi_deg, tuple):
-            phi = rng.uniform(*scenario.phi_deg)
+            phi = np.radians(rng.uniform(*scenario.phi_deg, m))
         else:
-            phi = scenario.phi_deg
-
-        if isinstance(scenario.h_uav, tuple):
-            # Redraw the rare altitude at or below the user; the elevation
-            # construction needs the transmitter strictly above the receiver.
-            h_uav = rng.uniform(*scenario.h_uav)
-            tries = 0
-            while h_uav <= scenario.h_rx:
-                h_uav = rng.uniform(*scenario.h_uav)
-                tries += 1
-                if tries > 1000:
-                    raise InvalidParams(
-                        f"h_uav range {scenario.h_uav} never exceeds h_rx={scenario.h_rx}"
-                    )
-        else:
-            h_uav = scenario.h_uav
-
-        uav = uav_position_from_angles(user, scenario.theta_deg, phi, h_uav)
-
-        if (uav.x % p) >= layout.s and (uav.y % p) >= layout.s:
-            uav_roof = sample_height(scenario.params.gamma, rng)
-            if uav_roof >= h_uav:
-                continue
-            return user.x, user.y, uav.x, uav.y, h_uav, uav.x // p + 1, uav.y // p + 1, uav_roof
-        return user.x, user.y, uav.x, uav.y, h_uav, -1, -1, 0.0
+            phi = math.radians(scenario.phi_deg)
+        vz = _altitudes(scenario, rng, m)
+        # Ground offset from the elevation; theta = 90 hovers overhead.
+        d = 0.0 if scenario.theta_deg == 90.0 else (vz - scenario.h_rx) / math.tan(theta)
+        vx = ux + d * np.cos(phi)
+        vy = uy + d * np.sin(phi)
+        over = ((vx % p) >= s) & ((vy % p) >= s)
+        roof = np.zeros(m)
+        roof[over] = sample_heights(scenario.params.gamma, rng, int(over.sum()))
+        cell_x = np.where(over, vx // p + 1, -1.0)
+        cell_y = np.where(over, vy // p + 1, -1.0)
+        placed[:, pending] = ux, uy, vx, vy, vz, cell_x, cell_y, roof
+        pending = pending[over & (roof >= vz)]
+        if pending.size == 0:
+            return placed
     raise InvalidParams(
         f"no free-air UAV placement found at h_uav={scenario.h_uav}"
     )
 
 
-def _first_blockers(scenario: GeomScenario, layout: CityLayout, rngs):
-    """Decide a chunk of links, link i drawing from rngs[i] only.
+def _first_blockers(
+    scenario: GeomScenario, layout: CityLayout, rng: np.random.Generator, n: int
+):
+    """Decide n links, all drawing from rng.
 
     Every building a track enters gets one Rayleigh(gamma) roof; the
     building under the UAV keeps the roof drawn at placement, the others
-    draw theirs from the link's stream nearest the UAV first.  A link is
+    draw theirs in one array draw over the kernel's entries.  A link is
     NLoS when a roof reaches the ray height at the building's entry
     point (ties block).
 
     Returns arrays (link, ix, iy, r_op) for the NLoS links only: the
     blocking cell nearest the UAV and its ground distance from the UAV.
     """
-    placed = np.array([_place(scenario, layout, rng) for rng in rngs])
-    ux, uy, vx, vy, vz, cell_x, cell_y, uav_roof = placed.T
-
+    ux, uy, vx, vy, vz, cell_x, cell_y, uav_roof = _draw_links(scenario, layout, rng, n)
     link, ix, iy, t = track_entries(layout, ux, uy, vx, vy)
     own = (ix == cell_x[link]) & (iy == cell_y[link])
-    fresh = np.bincount(link[~own], minlength=len(rngs))
     roof = np.empty(t.size)
-    roof[~own] = np.concatenate(
-        [sample_heights(scenario.params.gamma, rng, m) for rng, m in zip(rngs, fresh)]
-    )
+    roof[~own] = sample_heights(scenario.params.gamma, rng, t.size - int(own.sum()))
     roof[own] = uav_roof[link[own]]
     h_rx = scenario.h_rx
     blocked = roof >= h_rx + t * (vz[link] - h_rx)
@@ -235,29 +268,27 @@ def simulate_link(scenario: GeomScenario, rng: np.random.Generator) -> LoSOutcom
     building whose drawn height reaches the UAV altitude, the whole
     configuration is redrawn, matching a placement that rejects
     positions inside building volumes.  The accepted height is reused
-    when the track enters that building.  This is one link of the
-    chunks :func:`estimate_plos` decides.
+    when the track enters that building.  This is the one-link case of
+    the chunks :func:`estimate_plos` decides, drawn from rng.
     """
-    _, ix, iy, r_op = _first_blockers(scenario, scenario.layout(), [rng])
+    _, ix, iy, r_op = _first_blockers(scenario, scenario.layout(), rng, 1)
     if r_op.size == 0:
         return LoSOutcome.los()
     return LoSOutcome.nlos(Blocker(int(ix[0]), int(iy[0]), float(r_op[0])))
 
 
 def estimate_plos(scenario: GeomScenario, n_runs: int, seed: int) -> PLosEstimate:
-    """Monte-Carlo P_LoS estimate over independent per-run substreams.
+    """Monte-Carlo P_LoS estimate over chunks of independent links.
 
-    Run i draws from the i-th child of SeedSequence(seed) alone.
+    Links are decided CHUNK_LINKS at a time, the last chunk short; chunk
+    i draws from the i-th child of SeedSequence(seed) alone.
     """
     if n_runs < 1:
         raise InvalidParams(f"need at least one run, got {n_runs}")
     layout = scenario.layout()
-    root = np.random.SeedSequence(seed)
+    children = np.random.SeedSequence(seed).spawn(-(-n_runs // CHUNK_LINKS))
     nlos = 0
-    for start in range(0, n_runs, CHUNK_LINKS):
-        # spawn() continues the child numbering, so chunks see the same
-        # children as one spawn(n_runs) would.
-        children = root.spawn(min(CHUNK_LINKS, n_runs - start))
-        rngs = [np.random.default_rng(child) for child in children]
-        nlos += _first_blockers(scenario, layout, rngs)[0].size
+    for start, child in zip(range(0, n_runs, CHUNK_LINKS), children):
+        size = min(CHUNK_LINKS, n_runs - start)
+        nlos += _first_blockers(scenario, layout, np.random.default_rng(child), size)[0].size
     return PLosEstimate.from_counts(n_runs - nlos, n_runs)

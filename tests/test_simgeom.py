@@ -15,6 +15,7 @@ from uavlos.citygeom import (
     track_entries,
     uav_position_from_angles,
 )
+from uavlos import simgeom
 from uavlos.errors import InvalidAngle, InvalidParams
 from uavlos.simgeom import (
     GeomScenario,
@@ -301,3 +302,67 @@ def test_theta_sweep_is_monotone_up_to_ci():
         est = estimate_plos(scenario, 800, 6)
         assert est.ci_hi >= prev_hi - 1e-12
         prev_hi = max(prev_hi, est.ci_lo)
+
+
+def _redraw_scenario(gamma: float, **kw) -> GeomScenario:
+    """High-rise street users looking along +x with a 25 m ground offset.
+
+    Street users fill x in [0, s], y in [s, s + w], and s + 25 < period,
+    so every UAV hovers over box (1, 1), the only box the track enters.
+    """
+    params = BuiltUpParams(0.5, 300.0, gamma)
+    kw.setdefault("h_uav", 30.0)
+    return GeomScenario(
+        params=params,
+        user_zone="street",
+        theta_deg=math.degrees(math.atan2(28.5, 25.0)),
+        phi_deg=0.0,
+        **kw,
+    )
+
+
+def test_uav_in_building_redraw_matches_exact_probability():
+    # The track enters box (1, 1) at x = s, a fraction t = (s - x)/25 from
+    # the user, where the ray is 1.5 + 28.5 t high.  The roof there is the
+    # one under the UAV, Rayleigh(50) conditioned below the UAV's 30 m, so
+    # P_LoS = E_x[F(1.5 + 28.5 t) / F(30)] with F the Rayleigh CDF.  A
+    # placement that skipped the redraw, or a fresh roof at the entry,
+    # would give E_x[F(1.5 + 28.5 t)] = 0.0302 instead.
+    scenario = _redraw_scenario(50.0)
+    s = scenario.layout().s
+    x = (np.arange(100_000) + 0.5) / 100_000 * s
+    cdf = lambda h: 1.0 - np.exp(-h * h / (2.0 * 50.0**2))
+    exact = float(np.mean(cdf(1.5 + 28.5 * (s - x) / 25.0) / cdf(30.0)))
+    assert exact == pytest.approx(0.1835, abs=5e-5)
+    n = 4000
+    sd = math.sqrt(exact * (1.0 - exact) / n)
+    for seed in (0, 1):
+        est = estimate_plos(scenario, n, seed)
+        assert abs(est.p_hat - exact) < 4.5 * sd
+
+
+def test_placement_retries_are_bounded_and_typed(monkeypatch):
+    # Roofs of Rayleigh(1e6) reach the 30 m UAV over box (1, 1) except
+    # with probability 5e-10, so no placement is ever accepted.
+    assert simgeom.PLACEMENT_ROUNDS == 100_000
+    monkeypatch.setattr(simgeom, "PLACEMENT_ROUNDS", 200)
+    scenario = _redraw_scenario(1e6)
+    with pytest.raises(InvalidParams, match="no free-air UAV placement"):
+        estimate_plos(scenario, 300, 0)
+    with pytest.raises(InvalidParams, match="no free-air UAV placement"):
+        simulate_link(scenario, np.random.default_rng(0))
+    # An altitude above the user is drawn with probability 7e-8 per try.
+    scenario = _redraw_scenario(50.0, h_uav=(0.0, 1.5000001), h_rx=1.5)
+    with pytest.raises(InvalidParams, match="never exceeds h_rx"):
+        estimate_plos(scenario, 300, 0)
+
+
+@pytest.mark.parametrize("n_runs", [1, 255, 256, 257, 600])
+def test_estimate_across_chunk_boundaries(n_runs):
+    scenario = GeomScenario(
+        params=ENVIRONMENTS["urban"], user_zone="mixed", theta_deg=30.0, h_uav=100.0
+    )
+    est = estimate_plos(scenario, n_runs, 9)
+    assert est.n == n_runs
+    assert type(est.k) is int and type(est.n) is int
+    assert estimate_plos(scenario, n_runs, 9) == est
