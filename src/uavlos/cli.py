@@ -88,32 +88,33 @@ def _parse_bool(text: str) -> bool:
     raise argparse.ArgumentTypeError(f"bad boolean {text!r}")
 
 
-# dest -> (config-string converter, argparse kwargs)
-_OPTS: dict[str, tuple] = {
-    "env": (str, dict(choices=sorted(ENVIRONMENTS), help="named environment")),
-    "alpha": (float, dict(type=float, help="built-up area ratio (with --beta --gamma)")),
-    "beta": (float, dict(type=float, help="buildings per km^2")),
-    "gamma": (float, dict(type=float, help="Rayleigh height scale in m")),
-    "extent": (_parse_extent, dict(type=_parse_extent, help="city extent, e.g. 3000 or 3000x4000")),
-    "engine": (str, dict(help="sim3d, geom or baseline:<name>")),
-    "runs": (int, dict(type=int, help="Monte-Carlo runs per grid point")),
-    "seed": (int, dict(type=int, help="master seed (required)")),
-    "uav_height": (float, dict(type=float, help="UAV altitude in m")),
-    "uav_policy": (str, dict(choices=list(UAV_POLICIES))),
-    "rx_height": (float, dict(type=float, help="user height in m")),
-    "n_users": (int, dict(type=int, help="users on the elevation circle (sim3d)")),
-    "user_zone": (str, dict(choices=list(USER_ZONES))),
-    "out": (str, dict(help="output path")),
-    "models": (str, dict(help="baseline model set file")),
-    "timing": (_parse_bool, dict(action="store_true", help="write measured ms_per_point")),
-    "theta_grid": (_parse_grid, dict(type=_parse_grid, help="theta grid, list or lo:hi:step")),
-    "phi_grid": (_parse_grid, dict(type=_parse_grid, help="phi grid")),
-    "gamma_grid": (_parse_grid, dict(type=_parse_grid, help="gamma grid")),
-    "radius_grid": (_parse_grid, dict(type=_parse_grid, help="ground radius grid in m")),
-    "altitudes": (_parse_grid, dict(type=_parse_grid, help="UAV altitude series in m")),
-    "thetas": (_parse_grid, dict(type=_parse_grid, help="comparison theta grid")),
-    "runs_3d": (int, dict(type=int, help="3D engine runs per point")),
-    "runs_geom": (int, dict(type=int, help="geometry engine runs per point")),
+# dest -> argparse kwargs; config-file values go through the same type (a
+# boolean for store-true flags) and choices
+_OPTS: dict[str, dict] = {
+    "env": dict(choices=sorted(ENVIRONMENTS), help="named environment"),
+    "alpha": dict(type=float, help="built-up area ratio (with --beta --gamma)"),
+    "beta": dict(type=float, help="buildings per km^2"),
+    "gamma": dict(type=float, help="Rayleigh height scale in m"),
+    "extent": dict(type=_parse_extent, help="city extent, e.g. 3000 or 3000x4000"),
+    "engine": dict(help="sim3d, geom or baseline:<name>"),
+    "runs": dict(type=int, help="Monte-Carlo runs per grid point"),
+    "seed": dict(type=int, help="master seed (required)"),
+    "uav_height": dict(type=float, help="UAV altitude in m"),
+    "uav_policy": dict(choices=list(UAV_POLICIES)),
+    "rx_height": dict(type=float, help="user height in m"),
+    "n_users": dict(type=int, help="users on the elevation circle (sim3d)"),
+    "user_zone": dict(choices=list(USER_ZONES)),
+    "out": dict(help="output path"),
+    "models": dict(help="baseline model set file"),
+    "timing": dict(action="store_true", help="write measured ms_per_point"),
+    "theta_grid": dict(type=_parse_grid, help="theta grid, list or lo:hi:step"),
+    "phi_grid": dict(type=_parse_grid, help="phi grid"),
+    "gamma_grid": dict(type=_parse_grid, help="gamma grid"),
+    "radius_grid": dict(type=_parse_grid, help="ground radius grid in m"),
+    "altitudes": dict(type=_parse_grid, help="UAV altitude series in m"),
+    "thetas": dict(type=_parse_grid, help="comparison theta grid"),
+    "runs_3d": dict(type=int, help="3D engine runs per point"),
+    "runs_geom": dict(type=int, help="geometry engine runs per point"),
 }
 
 _PARAM_OPTS = ["env", "alpha", "beta", "gamma"]
@@ -182,9 +183,8 @@ def build_parser() -> argparse.ArgumentParser:
     for name, info in _SUBCOMMANDS.items():
         sub = subparsers.add_parser(name, help=info["help"])
         for dest in info["opts"]:
-            _, kwargs = _OPTS[dest]
             flag = "--" + dest.replace("_", "-")
-            sub.add_argument(flag, dest=dest, default=None, **kwargs)
+            sub.add_argument(flag, dest=dest, default=None, **_OPTS[dest])
         sub.add_argument("--config", help="key=value config file; flags override")
     return parser
 
@@ -227,11 +227,16 @@ def _resolve_options(args: argparse.Namespace) -> dict:
         value = getattr(args, dest, None)
         if value is None:
             if dest in config:
-                conv, _ = _OPTS[dest]
+                kwargs, key = _OPTS[dest], dest.replace("_", "-")
+                conv = _parse_bool if kwargs.get("action") else kwargs.get("type", str)
                 try:
                     value = conv(config[dest])
                 except (ValueError, argparse.ArgumentTypeError) as exc:
-                    raise _ConfigError(f"config key {dest.replace('_', '-')!r}: {exc}") from exc
+                    raise _ConfigError(f"config key {key!r}: {exc}") from exc
+                if "choices" in kwargs and value not in kwargs["choices"]:
+                    raise _ConfigError(
+                        f"config key {key!r}: {value!r} is not one of {kwargs['choices']}"
+                    )
             else:
                 value = info["defaults"].get(dest)
         opts[dest] = value

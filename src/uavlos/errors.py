@@ -39,10 +39,6 @@ class NoSuchCell(UavLosError, ValueError):
     """The extent holds no grid cell of the requested kind."""
 
 
-class InvalidQuadrant(UavLosError, ValueError):
-    """The UAV does not lie in the first quadrant relative to the user."""
-
-
 class EmptyTable(UavLosError, ValueError):
     """A step table holds no rows."""
 

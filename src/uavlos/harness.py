@@ -26,11 +26,10 @@ from typing import Mapping
 import numpy as np
 
 from .baselines import BaselineModel, GridProduct, evaluate
-from .citygeom import BuiltUpParams, Node
-from .errors import IllegalSpec, InvalidParams, UavLosError
+from .citygeom import BuiltUpParams
+from .errors import IllegalSpec, UavLosError
 from .sim3d import (
     BuildingTop,
-    City,
     CrossroadCenter,
     RandomOverCity,
     StreetCenter,
@@ -38,7 +37,6 @@ from .sim3d import (
     generate_city,
     place_uav,
     place_users,
-    roof_under,
 )
 from .simgeom import USER_ZONES, GeomScenario, estimate_plos
 from .stats import PLosEstimate
@@ -160,6 +158,11 @@ class SweepSpec:
             )
         if self.engine.startswith("baseline") and "phi" in names:
             raise IllegalSpec("baseline models have no azimuth axis")
+        thetas = [v for a in self.axes if a.name == "theta" for v in a.values] + [self.theta]
+        if self.engine == "sim3d" and self.uav_policy == "building-top" and 90.0 in thetas:
+            raise IllegalSpec(
+                "theta 90 with a building-top UAV puts the one user inside the UAV's building"
+            )
 
     def _check_axis(self, axis: SweepAxis) -> None:
         if axis.name == "theta":
@@ -232,19 +235,6 @@ def _child_seed(rng: np.random.Generator) -> int:
     return int(rng.integers(0, 2**63))
 
 
-def _draw_uav(city: City, policy_name: str, h_uav: float, rng: np.random.Generator) -> Node:
-    policy = UAV_POLICIES[policy_name](h_uav)
-    for _ in range(1000):
-        uav = place_uav(city, policy, rng)
-        under = roof_under(city, uav.x, uav.y)
-        if under is None or under[2] < uav.z:
-            return uav
-        # inside a building volume; redraw
-    raise InvalidParams(
-        f"could not place a UAV at {h_uav} m clear of rooftops after 1000 tries"
-    )
-
-
 #: The 3D engine decides the users of whole cities in one kernel pass,
 #: closed once it holds PASS_USERS users or PASS_CELLS height cells: a full
 #: circle of users gets a pass of its own, while one-user cities (fixed phi,
@@ -254,35 +244,29 @@ PASS_CELLS = 1 << 16
 
 
 def _estimate_sim3d(
-    params: BuiltUpParams,
-    extent: tuple[float, float],
-    theta: float,
-    phi: float | None,
-    h_uav: float,
-    h_rx: float,
-    policy_name: str,
-    n_users: int,
-    n_runs: int,
+    spec: SweepSpec, params: BuiltUpParams, theta: float, phi: float | None, h_uav: float,
     seed: int,
 ) -> PLosEstimate:
-    """Fresh-city protocol: per run, generate a city, place the UAV and
-    pool the LoS states of every valid user on the theta circle (one
-    user at azimuth phi when phi is fixed, or straight under the UAV at
-    theta = 90), decided a few cities per ground-track kernel pass."""
+    """Fresh-city protocol at one point of spec: per run, generate a city,
+    place the UAV and pool the LoS states of every valid user on the
+    theta circle (one user at azimuth phi when phi is fixed, or straight
+    under the UAV at theta = 90), decided a few cities per ground-track
+    kernel pass."""
+    policy = UAV_POLICIES[spec.uav_policy](h_uav)
     k = 0
     n = 0
     runs, users, cells = [], 0, 0
-    for i, child in enumerate(np.random.SeedSequence(seed).spawn(n_runs)):
+    for i, child in enumerate(np.random.SeedSequence(seed).spawn(spec.n_runs)):
         rng = np.random.default_rng(child)
-        city = generate_city(params, extent[0], extent[1], _child_seed(rng))
-        uav = _draw_uav(city, policy_name, h_uav, rng)
-        x, y = place_users(city, uav, theta, n_users, h_rx, phi)
+        city = generate_city(params, spec.extent[0], spec.extent[1], _child_seed(rng))
+        uav = place_uav(city, policy, rng)
+        x, y = place_users(city, uav, theta, spec.n_users, spec.h_rx, phi)
         runs.append((city, uav, x, y))
         users += x.size
         cells += city.heights.size
-        if users >= PASS_USERS or cells >= PASS_CELLS or i == n_runs - 1:
+        if users >= PASS_USERS or cells >= PASS_CELLS or i == spec.n_runs - 1:
             n += users
-            k += users - first_blockers(runs, h_rx)[0].size
+            k += users - first_blockers(runs, spec.h_rx)[0].size
             runs, users, cells = [], 0, 0
     if n == 0:
         raise UavLosError(
@@ -320,6 +304,28 @@ def _resolve_model(spec: SweepSpec, var: Mapping[str, float]) -> BaselineModel:
     return GridProduct(_with_swept_params(base, var))
 
 
+def _estimate_point(spec: SweepSpec, var: Mapping[str, float], seed: int) -> PLosEstimate:
+    """P_LoS at one grid point: spec's fixed values overridden by the
+    swept values in var, estimated by spec's engine from seed."""
+    h_uav = var.get("h_uav", spec.h_uav)
+    theta = var.get("theta", spec.theta)
+    if theta is None:
+        radius = var.get("radius", spec.radius)
+        theta = math.degrees(math.atan2(h_uav - spec.h_rx, radius))
+    phi = var.get("phi", spec.phi)
+    params = _with_swept_params(spec.params, var)
+    if spec.engine == "geom":
+        scenario = GeomScenario(
+            params, spec.user_zone, theta,
+            phi_deg=(0.0, 90.0) if phi is None else phi, h_uav=h_uav, h_rx=spec.h_rx,
+        )
+        return estimate_plos(scenario, spec.n_runs, seed)
+    if spec.engine == "sim3d":
+        return _estimate_sim3d(spec, params, theta, phi, h_uav, seed)
+    model = _resolve_model(spec, var)
+    return PLosEstimate.exact(evaluate(model, theta, h_uav, spec.h_rx))
+
+
 def run_sweep(spec: SweepSpec) -> SweepResult:
     """Walk the sweep grid and estimate P_LoS at every point.
 
@@ -328,51 +334,20 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
     reproducible from (spec, seed) alone.
     """
     axis_names = tuple(a.name for a in spec.axes)
-    if spec.engine.startswith("baseline"):
-        # Resolve once upfront so unknown names and gamma/alpha sweeps of
-        # theta-only families fail before any work is done.
-        model0 = _resolve_model(spec, {})
-        if set(axis_names) & {"gamma", "alpha"} and not isinstance(model0, GridProduct):
-            raise IllegalSpec(
-                f"{spec.engine!r} does not depend on gamma/alpha; sweep a GridProduct instead"
-            )
-
-    grids = [axis.values for axis in spec.axes]
     combos: list[tuple[float, ...]] = [()]
-    for values in grids:
-        combos = [prior + (v,) for prior in combos for v in values]
+    for axis in spec.axes:
+        combos = [prior + (v,) for prior in combos for v in axis.values]
+    if spec.engine.startswith("baseline"):
+        # Unknown names and gamma/alpha sweeps of theta-only families fail
+        # before any work is done.
+        _resolve_model(spec, dict(zip(axis_names, combos[0])))
 
     children = np.random.SeedSequence(spec.seed).spawn(len(combos))
     rows = []
     for combo, child in zip(combos, children):
-        var = dict(zip(axis_names, combo))
         pt_seed = _child_seed(np.random.default_rng(child))
-        params_pt = _with_swept_params(spec.params, var)
-        h_uav = var.get("h_uav", spec.h_uav)
-        if "theta" in var:
-            theta = var["theta"]
-        elif spec.theta is not None:
-            theta = spec.theta
-        else:
-            radius = var.get("radius", spec.radius)
-            theta = math.degrees(math.atan2(h_uav - spec.h_rx, radius))
-        phi = var.get("phi", spec.phi)
-
         start = time.perf_counter()
-        if spec.engine == "geom":
-            scenario = GeomScenario(
-                params_pt, spec.user_zone, theta,
-                phi_deg=(0.0, 90.0) if phi is None else phi, h_uav=h_uav, h_rx=spec.h_rx,
-            )
-            est = estimate_plos(scenario, spec.n_runs, pt_seed)
-        elif spec.engine == "sim3d":
-            est = _estimate_sim3d(
-                params_pt, spec.extent, theta, phi, h_uav, spec.h_rx,
-                spec.uav_policy, spec.n_users, spec.n_runs, pt_seed,
-            )
-        else:
-            model = _resolve_model(spec, var)
-            est = PLosEstimate.exact(evaluate(model, theta, h_uav, spec.h_rx))
+        est = _estimate_point(spec, dict(zip(axis_names, combo)), pt_seed)
         ms = (time.perf_counter() - start) * 1000.0
         rows.append(SweepRow(values=combo, estimate=est, ms=ms))
     return SweepResult(spec=spec, axis_names=axis_names, rows=tuple(rows))
@@ -393,19 +368,25 @@ def compare_engines(
 
     The 3D side runs the fresh-city protocol with a randomly placed UAV
     at h_uav; the geometry side runs the area-weighted street/crossroad
-    mix at the same fixed altitude and a uniform azimuth.
+    mix at the same fixed altitude and a uniform azimuth.  Both sides
+    are sweep specs, validated before either engine runs.
     """
+    common = dict(
+        params=params, extent=extent, axes=(SweepAxis("theta", tuple(thetas)),),
+        h_uav=h_uav, h_rx=h_rx, seed=seed,
+    )
+    spec3d = SweepSpec(
+        engine="sim3d", n_runs=n3d, uav_policy="random", n_users=n_users, **common
+    )
+    specgm = SweepSpec(engine="geom", n_runs=ngeom, user_zone="mixed", **common)
+    seeds = [
+        _child_seed(np.random.default_rng(child))
+        for child in np.random.SeedSequence(seed).spawn(2 * len(thetas))
+    ]
     rows = []
-    children = np.random.SeedSequence(seed).spawn(2 * len(thetas))
     for i, theta in enumerate(thetas):
-        seed3d = _child_seed(np.random.default_rng(children[2 * i]))
-        seedgm = _child_seed(np.random.default_rng(children[2 * i + 1]))
-        est3d = _estimate_sim3d(
-            params, extent, theta, None, h_uav, h_rx, "random", n_users, n3d, seed3d
-        )
-        estgm = estimate_plos(
-            GeomScenario(params, "mixed", theta, h_uav=h_uav, h_rx=h_rx), ngeom, seedgm
-        )
+        est3d = _estimate_point(spec3d, {"theta": theta}, seeds[2 * i])
+        estgm = _estimate_point(specgm, {"theta": theta}, seeds[2 * i + 1])
         rows.append(
             CompareRow(
                 theta_deg=theta,

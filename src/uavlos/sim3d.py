@@ -165,9 +165,7 @@ def ray_height_at(link: LinkGeometry, r_op: float) -> float:
     """Height of the straight tx-rx ray above the ground point at
     distance r_op from the transmitter along the ground projection."""
     if link.r_rx == 0.0:
-        raise DegenerateLink(
-            "vertical link has no ground parametrization; the caller treats it as LoS"
-        )
+        raise DegenerateLink("vertical link has no ground parametrization")
     if not 0.0 <= r_op <= link.r_rx:
         raise InvalidParams(f"r_op must be in [0, {link.r_rx}], got {r_op}")
     return link.tx.z - r_op * (link.tx.z - link.rx.z) / link.r_rx
@@ -203,15 +201,6 @@ def _reject_inside_building(city: City, node: Node, label: str) -> None:
         raise EndpointInsideBuilding(
             f"{label} at height {node.z} inside building {under[:2]} with roof {under[2]}"
         )
-
-
-def _vertical_outcome(city: City, link: LinkGeometry) -> LoSOutcome:
-    # Overhead case: blocked only when the shared ground cell is a building
-    # at least as tall as the transmitter.
-    under = roof_under(city, link.tx.x, link.tx.y)
-    if under is not None and under[2] >= link.tx.z:
-        return LoSOutcome.nlos(Blocker(under[0], under[1], 0.0))
-    return LoSOutcome.los()
 
 
 def first_blockers(runs, h_rx: float):
@@ -263,12 +252,11 @@ def check_los_edges(city: City, link: LinkGeometry) -> LoSOutcome:
     height where the track enters the box seen from the receiver is
     compared with the roof (a roof exactly at ray height blocks).  This
     is :func:`first_blockers` for one link, after validating both
-    endpoints.  Returns the blocker with the smallest r_op.
+    endpoints; a vertical link is a zero-length track.  Returns the
+    blocker with the smallest r_op.
     """
     _require_in_extent(city.layout, link.tx, "transmitter")
     _require_in_extent(city.layout, link.rx, "receiver")
-    if link.r_rx == 0.0:
-        return _vertical_outcome(city, link)
     _reject_inside_building(city, link.tx, "transmitter")
     _reject_inside_building(city, link.rx, "receiver")
 
@@ -284,7 +272,8 @@ def check_los_dense(city: City, link: LinkGeometry, step: float = 0.1) -> LoSOut
     Samples every ``step`` metres plus every band-boundary crossing and
     both endpoints, and tests each sample against the closed building
     box it may touch (boundary contact counts, matching the edge
-    check's tie rule).  Independent of the ground-track kernel behind
+    check's tie rule); a vertical link has the receiver as its one
+    sample.  Independent of the ground-track kernel behind
     :func:`check_los_edges`; with flat rooftops the two agree exactly.
     """
     layout = city.layout
@@ -293,8 +282,6 @@ def check_los_dense(city: City, link: LinkGeometry, step: float = 0.1) -> LoSOut
         raise InvalidParams(f"step must be in (0, s/10 = {s / 10.0}], got {step}")
     _require_in_extent(layout, link.tx, "transmitter")
     _require_in_extent(layout, link.rx, "receiver")
-    if link.r_rx == 0.0:
-        return _vertical_outcome(city, link)
     _reject_inside_building(city, link.tx, "transmitter")
     _reject_inside_building(city, link.rx, "receiver")
 
@@ -415,13 +402,19 @@ def _count_from(first: float, limit: float, p: float) -> int:
     return int((limit - first) // p) + 1
 
 
+#: Draws RandomOverCity may take to put the UAV in free air.
+UAV_PLACEMENT_TRIES = 1000
+
+
 def place_uav(city: City, policy: UavPlacementPolicy, rng: np.random.Generator) -> Node:
     """Draw a UAV position according to a placement policy.
 
     Centers are drawn uniformly over the cells of the requested kind
     inside the extent; RandomOverCity draws (x, y) uniformly over the
-    whole extent.  The policy height must be positive, and BuildingTop
-    only considers cells whose roof lies below it.
+    whole extent and redraws, up to UAV_PLACEMENT_TRIES times, until
+    the UAV is above any roof under it.  The policy height must be
+    positive, and BuildingTop only considers cells whose roof lies
+    below it.
     """
     layout = city.layout
     p, s, w = layout.period, layout.s, layout.w
@@ -434,7 +427,15 @@ def place_uav(city: City, policy: UavPlacementPolicy, rng: np.random.Generator) 
         raise InvalidParams(f"policy height must be positive, got {policy.h}")
 
     if isinstance(policy, RandomOverCity):
-        return Node(rng.uniform(0.0, ex), rng.uniform(0.0, ey), policy.h)
+        for _ in range(UAV_PLACEMENT_TRIES):
+            uav = Node(rng.uniform(0.0, ex), rng.uniform(0.0, ey), policy.h)
+            under = roof_under(city, uav.x, uav.y)
+            if under is None or under[2] < uav.z:
+                return uav
+        raise InvalidParams(
+            f"could not place a UAV at {policy.h} m clear of rooftops "
+            f"after {UAV_PLACEMENT_TRIES} tries"
+        )
 
     if isinstance(policy, BuildingTop):
         eligible = np.argwhere(city.heights < policy.h)

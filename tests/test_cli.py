@@ -88,6 +88,9 @@ def test_bad_config_leaves_no_output(tmp_path):
     assert run_cli("plos-vs-theta", "--env", "urban", "--seed", "1",
                    "--out", out, "--config", cfg) == 2
 
+    cfg.write_text("env = nowhere\n")
+    assert run_cli("plos-vs-theta", "--seed", "1", "--out", out, "--config", cfg) == 2
+
     assert run_cli("plos-vs-theta", "--env", "urban", "--seed", "1",
                    "--out", out, "--config", tmp_path / "absent.cfg") == 2
 
@@ -289,3 +292,14 @@ def test_compare_reruns_are_byte_identical(tmp_path):
     assert run_cli(*args, "--out", a) == 0
     assert run_cli(*args, "--out", b) == 0
     assert a.read_bytes() == b.read_bytes()
+
+
+@pytest.mark.parametrize("bad", [("--thetas", "0"), ("--thetas", "95"),
+                                 ("--runs-3d", "0"), ("--n-users", "0")])
+def test_compare_rejects_illegal_input_before_running(tmp_path, capsys, bad):
+    out = tmp_path / "compare.csv"
+    assert run_cli("compare", "--env", "urban", "--extent", "1000", "--seed", "0",
+                   "--thetas", "60", "--runs-3d", "5", "--runs-geom", "50",
+                   *bad, "--out", out) == 2
+    assert "error:" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from uavlos import harness
 from uavlos.baselines import GridProduct, Sigmoid, evaluate
 from uavlos.citygeom import ENVIRONMENTS, BuiltUpParams
 from uavlos.errors import IllegalSpec, InvalidCounts
@@ -89,6 +90,13 @@ def test_sweep_spec_validation():
     with pytest.raises(IllegalSpec):
         SweepSpec(engine="baseline:grid", params=URBAN,
                   axes=(theta_axis(30), SweepAxis("phi", (0.0,))), seed=0)
+    # theta 90 puts the one user inside a building-top UAV's own building
+    top = dict(ok, engine="sim3d", uav_policy="building-top")
+    SweepSpec(**top)
+    with pytest.raises(IllegalSpec, match="building-top"):
+        SweepSpec(**{**top, "axes": (theta_axis(45, 90),)})
+    with pytest.raises(IllegalSpec, match="building-top"):
+        SweepSpec(**{**top, "axes": (SweepAxis("phi", (0.0,)),), "theta": 90.0})
 
 
 def test_geom_sweep_is_reproducible():
@@ -278,6 +286,15 @@ def test_compare_engines_overhead_row():
     assert row.sim3d.p_hat == 1.0
     assert row.geom.p_hat == 1.0
     assert row.abs_delta == 0.0
+
+
+def test_compare_engines_validates_before_any_engine_runs(monkeypatch):
+    def fail(*args, **kwargs):
+        pytest.fail("the 3D engine ran on an illegal spec")
+
+    monkeypatch.setattr(harness, "_estimate_sim3d", fail)
+    with pytest.raises(IllegalSpec):
+        compare_engines(URBAN, (95.0,), n3d=5, ngeom=50, seed=0)
 
 
 def test_compare_engines_is_reproducible():

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from uavlos import sim3d
 from uavlos.citygeom import (
     ENVIRONMENTS,
     Building,
@@ -43,6 +44,7 @@ from uavlos.sim3d import (
     place_users,
     place_users_circle,
     ray_height_at,
+    roof_under,
     save_city,
 )
 
@@ -154,20 +156,34 @@ def test_raising_the_transmitter_never_loses_los():
 
 
 def test_vertical_link_outcomes():
-    over_street = toy_city({(1, 1): 200.0})
-    link = LinkGeometry.from_nodes(tx=Node(2.0, 2.0, 100.0), rx=Node(2.0, 2.0, 0.0))
-    assert check_los_edges(over_street, link).is_los
+    tall = toy_city({(1, 1): 200.0})
+    over_street = LinkGeometry.from_nodes(tx=Node(2.0, 2.0, 100.0), rx=Node(2.0, 2.0, 0.0))
+    assert check_los_edges(tall, over_street).is_los
+    assert check_los_dense(tall, over_street).is_los
 
-    over_building = LinkGeometry.from_nodes(
-        tx=Node(7.5, 7.5, 100.0), rx=Node(7.5, 7.5, 1.5)
-    )
-    out = check_los_edges(over_street, over_building)
-    assert not out.is_los
-    assert out.blocker.r_op == 0.0
-
+    # A receiver inside a footprint is rejected, as on any other link.
     shorter = toy_city({(1, 1): 50.0})
-    taller_tx = LinkGeometry.from_nodes(tx=Node(7.5, 7.5, 100.0), rx=Node(7.5, 7.5, 1.5))
-    assert check_los_edges(shorter, taller_tx).is_los
+    interior = LinkGeometry.from_nodes(tx=Node(7.5, 7.5, 100.0), rx=Node(7.5, 7.5, 1.5))
+    for check in (check_los_edges, check_los_dense):
+        with pytest.raises(EndpointInsideBuilding, match="receiver"):
+            check(shorter, interior)
+
+    # Over the east face x = 10 of the 200 m building: the zero-length
+    # track touches its closed box.
+    face = LinkGeometry.from_nodes(tx=Node(10.0, 7.5, 100.0), rx=Node(10.0, 7.5, 1.5))
+    for check in (check_los_edges, check_los_dense):
+        out = check(tall, face)
+        assert not out.is_los
+        assert (out.blocker.ix, out.blocker.iy, out.blocker.r_op) == (1, 1, 0.0)
+    link, ix, iy, t = first_blockers([(tall, face.tx, [10.0], [7.5])], 1.5)
+    assert (link.tolist(), ix.tolist(), iy.tolist()) == ([0], [1], [1])
+    assert float((1.0 - t[0]) * face.r_rx) == 0.0
+
+    # A receiver standing on the roof sees the UAV above it.
+    on_roof = LinkGeometry.from_nodes(tx=Node(7.5, 7.5, 100.0), rx=Node(7.5, 7.5, 50.001))
+    assert check_los_edges(shorter, on_roof).is_los
+    assert check_los_dense(shorter, on_roof).is_los
+    assert first_blockers([(shorter, on_roof.tx, [7.5], [7.5])], 50.001)[0].size == 0
 
 
 def test_endpoint_validation():
@@ -368,6 +384,20 @@ def test_place_uav_is_reproducible():
     a = place_uav(city, RandomOverCity(h=100.0), np.random.default_rng(9))
     b = place_uav(city, RandomOverCity(h=100.0), np.random.default_rng(9))
     assert a == b
+
+
+def test_random_uav_retries_are_bounded_and_typed(monkeypatch):
+    # 9 m buildings on a 10 m period, every roof above the 100 m UAV: the
+    # first six draws of seed 6 all land over a roof.
+    params = BuiltUpParams(0.81, 10000.0, 10.0)
+    city = City(params=params, layout=derive_layout(params, 100.0, 100.0),
+                heights=np.full((10, 10), 200.0), seed=0)
+    assert sim3d.UAV_PLACEMENT_TRIES == 1000
+    uav = place_uav(city, RandomOverCity(h=100.0), np.random.default_rng(6))
+    assert uav.z == 100.0 and roof_under(city, uav.x, uav.y) is None
+    monkeypatch.setattr(sim3d, "UAV_PLACEMENT_TRIES", 5)
+    with pytest.raises(InvalidParams, match="clear of rooftops after 5 tries"):
+        place_uav(city, RandomOverCity(h=100.0), np.random.default_rng(6))
 
 
 def test_city_round_trip_is_exact():
