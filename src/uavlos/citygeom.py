@@ -239,10 +239,10 @@ def _band_visits(c0, dc, t_lo, t_hi, p: float, s: float):
     i = np.where(d > 0.0, last[row] - k, first[row] + k)
     near = i * p + s
     far = (i + 1) * p
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ta = (near - c) / d
-        tb = (far - c) / d
     moving = d != 0.0
+    step = np.where(moving, d, 1.0)
+    ta = (near - c) / step
+    tb = (far - c) / step
     lo = np.maximum(np.where(moving, np.minimum(ta, tb), -np.inf), t_lo[row])
     hi = np.minimum(np.where(moving, np.maximum(ta, tb), np.inf), t_hi[row])
     # A coordinate that does not move is inside its band for the whole
@@ -251,7 +251,7 @@ def _band_visits(c0, dc, t_lo, t_hi, p: float, s: float):
     return row[keep], i[keep], lo[keep], hi[keep]
 
 
-def track_entries(layout: CityLayout, x_rx, y_rx, x_tx, y_tx):
+def track_entries(layout: CityLayout, x_rx, y_rx, x_tx, y_tx, t_max=1.0):
     """Building boxes entered by a batch of ground tracks.
 
     Track n runs from the user's ground point (x_rx[n], y_rx[n]) to the
@@ -261,6 +261,13 @@ def track_entries(layout: CityLayout, x_rx, y_rx, x_tx, y_tx):
     runs along a face or touches a corner meets the box.  A zero-length
     track meets the boxes that contain its point.
 
+    t_max (at most 1, per track or one for all) cuts track n at the
+    fraction t_max[n] from the user: only boxes entered at t <= t_max[n]
+    are listed, and a negative t_max lists none.  The entries kept are
+    exactly the uncut track's entries with t <= t_max, with the same t
+    bits and in the same order, because the cut only lowers the upper
+    end of each window the entry points are taken from.
+
     Returns arrays (link, ix, iy, t), one entry per box a track meets:
     the track index, the cell and the fraction t in [0, 1] of the track
     from the user to the point where it enters the box.  With flat
@@ -269,17 +276,17 @@ def track_entries(layout: CityLayout, x_rx, y_rx, x_tx, y_tx):
     descending).
     """
     p, s = layout.period, layout.s
-    x0, y0, x1, y1 = np.broadcast_arrays(
-        *(np.atleast_1d(np.asarray(v, dtype=float)) for v in (x_rx, y_rx, x_tx, y_tx))
+    x0, y0, x1, y1, t1 = np.broadcast_arrays(
+        *(np.atleast_1d(np.asarray(v, dtype=float))
+          for v in (x_rx, y_rx, x_tx, y_tx, t_max))
     )
     dx, dy = x1 - x0, y1 - y0
-    zeros = np.zeros(x0.size)
     # Column bands over the whole track, then the row bands crossed while
     # the track stays inside each column band.  Column windows are
     # disjoint and ordered along the track, so listing both the columns
     # and the rows within a column latest-visited first orders each
     # track's entries by t descending.
-    link, i, lo, hi = _band_visits(x0, dx, zeros, zeros + 1.0, p, s)
+    link, i, lo, hi = _band_visits(x0, dx, np.zeros(x0.size), t1, p, s)
     row, j, t, _ = _band_visits(y0[link], dy[link], lo, hi, p, s)
     return link[row], i[row] + 1, j + 1, t
 

@@ -17,7 +17,7 @@ import argparse
 import sys
 from pathlib import Path
 
-from .baselines import GridProduct, evaluate, load_model_set
+from .baselines import load_model_set
 from .citygeom import ENVIRONMENTS, BuiltUpParams
 from .errors import IllegalSpec, InvalidParams, ParseError
 from .harness import (
@@ -332,9 +332,6 @@ def _cmd_export_city(opts: dict) -> int:
 
 def _cmd_compare(opts: dict) -> int:
     params = _params_from(opts)
-    loaded = _load_models(opts) or {}
-    model_items = [("grid", GridProduct(params))]
-    model_items += [(name, loaded[name]) for name in sorted(loaded)]
     thetas = tuple(opts["thetas"])
     rows = compare_engines(
         params,
@@ -346,7 +343,9 @@ def _cmd_compare(opts: dict) -> int:
         h_uav=opts["uav_height"],
         h_rx=opts["rx_height"],
         n_users=opts["n_users"],
+        models=_load_models(opts),
     )
+    names = list(rows[0].baselines)
     echo = (
         f"engine=compare alpha={params.alpha:g} beta={params.beta:g} gamma={params.gamma:g}"
         f" extent={opts['extent'][0]:g}x{opts['extent'][1]:g}"
@@ -354,14 +353,12 @@ def _cmd_compare(opts: dict) -> int:
         f" n3d={opts['runs_3d']} ngeom={opts['runs_geom']}"
         f" h_uav={opts['uav_height']:g} h_rx={opts['rx_height']:g}"
         f" n_users={opts['n_users']} seed={opts['seed']}"
-        f" models={','.join(name for name, _ in model_items)}"
+        f" models={','.join(names)}"
     )
     header = (
         "theta,n_3d,k_3d,p_3d,ci_lo_3d,ci_hi_3d,"
-        "n_geom,k_geom,p_geom,ci_lo_geom,ci_hi_geom,abs_delta"
-    )
-    if model_items:
-        header += "," + ",".join(name for name, _ in model_items)
+        "n_geom,k_geom,p_geom,ci_lo_geom,ci_hi_geom,abs_delta,"
+    ) + ",".join(names)
     lines = [f"# spec: {echo}", header]
     for row in rows:
         a, g = row.sim3d, row.geom
@@ -371,9 +368,7 @@ def _cmd_compare(opts: dict) -> int:
             str(g.n), str(g.k), f"{g.p_hat:.6f}", f"{g.ci_lo:.6f}", f"{g.ci_hi:.6f}",
             f"{row.abs_delta:.6f}",
         ]
-        for _, model in model_items:
-            p = evaluate(model, row.theta_deg, opts["uav_height"], opts["rx_height"])
-            cells.append(f"{p:.6f}")
+        cells += [f"{row.baselines[name]:.6f}" for name in names]
         lines.append(",".join(cells))
     atomic_write_text(Path(opts["out"]), "\n".join(lines) + "\n")
     return 0

@@ -37,6 +37,7 @@ from .sim3d import (
     generate_city,
     place_uav,
     place_users,
+    user_directions,
 )
 from .simgeom import USER_ZONES, GeomScenario, estimate_plos
 from .stats import PLosEstimate
@@ -225,21 +226,30 @@ class SweepResult:
 
 @dataclass(frozen=True)
 class CompareRow:
+    """Both engines' estimates at one theta, their gap, and the value of
+    each baseline model by name ("grid" first, then loaded names in
+    sorted order)."""
+
     theta_deg: float
     sim3d: PLosEstimate
     geom: PLosEstimate
     abs_delta: float
+    baselines: Mapping[str, float]
 
 
 def _child_seed(rng: np.random.Generator) -> int:
     return int(rng.integers(0, 2**63))
 
 
-#: The 3D engine decides the users of whole cities in one kernel pass,
-#: closed once it holds PASS_USERS users or PASS_CELLS height cells: a full
-#: circle of users gets a pass of its own, while one-user cities (fixed phi,
-#: theta = 90) share one without holding many height grids at once.
-PASS_USERS = 64
+#: The 3D engine places and decides the users of several cities in one
+#: pass: one placement and one ground-track kernel call, which costs about
+#: 150 us before it does any work.  A pass closes once its cities hold
+#: PASS_USERS user positions (six 360-user circles) or PASS_CELLS height
+#: cells (fifteen one-user cities on urban), bounding its working set: a
+#: full pass at theta 10 on urban peaks at about 2 MB of arrays, because
+#: each track is cut where its city's tallest roof stops mattering (2.9 MB
+#: uncut; see first_blockers).
+PASS_USERS = 2048
 PASS_CELLS = 1 << 16
 
 
@@ -250,24 +260,26 @@ def _estimate_sim3d(
     """Fresh-city protocol at one point of spec: per run, generate a city,
     place the UAV and pool the LoS states of every valid user on the
     theta circle (one user at azimuth phi when phi is fixed, or straight
-    under the UAV at theta = 90), decided a few cities per ground-track
-    kernel pass."""
+    under the UAV at theta = 90), decided a few cities per pass."""
     policy = UAV_POLICIES[spec.uav_policy](h_uav)
+    directions = user_directions(theta, spec.n_users, phi)
     k = 0
     n = 0
-    runs, users, cells = [], 0, 0
+    cities, uavs = [], []
     for i, child in enumerate(np.random.SeedSequence(seed).spawn(spec.n_runs)):
         rng = np.random.default_rng(child)
         city = generate_city(params, spec.extent[0], spec.extent[1], _child_seed(rng))
-        uav = place_uav(city, policy, rng)
-        x, y = place_users(city, uav, theta, spec.n_users, spec.h_rx, phi)
-        runs.append((city, uav, x, y))
-        users += x.size
-        cells += city.heights.size
-        if users >= PASS_USERS or cells >= PASS_CELLS or i == spec.n_runs - 1:
-            n += users
-            k += users - first_blockers(runs, spec.h_rx)[0].size
-            runs, users, cells = [], 0, 0
+        cities.append(city)
+        uavs.append(place_uav(city, policy, rng))
+        if (
+            len(uavs) * directions[0].size >= PASS_USERS
+            or len(cities) * city.heights.size >= PASS_CELLS
+            or i == spec.n_runs - 1
+        ):
+            run, x, y = place_users(city.layout, uavs, theta, directions, spec.h_rx)
+            n += x.size
+            k += x.size - first_blockers(cities, uavs, run, x, y, spec.h_rx)[0].size
+            cities, uavs = [], []
     if n == 0:
         raise UavLosError(
             "no valid user positions over the whole sweep point; "
@@ -363,13 +375,17 @@ def compare_engines(
     h_uav: float = 100.0,
     h_rx: float = 1.5,
     n_users: int = 360,
+    models: Mapping[str, BaselineModel] | None = None,
 ) -> list[CompareRow]:
-    """Run both engines at matched settings over a theta grid.
+    """Run both engines and the baseline models at matched settings over
+    a theta grid.
 
     The 3D side runs the fresh-city protocol with a randomly placed UAV
     at h_uav; the geometry side runs the area-weighted street/crossroad
-    mix at the same fixed altitude and a uniform azimuth.  Both sides
-    are sweep specs, validated before either engine runs.
+    mix at the same fixed altitude and a uniform azimuth.  The baselines
+    are "grid" (GridProduct on params) and every model in models, which
+    "grid" shadows as in a sweep.  Every side is a sweep spec, validated
+    before either engine runs.
     """
     common = dict(
         params=params, extent=extent, axes=(SweepAxis("theta", tuple(thetas)),),
@@ -379,20 +395,27 @@ def compare_engines(
         engine="sim3d", n_runs=n3d, uav_policy="random", n_users=n_users, **common
     )
     specgm = SweepSpec(engine="geom", n_runs=ngeom, user_zone="mixed", **common)
+    names = ["grid", *sorted(set(models or {}) - {"grid"})]
+    baselines = [SweepSpec(engine=f"baseline:{name}", models=models, **common) for name in names]
     seeds = [
         _child_seed(np.random.default_rng(child))
         for child in np.random.SeedSequence(seed).spawn(2 * len(thetas))
     ]
     rows = []
     for i, theta in enumerate(thetas):
-        est3d = _estimate_point(spec3d, {"theta": theta}, seeds[2 * i])
-        estgm = _estimate_point(specgm, {"theta": theta}, seeds[2 * i + 1])
+        var = {"theta": theta}
+        est3d = _estimate_point(spec3d, var, seeds[2 * i])
+        estgm = _estimate_point(specgm, var, seeds[2 * i + 1])
         rows.append(
             CompareRow(
                 theta_deg=theta,
                 sim3d=est3d,
                 geom=estgm,
                 abs_delta=abs(est3d.p_hat - estgm.p_hat),
+                baselines={
+                    name: _estimate_point(spec, var, seed).p_hat
+                    for name, spec in zip(names, baselines)
+                },
             )
         )
     return rows

@@ -56,6 +56,7 @@ __all__ = [
     "first_blockers",
     "check_los_edges",
     "check_los_dense",
+    "user_directions",
     "place_users",
     "place_users_circle",
     "place_uav",
@@ -203,41 +204,54 @@ def _reject_inside_building(city: City, node: Node, label: str) -> None:
         )
 
 
-def first_blockers(runs, h_rx: float):
+#: Added to each link's cut (see :func:`first_blockers`) so that the ray,
+#: computed as in the roof test, clears the tallest roof at the cut.
+_CUT_SLACK = 1e-9
+
+
+def first_blockers(cities, txs, run, rx_x, rx_y, h_rx: float):
     """Decide the links of several cities in one ground-track kernel call.
 
-    ``runs`` is a sequence of (city, tx, rx_x, rx_y): a city, its
-    transmitter and the ground positions of its receivers, all at
-    height h_rx.  The cities share one layout, hence one grid shape;
-    links are numbered across runs in order.  A building blocks a link
-    when its roof reaches the ray height where the ground track enters
-    its closed box seen from the receiver (a roof exactly at ray height
-    blocks); cells beyond the materialized grid are open space.
+    Link n runs from the receiver at (rx_x[n], rx_y[n], h_rx) to the
+    transmitter txs[run[n]] in the city cities[run[n]]; run is
+    non-decreasing, so the links of one city are contiguous.  The
+    cities share one layout, hence one grid shape.  A building blocks a
+    link when its roof reaches the ray height where the ground track
+    enters its closed box seen from the receiver (a roof exactly at ray
+    height blocks); cells beyond the materialized grid are open space.
     Endpoints are not validated.
+
+    Each track is cut where the ray rises above its city's tallest roof:
+    at t_max = (max roof - h_rx) / (tx.z - h_rx) plus _CUT_SLACK, at most
+    1, and kept only where the ray height there, computed as in the roof
+    test, exceeds that roof.  The ray height only grows with t, so no box
+    entered beyond the cut can block, and the cut changes no outcome.
+    Where tx.z <= h_rx the track is not cut.
 
     Returns arrays (link, ix, iy, t) for the blocked links only, one
     entry each: the blocking cell nearest the transmitter and the
     fraction t of the track from the receiver to its entry point.
     """
-    counts = [len(rx_x) for _, _, rx_x, _ in runs]
-    tx_x, tx_y, tx_z = np.repeat([(tx.x, tx.y, tx.z) for _, tx, _, _ in runs], counts, axis=0).T
+    run = np.asarray(run, dtype=np.int64)
+    tx_x, tx_y, tx_z = np.array([(tx.x, tx.y, tx.z) for tx in txs]).T
+    top = np.array([city.heights.max() for city in cities])
+    rise = tx_z - h_rx
+    cut = (top - h_rx) / np.where(rise > 0.0, rise, 1.0) + _CUT_SLACK
+    cut = np.where((rise > 0.0) & (h_rx + cut * rise > top), np.minimum(cut, 1.0), 1.0)
     link, ix, iy, t = track_entries(
-        runs[0][0].layout,
-        np.concatenate([rx_x for _, _, rx_x, _ in runs]),
-        np.concatenate([rx_y for _, _, _, rx_y in runs]),
-        tx_x,
-        tx_y,
+        cities[0].layout, rx_x, rx_y, tx_x[run], tx_y[run], cut[run]
     )
-    nx, ny = runs[0][0].heights.shape
+    nx, ny = cities[0].heights.shape
     built = (ix >= 1) & (ix <= nx) & (iy >= 1) & (iy <= ny)
     link, ix, iy, t = link[built], ix[built], iy[built], t[built]
+    city_of = run[link]
     cell = (ix - 1) * ny + (iy - 1)
     roof = np.empty(t.size)
     # Entries are ordered by link, so each city's entries are contiguous.
-    bounds = np.searchsorted(link, np.cumsum([0] + counts))
-    for (city, _, _, _), a, b in zip(runs, bounds[:-1], bounds[1:]):
+    bounds = np.searchsorted(city_of, np.arange(len(cities) + 1))
+    for city, a, b in zip(cities, bounds[:-1], bounds[1:]):
         roof[a:b] = city.heights.ravel()[cell[a:b]]
-    blocked = roof >= h_rx + t * (tx_z[link] - h_rx)
+    blocked = roof >= h_rx + t * rise[city_of]
     link, ix, iy, t = link[blocked], ix[blocked], iy[blocked], t[blocked]
     # Entries come nearest the transmitter first within each link.
     first = np.ones(link.size, dtype=bool)
@@ -260,7 +274,7 @@ def check_los_edges(city: City, link: LinkGeometry) -> LoSOutcome:
     _reject_inside_building(city, link.tx, "transmitter")
     _reject_inside_building(city, link.rx, "receiver")
 
-    _, ix, iy, t = first_blockers([(city, link.tx, [link.rx.x], [link.rx.y])], link.rx.z)
+    _, ix, iy, t = first_blockers([city], [link.tx], [0], [link.rx.x], [link.rx.y], link.rx.z)
     if t.size == 0:
         return LoSOutcome.los()
     return LoSOutcome.nlos(Blocker(int(ix[0]), int(iy[0]), float((1.0 - t[0]) * link.r_rx)))
@@ -338,41 +352,50 @@ def check_los_dense(city: City, link: LinkGeometry, step: float = 0.1) -> LoSOut
     )
 
 
-def place_users(
-    city: City,
-    uav: Node,
-    theta_deg: float,
-    n: int,
-    h_rx: float = 1.5,
-    phi_deg: float | None = None,
-):
-    """Ground positions of the users that see the UAV at elevation theta.
+def user_directions(theta_deg: float, n: int, phi_deg: float | None = None):
+    """Ground directions (cos, sin) from a UAV toward its users.
 
-    Users stand on the circle of radius d = (uav.z - h_rx)/tan(theta)
-    around the UAV's ground point: at n azimuths spaced uniformly from
-    0 degrees, or at the single azimuth phi_deg when it is given; theta
-    = 90 puts one user straight under the UAV.  Positions outside the
-    extent or inside a building footprint are dropped.
-
-    Returns arrays (x, y) of the kept positions, in azimuth order.
+    The users that see a UAV at elevation theta stand at n azimuths
+    spaced uniformly from 0 degrees, or at the single azimuth phi_deg
+    when it is given; theta = 90 has one user, straight under the UAV,
+    whose direction is the +x axis.
     """
     if theta_deg == 90.0:
-        d, azimuths = 0.0, np.zeros(1)
+        azimuths = np.zeros(1)
+    elif phi_deg is None:
+        azimuths = 2.0 * math.pi * np.arange(n) / n
     else:
-        d = (uav.z - h_rx) / math.tan(math.radians(theta_deg))
-        if phi_deg is None:
-            azimuths = 2.0 * math.pi * np.arange(n) / n
-        else:
-            azimuths = np.array([math.radians(phi_deg)])
-    x = uav.x + d * np.cos(azimuths)
-    y = uav.y + d * np.sin(azimuths)
-    layout = city.layout
+        azimuths = np.array([math.radians(phi_deg)])
+    return np.cos(azimuths), np.sin(azimuths)
+
+
+def place_users(layout: CityLayout, uavs, theta_deg: float, directions, h_rx: float = 1.5):
+    """Ground positions of the users that see each UAV at elevation theta.
+
+    The users of a UAV stand along the given directions (see
+    :func:`user_directions`) at ground distance d = (uav.z -
+    h_rx)/tan(theta) from its ground point, d = 0 at theta = 90.
+    Positions outside the extent or inside a building footprint are
+    dropped.
+
+    Returns arrays (run, x, y) of the kept positions: the index in uavs
+    of the UAV each user sees and its ground position, ordered by UAV,
+    then by direction.
+    """
+    cos, sin = directions
+    ux, uy, uz = np.array([(u.x, u.y, u.z) for u in uavs]).reshape(-1, 3).T
+    if theta_deg == 90.0:
+        d = np.zeros(ux.size)
+    else:
+        d = (uz - h_rx) / math.tan(math.radians(theta_deg))
+    x = ux[:, None] + d[:, None] * cos
+    y = uy[:, None] + d[:, None] * sin
     p, s = layout.period, layout.s
     kept = (
         (0.0 <= x) & (x <= layout.extent_x) & (0.0 <= y) & (y <= layout.extent_y)
         & ((x % p < s) | (y % p < s))
     )
-    return x[kept], y[kept]
+    return np.nonzero(kept)[0], x[kept], y[kept]
 
 
 def place_users_circle(
@@ -392,7 +415,7 @@ def place_users_circle(
         raise InvalidParams(f"UAV height {uav.z} below user height {h_rx}")
     if uav.z == h_rx:
         raise DegenerateCircle(f"zero-radius circle (uav.z = h_rx = {h_rx})")
-    x, y = place_users(city, uav, theta_deg, n, h_rx)
+    _, x, y = place_users(city.layout, [uav], theta_deg, user_directions(theta_deg, n), h_rx)
     return [Node(xi, yi, h_rx) for xi, yi in zip(x.tolist(), y.tolist())]
 
 

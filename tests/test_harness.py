@@ -297,9 +297,38 @@ def test_compare_engines_validates_before_any_engine_runs(monkeypatch):
         compare_engines(URBAN, (95.0,), n3d=5, ngeom=50, seed=0)
 
 
+def test_compare_engines_evaluates_the_baselines_by_name():
+    # "grid" is the environment's GridProduct; a loaded model of that name
+    # is shadowed, as in a sweep.
+    models = {"s": Sigmoid(a=9.61, b=0.16), "grid": GridProduct(BuiltUpParams(0.5, 300.0, 50.0))}
+    rows = compare_engines(URBAN, (30.0, 60.0), n3d=2, ngeom=20, seed=0,
+                           extent=(1000.0, 1000.0), models=models)
+    for row in rows:
+        assert list(row.baselines) == ["grid", "s"]
+        assert row.baselines["grid"] == evaluate(GridProduct(URBAN), row.theta_deg, 100.0, 1.5)
+        assert row.baselines["s"] == evaluate(models["s"], row.theta_deg, 100.0, 1.5)
+
+
 def test_compare_engines_is_reproducible():
     a = compare_engines(URBAN, (30.0, 60.0), n3d=15, ngeom=60, seed=12,
                         extent=(1000.0, 1000.0))
     b = compare_engines(URBAN, (30.0, 60.0), n3d=15, ngeom=60, seed=12,
                         extent=(1000.0, 1000.0))
     assert [(r.sim3d, r.geom) for r in a] == [(r.sim3d, r.geom) for r in b]
+
+
+@pytest.mark.parametrize(
+    "theta,phi", [(30.0, None), (45.0, 30.0), (90.0, None)], ids=["circle", "fixed-phi", "theta-90"]
+)
+def test_sim3d_passes_do_not_change_the_estimate(theta, phi, monkeypatch):
+    # 12 cities of 90 circle users (or one user) fit one pass by default;
+    # PASS_USERS = 1 gives every city a pass of its own.
+    spec = SweepSpec(
+        engine="sim3d", params=URBAN, axes=(SweepAxis("theta", (theta,)),),
+        n_runs=12, n_users=90, seed=3,
+    )
+    pooled = harness._estimate_sim3d(spec, URBAN, theta, phi, 100.0, 77)
+    monkeypatch.setattr(harness, "PASS_USERS", 1)
+    alone = harness._estimate_sim3d(spec, URBAN, theta, phi, 100.0, 77)
+    assert pooled == alone
+    assert 0 < pooled.k < pooled.n or theta == 90.0

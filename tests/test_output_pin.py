@@ -1,4 +1,4 @@
-"""Byte pins of three short CLI runs.
+"""Byte pins of four short CLI runs.
 
 Each case runs one subcommand at small sizes and compares the CSV it
 writes with the exact text below.  A change that keeps every random
@@ -35,6 +35,18 @@ theta,phi,n,k,p_hat,ci_lo,ci_hi,ms_per_point
 75,0,150,36,0.240000,0.178692,0.314293,0.000000
 75,45,150,84,0.560000,0.480047,0.636956,0.000000
 75,90,150,150,1.000000,0.975029,1.000000,0.000000
+""",
+    ),
+    "heatmap-sim3d": (
+        ["heatmap", "--engine", "sim3d", "--env", "dense-urban", "--runs", "20",
+         "--theta-grid", "30,90", "--phi-grid", "0,45", "--seed", "3"],
+        """\
+# spec: engine=sim3d alpha=0.5 beta=300 gamma=20 extent=3000x3000 axes=theta:30,90;phi:0,45 h_uav=100 h_rx=1.5 n_runs=20 seed=3 uav_policy=random n_users=360
+theta,phi,n,k,p_hat,ci_lo,ci_hi,ms_per_point
+30,0,11,7,0.636364,0.353797,0.848338,0.000000
+30,45,13,5,0.384615,0.177094,0.644775,0.000000
+90,0,11,11,1.000000,0.741160,1.000000,0.000000
+90,45,13,13,1.000000,0.771898,1.000000,0.000000
 """,
     ),
     "compare": (

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from uavlos import sim3d
 from uavlos.citygeom import (
@@ -46,6 +48,7 @@ from uavlos.sim3d import (
     ray_height_at,
     roof_under,
     save_city,
+    user_directions,
 )
 
 TOY = BuiltUpParams(0.25, 10000.0, 10.0)  # 5 m buildings on a 10 m period
@@ -175,7 +178,7 @@ def test_vertical_link_outcomes():
         out = check(tall, face)
         assert not out.is_los
         assert (out.blocker.ix, out.blocker.iy, out.blocker.r_op) == (1, 1, 0.0)
-    link, ix, iy, t = first_blockers([(tall, face.tx, [10.0], [7.5])], 1.5)
+    link, ix, iy, t = first_blockers([tall], [face.tx], [0], [10.0], [7.5], 1.5)
     assert (link.tolist(), ix.tolist(), iy.tolist()) == ([0], [1], [1])
     assert float((1.0 - t[0]) * face.r_rx) == 0.0
 
@@ -183,7 +186,7 @@ def test_vertical_link_outcomes():
     on_roof = LinkGeometry.from_nodes(tx=Node(7.5, 7.5, 100.0), rx=Node(7.5, 7.5, 50.001))
     assert check_los_edges(shorter, on_roof).is_los
     assert check_los_dense(shorter, on_roof).is_los
-    assert first_blockers([(shorter, on_roof.tx, [7.5], [7.5])], 50.001)[0].size == 0
+    assert first_blockers([shorter], [on_roof.tx], [0], [7.5], [7.5], 50.001)[0].size == 0
 
 
 def test_endpoint_validation():
@@ -261,17 +264,139 @@ def test_boundary_contact_agrees_with_dense_oracle(name):
     assert check_los_edges(city, link).is_los == dense.is_los
 
 
+def assert_pass_matches_dense(runs, h_rx):
+    """first_blockers over runs of (city, transmitter, receivers) in one
+    pass agrees, link by link, with the dense oracle; returns the blocked
+    links and their blocking cells."""
+    cities, txs, rxs = zip(*runs)
+    run = [c for c, users in enumerate(rxs) for _ in users]
+    users = [rx for users in rxs for rx in users]
+    link, ix, iy, _ = first_blockers(
+        cities, txs, run, [rx.x for rx in users], [rx.y for rx in users], h_rx
+    )
+    blocked = dict(zip(link.tolist(), zip(ix.tolist(), iy.tolist())))
+    for n, (c, rx) in enumerate(zip(run, users)):
+        dense = check_los_dense(cities[c], LinkGeometry.from_nodes(tx=txs[c], rx=rx))
+        assert (n not in blocked) == dense.is_los
+        if not dense.is_los:
+            assert blocked[n] == (dense.blocker.ix, dense.blocker.iy)
+    return blocked
+
+
+def test_cut_keeps_the_tallest_roof_at_ray_height():
+    # The entry into box (2, 1) lies at t = 13/30, whose ray height rounds
+    # so that (roof - h_rx) / (tx.z - h_rx) falls one ulp short of t: a cut
+    # without slack would drop the blocker.
+    tx, rx = Node(32.0, 7.5, 50.0), Node(2.0, 7.5, 1.5)
+    t = track_entries(toy_city().layout, rx.x, rx.y, tx.x, tx.y)[3][1]
+    tie = 1.5 + t * (50.0 - 1.5)
+    city = toy_city({(1, 1): 5.0, (2, 1): tie, (3, 1): 10.0})
+    assert tie == city.heights.max() and (tie - 1.5) / (50.0 - 1.5) < t
+    assert assert_pass_matches_dense([(city, tx, [rx])], 1.5) == {0: (2, 1)}
+
+
+def test_cut_of_a_horizontal_link_keeps_the_whole_track():
+    # tx.z == h_rx: the ray is level with the tallest roof all along.
+    city = toy_city({(1, 1): 20.0, (2, 1): 30.0})
+    rx = Node(2.0, 7.5, 30.0)
+    runs = [(city, Node(32.0, 7.5, 30.0), [rx]), (city, Node(12.0, 7.5, 30.0), [rx])]
+    assert assert_pass_matches_dense(runs, 30.0) == {0: (2, 1)}
+
+
+def test_cut_is_taken_per_city_in_a_pass():
+    # Every roof of the first city is below the users, so its tracks are
+    # cut before they start; the second city's are not.
+    low = toy_city({(ix, iy): 1.0 for ix in range(1, 11) for iy in range(1, 11)})
+    tall = toy_city({(2, 1): 40.0})
+    tx, rx = Node(32.0, 7.5, 50.0), Node(2.0, 7.5, 2.0)
+    runs = [(low, tx, [rx]), (tall, tx, [rx, Node(32.0, 17.5, 2.0)])]
+    assert assert_pass_matches_dense(runs, 2.0) == {1: (2, 1)}
+
+
+def toy_free_node(city, x, y, z):
+    under = roof_under(city, x, y)
+    return Node(x, y, z) if under is None or under[2] < z else None
+
+
+@st.composite
+def random_toy_city(draw):
+    """A toy city in which each roof is, with even odds, uniform in
+    [0, 60] m or a multiple of 1/8 m, which can tie with the ray at a box
+    entry exactly."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    roofs = np.where(
+        rng.random((10, 10)) < 0.5, rng.uniform(0.0, 60.0, (10, 10)),
+        rng.integers(0, 480, (10, 10)) / 8.0,
+    )
+    return toy_city({(ix + 1, iy + 1): h for (ix, iy), h in np.ndenumerate(roofs)})
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(
+    city=random_toy_city(),
+    ends=st.tuples(*[st.floats(0.0, 100.0)] * 4),
+    tz=st.floats(1.5, 80.0),
+)
+def test_edges_match_dense_on_random_toy_links(city, ends, tz):
+    tx = toy_free_node(city, ends[0], ends[1], tz)
+    rx = toy_free_node(city, ends[2], ends[3], 1.5)
+    assume(tx is not None and rx is not None)
+    link = LinkGeometry.from_nodes(tx=tx, rx=rx)
+    # Only the LoS state: where a track clips a box corner by less than a
+    # rounding error the oracle can miss that box, and a box behind it
+    # may then block instead.
+    assert check_los_edges(city, link).is_los == check_los_dense(city, link).is_los
+
+
+_DIRECTIONS = [(1, 0), (0, 1), (-1, 0), (0, -1), (1, 1), (1, -1), (-1, 1), (-1, -1)]
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(
+    city=random_toy_city(),
+    corner=st.tuples(st.integers(0, 20), st.integers(0, 20)),
+    direction=st.sampled_from(_DIRECTIONS),
+    length=st.sampled_from([8, 16, 32, 64]),
+    before=st.floats(0.0, 1.0),
+    tz=st.integers(2, 80),
+)
+def test_edges_match_dense_on_corner_grazing_toy_links(
+    city, corner, direction, length, before, tz
+):
+    # The track runs through a lattice corner (5 m steps), along a face or
+    # diagonally; with a power-of-two length every crossing and every ray
+    # height at one is exact in binary, so ties are decided alike.
+    a = 1 + int(before * (length - 2))
+    x0 = 5.0 * corner[0] - a * direction[0]
+    y0 = 5.0 * corner[1] - a * direction[1]
+    x1, y1 = x0 + length * direction[0], y0 + length * direction[1]
+    assume(min(x0, y0, x1, y1) >= 0.0 and max(x0, y0, x1, y1) <= 100.0)
+    tx = toy_free_node(city, x1, y1, float(tz))
+    rx = toy_free_node(city, x0, y0, 1.5)
+    assume(tx is not None and rx is not None)
+    link = LinkGeometry.from_nodes(tx=tx, rx=rx)
+    edges, dense = check_los_edges(city, link), check_los_dense(city, link)
+    assert edges.is_los == dense.is_los
+    if not dense.is_los:
+        assert (edges.blocker.ix, edges.blocker.iy) == (dense.blocker.ix, dense.blocker.iy)
+
+
 def test_one_pass_over_several_cities_matches_single_links():
     params = ENVIRONMENTS["dense-urban"]
     rng = np.random.default_rng(41)
-    runs, singles = [], []
+    cities, txs, rxs, singles = [], [], [], []
     for seed in (1, 2, 3):
         city = generate_city(params, 1000.0, 1000.0, seed)
         tx = random_free_node(city, rng, 30.0, 120.0)
-        rxs = [random_free_node(city, rng, 1.5, 1.5) for _ in range(40)]
-        runs.append((city, tx, [r.x for r in rxs], [r.y for r in rxs]))
-        singles += [check_los_edges(city, LinkGeometry.from_nodes(tx=tx, rx=r)) for r in rxs]
-    link, ix, iy, _ = first_blockers(runs, 1.5)
+        users = [random_free_node(city, rng, 1.5, 1.5) for _ in range(40)]
+        cities.append(city)
+        txs.append(tx)
+        rxs += users
+        singles += [check_los_edges(city, LinkGeometry.from_nodes(tx=tx, rx=r)) for r in users]
+    run = np.repeat(np.arange(3), 40)
+    link, ix, iy, _ = first_blockers(
+        cities, txs, run, [r.x for r in rxs], [r.y for r in rxs], 1.5
+    )
     assert link.tolist() == [i for i, out in enumerate(singles) if not out.is_los]
     assert 0 < link.size < len(singles)
     for i, bx, by in zip(link.tolist(), ix.tolist(), iy.tolist()):
@@ -321,12 +446,14 @@ def test_place_users_circle_geometry():
 def test_place_users_at_a_fixed_azimuth_or_overhead():
     city = toy_city(extent=1000.0)
     uav = Node(500.0, 500.0, 101.5)
-    x, y = place_users(city, uav, 45.0, 36, h_rx=1.5, phi_deg=90.0)
+    east = user_directions(45.0, 36, phi_deg=90.0)
+    _, x, y = place_users(city.layout, [uav], 45.0, east, h_rx=1.5)
     assert x.tolist() == pytest.approx([500.0]) and y.tolist() == pytest.approx([600.0])
-    x, y = place_users(city, uav, 90.0, 36, h_rx=1.5)
+    overhead = user_directions(90.0, 36)
+    _, x, y = place_users(city.layout, [uav], 90.0, overhead, h_rx=1.5)
     assert (x.tolist(), y.tolist()) == ([500.0], [500.0])
     # a user who would stand on a building footprint is dropped
-    x, y = place_users(city, Node(507.5, 507.5, 101.5), 90.0, 36, h_rx=1.5)
+    _, x, y = place_users(city.layout, [Node(507.5, 507.5, 101.5)], 90.0, overhead, h_rx=1.5)
     assert x.size == 0
 
 

@@ -124,6 +124,37 @@ def test_track_entries_in_any_direction():
         assert (np.diff(st) <= 0.0).all()
 
 
+#: Toy-grid tracks as (x_rx, y_rx, x_tx, y_tx): along a row and a column,
+#: along faces, diagonals, through corners, one starting on a west face
+#: (entered at t = 0) and one of zero length inside a box.
+CUT_TRACKS = np.array([
+    (2.0, 7.5, 32.0, 7.5), (7.5, 41.0, 7.5, 2.0), (2.0, 10.0, 32.0, 10.0),
+    (5.0, 2.0, 5.0, 32.0), (2.0, 7.0, 32.0, 27.0), (31.0, 3.0, 4.0, 29.0),
+    (7.0, 13.0, 13.0, 7.0), (2.0, 8.0, 8.0, 2.0), (8.0, 3.0, 12.0, 7.0),
+    (-3.0, -3.0, 27.0, 27.0), (5.0, 7.0, 32.0, 7.0), (7.5, 7.5, 7.5, 7.5),
+]).T
+
+
+@pytest.mark.parametrize("t_max", [0.0, 0.3, 1.0])
+def test_track_entries_cut_keeps_the_uncut_entries_up_to_t_max(t_max):
+    layout = derive_layout(TOY)
+    rng = np.random.default_rng(8)
+    ends = np.hstack([CUT_TRACKS, rng.uniform(-40.0, 40.0, size=(4, 100))])
+    full = track_entries(layout, *ends)
+    kept = full[3] <= t_max
+    cut = track_entries(layout, *ends, t_max=t_max)
+    for a, b in zip(cut, full):
+        assert a.tolist() == b[kept].tolist()
+    assert 0 < kept.sum() <= full[3].size
+    # One cut per track, negative ones included.
+    per_track = rng.uniform(-0.2, 1.0, size=ends.shape[1])
+    per_track[: CUT_TRACKS.shape[1]] = t_max
+    kept = full[3] <= per_track[full[0]]
+    cut = track_entries(layout, *ends, t_max=per_track)
+    for a, b in zip(cut, full):
+        assert a.tolist() == b[kept].tolist()
+
+
 def test_candidate_ops_vertical_link_has_none():
     layout = derive_layout(TOY)
     user = Node(2.0, 2.0, 0.0)
