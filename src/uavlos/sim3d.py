@@ -383,7 +383,7 @@ def place_users(layout: CityLayout, uavs, theta_deg: float, directions, h_rx: fl
     then by direction.
     """
     cos, sin = directions
-    ux, uy, uz = np.array([(u.x, u.y, u.z) for u in uavs]).reshape(-1, 3).T
+    ux, uy, uz = np.array([(u.x, u.y, u.z) for u in uavs]).T
     if theta_deg == 90.0:
         d = np.zeros(ux.size)
     else:
