@@ -1,16 +1,16 @@
 """Walk one synthetic city and test links against its skyline.
 
-Generates a 1 km urban block grid, hovers a UAV over a random street
-point and places users on the 30-degree elevation circle around it.
+Materializes a 1 km urban block grid from its city key, hovers a UAV
+over a random street point drawn from the same key's stream, and places
+users on the 30-degree elevation circle around it.
 Each link is resolved twice: with the building-edge walk the engines
 use, and with brute-force 0.1 m sampling along the ray.  The two must
 never disagree.
 """
 
-import numpy as np
-
 from uavlos import (
     ENVIRONMENTS,
+    Cities,
     RandomOverCity,
     check_los_dense,
     check_los_edges,
@@ -18,7 +18,7 @@ from uavlos import (
     place_uav,
     place_users_circle,
 )
-from uavlos.citygeom import LinkGeometry
+from uavlos.citygeom import LinkGeometry, Node
 
 SEED = 7
 
@@ -30,8 +30,7 @@ def main() -> None:
     print(f"city: {heights.shape[0]} x {heights.shape[1]} buildings, "
           f"mean roof {heights.mean():.1f} m, tallest {heights.max():.1f} m")
 
-    rng = np.random.default_rng(SEED)
-    uav = place_uav(city, RandomOverCity(h=100.0), rng)
+    uav = Node(*(float(c[0]) for c in place_uav(Cities.of([city]), RandomOverCity(h=100.0))))
     users = place_users_circle(city, uav, theta_deg=30.0, n=12)
     print(f"UAV at ({uav.x:.0f}, {uav.y:.0f}, {uav.z:.0f}), "
           f"{len(users)} of 12 circle users fall on open ground\n")

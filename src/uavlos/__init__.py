@@ -1,9 +1,9 @@
 """Monte-Carlo estimation of UAV-to-ground line-of-sight probability.
 
 Two independent engines estimate P_LoS in ITU-parameterized Manhattan
-cities: :mod:`uavlos.sim3d` materializes a full height grid and ray
-traces each link, while :mod:`uavlos.simgeom` draws only the buildings
-a link's ground track enters.  Both find those buildings with one
+cities: :mod:`uavlos.sim3d` decides every link of a whole city, whose
+roofs are a hash of its key, while :mod:`uavlos.simgeom` draws only the
+buildings a link's ground track enters.  Both find those buildings with one
 ground-track kernel, :func:`uavlos.citygeom.track_entries`.
 :mod:`uavlos.baselines` holds closed-form reference models, and
 :mod:`uavlos.harness` runs seeded sweeps with Wilson confidence
@@ -23,6 +23,7 @@ from .citygeom import (
     Street,
     classify_point,
     derive_layout,
+    roof_heights,
     sample_height,
     sample_heights,
     track_entries,
@@ -48,6 +49,7 @@ from .harness import (
 )
 from .sim3d import (
     BuildingTop,
+    Cities,
     City,
     CrossroadCenter,
     FixedPoint,
@@ -80,12 +82,14 @@ __all__ = [
     "Crossroad",
     "derive_layout",
     "classify_point",
+    "roof_heights",
     "sample_height",
     "sample_heights",
     "track_entries",
     "uav_position_from_angles",
     # 3D engine
     "City",
+    "Cities",
     "generate_city",
     "check_los_edges",
     "check_los_dense",

@@ -16,6 +16,11 @@ classification uses these half-open bands; line of sight uses closed
 building boxes, so a ground track that only grazes a face or a corner
 still meets the building (:func:`track_entries`).
 
+Roof heights are independent Rayleigh(gamma) draws.  A generated city
+is implicit: :func:`roof_heights` maps (city key, ix, iy) to its roof
+through a counter-based hash, so a roof exists only where it is looked
+at and every reader of a city sees the same value.
+
 All distances are metres; angles are degrees at every public interface
 and converted to radians only inside trigonometric calls.
 """
@@ -47,6 +52,8 @@ __all__ = [
     "height_from_uniform",
     "sample_height",
     "sample_heights",
+    "stream_uniforms",
+    "roof_heights",
     "uav_position_from_angles",
 ]
 
@@ -324,12 +331,70 @@ def sample_height(gamma: float, rng: np.random.Generator) -> float:
     return height_from_uniform(1.0 - rng.random(), gamma)
 
 
+def _rayleigh_inplace(v: np.ndarray, gamma: float) -> np.ndarray:
+    """Turn uniforms v in [0, 1) into Rayleigh(gamma) heights in place,
+    h = gamma*sqrt(-2*ln(1 - v)): the inverse CDF of
+    :func:`height_from_uniform` at u = 1 - v in (0, 1]."""
+    np.subtract(1.0, v, out=v)
+    np.log(v, out=v)
+    v *= -2.0
+    np.sqrt(v, out=v)
+    v *= gamma
+    return v
+
+
 def sample_heights(gamma: float, rng: np.random.Generator, shape) -> np.ndarray:
     """Draw an array of Rayleigh(gamma) heights via the same inverse CDF."""
     if gamma <= 0.0:
         raise InvalidParams(f"gamma must be positive, got {gamma}")
-    u = 1.0 - rng.random(shape)
-    return gamma * np.sqrt(-2.0 * np.log(u))
+    return _rayleigh_inplace(rng.random(shape), gamma)
+
+
+#: splitmix64 (Steele, Lea and Flood, "Fast splittable pseudorandom number
+#: generators", OOPSLA 2014): the Weyl increment of its state and the two
+#: multipliers of its output finalizer.
+_WEYL = np.uint64(0x9E3779B97F4A7C15)
+_MIX1 = np.uint64(0xBF58476D1CE4E5B9)
+_MIX2 = np.uint64(0x94D049BB133111EB)
+
+
+def stream_uniforms(key, counter) -> np.ndarray:
+    """Uniforms in [0, 1) from the counter-based stream of a uint64 key.
+
+    Position ``counter`` of the stream of ``key`` is the splitmix64 output
+    for the state key + counter*0x9E3779B97F4A7C15 (mod 2^64), its top 53
+    bits scaled to [0, 1).  key and counter (non-negative integers below
+    2^64) broadcast; the result is a pure function of the pair.
+    """
+    counter = np.asarray(counter, dtype=np.uint64)
+    z = np.add(np.multiply(counter, _WEYL), np.asarray(key, dtype=np.uint64))
+    shape = np.shape(z)
+    z = np.atleast_1d(z)
+    shifted = np.empty_like(z)
+    np.right_shift(z, 30, out=shifted)
+    z ^= shifted
+    z *= _MIX1
+    np.right_shift(z, 27, out=shifted)
+    z ^= shifted
+    z *= _MIX2
+    np.right_shift(z, 31, out=shifted)
+    z ^= shifted
+    z >>= 11
+    return np.multiply(z, 2.0**-53, out=np.empty(z.shape)).reshape(shape)
+
+
+def roof_heights(key, ix, iy, gamma: float) -> np.ndarray:
+    """Roof heights of the 1-based cells (ix, iy) of the city ``key``.
+
+    Each roof is the Rayleigh(gamma) inverse CDF of position
+    (ix << 32) | iy of the key's stream (:func:`stream_uniforms`), so it
+    is independent of every other cell and key and needs no grid: a city
+    is its key.  key, ix and iy broadcast; ix and iy lie in [1, 2^31).
+    """
+    if gamma <= 0.0:
+        raise InvalidParams(f"gamma must be positive, got {gamma}")
+    cell = np.left_shift(ix, 32, dtype=np.int64) | np.asarray(iy, dtype=np.int64)
+    return _rayleigh_inplace(stream_uniforms(key, cell.view(np.uint64)), gamma)
 
 
 def uav_position_from_angles(

@@ -4,9 +4,12 @@ A :class:`SweepSpec` names an engine ("sim3d", "geom" or
 "baseline:<name>"), an environment and one or two swept variables;
 :func:`run_sweep` walks the grid deterministically from a master seed
 and returns one :class:`PLosEstimate` per point.  The 3D engine runs
-the fresh-city protocol per run (place UAV, ring of circle users); the
-geometry engine runs one link per run, with an area-weighted
-street/crossroad mix when no single zone is requested.
+the fresh-city protocol per run (a new city, its UAV, a ring of circle
+users): each run is one uint64 city key, from which the run's UAV and
+the roofs its users' tracks meet are hashed, so no run builds a
+Generator or a height grid.  The geometry engine runs one link per
+run, with an area-weighted street/crossroad mix when no single zone is
+requested.
 
 CSV files carry a ``# spec:`` echo line followed by one row per grid
 point.  The ms_per_point column is written as zero unless timing is
@@ -26,15 +29,15 @@ from typing import Mapping
 import numpy as np
 
 from .baselines import BaselineModel, GridProduct, evaluate
-from .citygeom import BuiltUpParams
+from .citygeom import BuiltUpParams, derive_layout
 from .errors import IllegalSpec, UavLosError
 from .sim3d import (
     BuildingTop,
+    Cities,
     CrossroadCenter,
     RandomOverCity,
     StreetCenter,
     first_blockers,
-    generate_city,
     place_uav,
     place_users,
     user_directions,
@@ -242,44 +245,38 @@ def _child_seed(rng: np.random.Generator) -> int:
 
 
 #: The 3D engine places and decides the users of several cities in one
-#: pass: one placement and one ground-track kernel call, which costs about
-#: 150 us before it does any work.  A pass closes once its cities hold
-#: PASS_USERS user positions (six 360-user circles) or PASS_CELLS height
-#: cells (fifteen one-user cities on urban), bounding its working set: a
-#: full pass at theta 10 on urban peaks at about 2 MB of arrays, because
-#: each track is cut where its city's tallest roof stops mattering (2.9 MB
-#: uncut; see first_blockers).
+#: pass: one UAV placement, one user placement and one ground-track kernel
+#: call, which cost about 0.45 ms for a single one-user city.  A pass holds
+#: the fewest cities whose circles reach PASS_USERS user positions (six
+#: 360-user circles, or 2048 one-user cities), bounding its working set:
+#: a point at theta 10 on urban peaks at about 1.5 MB of arrays, because
+#: each track is cut where the tallest roof its city's ring can reach
+#: stops mattering (see first_blockers).
 PASS_USERS = 2048
-PASS_CELLS = 1 << 16
 
 
 def _estimate_sim3d(
     spec: SweepSpec, params: BuiltUpParams, theta: float, phi: float | None, h_uav: float,
     seed: int,
 ) -> PLosEstimate:
-    """Fresh-city protocol at one point of spec: per run, generate a city,
-    place the UAV and pool the LoS states of every valid user on the
-    theta circle (one user at azimuth phi when phi is fixed, or straight
-    under the UAV at theta = 90), decided a few cities per pass."""
+    """Fresh-city protocol at one point of spec: per run, a new city with
+    its UAV and the pooled LoS states of every valid user on the theta
+    circle (one user at azimuth phi when phi is fixed, or straight under
+    the UAV at theta = 90), decided a few cities per pass.  Run i is the
+    city key generate_state(n_runs)[i] of SeedSequence(seed)."""
     policy = UAV_POLICIES[spec.uav_policy](h_uav)
     directions = user_directions(theta, spec.n_users, phi)
+    layout = derive_layout(params, *spec.extent)
+    keys = np.random.SeedSequence(seed).generate_state(spec.n_runs, np.uint64)
+    per_pass = -(-PASS_USERS // directions[0].size)
     k = 0
     n = 0
-    cities, uavs = [], []
-    for i, child in enumerate(np.random.SeedSequence(seed).spawn(spec.n_runs)):
-        rng = np.random.default_rng(child)
-        city = generate_city(params, spec.extent[0], spec.extent[1], _child_seed(rng))
-        cities.append(city)
-        uavs.append(place_uav(city, policy, rng))
-        if (
-            len(uavs) * directions[0].size >= PASS_USERS
-            or len(cities) * city.heights.size >= PASS_CELLS
-            or i == spec.n_runs - 1
-        ):
-            run, x, y = place_users(city.layout, uavs, theta, directions, spec.h_rx)
-            n += x.size
-            k += x.size - first_blockers(cities, uavs, run, x, y, spec.h_rx)[0].size
-            cities, uavs = [], []
+    for start in range(0, spec.n_runs, per_pass):
+        cities = Cities(params, layout, keys[start:start + per_pass])
+        uavs = place_uav(cities, policy)
+        run, x, y = place_users(layout, uavs, theta, directions, spec.h_rx)
+        n += x.size
+        k += x.size - first_blockers(cities, uavs, run, x, y, spec.h_rx)[0].size
     if n == 0:
         raise UavLosError(
             "no valid user positions over the whole sweep point; "

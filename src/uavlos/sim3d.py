@@ -1,13 +1,20 @@
 """Full 3D city simulator with simplified ray tracing.
 
-A :class:`City` materializes one Rayleigh height per building cell of
-the grid described in :mod:`uavlos.citygeom`.  Line-of-sight between a
-transmitter and its receivers is decided from the ground track of each
-link: :func:`uavlos.citygeom.track_entries` lists every closed building
-box the track meets and the point where it enters the box seen from the
-receiver, and the link is blocked when a roof reaches the ray height
-there.  Flat rooftops make this edge test exact, which
-:func:`check_los_dense` verifies by brute force.
+A generated city is implicit: its key fixes one Rayleigh roof per
+building cell of the grid described in :mod:`uavlos.citygeom`, given by
+:func:`uavlos.citygeom.roof_heights`, and the key's stream also draws
+its UAV.  :class:`Cities` holds the keys of several cities that are
+decided together and looks a roof up only where a UAV placement or a
+ground track needs it; :func:`generate_city` materializes a whole grid
+as a :class:`City` for export, the dense oracle and the demos, and
+explicit cities (toy grids, loaded files) keep their own heights.
+
+Line-of-sight between a transmitter and its receivers is decided from
+the ground track of each link: :func:`uavlos.citygeom.track_entries`
+lists every closed building box the track meets and the point where it
+enters the box seen from the receiver, and the link is blocked when a
+roof reaches the ray height there.  Flat rooftops make this edge test
+exact, which :func:`check_los_dense` verifies by brute force.
 """
 
 from __future__ import annotations
@@ -15,6 +22,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Sequence
 
 import numpy as np
 
@@ -26,7 +34,8 @@ from .citygeom import (
     Node,
     classify_point,
     derive_layout,
-    sample_heights,
+    roof_heights,
+    stream_uniforms,
     track_entries,
 )
 from .errors import (
@@ -42,6 +51,7 @@ from .errors import (
 
 __all__ = [
     "City",
+    "Cities",
     "Blocker",
     "LoSOutcome",
     "FixedPoint",
@@ -74,14 +84,72 @@ class City:
     ``heights[ix, iy]`` (0-based) is the roof of the 1-based building
     cell (ix+1, iy+1).  Exactly floor(extent/period) cells per axis are
     materialized; the fringe strip beyond the last full period holds no
-    buildings.  Regenerating from the same (params, extent, seed)
-    reproduces the heights bit for bit.
+    buildings.  ``seed`` is the city key: a generated city's heights are
+    its roof_heights, and the key's stream draws its UAV (place_uav).
     """
 
     params: BuiltUpParams
     layout: CityLayout
     heights: np.ndarray
     seed: int
+
+
+def _grid_shape(layout: CityLayout) -> tuple[int, int]:
+    """Building cells per axis: one per full grid period of the extent."""
+    return int(layout.extent_x // layout.period), int(layout.extent_y // layout.period)
+
+
+def _city_key(seed: int) -> int:
+    if not 0 <= int(seed) < 2**64:
+        raise InvalidParams(f"city seed must be in [0, 2^64), got {seed}")
+    return int(seed)
+
+
+@dataclass(frozen=True, eq=False)
+class Cities:
+    """Cities of one layout decided together, one per key.
+
+    City n is implicit: the roof of its cell (ix, iy) is
+    roof_heights(keys[n], ix, iy, params.gamma), evaluated only where it
+    is looked up.  Explicit cities instead stack their roofs in heights,
+    heights[n] being city n's City.heights (see :meth:`of`).  Either
+    way the grid holds floor(extent/period) cells per axis, and keys[n]
+    seeds city n's UAV draws (see :func:`place_uav`).
+    """
+
+    params: BuiltUpParams
+    layout: CityLayout
+    keys: np.ndarray
+    heights: np.ndarray | None = None
+
+    @classmethod
+    def of(cls, cities: Sequence[City]) -> "Cities":
+        """Materialized cities, which share one layout, keyed by their seeds."""
+        keys = np.array([_city_key(c.seed) for c in cities], dtype=np.uint64)
+        heights = np.stack([c.heights for c in cities])
+        return cls(cities[0].params, cities[0].layout, keys, heights)
+
+    def roofs(self, run, ix, iy) -> np.ndarray:
+        """Roofs of the 1-based grid cells (ix[m], iy[m]) of the cities
+        run[m]: the one roof lookup of the implicit and explicit cities."""
+        if self.heights is None:
+            return roof_heights(self.keys[run], ix, iy, self.params.gamma)
+        return self.heights[run, ix - 1, iy - 1]
+
+    def roofs_under(self, run, x, y) -> np.ndarray:
+        """Roof under each ground point (x[m], y[m]) of city run[m], 0 over
+        streets, crossroads and the unbuilt fringe (as in roof_under)."""
+        p, s = self.layout.period, self.layout.s
+        nx, ny = _grid_shape(self.layout)
+        ix = (x // p).astype(np.int64) + 1
+        iy = (y // p).astype(np.int64) + 1
+        built = (x % p >= s) & (y % p >= s) & (ix <= nx) & (iy <= ny)
+        roof = np.zeros(x.size)
+        roof[built] = self.roofs(run[built], ix[built], iy[built])
+        return roof
+
+
+UavPositions = tuple[np.ndarray, np.ndarray, np.ndarray]
 
 
 @dataclass(frozen=True)
@@ -147,19 +215,19 @@ UavPlacementPolicy = FixedPoint | RandomOverCity | BuildingTop | CrossroadCenter
 def generate_city(
     params: BuiltUpParams, extent_x: float, extent_y: float, seed: int
 ) -> City:
-    """Materialize a city with independent Rayleigh(gamma) roof heights.
-
-    Heights are drawn in one fixed row-major pass from a stream seeded
-    by ``seed``, so every (params, extent, seed) triple reproduces the
-    same array bit for bit.
+    """Materialize the city of key ``seed``: heights[ix-1, iy-1] is
+    roof_heights(seed, ix, iy, gamma) for every building cell, so every
+    (params, extent, seed) triple reproduces the same array bit for bit,
+    and the roofs are those the sweep looks up without a grid.
     """
+    key = _city_key(seed)
     layout = derive_layout(params, extent_x, extent_y)
-    nx = int(layout.extent_x // layout.period)
-    ny = int(layout.extent_y // layout.period)
-    rng = np.random.default_rng(int(seed))
-    heights = sample_heights(params.gamma, rng, (nx, ny))
+    nx, ny = _grid_shape(layout)
+    ix = np.arange(1, nx + 1)[:, None]
+    iy = np.arange(1, ny + 1)[None, :]
+    heights = roof_heights(np.uint64(key), ix, iy, params.gamma)
     heights.setflags(write=False)
-    return City(params=params, layout=layout, heights=heights, seed=int(seed))
+    return City(params=params, layout=layout, heights=heights, seed=key)
 
 
 def ray_height_at(link: LinkGeometry, r_op: float) -> float:
@@ -209,22 +277,57 @@ def _reject_inside_building(city: City, node: Node, label: str) -> None:
 _CUT_SLACK = 1e-9
 
 
-def first_blockers(cities, txs, run, rx_x, rx_y, h_rx: float):
+def _tallest_reachable(cities: Cities, run, tx_x, tx_y, rx_x, rx_y) -> np.ndarray:
+    """Per city, a roof at least as tall as any its links' tracks meet.
+
+    Every track of city c lies in the bounding box of its transmitter
+    and its receivers, so only the boxes meeting that window matter:
+    box ix, spanning [(ix-1)*p + s, ix*p], meets [lo, hi] when
+    lo/p <= ix <= (hi - s)/p + 1.  The cell range is widened by one
+    cell on each side against rounding, which can only raise the
+    maximum.  Cities without links, or whose window holds no cell of
+    the grid, get 0.
+    """
+    layout = cities.layout
+    p, s = layout.period, layout.s
+    nx, ny = _grid_shape(layout)
+    starts = np.flatnonzero(np.diff(run, prepend=-1))
+    owner = run[starts]
+    top = np.zeros(cities.keys.size)
+    span = []
+    for tx, rx, n in ((tx_x, rx_x, nx), (tx_y, rx_y, ny)):
+        lo = np.minimum(np.minimum.reduceat(rx, starts), tx[owner])
+        hi = np.maximum(np.maximum.reduceat(rx, starts), tx[owner])
+        first = np.maximum(np.floor(lo / p).astype(np.int64), 1)
+        last = np.minimum(np.floor((hi - s) / p).astype(np.int64) + 2, n)
+        span.append((first, np.maximum(last - first + 1, 0)))
+    (ix0, cx), (iy0, cy) = span
+    cells = cx * cy
+    city = np.repeat(np.arange(owner.size), cells)
+    k = np.arange(city.size) - np.repeat(np.cumsum(cells) - cells, cells)
+    roof = cities.roofs(owner[city], ix0[city] + k // cy[city], iy0[city] + k % cy[city])
+    filled = cells > 0
+    top[owner[filled]] = np.maximum.reduceat(roof, (np.cumsum(cells) - cells)[filled])
+    return top
+
+
+def first_blockers(cities: Cities, uavs: UavPositions, run, rx_x, rx_y, h_rx: float):
     """Decide the links of several cities in one ground-track kernel call.
 
     Link n runs from the receiver at (rx_x[n], rx_y[n], h_rx) to the
-    transmitter txs[run[n]] in the city cities[run[n]]; run is
-    non-decreasing, so the links of one city are contiguous.  The
-    cities share one layout, hence one grid shape.  A building blocks a
-    link when its roof reaches the ray height where the ground track
+    transmitter of city run[n], at (x[run[n]], y[run[n]], z[run[n]])
+    for uavs = (x, y, z); run is non-decreasing, so the links of one
+    city are contiguous.  A building blocks a link when its roof
+    (:meth:`Cities.roofs`) reaches the ray height where the ground track
     enters its closed box seen from the receiver (a roof exactly at ray
-    height blocks); cells beyond the materialized grid are open space.
-    Endpoints are not validated.
+    height blocks); cells beyond the grid are open space.  Endpoints
+    are not validated.
 
-    Each track is cut where the ray rises above its city's tallest roof:
-    at t_max = (max roof - h_rx) / (tx.z - h_rx) plus _CUT_SLACK, at most
-    1, and kept only where the ray height there, computed as in the roof
-    test, exceeds that roof.  The ray height only grows with t, so no box
+    Each track is cut where the ray rises above the tallest roof its
+    city's tracks can meet (:func:`_tallest_reachable`): at t_max =
+    (top - h_rx) / (tx.z - h_rx) plus _CUT_SLACK, at most 1, and kept
+    only where the ray height there, computed as in the roof test,
+    exceeds that roof.  The ray height only grows with t, so no box
     entered beyond the cut can block, and the cut changes no outcome.
     Where tx.z <= h_rx the track is not cut.
 
@@ -233,25 +336,24 @@ def first_blockers(cities, txs, run, rx_x, rx_y, h_rx: float):
     fraction t of the track from the receiver to its entry point.
     """
     run = np.asarray(run, dtype=np.int64)
-    tx_x, tx_y, tx_z = np.array([(tx.x, tx.y, tx.z) for tx in txs]).T
-    top = np.array([city.heights.max() for city in cities])
+    rx_x = np.asarray(rx_x, dtype=float)
+    rx_y = np.asarray(rx_y, dtype=float)
+    tx_x, tx_y, tx_z = (np.asarray(c, dtype=float) for c in uavs)
+    if run.size == 0:
+        empty = np.zeros(0, dtype=np.int64)
+        return empty, empty, empty, np.zeros(0)
+    top = _tallest_reachable(cities, run, tx_x, tx_y, rx_x, rx_y)
     rise = tx_z - h_rx
     cut = (top - h_rx) / np.where(rise > 0.0, rise, 1.0) + _CUT_SLACK
     cut = np.where((rise > 0.0) & (h_rx + cut * rise > top), np.minimum(cut, 1.0), 1.0)
     link, ix, iy, t = track_entries(
-        cities[0].layout, rx_x, rx_y, tx_x[run], tx_y[run], cut[run]
+        cities.layout, rx_x, rx_y, tx_x[run], tx_y[run], cut[run]
     )
-    nx, ny = cities[0].heights.shape
+    nx, ny = _grid_shape(cities.layout)
     built = (ix >= 1) & (ix <= nx) & (iy >= 1) & (iy <= ny)
     link, ix, iy, t = link[built], ix[built], iy[built], t[built]
     city_of = run[link]
-    cell = (ix - 1) * ny + (iy - 1)
-    roof = np.empty(t.size)
-    # Entries are ordered by link, so each city's entries are contiguous.
-    bounds = np.searchsorted(city_of, np.arange(len(cities) + 1))
-    for city, a, b in zip(cities, bounds[:-1], bounds[1:]):
-        roof[a:b] = city.heights.ravel()[cell[a:b]]
-    blocked = roof >= h_rx + t * rise[city_of]
+    blocked = cities.roofs(city_of, ix, iy) >= h_rx + t * rise[city_of]
     link, ix, iy, t = link[blocked], ix[blocked], iy[blocked], t[blocked]
     # Entries come nearest the transmitter first within each link.
     first = np.ones(link.size, dtype=bool)
@@ -274,7 +376,10 @@ def check_los_edges(city: City, link: LinkGeometry) -> LoSOutcome:
     _reject_inside_building(city, link.tx, "transmitter")
     _reject_inside_building(city, link.rx, "receiver")
 
-    _, ix, iy, t = first_blockers([city], [link.tx], [0], [link.rx.x], [link.rx.y], link.rx.z)
+    tx = link.tx
+    _, ix, iy, t = first_blockers(
+        Cities.of([city]), ([tx.x], [tx.y], [tx.z]), [0], [link.rx.x], [link.rx.y], link.rx.z
+    )
     if t.size == 0:
         return LoSOutcome.los()
     return LoSOutcome.nlos(Blocker(int(ix[0]), int(iy[0]), float((1.0 - t[0]) * link.r_rx)))
@@ -305,9 +410,12 @@ def check_los_dense(city: City, link: LinkGeometry, step: float = 0.1) -> LoSOut
     r_rx = link.r_rx
 
     # Boundary crossings enumerated by direct line scan (kept separate from
-    # the ground-track kernel so the oracle does not share its logic).
-    crossing_ts = []
-    for c0, dc in ((x0, dx), (y0, dy)):
+    # the ground-track kernel so the oracle does not share its logic).  A
+    # crossing sample sits exactly on the boundary it crosses: computed
+    # from t, both samples of a corner clipped by less than a step could
+    # round just outside the closed box.
+    crossings = []
+    for axis, c0, dc in ((0, x0, dx), (1, y0, dy)):
         if dc == 0.0:
             continue
         lo, hi = (c0, c0 + dc) if dc > 0.0 else (c0 + dc, c0)
@@ -316,18 +424,17 @@ def check_los_dense(city: City, link: LinkGeometry, step: float = 0.1) -> LoSOut
                 if lo <= c <= hi:
                     t = (c - c0) / dc
                     if 0.0 <= t <= 1.0:
-                        crossing_ts.append(t)
+                        crossings.append((t, axis, c))
+    cross_t, cross_axis, cross_c = np.array(crossings, dtype=float).reshape(-1, 3).T
 
-    ts = np.concatenate(
-        [
-            np.arange(0.0, r_rx, step) / r_rx,
-            np.asarray(crossing_ts, dtype=float),
-            [1.0],
-        ]
-    )
-    ts.sort()
+    ts = np.concatenate([np.arange(0.0, r_rx, step) / r_rx, cross_t, [1.0]])
     xs = x0 + dx * ts
     ys = y0 + dy * ts
+    crossed = np.arange(ts.size - 1 - cross_t.size, ts.size - 1)
+    xs[crossed] = np.where(cross_axis == 0, cross_c, xs[crossed])
+    ys[crossed] = np.where(cross_axis == 1, cross_c, ys[crossed])
+    order = np.argsort(ts, kind="stable")
+    ts, xs, ys = ts[order], xs[order], ys[order]
 
     # Closed-box membership: box (i, j) covers [i*p + s, (i+1)*p] on each axis.
     nx, ny = city.heights.shape
@@ -369,21 +476,22 @@ def user_directions(theta_deg: float, n: int, phi_deg: float | None = None):
     return np.cos(azimuths), np.sin(azimuths)
 
 
-def place_users(layout: CityLayout, uavs, theta_deg: float, directions, h_rx: float = 1.5):
+def place_users(layout: CityLayout, uavs: UavPositions, theta_deg: float, directions,
+                h_rx: float = 1.5):
     """Ground positions of the users that see each UAV at elevation theta.
 
-    The users of a UAV stand along the given directions (see
-    :func:`user_directions`) at ground distance d = (uav.z -
-    h_rx)/tan(theta) from its ground point, d = 0 at theta = 90.
-    Positions outside the extent or inside a building footprint are
-    dropped.
+    The users of UAV m, at (x[m], y[m], z[m]) for uavs = (x, y, z),
+    stand along the given directions (see :func:`user_directions`) at
+    ground distance d = (z[m] - h_rx)/tan(theta) from its ground point,
+    d = 0 at theta = 90.  Positions outside the extent or inside a
+    building footprint are dropped.
 
-    Returns arrays (run, x, y) of the kept positions: the index in uavs
-    of the UAV each user sees and its ground position, ordered by UAV,
-    then by direction.
+    Returns arrays (run, x, y) of the kept positions: the index of the
+    UAV each user sees and its ground position, ordered by UAV, then by
+    direction.
     """
     cos, sin = directions
-    ux, uy, uz = np.array([(u.x, u.y, u.z) for u in uavs]).T
+    ux, uy, uz = (np.asarray(c, dtype=float) for c in uavs)
     if theta_deg == 90.0:
         d = np.zeros(ux.size)
     else:
@@ -415,7 +523,9 @@ def place_users_circle(
         raise InvalidParams(f"UAV height {uav.z} below user height {h_rx}")
     if uav.z == h_rx:
         raise DegenerateCircle(f"zero-radius circle (uav.z = h_rx = {h_rx})")
-    _, x, y = place_users(city.layout, [uav], theta_deg, user_directions(theta_deg, n), h_rx)
+    _, x, y = place_users(
+        city.layout, ([uav.x], [uav.y], [uav.z]), theta_deg, user_directions(theta_deg, n), h_rx
+    )
     return [Node(xi, yi, h_rx) for xi, yi in zip(x.tolist(), y.tolist())]
 
 
@@ -429,8 +539,12 @@ def _count_from(first: float, limit: float, p: float) -> int:
 UAV_PLACEMENT_TRIES = 1000
 
 
-def place_uav(city: City, policy: UavPlacementPolicy, rng: np.random.Generator) -> Node:
-    """Draw a UAV position according to a placement policy.
+def place_uav(cities: Cities, policy: UavPlacementPolicy) -> UavPositions:
+    """Draw one UAV position per city according to a placement policy.
+
+    City n's draws come from the stream of its key (stream_uniforms of
+    keys[n] at positions 0, 1, 2, ...), as array draws over the cities;
+    one city is the n = 1 case.  Returns arrays (x, y, z).
 
     Centers are drawn uniformly over the cells of the requested kind
     inside the extent; RandomOverCity draws (x, y) uniformly over the
@@ -439,44 +553,61 @@ def place_uav(city: City, policy: UavPlacementPolicy, rng: np.random.Generator) 
     positive, and BuildingTop only considers cells whose roof lies
     below it.
     """
-    layout = city.layout
+    layout = cities.layout
     p, s, w = layout.period, layout.s, layout.w
     ex, ey = layout.extent_x, layout.extent_y
+    keys = cities.keys
+    n = keys.size
 
     if isinstance(policy, FixedPoint):
-        return policy.node
+        node = policy.node
+        return np.full(n, node.x), np.full(n, node.y), np.full(n, node.z)
 
     if policy.h <= 0.0:
         raise InvalidParams(f"policy height must be positive, got {policy.h}")
+    z = np.full(n, policy.h)
 
     if isinstance(policy, RandomOverCity):
-        for _ in range(UAV_PLACEMENT_TRIES):
-            uav = Node(rng.uniform(0.0, ex), rng.uniform(0.0, ey), policy.h)
-            under = roof_under(city, uav.x, uav.y)
-            if under is None or under[2] < uav.z:
-                return uav
+        x, y = np.empty(n), np.empty(n)
+        pending = np.arange(n)
+        # Try i draws x and y at stream positions 2i and 2i + 1.
+        for i in range(UAV_PLACEMENT_TRIES):
+            x[pending] = ex * stream_uniforms(keys[pending], 2 * i)
+            y[pending] = ey * stream_uniforms(keys[pending], 2 * i + 1)
+            pending = pending[cities.roofs_under(pending, x[pending], y[pending]) >= policy.h]
+            if pending.size == 0:
+                return x, y, z
         raise InvalidParams(
             f"could not place a UAV at {policy.h} m clear of rooftops "
             f"after {UAV_PLACEMENT_TRIES} tries"
         )
 
+    u = stream_uniforms(keys[:, None], np.arange(2))
+
     if isinstance(policy, BuildingTop):
-        eligible = np.argwhere(city.heights < policy.h)
-        if len(eligible) == 0:
-            raise NoSuchCell(
-                f"no building cell with roof below {policy.h} in the extent"
-            )
-        ix, iy = eligible[rng.integers(len(eligible))]
-        return Node(ix * p + s + w / 2.0, iy * p + s + w / 2.0, policy.h)
+        # The roofs of one whole grid at a time.
+        nx, ny = _grid_shape(layout)
+        cell_x, cell_y = np.divmod(np.arange(nx * ny), ny)
+        x, y = np.empty(n), np.empty(n)
+        for c in range(n):
+            eligible = np.flatnonzero(cities.roofs(c, cell_x + 1, cell_y + 1) < policy.h)
+            if eligible.size == 0:
+                raise NoSuchCell(
+                    f"no building cell with roof below {policy.h} in the extent"
+                )
+            pick = eligible[int(u[c, 0] * eligible.size)]
+            x[c] = cell_x[pick] * p + s + w / 2.0
+            y[c] = cell_y[pick] * p + s + w / 2.0
+        return x, y, z
 
     if isinstance(policy, CrossroadCenter):
         ncx = _count_from(s / 2.0, ex, p)
         ncy = _count_from(s / 2.0, ey, p)
         if ncx == 0 or ncy == 0:
             raise NoSuchCell("no crossroad center in the extent")
-        i = int(rng.integers(ncx))
-        j = int(rng.integers(ncy))
-        return Node(i * p + s / 2.0, j * p + s / 2.0, policy.h)
+        i = np.floor(u[:, 0] * ncx)
+        j = np.floor(u[:, 1] * ncy)
+        return i * p + s / 2.0, j * p + s / 2.0, z
 
     if isinstance(policy, StreetCenter):
         # Two orientations: building band along x with street band along y,
@@ -488,13 +619,13 @@ def place_uav(city: City, policy: UavPlacementPolicy, rng: np.random.Generator) 
         total = nax * nay + nbx * nby
         if total == 0:
             raise NoSuchCell("no street center in the extent")
-        idx = int(rng.integers(total))
-        if idx < nax * nay:
-            i, j = divmod(idx, nay)
-            return Node(i * p + s + w / 2.0, j * p + s / 2.0, policy.h)
-        idx -= nax * nay
-        i, j = divmod(idx, nby)
-        return Node(i * p + s / 2.0, j * p + s + w / 2.0, policy.h)
+        idx = np.floor(u[:, 0] * total).astype(np.int64)
+        along_x = idx < nax * nay
+        i, j = np.divmod(idx, nay)
+        k, m = np.divmod(idx - nax * nay, nby)
+        x = np.where(along_x, i * p + s + w / 2.0, k * p + s / 2.0)
+        y = np.where(along_x, j * p + s / 2.0, m * p + s + w / 2.0)
+        return x, y, z
 
     raise InvalidParams(f"unknown placement policy {policy!r}")
 
@@ -534,12 +665,11 @@ def city_from_text(text: str) -> City:
         )
         extent_x = float(fields["extent_x"])
         extent_y = float(fields["extent_y"])
-        seed = int(fields["seed"])
+        seed = _city_key(int(fields["seed"]))
     except (KeyError, ValueError, InvalidParams) as exc:
         raise ParseError(f"bad header: {exc}", 1) from exc
     layout = derive_layout(params, extent_x, extent_y)
-    nx = int(layout.extent_x // layout.period)
-    ny = int(layout.extent_y // layout.period)
+    nx, ny = _grid_shape(layout)
     heights = np.zeros((nx, ny))
     seen = np.zeros((nx, ny), dtype=bool)
     for line_no, line in enumerate(lines[1:], start=2):

@@ -64,6 +64,16 @@ USER_ZONES = ("street", "crossroad", "mixed")
 CHUNK_LINKS = 256
 
 
+#: Longest ground track, in grid periods, that a scenario may ask for.
+#: A chunk's kernel lists every box along each of its CHUNK_LINKS tracks,
+#: about 38 KB of arrays per period of track length (a 256-link urban
+#: sweep point at h_uav 100 m peaks at 40, 52 and 84 MB RSS at theta 1,
+#: 0.3 and 0.1, tracks of 126, 421 and 1262 periods), so this bound keeps
+#: a chunk near 115 MB.  The track length grows as 1/tan(theta): theta
+#: 0.001 extrapolates to about 4 GB.
+MAX_TRACK_PERIODS = 2048
+
+
 def _check_range(name: str, rng_: tuple[float, float], lo: float, hi: float) -> None:
     a, b = rng_
     if not (lo <= a < b <= hi):
@@ -111,6 +121,16 @@ class GeomScenario:
             raise InvalidParams(
                 f"fixed h_uav={self.h_uav} must exceed h_rx={self.h_rx}"
             )
+        if self.theta_deg < 90.0:
+            h_max = self.h_uav[1] if isinstance(self.h_uav, tuple) else self.h_uav
+            track = (h_max - self.h_rx) / math.tan(math.radians(self.theta_deg))
+            periods = track / self.layout().period
+            if periods > MAX_TRACK_PERIODS:
+                raise InvalidAngle(
+                    f"theta {self.theta_deg} puts the UAV up to {track:.0f} m "
+                    f"({periods:.0f} grid periods) from its user; the geometry "
+                    f"engine bounds tracks at {MAX_TRACK_PERIODS} periods to bound memory"
+                )
 
     def layout(self) -> CityLayout:
         # The geometry engine treats the grid as unbounded; the nominal

@@ -16,6 +16,7 @@ from uavlos.citygeom import (
     derive_layout,
     height_from_uniform,
     rayleigh_pdf,
+    roof_heights,
     sample_height,
     sample_heights,
     uav_position_from_angles,
@@ -162,6 +163,47 @@ def test_scalar_and_array_samplers_share_the_transform():
     a = sample_height(20.0, np.random.default_rng(9))
     b = float(sample_heights(20.0, np.random.default_rng(9), 1)[0])
     assert a == b
+
+
+def test_hashed_roofs_are_independent_rayleigh_draws():
+    gamma = 20.0
+    # Kolmogorov-Smirnov over one 317 x 317 city (about 10^5 cells)
+    # against the closed-form CDF, 1% significance.
+    side = np.arange(1, 318)
+    hs = np.sort(roof_heights(12345, side[:, None], side, gamma).ravel())
+    cdf = 1.0 - np.exp(-(hs * hs) / (2.0 * gamma * gamma))
+    n = hs.size
+    steps = np.arange(n + 1) / n
+    d = max(float(np.max(steps[1:] - cdf)), float(np.max(cdf - steps[:-1])))
+    assert d < 1.62762 / math.sqrt(n)
+    # Lag-1 correlation of the roofs' CDF values, uniform on [0, 1), along
+    # iy and along ix over a 2048 x 2048 city, 256 rows at a time.  With
+    # 4.2e6 pairs per axis the bound 1.5e-3 is three standard errors.
+    side = np.arange(1, 2049)
+    along_iy = along_ix = 0.0
+    prev = None
+    for first in range(1, 2049, 256):
+        h = roof_heights(777, np.arange(first, first + 256)[:, None], side, gamma)
+        v = 0.5 - np.exp(-(h * h) / (2.0 * gamma * gamma))
+        along_iy += float(np.sum(v[:, 1:] * v[:, :-1]))
+        along_ix += float(np.sum(v[1:] * v[:-1]))
+        if prev is not None:
+            along_ix += float(prev @ v[0])
+        prev = v[-1]
+    pairs = 2048 * 2047
+    assert abs(12.0 * along_iy / pairs) < 1.5e-3
+    assert abs(12.0 * along_ix / pairs) < 1.5e-3
+
+
+def test_roof_heights_broadcast_and_validate():
+    a = roof_heights(np.array([5, 6], dtype=np.uint64), 3, np.array([[1], [2]]), 15.0)
+    assert a.shape == (2, 2)
+    assert a[1, 0] == roof_heights(5, 3, 2, 15.0)
+    assert roof_heights(5, 3, 2, 15.0) != roof_heights(6, 3, 2, 15.0)
+    assert roof_heights(5, 3, 2, 15.0) != roof_heights(5, 2, 3, 15.0)
+    assert roof_heights(5, 3, 2, 30.0) == 2.0 * roof_heights(5, 3, 2, 15.0)
+    with pytest.raises(InvalidParams):
+        roof_heights(5, 3, 2, 0.0)
 
 
 def test_link_geometry_from_nodes():

@@ -1,10 +1,11 @@
 import argparse
 import math
 
+import numpy as np
 import pytest
 
 from uavlos.baselines import GridProduct, evaluate
-from uavlos.citygeom import ENVIRONMENTS
+from uavlos.citygeom import ENVIRONMENTS, roof_heights
 from uavlos.cli import _parse_extent, _parse_grid, build_parser, main
 from uavlos.sim3d import generate_city, load_city
 
@@ -252,6 +253,10 @@ def test_export_city_round_trip(tmp_path):
     direct = generate_city(URBAN, 1000.0, 1000.0, seed=3)
     assert city.heights.shape == direct.heights.shape
     assert (city.heights == direct.heights).all()
+    # The exported roofs are the roof function of the key the sweep uses.
+    nx, ny = city.heights.shape
+    hashed = roof_heights(3, np.arange(1, nx + 1)[:, None], np.arange(1, ny + 1), URBAN.gamma)
+    assert (city.heights == hashed).all()
 
     again = tmp_path / "city2.txt"
     assert run_cli("export-city", "--env", "urban", "--extent", "1000",

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from uavlos import harness
+from uavlos import harness, sim3d
 from uavlos.baselines import GridProduct, Sigmoid, evaluate
 from uavlos.citygeom import ENVIRONMENTS, BuiltUpParams
 from uavlos.errors import IllegalSpec, InvalidCounts
@@ -150,6 +150,25 @@ def test_sim3d_sweep_smoke():
     assert est.n > 0 and 0.0 <= est.p_hat <= 1.0
     again = run_sweep(spec).rows[0].estimate
     assert est == again
+
+
+def test_sim3d_sweep_builds_no_grid_and_no_generator_per_run(monkeypatch):
+    def fail(*args, **kwargs):
+        pytest.fail("the sweep materialized a height grid")
+
+    monkeypatch.setattr(sim3d, "generate_city", fail)
+    generators = []
+    default_rng = np.random.default_rng
+    monkeypatch.setattr(
+        np.random, "default_rng", lambda *a: generators.append(a) or default_rng(*a)
+    )
+    spec = SweepSpec(
+        engine="sim3d", params=URBAN, extent=(1000.0, 1000.0),
+        axes=(theta_axis(20, 90),), n_runs=40, n_users=36, seed=5,
+    )
+    rows = run_sweep(spec).rows
+    assert all(row.estimate.n > 0 for row in rows)
+    assert len(generators) == len(rows)  # one per point, for its seed
 
 
 def test_sim3d_overhead_point_is_exact():

@@ -43,10 +43,10 @@ theta,phi,n,k,p_hat,ci_lo,ci_hi,ms_per_point
         """\
 # spec: engine=sim3d alpha=0.5 beta=300 gamma=20 extent=3000x3000 axes=theta:30,90;phi:0,45 h_uav=100 h_rx=1.5 n_runs=20 seed=3 uav_policy=random n_users=360
 theta,phi,n,k,p_hat,ci_lo,ci_hi,ms_per_point
-30,0,11,7,0.636364,0.353797,0.848338,0.000000
-30,45,13,5,0.384615,0.177094,0.644775,0.000000
-90,0,11,11,1.000000,0.741160,1.000000,0.000000
-90,45,13,13,1.000000,0.771898,1.000000,0.000000
+30,0,10,8,0.800000,0.490157,0.943319,0.000000
+30,45,8,1,0.125000,0.022417,0.470895,0.000000
+90,0,12,12,1.000000,0.757499,1.000000,0.000000
+90,45,12,12,1.000000,0.757499,1.000000,0.000000
 """,
     ),
     "compare": (
@@ -55,8 +55,8 @@ theta,phi,n,k,p_hat,ci_lo,ci_hi,ms_per_point
         """\
 # spec: engine=compare alpha=0.3 beta=500 gamma=15 extent=3000x3000 thetas=20,60 n3d=4 ngeom=200 h_uav=100 h_rx=1.5 n_users=90 seed=13 models=grid
 theta,n_3d,k_3d,p_3d,ci_lo_3d,ci_hi_3d,n_geom,k_geom,p_geom,ci_lo_geom,ci_hi_geom,abs_delta,grid
-20,243,77,0.316872,0.261611,0.377834,200,57,0.285000,0.226949,0.351155,0.031872,0.332545
-60,257,211,0.821012,0.769523,0.863045,200,148,0.740000,0.675091,0.795863,0.081012,0.996732
+20,214,67,0.313084,0.254708,0.378053,200,57,0.285000,0.226949,0.351155,0.028084,0.332545
+60,259,198,0.764479,0.709169,0.812057,200,148,0.740000,0.675091,0.795863,0.024479,0.996732
 """,
     ),
 }

@@ -16,6 +16,7 @@ from uavlos.citygeom import (
     Street,
     classify_point,
     derive_layout,
+    roof_heights,
     track_entries,
 )
 from uavlos.errors import (
@@ -30,6 +31,7 @@ from uavlos.errors import (
 )
 from uavlos.sim3d import (
     BuildingTop,
+    Cities,
     City,
     CrossroadCenter,
     FixedPoint,
@@ -65,14 +67,47 @@ def toy_city(heights_by_cell=None, extent=100.0):
     return City(params=TOY, layout=layout, heights=heights, seed=0)
 
 
+def xyz(nodes):
+    """Positions (x, y, z) of a list of nodes, as first_blockers takes them."""
+    return tuple(np.array([(n.x, n.y, n.z) for n in nodes]).T)
+
+
+def one_uav(city, policy):
+    """place_uav for one city: the n = 1 case of its batch."""
+    x, y, z = place_uav(Cities.of([city]), policy)
+    assert x.shape == y.shape == z.shape == (1,)
+    return Node(float(x[0]), float(y[0]), float(z[0]))
+
+
 def test_generate_city_shape_and_determinism():
     city = generate_city(ENVIRONMENTS["urban"], 3000.0, 3000.0, 42)
     assert city.heights.shape == (67, 67)
-    assert float(city.heights.mean()) == pytest.approx(18.758372182376483, rel=1e-12)
+    assert float(city.heights.mean()) == pytest.approx(19.040441701850057, rel=1e-12)
     again = generate_city(ENVIRONMENTS["urban"], 3000.0, 3000.0, 42)
     assert (city.heights == again.heights).all()
     other = generate_city(ENVIRONMENTS["urban"], 3000.0, 3000.0, 43)
     assert not (city.heights == other.heights).all()
+
+
+def test_generated_heights_are_the_roof_function_of_the_key():
+    params = ENVIRONMENTS["urban"]
+    city = generate_city(params, 3000.0, 2000.0, 2**64 - 5)
+    nx, ny = city.heights.shape
+    assert (nx, ny) == (67, 44)
+    for ix in range(1, nx + 1):
+        for iy in range(1, ny + 1):
+            roof = roof_heights(2**64 - 5, ix, iy, params.gamma)
+            assert city.heights[ix - 1, iy - 1] == roof
+    # The implicit city of the same key looks up the same roofs.
+    ix, iy = np.divmod(np.arange(nx * ny), ny)
+    implicit = Cities(params, city.layout, np.array([2**64 - 5], dtype=np.uint64))
+    assert (implicit.roofs(0, ix + 1, iy + 1) == city.heights.ravel()).all()
+
+
+def test_city_keys_outside_uint64_are_rejected():
+    for seed in (-1, 2**64):
+        with pytest.raises(InvalidParams, match="seed"):
+            generate_city(ENVIRONMENTS["urban"], 1000.0, 1000.0, seed)
 
 
 def test_generated_heights_are_locked():
@@ -149,8 +184,12 @@ def test_first_blocker_has_smallest_r_op():
 def test_raising_the_transmitter_never_loses_los():
     city = generate_city(ENVIRONMENTS["dense-urban"], 1000.0, 1000.0, 3)
     rx = Node(2.0, 2.0, 1.5)
+    # The track enters no footprint within s - 2 m of the receiver, so at
+    # z_clear the ray is above the tallest roof wherever it meets one.
+    r_rx = math.hypot(798.0, 648.0)
+    z_clear = 1.5 + (city.heights.max() - 1.5) * r_rx / (city.layout.s - 2.0) + 1.0
     prev_los = False
-    for z in np.linspace(20.0, 400.0, 60):
+    for z in [*np.linspace(20.0, 400.0, 60), z_clear]:
         link = LinkGeometry.from_nodes(tx=Node(800.0, 650.0, float(z)), rx=rx)
         is_los = check_los_edges(city, link).is_los
         assert is_los >= prev_los  # once LoS, higher stays LoS
@@ -178,7 +217,7 @@ def test_vertical_link_outcomes():
         out = check(tall, face)
         assert not out.is_los
         assert (out.blocker.ix, out.blocker.iy, out.blocker.r_op) == (1, 1, 0.0)
-    link, ix, iy, t = first_blockers([tall], [face.tx], [0], [10.0], [7.5], 1.5)
+    link, ix, iy, t = first_blockers(Cities.of([tall]), xyz([face.tx]), [0], [10.0], [7.5], 1.5)
     assert (link.tolist(), ix.tolist(), iy.tolist()) == ([0], [1], [1])
     assert float((1.0 - t[0]) * face.r_rx) == 0.0
 
@@ -186,7 +225,8 @@ def test_vertical_link_outcomes():
     on_roof = LinkGeometry.from_nodes(tx=Node(7.5, 7.5, 100.0), rx=Node(7.5, 7.5, 50.001))
     assert check_los_edges(shorter, on_roof).is_los
     assert check_los_dense(shorter, on_roof).is_los
-    assert first_blockers([shorter], [on_roof.tx], [0], [7.5], [7.5], 50.001)[0].size == 0
+    blocked = first_blockers(Cities.of([shorter]), xyz([on_roof.tx]), [0], [7.5], [7.5], 50.001)
+    assert blocked[0].size == 0
 
 
 def test_endpoint_validation():
@@ -272,7 +312,7 @@ def assert_pass_matches_dense(runs, h_rx):
     run = [c for c, users in enumerate(rxs) for _ in users]
     users = [rx for users in rxs for rx in users]
     link, ix, iy, _ = first_blockers(
-        cities, txs, run, [rx.x for rx in users], [rx.y for rx in users], h_rx
+        Cities.of(cities), xyz(txs), run, [rx.x for rx in users], [rx.y for rx in users], h_rx
     )
     blocked = dict(zip(link.tolist(), zip(ix.tolist(), iy.tolist())))
     for n, (c, rx) in enumerate(zip(run, users)):
@@ -342,10 +382,24 @@ def test_edges_match_dense_on_random_toy_links(city, ends, tz):
     rx = toy_free_node(city, ends[2], ends[3], 1.5)
     assume(tx is not None and rx is not None)
     link = LinkGeometry.from_nodes(tx=tx, rx=rx)
-    # Only the LoS state: where a track clips a box corner by less than a
-    # rounding error the oracle can miss that box, and a box behind it
-    # may then block instead.
-    assert check_los_edges(city, link).is_los == check_los_dense(city, link).is_los
+    edges, dense = check_los_edges(city, link), check_los_dense(city, link)
+    assert edges.is_los == dense.is_los
+    if not dense.is_los:
+        assert (edges.blocker.ix, edges.blocker.iy) == (dense.blocker.ix, dense.blocker.iy)
+
+
+def test_dense_oracle_sees_a_corner_clipped_by_less_than_a_step():
+    # The track passes about 0.02 m inside the corner of box (2, 3), so
+    # only the two boundary-crossing samples can see it; computed from the
+    # transmitter side, both rounded just outside the closed box.
+    city = toy_city({(2, 3): 60.0})
+    link = LinkGeometry.from_nodes(
+        tx=Node(38.810897042014915, 54.4375, 36.0), rx=Node(4.0, 0.0, 1.5)
+    )
+    for check in (check_los_edges, check_los_dense):
+        out = check(city, link)
+        assert not out.is_los
+        assert (out.blocker.ix, out.blocker.iy) == (2, 3)
 
 
 _DIRECTIONS = [(1, 0), (0, 1), (-1, 0), (0, -1), (1, 1), (1, -1), (-1, 1), (-1, -1)]
@@ -395,7 +449,7 @@ def test_one_pass_over_several_cities_matches_single_links():
         singles += [check_los_edges(city, LinkGeometry.from_nodes(tx=tx, rx=r)) for r in users]
     run = np.repeat(np.arange(3), 40)
     link, ix, iy, _ = first_blockers(
-        cities, txs, run, [r.x for r in rxs], [r.y for r in rxs], 1.5
+        Cities.of(cities), xyz(txs), run, [r.x for r in rxs], [r.y for r in rxs], 1.5
     )
     assert link.tolist() == [i for i, out in enumerate(singles) if not out.is_los]
     assert 0 < link.size < len(singles)
@@ -447,13 +501,13 @@ def test_place_users_at_a_fixed_azimuth_or_overhead():
     city = toy_city(extent=1000.0)
     uav = Node(500.0, 500.0, 101.5)
     east = user_directions(45.0, 36, phi_deg=90.0)
-    _, x, y = place_users(city.layout, [uav], 45.0, east, h_rx=1.5)
+    _, x, y = place_users(city.layout, xyz([uav]), 45.0, east, h_rx=1.5)
     assert x.tolist() == pytest.approx([500.0]) and y.tolist() == pytest.approx([600.0])
     overhead = user_directions(90.0, 36)
-    _, x, y = place_users(city.layout, [uav], 90.0, overhead, h_rx=1.5)
+    _, x, y = place_users(city.layout, xyz([uav]), 90.0, overhead, h_rx=1.5)
     assert (x.tolist(), y.tolist()) == ([500.0], [500.0])
     # a user who would stand on a building footprint is dropped
-    _, x, y = place_users(city.layout, [Node(507.5, 507.5, 101.5)], 90.0, overhead, h_rx=1.5)
+    _, x, y = place_users(city.layout, xyz([Node(507.5, 507.5, 101.5)]), 90.0, overhead, h_rx=1.5)
     assert x.size == 0
 
 
@@ -472,23 +526,22 @@ def test_place_users_circle_validation():
 
 def test_place_uav_policies():
     city = toy_city({(3, 4): 60.0}, extent=200.0)
-    rng = np.random.default_rng(5)
 
-    fixed = place_uav(city, FixedPoint(Node(1.0, 2.0, 3.0)), rng)
+    fixed = one_uav(city, FixedPoint(Node(1.0, 2.0, 3.0)))
     assert fixed == Node(1.0, 2.0, 3.0)
 
-    anywhere = place_uav(city, RandomOverCity(h=120.0), rng)
+    anywhere = one_uav(city, RandomOverCity(h=120.0))
     assert 0.0 <= anywhere.x <= 200.0 and 0.0 <= anywhere.y <= 200.0
     assert anywhere.z == 120.0
 
-    cross = place_uav(city, CrossroadCenter(h=80.0), rng)
+    cross = one_uav(city, CrossroadCenter(h=80.0))
     assert isinstance(classify_point(cross.x, cross.y, city.layout), Crossroad)
 
-    street = place_uav(city, StreetCenter(h=80.0), rng)
+    street = one_uav(city, StreetCenter(h=80.0))
     assert isinstance(classify_point(street.x, street.y, city.layout), Street)
 
     # only cell (3, 4) has a roof below 70 excluded; all others are at 0
-    top = place_uav(city, BuildingTop(h=50.0), rng)
+    top = one_uav(city, BuildingTop(h=50.0))
     cell = classify_point(top.x, top.y, city.layout)
     assert isinstance(cell, Building)
     assert city.heights[cell.ix - 1, cell.iy - 1] < 50.0
@@ -500,31 +553,48 @@ def test_place_uav_policies():
             heights=np.full((20, 20), 90.0),
             seed=0,
         )
-        place_uav(empty, BuildingTop(h=50.0), rng)
+        one_uav(empty, BuildingTop(h=50.0))
 
     with pytest.raises(InvalidParams):
-        place_uav(city, RandomOverCity(h=0.0), rng)
+        one_uav(city, RandomOverCity(h=0.0))
 
 
 def test_place_uav_is_reproducible():
     city = toy_city(extent=200.0)
-    a = place_uav(city, RandomOverCity(h=100.0), np.random.default_rng(9))
-    b = place_uav(city, RandomOverCity(h=100.0), np.random.default_rng(9))
+    a = one_uav(city, RandomOverCity(h=100.0))
+    b = one_uav(city, RandomOverCity(h=100.0))
     assert a == b
+
+
+@pytest.mark.parametrize(
+    "policy", [RandomOverCity(100.0), BuildingTop(50.0), CrossroadCenter(80.0),
+               StreetCenter(80.0)], ids=lambda p: type(p).__name__,
+)
+def test_place_uav_draws_each_city_from_its_key(policy):
+    # A batch places each city's UAV as that city alone would.
+    city = generate_city(ENVIRONMENTS["urban"], 1000.0, 1000.0, 9)
+    other = generate_city(ENVIRONMENTS["urban"], 1000.0, 1000.0, 10)
+    batch = place_uav(Cities.of([city, other, city]), policy)
+    alone = [one_uav(c, policy) for c in (city, other)]
+    assert [Node(*map(float, p)) for p in zip(*batch)] == [alone[0], alone[1], alone[0]]
+    assert alone[0] != alone[1]
+    # The implicit city of the same key places the same UAV.
+    implicit = Cities(city.params, city.layout, np.array([9, 10], dtype=np.uint64))
+    assert [Node(*map(float, p)) for p in zip(*place_uav(implicit, policy))] == alone
 
 
 def test_random_uav_retries_are_bounded_and_typed(monkeypatch):
     # 9 m buildings on a 10 m period, every roof above the 100 m UAV: the
-    # first six draws of seed 6 all land over a roof.
+    # first six draws of key 2 all land over a roof.
     params = BuiltUpParams(0.81, 10000.0, 10.0)
     city = City(params=params, layout=derive_layout(params, 100.0, 100.0),
-                heights=np.full((10, 10), 200.0), seed=0)
+                heights=np.full((10, 10), 200.0), seed=2)
     assert sim3d.UAV_PLACEMENT_TRIES == 1000
-    uav = place_uav(city, RandomOverCity(h=100.0), np.random.default_rng(6))
+    uav = one_uav(city, RandomOverCity(h=100.0))
     assert uav.z == 100.0 and roof_under(city, uav.x, uav.y) is None
     monkeypatch.setattr(sim3d, "UAV_PLACEMENT_TRIES", 5)
     with pytest.raises(InvalidParams, match="clear of rooftops after 5 tries"):
-        place_uav(city, RandomOverCity(h=100.0), np.random.default_rng(6))
+        one_uav(city, RandomOverCity(h=100.0))
 
 
 def test_city_round_trip_is_exact():
@@ -551,6 +621,7 @@ def test_save_and_load_city(tmp_path):
     [
         (lambda t: "not a header\n" + t.partition("\n")[2], "header"),
         (lambda t: t.replace("alpha=", "aleph=", 1), "header"),
+        (lambda t: t.replace(" seed=4", " seed=-4", 1), "header"),
         (lambda t: t + "2 2 17.0\n", "duplicate"),
         (lambda t: t + "99 99 17.0\n", "outside"),
         (lambda t: t.replace(" ", "", 1), "header"),

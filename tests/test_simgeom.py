@@ -16,7 +16,8 @@ from uavlos.citygeom import (
     uav_position_from_angles,
 )
 from uavlos import simgeom
-from uavlos.errors import InvalidAngle, InvalidParams
+from uavlos.errors import InvalidAngle, InvalidParams, UavLosError
+from uavlos.harness import SweepAxis, SweepSpec, run_sweep
 from uavlos.simgeom import (
     GeomScenario,
     estimate_plos,
@@ -43,6 +44,29 @@ def test_scenario_validation():
         GeomScenario(params=params, user_zone="street", theta_deg=45.0, h_uav=(0.0, 1.0))
     # defaults are a legal scenario
     GeomScenario(params=params, user_zone="crossroad", theta_deg=45.0)
+
+
+def test_tracks_longer_than_the_memory_bound_fail_before_any_chunk(monkeypatch):
+    params = ENVIRONMENTS["urban"]
+    period = derive_layout(params).period
+    # The longest track, (h_uav - h_rx)/tan(theta), at exactly the bound.
+    edge = math.degrees(math.atan(98.5 / (simgeom.MAX_TRACK_PERIODS * period)))
+    GeomScenario(params, "street", theta_deg=edge * 1.000001, h_uav=100.0)
+    with pytest.raises(InvalidAngle, match="grid periods"):
+        GeomScenario(params, "street", theta_deg=edge * 0.999999, h_uav=100.0)
+    # A drawn altitude range is bounded by its top.
+    with pytest.raises(InvalidAngle, match="grid periods"):
+        GeomScenario(params, "street", theta_deg=0.2, h_uav=(50.0, 500.0))
+    GeomScenario(params, "street", theta_deg=0.2, h_uav=(50.0, 100.0))
+
+    def fail(*args, **kwargs):
+        pytest.fail("a chunk was drawn")
+
+    monkeypatch.setattr(simgeom, "_first_blockers", fail)
+    spec = SweepSpec(engine="geom", params=params, axes=(SweepAxis("theta", (0.001,)),),
+                     n_runs=256, seed=1)
+    with pytest.raises(UavLosError):
+        run_sweep(spec)
 
 
 def test_sample_user_zones():
