@@ -2,8 +2,8 @@
 
 No city is materialized here.  For one user/UAV pair the engine lists
 the handful of buildings the ground track enters, compares the ray
-height at each entry point against a Rayleigh roof draw and calls the
-link.  This script prints that candidate list for one link, then runs
+height at each entry point against that building's Rayleigh roof and
+calls the link.  This script prints that candidate list for one link, then runs
 the estimator over elevation angles for each user zone, including the
 aligned-view cases that must come out at exactly 1.0.
 """
@@ -13,9 +13,9 @@ import numpy as np
 from uavlos import (
     ENVIRONMENTS,
     GeomScenario,
+    Node,
     derive_layout,
     estimate_plos,
-    sample_user,
     track_entries,
     uav_position_from_angles,
 )
@@ -27,7 +27,9 @@ def show_one_link() -> None:
     params = ENVIRONMENTS["urban"]
     layout = derive_layout(params)
     rng = np.random.default_rng(SEED)
-    user = sample_user(layout, "street", rng, h_rx=1.5)
+    # Street users fill the segment x in [0, s], y in [s, s + w] next to
+    # the origin crossroad.
+    user = Node(rng.uniform(0.0, layout.s), rng.uniform(layout.s, layout.s + layout.w), 1.5)
     uav = uav_position_from_angles(user, theta_deg=25.0, phi_deg=30.0, h_uav=100.0)
 
     print(f"user at ({user.x:.1f}, {user.y:.1f}), UAV at "

@@ -24,8 +24,6 @@ from .citygeom import (
     classify_point,
     derive_layout,
     roof_heights,
-    sample_height,
-    sample_heights,
     track_entries,
     uav_position_from_angles,
 )
@@ -63,7 +61,7 @@ from .sim3d import (
     place_users_circle,
     save_city,
 )
-from .simgeom import GeomScenario, estimate_plos, sample_user, simulate_link
+from .simgeom import GeomScenario, estimate_plos
 from .stats import PLosEstimate, wilson_interval
 
 __version__ = "0.1.0"
@@ -83,8 +81,6 @@ __all__ = [
     "derive_layout",
     "classify_point",
     "roof_heights",
-    "sample_height",
-    "sample_heights",
     "track_entries",
     "uav_position_from_angles",
     # 3D engine
@@ -104,8 +100,6 @@ __all__ = [
     "load_city",
     # geometry engine
     "GeomScenario",
-    "sample_user",
-    "simulate_link",
     "estimate_plos",
     # baselines
     "GridProduct",

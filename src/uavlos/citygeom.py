@@ -16,10 +16,13 @@ classification uses these half-open bands; line of sight uses closed
 building boxes, so a ground track that only grazes a face or a corner
 still meets the building (:func:`track_entries`).
 
-Roof heights are independent Rayleigh(gamma) draws.  A generated city
-is implicit: :func:`roof_heights` maps (city key, ix, iy) to its roof
-through a counter-based hash, so a roof exists only where it is looked
-at and every reader of a city sees the same value.
+Roof heights are independent Rayleigh(gamma) draws.  A city is
+implicit: :func:`roof_heights` maps (city key, ix, iy) to its roof
+through the counter-based stream of the key (:func:`stream_bits`), so a
+roof exists only where it is looked at and every reader of a city sees
+the same value.  Both engines draw their other random numbers from such
+keyed streams too: the 3D engine each city's UAV, the geometry engine
+each link's user, UAV and city keys.
 
 All distances are metres; angles are degrees at every public interface
 and converted to radians only inside trigonometric calls.
@@ -48,10 +51,8 @@ __all__ = [
     "derive_layout",
     "classify_point",
     "track_entries",
-    "rayleigh_pdf",
-    "height_from_uniform",
-    "sample_height",
-    "sample_heights",
+    "stream_bits",
+    "bits_to_uniforms",
     "stream_uniforms",
     "roof_heights",
     "uav_position_from_angles",
@@ -298,56 +299,16 @@ def track_entries(layout: CityLayout, x_rx, y_rx, x_tx, y_tx, t_max=1.0):
     return link[row], i[row] + 1, j + 1, t
 
 
-def rayleigh_pdf(h, gamma: float):
-    """Rayleigh probability density (h/gamma^2)*exp(-h^2/(2*gamma^2)).
-
-    Accepts a scalar or an array of non-negative heights; returns the
-    matching shape.
-    """
-    if gamma <= 0.0:
-        raise InvalidParams(f"gamma must be positive, got {gamma}")
-    arr = np.asarray(h, dtype=float)
-    if np.any(arr < 0.0):
-        raise InvalidParams("height must be non-negative")
-    out = (arr / (gamma * gamma)) * np.exp(-(arr * arr) / (2.0 * gamma * gamma))
-    return float(out) if out.ndim == 0 else out
-
-
-def height_from_uniform(u: float, gamma: float) -> float:
-    """Inverse-CDF transform h = gamma*sqrt(-2*ln(u)) for u in (0, 1].
-
-    u = 1 maps to h = 0 and u = exp(-1/2) maps to h = gamma.
-    """
-    if gamma <= 0.0:
-        raise InvalidParams(f"gamma must be positive, got {gamma}")
-    if not 0.0 < u <= 1.0:
-        raise InvalidParams(f"u must be in (0, 1], got {u}")
-    return gamma * math.sqrt(-2.0 * math.log(u))
-
-
-def sample_height(gamma: float, rng: np.random.Generator) -> float:
-    """Draw one Rayleigh(gamma) building height."""
-    # 1 - random() lies in (0, 1], keeping the log finite and h = 0 reachable.
-    return height_from_uniform(1.0 - rng.random(), gamma)
-
-
 def _rayleigh_inplace(v: np.ndarray, gamma: float) -> np.ndarray:
-    """Turn uniforms v in [0, 1) into Rayleigh(gamma) heights in place,
-    h = gamma*sqrt(-2*ln(1 - v)): the inverse CDF of
-    :func:`height_from_uniform` at u = 1 - v in (0, 1]."""
+    """Turn uniforms v in [0, 1) into Rayleigh(gamma) heights in place
+    by the inverse CDF h = gamma*sqrt(-2*ln(1 - v)): v = 0 maps to
+    h = 0 and v = 1 - exp(-1/2) to h = gamma."""
     np.subtract(1.0, v, out=v)
     np.log(v, out=v)
     v *= -2.0
     np.sqrt(v, out=v)
     v *= gamma
     return v
-
-
-def sample_heights(gamma: float, rng: np.random.Generator, shape) -> np.ndarray:
-    """Draw an array of Rayleigh(gamma) heights via the same inverse CDF."""
-    if gamma <= 0.0:
-        raise InvalidParams(f"gamma must be positive, got {gamma}")
-    return _rayleigh_inplace(rng.random(shape), gamma)
 
 
 #: splitmix64 (Steele, Lea and Flood, "Fast splittable pseudorandom number
@@ -358,13 +319,13 @@ _MIX1 = np.uint64(0xBF58476D1CE4E5B9)
 _MIX2 = np.uint64(0x94D049BB133111EB)
 
 
-def stream_uniforms(key, counter) -> np.ndarray:
-    """Uniforms in [0, 1) from the counter-based stream of a uint64 key.
+def stream_bits(key, counter) -> np.ndarray:
+    """64-bit outputs of the counter-based stream of a uint64 key.
 
     Position ``counter`` of the stream of ``key`` is the splitmix64 output
-    for the state key + counter*0x9E3779B97F4A7C15 (mod 2^64), its top 53
-    bits scaled to [0, 1).  key and counter (non-negative integers below
-    2^64) broadcast; the result is a pure function of the pair.
+    for the state key + counter*0x9E3779B97F4A7C15 (mod 2^64).  key and
+    counter (non-negative integers below 2^64) broadcast; the result, of
+    dtype uint64, is a pure function of the pair.
     """
     counter = np.asarray(counter, dtype=np.uint64)
     z = np.add(np.multiply(counter, _WEYL), np.asarray(key, dtype=np.uint64))
@@ -379,8 +340,20 @@ def stream_uniforms(key, counter) -> np.ndarray:
     z *= _MIX2
     np.right_shift(z, 31, out=shifted)
     z ^= shifted
-    z >>= 11
-    return np.multiply(z, 2.0**-53, out=np.empty(z.shape)).reshape(shape)
+    return z.reshape(shape)
+
+
+def bits_to_uniforms(bits) -> np.ndarray:
+    """Uniforms in [0, 1) from uint64 stream outputs: the top 53 bits of
+    each, scaled to [0, 1)."""
+    top = np.right_shift(bits, np.uint64(11), out=np.empty(np.shape(bits), np.uint64))
+    return np.multiply(top, 2.0**-53, out=np.empty(top.shape))
+
+
+def stream_uniforms(key, counter) -> np.ndarray:
+    """Uniforms in [0, 1) from the counter-based stream of a uint64 key:
+    :func:`bits_to_uniforms` of :func:`stream_bits` at the same positions."""
+    return bits_to_uniforms(stream_bits(key, counter))
 
 
 def roof_heights(key, ix, iy, gamma: float) -> np.ndarray:

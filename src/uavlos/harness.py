@@ -9,7 +9,12 @@ users): each run is one uint64 city key, from which the run's UAV and
 the roofs its users' tracks meet are hashed, so no run builds a
 Generator or a height grid.  The geometry engine runs one link per
 run, with an area-weighted street/crossroad mix when no single zone is
-requested.
+requested, under the same protocol: each link is one uint64 key, from
+which its placement and the roofs its track meets are hashed.  Both
+engines take a point's keys from one generate_state call of its seed.
+A geometry-engine spec checks every grid point's ground-track length
+when it is created, so a point the engine would refuse is an illegal
+spec.
 
 CSV files carry a ``# spec:`` echo line followed by one row per grid
 point.  The ms_per_point column is written as zero unless timing is
@@ -30,7 +35,7 @@ import numpy as np
 
 from .baselines import BaselineModel, GridProduct, evaluate
 from .citygeom import BuiltUpParams, derive_layout
-from .errors import IllegalSpec, UavLosError
+from .errors import IllegalSpec, InvalidAngle, UavLosError
 from .sim3d import (
     BuildingTop,
     Cities,
@@ -42,7 +47,7 @@ from .sim3d import (
     place_users,
     user_directions,
 )
-from .simgeom import USER_ZONES, GeomScenario, estimate_plos
+from .simgeom import USER_ZONES, GeomScenario, check_track_length, estimate_plos
 from .stats import PLosEstimate
 
 __all__ = [
@@ -167,6 +172,15 @@ class SweepSpec:
             raise IllegalSpec(
                 "theta 90 with a building-top UAV puts the one user inside the UAV's building"
             )
+        if self.engine == "geom":
+            # The grid period depends on beta alone, which no axis sweeps.
+            period = derive_layout(self.params).period
+            for combo in self.points():
+                theta, h_uav = _point_angles(self, dict(zip(names, combo)))
+                try:
+                    check_track_length(period, theta, h_uav, self.h_rx)
+                except InvalidAngle as exc:
+                    raise IllegalSpec(str(exc)) from exc
 
     def _check_axis(self, axis: SweepAxis) -> None:
         if axis.name == "theta":
@@ -183,6 +197,13 @@ class SweepSpec:
             bad = [v for v in axis.values if not 0.0 < v < 1.0]
         if bad:
             raise IllegalSpec(f"axis {axis.name!r} has out-of-domain values {bad}")
+
+    def points(self) -> list[tuple[float, ...]]:
+        """Grid points as tuples of axis values, in row-major axis order."""
+        combos: list[tuple[float, ...]] = [()]
+        for axis in self.axes:
+            combos = [prior + (v,) for prior in combos for v in axis.values]
+        return combos
 
     def echo(self) -> str:
         """Canonical one-line description recorded in CSV output."""
@@ -313,14 +334,22 @@ def _resolve_model(spec: SweepSpec, var: Mapping[str, float]) -> BaselineModel:
     return GridProduct(_with_swept_params(base, var))
 
 
-def _estimate_point(spec: SweepSpec, var: Mapping[str, float], seed: int) -> PLosEstimate:
-    """P_LoS at one grid point: spec's fixed values overridden by the
-    swept values in var, estimated by spec's engine from seed."""
+def _point_angles(spec: SweepSpec, var: Mapping[str, float]) -> tuple[float, float]:
+    """(theta, h_uav) at one grid point: spec's fixed values overridden by
+    the swept values in var, theta derived from the radius when none is
+    given."""
     h_uav = var.get("h_uav", spec.h_uav)
     theta = var.get("theta", spec.theta)
     if theta is None:
         radius = var.get("radius", spec.radius)
         theta = math.degrees(math.atan2(h_uav - spec.h_rx, radius))
+    return theta, h_uav
+
+
+def _estimate_point(spec: SweepSpec, var: Mapping[str, float], seed: int) -> PLosEstimate:
+    """P_LoS at one grid point: spec's fixed values overridden by the
+    swept values in var, estimated by spec's engine from seed."""
+    theta, h_uav = _point_angles(spec, var)
     phi = var.get("phi", spec.phi)
     params = _with_swept_params(spec.params, var)
     if spec.engine == "geom":
@@ -343,9 +372,7 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
     reproducible from (spec, seed) alone.
     """
     axis_names = tuple(a.name for a in spec.axes)
-    combos: list[tuple[float, ...]] = [()]
-    for axis in spec.axes:
-        combos = [prior + (v,) for prior in combos for v in axis.values]
+    combos = spec.points()
     if spec.engine.startswith("baseline"):
         # Unknown names and gamma/alpha sweeps of theta-only families fail
         # before any work is done.

@@ -154,8 +154,11 @@ UavPositions = tuple[np.ndarray, np.ndarray, np.ndarray]
 
 @dataclass(frozen=True)
 class Blocker:
-    """Obstructing building cell (1-based) and the ground distance of
-    its obstruction point from the transmitter."""
+    """The blocking building of an NLoS link: its 1-based cell (ix, iy)
+    and r_op, the ground distance from the transmitter to the point
+    where the ground track enters the building's closed box seen from
+    the receiver.  With a flat roof the ray is lowest over the box
+    there, so that is where the roof blocks it."""
 
     ix: int
     iy: int
@@ -392,8 +395,11 @@ def check_los_dense(city: City, link: LinkGeometry, step: float = 0.1) -> LoSOut
     both endpoints, and tests each sample against the closed building
     box it may touch (boundary contact counts, matching the edge
     check's tie rule); a vertical link has the receiver as its one
-    sample.  Independent of the ground-track kernel behind
-    :func:`check_los_edges`; with flat rooftops the two agree exactly.
+    sample.  The blocker is the box nearest the transmitter with a
+    blocked sample, and r_op is the distance of its last sample, the
+    receiver-side boundary crossing.  Independent of the ground-track
+    kernel behind :func:`check_los_edges`; with flat rooftops the two
+    agree exactly, up to rounding in r_op.
     """
     layout = city.layout
     p, s = layout.period, layout.s
@@ -436,10 +442,14 @@ def check_los_dense(city: City, link: LinkGeometry, step: float = 0.1) -> LoSOut
     order = np.argsort(ts, kind="stable")
     ts, xs, ys = ts[order], xs[order], ys[order]
 
-    # Closed-box membership: box (i, j) covers [i*p + s, (i+1)*p] on each axis.
+    # Closed-box membership: box (i, j) covers [i*p + s, (i+1)*p] on each
+    # axis.  The quotient can round a sample on a near face i*p + s into
+    # box i - 1, so each index is settled against the face values
+    # themselves, computed as the crossing samples were.
     nx, ny = city.heights.shape
-    i = np.floor((xs - s) / p).astype(np.int64)
-    j = np.floor((ys - s) / p).astype(np.int64)
+    i, j = (np.floor((c - s) / p).astype(np.int64) for c in (xs, ys))
+    i += (xs >= (i + 1) * p + s).astype(np.int64) - (xs < i * p + s)
+    j += (ys >= (j + 1) * p + s).astype(np.int64) - (ys < j * p + s)
     inside = (
         (xs <= (i + 1) * p)
         & (ys <= (j + 1) * p)
@@ -453,9 +463,13 @@ def check_los_dense(city: City, link: LinkGeometry, step: float = 0.1) -> LoSOut
     blocked = inside & (roofs >= rays)
     if not blocked.any():
         return LoSOutcome.los()
+    # The box nearest the transmitter blocks; the ray falls toward the
+    # receiver, so the box's last sample, where the track enters it seen
+    # from the receiver, is blocked too and gives r_op.
     first = int(np.argmax(blocked))
+    in_box = np.flatnonzero(blocked & (i == i[first]) & (j == j[first]))
     return LoSOutcome.nlos(
-        Blocker(int(i[first]) + 1, int(j[first]) + 1, float(ts[first] * r_rx))
+        Blocker(int(i[first]) + 1, int(j[first]) + 1, float(ts[in_box[-1]] * r_rx))
     )
 
 

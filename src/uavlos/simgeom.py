@@ -2,9 +2,9 @@
 
 Instead of materializing a whole city, each run builds only what one
 link needs: a user near the origin crossroad, a UAV in the first
-quadrant, the building boxes the link's ground track enters, and one
-Rayleigh height draw per building met.  By first-quadrant symmetry an
-azimuth in [0, 90] degrees covers every direction.
+quadrant, the building boxes the link's ground track enters, and the
+roof of each building met.  By first-quadrant symmetry an azimuth in
+[0, 90] degrees covers every direction.
 
 The buildings come from :func:`uavlos.citygeom.track_entries`, the
 kernel the 3D engine uses too, with the grid treated as unbounded.
@@ -12,13 +12,15 @@ With flat rooftops the ray is lowest over a footprint where the track
 enters it seen from the user, so one comparison per building decides
 it.
 
-The estimator decides :data:`CHUNK_LINKS` links at a time.  A chunk
-draws from one Generator: each draw (zone, user, azimuth, altitude,
-roofs) is one array draw over the chunk's links, the UAV-in-building
-redraw is a masked loop over the links still inside a building, and one
-kernel call lists every track's buildings.  A chunk's stream is fixed
-by the seed and the chunk size, so the same seed gives the same
-estimate.
+A link is the one-key case of the 3D engine's random-number protocol:
+each link is a uint64 key, its placement draws come from fixed
+positions of that key's counter-based stream, and each roof it meets
+is :func:`uavlos.citygeom.roof_heights` of a city key taken from the
+same stream, evaluated only under the UAV and at the track's entries
+(see :func:`_draw_links`).  No Generator is built.  The estimator
+decides :data:`CHUNK_LINKS` links per kernel call; because a link's
+draws depend on its key alone, the chunk size bounds memory and leaves
+the estimate unchanged.
 """
 
 from __future__ import annotations
@@ -32,21 +34,21 @@ import numpy as np
 from .citygeom import (
     BuiltUpParams,
     CityLayout,
-    Node,
+    bits_to_uniforms,
     derive_layout,
-    sample_heights,
+    roof_heights,
+    stream_bits,
+    stream_uniforms,
     track_entries,
 )
 from .errors import InvalidAngle, InvalidParams
-from .sim3d import Blocker, LoSOutcome
 from .stats import PLosEstimate
 
 __all__ = [
     "GeomScenario",
     "USER_ZONES",
     "CHUNK_LINKS",
-    "sample_user",
-    "simulate_link",
+    "check_track_length",
     "estimate_plos",
 ]
 
@@ -55,12 +57,11 @@ UserZone = Literal["street", "crossroad", "mixed"]
 #: "mixed" draws street or crossroad per link with free-space area weights.
 USER_ZONES = ("street", "crossroad", "mixed")
 
-#: Links per chunk in :func:`estimate_plos`: one Generator, one set of
-#: array draws and one ground-track kernel call each.  Seeding and each
-#: numpy call cost about as much as a few links' work, so small chunks
-#: spend their time there; the kernel's temporaries grow with links
-#: times track length, so much larger chunks cost peak memory for little
-#: time.
+#: Links per chunk in :func:`estimate_plos`: one set of array draws per
+#: placement round and one ground-track kernel call each.  Each numpy
+#: call costs about as much as a few links' work, so small chunks spend
+#: their time there; the kernel's temporaries grow with links times track
+#: length, so much larger chunks cost peak memory for little time.
 CHUNK_LINKS = 256
 
 
@@ -72,6 +73,24 @@ CHUNK_LINKS = 256
 #: a chunk near 115 MB.  The track length grows as 1/tan(theta): theta
 #: 0.001 extrapolates to about 4 GB.
 MAX_TRACK_PERIODS = 2048
+
+
+def check_track_length(period: float, theta_deg: float, h_uav: float, h_rx: float) -> None:
+    """Refuse a ground track longer than MAX_TRACK_PERIODS grid periods.
+
+    A UAV at h_uav seen at elevation theta_deg from a user at h_rx lies
+    (h_uav - h_rx)/tan(theta) from it along the ground; theta = 90 has
+    no track.
+    """
+    if theta_deg < 90.0:
+        track = (h_uav - h_rx) / math.tan(math.radians(theta_deg))
+        periods = track / period
+        if periods > MAX_TRACK_PERIODS:
+            raise InvalidAngle(
+                f"theta {theta_deg} puts the UAV up to {track:.0f} m "
+                f"({periods:.0f} grid periods) from its user; the geometry "
+                f"engine bounds tracks at {MAX_TRACK_PERIODS} periods to bound memory"
+            )
 
 
 def _check_range(name: str, rng_: tuple[float, float], lo: float, hi: float) -> None:
@@ -121,16 +140,8 @@ class GeomScenario:
             raise InvalidParams(
                 f"fixed h_uav={self.h_uav} must exceed h_rx={self.h_rx}"
             )
-        if self.theta_deg < 90.0:
-            h_max = self.h_uav[1] if isinstance(self.h_uav, tuple) else self.h_uav
-            track = (h_max - self.h_rx) / math.tan(math.radians(self.theta_deg))
-            periods = track / self.layout().period
-            if periods > MAX_TRACK_PERIODS:
-                raise InvalidAngle(
-                    f"theta {self.theta_deg} puts the UAV up to {track:.0f} m "
-                    f"({periods:.0f} grid periods) from its user; the geometry "
-                    f"engine bounds tracks at {MAX_TRACK_PERIODS} periods to bound memory"
-                )
+        h_max = self.h_uav[1] if isinstance(self.h_uav, tuple) else self.h_uav
+        check_track_length(self.layout().period, self.theta_deg, h_max, self.h_rx)
 
     def layout(self) -> CityLayout:
         # The geometry engine treats the grid as unbounded; the nominal
@@ -138,177 +149,118 @@ class GeomScenario:
         return derive_layout(self.params)
 
 
-def _zone_draws(layout: CityLayout, street: np.ndarray, rng: np.random.Generator):
-    """User ground points for a batch of links, street[i] picking link
-    i's zone: x, then y, each one array draw over the batch."""
-    s, w = layout.s, layout.w
-    x = rng.uniform(0.0, s, street.size)
-    y = rng.uniform(np.where(street, s, 0.0), np.where(street, s + w, s))
-    return x, y
+#: Placement rounds before a link whose UAV keeps landing inside a
+#: building, or at or below its user, is given up; each round redraws
+#: every such link once.
+PLACEMENT_ROUNDS = 100_000
 
 
-def sample_user(
-    layout: CityLayout,
-    zone: UserZone,
-    rng: np.random.Generator,
-    h_rx: float = 0.0,
-) -> Node:
-    """Draw a user uniformly in the named zone at the origin crossroad.
+def _draw_links(scenario: GeomScenario, layout: CityLayout, keys: np.ndarray):
+    """Draw the links of keys up to their ground tracks, UAVs in free air.
+
+    Link n draws from fixed positions of the counter-based stream of its
+    key keys[n] (:func:`uavlos.citygeom.stream_bits`):
+
+    * position 0, as a uniform, picks the zone for "mixed": street when
+      below the street share of free area;
+    * position 1 + 5r, as 64 bits, is the key of round r's city;
+    * positions 2 + 5r to 5 + 5r, as uniforms, are round r's user x,
+      user y, azimuth and altitude, each used only when the scenario
+      draws it.
 
     Crossroad users fill the square [0, s]^2; street users fill the
     north-south street segment right of it (x in [0, s], y in
     [s, s + w]), which by the grid's diagonal symmetry stands for both
-    street orientations when the azimuth is drawn uniformly.  The
-    geometry engine places its users with the same rule.
+    street orientations when the azimuth is drawn uniformly.
+
+    Round r is a pure function of (keys[n], r).  Every round is a
+    fresh city: a round whose altitude is at or below the user, or
+    whose UAV hovers over a roof of its city (:func:`roof_heights`) at
+    or above it, is rejected, and the link draws round r + 1, zone
+    kept.  The accepted round conditions only the roof under its UAV.
+
+    Returns arrays (user x, user y, UAV x, UAV y, UAV z, city key) of
+    each link's accepted round.
     """
-    if zone not in ("street", "crossroad"):
-        raise InvalidParams(f"unknown user zone {zone!r}")
-    x, y = _zone_draws(layout, np.array([zone == "street"]), rng)
-    return Node(float(x[0]), float(y[0]), h_rx)
-
-
-#: Placement rounds before a link whose UAV keeps landing inside a
-#: building is given up; each round redraws every such link once.
-PLACEMENT_ROUNDS = 100_000
-
-#: Redraws of an altitude at or below the user before giving up.
-ALTITUDE_REDRAWS = 1000
-
-
-def _altitudes(scenario: GeomScenario, rng: np.random.Generator, n: int) -> np.ndarray:
-    """n UAV altitudes, each strictly above the user."""
-    if not isinstance(scenario.h_uav, tuple):
-        return np.full(n, scenario.h_uav)
-    # Redraw the rare altitude at or below the user; the elevation
-    # construction needs the transmitter strictly above the receiver.
-    h = rng.uniform(*scenario.h_uav, n)
-    for _ in range(ALTITUDE_REDRAWS):
-        low = np.flatnonzero(h <= scenario.h_rx)
-        if low.size == 0:
-            return h
-        h[low] = rng.uniform(*scenario.h_uav, low.size)
-    if (h <= scenario.h_rx).any():
-        raise InvalidParams(
-            f"h_uav range {scenario.h_uav} never exceeds h_rx={scenario.h_rx}"
-        )
-    return h
-
-
-def _draw_links(scenario: GeomScenario, layout: CityLayout, rng: np.random.Generator, n: int):
-    """Draw n links up to their ground tracks, UAVs in free air.
-
-    Draw order: the zone of every link (for "mixed"), then rounds of
-    user x, user y, azimuth, altitude and one roof per UAV that lands
-    over a building, each an array draw over the links still pending.
-    A link whose roof reaches its UAV is pending again next round, zone
-    kept.
-
-    Returns arrays (user x, user y, UAV x, UAV y, UAV z, cell ix, cell
-    iy, roof) for the building under each UAV, or cell (-1, -1) and roof
-    0 over open ground: box -1 lies at negative coordinates, which no
-    first-quadrant track from the origin crossroad reaches.
-    """
+    n = keys.size
     if scenario.user_zone == "mixed":
         # Free space splits into two street rectangles (s*w each) and one
         # crossroad square (s*s) per period cell.
         w_street = 2.0 * layout.w / (layout.s + 2.0 * layout.w)
-        street = rng.random(n) < w_street
+        street = stream_uniforms(keys, 0) < w_street
     else:
         street = np.full(n, scenario.user_zone == "street")
-    p, s = layout.period, layout.s
+    p, s, w = layout.period, layout.s, layout.w
+    h_rx = scenario.h_rx
     theta = math.radians(scenario.theta_deg)
-    placed = np.empty((8, n))
+    placed = np.empty((5, n))
+    city = np.empty(n, dtype=np.uint64)
     pending = np.arange(n)
-    for _ in range(PLACEMENT_ROUNDS):
-        m = pending.size
-        ux, uy = _zone_draws(layout, street[pending], rng)
+    for r in range(PLACEMENT_ROUNDS):
+        bits = stream_bits(keys[pending, None], 1 + 5 * r + np.arange(5))
+        c = bits[:, 0]
+        u = bits_to_uniforms(bits[:, 1:])
+        ux = s * u[:, 0]
+        uy = np.where(street[pending], s + w * u[:, 1], s * u[:, 1])
         if isinstance(scenario.phi_deg, tuple):
-            phi = np.radians(rng.uniform(*scenario.phi_deg, m))
+            lo, hi = scenario.phi_deg
+            phi = np.radians(lo + (hi - lo) * u[:, 2])
         else:
             phi = math.radians(scenario.phi_deg)
-        vz = _altitudes(scenario, rng, m)
+        if isinstance(scenario.h_uav, tuple):
+            lo, hi = scenario.h_uav
+            vz = lo + (hi - lo) * u[:, 3]
+        else:
+            vz = np.full(pending.size, scenario.h_uav)
         # Ground offset from the elevation; theta = 90 hovers overhead.
-        d = 0.0 if scenario.theta_deg == 90.0 else (vz - scenario.h_rx) / math.tan(theta)
+        d = 0.0 if scenario.theta_deg == 90.0 else (vz - h_rx) / math.tan(theta)
         vx = ux + d * np.cos(phi)
         vy = uy + d * np.sin(phi)
-        over = ((vx % p) >= s) & ((vy % p) >= s)
-        roof = np.zeros(m)
-        roof[over] = sample_heights(scenario.params.gamma, rng, int(over.sum()))
-        cell_x = np.where(over, vx // p + 1, -1.0)
-        cell_y = np.where(over, vy // p + 1, -1.0)
-        placed[:, pending] = ux, uy, vx, vy, vz, cell_x, cell_y, roof
-        pending = pending[over & (roof >= vz)]
-        if pending.size == 0:
-            return placed
-    raise InvalidParams(
-        f"no free-air UAV placement found at h_uav={scenario.h_uav}"
-    )
+        rejected = vz <= h_rx
+        over = np.flatnonzero(~rejected & ((vx % p) >= s) & ((vy % p) >= s))
+        ix = (vx[over] // p).astype(np.int64) + 1
+        iy = (vy[over] // p).astype(np.int64) + 1
+        rejected[over] = roof_heights(c[over], ix, iy, scenario.params.gamma) >= vz[over]
+        placed[:, pending] = ux, uy, vx, vy, vz
+        city[pending] = c
+        if not rejected.any():
+            return (*placed, city)
+        pending = pending[rejected]
+    if (placed[4, pending] <= h_rx).any():
+        raise InvalidParams(f"h_uav range {scenario.h_uav} never exceeds h_rx={h_rx}")
+    raise InvalidParams(f"no free-air UAV placement found at h_uav={scenario.h_uav}")
 
 
-def _first_blockers(
-    scenario: GeomScenario, layout: CityLayout, rng: np.random.Generator, n: int
-):
-    """Decide n links, all drawing from rng.
+def _first_blockers(scenario: GeomScenario, layout: CityLayout, keys: np.ndarray) -> int:
+    """Decide the links of keys in one kernel call; returns how many are NLoS.
 
-    Every building a track enters gets one Rayleigh(gamma) roof; the
-    building under the UAV keeps the roof drawn at placement, the others
-    draw theirs in one array draw over the kernel's entries.  A link is
-    NLoS when a roof reaches the ray height at the building's entry
-    point (ties block).
-
-    Returns arrays (link, ix, iy, r_op) for the NLoS links only: the
-    blocking cell nearest the UAV and its ground distance from the UAV.
+    A link is NLoS when a roof of its accepted city reaches the ray
+    height where its ground track enters that roof's building (ties
+    block).  The roof under the UAV is looked up like every other, so
+    it is the one the placement conditioned.
     """
-    ux, uy, vx, vy, vz, cell_x, cell_y, uav_roof = _draw_links(scenario, layout, rng, n)
+    ux, uy, vx, vy, vz, city = _draw_links(scenario, layout, keys)
     link, ix, iy, t = track_entries(layout, ux, uy, vx, vy)
-    own = (ix == cell_x[link]) & (iy == cell_y[link])
-    roof = np.empty(t.size)
-    roof[~own] = sample_heights(scenario.params.gamma, rng, t.size - int(own.sum()))
-    roof[own] = uav_roof[link[own]]
     h_rx = scenario.h_rx
-    blocked = roof >= h_rx + t * (vz[link] - h_rx)
-    link, ix, iy, t = link[blocked], ix[blocked], iy[blocked], t[blocked]
-    # Entries come nearest the UAV first within each link.
-    first = np.ones(link.size, dtype=bool)
-    first[1:] = link[1:] != link[:-1]
-    link, ix, iy, t = link[first], ix[first], iy[first], t[first]
-    r_rx = np.hypot(vx[link] - ux[link], vy[link] - uy[link])
-    return link, ix, iy, (1.0 - t) * r_rx
-
-
-def simulate_link(scenario: GeomScenario, rng: np.random.Generator) -> LoSOutcome:
-    """Run one link: draw user, azimuth, altitude and building heights.
-
-    Each distinct building along the path receives one independent
-    Rayleigh(gamma) height; the link is NLoS at the building nearest the
-    UAV whose drawn height reaches the ray height at its entry point
-    (ties block).
-
-    The UAV hovers in free air.  When its ground projection lands on a
-    building whose drawn height reaches the UAV altitude, the whole
-    configuration is redrawn, matching a placement that rejects
-    positions inside building volumes.  The accepted height is reused
-    when the track enters that building.  This is the one-link case of
-    the chunks :func:`estimate_plos` decides, drawn from rng.
-    """
-    _, ix, iy, r_op = _first_blockers(scenario, scenario.layout(), rng, 1)
-    if r_op.size == 0:
-        return LoSOutcome.los()
-    return LoSOutcome.nlos(Blocker(int(ix[0]), int(iy[0]), float(r_op[0])))
+    roof = roof_heights(city[link], ix, iy, scenario.params.gamma)
+    blocked = link[roof >= h_rx + t * (vz[link] - h_rx)]
+    return int(np.count_nonzero(np.bincount(blocked, minlength=keys.size)))
 
 
 def estimate_plos(scenario: GeomScenario, n_runs: int, seed: int) -> PLosEstimate:
-    """Monte-Carlo P_LoS estimate over chunks of independent links.
+    """Monte-Carlo P_LoS estimate over independent links.
 
-    Links are decided CHUNK_LINKS at a time, the last chunk short; chunk
-    i draws from the i-th child of SeedSequence(seed) alone.
+    Link i is the uint64 key generate_state(n_runs)[i] of
+    SeedSequence(seed), drawn as :func:`_draw_links` describes; the
+    links are decided CHUNK_LINKS at a time, which bounds memory and
+    leaves the estimate unchanged.
     """
     if n_runs < 1:
         raise InvalidParams(f"need at least one run, got {n_runs}")
     layout = scenario.layout()
-    children = np.random.SeedSequence(seed).spawn(-(-n_runs // CHUNK_LINKS))
-    nlos = 0
-    for start, child in zip(range(0, n_runs, CHUNK_LINKS), children):
-        size = min(CHUNK_LINKS, n_runs - start)
-        nlos += _first_blockers(scenario, layout, np.random.default_rng(child), size)[0].size
+    keys = np.random.SeedSequence(seed).generate_state(n_runs, np.uint64)
+    nlos = sum(
+        _first_blockers(scenario, layout, keys[start:start + CHUNK_LINKS])
+        for start in range(0, n_runs, CHUNK_LINKS)
+    )
     return PLosEstimate.from_counts(n_runs - nlos, n_runs)

@@ -20,14 +20,13 @@ from uavlos.citygeom import (
     Node,
     classify_point,
     derive_layout,
-    sample_heights,
+    roof_heights,
     track_entries,
-    uav_position_from_angles,
 )
 from uavlos.cli import main as cli_main
 from uavlos.harness import SweepAxis, SweepSpec, compare_engines, run_sweep
 from uavlos.sim3d import check_los_dense, check_los_edges, generate_city
-from uavlos.simgeom import GeomScenario, estimate_plos, sample_user
+from uavlos.simgeom import GeomScenario, _draw_links, estimate_plos
 
 URBAN = ENVIRONMENTS["urban"]
 COMPARE_THETAS = tuple(float(t) for t in range(10, 90, 10))
@@ -93,10 +92,14 @@ def test_criterion_2_edge_checks_match_dense_sampling():
             link = LinkGeometry.from_nodes(tx, rx)
             fast = check_los_edges(city, link)
             slow = check_los_dense(city, link, step=0.1)
-            mismatches += fast.is_los != slow.is_los
+            mismatches += fast.is_los != slow.is_los or not slow.is_los and (
+                (fast.blocker.ix, fast.blocker.iy) != (slow.blocker.ix, slow.blocker.iy)
+                or abs(fast.blocker.r_op - slow.blocker.r_op) > 1e-6
+            )
     elapsed = time.perf_counter() - start
     detail = (
-        f"{mismatches} disagreements over 4000 random links at 0.1m sampling "
+        f"{mismatches} disagreements (state, blocker, r_op to 1e-6 m) over 4000 "
+        f"random links at 0.1m sampling "
         f"({elapsed:.1f}s of 60s budget)"
     )
     _report(2, mismatches == 0 and elapsed < 60.0, detail)
@@ -177,7 +180,8 @@ def test_criterion_5_layout_identities():
 
 def test_criterion_6_height_sampler_is_rayleigh():
     gamma, n = 20.0, 100_000
-    draws = sample_heights(gamma, np.random.default_rng(42), n)
+    # The roofs of 100 000 cells (a 100 x 1000 block) of city key 42.
+    draws = roof_heights(42, np.arange(1, 101)[:, None], np.arange(1, 1001), gamma).ravel()
     mean = float(draws.mean())
     target = gamma * math.sqrt(math.pi / 2.0)
 
@@ -242,16 +246,15 @@ def test_criterion_9_geometry_engine_is_cheaper():
     # roofs; the sweep's implicit cities hash only the cells they reach.
     gen_cost = city.heights.size
     layout = derive_layout(URBAN, extent, extent)
-    rng = np.random.default_rng(2)
-    theta = 5.0
+    # 20 street links at theta 5 as the geometry engine draws them.
+    scenario = GeomScenario(URBAN, "street", theta_deg=5.0, h_uav=100.0)
+    keys = np.random.SeedSequence(2).generate_state(20, np.uint64)
+    ux, uy, vx, vy, _, _ = _draw_links(scenario, layout, keys)
 
     nx, ny = city.heights.shape
     cost_3d, cost_geom = [], []
-    for _ in range(20):
-        user = sample_user(layout, "street", rng, h_rx=1.5)
-        phi = rng.uniform(0.0, 90.0)
-        uav = uav_position_from_angles(user, theta, phi, 100.0)
-        _, ix, iy, _ = track_entries(layout, user.x, user.y, uav.x, uav.y)
+    for n in range(20):
+        _, ix, iy, _ = track_entries(layout, ux[n], uy[n], vx[n], vy[n])
         cost_geom.append(len(ix))
         materialized = (ix >= 1) & (ix <= nx) & (iy >= 1) & (iy <= ny)
         cost_3d.append(gen_cost + int(materialized.sum()))

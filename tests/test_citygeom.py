@@ -13,12 +13,11 @@ from uavlos.citygeom import (
     Node,
     Street,
     classify_point,
+    _rayleigh_inplace,
     derive_layout,
-    height_from_uniform,
-    rayleigh_pdf,
     roof_heights,
-    sample_height,
-    sample_heights,
+    stream_bits,
+    stream_uniforms,
     uav_position_from_angles,
 )
 from uavlos.errors import InvalidAngle, InvalidParams, OutOfExtent
@@ -119,35 +118,23 @@ def layout_period(params):
     return 1000.0 / math.sqrt(params.beta)
 
 
-def test_rayleigh_pdf_values():
-    # mode at h = gamma, density gamma^-1 * exp(-1/2) there
-    assert rayleigh_pdf(15.0, 15.0) == pytest.approx(math.exp(-0.5) / 15.0, rel=1e-12)
-    assert rayleigh_pdf(0.0, 15.0) == 0.0
-    grid = np.linspace(0.0, 400.0, 400_001)
-    total = np.trapezoid(rayleigh_pdf(grid, 20.0), grid)
-    assert total == pytest.approx(1.0, abs=1e-9)
-
-
-def test_rayleigh_pdf_rejects_bad_input():
-    with pytest.raises(InvalidParams):
-        rayleigh_pdf(10.0, 0.0)
-    with pytest.raises(InvalidParams):
-        rayleigh_pdf(-1.0, 10.0)
-
-
 def test_height_from_uniform_endpoints():
-    assert height_from_uniform(1.0, 20.0) == 0.0
-    assert height_from_uniform(math.exp(-0.5), 20.0) == pytest.approx(20.0, rel=1e-12)
-    with pytest.raises(InvalidParams):
-        height_from_uniform(0.0, 20.0)
-    with pytest.raises(InvalidParams):
-        height_from_uniform(1.1, 20.0)
+    # v = 0 maps to h = 0 and v = 1 - exp(-1/2) to h = gamma; the largest
+    # uniform below 1 keeps the logarithm finite.
+    v = np.array([0.0, 1.0 - math.exp(-0.5), 1.0 - 2.0**-53])
+    h = _rayleigh_inplace(v, 20.0)
+    assert h is v
+    assert h[0] == 0.0
+    assert h[1] == pytest.approx(20.0, rel=1e-12)
+    assert h[2] == pytest.approx(20.0 * math.sqrt(106.0 * math.log(2.0)), rel=1e-12)
 
 
 def test_sampler_matches_distribution():
-    rng = np.random.default_rng(123)
-    h = sample_heights(20.0, rng, 100_000)
-    assert float(h.mean()) == pytest.approx(25.05883094378479, rel=1e-12)
+    # Cell (1, 1) of 100 000 cities, as the geometry engine meets the
+    # roofs near its users: the roofs of distinct keys are Rayleigh too.
+    keys = np.random.SeedSequence(123).generate_state(100_000, np.uint64)
+    h = roof_heights(keys, 1, 1, 20.0)
+    assert float(h.mean()) == pytest.approx(25.041908921324843, rel=1e-12)
     assert float(h.mean()) == pytest.approx(20.0 * math.sqrt(math.pi / 2.0), rel=0.01)
     assert float(h.min()) >= 0.0
     # Kolmogorov-Smirnov against the closed-form CDF, 1% significance
@@ -159,10 +146,15 @@ def test_sampler_matches_distribution():
     assert d < 1.62762 / math.sqrt(n)
 
 
-def test_scalar_and_array_samplers_share_the_transform():
-    a = sample_height(20.0, np.random.default_rng(9))
-    b = float(sample_heights(20.0, np.random.default_rng(9), 1)[0])
-    assert a == b
+def test_stream_uniforms_are_the_top_bits_of_the_stream():
+    # splitmix64 from state 0: the first output of the reference generator.
+    assert int(stream_bits(0, 1)) == 0xE220A8397B1DCDAF
+    keys = np.array([[0], [7], [2**64 - 1]], dtype=np.uint64)
+    bits = stream_bits(keys, np.arange(5))
+    assert bits.dtype == np.uint64 and bits.shape == (3, 5)
+    u = stream_uniforms(keys, np.arange(5))
+    assert u.tolist() == ((bits >> np.uint64(11)).astype(float) * 2.0**-53).tolist()
+    assert np.shape(stream_uniforms(7, 3)) == () and stream_uniforms(7, 3) == u[1, 3]
 
 
 def test_hashed_roofs_are_independent_rayleigh_draws():

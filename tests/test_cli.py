@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from uavlos import harness
 from uavlos.baselines import GridProduct, evaluate
 from uavlos.citygeom import ENVIRONMENTS, roof_heights
 from uavlos.cli import _parse_extent, _parse_grid, build_parser, main
@@ -124,6 +125,23 @@ def test_runtime_failure_exits_one(tmp_path, capsys):
     assert code == 1
     assert "error:" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("grid", [("--theta-grid", "45,0.01"),
+                                  ("--radius-grid", "100,300000")])
+def test_overlong_geom_track_exits_two_before_any_point(tmp_path, capsys, monkeypatch, grid):
+    # One grid point's track exceeds the geometry engine's memory bound;
+    # the spec is refused before the first point is estimated.
+    def fail(*args, **kwargs):
+        pytest.fail("a grid point was estimated")
+
+    monkeypatch.setattr(harness, "estimate_plos", fail)
+    command = "plos-vs-theta" if grid[0] == "--theta-grid" else "plos-vs-radius"
+    out = tmp_path / "sweep.csv"
+    assert run_cli(command, "--engine", "geom", "--env", "urban", "--runs", "20000",
+                   "--seed", "1", *grid, "--out", out) == 2
+    assert "error:" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
 
 
 # -- sweep subcommands ---------------------------------------------------------

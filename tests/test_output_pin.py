@@ -18,8 +18,8 @@ PINS = {
         """\
 # spec: engine=geom alpha=0.3 beta=500 gamma=15 extent=3000x3000 axes=theta:10,45,80 h_uav=100 h_rx=1.5 n_runs=200 seed=11 user_zone=mixed
 theta,n,k,p_hat,ci_lo,ci_hi,ms_per_point
-10,200,25,0.125000,0.086119,0.178015,0.000000
-45,200,129,0.645000,0.576520,0.708015,0.000000
+10,200,29,0.145000,0.102893,0.200488,0.000000
+45,200,124,0.620000,0.551066,0.684411,0.000000
 80,200,187,0.935000,0.891980,0.961624,0.000000
 """,
     ),
@@ -29,11 +29,11 @@ theta,n,k,p_hat,ci_lo,ci_hi,ms_per_point
         """\
 # spec: engine=geom alpha=0.5 beta=300 gamma=50 extent=3000x3000 axes=theta:45,75;phi:0,45,90 h_uav=100 h_rx=1.5 n_runs=150 seed=12 user_zone=street
 theta,phi,n,k,p_hat,ci_lo,ci_hi,ms_per_point
-45,0,150,2,0.013333,0.003664,0.047308,0.000000
+45,0,150,0,0.000000,0.000000,0.024971,0.000000
 45,45,150,8,0.053333,0.027269,0.101705,0.000000
 45,90,150,150,1.000000,0.975029,1.000000,0.000000
-75,0,150,36,0.240000,0.178692,0.314293,0.000000
-75,45,150,84,0.560000,0.480047,0.636956,0.000000
+75,0,150,32,0.213333,0.155361,0.285622,0.000000
+75,45,150,79,0.526667,0.447099,0.604902,0.000000
 75,90,150,150,1.000000,0.975029,1.000000,0.000000
 """,
     ),
@@ -55,8 +55,8 @@ theta,phi,n,k,p_hat,ci_lo,ci_hi,ms_per_point
         """\
 # spec: engine=compare alpha=0.3 beta=500 gamma=15 extent=3000x3000 thetas=20,60 n3d=4 ngeom=200 h_uav=100 h_rx=1.5 n_users=90 seed=13 models=grid
 theta,n_3d,k_3d,p_3d,ci_lo_3d,ci_hi_3d,n_geom,k_geom,p_geom,ci_lo_geom,ci_hi_geom,abs_delta,grid
-20,214,67,0.313084,0.254708,0.378053,200,57,0.285000,0.226949,0.351155,0.028084,0.332545
-60,259,198,0.764479,0.709169,0.812057,200,148,0.740000,0.675091,0.795863,0.024479,0.996732
+20,214,67,0.313084,0.254708,0.378053,200,59,0.295000,0.236138,0.361588,0.018084,0.332545
+60,259,198,0.764479,0.709169,0.812057,200,150,0.750000,0.685658,0.804919,0.014479,0.996732
 """,
     ),
 }

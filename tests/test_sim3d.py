@@ -267,6 +267,15 @@ def random_free_node(city, rng, z_lo, z_hi):
         return Node(x, y, z)
 
 
+def assert_same_outcome(edges, dense):
+    """The edge walk and the dense oracle agree on the LoS state and, when
+    blocked, on the blocking cell and on r_op to 1e-6 m."""
+    assert edges.is_los == dense.is_los
+    if not dense.is_los:
+        assert (edges.blocker.ix, edges.blocker.iy) == (dense.blocker.ix, dense.blocker.iy)
+        assert edges.blocker.r_op == pytest.approx(dense.blocker.r_op, rel=0.0, abs=1e-6)
+
+
 @pytest.mark.parametrize("env", sorted(ENVIRONMENTS))
 def test_edge_walk_agrees_with_dense_oracle(env):
     city = generate_city(ENVIRONMENTS[env], 2000.0, 2000.0, 17)
@@ -275,9 +284,30 @@ def test_edge_walk_agrees_with_dense_oracle(env):
         tx = random_free_node(city, rng, 30.0, 300.0)
         rx = random_free_node(city, rng, 0.0, 20.0)
         link = LinkGeometry.from_nodes(tx=tx, rx=rx)
-        a = check_los_edges(city, link)
-        b = check_los_dense(city, link, step=0.1)
-        assert a.is_los == b.is_los
+        assert_same_outcome(check_los_edges(city, link), check_los_dense(city, link, step=0.1))
+
+
+def test_dense_oracle_keeps_a_near_face_sample():
+    # The track enters box (2, 3) through its near face x = p + s, where
+    # the roof reaches 0.05 m past the face.  Only the face's crossing
+    # sample sees it, and on this layout (x - s)/p rounds that sample
+    # into the column before.
+    params = ENVIRONMENTS["dense-urban"]
+    layout = derive_layout(params, 1000.0, 1000.0)
+    p, s, w = layout.period, layout.s, layout.w
+    y = 2.0 * p + s + w / 2.0
+    rx, tx = Node(p + s - 3.0, y, 1.5), Node(p + s + 400.0, y, 100.0)
+    slope = (100.0 - 1.5) / 403.0
+    n = int(1000.0 // p)
+    heights = np.zeros((n, n))
+    heights[1, 2] = 1.5 + 3.05 * slope
+    city = City(params=params, layout=layout, heights=heights, seed=0)
+    link = LinkGeometry.from_nodes(tx=tx, rx=rx)
+    dense = check_los_dense(city, link)
+    assert not dense.is_los
+    assert (dense.blocker.ix, dense.blocker.iy) == (2, 3)
+    assert dense.blocker.r_op == pytest.approx(400.0, abs=1e-6)
+    assert_same_outcome(check_los_edges(city, link), dense)
 
 
 #: Links on the toy grid that only run along a building face or touch a
@@ -301,7 +331,7 @@ def test_boundary_contact_agrees_with_dense_oracle(name):
     link = LinkGeometry.from_nodes(tx=Node(tx, ty, 100.0), rx=Node(rx, ry, 1.5))
     dense = check_los_dense(city, link, step=0.1)
     assert not dense.is_los
-    assert check_los_edges(city, link).is_los == dense.is_los
+    assert_same_outcome(check_los_edges(city, link), dense)
 
 
 def assert_pass_matches_dense(runs, h_rx):
@@ -311,15 +341,19 @@ def assert_pass_matches_dense(runs, h_rx):
     cities, txs, rxs = zip(*runs)
     run = [c for c, users in enumerate(rxs) for _ in users]
     users = [rx for users in rxs for rx in users]
-    link, ix, iy, _ = first_blockers(
+    link, ix, iy, t = first_blockers(
         Cities.of(cities), xyz(txs), run, [rx.x for rx in users], [rx.y for rx in users], h_rx
     )
     blocked = dict(zip(link.tolist(), zip(ix.tolist(), iy.tolist())))
+    entry = dict(zip(link.tolist(), t.tolist()))
     for n, (c, rx) in enumerate(zip(run, users)):
-        dense = check_los_dense(cities[c], LinkGeometry.from_nodes(tx=txs[c], rx=rx))
+        geometry = LinkGeometry.from_nodes(tx=txs[c], rx=rx)
+        dense = check_los_dense(cities[c], geometry)
         assert (n not in blocked) == dense.is_los
         if not dense.is_los:
             assert blocked[n] == (dense.blocker.ix, dense.blocker.iy)
+            r_op = (1.0 - entry[n]) * geometry.r_rx
+            assert r_op == pytest.approx(dense.blocker.r_op, rel=0.0, abs=1e-6)
     return blocked
 
 
@@ -382,10 +416,7 @@ def test_edges_match_dense_on_random_toy_links(city, ends, tz):
     rx = toy_free_node(city, ends[2], ends[3], 1.5)
     assume(tx is not None and rx is not None)
     link = LinkGeometry.from_nodes(tx=tx, rx=rx)
-    edges, dense = check_los_edges(city, link), check_los_dense(city, link)
-    assert edges.is_los == dense.is_los
-    if not dense.is_los:
-        assert (edges.blocker.ix, edges.blocker.iy) == (dense.blocker.ix, dense.blocker.iy)
+    assert_same_outcome(check_los_edges(city, link), check_los_dense(city, link))
 
 
 def test_dense_oracle_sees_a_corner_clipped_by_less_than_a_step():
@@ -396,10 +427,10 @@ def test_dense_oracle_sees_a_corner_clipped_by_less_than_a_step():
     link = LinkGeometry.from_nodes(
         tx=Node(38.810897042014915, 54.4375, 36.0), rx=Node(4.0, 0.0, 1.5)
     )
-    for check in (check_los_edges, check_los_dense):
-        out = check(city, link)
-        assert not out.is_los
-        assert (out.blocker.ix, out.blocker.iy) == (2, 3)
+    dense = check_los_dense(city, link)
+    assert not dense.is_los
+    assert (dense.blocker.ix, dense.blocker.iy) == (2, 3)
+    assert_same_outcome(check_los_edges(city, link), dense)
 
 
 _DIRECTIONS = [(1, 0), (0, 1), (-1, 0), (0, -1), (1, 1), (1, -1), (-1, 1), (-1, -1)]
@@ -429,10 +460,7 @@ def test_edges_match_dense_on_corner_grazing_toy_links(
     rx = toy_free_node(city, x0, y0, 1.5)
     assume(tx is not None and rx is not None)
     link = LinkGeometry.from_nodes(tx=tx, rx=rx)
-    edges, dense = check_los_edges(city, link), check_los_dense(city, link)
-    assert edges.is_los == dense.is_los
-    if not dense.is_los:
-        assert (edges.blocker.ix, edges.blocker.iy) == (dense.blocker.ix, dense.blocker.iy)
+    assert_same_outcome(check_los_edges(city, link), check_los_dense(city, link))
 
 
 def test_one_pass_over_several_cities_matches_single_links():

@@ -16,14 +16,9 @@ from uavlos.citygeom import (
     uav_position_from_angles,
 )
 from uavlos import simgeom
-from uavlos.errors import InvalidAngle, InvalidParams, UavLosError
-from uavlos.harness import SweepAxis, SweepSpec, run_sweep
-from uavlos.simgeom import (
-    GeomScenario,
-    estimate_plos,
-    sample_user,
-    simulate_link,
-)
+from uavlos.errors import IllegalSpec, InvalidAngle, InvalidParams
+from uavlos.harness import SweepAxis, SweepSpec
+from uavlos.simgeom import GeomScenario, _draw_links, estimate_plos
 
 TOY = BuiltUpParams(0.25, 10000.0, 10.0)  # p=10, s=w=5
 
@@ -63,36 +58,68 @@ def test_tracks_longer_than_the_memory_bound_fail_before_any_chunk(monkeypatch):
         pytest.fail("a chunk was drawn")
 
     monkeypatch.setattr(simgeom, "_first_blockers", fail)
-    spec = SweepSpec(engine="geom", params=params, axes=(SweepAxis("theta", (0.001,)),),
-                     n_runs=256, seed=1)
-    with pytest.raises(UavLosError):
-        run_sweep(spec)
+    with pytest.raises(IllegalSpec, match="grid periods"):
+        SweepSpec(engine="geom", params=params, axes=(SweepAxis("theta", (0.001,)),),
+                  n_runs=256, seed=1)
+
+
+def keyed_links(params, zone, n, seed, h_rx=0.0):
+    """User and UAV positions of n links as the geometry engine draws them
+    from their keys (a uniform azimuth, a 100 m UAV at theta 30)."""
+    scenario = GeomScenario(params, zone, theta_deg=30.0, h_uav=100.0, h_rx=h_rx)
+    keys = np.random.SeedSequence(seed).generate_state(n, np.uint64)
+    return _draw_links(scenario, scenario.layout(), keys)
 
 
 def test_sample_user_zones():
     layout = derive_layout(TOY, 100.0, 100.0)
-    rng = np.random.default_rng(8)
-    for _ in range(500):
-        u = sample_user(layout, "crossroad", rng, h_rx=1.5)
-        assert 0.0 <= u.x <= layout.s and 0.0 <= u.y <= layout.s
-        assert u.z == 1.5
-        v = sample_user(layout, "street", rng)
-        assert 0.0 <= v.x <= layout.s
-        assert layout.s <= v.y <= layout.s + layout.w
-        assert v.z == 0.0
+    for zone, y_lo, y_hi in (("crossroad", 0.0, layout.s),
+                             ("street", layout.s, layout.s + layout.w)):
+        for h_rx in (1.5, 0.0):
+            ux, uy, vx, vy, vz, _ = keyed_links(TOY, zone, 500, 8, h_rx)
+            assert ((0.0 <= ux) & (ux <= layout.s)).all()
+            assert ((y_lo <= uy) & (uy <= y_hi)).all()
+            # Each UAV sits at theta 30 above a user standing at h_rx.
+            theta = np.degrees(np.arctan2(vz - h_rx, np.hypot(vx - ux, vy - uy)))
+            assert theta == pytest.approx(30.0, abs=1e-9)
 
 
 def test_sample_user_matches_classifier():
-    layout = derive_layout(ENVIRONMENTS["dense-urban"], 3000.0, 3000.0)
-    rng = np.random.default_rng(21)
-    for _ in range(300):
-        cu = sample_user(layout, "crossroad", rng)
-        assert isinstance(classify_point(cu.x, cu.y, layout), Crossroad)
-        su = sample_user(layout, "street", rng)
+    params = ENVIRONMENTS["dense-urban"]
+    layout = derive_layout(params, 3000.0, 3000.0)
+    cx, cy, *_ = keyed_links(params, "crossroad", 300, 21)
+    for x, y in zip(cx, cy):
+        assert isinstance(classify_point(x, y, layout), Crossroad)
+    sx, sy, *_ = keyed_links(params, "street", 300, 21)
+    for x, y in zip(sx, sy):
         # the half-open band rule puts the y = s edge in the building;
         # interior points classify as street
-        if su.y > layout.s:
-            assert isinstance(classify_point(su.x, su.y, layout), Street)
+        if y > layout.s:
+            assert isinstance(classify_point(x, y, layout), Street)
+
+
+def test_mixed_zone_is_drawn_once_per_link_with_free_area_weights():
+    # As in _redraw_scenario, every street user's UAV hovers over box
+    # (1, 1) and is rejected 83.5% of the time, while crossroad users'
+    # UAVs hover over the street: a zone redrawn with each placement
+    # round would leave far fewer street links than their area share.
+    scenario = GeomScenario(
+        BuiltUpParams(0.5, 300.0, 50.0), "mixed", theta_deg=math.degrees(math.atan2(28.5, 25.0)),
+        phi_deg=0.0, h_uav=30.0,
+    )
+    layout = scenario.layout()
+    keys = np.random.SeedSequence(5).generate_state(20_000, np.uint64)
+    _, uy, *_ = _draw_links(scenario, layout, keys)
+    share = 2.0 * layout.w / (layout.s + 2.0 * layout.w)
+    sd = math.sqrt(share * (1 - share) / keys.size)
+    assert (uy >= layout.s).mean() == pytest.approx(share, abs=4.0 * sd)
+
+
+def zone_user(layout, zone, rng, h_rx=0.0):
+    """A user uniform in the street segment (x in [0, s], y in [s, s + w])
+    or the crossroad square [0, s]^2 at the origin."""
+    y_lo, y_hi = (layout.s, layout.s + layout.w) if zone == "street" else (0.0, layout.s)
+    return Node(rng.uniform(0.0, layout.s), rng.uniform(y_lo, y_hi), h_rx)
 
 
 def candidate_r_ops(user, uav, layout):
@@ -216,7 +243,7 @@ def test_candidate_ops_match_brute_force(env):
     rng = np.random.default_rng(3)
     for _ in range(500):
         zone = "street" if rng.random() < 0.5 else "crossroad"
-        user = sample_user(layout, zone, rng, h_rx=1.5)
+        user = zone_user(layout, zone, rng, h_rx=1.5)
         theta = rng.uniform(1.0, 89.0)
         phi = rng.uniform(0.0, 90.0)
         uav = uav_position_from_angles(user, theta, phi, rng.uniform(20.0, 400.0))
@@ -228,7 +255,7 @@ def test_candidate_count_bound_and_order():
     layout = derive_layout(ENVIRONMENTS["urban"])
     rng = np.random.default_rng(14)
     for _ in range(300):
-        user = sample_user(layout, "street", rng)
+        user = zone_user(layout, "street", rng)
         uav = uav_position_from_angles(
             user, rng.uniform(2.0, 80.0), rng.uniform(0.0, 90.0), rng.uniform(30.0, 300.0)
         )
@@ -312,28 +339,6 @@ def test_estimate_is_reproducible():
         estimate_plos(scenario, 0, 1)
 
 
-def test_single_link_outcome_fields():
-    scenario = GeomScenario(
-        params=ENVIRONMENTS["urban"],
-        user_zone="street",
-        theta_deg=30.0,
-        phi_deg=0.0,
-        h_uav=100.0,
-    )
-    rng = np.random.default_rng(2)
-    saw_block = saw_los = False
-    for _ in range(200):
-        out = simulate_link(scenario, rng)
-        if out.is_los:
-            assert out.blocker is None
-            saw_los = True
-        else:
-            assert out.blocker is not None
-            assert out.blocker.r_op > 0.0
-            saw_block = True
-    assert saw_block and saw_los
-
-
 def test_altitude_range_mode_redraws_below_user():
     # lo < h_rx < hi forces the redraw path and still yields estimates
     scenario = GeomScenario(
@@ -404,8 +409,6 @@ def test_placement_retries_are_bounded_and_typed(monkeypatch):
     scenario = _redraw_scenario(1e6)
     with pytest.raises(InvalidParams, match="no free-air UAV placement"):
         estimate_plos(scenario, 300, 0)
-    with pytest.raises(InvalidParams, match="no free-air UAV placement"):
-        simulate_link(scenario, np.random.default_rng(0))
     # An altitude above the user is drawn with probability 7e-8 per try.
     scenario = _redraw_scenario(50.0, h_uav=(0.0, 1.5000001), h_rx=1.5)
     with pytest.raises(InvalidParams, match="never exceeds h_rx"):
@@ -421,3 +424,25 @@ def test_estimate_across_chunk_boundaries(n_runs):
     assert est.n == n_runs
     assert type(est.k) is int and type(est.n) is int
     assert estimate_plos(scenario, n_runs, 9) == est
+
+
+def test_estimate_does_not_depend_on_the_chunk_size(monkeypatch):
+    scenario = GeomScenario(
+        params=ENVIRONMENTS["high-rise"], user_zone="mixed", theta_deg=40.0,
+        h_uav=(20.0, 150.0),
+    )
+    est = estimate_plos(scenario, 300, 4)
+    monkeypatch.setattr(simgeom, "CHUNK_LINKS", 1)
+    assert estimate_plos(scenario, 300, 4) == est
+    monkeypatch.setattr(simgeom, "CHUNK_LINKS", 7)
+    assert estimate_plos(scenario, 300, 4) == est
+
+
+def test_estimate_builds_no_generator(monkeypatch):
+    def fail(*args, **kwargs):
+        pytest.fail("the geometry engine built a Generator")
+
+    monkeypatch.setattr(simgeom.np.random, "default_rng", fail)
+    monkeypatch.setattr(simgeom.np.random, "Generator", fail)
+    scenario = GeomScenario(params=ENVIRONMENTS["urban"], user_zone="mixed", theta_deg=30.0)
+    assert estimate_plos(scenario, 600, 2).n == 600
