@@ -51,6 +51,8 @@ __all__ = [
     "derive_layout",
     "classify_point",
     "track_entries",
+    "track_length",
+    "tracks_per_call",
     "stream_bits",
     "bits_to_uniforms",
     "stream_uniforms",
@@ -176,9 +178,9 @@ def derive_layout(
 
     Args:
         params: built-up triple; alpha < 1 keeps the street width positive.
-        extent_x, extent_y: simulated extent in metres, at least one grid
-            period each.  Defaults to a single period (useful when the
-            grid is treated as unbounded).
+        extent_x, extent_y: simulated extent in metres, finite and at
+            least one grid period each.  Defaults to a single period
+            (useful when the grid is treated as unbounded).
 
     Returns:
         CityLayout with w = 1000*sqrt(alpha/beta), period = 1000/sqrt(beta)
@@ -195,6 +197,8 @@ def derive_layout(
         extent_x = period
     if extent_y is None:
         extent_y = period
+    if not (math.isfinite(extent_x) and math.isfinite(extent_y)):
+        raise InvalidParams(f"extent ({extent_x} x {extent_y}) must be finite")
     if extent_x < period or extent_y < period:
         raise InvalidParams(
             f"extent ({extent_x} x {extent_y}) smaller than one grid period {period}"
@@ -299,6 +303,30 @@ def track_entries(layout: CityLayout, x_rx, y_rx, x_tx, y_tx, t_max=1.0):
     return link[row], i[row] + 1, j + 1, t
 
 
+def track_length(theta_deg: float, h_uav, h_rx):
+    """Ground distance (h_uav - h_rx)/tan(theta) from a user at h_rx to a
+    UAV at h_uav seen at elevation theta_deg: the length of the link's
+    ground track, 0 at theta = 90.  h_uav and h_rx may be arrays."""
+    if theta_deg == 90.0:
+        return 0.0
+    return (h_uav - h_rx) / math.tan(math.radians(theta_deg))
+
+
+def tracks_per_call(budget_periods: float, track_m: float, period: float) -> int:
+    """How many ground tracks of length track_m one :func:`track_entries`
+    call takes under a budget of budget_periods grid periods of track.
+
+    A track counts as its length in grid periods plus one: the kernel
+    lists about one box per period a track crosses, and even a
+    zero-length track costs a row of every array.  A call costs a
+    fixed overhead of numpy calls plus time and memory in proportion
+    to the boxes it lists, so a budget of track length, not a count of
+    tracks, keeps both the overhead share and the working set flat
+    across track lengths.  At least one track goes into every call.
+    """
+    return max(1, math.floor(budget_periods / (track_m / period + 1.0)))
+
+
 def _rayleigh_inplace(v: np.ndarray, gamma: float) -> np.ndarray:
     """Turn uniforms v in [0, 1) into Rayleigh(gamma) heights in place
     by the inverse CDF h = gamma*sqrt(-2*ln(1 - v)): v = 0 maps to
@@ -391,9 +419,6 @@ def uav_position_from_angles(
         raise InvalidParams(
             f"transmitter height {h_uav} must exceed user height {user.z}"
         )
-    if theta_deg == 90.0:
-        d = 0.0
-    else:
-        d = (h_uav - user.z) / math.tan(math.radians(theta_deg))
+    d = track_length(theta_deg, h_uav, user.z)
     phi = math.radians(phi_deg)
     return Node(user.x + d * math.cos(phi), user.y + d * math.sin(phi), h_uav)

@@ -34,7 +34,7 @@ from typing import Mapping
 import numpy as np
 
 from .baselines import BaselineModel, GridProduct, evaluate
-from .citygeom import BuiltUpParams, derive_layout
+from .citygeom import BuiltUpParams, derive_layout, track_length, tracks_per_call
 from .errors import IllegalSpec, InvalidAngle, UavLosError
 from .sim3d import (
     BuildingTop,
@@ -134,6 +134,10 @@ class SweepSpec:
         names = [a.name for a in self.axes]
         if len(set(names)) != len(names):
             raise IllegalSpec(f"duplicate axis in {names}")
+        if not 0.0 <= self.h_rx < math.inf:
+            raise IllegalSpec(f"h_rx must be finite and non-negative, got {self.h_rx}")
+        if not all(math.isfinite(e) for e in self.extent):
+            raise IllegalSpec(f"extent {self.extent} must be finite")
         for axis in self.axes:
             self._check_axis(axis)
         for name, value in (("theta", self.theta), ("phi", self.phi), ("radius", self.radius)):
@@ -149,12 +153,10 @@ class SweepSpec:
             raise IllegalSpec(f"fixed theta {self.theta} outside (0, 90]")
         if self.phi is not None and not 0.0 <= self.phi <= 90.0:
             raise IllegalSpec(f"fixed phi {self.phi} outside [0, 90]")
-        if self.radius is not None and self.radius <= 0.0:
-            raise IllegalSpec(f"fixed radius {self.radius} must be positive")
-        if self.h_rx < 0.0:
-            raise IllegalSpec(f"h_rx must be non-negative, got {self.h_rx}")
-        if "h_uav" not in names and self.h_uav <= self.h_rx:
-            raise IllegalSpec(f"h_uav {self.h_uav} must exceed h_rx {self.h_rx}")
+        if self.radius is not None and not 0.0 < self.radius < math.inf:
+            raise IllegalSpec(f"fixed radius {self.radius} must be finite and positive")
+        if "h_uav" not in names and not self.h_rx < self.h_uav < math.inf:
+            raise IllegalSpec(f"h_uav {self.h_uav} must be finite and exceed h_rx {self.h_rx}")
         if self.n_runs < 1:
             raise IllegalSpec(f"n_runs must be at least 1, got {self.n_runs}")
         if self.n_users < 1:
@@ -188,9 +190,9 @@ class SweepSpec:
         elif axis.name == "phi":
             bad = [v for v in axis.values if not 0.0 <= v <= 90.0]
         elif axis.name == "radius":
-            bad = [v for v in axis.values if v <= 0.0]
+            bad = [v for v in axis.values if not 0.0 < v < math.inf]
         elif axis.name == "h_uav":
-            bad = [v for v in axis.values if v <= self.h_rx]
+            bad = [v for v in axis.values if not self.h_rx < v < math.inf]
         elif axis.name == "gamma":
             bad = [v for v in axis.values if v <= 0.0]
         else:  # alpha
@@ -265,15 +267,17 @@ def _child_seed(rng: np.random.Generator) -> int:
     return int(rng.integers(0, 2**63))
 
 
-#: The 3D engine places and decides the users of several cities in one
-#: pass: one UAV placement, one user placement and one ground-track kernel
-#: call, which cost about 0.45 ms for a single one-user city.  A pass holds
-#: the fewest cities whose circles reach PASS_USERS user positions (six
-#: 360-user circles, or 2048 one-user cities), bounding its working set:
-#: a point at theta 10 on urban peaks at about 1.5 MB of arrays, because
-#: each track is cut where the tallest roof its city's ring can reach
-#: stops mattering (see first_blockers).
-PASS_USERS = 2048
+#: Ground-track length, in grid periods, that one pass of the 3D engine
+#: takes: several cities' UAV placement, user placement and one
+#: ground-track kernel call, which cost about 0.45 ms for a single
+#: one-user city.  A pass holds the fewest cities whose rings reach
+#: citygeom.tracks_per_call of the ring radius, capped at the extent's
+#: diagonal (no user stands farther from its UAV); each track is cut
+#: where the tallest roof its city's ring can reach stops mattering (see
+#: first_blockers) and in-building ring positions are dropped, so a ring
+#: position lists about half the entries per period that a geometry-engine
+#: link does, and the budget is larger than simgeom.CHUNK_PERIODS.
+PASS_PERIODS = 16384
 
 
 def _estimate_sim3d(
@@ -289,7 +293,9 @@ def _estimate_sim3d(
     directions = user_directions(theta, spec.n_users, phi)
     layout = derive_layout(params, *spec.extent)
     keys = np.random.SeedSequence(seed).generate_state(spec.n_runs, np.uint64)
-    per_pass = -(-PASS_USERS // directions[0].size)
+    radius = min(track_length(theta, h_uav, spec.h_rx), math.hypot(*spec.extent))
+    tracks = tracks_per_call(PASS_PERIODS, radius, layout.period)
+    per_pass = -(-tracks // directions[0].size)
     k = 0
     n = 0
     for start in range(0, spec.n_runs, per_pass):

@@ -37,6 +37,7 @@ from .citygeom import (
     roof_heights,
     stream_uniforms,
     track_entries,
+    track_length,
 )
 from .errors import (
     DegenerateCircle,
@@ -506,10 +507,7 @@ def place_users(layout: CityLayout, uavs: UavPositions, theta_deg: float, direct
     """
     cos, sin = directions
     ux, uy, uz = (np.asarray(c, dtype=float) for c in uavs)
-    if theta_deg == 90.0:
-        d = np.zeros(ux.size)
-    else:
-        d = (uz - h_rx) / math.tan(math.radians(theta_deg))
+    d = np.broadcast_to(track_length(theta_deg, uz, h_rx), ux.shape)
     x = ux[:, None] + d[:, None] * cos
     y = uy[:, None] + d[:, None] * sin
     p, s = layout.period, layout.s

@@ -18,9 +18,12 @@ positions of that key's counter-based stream, and each roof it meets
 is :func:`uavlos.citygeom.roof_heights` of a city key taken from the
 same stream, evaluated only under the UAV and at the track's entries
 (see :func:`_draw_links`).  No Generator is built.  The estimator
-decides :data:`CHUNK_LINKS` links per kernel call; because a link's
-draws depend on its key alone, the chunk size bounds memory and leaves
-the estimate unchanged.
+decides the links in chunks of :data:`CHUNK_PERIODS` grid periods of
+ground track per kernel call (:func:`uavlos.citygeom.tracks_per_call`
+of the scenario's longest track), so a chunk of short tracks holds
+many links and a chunk of long ones few; because a link's draws depend
+on its key alone, the chunk size bounds memory and leaves the estimate
+unchanged.
 """
 
 from __future__ import annotations
@@ -40,6 +43,8 @@ from .citygeom import (
     stream_bits,
     stream_uniforms,
     track_entries,
+    track_length,
+    tracks_per_call,
 )
 from .errors import InvalidAngle, InvalidParams
 from .stats import PLosEstimate
@@ -47,7 +52,7 @@ from .stats import PLosEstimate
 __all__ = [
     "GeomScenario",
     "USER_ZONES",
-    "CHUNK_LINKS",
+    "CHUNK_PERIODS",
     "check_track_length",
     "estimate_plos",
 ]
@@ -57,40 +62,37 @@ UserZone = Literal["street", "crossroad", "mixed"]
 #: "mixed" draws street or crossroad per link with free-space area weights.
 USER_ZONES = ("street", "crossroad", "mixed")
 
-#: Links per chunk in :func:`estimate_plos`: one set of array draws per
-#: placement round and one ground-track kernel call each.  Each numpy
-#: call costs about as much as a few links' work, so small chunks spend
-#: their time there; the kernel's temporaries grow with links times track
-#: length, so much larger chunks cost peak memory for little time.
-CHUNK_LINKS = 256
+#: Ground-track length, in grid periods, that one chunk of
+#: :func:`estimate_plos` takes (:func:`uavlos.citygeom.tracks_per_call`):
+#: one set of array draws per placement round and one ground-track
+#: kernel call each.  A call costs about 0.2 ms of numpy overhead
+#: whatever its size, so a chunk of short tracks holds thousands of links
+#: (2 704 on urban at h_uav 100 m and theta 60, 6 144 at theta 90); the
+#: kernel lists at most about three entries per period of budget, so the
+#: budget also bounds a chunk's working set at every theta.
+CHUNK_PERIODS = 6144
 
 
 #: Longest ground track, in grid periods, that a scenario may ask for.
-#: A chunk's kernel lists every box along each of its CHUNK_LINKS tracks,
-#: about 38 KB of arrays per period of track length (a 256-link urban
-#: sweep point at h_uav 100 m peaks at 40, 52 and 84 MB RSS at theta 1,
-#: 0.3 and 0.1, tracks of 126, 421 and 1262 periods), so this bound keeps
-#: a chunk near 115 MB.  The track length grows as 1/tan(theta): theta
-#: 0.001 extrapolates to about 4 GB.
+#: Chunks are sized by track length, so this bound no longer limits
+#: memory (a 1 000-link urban point at h_uav 100 m and theta 0.1, tracks
+#: of 1262 periods, peaks at 36 MB RSS, against 85 MB with a fixed 256
+#: links per chunk); it limits the work per link, which grows as
+#: 1/tan(theta): theta 0.001 would list 100 times the boxes of theta 0.1.
 MAX_TRACK_PERIODS = 2048
 
 
 def check_track_length(period: float, theta_deg: float, h_uav: float, h_rx: float) -> None:
-    """Refuse a ground track longer than MAX_TRACK_PERIODS grid periods.
-
-    A UAV at h_uav seen at elevation theta_deg from a user at h_rx lies
-    (h_uav - h_rx)/tan(theta) from it along the ground; theta = 90 has
-    no track.
-    """
-    if theta_deg < 90.0:
-        track = (h_uav - h_rx) / math.tan(math.radians(theta_deg))
-        periods = track / period
-        if periods > MAX_TRACK_PERIODS:
-            raise InvalidAngle(
-                f"theta {theta_deg} puts the UAV up to {track:.0f} m "
-                f"({periods:.0f} grid periods) from its user; the geometry "
-                f"engine bounds tracks at {MAX_TRACK_PERIODS} periods to bound memory"
-            )
+    """Refuse a ground track (:func:`uavlos.citygeom.track_length`)
+    longer than MAX_TRACK_PERIODS grid periods."""
+    track = track_length(theta_deg, h_uav, h_rx)
+    periods = track / period
+    if periods > MAX_TRACK_PERIODS:
+        raise InvalidAngle(
+            f"theta {theta_deg} puts the UAV up to {track:.0f} m "
+            f"({periods:.0f} grid periods) from its user; the geometry "
+            f"engine bounds tracks at {MAX_TRACK_PERIODS} periods to bound the work per link"
+        )
 
 
 def _check_range(name: str, rng_: tuple[float, float], lo: float, hi: float) -> None:
@@ -126,22 +128,26 @@ class GeomScenario:
             _check_range("phi", self.phi_deg, 0.0, 90.0)
         elif not 0.0 <= self.phi_deg <= 90.0:
             raise InvalidAngle(f"phi must be in [0, 90], got {self.phi_deg}")
-        if self.h_rx < 0.0:
-            raise InvalidParams(f"h_rx must be non-negative, got {self.h_rx}")
+        if not 0.0 <= self.h_rx < math.inf:
+            raise InvalidParams(f"h_rx must be finite and non-negative, got {self.h_rx}")
         if isinstance(self.h_uav, tuple):
             lo, hi = self.h_uav
-            if not (0.0 <= lo < hi):
+            if not (0.0 <= lo < hi < math.inf):
                 raise InvalidParams(f"bad h_uav range {self.h_uav}")
             if hi <= self.h_rx:
                 raise InvalidParams(
                     f"h_uav range {self.h_uav} entirely below h_rx={self.h_rx}"
                 )
-        elif self.h_uav <= self.h_rx:
+        elif not self.h_rx < self.h_uav < math.inf:
             raise InvalidParams(
-                f"fixed h_uav={self.h_uav} must exceed h_rx={self.h_rx}"
+                f"fixed h_uav={self.h_uav} must be finite and exceed h_rx={self.h_rx}"
             )
-        h_max = self.h_uav[1] if isinstance(self.h_uav, tuple) else self.h_uav
-        check_track_length(self.layout().period, self.theta_deg, h_max, self.h_rx)
+        check_track_length(self.layout().period, self.theta_deg, self.h_max, self.h_rx)
+
+    @property
+    def h_max(self) -> float:
+        """The highest UAV altitude the scenario draws."""
+        return self.h_uav[1] if isinstance(self.h_uav, tuple) else self.h_uav
 
     def layout(self) -> CityLayout:
         # The geometry engine treats the grid as unbounded; the nominal
@@ -192,7 +198,6 @@ def _draw_links(scenario: GeomScenario, layout: CityLayout, keys: np.ndarray):
         street = np.full(n, scenario.user_zone == "street")
     p, s, w = layout.period, layout.s, layout.w
     h_rx = scenario.h_rx
-    theta = math.radians(scenario.theta_deg)
     placed = np.empty((5, n))
     city = np.empty(n, dtype=np.uint64)
     pending = np.arange(n)
@@ -213,7 +218,7 @@ def _draw_links(scenario: GeomScenario, layout: CityLayout, keys: np.ndarray):
         else:
             vz = np.full(pending.size, scenario.h_uav)
         # Ground offset from the elevation; theta = 90 hovers overhead.
-        d = 0.0 if scenario.theta_deg == 90.0 else (vz - h_rx) / math.tan(theta)
+        d = track_length(scenario.theta_deg, vz, h_rx)
         vx = ux + d * np.cos(phi)
         vy = uy + d * np.sin(phi)
         rejected = vz <= h_rx
@@ -252,15 +257,18 @@ def estimate_plos(scenario: GeomScenario, n_runs: int, seed: int) -> PLosEstimat
 
     Link i is the uint64 key generate_state(n_runs)[i] of
     SeedSequence(seed), drawn as :func:`_draw_links` describes; the
-    links are decided CHUNK_LINKS at a time, which bounds memory and
-    leaves the estimate unchanged.
+    links are decided in chunks of CHUNK_PERIODS grid periods of the
+    scenario's longest track, which bounds memory and leaves the
+    estimate unchanged.
     """
     if n_runs < 1:
         raise InvalidParams(f"need at least one run, got {n_runs}")
     layout = scenario.layout()
     keys = np.random.SeedSequence(seed).generate_state(n_runs, np.uint64)
+    track = track_length(scenario.theta_deg, scenario.h_max, scenario.h_rx)
+    chunk = tracks_per_call(CHUNK_PERIODS, track, layout.period)
     nlos = sum(
-        _first_blockers(scenario, layout, keys[start:start + CHUNK_LINKS])
-        for start in range(0, n_runs, CHUNK_LINKS)
+        _first_blockers(scenario, layout, keys[start:start + chunk])
+        for start in range(0, n_runs, chunk)
     )
     return PLosEstimate.from_counts(n_runs - nlos, n_runs)

@@ -18,6 +18,7 @@ from uavlos.citygeom import (
     roof_heights,
     stream_bits,
     stream_uniforms,
+    tracks_per_call,
     uav_position_from_angles,
 )
 from uavlos.errors import InvalidAngle, InvalidParams, OutOfExtent
@@ -77,6 +78,23 @@ def test_layout_identities(params):
 def test_extent_must_cover_one_period():
     with pytest.raises(InvalidParams):
         derive_layout(ENVIRONMENTS["urban"], extent_x=30.0, extent_y=3000.0)
+
+
+@pytest.mark.parametrize("extent", [(math.nan, 3000.0), (3000.0, math.inf), (math.inf, math.nan)])
+def test_extent_must_be_finite(extent):
+    with pytest.raises(InvalidParams, match="finite"):
+        derive_layout(ENVIRONMENTS["urban"], *extent)
+
+
+def test_tracks_per_call_fills_a_budget_of_track_length():
+    # A track counts as its length in periods plus one.
+    assert tracks_per_call(6144, 0.0, 10.0) == 6144
+    assert tracks_per_call(6144, 20.0, 10.0) == 2048
+    assert tracks_per_call(6144, 25.0, 10.0) == 1755
+    # A track longer than the budget still gets a call of its own.
+    assert tracks_per_call(100, 5000.0, 10.0) == 1
+    assert tracks_per_call(1, 0.0, 10.0) == 1
+    assert type(tracks_per_call(6144, 25.0, 10.0)) is int
 
 
 def test_classify_point_examples():

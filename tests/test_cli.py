@@ -144,6 +144,27 @@ def test_overlong_geom_track_exits_two_before_any_point(tmp_path, capsys, monkey
     assert list(tmp_path.iterdir()) == []
 
 
+_GEOM = ("plos-vs-theta", "--engine", "geom", "--env", "urban", "--runs", "50",
+         "--theta-grid", "30")
+_SIM3D = ("plos-vs-theta", "--engine", "sim3d", "--env", "urban", "--runs", "5",
+          "--theta-grid", "30")
+_COMPARE = ("compare", "--env", "urban", "--runs-3d", "5", "--runs-geom", "50",
+            "--thetas", "30")
+
+
+@pytest.mark.parametrize("argv", [
+    _GEOM + ("--rx-height", "nan"), _GEOM + ("--uav-height", "nan"),
+    _GEOM + ("--uav-height", "inf"), _COMPARE + ("--uav-height", "nan"),
+    _COMPARE + ("--rx-height", "nan"), _SIM3D + ("--extent", "nan"),
+    _SIM3D + ("--extent", "inf"), _SIM3D + ("--uav-height", "nan"),
+], ids=lambda argv: f"{argv[0]}-{argv[2]}-{argv[-2]}={argv[-1]}")
+def test_non_finite_heights_and_extents_exit_two(tmp_path, capsys, argv):
+    out = tmp_path / "out.csv"
+    assert run_cli(*argv, "--seed", "1", "--out", out) == 2
+    assert "finite" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
 # -- sweep subcommands ---------------------------------------------------------
 
 def test_default_theta_grid_has_18_points(tmp_path):

@@ -6,7 +6,7 @@ import pytest
 from uavlos import harness, sim3d
 from uavlos.baselines import GridProduct, Sigmoid, evaluate
 from uavlos.citygeom import ENVIRONMENTS, BuiltUpParams
-from uavlos.errors import IllegalSpec, InvalidCounts
+from uavlos.errors import IllegalSpec, InvalidCounts, UavLosError
 from uavlos.harness import (
     SweepAxis,
     SweepSpec,
@@ -15,6 +15,7 @@ from uavlos.harness import (
     run_sweep,
     write_csv,
 )
+from uavlos.sim3d import place_uav
 from uavlos.stats import PLosEstimate, wilson_interval
 
 URBAN = ENVIRONMENTS["urban"]
@@ -85,6 +86,8 @@ def test_sweep_spec_validation():
         SweepSpec(**{**ok, "n_runs": 0})
     with pytest.raises(IllegalSpec):
         SweepSpec(**{**ok, "h_uav": 1.0})  # below h_rx
+    with pytest.raises(IllegalSpec, match="h_rx must be finite"):
+        SweepSpec(**{**ok, "h_rx": math.nan})
     with pytest.raises(IllegalSpec):
         SweepSpec(**{**ok, "user_zone": "rooftop"})
     with pytest.raises(IllegalSpec):
@@ -97,6 +100,25 @@ def test_sweep_spec_validation():
         SweepSpec(**{**top, "axes": (theta_axis(45, 90),)})
     with pytest.raises(IllegalSpec, match="building-top"):
         SweepSpec(**{**top, "axes": (SweepAxis("phi", (0.0,)),), "theta": 90.0})
+
+
+@pytest.mark.parametrize("engine", ["geom", "sim3d", "baseline:grid"])
+@pytest.mark.parametrize("bad", [
+    dict(h_rx=math.nan), dict(h_rx=math.inf), dict(h_uav=math.nan), dict(h_uav=math.inf),
+    dict(extent=(math.nan, 3000.0)), dict(extent=(3000.0, math.inf)),
+    dict(axes=(SweepAxis("radius", (100.0,)), SweepAxis("h_uav", (100.0, math.nan)))),
+    dict(axes=(SweepAxis("radius", (100.0,)), SweepAxis("h_uav", (math.inf,)))),
+    dict(axes=(SweepAxis("radius", (math.nan,)),)),
+    dict(axes=(SweepAxis("radius", (math.inf,)),)),
+    dict(axes=(SweepAxis("gamma", (10.0,)),), radius=math.nan),
+    dict(axes=(SweepAxis("gamma", (10.0,)),), radius=math.inf),
+], ids=lambda bad: ",".join(f"{k}={v}" for k, v in bad.items()))
+def test_sweep_spec_refuses_non_finite_heights_and_lengths(engine, bad):
+    # NaN passes every < and <= check; inf heights and radii have no
+    # finite ground track.
+    ok = dict(engine=engine, params=URBAN, axes=(theta_axis(30, 60),), seed=0)
+    with pytest.raises(IllegalSpec, match="finite|out-of-domain"):
+        SweepSpec(**{**ok, **bad})
 
 
 def test_geom_sweep_is_reproducible():
@@ -336,18 +358,53 @@ def test_compare_engines_is_reproducible():
     assert [(r.sim3d, r.geom) for r in a] == [(r.sim3d, r.geom) for r in b]
 
 
+def pass_sizes(monkeypatch):
+    """Record the number of cities of every sim3d pass."""
+    sizes = []
+
+    def counted(cities, policy):
+        sizes.append(cities.keys.size)
+        return place_uav(cities, policy)
+
+    monkeypatch.setattr(harness, "place_uav", counted)
+    return sizes
+
+
 @pytest.mark.parametrize(
-    "theta,phi", [(30.0, None), (45.0, 30.0), (90.0, None)], ids=["circle", "fixed-phi", "theta-90"]
+    "theta,phi,mid,passes",
+    [(30.0, None, 2000, [5, 5, 2]), (45.0, 30.0, 10, [3, 3, 3, 3]), (90.0, None, 5, [5, 5, 2])],
+    ids=["circle", "fixed-phi", "theta-90"],
 )
-def test_sim3d_passes_do_not_change_the_estimate(theta, phi, monkeypatch):
-    # 12 cities of 90 circle users (or one user) fit one pass by default;
-    # PASS_USERS = 1 gives every city a pass of its own.
+def test_sim3d_passes_do_not_change_the_estimate(theta, phi, mid, passes, monkeypatch):
+    # 12 cities of 90 circle users (or one user) fit one pass by default.
+    # A budget of one period gives every city a pass of its own; the mid
+    # budget fits 415 ring positions of 3.8 periods at theta 30, 3 of 2.2
+    # periods at theta 45 and 5 of none at theta 90.
     spec = SweepSpec(
         engine="sim3d", params=URBAN, axes=(SweepAxis("theta", (theta,)),),
         n_runs=12, n_users=90, seed=3,
     )
+    sizes = pass_sizes(monkeypatch)
     pooled = harness._estimate_sim3d(spec, URBAN, theta, phi, 100.0, 77)
-    monkeypatch.setattr(harness, "PASS_USERS", 1)
-    alone = harness._estimate_sim3d(spec, URBAN, theta, phi, 100.0, 77)
-    assert pooled == alone
+    assert sizes == [12]
+    for budget, expected in ((1, [1] * 12), (mid, passes)):
+        monkeypatch.setattr(harness, "PASS_PERIODS", budget)
+        sizes.clear()
+        assert harness._estimate_sim3d(spec, URBAN, theta, phi, 100.0, 77) == pooled
+        assert sizes == expected
     assert 0 < pooled.k < pooled.n or theta == 90.0
+
+
+def test_sim3d_pass_radius_is_capped_at_the_extent_diagonal(monkeypatch):
+    # At theta 1 the ring (5 643 m) lies far outside a 500 m extent; its
+    # tracks are no longer than the diagonal, 15.8 periods, so a budget
+    # of 4 000 periods fits 237 ring positions, two 120-user rings.
+    spec = SweepSpec(
+        engine="sim3d", params=URBAN, extent=(500.0, 500.0),
+        axes=(SweepAxis("theta", (1.0,)),), n_runs=5, n_users=120, seed=3,
+    )
+    sizes = pass_sizes(monkeypatch)
+    monkeypatch.setattr(harness, "PASS_PERIODS", 4000)
+    with pytest.raises(UavLosError, match="no valid user positions"):
+        harness._estimate_sim3d(spec, URBAN, 1.0, None, 100.0, 77)
+    assert sizes == [2, 2, 1]

@@ -37,6 +37,12 @@ def test_scenario_validation():
         GeomScenario(params=params, user_zone="street", theta_deg=45.0, h_uav=1.0)
     with pytest.raises(InvalidParams):
         GeomScenario(params=params, user_zone="street", theta_deg=45.0, h_uav=(0.0, 1.0))
+    # NaN passes every comparison the other checks make.
+    for bad in (dict(h_rx=math.nan), dict(h_rx=math.inf), dict(h_uav=math.nan),
+                dict(h_uav=math.inf), dict(h_uav=(10.0, math.inf)),
+                dict(h_uav=(math.nan, 100.0)), dict(h_uav=(10.0, math.nan))):
+        with pytest.raises(InvalidParams):
+            GeomScenario(params=params, user_zone="street", theta_deg=90.0, **bad)
     # defaults are a legal scenario
     GeomScenario(params=params, user_zone="crossroad", theta_deg=45.0)
 
@@ -426,16 +432,65 @@ def test_estimate_across_chunk_boundaries(n_runs):
     assert estimate_plos(scenario, n_runs, 9) == est
 
 
+def kernel_calls(monkeypatch):
+    """Record the number of tracks and of entries of every ground-track
+    kernel call the geometry engine makes."""
+    calls = []
+
+    def counted(layout, x_rx, *rest):
+        out = track_entries(layout, x_rx, *rest)
+        calls.append((np.size(x_rx), out[0].size))
+        return out
+
+    monkeypatch.setattr(simgeom, "track_entries", counted)
+    return calls
+
+
 def test_estimate_does_not_depend_on_the_chunk_size(monkeypatch):
     scenario = GeomScenario(
         params=ENVIRONMENTS["high-rise"], user_zone="mixed", theta_deg=40.0,
         h_uav=(20.0, 150.0),
     )
     est = estimate_plos(scenario, 300, 4)
-    monkeypatch.setattr(simgeom, "CHUNK_LINKS", 1)
-    assert estimate_plos(scenario, 300, 4) == est
-    monkeypatch.setattr(simgeom, "CHUNK_LINKS", 7)
-    assert estimate_plos(scenario, 300, 4) == est
+    calls = kernel_calls(monkeypatch)
+    # A budget of one period gives every link a call of its own; the
+    # longest track, 150 m at theta 40, is 3.1 periods, so a budget of
+    # 50 periods gives 12 links per call.
+    for budget, links in ((1, 1), (50, 12)):
+        monkeypatch.setattr(simgeom, "CHUNK_PERIODS", budget)
+        calls.clear()
+        assert estimate_plos(scenario, 300, 4) == est
+        assert {n for n, _ in calls} == {links}
+
+
+def test_a_chunk_holds_as_many_links_as_fit_its_track_budget(monkeypatch):
+    # 2000 links of 1.3 periods (urban, 100 m, theta 60) fit the budget
+    # of one call; at theta 5 each track is 25.2 periods long.
+    calls = kernel_calls(monkeypatch)
+    scenario = GeomScenario(ENVIRONMENTS["urban"], "mixed", 60.0, h_uav=100.0)
+    assert estimate_plos(scenario, 2000, 1).n == 2000
+    assert [n for n, _ in calls] == [2000]
+    calls.clear()
+    scenario = GeomScenario(ENVIRONMENTS["urban"], "mixed", 5.0, h_uav=100.0)
+    estimate_plos(scenario, 2000, 1)
+    periods = 98.5 / math.tan(math.radians(5.0)) / scenario.layout().period
+    per_call = math.floor(simgeom.CHUNK_PERIODS / (periods + 1.0))
+    assert per_call < 2000
+    assert [n for n, _ in calls] == [per_call] * (2000 // per_call) + [2000 % per_call]
+
+
+@pytest.mark.parametrize("env", ["urban", "high-rise", "suburban"])
+def test_a_chunk_lists_entries_in_proportion_to_its_track_budget(monkeypatch, env):
+    # A track of L periods meets at most about sqrt(2)*L + 3 boxes, and a
+    # chunk holds at most budget/(L + 1) tracks, so no call lists more
+    # than about 3 entries per period of budget.  A fixed link count per
+    # call would list 500 links' entries at theta 0.1.
+    calls = kernel_calls(monkeypatch)
+    for theta in (0.1, 1.0, 5.0, 30.0, 60.0, 90.0):
+        scenario = GeomScenario(ENVIRONMENTS[env], "mixed", theta, h_uav=100.0)
+        assert estimate_plos(scenario, 500, 2).n == 500
+    assert len(calls) > 6
+    assert max(entries for _, entries in calls) <= 4 * simgeom.CHUNK_PERIODS
 
 
 def test_estimate_builds_no_generator(monkeypatch):
