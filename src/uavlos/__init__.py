@@ -61,7 +61,7 @@ from .sim3d import (
     place_users_circle,
     save_city,
 )
-from .simgeom import GeomScenario, estimate_plos
+from .simgeom import GeomScenario, estimate_plos, estimate_points
 from .stats import PLosEstimate, wilson_interval
 
 __version__ = "0.1.0"
@@ -101,6 +101,7 @@ __all__ = [
     # geometry engine
     "GeomScenario",
     "estimate_plos",
+    "estimate_points",
     # baselines
     "GridProduct",
     "Sigmoid",

@@ -12,6 +12,9 @@ run, with an area-weighted street/crossroad mix when no single zone is
 requested, under the same protocol: each link is one uint64 key, from
 which its placement and the roofs its track meets are hashed.  Both
 engines take a point's keys from one generate_state call of its seed.
+The geometry engine decides consecutive points with the same params
+together (:func:`uavlos.simgeom.estimate_points`), so a 170-point
+heatmap shares 25 kernel calls instead of making one per point.
 A geometry-engine spec checks every grid point's ground-track length
 when it is created, so a point the engine would refuse is an illegal
 spec.
@@ -19,7 +22,8 @@ spec.
 CSV files carry a ``# spec:`` echo line followed by one row per grid
 point.  The ms_per_point column is written as zero unless timing is
 requested, so identical seeds reproduce identical bytes; wall-clock
-readings stay on the in-memory result.
+readings stay on the in-memory result (see :func:`run_sweep` for how
+points that share kernel calls share their time).
 """
 
 from __future__ import annotations
@@ -28,6 +32,7 @@ import math
 import os
 import time
 from dataclasses import dataclass, field, replace
+from itertools import groupby
 from pathlib import Path
 from typing import Mapping
 
@@ -47,7 +52,7 @@ from .sim3d import (
     place_users,
     user_directions,
 )
-from .simgeom import USER_ZONES, GeomScenario, check_track_length, estimate_plos
+from .simgeom import USER_ZONES, GeomScenario, check_track_length, estimate_points
 from .stats import PLosEstimate
 
 __all__ = [
@@ -352,22 +357,50 @@ def _point_angles(spec: SweepSpec, var: Mapping[str, float]) -> tuple[float, flo
     return theta, h_uav
 
 
-def _estimate_point(spec: SweepSpec, var: Mapping[str, float], seed: int) -> PLosEstimate:
-    """P_LoS at one grid point: spec's fixed values overridden by the
-    swept values in var, estimated by spec's engine from seed."""
+def _geom_scenario(spec: SweepSpec, var: Mapping[str, float]) -> GeomScenario:
+    """The geometry-engine scenario of one grid point of spec."""
     theta, h_uav = _point_angles(spec, var)
     phi = var.get("phi", spec.phi)
-    params = _with_swept_params(spec.params, var)
+    return GeomScenario(
+        _with_swept_params(spec.params, var), spec.user_zone, theta,
+        phi_deg=(0.0, 90.0) if phi is None else phi, h_uav=h_uav, h_rx=spec.h_rx,
+    )
+
+
+def _estimate_points(
+    spec: SweepSpec, vars: list[Mapping[str, float]], seeds: list[int]
+) -> tuple[list[PLosEstimate], list[float]]:
+    """P_LoS and milliseconds at each grid point of spec: spec's fixed
+    values overridden by the swept values in vars[i], estimated by spec's
+    engine from seeds[i].
+
+    Consecutive geometry-engine points with the same params (all of them
+    unless alpha or gamma is swept) are decided in one
+    :func:`uavlos.simgeom.estimate_points` call, and each point's time is
+    its share of that call's kernel chunks; sim3d and baseline points are
+    estimated and timed one by one.
+    """
+    estimates: list[PLosEstimate] = []
+    ms: list[float] = []
     if spec.engine == "geom":
-        scenario = GeomScenario(
-            params, spec.user_zone, theta,
-            phi_deg=(0.0, 90.0) if phi is None else phi, h_uav=h_uav, h_rx=spec.h_rx,
-        )
-        return estimate_plos(scenario, spec.n_runs, seed)
-    if spec.engine == "sim3d":
-        return _estimate_sim3d(spec, params, theta, phi, h_uav, seed)
-    model = _resolve_model(spec, var)
-    return PLosEstimate.exact(evaluate(model, theta, h_uav, spec.h_rx))
+        points = [(_geom_scenario(spec, var), seed) for var, seed in zip(vars, seeds)]
+        for _, group in groupby(points, key=lambda point: point[0].params):
+            scenarios, group_seeds = zip(*group)
+            group_estimates, seconds = estimate_points(scenarios, spec.n_runs, group_seeds)
+            estimates += group_estimates
+            ms += [1000.0 * sec for sec in seconds]
+        return estimates, ms
+    for var, seed in zip(vars, seeds):
+        start = time.perf_counter()
+        theta, h_uav = _point_angles(spec, var)
+        if spec.engine == "sim3d":
+            params = _with_swept_params(spec.params, var)
+            est = _estimate_sim3d(spec, params, theta, var.get("phi", spec.phi), h_uav, seed)
+        else:
+            est = PLosEstimate.exact(evaluate(_resolve_model(spec, var), theta, h_uav, spec.h_rx))
+        estimates.append(est)
+        ms.append((time.perf_counter() - start) * 1000.0)
+    return estimates, ms
 
 
 def run_sweep(spec: SweepSpec) -> SweepResult:
@@ -375,7 +408,10 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
 
     Points are evaluated in row-major axis order, each from its own
     seed substream, so results are independent of evaluation order and
-    reproducible from (spec, seed) alone.
+    reproducible from (spec, seed) alone.  A row's ms is its point's
+    estimation time; geometry-engine points share kernel calls, and each
+    takes a share of every call's wall time in proportion to its links
+    in that call, so the rows sum to the sweep's estimation time.
     """
     axis_names = tuple(a.name for a in spec.axes)
     combos = spec.points()
@@ -384,15 +420,16 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
         # before any work is done.
         _resolve_model(spec, dict(zip(axis_names, combos[0])))
 
-    children = np.random.SeedSequence(spec.seed).spawn(len(combos))
-    rows = []
-    for combo, child in zip(combos, children):
-        pt_seed = _child_seed(np.random.default_rng(child))
-        start = time.perf_counter()
-        est = _estimate_point(spec, dict(zip(axis_names, combo)), pt_seed)
-        ms = (time.perf_counter() - start) * 1000.0
-        rows.append(SweepRow(values=combo, estimate=est, ms=ms))
-    return SweepResult(spec=spec, axis_names=axis_names, rows=tuple(rows))
+    seeds = [
+        _child_seed(np.random.default_rng(child))
+        for child in np.random.SeedSequence(spec.seed).spawn(len(combos))
+    ]
+    vars = [dict(zip(axis_names, combo)) for combo in combos]
+    estimates, ms = _estimate_points(spec, vars, seeds)
+    rows = tuple(
+        SweepRow(values=combo, estimate=est, ms=t) for combo, est, t in zip(combos, estimates, ms)
+    )
+    return SweepResult(spec=spec, axis_names=axis_names, rows=rows)
 
 
 def compare_engines(
@@ -431,24 +468,23 @@ def compare_engines(
         _child_seed(np.random.default_rng(child))
         for child in np.random.SeedSequence(seed).spawn(2 * len(thetas))
     ]
-    rows = []
-    for i, theta in enumerate(thetas):
-        var = {"theta": theta}
-        est3d = _estimate_point(spec3d, var, seeds[2 * i])
-        estgm = _estimate_point(specgm, var, seeds[2 * i + 1])
-        rows.append(
-            CompareRow(
-                theta_deg=theta,
-                sim3d=est3d,
-                geom=estgm,
-                abs_delta=abs(est3d.p_hat - estgm.p_hat),
-                baselines={
-                    name: _estimate_point(spec, var, seed).p_hat
-                    for name, spec in zip(names, baselines)
-                },
-            )
+    vars = [{"theta": theta} for theta in thetas]
+    est3d, _ = _estimate_points(spec3d, vars, seeds[0::2])
+    estgm, _ = _estimate_points(specgm, vars, seeds[1::2])
+    values = {
+        name: [est.p_hat for est in _estimate_points(spec, vars, [seed] * len(vars))[0]]
+        for name, spec in zip(names, baselines)
+    }
+    return [
+        CompareRow(
+            theta_deg=theta,
+            sim3d=a,
+            geom=g,
+            abs_delta=abs(a.p_hat - g.p_hat),
+            baselines={name: values[name][i] for name in names},
         )
-    return rows
+        for i, (theta, a, g) in enumerate(zip(thetas, est3d, estgm))
+    ]
 
 
 def result_to_csv(result: SweepResult, include_timing: bool = False) -> str:

@@ -249,7 +249,7 @@ def test_criterion_9_geometry_engine_is_cheaper():
     # 20 street links at theta 5 as the geometry engine draws them.
     scenario = GeomScenario(URBAN, "street", theta_deg=5.0, h_uav=100.0)
     keys = np.random.SeedSequence(2).generate_state(20, np.uint64)
-    ux, uy, vx, vy, _, _ = _draw_links(scenario, layout, keys)
+    ux, uy, vx, vy, _, _ = _draw_links([scenario], layout, keys, np.zeros(20, dtype=np.intp))
 
     nx, ny = city.heights.shape
     cost_3d, cost_geom = [], []

@@ -135,7 +135,7 @@ def test_overlong_geom_track_exits_two_before_any_point(tmp_path, capsys, monkey
     def fail(*args, **kwargs):
         pytest.fail("a grid point was estimated")
 
-    monkeypatch.setattr(harness, "estimate_plos", fail)
+    monkeypatch.setattr(harness, "estimate_points", fail)
     command = "plos-vs-theta" if grid[0] == "--theta-grid" else "plos-vs-radius"
     out = tmp_path / "sweep.csv"
     assert run_cli(command, "--engine", "geom", "--env", "urban", "--runs", "20000",

@@ -1,9 +1,10 @@
 import math
+import time
 
 import numpy as np
 import pytest
 
-from uavlos import harness, sim3d
+from uavlos import harness, sim3d, simgeom
 from uavlos.baselines import GridProduct, Sigmoid, evaluate
 from uavlos.citygeom import ENVIRONMENTS, BuiltUpParams
 from uavlos.errors import IllegalSpec, InvalidCounts, UavLosError
@@ -327,6 +328,40 @@ def test_compare_engines_overhead_row():
     assert row.sim3d.p_hat == 1.0
     assert row.geom.p_hat == 1.0
     assert row.abs_delta == 0.0
+
+
+def test_compare_engines_decides_every_geometry_theta_in_shared_kernel_calls(monkeypatch):
+    # 3 x 300 urban links of at most 1.3 periods fit one call's budget.
+    calls = []
+    track_entries = simgeom.track_entries
+
+    def counted(*args):
+        calls.append(np.size(args[1]))
+        return track_entries(*args)
+
+    monkeypatch.setattr(simgeom, "track_entries", counted)
+    rows = compare_engines(URBAN, (60.0, 70.0, 80.0), n3d=2, ngeom=300, seed=0)
+    assert [row.geom.n for row in rows] == [300] * 3
+    assert calls == [900]
+
+
+def test_timing_rows_share_the_sweep_estimation_time():
+    # A gamma axis makes two groups of geometry-engine points, each
+    # decided in shared kernel calls; every point takes a share of each
+    # call in proportion to its links, so the rows add up to the time
+    # spent estimating.
+    spec = SweepSpec(
+        engine="geom", params=URBAN, n_runs=1500, seed=5,
+        axes=(SweepAxis("gamma", (10.0, 30.0)), theta_axis(5, 60, 90)),
+    )
+    run_sweep(spec)  # numpy's first Generator, for the point seeds, costs about 10 ms
+    start = time.perf_counter()
+    result = run_sweep(spec)
+    total = (time.perf_counter() - start) * 1000.0
+    ms = [row.ms for row in result.rows]
+    assert min(ms) > 0.0
+    assert sum(ms) <= total
+    assert sum(ms) == pytest.approx(total, rel=0.25)
 
 
 def test_compare_engines_validates_before_any_engine_runs(monkeypatch):

@@ -1,4 +1,4 @@
-"""Byte pins of four short CLI runs.
+"""Byte pins of six short CLI runs.
 
 Each case runs one subcommand at small sizes and compares the CSV it
 writes with the exact text below.  A change that keeps every random
@@ -57,6 +57,30 @@ theta,phi,n,k,p_hat,ci_lo,ci_hi,ms_per_point
 theta,n_3d,k_3d,p_3d,ci_lo_3d,ci_hi_3d,n_geom,k_geom,p_geom,ci_lo_geom,ci_hi_geom,abs_delta,grid
 20,214,67,0.313084,0.254708,0.378053,200,59,0.295000,0.236138,0.361588,0.018084,0.332545
 60,259,198,0.764479,0.709169,0.812057,200,150,0.750000,0.685658,0.804919,0.014479,0.996732
+""",
+    ),
+    "param-surface": (
+        ["param-surface", "--engine", "geom", "--env", "urban", "--gamma-grid", "10,30",
+         "--theta-grid", "20,60", "--runs", "150", "--seed", "14"],
+        """\
+# spec: engine=geom alpha=0.3 beta=500 gamma=15 extent=3000x3000 axes=gamma:10,30;theta:20,60 h_uav=100 h_rx=1.5 n_runs=150 seed=14 user_zone=mixed
+gamma,theta,n,k,p_hat,ci_lo,ci_hi,ms_per_point
+10,20,150,69,0.460000,0.382234,0.539763,0.000000
+10,60,150,111,0.740000,0.664434,0.803580,0.000000
+30,20,150,19,0.126667,0.082611,0.189368,0.000000
+30,60,150,76,0.506667,0.427496,0.585505,0.000000
+""",
+    ),
+    "plos-vs-radius": (
+        ["plos-vs-radius", "--engine", "geom", "--env", "suburban", "--radius-grid", "100,400",
+         "--altitudes", "50,200", "--runs", "150", "--seed", "15"],
+        """\
+# spec: engine=geom alpha=0.1 beta=750 gamma=8 extent=3000x3000 axes=radius:100,400;h_uav:50,200 h_rx=1.5 n_runs=150 seed=15 user_zone=mixed
+radius,h_uav,n,k,p_hat,ci_lo,ci_hi,ms_per_point
+100,50,150,121,0.806667,0.736136,0.861882,0.000000
+100,200,150,141,0.940000,0.889909,0.968116,0.000000
+400,50,150,51,0.340000,0.269032,0.418959,0.000000
+400,200,150,117,0.780000,0.707175,0.838841,0.000000
 """,
     ),
 }

@@ -17,8 +17,8 @@ from uavlos.citygeom import (
 )
 from uavlos import simgeom
 from uavlos.errors import IllegalSpec, InvalidAngle, InvalidParams
-from uavlos.harness import SweepAxis, SweepSpec
-from uavlos.simgeom import GeomScenario, _draw_links, estimate_plos
+from uavlos.harness import SweepAxis, SweepSpec, run_sweep
+from uavlos.simgeom import GeomScenario, _draw_links, estimate_plos, estimate_points
 
 TOY = BuiltUpParams(0.25, 10000.0, 10.0)  # p=10, s=w=5
 
@@ -74,7 +74,7 @@ def keyed_links(params, zone, n, seed, h_rx=0.0):
     from their keys (a uniform azimuth, a 100 m UAV at theta 30)."""
     scenario = GeomScenario(params, zone, theta_deg=30.0, h_uav=100.0, h_rx=h_rx)
     keys = np.random.SeedSequence(seed).generate_state(n, np.uint64)
-    return _draw_links(scenario, scenario.layout(), keys)
+    return _draw_links([scenario], scenario.layout(), keys, np.zeros(n, dtype=np.intp))
 
 
 def test_sample_user_zones():
@@ -115,7 +115,7 @@ def test_mixed_zone_is_drawn_once_per_link_with_free_area_weights():
     )
     layout = scenario.layout()
     keys = np.random.SeedSequence(5).generate_state(20_000, np.uint64)
-    _, uy, *_ = _draw_links(scenario, layout, keys)
+    _, uy, *_ = _draw_links([scenario], layout, keys, np.zeros(keys.size, dtype=np.intp))
     share = 2.0 * layout.w / (layout.s + 2.0 * layout.w)
     sd = math.sqrt(share * (1 - share) / keys.size)
     assert (uy >= layout.s).mean() == pytest.approx(share, abs=4.0 * sd)
@@ -486,10 +486,16 @@ def test_a_chunk_lists_entries_in_proportion_to_its_track_budget(monkeypatch, en
     # than about 3 entries per period of budget.  A fixed link count per
     # call would list 500 links' entries at theta 0.1.
     calls = kernel_calls(monkeypatch)
-    for theta in (0.1, 1.0, 5.0, 30.0, 60.0, 90.0):
+    thetas = (0.1, 1.0, 5.0, 30.0, 60.0, 90.0)
+    for theta in thetas:
         scenario = GeomScenario(ENVIRONMENTS[env], "mixed", theta, h_uav=100.0)
         assert estimate_plos(scenario, 500, 2).n == 500
     assert len(calls) > 6
+    # One batch, short tracks first: a chunk that sized every link by its
+    # first point's track would take the theta 1 and 0.1 links whole.
+    batch = [GeomScenario(ENVIRONMENTS[env], "mixed", theta, h_uav=100.0) for theta in thetas]
+    estimates, _ = estimate_points(batch[::-1], 500, range(6))
+    assert [est.n for est in estimates] == [500] * 6
     assert max(entries for _, entries in calls) <= 4 * simgeom.CHUNK_PERIODS
 
 
@@ -501,3 +507,85 @@ def test_estimate_builds_no_generator(monkeypatch):
     monkeypatch.setattr(simgeom.np.random, "Generator", fail)
     scenario = GeomScenario(params=ENVIRONMENTS["urban"], user_zone="mixed", theta_deg=30.0)
     assert estimate_plos(scenario, 600, 2).n == 600
+
+
+def mixed_points():
+    """Urban points at several thetas, azimuths and altitudes, fixed
+    and drawn, ordered so that chunks straddle points of each kind."""
+    urban = ENVIRONMENTS["urban"]
+    return [
+        GeomScenario(urban, "mixed", theta, phi_deg=phi, h_uav=h_uav)
+        for theta, phi, h_uav in (
+            (90.0, 0.0, 100.0), (60.0, 20.0, 100.0), (60.0, 70.0, 100.0),
+            (30.0, (0.0, 90.0), 200.0), (45.0, 45.0, (20.0, 150.0)),
+            (90.0, (10.0, 40.0), (20.0, 150.0)), (0.5, 10.0, 40.0), (15.0, 90.0, 300.0),
+        )
+    ]
+
+
+@pytest.mark.parametrize("budget", [1, 50, simgeom.CHUNK_PERIODS])
+def test_estimate_points_equals_estimate_plos_point_by_point(monkeypatch, budget):
+    # Kills a fixed azimuth, a theta or an altitude read from a chunk's
+    # first point, and NLoS counted per chunk instead of per point.
+    scenarios = mixed_points()
+    seeds = [101 + q for q in range(len(scenarios))]
+    alone = [estimate_plos(sc, 150, seed) for sc, seed in zip(scenarios, seeds)]
+    monkeypatch.setattr(simgeom, "CHUNK_PERIODS", budget)
+    chunks = []
+    first_blockers = simgeom._first_blockers
+
+    def recorded(scenarios, layout, keys, point):
+        chunks.append(np.unique(point).size)
+        return first_blockers(scenarios, layout, keys, point)
+
+    monkeypatch.setattr(simgeom, "_first_blockers", recorded)
+    estimates, seconds = estimate_points(scenarios, 150, seeds)
+    assert estimates == alone
+    assert len(seconds) == len(scenarios) and min(seconds) > 0.0
+    if budget == 1:
+        assert chunks == [1] * (150 * len(scenarios))
+    else:
+        assert max(chunks) > 1  # a chunk straddles a point boundary
+
+
+def test_a_placement_failure_names_the_failing_point(monkeypatch):
+    # The first point's UAVs hover over the street north of the user and
+    # are never rejected; every UAV of the second hovers over box (1, 1),
+    # whose Rayleigh(1e6) roof reaches it.
+    monkeypatch.setattr(simgeom, "PLACEMENT_ROUNDS", 200)
+    stuck = _redraw_scenario(1e6)
+    free = GeomScenario(stuck.params, "street", 45.0, phi_deg=90.0, h_uav=40.0)
+    with pytest.raises(InvalidParams, match=r"at h_uav=30\.0$"):
+        estimate_points([free, stuck], 100, [0, 1])
+    low = GeomScenario(free.params, "street", 45.0, phi_deg=90.0, h_uav=(0.0, 1.5000001))
+    with pytest.raises(InvalidParams, match=r"h_uav range \(0\.0, 1\.5000001\) never"):
+        estimate_points([free, low], 100, [0, 1])
+
+
+def test_points_of_one_call_share_params_zone_and_receiver_height():
+    base = GeomScenario(ENVIRONMENTS["urban"], "mixed", 45.0, h_uav=100.0)
+    for other in (
+        GeomScenario(ENVIRONMENTS["suburban"], "mixed", 45.0, h_uav=100.0),
+        GeomScenario(ENVIRONMENTS["urban"], "street", 45.0, h_uav=100.0),
+        GeomScenario(ENVIRONMENTS["urban"], "mixed", 45.0, h_uav=100.0, h_rx=2.0),
+    ):
+        with pytest.raises(InvalidParams, match="sharing params"):
+            estimate_points([base, other], 10, [1, 2])
+    with pytest.raises(InvalidParams, match="sharing params"):
+        estimate_points([], 10, [])
+    with pytest.raises(InvalidParams, match="one seed per scenario"):
+        estimate_points([base, base], 10, [1])
+
+
+def test_a_heatmap_shares_kernel_calls_across_its_points(monkeypatch):
+    # 170 points of 200 short high-rise links: one call per point would
+    # pay a call's fixed numpy cost 170 times.
+    calls = kernel_calls(monkeypatch)
+    spec = SweepSpec(
+        engine="geom", params=ENVIRONMENTS["high-rise"], user_zone="street", n_runs=200,
+        seed=1, axes=(SweepAxis("theta", tuple(range(5, 90, 5))),
+                      SweepAxis("phi", tuple(range(0, 100, 10)))),
+    )
+    assert len(run_sweep(spec).rows) == 170
+    assert sum(n for n, _ in calls) >= 170 * 200  # redraws never add tracks
+    assert len(calls) <= 30
