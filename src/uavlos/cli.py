@@ -9,11 +9,18 @@ flags win over file keys, file keys win over built-in defaults.
 Exit codes: 0 success, 2 usage or configuration error, 1 runtime
 failure.  Output files are written to a temp name and renamed, so a
 failed run never leaves a partial file behind.
+
+:func:`main` owns its process, so it also tells glibc to keep freed
+heap memory (:func:`_keep_freed_heap`): the engines allocate and free
+the same working set once per kernel call, and a heap trimmed after
+every call must fault its pages back in on the next.  Importing the
+package changes no allocator setting.
 """
 
 from __future__ import annotations
 
 import argparse
+import ctypes
 import sys
 from pathlib import Path
 
@@ -384,7 +391,30 @@ _RUNNERS = {
 }
 
 
+#: glibc's mallopt parameter for the trim threshold: freed memory at the
+#: top of the heap is handed back to the system only above this many bytes.
+_M_TRIM_THRESHOLD = -1
+#: Trim threshold the CLI sets, above what one kernel call allocates and
+#: frees (glibc's default is 128 KiB).
+HEAP_TRIM_BYTES = 64 << 20
+
+
+def _keep_freed_heap() -> bool:
+    """Raise glibc's heap trim threshold to HEAP_TRIM_BYTES, so the
+    memory one kernel call frees stays mapped for the next instead of
+    being returned and faulted in again.  Does nothing where libc cannot
+    be loaded or has no mallopt; returns whether the setting took."""
+    try:
+        mallopt = ctypes.CDLL("libc.so.6").mallopt
+    except (OSError, AttributeError):
+        return False
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    return mallopt(_M_TRIM_THRESHOLD, HEAP_TRIM_BYTES) == 1
+
+
 def main(argv: list[str] | None = None) -> int:
+    _keep_freed_heap()
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

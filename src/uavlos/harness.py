@@ -11,13 +11,16 @@ Generator or a height grid.  The geometry engine runs one link per
 run, with an area-weighted street/crossroad mix when no single zone is
 requested, under the same protocol: each link is one uint64 key, from
 which its placement and the roofs its track meets are hashed.  Both
-engines take a point's keys from one generate_state call of its seed.
+engines take a point's keys from :func:`uavlos.citygeom.run_keys` of
+its seed, numpy's ``SeedSequence(seed).generate_state`` computed with
+array operations.
 The geometry engine decides consecutive points with the same params
 together (:func:`uavlos.simgeom.estimate_points`), so a 170-point
 heatmap shares 25 kernel calls instead of making one per point.
 A geometry-engine spec checks every grid point's ground-track length
 when it is created, so a point the engine would refuse is an illegal
-spec.
+spec; a 3D-engine spec likewise refuses a point whose user ring is
+wider than the extent's diagonal, where no user can stand.
 
 CSV files carry a ``# spec:`` echo line followed by one row per grid
 point.  The ms_per_point column is written as zero unless timing is
@@ -39,7 +42,7 @@ from typing import Mapping
 import numpy as np
 
 from .baselines import BaselineModel, GridProduct, evaluate
-from .citygeom import BuiltUpParams, derive_layout, track_length, tracks_per_call
+from .citygeom import BuiltUpParams, derive_layout, run_keys, track_length, tracks_per_call
 from .errors import IllegalSpec, InvalidAngle, UavLosError
 from .sim3d import (
     BuildingTop,
@@ -188,6 +191,20 @@ class SweepSpec:
                     check_track_length(period, theta, h_uav, self.h_rx)
                 except InvalidAngle as exc:
                     raise IllegalSpec(str(exc)) from exc
+        if self.engine == "sim3d":
+            # No two points of the extent lie farther apart than its
+            # diagonal, so a wider ring leaves no user on the extent.
+            diagonal = math.hypot(*self.extent)
+            for combo in self.points():
+                theta, h_uav = _point_angles(self, dict(zip(names, combo)))
+                ring = track_length(theta, h_uav, self.h_rx)
+                if ring > diagonal:
+                    raise IllegalSpec(
+                        f"the user ring at theta {theta:g} and h_uav {h_uav:g} has radius "
+                        f"{ring:.0f} m, wider than the {diagonal:.0f} m diagonal of the "
+                        f"{self.extent[0]:g} x {self.extent[1]:g} m extent, so no user "
+                        "stands on the extent; enlarge the extent"
+                    )
 
     def _check_axis(self, axis: SweepAxis) -> None:
         if axis.name == "theta":
@@ -276,8 +293,9 @@ def _child_seed(rng: np.random.Generator) -> int:
 #: takes: several cities' UAV placement, user placement and one
 #: ground-track kernel call, which cost about 0.45 ms for a single
 #: one-user city.  A pass holds the fewest cities whose rings reach
-#: citygeom.tracks_per_call of the ring radius, capped at the extent's
-#: diagonal (no user stands farther from its UAV); each track is cut
+#: citygeom.tracks_per_call of the ring radius, which a SweepSpec keeps
+#: within the extent's diagonal (no user stands farther from its UAV,
+#: so a wider ring is refused before any point runs); each track is cut
 #: where the tallest roof its city's ring can reach stops mattering (see
 #: first_blockers) and in-building ring positions are dropped, so a ring
 #: position lists about half the entries per period that a geometry-engine
@@ -293,12 +311,12 @@ def _estimate_sim3d(
     its UAV and the pooled LoS states of every valid user on the theta
     circle (one user at azimuth phi when phi is fixed, or straight under
     the UAV at theta = 90), decided a few cities per pass.  Run i is the
-    city key generate_state(n_runs)[i] of SeedSequence(seed)."""
+    city key ``run_keys(seed, n_runs)[i]`` (:func:`uavlos.citygeom.run_keys`)."""
     policy = UAV_POLICIES[spec.uav_policy](h_uav)
     directions = user_directions(theta, spec.n_users, phi)
     layout = derive_layout(params, *spec.extent)
-    keys = np.random.SeedSequence(seed).generate_state(spec.n_runs, np.uint64)
-    radius = min(track_length(theta, h_uav, spec.h_rx), math.hypot(*spec.extent))
+    keys = run_keys(seed, spec.n_runs)
+    radius = track_length(theta, h_uav, spec.h_rx)
     tracks = tracks_per_call(PASS_PERIODS, radius, layout.period)
     per_pass = -(-tracks // directions[0].size)
     k = 0

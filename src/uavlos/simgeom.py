@@ -13,7 +13,8 @@ enters it seen from the user, so one comparison per building decides
 it.
 
 A link is the one-key case of the 3D engine's random-number protocol:
-each link is a uint64 key, its placement draws come from fixed
+each link is a uint64 key (:func:`uavlos.citygeom.run_keys` of its
+point's seed gives a point's keys), its placement draws come from fixed
 positions of that key's counter-based stream, and each roof it meets
 is :func:`uavlos.citygeom.roof_heights` of a city key taken from the
 same stream, evaluated only under the UAV and at the track's entries
@@ -48,6 +49,7 @@ from .citygeom import (
     bits_to_uniforms,
     derive_layout,
     roof_heights,
+    run_keys,
     stream_bits,
     stream_uniforms,
     track_entries,
@@ -308,12 +310,13 @@ def _chunks(scenarios: Sequence[GeomScenario], n_runs: int, seeds: Sequence[int]
     takes at least one link.
 
     Yields each chunk as a list of (point index, keys) segments of
-    consecutive points.  A point's keys are generate_state(n_runs) of
-    SeedSequence(its seed), derived when the first chunk reaches it.
+    consecutive points.  A point's keys are
+    :func:`uavlos.citygeom.run_keys` of its seed, derived when the first
+    chunk reaches it.
     """
     chunk, room = [], CHUNK_PERIODS
     for q, (scenario, seed) in enumerate(zip(scenarios, seeds)):
-        keys = np.random.SeedSequence(seed).generate_state(n_runs, np.uint64)
+        keys = run_keys(seed, n_runs)
         track = track_length(scenario.theta_deg, scenario.h_max, scenario.h_rx)
         cost = track / period + 1.0
         start = 0
@@ -336,7 +339,7 @@ def estimate_points(
 
     The scenarios must share params, user zone and h_rx; theta, azimuth
     and altitude may differ.  Link i of point q is the uint64 key
-    generate_state(n_runs)[i] of SeedSequence(seeds[q]), drawn as
+    ``run_keys(seeds[q], n_runs)[i]`` (:func:`uavlos.citygeom.run_keys`), drawn as
     :func:`_draw_links` describes.  The links are decided in chunks of
     CHUNK_PERIODS grid periods of ground track (see :func:`_chunks`),
     which bounds memory and leaves every estimate unchanged: each

@@ -16,6 +16,7 @@ from uavlos.citygeom import (
     _rayleigh_inplace,
     derive_layout,
     roof_heights,
+    run_keys,
     stream_bits,
     stream_uniforms,
     tracks_per_call,
@@ -173,6 +174,16 @@ def test_stream_uniforms_are_the_top_bits_of_the_stream():
     u = stream_uniforms(keys, np.arange(5))
     assert u.tolist() == ((bits >> np.uint64(11)).astype(float) * 2.0**-53).tolist()
     assert np.shape(stream_uniforms(7, 3)) == () and stream_uniforms(7, 3) == u[1, 3]
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2**63 + 7, 2**64 + 5])
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 200, 2001])
+def test_run_keys_equal_numpy_generate_state(seed, n):
+    keys = run_keys(seed, n)
+    expected = np.random.SeedSequence(seed).generate_state(n, np.uint64)
+    assert keys.dtype == np.uint64
+    assert keys.shape == (n,)
+    np.testing.assert_array_equal(keys, expected)
 
 
 def test_hashed_roofs_are_independent_rayleigh_draws():

@@ -1,10 +1,16 @@
 import argparse
 import math
+import os
+import subprocess
+import sys
+import types
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from uavlos import harness
+import uavlos
+from uavlos import cli, harness
 from uavlos.baselines import GridProduct, evaluate
 from uavlos.citygeom import ENVIRONMENTS, roof_heights
 from uavlos.cli import _parse_extent, _parse_grid, build_parser, main
@@ -141,6 +147,30 @@ def test_overlong_geom_track_exits_two_before_any_point(tmp_path, capsys, monkey
     assert run_cli(command, "--engine", "geom", "--env", "urban", "--runs", "20000",
                    "--seed", "1", *grid, "--out", out) == 2
     assert "error:" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("argv", [
+    ("plos-vs-theta", "--engine", "sim3d", "--runs", "50", "--theta-grid", "30,0.01"),
+    ("plos-vs-radius", "--engine", "sim3d", "--runs", "5", "--radius-grid", "100,5000",
+     "--altitudes", "100"),
+    ("compare", "--runs-3d", "5", "--runs-geom", "50", "--thetas", "30,3"),
+], ids=["theta", "radius", "compare"])
+def test_sim3d_ring_beyond_the_extent_exits_two_before_any_point(
+        tmp_path, capsys, monkeypatch, argv):
+    # The last point's user ring (564 km at theta 0.01, 5 km, 1.9 km at
+    # theta 3 on a 1 km extent) is wider than the extent's diagonal, so no
+    # user could stand on it; the spec is refused before any point runs.
+    def fail(*args, **kwargs):
+        pytest.fail("a grid point was estimated")
+
+    monkeypatch.setattr(harness, "_estimate_sim3d", fail)
+    monkeypatch.setattr(harness, "estimate_points", fail)
+    out = tmp_path / "out.csv"
+    extent = "1000" if argv[0] == "compare" else "3000"
+    assert run_cli(*argv, "--env", "urban", "--extent", extent, "--seed", "1",
+                   "--out", out) == 2
+    assert "diagonal" in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == []
 
 
@@ -347,3 +377,94 @@ def test_compare_rejects_illegal_input_before_running(tmp_path, capsys, bad):
                    *bad, "--out", out) == 2
     assert "error:" in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == []
+
+
+# -- heap setting ---------------------------------------------------------------
+
+def fake_libc(calls, result=1):
+    """A stand-in for glibc whose mallopt records its arguments."""
+    def mallopt(param, value):
+        calls.append((param, value))
+        return result
+
+    return types.SimpleNamespace(mallopt=mallopt)
+
+
+def test_main_raises_the_heap_trim_threshold(tmp_path, monkeypatch):
+    calls = []
+    monkeypatch.setattr(cli.ctypes, "CDLL", lambda name: fake_libc(calls))
+    assert run_cli(*_GEOM, "--seed", "1", "--out", tmp_path / "out.csv") == 0
+    # M_TRIM_THRESHOLD is -1 in glibc's malloc.h.
+    assert calls == [(-1, 64 * 2**20)]
+
+
+def _no_libc(name):
+    raise OSError(f"{name}: cannot open shared object file")
+
+
+@pytest.mark.parametrize("cdll", [
+    _no_libc,
+    lambda name: types.SimpleNamespace(),
+    lambda name: fake_libc([], result=0),
+], ids=["no-libc", "no-mallopt", "refused"])
+def test_cli_runs_the_same_without_the_heap_setting(tmp_path, monkeypatch, cdll):
+    assert run_cli(*_GEOM, "--seed", "1", "--out", tmp_path / "with.csv") == 0
+    monkeypatch.setattr(cli.ctypes, "CDLL", cdll)
+    assert not cli._keep_freed_heap()
+    assert run_cli(*_GEOM, "--seed", "1", "--out", tmp_path / "without.csv") == 0
+    assert (tmp_path / "with.csv").read_bytes() == (tmp_path / "without.csv").read_bytes()
+
+
+_KEEPCOST = """
+import ctypes
+import sys
+
+import numpy as np
+
+import uavlos
+import uavlos.cli
+
+class Mallinfo2(ctypes.Structure):
+    _fields_ = [(name, ctypes.c_size_t) for name in (
+        "arena", "ordblks", "smblks", "hblks", "hblkhd", "usmblks", "fsmblks",
+        "uordblks", "fordblks", "keepcost")]
+
+try:
+    mallinfo2 = ctypes.CDLL("libc.so.6").mallinfo2
+except (OSError, AttributeError):
+    print("no glibc mallinfo2")
+    sys.exit(0)
+mallinfo2.restype = Mallinfo2
+
+def kept():
+    # 24 MB in heap blocks below glibc's mmap threshold, then freed: the
+    # releasable top of the heap left behind.
+    blocks = [np.ones(10_000) for _ in range(300)]
+    del blocks
+    return mallinfo2().keepcost
+
+print(kept())
+assert uavlos.cli.main(sys.argv[1:]) == 0
+print(kept())
+"""
+
+
+def test_only_main_keeps_the_freed_heap(tmp_path):
+    # Measured through glibc itself: after importing the package the heap
+    # top is still trimmed (a few hundred kB kept); after main, the 24 MB
+    # freed stay with the process.
+    env = dict(os.environ)
+    src = str(Path(uavlos.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", _KEEPCOST, *_GEOM, "--seed", "1", "--out", "out.csv"],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    if proc.stdout.startswith("no glibc"):
+        pytest.skip("needs glibc's mallinfo2")
+    before, after = (int(line) for line in proc.stdout.split())
+    assert before < 4 * 2**20
+    assert after > 16 * 2**20

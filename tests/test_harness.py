@@ -7,7 +7,7 @@ import pytest
 from uavlos import harness, sim3d, simgeom
 from uavlos.baselines import GridProduct, Sigmoid, evaluate
 from uavlos.citygeom import ENVIRONMENTS, BuiltUpParams
-from uavlos.errors import IllegalSpec, InvalidCounts, UavLosError
+from uavlos.errors import IllegalSpec, InvalidCounts
 from uavlos.harness import (
     SweepAxis,
     SweepSpec,
@@ -430,16 +430,46 @@ def test_sim3d_passes_do_not_change_the_estimate(theta, phi, mid, passes, monkey
     assert 0 < pooled.k < pooled.n or theta == 90.0
 
 
-def test_sim3d_pass_radius_is_capped_at_the_extent_diagonal(monkeypatch):
-    # At theta 1 the ring (5 643 m) lies far outside a 500 m extent; its
-    # tracks are no longer than the diagonal, 15.8 periods, so a budget
-    # of 4 000 periods fits 237 ring positions, two 120-user rings.
-    spec = SweepSpec(
-        engine="sim3d", params=URBAN, extent=(500.0, 500.0),
-        axes=(SweepAxis("theta", (1.0,)),), n_runs=5, n_users=120, seed=3,
-    )
-    sizes = pass_sizes(monkeypatch)
-    monkeypatch.setattr(harness, "PASS_PERIODS", 4000)
-    with pytest.raises(UavLosError, match="no valid user positions"):
-        harness._estimate_sim3d(spec, URBAN, 1.0, None, 100.0, 77)
-    assert sizes == [2, 2, 1]
+@pytest.mark.parametrize("axes", [
+    (SweepAxis("theta", (30.0, 7.5)),),
+    (SweepAxis("radius", (100.0, 708.0)), SweepAxis("h_uav", (100.0,))),
+    (SweepAxis("theta", (10.0,)), SweepAxis("h_uav", (100.0, 200.0))),
+], ids=["theta", "radius", "h_uav"])
+def test_sim3d_ring_wider_than_the_extent_diagonal_is_an_illegal_spec(axes):
+    # On a 500 m extent (diagonal 707.1 m) the last point's ring, 748 m at
+    # theta 7.5, 708 m, or 1 126 m at theta 10 and h_uav 200, leaves no
+    # user on the extent, so the spec is refused before any point runs.
+    common = dict(params=URBAN, extent=(500.0, 500.0), n_runs=5, seed=3)
+    with pytest.raises(IllegalSpec, match="707 m diagonal"):
+        SweepSpec(engine="sim3d", axes=axes, **common)
+    # The geometry engine's grid is unbounded, so its spec is legal.
+    SweepSpec(engine="geom", axes=axes, **common)
+
+
+def test_sim3d_ring_up_to_the_extent_diagonal_is_legal():
+    # A 707 m ring still fits a 500 m extent (diagonal 707.1 m) from a
+    # UAV near one corner.
+    SweepSpec(engine="sim3d", params=URBAN, extent=(500.0, 500.0), n_runs=5, seed=3,
+              axes=(SweepAxis("radius", (707.0,)), SweepAxis("h_uav", (100.0,))))
+
+
+class _NoGenerateState(np.random.SeedSequence):
+    def generate_state(self, n_words, dtype=np.uint32):
+        raise AssertionError("run keys derived through SeedSequence.generate_state")
+
+
+def test_engines_derive_run_keys_without_generate_state(monkeypatch):
+    # Both engines take a point's keys from citygeom.run_keys, which reads
+    # only the seed's pool; numpy's word-by-word generate_state is off
+    # their path, and the estimates are the same without it.
+    spec = SweepSpec(engine="sim3d", params=URBAN, axes=(SweepAxis("theta", (30.0,)),),
+                     n_runs=4, n_users=30, seed=3)
+    scenario = simgeom.GeomScenario(URBAN, "mixed", 30.0)
+
+    def estimates():
+        return (simgeom.estimate_plos(scenario, 300, 11),
+                harness._estimate_sim3d(spec, URBAN, 30.0, None, 100.0, 77))
+
+    expected = estimates()
+    monkeypatch.setattr(np.random, "SeedSequence", _NoGenerateState)
+    assert estimates() == expected
