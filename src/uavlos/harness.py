@@ -182,21 +182,20 @@ class SweepSpec:
             raise IllegalSpec(
                 "theta 90 with a building-top UAV puts the one user inside the UAV's building"
             )
-        if self.engine == "geom":
+        if self.engine in ("geom", "sim3d"):
             # The grid period depends on beta alone, which no axis sweeps.
             period = derive_layout(self.params).period
-            for combo in self.points():
-                theta, h_uav = _point_angles(self, dict(zip(names, combo)))
-                try:
-                    check_track_length(period, theta, h_uav, self.h_rx)
-                except InvalidAngle as exc:
-                    raise IllegalSpec(str(exc)) from exc
-        if self.engine == "sim3d":
             # No two points of the extent lie farther apart than its
-            # diagonal, so a wider ring leaves no user on the extent.
+            # diagonal, so a wider sim3d ring leaves no user on the extent.
             diagonal = math.hypot(*self.extent)
             for combo in self.points():
                 theta, h_uav = _point_angles(self, dict(zip(names, combo)))
+                if self.engine == "geom":
+                    try:
+                        check_track_length(period, theta, h_uav, self.h_rx)
+                    except InvalidAngle as exc:
+                        raise IllegalSpec(str(exc)) from exc
+                    continue
                 ring = track_length(theta, h_uav, self.h_rx)
                 if ring > diagonal:
                     raise IllegalSpec(

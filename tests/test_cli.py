@@ -419,22 +419,27 @@ _KEEPCOST = """
 import ctypes
 import sys
 
-import numpy as np
-
-import uavlos
-import uavlos.cli
-
 class Mallinfo2(ctypes.Structure):
     _fields_ = [(name, ctypes.c_size_t) for name in (
         "arena", "ordblks", "smblks", "hblks", "hblkhd", "usmblks", "fsmblks",
         "uordblks", "fordblks", "keepcost")]
 
 try:
-    mallinfo2 = ctypes.CDLL("libc.so.6").mallinfo2
+    libc = ctypes.CDLL("libc.so.6")
+    mallinfo2, mallopt = libc.mallinfo2, libc.mallopt
 except (OSError, AttributeError):
     print("no glibc mallinfo2")
     sys.exit(0)
 mallinfo2.restype = Mallinfo2
+# glibc raises its trim threshold on its own to twice a freed mmapped
+# chunk; pinning it at its 128 KiB default before any import keeps the
+# first reading independent of what the imports allocate and free.
+assert mallopt(-1, 128 * 1024) == 1
+
+import numpy as np
+
+import uavlos
+import uavlos.cli
 
 def kept():
     # 24 MB in heap blocks below glibc's mmap threshold, then freed: the
@@ -450,9 +455,10 @@ print(kept())
 
 
 def test_only_main_keeps_the_freed_heap(tmp_path):
-    # Measured through glibc itself: after importing the package the heap
-    # top is still trimmed (a few hundred kB kept); after main, the 24 MB
-    # freed stay with the process.
+    # Measured through glibc itself, from a trim threshold pinned at its
+    # default: after importing the package the heap top is still trimmed
+    # (a few hundred kB kept); after main, the 24 MB freed stay with the
+    # process.
     env = dict(os.environ)
     src = str(Path(uavlos.__file__).resolve().parents[1])
     env["PYTHONPATH"] = os.pathsep.join(

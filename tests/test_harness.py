@@ -7,7 +7,7 @@ import pytest
 from uavlos import harness, sim3d, simgeom
 from uavlos.baselines import GridProduct, Sigmoid, evaluate
 from uavlos.citygeom import ENVIRONMENTS, BuiltUpParams
-from uavlos.errors import IllegalSpec, InvalidCounts
+from uavlos.errors import IllegalSpec, InvalidCounts, UavLosError
 from uavlos.harness import (
     SweepAxis,
     SweepSpec,
@@ -451,6 +451,17 @@ def test_sim3d_ring_up_to_the_extent_diagonal_is_legal():
     # UAV near one corner.
     SweepSpec(engine="sim3d", params=URBAN, extent=(500.0, 500.0), n_runs=5, seed=3,
               axes=(SweepAxis("radius", (707.0,)), SweepAxis("h_uav", (100.0,))))
+
+
+def test_sim3d_point_without_a_valid_user_is_a_runtime_error():
+    # The spec is legal (a 706 m ring on a 500 m extent), but its one user
+    # stands 499.2 m east and north of its UAV, on the extent only for a
+    # UAV within 0.8 m of the south-west corner, so no run keeps a user.
+    spec = SweepSpec(engine="sim3d", params=URBAN, extent=(500.0, 500.0), phi=45.0,
+                     n_users=1, n_runs=5, seed=3,
+                     axes=(SweepAxis("radius", (706.0,)), SweepAxis("h_uav", (100.0,))))
+    with pytest.raises(UavLosError, match="no valid user positions"):
+        run_sweep(spec)
 
 
 class _NoGenerateState(np.random.SeedSequence):
