@@ -7,8 +7,12 @@ and returns one :class:`PLosEstimate` per point.  The 3D engine runs
 the fresh-city protocol per run (a new city, its UAV, a ring of circle
 users): each run is one uint64 city key, from which the run's UAV and
 the roofs its users' tracks meet are hashed, so no run builds a
-Generator or a height grid.  The geometry engine runs one link per
-run, with an area-weighted street/crossroad mix when no single zone is
+Generator or a height grid.  A point's cities are placed and decided a
+block at a time, the block bounded by its ring positions and the cells
+of its cities' tallest-roof windows, and each block's links go to the
+ground-track kernel in calls of a fixed length of cut track
+(:func:`uavlos.sim3d.first_blockers`).  The geometry engine runs one
+link per run, with an area-weighted street/crossroad mix when no single zone is
 requested, under the same protocol: each link is one uint64 key, from
 which its placement and the roofs its track meets are hashed.  Both
 engines take a point's keys from :func:`uavlos.citygeom.run_keys` of
@@ -42,7 +46,7 @@ from typing import Mapping
 import numpy as np
 
 from .baselines import BaselineModel, GridProduct, evaluate
-from .citygeom import BuiltUpParams, derive_layout, run_keys, track_length, tracks_per_call
+from .citygeom import BuiltUpParams, derive_layout, run_keys, track_length
 from .errors import IllegalSpec, InvalidAngle, UavLosError
 from .sim3d import (
     BuildingTop,
@@ -54,6 +58,7 @@ from .sim3d import (
     place_uav,
     place_users,
     user_directions,
+    window_cells,
 )
 from .simgeom import USER_ZONES, GeomScenario, check_track_length, estimate_points
 from .stats import PLosEstimate
@@ -288,18 +293,15 @@ def _child_seed(rng: np.random.Generator) -> int:
     return int(rng.integers(0, 2**63))
 
 
-#: Ground-track length, in grid periods, that one pass of the 3D engine
-#: takes: several cities' UAV placement, user placement and one
-#: ground-track kernel call, which cost about 0.45 ms for a single
-#: one-user city.  A pass holds the fewest cities whose rings reach
-#: citygeom.tracks_per_call of the ring radius, which a SweepSpec keeps
-#: within the extent's diagonal (no user stands farther from its UAV,
-#: so a wider ring is refused before any point runs); each track is cut
-#: where the tallest roof its city's ring can reach stops mattering (see
-#: first_blockers) and in-building ring positions are dropped, so a ring
-#: position lists about half the entries per period that a geometry-engine
-#: link does, and the budget is larger than simgeom.CHUNK_PERIODS.
-PASS_PERIODS = 16384
+#: Elements one block of the 3D engine holds: each city counts as its
+#: ring positions plus the cells of its tallest-roof window
+#: (sim3d.window_cells), which bound the arrays of its user placement and
+#: of its window's roof lookup.  A block pays UAV placement, user
+#: placement and the window lookup once for all its cities, and
+#: sim3d.first_blockers splits its links into kernel calls of
+#: sim3d.CALL_PERIODS periods of cut track, so the block size trades
+#: that fixed cost against the working set and not against call size.
+BLOCK_ELEMENTS = 32768
 
 
 def _estimate_sim3d(
@@ -309,19 +311,20 @@ def _estimate_sim3d(
     """Fresh-city protocol at one point of spec: per run, a new city with
     its UAV and the pooled LoS states of every valid user on the theta
     circle (one user at azimuth phi when phi is fixed, or straight under
-    the UAV at theta = 90), decided a few cities per pass.  Run i is the
-    city key ``run_keys(seed, n_runs)[i]`` (:func:`uavlos.citygeom.run_keys`)."""
+    the UAV at theta = 90), decided a block of BLOCK_ELEMENTS elements
+    at a time.  Run i is the city key ``run_keys(seed, n_runs)[i]``
+    (:func:`uavlos.citygeom.run_keys`)."""
     policy = UAV_POLICIES[spec.uav_policy](h_uav)
     directions = user_directions(theta, spec.n_users, phi)
     layout = derive_layout(params, *spec.extent)
     keys = run_keys(seed, spec.n_runs)
     radius = track_length(theta, h_uav, spec.h_rx)
-    tracks = tracks_per_call(PASS_PERIODS, radius, layout.period)
-    per_pass = -(-tracks // directions[0].size)
+    per_city = directions[0].size + window_cells(layout, radius, directions)
+    per_block = max(1, BLOCK_ELEMENTS // per_city)
     k = 0
     n = 0
-    for start in range(0, spec.n_runs, per_pass):
-        cities = Cities(params, layout, keys[start:start + per_pass])
+    for start in range(0, spec.n_runs, per_block):
+        cities = Cities(params, layout, keys[start:start + per_block])
         uavs = place_uav(cities, policy)
         run, x, y = place_users(layout, uavs, theta, directions, spec.h_rx)
         n += x.size

@@ -65,6 +65,7 @@ __all__ = [
     "ray_height_at",
     "roof_under",
     "first_blockers",
+    "window_cells",
     "check_los_edges",
     "check_los_dense",
     "user_directions",
@@ -281,42 +282,91 @@ def _reject_inside_building(city: City, node: Node, label: str) -> None:
 _CUT_SLACK = 1e-9
 
 
-def _tallest_reachable(cities: Cities, run, tx_x, tx_y, rx_x, rx_y) -> np.ndarray:
-    """Per city, a roof at least as tall as any its links' tracks meet.
+def _windows(layout: CityLayout, run, tx_x, tx_y, rx_x, rx_y):
+    """The cities that have links and the cell window of each.
 
     Every track of city c lies in the bounding box of its transmitter
     and its receivers, so only the boxes meeting that window matter:
     box ix, spanning [(ix-1)*p + s, ix*p], meets [lo, hi] when
     lo/p <= ix <= (hi - s)/p + 1.  The cell range is widened by one
-    cell on each side against rounding, which can only raise the
-    maximum.  Cities without links, or whose window holds no cell of
-    the grid, get 0.
+    cell on each side against rounding and clipped to the grid.
+
+    Returns (owner, (first_x, last_x), (first_y, last_y)): the city of
+    each run of equal entries of run, and its window's first and last
+    1-based cells per axis; last < first where the window holds no cell.
     """
-    layout = cities.layout
     p, s = layout.period, layout.s
-    nx, ny = _grid_shape(layout)
     starts = np.flatnonzero(np.diff(run, prepend=-1))
     owner = run[starts]
-    top = np.zeros(cities.keys.size)
-    span = []
-    for tx, rx, n in ((tx_x, rx_x, nx), (tx_y, rx_y, ny)):
+    ends = []
+    for tx, rx, n in zip((tx_x, tx_y), (rx_x, rx_y), _grid_shape(layout)):
         lo = np.minimum(np.minimum.reduceat(rx, starts), tx[owner])
         hi = np.maximum(np.maximum.reduceat(rx, starts), tx[owner])
         first = np.maximum(np.floor(lo / p).astype(np.int64), 1)
         last = np.minimum(np.floor((hi - s) / p).astype(np.int64) + 2, n)
-        span.append((first, np.maximum(last - first + 1, 0)))
-    (ix0, cx), (iy0, cy) = span
-    cells = cx * cy
-    city = np.repeat(np.arange(owner.size), cells)
-    k = np.arange(city.size) - np.repeat(np.cumsum(cells) - cells, cells)
-    roof = cities.roofs(owner[city], ix0[city] + k // cy[city], iy0[city] + k % cy[city])
-    filled = cells > 0
-    top[owner[filled]] = np.maximum.reduceat(roof, (np.cumsum(cells) - cells)[filled])
+        ends.append((first, last))
+    return owner, ends[0], ends[1]
+
+
+def window_cells(layout: CityLayout, radius: float, directions) -> int:
+    """Most cells the window of :func:`_windows` can hold for a city whose
+    users stand at ground distance radius from its UAV along directions
+    (see :func:`user_directions`).
+
+    On an axis whose direction components are c, the users and the UAV
+    span w = radius*(max(c, 0) - min(c, 0)) metres.  A window over a
+    span of w holds fewer than (w - s)/p + 4 cells of the axis; half the
+    street width s covers rounding in the users' positions, so it holds
+    at most ceil((w - s/2)/p) + 3 cells, and no more than the grid.
+    """
+    p, s = layout.period, layout.s
+    cells = 1
+    for c, n in zip(directions, _grid_shape(layout)):
+        span = radius * (max(float(np.max(c)), 0.0) - min(float(np.min(c)), 0.0))
+        cells *= min(math.ceil((span - s / 2.0) / p) + 3, n)
+    return cells
+
+
+def _tallest_reachable(cities: Cities, run, tx_x, tx_y, rx_x, rx_y) -> np.ndarray:
+    """Per city, a roof at least as tall as any its links' tracks meet:
+    the tallest roof of its window (:func:`_windows`).
+
+    The windows are looked up as one (cities, Kx, Ky) broadcast over the
+    widest window on each axis, each city's indices clipped to its own
+    window, which repeats cells but changes no maximum.  Cities without
+    links, or whose window holds no cell of the grid, get 0 and read no
+    roof.
+    """
+    owner, (first_x, last_x), (first_y, last_y) = _windows(
+        cities.layout, run, tx_x, tx_y, rx_x, rx_y
+    )
+    top = np.zeros(cities.keys.size)
+    filled = (last_x >= first_x) & (last_y >= first_y)
+    if not filled.any():
+        return top
+    owner = owner[filled]
+    ix, iy = (
+        np.minimum(first[filled, None] + np.arange(np.max((last - first)[filled]) + 1),
+                   last[filled, None])
+        for first, last in ((first_x, last_x), (first_y, last_y))
+    )
+    roof = cities.roofs(owner[:, None, None], ix[:, :, None], iy[:, None, :])
+    top[owner] = roof.max(axis=(1, 2))
     return top
 
 
+#: Ground-track length, in grid periods, of the links one ground-track
+#: kernel call of :func:`first_blockers` decides: each link counts as the
+#: part of its track up to its cut plus one (a zero-length track still
+#: costs a row of every array).  A call costs a fixed overhead of numpy
+#: calls plus time and memory in proportion to the boxes it lists, about
+#: one per period of cut track, so this budget keeps both flat however
+#: long the rings are and however many of their positions were dropped.
+CALL_PERIODS = 12288
+
+
 def first_blockers(cities: Cities, uavs: UavPositions, run, rx_x, rx_y, h_rx: float):
-    """Decide the links of several cities in one ground-track kernel call.
+    """Decide the links of several cities in ground-track kernel calls.
 
     Link n runs from the receiver at (rx_x[n], rx_y[n], h_rx) to the
     transmitter of city run[n], at (x[run[n]], y[run[n]], z[run[n]])
@@ -333,7 +383,16 @@ def first_blockers(cities: Cities, uavs: UavPositions, run, rx_x, rx_y, h_rx: fl
     only where the ray height there, computed as in the roof test,
     exceeds that roof.  The ray height only grows with t, so no box
     entered beyond the cut can block, and the cut changes no outcome.
-    Where tx.z <= h_rx the track is not cut.
+    Where tx.z <= h_rx the track is not cut, and neither is any track
+    when every track has zero length: each then lists only the boxes
+    that hold its point, at t = 0, and the cut would drop only boxes
+    whose roofs stay below h_rx.
+
+    The cuts are taken once for all links, which are then decided in
+    consecutive slices of CALL_PERIODS grid periods of cut track (at
+    least one link each, across city boundaries).  Each link's entries
+    do not depend on the other links of its call, so neither does the
+    result.
 
     Returns arrays (link, ix, iy, t) for the blocked links only, one
     entry each: the blocking cell nearest the transmitter and the
@@ -346,23 +405,38 @@ def first_blockers(cities: Cities, uavs: UavPositions, run, rx_x, rx_y, h_rx: fl
     if run.size == 0:
         empty = np.zeros(0, dtype=np.int64)
         return empty, empty, empty, np.zeros(0)
-    top = _tallest_reachable(cities, run, tx_x, tx_y, rx_x, rx_y)
+    layout = cities.layout
     rise = tx_z - h_rx
-    cut = (top - h_rx) / np.where(rise > 0.0, rise, 1.0) + _CUT_SLACK
-    cut = np.where((rise > 0.0) & (h_rx + cut * rise > top), np.minimum(cut, 1.0), 1.0)
-    link, ix, iy, t = track_entries(
-        cities.layout, rx_x, rx_y, tx_x[run], tx_y[run], cut[run]
-    )
-    nx, ny = _grid_shape(cities.layout)
-    built = (ix >= 1) & (ix <= nx) & (iy >= 1) & (iy <= ny)
-    link, ix, iy, t = link[built], ix[built], iy[built], t[built]
-    city_of = run[link]
-    blocked = cities.roofs(city_of, ix, iy) >= h_rx + t * rise[city_of]
-    link, ix, iy, t = link[blocked], ix[blocked], iy[blocked], t[blocked]
-    # Entries come nearest the transmitter first within each link.
-    first = np.ones(link.size, dtype=bool)
-    first[1:] = link[1:] != link[:-1]
-    return link[first], ix[first], iy[first], t[first]
+    length = np.hypot(tx_x[run] - rx_x, tx_y[run] - rx_y)
+    cut = np.ones(tx_z.size)
+    if length.any():
+        top = _tallest_reachable(cities, run, tx_x, tx_y, rx_x, rx_y)
+        cut = (top - h_rx) / np.where(rise > 0.0, rise, 1.0) + _CUT_SLACK
+        cut = np.where((rise > 0.0) & (h_rx + cut * rise > top), np.minimum(cut, 1.0), 1.0)
+    spent = np.cumsum(cut[run] * length / layout.period + 1.0)
+    nx, ny = _grid_shape(layout)
+    found = []
+    start = 0
+    while start < run.size:
+        before = spent[start - 1] if start else 0.0
+        stop = max(int(np.searchsorted(spent, before + CALL_PERIODS, side="right")), start + 1)
+        part = slice(start, stop)
+        owner = run[part]
+        link, ix, iy, t = track_entries(
+            layout, rx_x[part], rx_y[part], tx_x[owner], tx_y[owner], cut[owner]
+        )
+        link += start
+        built = (ix >= 1) & (ix <= nx) & (iy >= 1) & (iy <= ny)
+        link, ix, iy, t = link[built], ix[built], iy[built], t[built]
+        city_of = run[link]
+        blocked = cities.roofs(city_of, ix, iy) >= h_rx + t * rise[city_of]
+        link, ix, iy, t = link[blocked], ix[blocked], iy[blocked], t[blocked]
+        # Entries come nearest the transmitter first within each link.
+        first = np.ones(link.size, dtype=bool)
+        first[1:] = link[1:] != link[:-1]
+        found.append((link[first], ix[first], iy[first], t[first]))
+        start = stop
+    return tuple(np.concatenate(parts) for parts in zip(*found))
 
 
 def check_los_edges(city: City, link: LinkGeometry) -> LoSOutcome:

@@ -393,41 +393,117 @@ def test_compare_engines_is_reproducible():
     assert [(r.sim3d, r.geom) for r in a] == [(r.sim3d, r.geom) for r in b]
 
 
-def pass_sizes(monkeypatch):
-    """Record the number of cities of every sim3d pass."""
-    sizes = []
+def sim3d_work(monkeypatch):
+    """Record, for every sim3d block, its number of cities, for every
+    sim3d kernel call, its tracks and entries, and for every tallest-roof
+    window lookup, the roofs it looks up."""
+    blocks, calls, lookups = [], [], []
+    looking = []
 
-    def counted(cities, policy):
-        sizes.append(cities.keys.size)
+    def counted_block(cities, policy):
+        blocks.append(cities.keys.size)
         return place_uav(cities, policy)
 
-    monkeypatch.setattr(harness, "place_uav", counted)
-    return sizes
+    track_entries = sim3d.track_entries
+
+    def counted_call(layout, x_rx, *rest):
+        out = track_entries(layout, x_rx, *rest)
+        calls.append((np.size(x_rx), out[0].size))
+        return out
+
+    tallest = sim3d._tallest_reachable
+
+    def windowed(*args):
+        looking.append(True)
+        try:
+            return tallest(*args)
+        finally:
+            looking.pop()
+
+    roofs = sim3d.Cities.roofs
+
+    def counted_roofs(self, run, ix, iy):
+        if looking:
+            lookups.append(np.broadcast(run, ix, iy).size)
+        return roofs(self, run, ix, iy)
+
+    monkeypatch.setattr(harness, "place_uav", counted_block)
+    monkeypatch.setattr(sim3d, "track_entries", counted_call)
+    monkeypatch.setattr(sim3d, "_tallest_reachable", windowed)
+    monkeypatch.setattr(sim3d.Cities, "roofs", counted_roofs)
+    return blocks, calls, lookups
 
 
 @pytest.mark.parametrize(
-    "theta,phi,mid,passes",
-    [(30.0, None, 2000, [5, 5, 2]), (45.0, 30.0, 10, [3, 3, 3, 3]), (90.0, None, 5, [5, 5, 2])],
-    ids=["circle", "fixed-phi", "theta-90"],
+    "theta,phi,extent,mid_block,blocks,mid_call",
+    [
+        (30.0, None, 1000.0, 1000, [4, 4, 4], 100),
+        (45.0, 30.0, 1000.0, 105, [5, 5, 2], 4),
+        (90.0, None, 1000.0, 30, [3, 3, 3, 3], 5),
+        (3.0, None, 3000.0, 22895, [5, 5, 2], 100),
+    ],
+    ids=["circle", "fixed-phi", "theta-90", "theta-3"],
 )
-def test_sim3d_passes_do_not_change_the_estimate(theta, phi, mid, passes, monkeypatch):
-    # 12 cities of 90 circle users (or one user) fit one pass by default.
-    # A budget of one period gives every city a pass of its own; the mid
-    # budget fits 415 ring positions of 3.8 periods at theta 30, 3 of 2.2
-    # periods at theta 45 and 5 of none at theta 90.
+def test_sim3d_blocks_and_calls_do_not_change_the_estimate(
+    theta, phi, extent, mid_block, blocks, mid_call, monkeypatch
+):
+    # 12 cities of 90 circle users (or one user) fit one block by default
+    # but for the theta 3 rings, whose windows span the whole 67 x 67 grid
+    # of the 3 km extent: 7 cities of 4 579 elements, then 5.  A block
+    # bound of 1 gives every city a block of its own; the mid bound fits
+    # 4 cities of 211 elements at theta 30, 5 of 21 at fixed phi, 3 of 10
+    # at theta 90 and 5 at theta 3.  A call budget of 1 decides every
+    # link in a call of its own; the mid budget takes several links.
     spec = SweepSpec(
-        engine="sim3d", params=URBAN, axes=(SweepAxis("theta", (theta,)),),
-        n_runs=12, n_users=90, seed=3,
+        engine="sim3d", params=URBAN, extent=(extent, extent),
+        axes=(SweepAxis("theta", (theta,)),), n_runs=12, n_users=90, seed=3,
     )
-    sizes = pass_sizes(monkeypatch)
+    sizes, calls, _ = sim3d_work(monkeypatch)
     pooled = harness._estimate_sim3d(spec, URBAN, theta, phi, 100.0, 77)
-    assert sizes == [12]
-    for budget, expected in ((1, [1] * 12), (mid, passes)):
-        monkeypatch.setattr(harness, "PASS_PERIODS", budget)
+    assert sizes == ([7, 5] if theta == 3.0 else [12])
+    links = sum(tracks for tracks, _ in calls)
+    assert links == pooled.n
+    for block, expected in ((1, [1] * 12), (mid_block, blocks)):
+        monkeypatch.setattr(harness, "BLOCK_ELEMENTS", block)
         sizes.clear()
         assert harness._estimate_sim3d(spec, URBAN, theta, phi, 100.0, 77) == pooled
         assert sizes == expected
+    monkeypatch.undo()
+    sizes, calls, _ = sim3d_work(monkeypatch)
+    for budget in (1, mid_call):
+        monkeypatch.setattr(sim3d, "CALL_PERIODS", budget)
+        calls.clear()
+        assert harness._estimate_sim3d(spec, URBAN, theta, phi, 100.0, 77) == pooled
+        tracks = [n for n, _ in calls]
+        assert sum(tracks) == links
+        if budget == 1:
+            assert set(tracks) == {1}
+        else:
+            assert 1 < max(tracks) < links
     assert 0 < pooled.k < pooled.n or theta == 90.0
+
+
+@pytest.mark.parametrize("budget", [None, 1024], ids=["default", "small"])
+def test_sim3d_working_set_follows_the_block_and_call_budgets(budget, monkeypatch):
+    # A cut track of L periods meets at most about sqrt(2)*L + 3 boxes and
+    # counts L + 1 periods of its call's budget, so no call lists more
+    # than about 3 entries per period; a block bounds its cities' window
+    # cells, so no tallest-roof lookup exceeds the block bound.  Unbounded,
+    # the 3 000 one-user cities at theta 10 and a fixed azimuth look up
+    # 200 000 window cells at once, and with one call per block a theta 10
+    # call lists 28 000 entries.
+    _, calls, lookups = sim3d_work(monkeypatch)
+    if budget is not None:
+        monkeypatch.setattr(sim3d, "CALL_PERIODS", budget)
+    points = [(theta, None, 60) for theta in (2.0, 3.0, 5.0, 10.0, 30.0, 60.0, 90.0)]
+    points += [(theta, 30.0, 3000) for theta in (2.0, 10.0, 45.0)] + [(90.0, None, 3000)]
+    for theta, phi, n_runs in points:
+        spec = SweepSpec(engine="sim3d", params=URBAN, axes=(SweepAxis("theta", (theta,)),),
+                         n_runs=n_runs, seed=3)
+        assert harness._estimate_sim3d(spec, URBAN, theta, phi, 100.0, 77).n > 0
+    assert max(lookups) <= harness.BLOCK_ELEMENTS
+    assert max(entries for _, entries in calls) <= 4 * sim3d.CALL_PERIODS
+    assert len(calls) > len(points) and len(lookups) > len(points)
 
 
 @pytest.mark.parametrize("axes", [

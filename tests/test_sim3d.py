@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from uavlos import sim3d
@@ -17,7 +17,9 @@ from uavlos.citygeom import (
     classify_point,
     derive_layout,
     roof_heights,
+    run_keys,
     track_entries,
+    track_length,
 )
 from uavlos.errors import (
     DegenerateCircle,
@@ -483,6 +485,138 @@ def test_one_pass_over_several_cities_matches_single_links():
     assert 0 < link.size < len(singles)
     for i, bx, by in zip(link.tolist(), ix.tolist(), iy.tolist()):
         assert (singles[i].blocker.ix, singles[i].blocker.iy) == (bx, by)
+
+
+@pytest.mark.parametrize("budget", [1, 7, 150])
+def test_first_blockers_does_not_depend_on_its_call_budget(budget, monkeypatch):
+    # Urban rings of 60 users at theta 20 around the UAVs of six implicit
+    # cities: a budget of one period decides each link in a call of its
+    # own, and 7 and 150 periods cut the calls across city boundaries, so
+    # a wrong link offset in any slice moves an entry.
+    params = ENVIRONMENTS["urban"]
+    layout = derive_layout(params, 1500.0, 1500.0)
+    cities = Cities(params, layout, run_keys(9, 6))
+    uavs = place_uav(cities, RandomOverCity(60.0))
+    run, x, y = place_users(layout, uavs, 20.0, user_directions(20.0, 60), 1.5)
+    whole = first_blockers(cities, uavs, run, x, y, 1.5)
+    assert 10 < whole[0].size < run.size - 10
+    tracks = []
+    track_entries = sim3d.track_entries
+
+    def counted(layout, x_rx, *rest):
+        tracks.append(np.size(x_rx))
+        return track_entries(layout, x_rx, *rest)
+
+    monkeypatch.setattr(sim3d, "track_entries", counted)
+    monkeypatch.setattr(sim3d, "CALL_PERIODS", budget)
+    sliced = first_blockers(cities, uavs, run, x, y, 1.5)
+    assert sum(tracks) == run.size and len(tracks) > 1
+    assert max(tracks) == 1 if budget == 1 else max(tracks) > 1
+    for a, b in zip(whole, sliced):
+        assert a.dtype == b.dtype
+        assert np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("env", ["urban", "high-rise", "suburban"])
+def test_window_cells_bounds_the_window_of_every_ring(env):
+    # A block is sized by window_cells, so no city's tallest-roof window
+    # may hold more cells than it says: UAVs anywhere and on band edges,
+    # rings and one-user points from theta 2 to 90.
+    layout = derive_layout(ENVIRONMENTS[env], 3000.0, 3000.0)
+    p, s = layout.period, layout.s
+    rng = np.random.default_rng(6)
+    band = rng.integers(0, int(3000.0 // p), 300) * p
+    ux = np.concatenate([rng.uniform(0.0, 3000.0, 300), band, band + s])
+    uy = np.concatenate([rng.uniform(0.0, 3000.0, 300), band + s, band])
+    uavs = (ux, uy, np.full(ux.size, 100.0))
+    for theta in np.linspace(2.0, 90.0, 45):
+        for phi in (None, 30.0, 90.0):
+            directions = user_directions(theta, 360, phi)
+            run, x, y = place_users(layout, uavs, theta, directions)
+            owner, (first_x, last_x), (first_y, last_y) = sim3d._windows(
+                layout, run, ux, uy, x, y
+            )
+            cells_x = np.max(last_x - first_x + 1, initial=0)
+            cells_y = np.max(last_y - first_y + 1, initial=0)
+            radius = track_length(theta, 100.0, 1.5)
+            assert cells_x * cells_y <= sim3d.window_cells(layout, radius, directions)
+
+
+_URBAN_EXTENT = 60.5 * derive_layout(ENVIRONMENTS["urban"]).period
+_URBAN_LAYOUT = derive_layout(ENVIRONMENTS["urban"], _URBAN_EXTENT, _URBAN_EXTENT)
+#: Coordinates of the urban grid (a 44.7 m period that no float holds
+#: exactly) on band edges from one period before the origin to two past
+#: the 60-cell grid of a 60.5-period extent, computed as the kernel computes
+#: them, or one ulp either side (but for the subnormal neighbours of 0);
+#: in the fringe beyond the grid; or anywhere in between.
+_EDGES = [
+    edge
+    for k in range(-1, 63)
+    for edge in (k * _URBAN_LAYOUT.period, k * _URBAN_LAYOUT.period + _URBAN_LAYOUT.s)
+]
+_NEAR_EDGES = [float(np.nextafter(e, d)) for e in _EDGES if e for d in (-np.inf, np.inf)]
+_COORDINATE = st.one_of(
+    st.floats(-50.0, 2800.0, allow_subnormal=False),
+    st.sampled_from(_EDGES),
+    st.sampled_from(_NEAR_EDGES),
+    st.floats(60.0 * _URBAN_LAYOUT.period, _URBAN_EXTENT),
+)
+#: Coordinates whose window holds no cell: before the first box or a
+#: period past the last.
+_BEYOND = st.one_of(
+    st.floats(-50.0, -25.0), st.floats(61.0 * _URBAN_LAYOUT.period, 62.5 * _URBAN_LAYOUT.period)
+)
+
+
+def _ring(coordinate):
+    point = st.tuples(coordinate, coordinate)
+    return st.tuples(point, st.lists(point, min_size=1, max_size=4))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(rings=st.lists(st.one_of(_ring(_COORDINATE), _ring(_BEYOND)), min_size=1, max_size=4))
+# Tracks ending on the near face of box 30 and starting on the far face
+# of box 29, where (29*p + s - s)/p and 29*p/p round below 29.
+@example(rings=[((10.0, 10.0), [(_EDGES[61], _EDGES[61])])])
+@example(rings=[((_EDGES[60], _EDGES[60]), [(2000.0, 2000.0)])])
+def test_uncut_tracks_meet_only_boxes_of_their_city_window(rings):
+    # The cut and the broadcast window lookup both rest on this: every box
+    # of the grid that a city's uncut track meets lies in the city's
+    # window on both axes.  A city whose window holds no cell keeps top 0
+    # and reads no roof.
+    city = generate_city(ENVIRONMENTS["urban"], _URBAN_EXTENT, _URBAN_EXTENT, 5)
+    layout = city.layout
+    assert city.heights.shape == (60, 60)
+    run = np.array([c for c, (_, rxs) in enumerate(rings) for _ in rxs])
+    tx_x, tx_y = (np.array(v) for v in zip(*[tx for tx, _ in rings]))
+    rx_x, rx_y = (np.array(v) for v in zip(*[rx for _, rxs in rings for rx in rxs]))
+    owner, (first_x, last_x), (first_y, last_y) = sim3d._windows(
+        layout, run, tx_x, tx_y, rx_x, rx_y
+    )
+    assert owner.tolist() == list(range(len(rings)))
+    link, ix, iy, _ = track_entries(layout, rx_x, rx_y, tx_x[run], tx_y[run])
+    grid = (ix >= 1) & (ix <= 60) & (iy >= 1) & (iy <= 60)
+    c = run[link[grid]]
+    assert ((first_x[c] <= ix[grid]) & (ix[grid] <= last_x[c])).all()
+    assert ((first_y[c] <= iy[grid]) & (iy[grid] <= last_y[c])).all()
+
+    cities = Cities.of([city] * len(rings))
+    read = []
+    roofs = Cities.roofs
+
+    def recorded(self, run, ix, iy):
+        read.extend(np.broadcast_to(run, np.broadcast(run, ix, iy).shape).ravel().tolist())
+        return roofs(self, run, ix, iy)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(Cities, "roofs", recorded)
+        top = sim3d._tallest_reachable(cities, run, tx_x, tx_y, rx_x, rx_y)
+    for n in range(len(rings)):
+        if first_x[n] > last_x[n] or first_y[n] > last_y[n]:
+            assert top[n] == 0.0 and n not in read
+        else:
+            window = city.heights[first_x[n] - 1:last_x[n], first_y[n] - 1:last_y[n]]
+            assert top[n] == window.max()
 
 
 def test_outcome_survives_transposition():
