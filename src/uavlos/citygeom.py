@@ -54,6 +54,8 @@ __all__ = [
     "track_entries",
     "track_length",
     "tracks_per_call",
+    "CALL_PERIODS",
+    "RunKeys",
     "run_keys",
     "stream_bits",
     "bits_to_uniforms",
@@ -236,33 +238,86 @@ _BAND_SLACK = 1e-9
 
 def _band_visits(c0, dc, t_lo, t_hi, p: float, s: float):
     """Closed bands [i*p + s, (i+1)*p] of one axis visited by c0 + t*dc
-    for t in [t_lo, t_hi], one row per (window, band).
+    for t in [t_lo, t_hi], one row per (window, band).  t_lo and t_hi
+    are arrays like c0 or scalars.
 
     Returns (row, i, lo, hi): the input row, the 0-based band and the
     sub-window of t spent inside that band.  Rows keep the input order,
     and the bands of one window come latest-visited first.
+
+    The arithmetic runs in place on as few per-band arrays as it can,
+    since their count bounds the working set of a kernel call.
     """
     ca = c0 + dc * t_lo
-    cb = c0 + dc * t_hi
-    first = np.ceil(np.minimum(ca, cb) / p - 1.0 - _BAND_SLACK).astype(np.int64)
-    last = np.floor((np.maximum(ca, cb) - s) / p + _BAND_SLACK).astype(np.int64)
-    count = np.maximum(last - first + 1, 0)
+    hi = c0 + dc * t_hi
+    lo = np.minimum(ca, hi)
+    np.maximum(ca, hi, out=hi)
+    del ca
+    lo /= p
+    lo -= 1.0
+    lo -= _BAND_SLACK
+    first = np.ceil(lo, out=lo).astype(np.int64)
+    hi -= s
+    hi /= p
+    hi += _BAND_SLACK
+    last = np.floor(hi, out=hi).astype(np.int64)
+    del lo, hi
+    count = last - first + 1
+    np.maximum(count, 0, out=count)
     row = np.repeat(np.arange(count.size), count)
-    k = np.arange(row.size) - np.repeat(np.cumsum(count) - count, count)
-    c, d = c0[row], dc[row]
-    i = np.where(d > 0.0, last[row] - k, first[row] + k)
-    near = i * p + s
-    far = (i + 1) * p
-    moving = d != 0.0
-    step = np.where(moving, d, 1.0)
-    ta = (near - c) / step
-    tb = (far - c) / step
-    lo = np.maximum(np.where(moving, np.minimum(ta, tb), -np.inf), t_lo[row])
-    hi = np.minimum(np.where(moving, np.maximum(ta, tb), np.inf), t_hi[row])
-    # A coordinate that does not move is inside its band for the whole
-    # window or not at all.
-    keep = (lo <= hi) & (moving | ((near <= c) & (c <= far)))
-    return row[keep], i[keep], lo[keep], hi[keep]
+    # The k-th band a window visits is last - k where the coordinate
+    # grows and first + k elsewhere, which is sign*r + offset for the
+    # visit's row r.
+    growing = dc > 0.0
+    sign = np.where(growing, -1, 1)
+    offset = np.cumsum(count)
+    offset -= count
+    offset *= sign
+    np.subtract(np.where(growing, last, first), offset, out=offset)
+    i = np.arange(row.size)
+    i *= sign.take(row)
+    i += offset.take(row)
+    del sign, offset
+    # The fractions of the track where it crosses the band's edges,
+    # (i*p + s - c)/d and ((i + 1)*p - c)/d.
+    tb = i.astype(np.float64)
+    ta = tb * p
+    ta += s
+    tb += 1.0
+    tb *= p
+    c, d = c0.take(row), dc.take(row)
+    still = None
+    if not dc.all():
+        # A coordinate that does not move is inside its band for the
+        # whole window or not at all.
+        still = d == 0.0
+        inside = (ta <= c) & (c <= tb)
+        inside |= ~still
+        np.copyto(d, 1.0, where=still)
+    ta -= c
+    tb -= c
+    del c
+    # A coordinate that moves by a tiny amount, such as a subnormal one,
+    # can put a fraction beyond the float range: it overflows to the
+    # infinity of its sign, its exact limit, which the clamp to the
+    # window below handles.
+    with np.errstate(over="ignore"):
+        ta /= d
+        tb /= d
+    del d
+    lo = np.minimum(ta, tb)
+    hi = np.maximum(ta, tb, out=ta)
+    del tb
+    if still is not None:
+        np.copyto(lo, -np.inf, where=still)
+        np.copyto(hi, np.inf, where=still)
+    np.maximum(lo, t_lo if np.ndim(t_lo) == 0 else t_lo.take(row), out=lo)
+    np.minimum(hi, t_hi if np.ndim(t_hi) == 0 else t_hi.take(row), out=hi)
+    keep = lo <= hi
+    if still is not None:
+        keep &= inside
+    keep = np.flatnonzero(keep)
+    return row.take(keep), i.take(keep), lo.take(keep), hi.take(keep)
 
 
 def track_entries(layout: CityLayout, x_rx, y_rx, x_tx, y_tx, t_max=1.0):
@@ -290,19 +345,24 @@ def track_entries(layout: CityLayout, x_rx, y_rx, x_tx, y_tx, t_max=1.0):
     descending).
     """
     p, s = layout.period, layout.s
-    x0, y0, x1, y1, t1 = np.broadcast_arrays(
-        *(np.atleast_1d(np.asarray(v, dtype=float))
-          for v in (x_rx, y_rx, x_tx, y_tx, t_max))
+    x0, y0, x1, y1 = np.broadcast_arrays(
+        *(np.atleast_1d(np.asarray(v, dtype=float)) for v in (x_rx, y_rx, x_tx, y_tx))
     )
+    t1 = np.asarray(t_max, dtype=float)
+    if t1.ndim:
+        t1 = np.broadcast_to(t1, x0.shape)
     dx, dy = x1 - x0, y1 - y0
     # Column bands over the whole track, then the row bands crossed while
     # the track stays inside each column band.  Column windows are
     # disjoint and ordered along the track, so listing both the columns
     # and the rows within a column latest-visited first orders each
     # track's entries by t descending.
-    link, i, lo, hi = _band_visits(x0, dx, np.zeros(x0.size), t1, p, s)
-    row, j, t, _ = _band_visits(y0[link], dy[link], lo, hi, p, s)
-    return link[row], i[row] + 1, j + 1, t
+    link, i, lo, hi = _band_visits(x0, dx, 0.0, t1, p, s)
+    row, j, t, _ = _band_visits(y0.take(link), dy.take(link), lo, hi, p, s)
+    i = i.take(row)
+    i += 1
+    j += 1
+    return link.take(row), i, j, t
 
 
 def track_length(theta_deg: float, h_uav, h_rx):
@@ -312,6 +372,16 @@ def track_length(theta_deg: float, h_uav, h_rx):
     if theta_deg == 90.0:
         return 0.0
     return (h_uav - h_rx) / math.tan(math.radians(theta_deg))
+
+
+#: Ground-track length, in grid periods, of the links that one
+#: :func:`track_entries` call of either engine takes, each link counting
+#: as its track in grid periods plus one (:func:`tracks_per_call`).  A
+#: call costs a fixed overhead of numpy calls whatever its size, plus time
+#: and memory in proportion to the boxes it lists, at most about three
+#: per period of budget, so this one budget keeps both the overhead share
+#: and the working set of a call flat at every track length.
+CALL_PERIODS = 12288
 
 
 def tracks_per_call(budget_periods: float, track_m: float, period: float) -> int:
@@ -347,27 +417,58 @@ _INIT_B = 0x8B51F9DD
 _MULT_B = 0x58F38DED
 
 
+class RunKeys:
+    """The n run keys of each of several seeds (:func:`run_keys`),
+    derived a few slices at a time.
+
+    Each seed's entropy pool and the hash constants of n keys are
+    computed once, here; :meth:`slices` derives the keys of any slices
+    of the seeds in one array expression.  A caller that spreads a
+    seed's keys over several kernel calls, or fills one call from
+    several seeds, so derives each key once, when a call needs it.
+    """
+
+    def __init__(self, seeds, n: int):
+        pools = [np.random.SeedSequence(seed).pool for seed in seeds]
+        self.pools = np.array(pools, dtype=np.uint32).reshape(len(pools), -1)
+        hashes = np.full(2 * n + 1, _MULT_B, dtype=np.uint32)
+        hashes[0] = _INIT_B
+        self.hashes = np.multiply.accumulate(hashes, out=hashes)
+
+    def slices(self, seed, start, stop) -> np.ndarray:
+        """For each slice m in turn, ``run_keys(seeds[seed[m]], n)`` from
+        start[m] up to stop[m], concatenated; 0 <= start <= stop <= n.
+
+        numpy's generate_state fills each 32-bit word in a Python loop,
+        about 0.3 us per key; this computes the same words with array
+        operations.  Word w of a seed's keys is word w mod 4 of its
+        entropy pool (four words by default), xored with the hash
+        constant h_w = INIT_B*MULT_B^w, multiplied by h_(w+1) and xored
+        with itself shifted right by 16, all mod 2^32; key j joins words
+        2j and 2j + 1 little-endian, as numpy does.
+        """
+        seed, start, stop = (np.asarray(v, dtype=np.int64) for v in (seed, start, stop))
+        words = 2 * (stop - start)
+        # w runs over 2*start to 2*stop - 1 of each slice in turn.
+        shift = np.cumsum(words)
+        shift -= words
+        np.subtract(2 * start, shift, out=shift)
+        w = np.arange(words.sum())
+        w += np.repeat(shift, words)
+        size = self.pools.shape[1]
+        state = self.pools.take(np.repeat(seed * size, words) + w % size)
+        state ^= self.hashes.take(w)
+        w += 1
+        state *= self.hashes.take(w)
+        state ^= state >> 16
+        return state.astype("<u4", copy=False).view("<u8").astype(np.uint64, copy=False)
+
+
 def run_keys(seed: int, n: int) -> np.ndarray:
     """The n uint64 run keys of a seed:
-    ``SeedSequence(seed).generate_state(n, np.uint64)``, bit for bit.
-
-    numpy fills each 32-bit word in a Python loop, about 0.3 us per key;
-    this computes the same words with array operations.  Word i is word
-    i mod 4 of the seed's entropy pool (four words by default), xored
-    with the hash constant h_i = INIT_B*MULT_B^i, multiplied by h_(i+1)
-    and xored with itself shifted right by 16, all mod 2^32; key j joins
-    words 2j and 2j + 1 little-endian, as numpy does.
-    """
-    pool = np.random.SeedSequence(seed).pool
-    words = 2 * n
-    hashes = np.full(words + 1, _MULT_B, dtype=np.uint32)
-    hashes[0] = _INIT_B
-    np.multiply.accumulate(hashes, out=hashes)
-    state = np.tile(pool, -(-words // pool.size))[:words]
-    state ^= hashes[:-1]
-    state *= hashes[1:]
-    state ^= state >> 16
-    return state.astype("<u4", copy=False).view("<u8").astype(np.uint64, copy=False)
+    ``SeedSequence(seed).generate_state(n, np.uint64)``, bit for bit
+    (see :meth:`RunKeys.slices`)."""
+    return RunKeys([seed], n).slices([0], [0], [n])
 
 
 #: splitmix64 (Steele, Lea and Flood, "Fast splittable pseudorandom number

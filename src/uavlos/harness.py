@@ -11,16 +11,19 @@ Generator or a height grid.  A point's cities are placed and decided a
 block at a time, the block bounded by its ring positions and the cells
 of its cities' tallest-roof windows, and each block's links go to the
 ground-track kernel in calls of a fixed length of cut track
-(:func:`uavlos.sim3d.first_blockers`).  The geometry engine runs one
-link per run, with an area-weighted street/crossroad mix when no single zone is
-requested, under the same protocol: each link is one uint64 key, from
-which its placement and the roofs its track meets are hashed.  Both
+(:func:`uavlos.sim3d.first_blockers`), the budget the geometry
+engine's calls take too (:data:`uavlos.citygeom.CALL_PERIODS`).  The
+geometry engine runs one link per run, with an area-weighted
+street/crossroad mix when no single zone is requested, under the same
+protocol: each link is one uint64 key, from which its placement and
+the roofs its track meets are hashed.  Both
 engines take a point's keys from :func:`uavlos.citygeom.run_keys` of
 its seed, numpy's ``SeedSequence(seed).generate_state`` computed with
 array operations.
 The geometry engine decides consecutive points with the same params
 together (:func:`uavlos.simgeom.estimate_points`), so a 170-point
-heatmap shares 25 kernel calls instead of making one per point.
+heatmap shares 13 kernel calls instead of making one per point, and
+derives the keys of each call's links at once.
 A geometry-engine spec checks every grid point's ground-track length
 when it is created, so a point the engine would refuse is an illegal
 spec; a 3D-engine spec likewise refuses a point whose user ring is
@@ -299,7 +302,7 @@ def _child_seed(rng: np.random.Generator) -> int:
 #: of its window's roof lookup.  A block pays UAV placement, user
 #: placement and the window lookup once for all its cities, and
 #: sim3d.first_blockers splits its links into kernel calls of
-#: sim3d.CALL_PERIODS periods of cut track, so the block size trades
+#: citygeom.CALL_PERIODS periods of cut track, so the block size trades
 #: that fixed cost against the working set and not against call size.
 BLOCK_ELEMENTS = 32768
 

@@ -26,6 +26,7 @@ from typing import Sequence
 
 import numpy as np
 
+from . import citygeom
 from .citygeom import (
     Building,
     BuiltUpParams,
@@ -355,16 +356,6 @@ def _tallest_reachable(cities: Cities, run, tx_x, tx_y, rx_x, rx_y) -> np.ndarra
     return top
 
 
-#: Ground-track length, in grid periods, of the links one ground-track
-#: kernel call of :func:`first_blockers` decides: each link counts as the
-#: part of its track up to its cut plus one (a zero-length track still
-#: costs a row of every array).  A call costs a fixed overhead of numpy
-#: calls plus time and memory in proportion to the boxes it lists, about
-#: one per period of cut track, so this budget keeps both flat however
-#: long the rings are and however many of their positions were dropped.
-CALL_PERIODS = 12288
-
-
 def first_blockers(cities: Cities, uavs: UavPositions, run, rx_x, rx_y, h_rx: float):
     """Decide the links of several cities in ground-track kernel calls.
 
@@ -389,10 +380,13 @@ def first_blockers(cities: Cities, uavs: UavPositions, run, rx_x, rx_y, h_rx: fl
     whose roofs stay below h_rx.
 
     The cuts are taken once for all links, which are then decided in
-    consecutive slices of CALL_PERIODS grid periods of cut track (at
-    least one link each, across city boundaries).  Each link's entries
-    do not depend on the other links of its call, so neither does the
-    result.
+    consecutive slices of citygeom.CALL_PERIODS grid periods of cut
+    track, the geometry engine's call budget too: each link counts as
+    the part of its track up to its cut plus one, so the calls stay
+    full however long the rings are and however many of their positions
+    were dropped (at least one link each, across city boundaries).  Each
+    link's entries do not depend on the other links of its call, so
+    neither does the result.
 
     Returns arrays (link, ix, iy, t) for the blocked links only, one
     entry each: the blocking cell nearest the transmitter and the
@@ -415,11 +409,12 @@ def first_blockers(cities: Cities, uavs: UavPositions, run, rx_x, rx_y, h_rx: fl
         cut = np.where((rise > 0.0) & (h_rx + cut * rise > top), np.minimum(cut, 1.0), 1.0)
     spent = np.cumsum(cut[run] * length / layout.period + 1.0)
     nx, ny = _grid_shape(layout)
+    budget = citygeom.CALL_PERIODS
     found = []
     start = 0
     while start < run.size:
         before = spent[start - 1] if start else 0.0
-        stop = max(int(np.searchsorted(spent, before + CALL_PERIODS, side="right")), start + 1)
+        stop = max(int(np.searchsorted(spent, before + budget, side="right")), start + 1)
         part = slice(start, stop)
         owner = run[part]
         link, ix, iy, t = track_entries(

@@ -22,15 +22,17 @@ same stream, evaluated only under the UAV and at the track's entries
 
 :func:`estimate_points` decides the links of several points (scenarios
 that share params, user zone and h_rx) together, in chunks of
-:data:`CHUNK_PERIODS` grid periods of ground track per kernel call:
-each link counts as its point's longest track plus one
+:data:`uavlos.citygeom.CALL_PERIODS` grid periods of ground track per
+kernel call, the budget the 3D engine's calls take too: each link
+counts as its point's longest track plus one
 (:func:`uavlos.citygeom.tracks_per_call`), and a chunk fills across
 point boundaries, so a 170-point heatmap of 200 short links per point
-takes 25 kernel calls, not 170, while a chunk of long tracks holds few
-links.  Theta, azimuth and altitude are per-link values of a chunk.
-Because a link's draws depend on its key alone, the chunking bounds
-memory and leaves every estimate unchanged; :func:`estimate_plos` is
-its one-point case.
+takes 13 kernel calls, not 170, while a chunk of long tracks holds few
+links.  A chunk derives the keys of all its links at once
+(:class:`uavlos.citygeom.RunKeys`).  Theta, azimuth and altitude are
+per-link values of a chunk.  Because a link's draws depend on its key
+alone, the chunking bounds memory and leaves every estimate unchanged;
+:func:`estimate_plos` is its one-point case.
 """
 
 from __future__ import annotations
@@ -43,13 +45,14 @@ from typing import Literal
 
 import numpy as np
 
+from . import citygeom
 from .citygeom import (
     BuiltUpParams,
     CityLayout,
+    RunKeys,
     bits_to_uniforms,
     derive_layout,
     roof_heights,
-    run_keys,
     stream_bits,
     stream_uniforms,
     track_entries,
@@ -62,7 +65,6 @@ from .stats import PLosEstimate
 __all__ = [
     "GeomScenario",
     "USER_ZONES",
-    "CHUNK_PERIODS",
     "check_track_length",
     "estimate_plos",
     "estimate_points",
@@ -72,19 +74,6 @@ UserZone = Literal["street", "crossroad", "mixed"]
 
 #: "mixed" draws street or crossroad per link with free-space area weights.
 USER_ZONES = ("street", "crossroad", "mixed")
-
-#: Ground-track length, in grid periods, that one chunk of
-#: :func:`estimate_points` takes, each link counting as its point's
-#: longest track plus one (:func:`uavlos.citygeom.tracks_per_call`): one
-#: set of array draws per placement round and one ground-track kernel
-#: call each.  A call costs about 0.2 ms of numpy overhead whatever its
-#: size, so a chunk of short tracks holds thousands of links (2 704 on
-#: urban at h_uav 100 m and theta 60, 6 144 at theta 90), from as many
-#: points as fit; the kernel lists at most about three entries per period
-#: of budget, so the budget also bounds a chunk's working set at every
-#: theta.
-CHUNK_PERIODS = 6144
-
 
 #: Longest ground track, in grid periods, that a scenario may ask for.
 #: Chunks are sized by track length, so this bound no longer limits
@@ -303,29 +292,27 @@ def _first_blockers(
     return np.bincount(point[nlos], minlength=len(scenarios))
 
 
-def _chunks(scenarios: Sequence[GeomScenario], n_runs: int, seeds: Sequence[int], period: float):
-    """Split the links of every point into kernel calls of CHUNK_PERIODS
-    grid periods of ground track, each link counting as its point's
-    longest track plus one; a chunk fills across point boundaries and
-    takes at least one link.
+def _chunks(scenarios: Sequence[GeomScenario], n_runs: int, period: float):
+    """Split the links of every point into kernel calls of
+    citygeom.CALL_PERIODS grid periods of ground track, each link
+    counting as its point's longest track plus one; a chunk fills across
+    point boundaries and takes at least one link.
 
-    Yields each chunk as a list of (point index, keys) segments of
-    consecutive points.  A point's keys are
-    :func:`uavlos.citygeom.run_keys` of its seed, derived when the first
-    chunk reaches it.
+    Yields each chunk as a list of (point index, start, stop) slices of
+    the points' links, of consecutive points.
     """
-    chunk, room = [], CHUNK_PERIODS
-    for q, (scenario, seed) in enumerate(zip(scenarios, seeds)):
-        keys = run_keys(seed, n_runs)
+    budget = citygeom.CALL_PERIODS
+    chunk, room = [], budget
+    for q, scenario in enumerate(scenarios):
         track = track_length(scenario.theta_deg, scenario.h_max, scenario.h_rx)
         cost = track / period + 1.0
         start = 0
         while start < n_runs:
             if chunk and room < cost:
                 yield chunk
-                chunk, room = [], CHUNK_PERIODS
+                chunk, room = [], budget
             take = min(n_runs - start, tracks_per_call(room, track, period))
-            chunk.append((q, keys[start:start + take]))
+            chunk.append((q, start, start + take))
             room -= take * cost
             start += take
     yield chunk
@@ -339,9 +326,10 @@ def estimate_points(
 
     The scenarios must share params, user zone and h_rx; theta, azimuth
     and altitude may differ.  Link i of point q is the uint64 key
-    ``run_keys(seeds[q], n_runs)[i]`` (:func:`uavlos.citygeom.run_keys`), drawn as
-    :func:`_draw_links` describes.  The links are decided in chunks of
-    CHUNK_PERIODS grid periods of ground track (see :func:`_chunks`),
+    ``run_keys(seeds[q], n_runs)[i]`` (:func:`uavlos.citygeom.run_keys`),
+    drawn as :func:`_draw_links` describes.  The links are decided in
+    chunks of citygeom.CALL_PERIODS grid periods of ground track (see
+    :func:`_chunks`), each chunk deriving the keys of its links at once,
     which bounds memory and leaves every estimate unchanged: each
     estimate equals :func:`estimate_plos` of its point alone.
 
@@ -356,14 +344,16 @@ def estimate_points(
     if len({(sc.params, sc.user_zone, sc.h_rx) for sc in scenarios}) != 1:
         raise InvalidParams("need one or more scenarios sharing params, user zone and h_rx")
     layout = scenarios[0].layout()
+    keys_of = RunKeys(seeds, n_runs)
     nlos = np.zeros(len(scenarios), dtype=np.int64)
     seconds = np.zeros(len(scenarios))
     clock = time.perf_counter()
-    for chunk in _chunks(scenarios, n_runs, seeds, layout.period):
-        points = slice(chunk[0][0], chunk[-1][0] + 1)
-        sizes = np.array([keys.size for _, keys in chunk])
-        keys = chunk[0][1] if len(chunk) == 1 else np.concatenate([keys for _, keys in chunk])
-        point = np.repeat(np.arange(len(chunk)), sizes)
+    for chunk in _chunks(scenarios, n_runs, layout.period):
+        q, start, stop = np.array(chunk).T
+        keys = keys_of.slices(q, start, stop)
+        sizes = stop - start
+        points = slice(q[0], q[-1] + 1)
+        point = np.repeat(np.arange(q.size), sizes)
         nlos[points] += _first_blockers(scenarios[points], layout, keys, point)
         now = time.perf_counter()
         seconds[points] += (now - clock) * sizes / keys.size

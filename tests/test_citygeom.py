@@ -11,6 +11,7 @@ from uavlos.citygeom import (
     Crossroad,
     LinkGeometry,
     Node,
+    RunKeys,
     Street,
     classify_point,
     _rayleigh_inplace,
@@ -184,6 +185,22 @@ def test_run_keys_equal_numpy_generate_state(seed, n):
     assert keys.dtype == np.uint64
     assert keys.shape == (n,)
     np.testing.assert_array_equal(keys, expected)
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 151])
+def test_run_key_slices_equal_run_keys_and_generate_state(n):
+    # Slices of four seeds in one call, as a kernel call of the geometry
+    # engine takes them: whole, empty, from odd starts to odd stops, one
+    # seed twice and out of order.
+    seeds = [0, 2**32, 2**63 - 1, 2**64 + 5]
+    full = [np.random.SeedSequence(seed).generate_state(n, np.uint64) for seed in seeds]
+    for seed, expected in zip(seeds, full):
+        np.testing.assert_array_equal(run_keys(seed, n), expected)
+    slices = [(0, 0, n), (1, n // 2, n), (2, 0, 0), (3, 1, n), (2, n // 3, n - n // 2),
+              (0, n - 1, n), (1, 0, (n + 1) // 2)]
+    keys = RunKeys(seeds, n).slices(*zip(*slices))
+    assert keys.dtype == np.uint64
+    np.testing.assert_array_equal(keys, np.concatenate([full[q][a:b] for q, a, b in slices]))
 
 
 def test_hashed_roofs_are_independent_rayleigh_draws():

@@ -4,7 +4,7 @@ import time
 import numpy as np
 import pytest
 
-from uavlos import harness, sim3d, simgeom
+from uavlos import citygeom, harness, sim3d, simgeom
 from uavlos.baselines import GridProduct, Sigmoid, evaluate
 from uavlos.citygeom import ENVIRONMENTS, BuiltUpParams
 from uavlos.errors import IllegalSpec, InvalidCounts, UavLosError
@@ -471,7 +471,7 @@ def test_sim3d_blocks_and_calls_do_not_change_the_estimate(
     monkeypatch.undo()
     sizes, calls, _ = sim3d_work(monkeypatch)
     for budget in (1, mid_call):
-        monkeypatch.setattr(sim3d, "CALL_PERIODS", budget)
+        monkeypatch.setattr(citygeom, "CALL_PERIODS", budget)
         calls.clear()
         assert harness._estimate_sim3d(spec, URBAN, theta, phi, 100.0, 77) == pooled
         tracks = [n for n, _ in calls]
@@ -494,7 +494,7 @@ def test_sim3d_working_set_follows_the_block_and_call_budgets(budget, monkeypatc
     # call lists 28 000 entries.
     _, calls, lookups = sim3d_work(monkeypatch)
     if budget is not None:
-        monkeypatch.setattr(sim3d, "CALL_PERIODS", budget)
+        monkeypatch.setattr(citygeom, "CALL_PERIODS", budget)
     points = [(theta, None, 60) for theta in (2.0, 3.0, 5.0, 10.0, 30.0, 60.0, 90.0)]
     points += [(theta, 30.0, 3000) for theta in (2.0, 10.0, 45.0)] + [(90.0, None, 3000)]
     for theta, phi, n_runs in points:
@@ -502,7 +502,7 @@ def test_sim3d_working_set_follows_the_block_and_call_budgets(budget, monkeypatc
                          n_runs=n_runs, seed=3)
         assert harness._estimate_sim3d(spec, URBAN, theta, phi, 100.0, 77).n > 0
     assert max(lookups) <= harness.BLOCK_ELEMENTS
-    assert max(entries for _, entries in calls) <= 4 * sim3d.CALL_PERIODS
+    assert max(entries for _, entries in calls) <= 4 * citygeom.CALL_PERIODS
     assert len(calls) > len(points) and len(lookups) > len(points)
 
 

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from uavlos import sim3d
+from uavlos import citygeom, sim3d
 from uavlos.citygeom import (
     ENVIRONMENTS,
     Building,
@@ -508,7 +508,7 @@ def test_first_blockers_does_not_depend_on_its_call_budget(budget, monkeypatch):
         return track_entries(layout, x_rx, *rest)
 
     monkeypatch.setattr(sim3d, "track_entries", counted)
-    monkeypatch.setattr(sim3d, "CALL_PERIODS", budget)
+    monkeypatch.setattr(citygeom, "CALL_PERIODS", budget)
     sliced = first_blockers(cities, uavs, run, x, y, 1.5)
     assert sum(tracks) == run.size and len(tracks) > 1
     assert max(tracks) == 1 if budget == 1 else max(tracks) > 1
@@ -547,16 +547,16 @@ _URBAN_LAYOUT = derive_layout(ENVIRONMENTS["urban"], _URBAN_EXTENT, _URBAN_EXTEN
 #: Coordinates of the urban grid (a 44.7 m period that no float holds
 #: exactly) on band edges from one period before the origin to two past
 #: the 60-cell grid of a 60.5-period extent, computed as the kernel computes
-#: them, or one ulp either side (but for the subnormal neighbours of 0);
-#: in the fringe beyond the grid; or anywhere in between.
+#: them, or one ulp either side (the subnormal neighbours of 0 included);
+#: in the fringe beyond the grid; or anywhere in between, subnormals too.
 _EDGES = [
     edge
     for k in range(-1, 63)
     for edge in (k * _URBAN_LAYOUT.period, k * _URBAN_LAYOUT.period + _URBAN_LAYOUT.s)
 ]
-_NEAR_EDGES = [float(np.nextafter(e, d)) for e in _EDGES if e for d in (-np.inf, np.inf)]
+_NEAR_EDGES = [float(np.nextafter(e, d)) for e in _EDGES for d in (-np.inf, np.inf)]
 _COORDINATE = st.one_of(
-    st.floats(-50.0, 2800.0, allow_subnormal=False),
+    st.floats(-50.0, 2800.0),
     st.sampled_from(_EDGES),
     st.sampled_from(_NEAR_EDGES),
     st.floats(60.0 * _URBAN_LAYOUT.period, _URBAN_EXTENT),
@@ -579,6 +579,8 @@ def _ring(coordinate):
 # of box 29, where (29*p + s - s)/p and 29*p/p round below 29.
 @example(rings=[((10.0, 10.0), [(_EDGES[61], _EDGES[61])])])
 @example(rings=[((_EDGES[60], _EDGES[60]), [(2000.0, 2000.0)])])
+# A track of subnormal length, whose band-edge fractions overflow.
+@example(rings=[((0.0, 2.2e-311), [(0.0, 0.0)])])
 def test_uncut_tracks_meet_only_boxes_of_their_city_window(rings):
     # The cut and the broadcast window lookup both rest on this: every box
     # of the grid that a city's uncut track meets lies in the city's

@@ -1,4 +1,6 @@
+import hashlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,10 +14,11 @@ from uavlos.citygeom import (
     Street,
     classify_point,
     derive_layout,
+    stream_uniforms,
     track_entries,
     uav_position_from_angles,
 )
-from uavlos import simgeom
+from uavlos import citygeom, simgeom
 from uavlos.errors import IllegalSpec, InvalidAngle, InvalidParams
 from uavlos.harness import SweepAxis, SweepSpec, run_sweep
 from uavlos.simgeom import GeomScenario, _draw_links, estimate_plos, estimate_points
@@ -210,6 +213,90 @@ def test_track_entries_cut_keeps_the_uncut_entries_up_to_t_max(t_max):
     cut = track_entries(layout, *ends, t_max=per_track)
     for a, b in zip(cut, full):
         assert a.tolist() == b[kept].tolist()
+
+
+def kernel_guard_tracks():
+    """20 000 urban tracks as (x_rx, y_rx, x_tx, y_tx, t_max), drawn from
+    the counter-based stream so that no library's RNG can move them, in
+    eight groups of 2 500: random directions, short and long; along x
+    and along y, half of them on a face line; zero length anywhere, on
+    band edges and corners and one ulp off them; both ends on edges and
+    corners; both ends one ulp off them; and ends mixing the two.  Half
+    of the tracks of each group are uncut, some cut at 0, the rest at a
+    fraction in [-1.4, 1)."""
+    layout = derive_layout(ENVIRONMENTS["urban"])
+    p, s = layout.period, layout.s
+    n = 2500
+    u = stream_uniforms(12, np.arange(6 * 8 * n, dtype=np.uint64)).reshape(8, 6, n)
+    edges = np.array([e for k in range(-2, 36) for e in (k * p, k * p + s)])
+    near = np.concatenate([np.nextafter(edges, -np.inf), np.nextafter(edges, np.inf)])
+
+    def pick(values, v):
+        return values[(v * values.size).astype(np.int64)]
+
+    groups = []
+    for g, (a, b, c, d, e, f) in enumerate(u):
+        x0, y0 = -100.0 + 1600.0 * a, -100.0 + 1600.0 * b
+        if g == 0:
+            x1, y1 = x0 + 300.0 * c - 150.0, y0 + 300.0 * d - 150.0
+        elif g == 1:
+            x1, y1 = x0 + 3000.0 * c - 1500.0, y0 + 3000.0 * d - 1500.0
+        elif g == 2:
+            y0 = np.where(e < 0.5, y0, pick(edges, e))
+            x1, y1 = x0 + 1600.0 * c - 800.0, y0
+        elif g == 3:
+            x0 = np.where(e < 0.5, x0, pick(edges, e))
+            x1, y1 = x0, y0 + 1600.0 * d - 800.0
+        elif g == 4:
+            x0 = np.where(e < 0.3, x0, np.where(e < 0.65, pick(edges, c), pick(near, c)))
+            y0 = np.where(e < 0.5, y0, np.where(e < 0.8, pick(edges, d), pick(near, d)))
+            x1, y1 = x0, y0
+        elif g == 5:
+            x0, y0 = pick(edges, a), np.where(e < 0.5, pick(edges, b), y0)
+            x1, y1 = pick(edges, c), np.where(e < 0.5, pick(edges, d), y0 + 600.0 * d - 300.0)
+        elif g == 6:
+            x0, y0 = pick(near, a), np.where(e < 0.5, pick(near, b), y0)
+            x1, y1 = pick(near, c), np.where(e < 0.5, pick(near, d), y0 + 600.0 * d - 300.0)
+        else:
+            x0 = np.where(e < 0.5, pick(edges, a), pick(near, a))
+            y0 = np.where(e < 0.5, pick(near, b), pick(edges, b))
+            x1, y1 = x0 + 400.0 * c - 200.0, np.where(e < 0.25, y0, y0 + 400.0 * d - 200.0)
+        t_max = np.where(f < 0.5, 1.0, np.where(f < 0.55, 0.0, 2.4 * f - 1.4))
+        groups.append((x0, y0, x1, y1, t_max))
+    return layout, [np.concatenate(v) for v in zip(*groups)]
+
+
+def test_track_entries_keep_their_bits():
+    # A digest of every output byte of the kernel on a fixed batch,
+    # recorded before the kernel's arithmetic was rewritten in place: any
+    # change to an entry, its order, its t bits or the output dtypes moves
+    # it.  The dense-oracle tests check that the entries are right; this
+    # checks that they stay what they were.
+    layout, (x0, y0, x1, y1, t_max) = kernel_guard_tracks()
+    assert ((x0 == x1) & (y0 == y1)).sum() == 2500
+    assert ((x0 == x1) ^ (y0 == y1)).sum() > 5000
+    assert 0 < (t_max < 0.0).sum() < (t_max < 1.0).sum() < 10000
+    out = track_entries(layout, x0, y0, x1, y1, t_max=t_max)
+    assert [a.dtype for a in out] == [np.dtype(np.int64)] * 3 + [np.dtype(np.float64)]
+    assert out[0].size == 112964 and np.unique(out[0]).size == 15478
+    digest = hashlib.sha256()
+    for a in out:
+        digest.update(a.astype(a.dtype.newbyteorder("<")).tobytes())
+    assert digest.hexdigest() == "61f0a6a6197171500758055f413733d29598e5a175f9565d8f950fdb19bcb9f9"
+
+
+@pytest.mark.parametrize("end", [(0.0, 2.2e-311), (5e-324, 0.0), (0.0, 1e-307), (-1e-307, 1e-307)])
+def test_a_tiny_track_meets_the_boxes_of_its_point(end):
+    # From the origin, a corner of box (0, 0) of the urban grid, a track
+    # of subnormal or tiny length puts its band-edge fractions beyond the
+    # float range: they overflow to their limits without a warning, and
+    # the track meets box (0, 0) at t = 0 and no other box, like the
+    # zero-length track there.
+    layout = derive_layout(ENVIRONMENTS["urban"])
+    link, ix, iy, t = track_entries(layout, 0.0, 0.0, *end)
+    assert link.tolist() == [0] and (ix[0], iy[0], t[0]) == (0, 0, 0.0)
+    still = track_entries(layout, 0.0, 0.0, 0.0, 0.0)
+    assert [a.tolist() for a in still] == [[0], [0], [0], [0.0]]
 
 
 def test_candidate_ops_vertical_link_has_none():
@@ -457,7 +544,7 @@ def test_estimate_does_not_depend_on_the_chunk_size(monkeypatch):
     # longest track, 150 m at theta 40, is 3.1 periods, so a budget of
     # 50 periods gives 12 links per call.
     for budget, links in ((1, 1), (50, 12)):
-        monkeypatch.setattr(simgeom, "CHUNK_PERIODS", budget)
+        monkeypatch.setattr(citygeom, "CALL_PERIODS", budget)
         calls.clear()
         assert estimate_plos(scenario, 300, 4) == est
         assert {n for n, _ in calls} == {links}
@@ -474,7 +561,7 @@ def test_a_chunk_holds_as_many_links_as_fit_its_track_budget(monkeypatch):
     scenario = GeomScenario(ENVIRONMENTS["urban"], "mixed", 5.0, h_uav=100.0)
     estimate_plos(scenario, 2000, 1)
     periods = 98.5 / math.tan(math.radians(5.0)) / scenario.layout().period
-    per_call = math.floor(simgeom.CHUNK_PERIODS / (periods + 1.0))
+    per_call = math.floor(citygeom.CALL_PERIODS / (periods + 1.0))
     assert per_call < 2000
     assert [n for n, _ in calls] == [per_call] * (2000 // per_call) + [2000 % per_call]
 
@@ -496,7 +583,7 @@ def test_a_chunk_lists_entries_in_proportion_to_its_track_budget(monkeypatch, en
     batch = [GeomScenario(ENVIRONMENTS[env], "mixed", theta, h_uav=100.0) for theta in thetas]
     estimates, _ = estimate_points(batch[::-1], 500, range(6))
     assert [est.n for est in estimates] == [500] * 6
-    assert max(entries for _, entries in calls) <= 4 * simgeom.CHUNK_PERIODS
+    assert max(entries for _, entries in calls) <= 4 * citygeom.CALL_PERIODS
 
 
 def test_estimate_builds_no_generator(monkeypatch):
@@ -523,14 +610,14 @@ def mixed_points():
     ]
 
 
-@pytest.mark.parametrize("budget", [1, 50, simgeom.CHUNK_PERIODS])
+@pytest.mark.parametrize("budget", [1, 50, citygeom.CALL_PERIODS])
 def test_estimate_points_equals_estimate_plos_point_by_point(monkeypatch, budget):
     # Kills a fixed azimuth, a theta or an altitude read from a chunk's
     # first point, and NLoS counted per chunk instead of per point.
     scenarios = mixed_points()
     seeds = [101 + q for q in range(len(scenarios))]
     alone = [estimate_plos(sc, 150, seed) for sc, seed in zip(scenarios, seeds)]
-    monkeypatch.setattr(simgeom, "CHUNK_PERIODS", budget)
+    monkeypatch.setattr(citygeom, "CALL_PERIODS", budget)
     chunks = []
     first_blockers = simgeom._first_blockers
 
@@ -546,6 +633,61 @@ def test_estimate_points_equals_estimate_plos_point_by_point(monkeypatch, budget
         assert chunks == [1] * (150 * len(scenarios))
     else:
         assert max(chunks) > 1  # a chunk straddles a point boundary
+
+
+def test_each_call_derives_the_keys_of_its_links_at_once(monkeypatch):
+    # 151 links per point and a budget of 50 periods: calls of 22 links at
+    # theta 60 down to 10 at theta 30 straddle the points.  The keys the
+    # calls decide, in order, are every point's keys, numpy's
+    # generate_state of its seed, and each call derives its keys in one go.
+    seeds = [0, 2**32, 2**63 - 1, 2**64 + 5]
+    scenarios = [GeomScenario(ENVIRONMENTS["urban"], "mixed", theta, h_uav=100.0)
+                 for theta in (60.0, 45.0, 30.0, 75.0)]
+    alone = [estimate_plos(sc, 151, seed) for sc, seed in zip(scenarios, seeds)]
+    monkeypatch.setattr(citygeom, "CALL_PERIODS", 50)
+    calls, derived = [], []
+    first_blockers, slices = simgeom._first_blockers, citygeom.RunKeys.slices
+
+    def recorded(scenarios, layout, keys, point):
+        calls.append((keys, point))
+        return first_blockers(scenarios, layout, keys, point)
+
+    def counted(self, *args):
+        derived.append(args)
+        return slices(self, *args)
+
+    monkeypatch.setattr(simgeom, "_first_blockers", recorded)
+    monkeypatch.setattr(citygeom.RunKeys, "slices", counted)
+    assert estimate_points(scenarios, 151, seeds)[0] == alone
+    assert len(derived) == len(calls) > 2 * len(seeds)
+    assert any(np.unique(point).size > 1 for _, point in calls)
+    expected = [np.random.SeedSequence(seed).generate_state(151, np.uint64) for seed in seeds]
+    np.testing.assert_array_equal(np.concatenate([keys for keys, _ in calls]),
+                                  np.concatenate(expected))
+
+
+@pytest.mark.parametrize("run,bound", [
+    # One urban point at theta 5: 2 000 tracks of 25 periods, 5 calls.
+    (lambda: estimate_plos(GeomScenario(ENVIRONMENTS["urban"], "mixed", 5.0, h_uav=100.0),
+                           2000, 1), 1.41e6),
+    # The 170-point street heatmap on high-rise, 13 calls.
+    (lambda: run_sweep(SweepSpec(
+        engine="geom", params=ENVIRONMENTS["high-rise"], user_zone="street", seed=1, n_runs=200,
+        axes=(SweepAxis("theta", tuple(range(5, 90, 5))), SweepAxis("phi", tuple(range(0, 100, 10)))),
+    )), 2.43e6),
+], ids=["urban-theta-5", "heatmap"])
+def test_geom_working_set_stays_small(run, bound):
+    # The traced peak of every allocation, numpy's included, with about
+    # 15% over the 1.23 MB and 2.11 MB measured: a kernel whose per-entry
+    # temporaries grow, or a call budget that grows, fails.
+    run()
+    tracemalloc.start()
+    try:
+        run()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < bound
 
 
 def test_a_placement_failure_names_the_failing_point(monkeypatch):
