@@ -16,10 +16,14 @@ engine's calls take too (:data:`uavlos.citygeom.CALL_PERIODS`).  The
 geometry engine runs one link per run, with an area-weighted
 street/crossroad mix when no single zone is requested, under the same
 protocol: each link is one uint64 key, from which its placement and
-the roofs its track meets are hashed.  Both
-engines take a point's keys from :func:`uavlos.citygeom.run_keys` of
-its seed, numpy's ``SeedSequence(seed).generate_state`` computed with
-array operations.
+the roofs its track meets are hashed.  Grid point q of a sweep
+takes its seed from :func:`uavlos.citygeom.point_seeds` of the master
+seed: the 63-bit draw ``default_rng(child).integers(0, 2**63)`` of
+child q of ``SeedSequence(seed).spawn(points)``, computed without a
+Generator.  Both engines take a point's keys from
+:func:`uavlos.citygeom.run_keys` of its seed, numpy's
+``SeedSequence(seed).generate_state``; seeds, pools and keys are all
+computed with array operations, bit for bit.
 The geometry engine decides consecutive points with the same params
 together (:func:`uavlos.simgeom.estimate_points`), so a 170-point
 heatmap shares 13 kernel calls instead of making one per point, and
@@ -46,10 +50,8 @@ from itertools import groupby
 from pathlib import Path
 from typing import Mapping
 
-import numpy as np
-
 from .baselines import BaselineModel, GridProduct, evaluate
-from .citygeom import BuiltUpParams, derive_layout, run_keys, track_length
+from .citygeom import BuiltUpParams, derive_layout, point_seeds, run_keys, track_length
 from .errors import IllegalSpec, InvalidAngle, UavLosError
 from .sim3d import (
     BuildingTop,
@@ -175,6 +177,8 @@ class SweepSpec:
             raise IllegalSpec(f"h_uav {self.h_uav} must be finite and exceed h_rx {self.h_rx}")
         if self.n_runs < 1:
             raise IllegalSpec(f"n_runs must be at least 1, got {self.n_runs}")
+        if self.seed < 0:
+            raise IllegalSpec(f"seed must be a non-negative integer, got {self.seed}")
         if self.n_users < 1:
             raise IllegalSpec(f"n_users must be at least 1, got {self.n_users}")
         if self.user_zone not in USER_ZONES:
@@ -290,10 +294,6 @@ class CompareRow:
     geom: PLosEstimate
     abs_delta: float
     baselines: Mapping[str, float]
-
-
-def _child_seed(rng: np.random.Generator) -> int:
-    return int(rng.integers(0, 2**63))
 
 
 #: Elements one block of the 3D engine holds: each city counts as its
@@ -430,11 +430,13 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
     """Walk the sweep grid and estimate P_LoS at every point.
 
     Points are evaluated in row-major axis order, each from its own
-    seed substream, so results are independent of evaluation order and
-    reproducible from (spec, seed) alone.  A row's ms is its point's
-    estimation time; geometry-engine points share kernel calls, and each
-    takes a share of every call's wall time in proportion to its links
-    in that call, so the rows sum to the sweep's estimation time.
+    seed, ``point_seeds(spec.seed, points)[q]`` for point q
+    (:func:`uavlos.citygeom.point_seeds`), so results are independent of
+    evaluation order and reproducible from (spec, seed) alone.  A row's
+    ms is its point's estimation time; geometry-engine points share
+    kernel calls, and each takes a share of every call's wall time in
+    proportion to its links in that call, so the rows sum to the sweep's
+    estimation time.
     """
     axis_names = tuple(a.name for a in spec.axes)
     combos = spec.points()
@@ -443,10 +445,7 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
         # before any work is done.
         _resolve_model(spec, dict(zip(axis_names, combos[0])))
 
-    seeds = [
-        _child_seed(np.random.default_rng(child))
-        for child in np.random.SeedSequence(spec.seed).spawn(len(combos))
-    ]
+    seeds = point_seeds(spec.seed, len(combos))
     vars = [dict(zip(axis_names, combo)) for combo in combos]
     estimates, ms = _estimate_points(spec, vars, seeds)
     rows = tuple(
@@ -487,10 +486,7 @@ def compare_engines(
     specgm = SweepSpec(engine="geom", n_runs=ngeom, user_zone="mixed", **common)
     names = ["grid", *sorted(set(models or {}) - {"grid"})]
     baselines = [SweepSpec(engine=f"baseline:{name}", models=models, **common) for name in names]
-    seeds = [
-        _child_seed(np.random.default_rng(child))
-        for child in np.random.SeedSequence(seed).spawn(2 * len(thetas))
-    ]
+    seeds = point_seeds(seed, 2 * len(thetas))
     vars = [{"theta": theta} for theta in thetas]
     est3d, _ = _estimate_points(spec3d, vars, seeds[0::2])
     estgm, _ = _estimate_points(specgm, vars, seeds[1::2])

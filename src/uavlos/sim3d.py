@@ -580,11 +580,40 @@ def place_users(layout: CityLayout, uavs: UavPositions, theta_deg: float, direct
     x = ux[:, None] + d[:, None] * cos
     y = uy[:, None] + d[:, None] * sin
     p, s = layout.period, layout.s
+    reach = max(layout.extent_x, layout.extent_y)
     kept = (
         (0.0 <= x) & (x <= layout.extent_x) & (0.0 <= y) & (y <= layout.extent_y)
-        & ((x % p < s) | (y % p < s))
+        & (_street_band(x, p, s, reach) | _street_band(y, p, s, reach))
     )
     return np.nonzero(kept)[0], x[kept], y[kept]
+
+
+def _street_band(v: np.ndarray, p: float, s: float, reach: float) -> np.ndarray:
+    """``v % p < s`` (v in the street band [0, s) of its period), bit for
+    bit wherever |v| <= reach.
+
+    numpy's float remainder costs about 20 ns per element.  This takes
+    r = v - floor(v/p)*p, which is off from the exact remainder by less
+    than eps*(|v| + p), or by p plus that where v/p rounds across an
+    integer, and decides r < s; only where r lies within
+    tol = 16*eps*(reach + 2p) of 0, s or p does it decide again with
+    ``%``, which random ring positions almost never need (none of
+    5.5 million on urban).  The whole test is about 5 times faster than
+    ``%`` on a block of 28 000 ring positions, as fast on 1 000 and
+    slower below, so only this block-sized caller uses it.
+    """
+    r = v / p
+    np.floor(r, out=r)
+    r *= p
+    np.subtract(v, r, out=r)
+    tol = 16.0 * np.finfo(float).eps * (reach + 2.0 * p)
+    band = r < s - tol
+    unsure = band != (r <= s + tol)
+    unsure |= r < tol
+    unsure |= r > p - tol
+    at = np.flatnonzero(unsure)
+    band.flat[at] = v.flat[at] % p < s
+    return band
 
 
 def place_users_circle(

@@ -53,6 +53,7 @@ from .citygeom import (
     bits_to_uniforms,
     derive_layout,
     roof_heights,
+    seed_pools,
     stream_bits,
     stream_uniforms,
     track_entries,
@@ -344,7 +345,7 @@ def estimate_points(
     if len({(sc.params, sc.user_zone, sc.h_rx) for sc in scenarios}) != 1:
         raise InvalidParams("need one or more scenarios sharing params, user zone and h_rx")
     layout = scenarios[0].layout()
-    keys_of = RunKeys(seeds, n_runs)
+    keys_of = RunKeys(seed_pools(seeds), n_runs)
     nlos = np.zeros(len(scenarios), dtype=np.int64)
     seconds = np.zeros(len(scenarios))
     clock = time.perf_counter()

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from uavlos.citygeom import (
     ENVIRONMENTS,
@@ -14,10 +16,13 @@ from uavlos.citygeom import (
     RunKeys,
     Street,
     classify_point,
+    mix_entropy,
+    point_seeds,
     _rayleigh_inplace,
     derive_layout,
     roof_heights,
     run_keys,
+    seed_pools,
     stream_bits,
     stream_uniforms,
     tracks_per_call,
@@ -198,9 +203,64 @@ def test_run_key_slices_equal_run_keys_and_generate_state(n):
         np.testing.assert_array_equal(run_keys(seed, n), expected)
     slices = [(0, 0, n), (1, n // 2, n), (2, 0, 0), (3, 1, n), (2, n // 3, n - n // 2),
               (0, n - 1, n), (1, 0, (n + 1) // 2)]
-    keys = RunKeys(seeds, n).slices(*zip(*slices))
+    keys = RunKeys(seed_pools(seeds), n).slices(*zip(*slices))
     assert keys.dtype == np.uint64
     np.testing.assert_array_equal(keys, np.concatenate([full[q][a:b] for q, a, b in slices]))
+
+
+def _oracle_point_seeds(seed, n):
+    # What harness.run_sweep drew before point_seeds: one Generator per
+    # spawned child, one 63-bit draw each.
+    children = np.random.SeedSequence(seed).spawn(n)
+    return [int(np.random.default_rng(child).integers(0, 2**63)) for child in children]
+
+
+_EDGE_SEEDS = [0, 2**32 - 1, 2**32, 2**63 - 1, 2**64 + 5, 2**128 + 3]
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(seed=st.integers(0, 2**200), n=st.sampled_from([0, 1, 170]))
+@example(seed=0, n=170)
+@example(seed=2**32 - 1, n=170)
+@example(seed=2**32, n=170)
+@example(seed=2**63 - 1, n=170)
+@example(seed=2**64 + 5, n=170)
+@example(seed=2**128 + 3, n=170)
+@example(seed=2**200, n=1)
+def test_point_seeds_equal_one_generator_draw_per_spawned_child(seed, n):
+    seeds = point_seeds(seed, n)
+    assert seeds == _oracle_point_seeds(seed, n)
+    assert all(type(s) is int and 0 <= s < 2**63 for s in seeds)
+    # A point's seed does not depend on the grid size.
+    assert point_seeds(seed, n + 3)[:n] == seeds
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(seeds=st.lists(st.integers(0, 2**200), max_size=6))
+@example(seeds=_EDGE_SEEDS)
+@example(seeds=[])
+def test_seed_pools_equal_seed_sequence_pools(seeds):
+    # Seeds of different word counts in one call, as a sweep never has.
+    pools = seed_pools(seeds)
+    assert pools.dtype == np.uint32 and pools.shape == (len(seeds), 4)
+    expected = [np.random.SeedSequence(seed).pool for seed in seeds]
+    np.testing.assert_array_equal(pools, np.array(expected, dtype=np.uint32).reshape(-1, 4))
+
+
+def test_mix_entropy_is_the_pool_of_a_spawned_child():
+    # Child 5 of seed 9 mixes the seed's words padded to four, then 5.
+    child = np.random.SeedSequence(9).spawn(6)[5]
+    np.testing.assert_array_equal(mix_entropy([[9, 0, 0, 0, 5]])[0], child.pool)
+
+
+@pytest.mark.parametrize("seeds", [[-1], [3, -2]])
+def test_negative_seeds_are_refused(seeds):
+    with pytest.raises(InvalidParams):
+        seed_pools(seeds)
+    with pytest.raises(InvalidParams):
+        point_seeds(seeds[-1], 2)
+    with pytest.raises(InvalidParams):
+        run_keys(seeds[-1], 2)
 
 
 def test_hashed_roofs_are_independent_rayleigh_draws():

@@ -379,6 +379,58 @@ def test_compare_rejects_illegal_input_before_running(tmp_path, capsys, bad):
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("argv", [
+    ("plos-vs-theta", "--engine", "sim3d", "--runs", "5", "--theta-grid", "60"),
+    ("plos-vs-theta", "--engine", "baseline:grid", "--theta-grid", "60"),
+    ("compare", "--runs-3d", "5", "--runs-geom", "50", "--thetas", "60"),
+], ids=["sweep", "baseline", "compare"])
+def test_negative_seed_exits_two_before_any_point(tmp_path, capsys, argv):
+    out = tmp_path / "out.csv"
+    assert run_cli(*argv, "--env", "urban", "--extent", "1000", "--seed", "-1",
+                   "--out", out) == 2
+    assert "seed must be a non-negative integer" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+_NO_NUMPY_RANDOM = """
+import sys
+
+import uavlos.cli
+
+for argv in (
+    ["heatmap", "--engine", "geom", "--env", "high-rise", "--user-zone", "street",
+     "--theta-grid", "5:85:40", "--phi-grid", "0:90:45", "--runs", "20"],
+    ["compare", "--env", "urban", "--extent", "1000", "--thetas", "30,60",
+     "--runs-3d", "3", "--runs-geom", "50"],
+):
+    assert uavlos.cli.main(argv + ["--seed", "3", "--out", "out.csv"]) == 0
+print("numpy.random" in sys.modules)
+"""
+
+
+def test_cli_runs_never_import_numpy_random(tmp_path):
+    # Point seeds, entropy pools and run keys are computed without it, so
+    # a CLI run does not pay its import.
+    env = dict(os.environ)
+    src = str(Path(uavlos.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", _NO_NUMPY_RANDOM],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["False"]
+
+
+def test_package_source_names_no_numpy_random():
+    package = Path(uavlos.__file__).resolve().parent
+    for path in sorted(package.glob("*.py")):
+        text = path.read_text()
+        assert "np.random" not in text and "numpy.random" not in text, path.name
+
+
 # -- heap setting ---------------------------------------------------------------
 
 def fake_libc(calls, result=1):

@@ -191,7 +191,7 @@ def test_sim3d_sweep_builds_no_grid_and_no_generator_per_run(monkeypatch):
     )
     rows = run_sweep(spec).rows
     assert all(row.estimate.n > 0 for row in rows)
-    assert len(generators) == len(rows)  # one per point, for its seed
+    assert generators == []  # point seeds come from citygeom.point_seeds
 
 
 def test_sim3d_overhead_point_is_exact():
@@ -371,6 +371,17 @@ def test_compare_engines_validates_before_any_engine_runs(monkeypatch):
     monkeypatch.setattr(harness, "_estimate_sim3d", fail)
     with pytest.raises(IllegalSpec):
         compare_engines(URBAN, (95.0,), n3d=5, ngeom=50, seed=0)
+
+
+def test_negative_seed_is_an_illegal_spec(monkeypatch):
+    # Refused before any point runs, even by a baseline, which draws
+    # nothing from its seed.
+    monkeypatch.setattr(harness, "_estimate_points", lambda *a: pytest.fail("a point ran"))
+    for engine in ("sim3d", "geom", "baseline:grid"):
+        with pytest.raises(IllegalSpec, match="seed must be a non-negative integer"):
+            SweepSpec(engine=engine, params=URBAN, axes=(theta_axis(30),), seed=-1)
+    with pytest.raises(IllegalSpec, match="seed must be a non-negative integer"):
+        compare_engines(URBAN, (30.0,), n3d=2, ngeom=20, seed=-1)
 
 
 def test_compare_engines_evaluates_the_baselines_by_name():
