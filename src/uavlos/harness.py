@@ -6,13 +6,14 @@ A :class:`SweepSpec` names an engine ("sim3d", "geom" or
 and returns one :class:`PLosEstimate` per point.  The 3D engine runs
 the fresh-city protocol per run (a new city, its UAV, a ring of circle
 users): each run is one uint64 city key, from which the run's UAV and
-the roofs its users' tracks meet are hashed, so no run builds a
+the roofs its users' tracks can meet are hashed, so no run builds a
 Generator or a height grid.  A point's cities are placed and decided a
 block at a time, the block bounded by its ring positions and the cells
-of its cities' tallest-roof windows, and each block's links go to the
-ground-track kernel in calls of a fixed length of cut track
-(:func:`uavlos.sim3d.first_blockers`), the budget the geometry
-engine's calls take too (:data:`uavlos.citygeom.CALL_PERIODS`).  The
+of its cities' tallest-roof windows.  A block hashes each window roof
+once; its links go to the ground-track kernel in calls of a fixed
+length of cut track, and every box a track enters reads its roof from
+the window (:func:`uavlos.sim3d.first_blockers`).  The call budget is
+the geometry engine's too (:data:`uavlos.citygeom.CALL_PERIODS`).  The
 geometry engine runs one link per run, with an area-weighted
 street/crossroad mix when no single zone is requested, under the same
 protocol: each link is one uint64 key, from which its placement and
@@ -22,8 +23,10 @@ seed: the 63-bit draw ``default_rng(child).integers(0, 2**63)`` of
 child q of ``SeedSequence(seed).spawn(points)``, computed without a
 Generator.  Both engines take a point's keys from
 :func:`uavlos.citygeom.run_keys` of its seed, numpy's
-``SeedSequence(seed).generate_state``; seeds, pools and keys are all
-computed with array operations, bit for bit.
+``SeedSequence(seed).generate_state``, and derive the keys of all the
+points they decide together from one :class:`uavlos.citygeom.RunKeys`;
+seeds, pools and keys are all computed with array operations, bit for
+bit.
 The geometry engine decides consecutive points with the same params
 together (:func:`uavlos.simgeom.estimate_points`), so a 170-point
 heatmap shares 13 kernel calls instead of making one per point, and
@@ -50,8 +53,17 @@ from itertools import groupby
 from pathlib import Path
 from typing import Mapping
 
+import numpy as np
+
 from .baselines import BaselineModel, GridProduct, evaluate
-from .citygeom import BuiltUpParams, derive_layout, point_seeds, run_keys, track_length
+from .citygeom import (
+    BuiltUpParams,
+    RunKeys,
+    derive_layout,
+    point_seeds,
+    seed_pools,
+    track_length,
+)
 from .errors import IllegalSpec, InvalidAngle, UavLosError
 from .sim3d import (
     BuildingTop,
@@ -299,8 +311,10 @@ class CompareRow:
 #: Elements one block of the 3D engine holds: each city counts as its
 #: ring positions plus the cells of its tallest-roof window
 #: (sim3d.window_cells), which bound the arrays of its user placement and
-#: of its window's roof lookup.  A block pays UAV placement, user
-#: placement and the window lookup once for all its cities, and
+#: of its window's roof lookup; the window's roofs, a margin of one cell
+#: added, stay in memory while the block's links are decided.  A block
+#: pays UAV placement, user placement and the window lookup once for all
+#: its cities, and
 #: sim3d.first_blockers splits its links into kernel calls of
 #: citygeom.CALL_PERIODS periods of cut track, so the block size trades
 #: that fixed cost against the working set and not against call size.
@@ -309,18 +323,17 @@ BLOCK_ELEMENTS = 32768
 
 def _estimate_sim3d(
     spec: SweepSpec, params: BuiltUpParams, theta: float, phi: float | None, h_uav: float,
-    seed: int,
+    keys: np.ndarray,
 ) -> PLosEstimate:
     """Fresh-city protocol at one point of spec: per run, a new city with
     its UAV and the pooled LoS states of every valid user on the theta
     circle (one user at azimuth phi when phi is fixed, or straight under
     the UAV at theta = 90), decided a block of BLOCK_ELEMENTS elements
-    at a time.  Run i is the city key ``run_keys(seed, n_runs)[i]``
-    (:func:`uavlos.citygeom.run_keys`)."""
+    at a time.  Run i is the city key keys[i], one for each of the
+    spec's n_runs runs."""
     policy = UAV_POLICIES[spec.uav_policy](h_uav)
     directions = user_directions(theta, spec.n_users, phi)
     layout = derive_layout(params, *spec.extent)
-    keys = run_keys(seed, spec.n_runs)
     radius = track_length(theta, h_uav, spec.h_rx)
     per_city = directions[0].size + window_cells(layout, radius, directions)
     per_block = max(1, BLOCK_ELEMENTS // per_city)
@@ -401,7 +414,9 @@ def _estimate_points(
     unless alpha or gamma is swept) are decided in one
     :func:`uavlos.simgeom.estimate_points` call, and each point's time is
     its share of that call's kernel chunks; sim3d and baseline points are
-    estimated and timed one by one.
+    estimated and timed one by one, each sim3d point from the run keys of
+    its seed (:func:`uavlos.citygeom.run_keys`), all derived from one
+    :class:`uavlos.citygeom.RunKeys` of the points' seeds.
     """
     estimates: list[PLosEstimate] = []
     ms: list[float] = []
@@ -413,12 +428,15 @@ def _estimate_points(
             estimates += group_estimates
             ms += [1000.0 * sec for sec in seconds]
         return estimates, ms
-    for var, seed in zip(vars, seeds):
+    if spec.engine == "sim3d":
+        keys_of = RunKeys(seed_pools(seeds), spec.n_runs)
+    for q, var in enumerate(vars):
         start = time.perf_counter()
         theta, h_uav = _point_angles(spec, var)
         if spec.engine == "sim3d":
             params = _with_swept_params(spec.params, var)
-            est = _estimate_sim3d(spec, params, theta, var.get("phi", spec.phi), h_uav, seed)
+            keys = keys_of.slices([q], [0], [spec.n_runs])
+            est = _estimate_sim3d(spec, params, theta, var.get("phi", spec.phi), h_uav, keys)
         else:
             est = PLosEstimate.exact(evaluate(_resolve_model(spec, var), theta, h_uav, spec.h_rx))
         estimates.append(est)

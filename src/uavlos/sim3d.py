@@ -14,7 +14,10 @@ the ground track of each link: :func:`uavlos.citygeom.track_entries`
 lists every closed building box the track meets and the point where it
 enters the box seen from the receiver, and the link is blocked when a
 roof reaches the ray height there.  Flat rooftops make this edge test
-exact, which :func:`check_los_dense` verifies by brute force.
+exact, which :func:`check_los_dense` verifies by brute force.  Cities
+decided together look up each roof their links' tracks can meet once,
+in one window per city, and every entry reads its roof from there
+(:func:`first_blockers`).
 """
 
 from __future__ import annotations
@@ -289,22 +292,30 @@ def _windows(layout: CityLayout, run, tx_x, tx_y, rx_x, rx_y):
     Every track of city c lies in the bounding box of its transmitter
     and its receivers, so only the boxes meeting that window matter:
     box ix, spanning [(ix-1)*p + s, ix*p], meets [lo, hi] when
-    lo/p <= ix <= (hi - s)/p + 1.  The cell range is widened by one
-    cell on each side against rounding and clipped to the grid.
+    lo/p <= ix <= (hi - s)/p + 1.  Against rounding, both bounds are
+    widened by twice the slack the ground-track kernel adds to its own
+    band range (citygeom._BAND_SLACK periods), so the window holds every
+    box the kernel can list for a track of the city; the cell range is
+    then clipped to the grid.
 
     Returns (owner, (first_x, last_x), (first_y, last_y)): the city of
     each run of equal entries of run, and its window's first and last
     1-based cells per axis; last < first where the window holds no cell.
+    run must be non-decreasing and index the transmitters (InvalidParams
+    otherwise), so that each city owns one run.
     """
     p, s = layout.period, layout.s
     starts = np.flatnonzero(np.diff(run, prepend=-1))
     owner = run[starts]
+    if run[0] < 0 or owner[-1] >= tx_x.size or (owner[1:] <= owner[:-1]).any():
+        raise InvalidParams(f"run must be non-decreasing and index the {tx_x.size} cities")
+    slack = 2.0 * citygeom._BAND_SLACK
     ends = []
     for tx, rx, n in zip((tx_x, tx_y), (rx_x, rx_y), _grid_shape(layout)):
         lo = np.minimum(np.minimum.reduceat(rx, starts), tx[owner])
         hi = np.maximum(np.maximum.reduceat(rx, starts), tx[owner])
-        first = np.maximum(np.floor(lo / p).astype(np.int64), 1)
-        last = np.minimum(np.floor((hi - s) / p).astype(np.int64) + 2, n)
+        first = np.maximum(np.ceil(lo / p - slack).astype(np.int64), 1)
+        last = np.minimum(np.floor((hi - s) / p + slack).astype(np.int64) + 1, n)
         ends.append((first, last))
     return owner, ends[0], ends[1]
 
@@ -328,32 +339,62 @@ def window_cells(layout: CityLayout, radius: float, directions) -> int:
     return cells
 
 
-def _tallest_reachable(cities: Cities, run, tx_x, tx_y, rx_x, rx_y) -> np.ndarray:
-    """Per city, a roof at least as tall as any its links' tracks meet:
-    the tallest roof of its window (:func:`_windows`).
+def _window_roofs(cities: Cities, run, tx_x, tx_y, rx_x, rx_y):
+    """The roofs of every city's window (:func:`_windows`), looked up once
+    and kept for the track entries of its links, and per city the
+    tallest of them: a roof at least as tall as any its links' tracks
+    meet.
 
-    The windows are looked up as one (cities, Kx, Ky) broadcast over the
-    widest window on each axis, each city's indices clipped to its own
-    window, which repeats cells but changes no maximum.  Cities without
-    links, or whose window holds no cell of the grid, get 0 and read no
-    roof.
+    The windows are looked up as one (cities, Kx, Ky) broadcast through
+    :meth:`Cities.roofs` over the widest window on each axis, each
+    city's indices clipped to its own window.  Each city with links
+    keeps its roofs in a tile of (Kx + 2) x (Ky + 2) cells that starts
+    one cell before its window on each axis; every cell of the tile
+    outside the window, repeated by the clipping or beyond the grid,
+    reads -inf, so it never blocks, not even a ray at height 0.  Every
+    grid box a track meets lies in its city's window, and a track with
+    both ends on the extent meets no box more than one cell beyond the
+    grid, so the tile holds every box the track meets.
+
+    Returns (top, roofs, base, ky): per city, the tallest roof of its
+    window (0 for a city without links or whose window holds no cell),
+    and the tiles, flat, the roof of cell (ix, iy) of city c being
+    roofs[base[c] + ix*ky + iy].
     """
     owner, (first_x, last_x), (first_y, last_y) = _windows(
         cities.layout, run, tx_x, tx_y, rx_x, rx_y
     )
+    cells_x = np.maximum(last_x - first_x + 1, 0)
+    cells_y = np.maximum(last_y - first_y + 1, 0)
+    kx, ky = int(cells_x.max()) + 2, int(cells_y.max()) + 2
+    roofs = np.full((owner.size, kx, ky), -np.inf)
     top = np.zeros(cities.keys.size)
-    filled = (last_x >= first_x) & (last_y >= first_y)
-    if not filled.any():
-        return top
-    owner = owner[filled]
-    ix, iy = (
-        np.minimum(first[filled, None] + np.arange(np.max((last - first)[filled]) + 1),
-                   last[filled, None])
-        for first, last in ((first_x, last_x), (first_y, last_y))
-    )
-    roof = cities.roofs(owner[:, None, None], ix[:, :, None], iy[:, None, :])
-    top[owner] = roof.max(axis=(1, 2))
-    return top
+    filled = np.flatnonzero(cells_x * cells_y)
+    if filled.size:
+        ix, iy = (
+            np.minimum(first[filled, None] + np.arange(k - 2), last[filled, None])
+            for first, last, k in ((first_x, last_x, kx), (first_y, last_y, ky))
+        )
+        window = cities.roofs(owner[filled, None, None], ix[:, :, None], iy[:, None, :])
+        repeated = (np.arange(kx - 2) >= cells_x[filled, None])[:, :, None] | (
+            np.arange(ky - 2) >= cells_y[filled, None]
+        )[:, None, :]
+        np.copyto(window, -np.inf, where=repeated)
+        top[owner[filled]] = window.max(axis=(1, 2))
+        roofs[filled, 1:-1, 1:-1] = window
+    base = np.zeros(cities.keys.size, dtype=np.int64)
+    base[owner] = np.arange(owner.size) * (kx * ky) - (first_x - 1) * ky - (first_y - 1)
+    return top, roofs.ravel(), base, ky
+
+
+def _require_on_extent(layout: CityLayout, x, y, label: str) -> None:
+    if not (
+        0.0 <= x.min() and x.max() <= layout.extent_x
+        and 0.0 <= y.min() and y.max() <= layout.extent_y
+    ):
+        raise OutOfExtent(
+            f"a {label} lies outside extent {layout.extent_x} x {layout.extent_y}"
+        )
 
 
 def first_blockers(cities: Cities, uavs: UavPositions, run, rx_x, rx_y, h_rx: float):
@@ -362,22 +403,21 @@ def first_blockers(cities: Cities, uavs: UavPositions, run, rx_x, rx_y, h_rx: fl
     Link n runs from the receiver at (rx_x[n], rx_y[n], h_rx) to the
     transmitter of city run[n], at (x[run[n]], y[run[n]], z[run[n]])
     for uavs = (x, y, z); run is non-decreasing, so the links of one
-    city are contiguous.  A building blocks a link when its roof
-    (:meth:`Cities.roofs`) reaches the ray height where the ground track
-    enters its closed box seen from the receiver (a roof exactly at ray
-    height blocks); cells beyond the grid are open space.  Endpoints
-    are not validated.
+    city are contiguous, and every endpoint lies on the extent
+    (InvalidParams and OutOfExtent otherwise).  A building blocks a link
+    when its roof (:meth:`Cities.roofs`) reaches the ray height where
+    the ground track enters its closed box seen from the receiver (a
+    roof exactly at ray height blocks); cells beyond the grid are open
+    space.  Endpoints are not checked against the buildings.
 
-    Each track is cut where the ray rises above the tallest roof its
-    city's tracks can meet (:func:`_tallest_reachable`): at t_max =
-    (top - h_rx) / (tx.z - h_rx) plus _CUT_SLACK, at most 1, and kept
-    only where the ray height there, computed as in the roof test,
-    exceeds that roof.  The ray height only grows with t, so no box
-    entered beyond the cut can block, and the cut changes no outcome.
-    Where tx.z <= h_rx the track is not cut, and neither is any track
-    when every track has zero length: each then lists only the boxes
-    that hold its point, at t = 0, and the cut would drop only boxes
-    whose roofs stay below h_rx.
+    The roofs of every city's window are looked up once
+    (:func:`_window_roofs`), and each entry reads its roof from them.
+    Each track is cut where the ray rises above the tallest of them: at
+    t_max = (top - h_rx) / (tx.z - h_rx) plus _CUT_SLACK, at most 1,
+    and kept only where the ray height there, computed as in the roof
+    test, exceeds that roof.  The ray height only grows with t, so no
+    box entered beyond the cut can block, and the cut changes no
+    outcome.  Where tx.z <= h_rx the track is not cut.
 
     The cuts are taken once for all links, which are then decided in
     consecutive slices of citygeom.CALL_PERIODS grid periods of cut
@@ -400,15 +440,14 @@ def first_blockers(cities: Cities, uavs: UavPositions, run, rx_x, rx_y, h_rx: fl
         empty = np.zeros(0, dtype=np.int64)
         return empty, empty, empty, np.zeros(0)
     layout = cities.layout
+    _require_on_extent(layout, rx_x, rx_y, "receiver")
+    _require_on_extent(layout, tx_x, tx_y, "transmitter")
+    top, roofs, base, ky = _window_roofs(cities, run, tx_x, tx_y, rx_x, rx_y)
     rise = tx_z - h_rx
+    cut = (top - h_rx) / np.where(rise > 0.0, rise, 1.0) + _CUT_SLACK
+    cut = np.where((rise > 0.0) & (h_rx + cut * rise > top), np.minimum(cut, 1.0), 1.0)
     length = np.hypot(tx_x[run] - rx_x, tx_y[run] - rx_y)
-    cut = np.ones(tx_z.size)
-    if length.any():
-        top = _tallest_reachable(cities, run, tx_x, tx_y, rx_x, rx_y)
-        cut = (top - h_rx) / np.where(rise > 0.0, rise, 1.0) + _CUT_SLACK
-        cut = np.where((rise > 0.0) & (h_rx + cut * rise > top), np.minimum(cut, 1.0), 1.0)
     spent = np.cumsum(cut[run] * length / layout.period + 1.0)
-    nx, ny = _grid_shape(layout)
     budget = citygeom.CALL_PERIODS
     found = []
     start = 0
@@ -421,15 +460,20 @@ def first_blockers(cities: Cities, uavs: UavPositions, run, rx_x, rx_y, h_rx: fl
             layout, rx_x[part], rx_y[part], tx_x[owner], tx_y[owner], cut[owner]
         )
         link += start
-        built = (ix >= 1) & (ix <= nx) & (iy >= 1) & (iy <= ny)
-        link, ix, iy, t = link[built], ix[built], iy[built], t[built]
-        city_of = run[link]
-        blocked = cities.roofs(city_of, ix, iy) >= h_rx + t * rise[city_of]
-        link, ix, iy, t = link[blocked], ix[blocked], iy[blocked], t[blocked]
+        city_of = run.take(link)
+        at = ix * ky
+        at += iy
+        at += base.take(city_of)
+        ray = rise.take(city_of)
+        ray *= t
+        ray += h_rx
+        hit = np.flatnonzero(roofs.take(at) >= ray)
         # Entries come nearest the transmitter first within each link.
-        first = np.ones(link.size, dtype=bool)
-        first[1:] = link[1:] != link[:-1]
-        found.append((link[first], ix[first], iy[first], t[first]))
+        first = np.ones(hit.size, dtype=bool)
+        hit_link = link.take(hit)
+        first[1:] = hit_link[1:] != hit_link[:-1]
+        hit = hit[first]
+        found.append((link.take(hit), ix.take(hit), iy.take(hit), t.take(hit)))
         start = stop
     return tuple(np.concatenate(parts) for parts in zip(*found))
 

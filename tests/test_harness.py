@@ -404,10 +404,17 @@ def test_compare_engines_is_reproducible():
     assert [(r.sim3d, r.geom) for r in a] == [(r.sim3d, r.geom) for r in b]
 
 
+def sim3d_point(spec, theta, phi):
+    """The 3D engine's estimate at one point of spec on URBAN, with its
+    UAVs at 100 m and the run keys of seed 77."""
+    keys = citygeom.run_keys(77, spec.n_runs)
+    return harness._estimate_sim3d(spec, URBAN, theta, phi, 100.0, keys)
+
+
 def sim3d_work(monkeypatch):
     """Record, for every sim3d block, its number of cities, for every
-    sim3d kernel call, its tracks and entries, and for every tallest-roof
-    window lookup, the roofs it looks up."""
+    sim3d kernel call, its tracks and entries, and for every lookup of a
+    block's window roofs, the roofs it looks up."""
     blocks, calls, lookups = [], [], []
     looking = []
 
@@ -422,12 +429,12 @@ def sim3d_work(monkeypatch):
         calls.append((np.size(x_rx), out[0].size))
         return out
 
-    tallest = sim3d._tallest_reachable
+    window_roofs = sim3d._window_roofs
 
     def windowed(*args):
         looking.append(True)
         try:
-            return tallest(*args)
+            return window_roofs(*args)
         finally:
             looking.pop()
 
@@ -440,7 +447,7 @@ def sim3d_work(monkeypatch):
 
     monkeypatch.setattr(harness, "place_uav", counted_block)
     monkeypatch.setattr(sim3d, "track_entries", counted_call)
-    monkeypatch.setattr(sim3d, "_tallest_reachable", windowed)
+    monkeypatch.setattr(sim3d, "_window_roofs", windowed)
     monkeypatch.setattr(sim3d.Cities, "roofs", counted_roofs)
     return blocks, calls, lookups
 
@@ -470,21 +477,21 @@ def test_sim3d_blocks_and_calls_do_not_change_the_estimate(
         axes=(SweepAxis("theta", (theta,)),), n_runs=12, n_users=90, seed=3,
     )
     sizes, calls, _ = sim3d_work(monkeypatch)
-    pooled = harness._estimate_sim3d(spec, URBAN, theta, phi, 100.0, 77)
+    pooled = sim3d_point(spec, theta, phi)
     assert sizes == ([7, 5] if theta == 3.0 else [12])
     links = sum(tracks for tracks, _ in calls)
     assert links == pooled.n
     for block, expected in ((1, [1] * 12), (mid_block, blocks)):
         monkeypatch.setattr(harness, "BLOCK_ELEMENTS", block)
         sizes.clear()
-        assert harness._estimate_sim3d(spec, URBAN, theta, phi, 100.0, 77) == pooled
+        assert sim3d_point(spec, theta, phi) == pooled
         assert sizes == expected
     monkeypatch.undo()
     sizes, calls, _ = sim3d_work(monkeypatch)
     for budget in (1, mid_call):
         monkeypatch.setattr(citygeom, "CALL_PERIODS", budget)
         calls.clear()
-        assert harness._estimate_sim3d(spec, URBAN, theta, phi, 100.0, 77) == pooled
+        assert sim3d_point(spec, theta, phi) == pooled
         tracks = [n for n, _ in calls]
         assert sum(tracks) == links
         if budget == 1:
@@ -492,6 +499,21 @@ def test_sim3d_blocks_and_calls_do_not_change_the_estimate(
         else:
             assert 1 < max(tracks) < links
     assert 0 < pooled.k < pooled.n or theta == 90.0
+
+
+def test_sim3d_points_take_the_run_keys_of_their_seeds():
+    # A sweep's sim3d points derive their keys from one RunKeys of all
+    # their seeds; each point still decides the run keys of its own seed.
+    spec = SweepSpec(engine="sim3d", params=URBAN, extent=(1000.0, 1000.0),
+                     axes=(SweepAxis("theta", (20.0, 45.0, 70.0)),), n_runs=6, n_users=40)
+    seeds = [5, 2**62 + 3, 77]
+    vars = [{"theta": theta} for theta in (20.0, 45.0, 70.0)]
+    estimates, _ = harness._estimate_points(spec, vars, seeds)
+    assert estimates == [
+        harness._estimate_sim3d(spec, URBAN, var["theta"], None, 100.0,
+                                citygeom.run_keys(seed, 6))
+        for var, seed in zip(vars, seeds)
+    ]
 
 
 @pytest.mark.parametrize("budget", [None, 1024], ids=["default", "small"])
@@ -511,7 +533,7 @@ def test_sim3d_working_set_follows_the_block_and_call_budgets(budget, monkeypatc
     for theta, phi, n_runs in points:
         spec = SweepSpec(engine="sim3d", params=URBAN, axes=(SweepAxis("theta", (theta,)),),
                          n_runs=n_runs, seed=3)
-        assert harness._estimate_sim3d(spec, URBAN, theta, phi, 100.0, 77).n > 0
+        assert sim3d_point(spec, theta, phi).n > 0
     assert max(lookups) <= harness.BLOCK_ELEMENTS
     assert max(entries for _, entries in calls) <= 4 * citygeom.CALL_PERIODS
     assert len(calls) > len(points) and len(lookups) > len(points)
@@ -566,7 +588,7 @@ def test_engines_derive_run_keys_without_generate_state(monkeypatch):
 
     def estimates():
         return (simgeom.estimate_plos(scenario, 300, 11),
-                harness._estimate_sim3d(spec, URBAN, 30.0, None, 100.0, 77))
+                harness._estimate_points(spec, [{"theta": 30.0}], [77])[0][0])
 
     expected = estimates()
     monkeypatch.setattr(np.random, "SeedSequence", _NoGenerateState)

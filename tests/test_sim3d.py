@@ -517,6 +517,96 @@ def test_first_blockers_does_not_depend_on_its_call_budget(budget, monkeypatch):
         assert np.array_equal(a, b)
 
 
+def test_first_blockers_refuses_a_run_out_of_order_or_past_its_cities():
+    # Out of order, the links of a city are no longer contiguous: before
+    # run was checked, this shuffled block lost blocked link 118 (113
+    # blocked links instead of 114) and raised nothing.
+    params = ENVIRONMENTS["urban"]
+    layout = derive_layout(params, 1500.0, 1500.0)
+    cities = Cities(params, layout, run_keys(3, 6))
+    uavs = place_uav(cities, RandomOverCity(120.0))
+    run, x, y = place_users(layout, uavs, 15.0, user_directions(15.0, 60), 1.5)
+    assert (run.size, first_blockers(cities, uavs, run, x, y, 1.5)[0].size) == (152, 114)
+    order = np.random.default_rng(3).permutation(run.size)
+    for bad, at in ((run[order], order), (run - 1, slice(None)), (run + 1, slice(None))):
+        with pytest.raises(InvalidParams, match="non-decreasing and index the 6 cities"):
+            first_blockers(cities, uavs, bad, x[at], y[at], 1.5)
+
+
+def test_first_blockers_refuses_endpoints_off_the_extent():
+    # A track that leaves the extent can meet boxes farther beyond the
+    # grid than its city's window of roofs reaches.
+    cities = Cities.of([toy_city()])
+    on = ([50.0], [50.0], [60.0])
+    assert first_blockers(cities, on, [0], [0.0], [100.0], 1.5)[0].size == 0
+    for rx in ((-0.5, 50.0), (50.0, 100.5)):
+        with pytest.raises(OutOfExtent, match="receiver"):
+            first_blockers(cities, on, [0], [rx[0]], [rx[1]], 1.5)
+    with pytest.raises(OutOfExtent, match="transmitter"):
+        first_blockers(cities, ([50.0], [-20.0], [60.0]), [0], [50.0], [50.0], 1.5)
+
+
+_FRINGE_EXTENT = 22.5 * derive_layout(ENVIRONMENTS["urban"]).period
+
+
+def reference_blockers(cities, uavs, run, rx_x, rx_y, h_rx):
+    """first_blockers from every box each uncut track meets in the grid,
+    with the roofs looked up entry by entry through Cities.roofs."""
+    tx_x, tx_y, tx_z = uavs
+    link, ix, iy, t = track_entries(cities.layout, rx_x, rx_y, tx_x[run], tx_y[run])
+    nx, ny = sim3d._grid_shape(cities.layout)
+    grid = (ix >= 1) & (ix <= nx) & (iy >= 1) & (iy <= ny)
+    link, ix, iy, t = link[grid], ix[grid], iy[grid], t[grid]
+    city = run[link]
+    blocked = cities.roofs(city, ix, iy) >= h_rx + t * (tx_z[city] - h_rx)
+    link, ix, iy, t = link[blocked], ix[blocked], iy[blocked], t[blocked]
+    first = np.unique(link, return_index=True)[1]
+    return link[first], ix[first], iy[first], t[first]
+
+
+@pytest.mark.parametrize("h_rx", [1.5, 0.0])
+@pytest.mark.parametrize("explicit", [False, True], ids=["implicit", "explicit"])
+def test_window_gather_matches_a_roof_lookup_per_entry(explicit, h_rx):
+    # An urban extent of 22.5 periods: a 22 x 22 grid and an open fringe
+    # strip wider than a street, so the boxes of column and row 23 begin
+    # on the extent.  Twelve cities, each with its ring; the last two
+    # have their UAVs at the corners of the extent, where the grid clips
+    # their windows below the widest, and receivers on the extent's
+    # edges, on the near faces of boxes beyond the grid and inside the
+    # fringe.  At h_rx = 0 such a receiver sees the ray at height 0 where
+    # its track enters a box beyond the grid, which must not block.
+    params = ENVIRONMENTS["urban"]
+    layout = derive_layout(params, _FRINGE_EXTENT, _FRINGE_EXTENT)
+    p, s, w = layout.period, layout.s, layout.w
+    assert sim3d._grid_shape(layout) == (22, 22) and _FRINGE_EXTENT - 22 * p > s
+    keys = run_keys(8, 12)
+    cities = Cities(params, layout, keys)
+    if explicit:
+        cities = Cities.of(
+            [generate_city(params, _FRINGE_EXTENT, _FRINGE_EXTENT, k) for k in keys.tolist()]
+        )
+    x, y, z = place_uav(cities, RandomOverCity(100.0))
+    x[-2:] = y[-2:] = (0.0, _FRINGE_EXTENT)
+    face = 22 * p + s
+    mid = [k * p + s + w / 2.0 for k in range(22)]
+    edges = {
+        10: [(0.0, mid[3]), (mid[2], 0.0), (0.0, 0.0)],
+        11: [(face, mid[19]), (mid[19], face), (face + 1.0, face + 1.0),
+             (_FRINGE_EXTENT, mid[20]), (mid[18], _FRINGE_EXTENT)],
+    }
+    for theta in (10.0, 30.0, 60.0):
+        run, rx_x, rx_y = place_users(layout, (x, y, z), theta, user_directions(theta, 60), h_rx)
+        users = [list(zip(rx_x[run == c], rx_y[run == c])) + edges.get(c, []) for c in range(12)]
+        run = np.repeat(np.arange(12), [len(u) for u in users])
+        rx_x, rx_y = (np.array(v) for v in zip(*[xy for u in users for xy in u]))
+        got = first_blockers(cities, (x, y, z), run, rx_x, rx_y, h_rx)
+        expected = reference_blockers(cities, (x, y, z), run, rx_x, rx_y, h_rx)
+        assert 0 < got[0].size < run.size
+        for a, b in zip(got, expected):
+            assert a.dtype == b.dtype
+            assert np.array_equal(a, b)
+
+
 @pytest.mark.parametrize("env", ["urban", "high-rise", "suburban"])
 def test_window_cells_bounds_the_window_of_every_ring(env):
     # A block is sized by window_cells, so no city's tallest-roof window
@@ -582,10 +672,10 @@ def _ring(coordinate):
 # A track of subnormal length, whose band-edge fractions overflow.
 @example(rings=[((0.0, 2.2e-311), [(0.0, 0.0)])])
 def test_uncut_tracks_meet_only_boxes_of_their_city_window(rings):
-    # The cut and the broadcast window lookup both rest on this: every box
-    # of the grid that a city's uncut track meets lies in the city's
-    # window on both axes.  A city whose window holds no cell keeps top 0
-    # and reads no roof.
+    # The cut and the entry decision from the window's roofs both rest on
+    # this: every box of the grid that a city's uncut track meets lies in
+    # the city's window on both axes, so its roof is in the city's tile.  A
+    # city whose window holds no cell keeps top 0 and reads no roof.
     city = generate_city(ENVIRONMENTS["urban"], _URBAN_EXTENT, _URBAN_EXTENT, 5)
     layout = city.layout
     assert city.heights.shape == (60, 60)
@@ -612,7 +702,9 @@ def test_uncut_tracks_meet_only_boxes_of_their_city_window(rings):
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(Cities, "roofs", recorded)
-        top = sim3d._tallest_reachable(cities, run, tx_x, tx_y, rx_x, rx_y)
+        top, roofs, base, ky = sim3d._window_roofs(cities, run, tx_x, tx_y, rx_x, rx_y)
+    at = base[c] + ix[grid] * ky + iy[grid]
+    assert np.array_equal(roofs[at], city.heights[ix[grid] - 1, iy[grid] - 1])
     for n in range(len(rings)):
         if first_x[n] > last_x[n] or first_y[n] > last_y[n]:
             assert top[n] == 0.0 and n not in read
