@@ -249,8 +249,15 @@ def _band_visits(c0, dc, t_lo, t_hi, p: float, s: float):
     sub-window of t spent inside that band.  Rows keep the input order,
     and the bands of one window come latest-visited first.
 
-    The arithmetic runs in place on as few per-band arrays as it can,
-    since their count bounds the working set of a kernel call.
+    The band range of each window is widened by _BAND_SLACK against
+    rounding, and an exact test of the t-interval then drops the bands
+    a window does not visit.  It drops one only where a window ends
+    within the slack short of a band, or a coordinate that does not
+    move lies within the slack outside it, which random tracks almost
+    never do, so the candidates are returned as they are when it drops
+    none and compacted only otherwise.  The arithmetic runs in place on
+    as few per-band arrays as it can, since their count bounds the
+    working set of a kernel call.
     """
     ca = c0 + dc * t_lo
     hi = c0 + dc * t_hi
@@ -320,6 +327,8 @@ def _band_visits(c0, dc, t_lo, t_hi, p: float, s: float):
     keep = lo <= hi
     if still is not None:
         keep &= inside
+    if keep.all():
+        return row, i, lo, hi
     keep = np.flatnonzero(keep)
     return row.take(keep), i.take(keep), lo.take(keep), hi.take(keep)
 

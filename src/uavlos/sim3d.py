@@ -286,6 +286,11 @@ def _reject_inside_building(city: City, node: Node, label: str) -> None:
 _CUT_SLACK = 1e-9
 
 
+#: Slack, in grid periods, that widens each end of a window of
+#: :func:`_windows`: twice the kernel's own (citygeom._BAND_SLACK).
+_WINDOW_SLACK = 2.0 * citygeom._BAND_SLACK
+
+
 def _windows(layout: CityLayout, run, tx_x, tx_y, rx_x, rx_y):
     """The cities that have links and the cell window of each.
 
@@ -293,10 +298,10 @@ def _windows(layout: CityLayout, run, tx_x, tx_y, rx_x, rx_y):
     and its receivers, so only the boxes meeting that window matter:
     box ix, spanning [(ix-1)*p + s, ix*p], meets [lo, hi] when
     lo/p <= ix <= (hi - s)/p + 1.  Against rounding, both bounds are
-    widened by twice the slack the ground-track kernel adds to its own
-    band range (citygeom._BAND_SLACK periods), so the window holds every
-    box the kernel can list for a track of the city; the cell range is
-    then clipped to the grid.
+    widened by _WINDOW_SLACK periods, twice the slack the ground-track
+    kernel adds to its own band range, so the window holds every box
+    the kernel can list for a track of the city; the cell range is then
+    clipped to the grid.
 
     Returns (owner, (first_x, last_x), (first_y, last_y)): the city of
     each run of equal entries of run, and its window's first and last
@@ -309,13 +314,12 @@ def _windows(layout: CityLayout, run, tx_x, tx_y, rx_x, rx_y):
     owner = run[starts]
     if run[0] < 0 or owner[-1] >= tx_x.size or (owner[1:] <= owner[:-1]).any():
         raise InvalidParams(f"run must be non-decreasing and index the {tx_x.size} cities")
-    slack = 2.0 * citygeom._BAND_SLACK
     ends = []
     for tx, rx, n in zip((tx_x, tx_y), (rx_x, rx_y), _grid_shape(layout)):
         lo = np.minimum(np.minimum.reduceat(rx, starts), tx[owner])
         hi = np.maximum(np.maximum.reduceat(rx, starts), tx[owner])
-        first = np.maximum(np.ceil(lo / p - slack).astype(np.int64), 1)
-        last = np.minimum(np.floor((hi - s) / p + slack).astype(np.int64) + 1, n)
+        first = np.maximum(np.ceil(lo / p - _WINDOW_SLACK).astype(np.int64), 1)
+        last = np.minimum(np.floor((hi - s) / p + _WINDOW_SLACK).astype(np.int64) + 1, n)
         ends.append((first, last))
     return owner, ends[0], ends[1]
 
@@ -326,24 +330,28 @@ def window_cells(layout: CityLayout, radius: float, directions) -> int:
     (see :func:`user_directions`).
 
     On an axis whose direction components are c, the users and the UAV
-    span w = radius*(max(c, 0) - min(c, 0)) metres.  A window over a
-    span of w holds fewer than (w - s)/p + 4 cells of the axis; half the
-    street width s covers rounding in the users' positions, so it holds
-    at most ceil((w - s/2)/p) + 3 cells, and no more than the grid.
+    span w = radius*(max(c, 0) - min(c, 0)) metres.  A window over
+    [lo, hi] runs from cell ceil(lo/p - e) to floor((hi - s)/p + e) + 1,
+    e being its slack, and since floor(x + d) - ceil(x) <= floor(d) for
+    every x, it holds at most floor((w - s)/p + 2e) + 2 cells, as many
+    as a window starting on a box's near face does; a margin of another
+    2e periods covers rounding in the users' positions.  No window holds
+    more cells than the grid.
     """
     p, s = layout.period, layout.s
+    margin = 4.0 * _WINDOW_SLACK
     cells = 1
     for c, n in zip(directions, _grid_shape(layout)):
         span = radius * (max(float(np.max(c)), 0.0) - min(float(np.min(c)), 0.0))
-        cells *= min(math.ceil((span - s / 2.0) / p) + 3, n)
+        cells *= min(math.floor((span - s) / p + margin) + 2, n)
     return cells
 
 
-def _window_roofs(cities: Cities, run, tx_x, tx_y, rx_x, rx_y):
-    """The roofs of every city's window (:func:`_windows`), looked up once
-    and kept for the track entries of its links, and per city the
-    tallest of them: a roof at least as tall as any its links' tracks
-    meet.
+def _window_roofs(cities: Cities, windows):
+    """The roofs of every city's window, windows being what
+    :func:`_windows` returns, looked up once and kept for the track
+    entries of its links, and per city the tallest of them: a roof at
+    least as tall as any its links' tracks meet.
 
     The windows are looked up as one (cities, Kx, Ky) broadcast through
     :meth:`Cities.roofs` over the widest window on each axis, each
@@ -361,9 +369,7 @@ def _window_roofs(cities: Cities, run, tx_x, tx_y, rx_x, rx_y):
     and the tiles, flat, the roof of cell (ix, iy) of city c being
     roofs[base[c] + ix*ky + iy].
     """
-    owner, (first_x, last_x), (first_y, last_y) = _windows(
-        cities.layout, run, tx_x, tx_y, rx_x, rx_y
-    )
+    owner, (first_x, last_x), (first_y, last_y) = windows
     cells_x = np.maximum(last_x - first_x + 1, 0)
     cells_y = np.maximum(last_y - first_y + 1, 0)
     kx, ky = int(cells_x.max()) + 2, int(cells_y.max()) + 2
@@ -412,6 +418,9 @@ def first_blockers(cities: Cities, uavs: UavPositions, run, rx_x, rx_y, h_rx: fl
 
     The roofs of every city's window are looked up once
     (:func:`_window_roofs`), and each entry reads its roof from them.
+    Where no window holds a cell of the grid, as at theta 90 unless a
+    receiver stands on a box's face, no link is blocked, and none goes
+    to the kernel.
     Each track is cut where the ray rises above the tallest of them: at
     t_max = (top - h_rx) / (tx.z - h_rx) plus _CUT_SLACK, at most 1,
     and kept only where the ray height there, computed as in the roof
@@ -436,13 +445,18 @@ def first_blockers(cities: Cities, uavs: UavPositions, run, rx_x, rx_y, h_rx: fl
     rx_x = np.asarray(rx_x, dtype=float)
     rx_y = np.asarray(rx_y, dtype=float)
     tx_x, tx_y, tx_z = (np.asarray(c, dtype=float) for c in uavs)
+    empty = np.zeros(0, dtype=np.int64)
     if run.size == 0:
-        empty = np.zeros(0, dtype=np.int64)
         return empty, empty, empty, np.zeros(0)
     layout = cities.layout
     _require_on_extent(layout, rx_x, rx_y, "receiver")
     _require_on_extent(layout, tx_x, tx_y, "transmitter")
-    top, roofs, base, ky = _window_roofs(cities, run, tx_x, tx_y, rx_x, rx_y)
+    windows = _windows(layout, run, tx_x, tx_y, rx_x, rx_y)
+    _, (first_x, last_x), (first_y, last_y) = windows
+    if not ((first_x <= last_x) & (first_y <= last_y)).any():
+        # No track meets a box of the grid, and beyond it is open space.
+        return empty, empty, empty, np.zeros(0)
+    top, roofs, base, ky = _window_roofs(cities, windows)
     rise = tx_z - h_rx
     cut = (top - h_rx) / np.where(rise > 0.0, rise, 1.0) + _CUT_SLACK
     cut = np.where((rise > 0.0) & (h_rx + cut * rise > top), np.minimum(cut, 1.0), 1.0)

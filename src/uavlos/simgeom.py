@@ -55,7 +55,6 @@ from .citygeom import (
     roof_heights,
     seed_pools,
     stream_bits,
-    stream_uniforms,
     track_entries,
     track_length,
     tracks_per_call,
@@ -159,9 +158,19 @@ class GeomScenario:
 
 
 #: Placement rounds before a link whose UAV keeps landing inside a
-#: building, or at or below its user, is given up; each round redraws
-#: every such link once.
+#: building, or at or below its user, is given up.
 PLACEMENT_ROUNDS = 100_000
+
+#: Redraw passes (see :func:`_draw_links`): each draws the links still
+#: rejected a block of their next rounds, at most _REDRAW_ROUNDS rounds
+#: in the first pass and twice as many as the pass before in each later
+#: one, and at most _REDRAW_DRAWS link-rounds (at least one round).  A
+#: pass costs about 60 us of numpy calls plus about 0.1 us per
+#: link-round on a 2-vCPU Xeon, so its draws stay within a few times
+#: its fixed cost whether many links need a few rounds or a few links
+#: need many.
+_REDRAW_ROUNDS = 8
+_REDRAW_DRAWS = 2048
 
 
 def _point_values(scenario: GeomScenario) -> tuple[float, ...]:
@@ -181,6 +190,44 @@ def _point_values(scenario: GeomScenario) -> tuple[float, ...]:
         lo = hi = 0.0
     h_lo, h_hi = scenario.h_uav if isinstance(scenario.h_uav, tuple) else (scenario.h_uav,) * 2
     return tan, cos, sin, lo, hi - lo, h_lo, h_hi - h_lo
+
+
+def _place(layout: CityLayout, gamma: float, h_rx: float, street, values, city, u):
+    """Placement rounds, element by element: round m draws city key
+    city[m] and the uniforms u[0][m] to u[3][m] (user x, user y, azimuth
+    and altitude).  street and each of values (see :func:`_point_values`)
+    are scalars or arrays that broadcast against them.
+
+    Returns the rounds' (user x, user y, UAV x, UAV y, UAV z) and whether
+    each is rejected: its altitude at or below h_rx, or its UAV over a
+    roof of its city at or above it.
+    """
+    tan, cos_fixed, sin_fixed, phi_lo, phi_span, h_lo, h_span = values
+    p, s, w = layout.period, layout.s, layout.w
+    ux = s * u[0]
+    if np.ndim(street):
+        uy = np.where(street, s + w * u[1], s * u[1])
+    else:
+        uy = s + w * u[1] if street else s * u[1]
+    cos_phi, sin_phi = cos_fixed, sin_fixed
+    ranged = phi_span > 0.0
+    if np.any(ranged):
+        phi = np.radians(phi_lo + phi_span * u[2])
+        cos_phi, sin_phi = np.cos(phi), np.sin(phi)
+        if not np.all(ranged):  # fixed and drawn azimuths in one chunk
+            cos_phi = np.where(ranged, cos_phi, cos_fixed)
+            sin_phi = np.where(ranged, sin_phi, sin_fixed)
+    vz = h_lo + h_span * u[3]
+    # Ground offset from the elevation, (vz - h_rx)/tan(theta).
+    d = (vz - h_rx) / tan
+    vx = ux + d * cos_phi
+    vy = uy + d * sin_phi
+    rejected = vz <= h_rx
+    over = np.nonzero(~rejected & ((vx % p) >= s) & ((vy % p) >= s))
+    ix = (vx[over] // p).astype(np.int64) + 1
+    iy = (vy[over] // p).astype(np.int64) + 1
+    rejected[over] = roof_heights(city[over], ix, iy, gamma) >= vz[over]
+    return (ux, uy, vx, vy, vz), rejected
 
 
 def _draw_links(
@@ -208,70 +255,73 @@ def _draw_links(
     Every round is a fresh city: a round whose altitude is at or below
     the user, or whose UAV hovers over a roof of its city
     (:func:`roof_heights`) at or above it, is rejected, and the link
-    draws round r + 1, zone kept.  The accepted round conditions only
+    takes round r + 1, zone kept.  The accepted round conditions only
     the roof under its UAV.  The scenarios share params, user zone and
     h_rx.
+
+    Because rounds are pure, they are drawn in passes rather than one
+    at a time, which changes no bit: a first pass draws round 0 of every
+    link, stream positions 0 ("mixed" only) to 5 as the rows of one
+    stream call; each later pass draws the links still rejected a block
+    of their next rounds (see _REDRAW_ROUNDS), and each link keeps its
+    first accepted round.  Every chunk of the 170-point high-rise
+    heatmap at seed 1 takes two passes, where a round at a time took up
+    to six.  A link still rejected after PLACEMENT_ROUNDS rounds fails
+    the chunk (InvalidParams), naming the point of the first such link.
 
     Returns arrays (user x, user y, UAV x, UAV y, UAV z, city key) of
     each link's accepted round.
     """
-    n = keys.size
     zone, h_rx = scenarios[0].user_zone, scenarios[0].h_rx
-    if zone == "mixed":
-        # Free space splits into two street rectangles (s*w each) and one
-        # crossroad square (s*s) per period cell.
-        w_street = 2.0 * layout.w / (layout.s + 2.0 * layout.w)
-        street = stream_uniforms(keys, 0) < w_street
-    else:
-        street = np.full(n, zone == "street")
+    gamma = scenarios[0].params.gamma
     # A value reaches the links as one scalar when the chunk's points share
-    # it, else as one value per pending link.
+    # it, else as one value per link.
     values = [
         v[0] if len(set(v)) == 1 else np.array(v)[point]
         for v in zip(*(_point_values(scenario) for scenario in scenarios))
     ]
-    p, s, w = layout.period, layout.s, layout.w
-    placed = np.empty((5, n))
-    city = np.empty(n, dtype=np.uint64)
-    pending = np.arange(n)
-    for r in range(PLACEMENT_ROUNDS):
-        tan, cos_fixed, sin_fixed, phi_lo, phi_span, h_lo, h_span = values
-        bits = stream_bits(keys[pending, None], 1 + 5 * r + np.arange(5))
-        c = bits[:, 0]
-        u = bits_to_uniforms(bits[:, 1:])
-        ux = s * u[:, 0]
-        uy = np.where(street[pending], s + w * u[:, 1], s * u[:, 1])
-        cos_phi, sin_phi = cos_fixed, sin_fixed
-        ranged = phi_span > 0.0
-        if np.any(ranged):
-            phi = np.radians(phi_lo + phi_span * u[:, 2])
-            cos_phi, sin_phi = np.cos(phi), np.sin(phi)
-            if not np.all(ranged):  # fixed and drawn azimuths in one chunk
-                cos_phi = np.where(ranged, cos_phi, cos_fixed)
-                sin_phi = np.where(ranged, sin_phi, sin_fixed)
-        vz = h_lo + h_span * u[:, 3]
-        # Ground offset from the elevation, (vz - h_rx)/tan(theta).
-        d = (vz - h_rx) / tan
-        vx = ux + d * cos_phi
-        vy = uy + d * sin_phi
-        rejected = vz <= h_rx
-        over = np.flatnonzero(~rejected & ((vx % p) >= s) & ((vy % p) >= s))
-        ix = (vx[over] // p).astype(np.int64) + 1
-        iy = (vy[over] // p).astype(np.int64) + 1
-        rejected[over] = roof_heights(c[over], ix, iy, scenarios[0].params.gamma) >= vz[over]
-        placed[:, pending] = ux, uy, vx, vy, vz
-        city[pending] = c
-        if not rejected.any():
-            return (*placed, city)
-        pending = pending[rejected]
-        values = [v[rejected] if np.ndim(v) else v for v in values]
-    # Name the point of the first link given up.
-    low = pending[placed[4, pending] <= h_rx]
-    if low.size:
-        h_uav = scenarios[point[low[0]]].h_uav
-        raise InvalidParams(f"h_uav range {h_uav} never exceeds h_rx={h_rx}")
-    h_uav = scenarios[point[pending[0]]].h_uav
-    raise InvalidParams(f"no free-air UAV placement found at h_uav={h_uav}")
+    # Round 0 of every link, position-major: the rows are the stream
+    # positions, so each draw reads a contiguous row.
+    bits = stream_bits(keys, np.arange(0 if zone == "mixed" else 1, 6)[:, None])
+    city = bits[-5]
+    u = bits_to_uniforms(bits[-4:])
+    if zone == "mixed":
+        # Free space splits into two street rectangles (s*w each) and one
+        # crossroad square (s*s) per period cell.
+        street = bits_to_uniforms(bits[0]) < 2.0 * layout.w / (layout.s + 2.0 * layout.w)
+    else:
+        street = zone == "street"
+    placed, rejected = _place(layout, gamma, h_rx, street, values, city, u)
+    pending = np.flatnonzero(rejected)
+    r, most = 1, _REDRAW_ROUNDS
+    while pending.size and r < PLACEMENT_ROUNDS:
+        rounds = min(max(_REDRAW_DRAWS // pending.size, 1), most, PLACEMENT_ROUNDS - r)
+        # Rounds r to r + rounds - 1 of every pending link, as (position,
+        # link, round) blocks.
+        counter = 1 + 5 * (r + np.arange(rounds)) + np.arange(5)[:, None, None]
+        bits = stream_bits(keys[pending, None], counter)
+        kept = [v[pending, None] if np.ndim(v) else v for v in (street, *values)]
+        drawn, rejected = _place(
+            layout, gamma, h_rx, kept[0], kept[1:], bits[0], bits_to_uniforms(bits[1:])
+        )
+        # Each link's first accepted round, or its last round if none is.
+        accepted = ~rejected
+        done = accepted.any(axis=1)
+        pick = np.arange(pending.size), np.where(done, accepted.argmax(axis=1), rounds - 1)
+        for out, v in zip((*placed, city), (*drawn, bits[0])):
+            out[pending] = v[pick]
+        pending = pending[~done]
+        r += rounds
+        most *= 2
+    if pending.size:
+        # Name the point of the first link given up.
+        low = pending[placed[4][pending] <= h_rx]
+        if low.size:
+            h_uav = scenarios[point[low[0]]].h_uav
+            raise InvalidParams(f"h_uav range {h_uav} never exceeds h_rx={h_rx}")
+        h_uav = scenarios[point[pending[0]]].h_uav
+        raise InvalidParams(f"no free-air UAV placement found at h_uav={h_uav}")
+    return (*placed, city)
 
 
 def _first_blockers(

@@ -455,9 +455,9 @@ def sim3d_work(monkeypatch):
 @pytest.mark.parametrize(
     "theta,phi,extent,mid_block,blocks,mid_call",
     [
-        (30.0, None, 1000.0, 1000, [4, 4, 4], 100),
-        (45.0, 30.0, 1000.0, 105, [5, 5, 2], 4),
-        (90.0, None, 1000.0, 30, [3, 3, 3, 3], 5),
+        (30.0, None, 1000.0, 1000, [5, 5, 2], 100),
+        (45.0, 30.0, 1000.0, 35, [5, 5, 2], 4),
+        (90.0, None, 1000.0, 6, [3, 3, 3, 3], 5),
         (3.0, None, 3000.0, 22895, [5, 5, 2], 100),
     ],
     ids=["circle", "fixed-phi", "theta-90", "theta-3"],
@@ -469,9 +469,10 @@ def test_sim3d_blocks_and_calls_do_not_change_the_estimate(
     # but for the theta 3 rings, whose windows span the whole 67 x 67 grid
     # of the 3 km extent: 7 cities of 4 579 elements, then 5.  A block
     # bound of 1 gives every city a block of its own; the mid bound fits
-    # 4 cities of 211 elements at theta 30, 5 of 21 at fixed phi, 3 of 10
+    # 5 cities of 171 elements at theta 30, 5 of 7 at fixed phi, 3 of 2
     # at theta 90 and 5 at theta 3.  A call budget of 1 decides every
-    # link in a call of its own; the mid budget takes several links.
+    # link in a call of its own; the mid budget takes several links.  At
+    # theta 90 no window holds a cell, so no link reaches the kernel.
     spec = SweepSpec(
         engine="sim3d", params=URBAN, extent=(extent, extent),
         axes=(SweepAxis("theta", (theta,)),), n_runs=12, n_users=90, seed=3,
@@ -480,7 +481,7 @@ def test_sim3d_blocks_and_calls_do_not_change_the_estimate(
     pooled = sim3d_point(spec, theta, phi)
     assert sizes == ([7, 5] if theta == 3.0 else [12])
     links = sum(tracks for tracks, _ in calls)
-    assert links == pooled.n
+    assert links == (0 if theta == 90.0 else pooled.n)
     for block, expected in ((1, [1] * 12), (mid_block, blocks)):
         monkeypatch.setattr(harness, "BLOCK_ELEMENTS", block)
         sizes.clear()
@@ -494,11 +495,27 @@ def test_sim3d_blocks_and_calls_do_not_change_the_estimate(
         assert sim3d_point(spec, theta, phi) == pooled
         tracks = [n for n, _ in calls]
         assert sum(tracks) == links
-        if budget == 1:
+        if theta == 90.0:
+            assert tracks == []
+        elif budget == 1:
             assert set(tracks) == {1}
         else:
             assert 1 < max(tracks) < links
     assert 0 < pooled.k < pooled.n or theta == 90.0
+
+
+def test_a_theta_90_sim3d_point_makes_no_kernel_call(monkeypatch):
+    # At theta 90 each user stands in a street under its UAV, so no
+    # window holds a cell of the grid: the point makes no kernel call,
+    # and keeps the estimate it had when every block called the kernel.
+    spec = SweepSpec(
+        engine="sim3d", params=URBAN, extent=(1000.0, 1000.0),
+        axes=(SweepAxis("theta", (90.0,)),), n_runs=3000, seed=3,
+    )
+    blocks, calls, _ = sim3d_work(monkeypatch)
+    estimate = sim3d_point(spec, 90.0, None)
+    assert (estimate.n, estimate.k) == (2160, 2160)
+    assert blocks and calls == []
 
 
 def test_sim3d_points_take_the_run_keys_of_their_seeds():

@@ -289,6 +289,76 @@ def test_edge_walk_agrees_with_dense_oracle(env):
         assert_same_outcome(check_los_edges(city, link), check_los_dense(city, link, step=0.1))
 
 
+def band_visit_spy(monkeypatch):
+    """Record, for every citygeom._band_visits call, how many bands its
+    slack-widened range lists, computed as the kernel computes it, how
+    many it returns, and the dtypes of what it returns."""
+    calls = []
+    band_visits = citygeom._band_visits
+
+    def spied(c0, dc, t_lo, t_hi, p, s):
+        ends = (c0 + dc * t_lo, c0 + dc * t_hi)
+        first = np.ceil(np.minimum(*ends) / p - 1.0 - citygeom._BAND_SLACK)
+        last = np.floor((np.maximum(*ends) - s) / p + citygeom._BAND_SLACK)
+        out = band_visits(c0, dc, t_lo, t_hi, p, s)
+        listed = int(np.maximum(last - first + 1, 0).sum())
+        calls.append((listed, out[0].size, tuple(a.dtype.name for a in out)))
+        return out
+
+    monkeypatch.setattr(citygeom, "_band_visits", spied)
+    return calls
+
+
+#: Toy-grid links, as (transmitter, receiver) ground points, whose
+#: receiver stops short of the near face of a box by 4e-9 m, 4e-10
+#: periods, less than the kernel's band slack: the slack lists that
+#: box's band, which the exact test then drops, in the first kernel pass
+#: (along a row), the second (along a column) or both (to a corner).
+#: Each link's last item is that box.
+NEAR_FACE_LINKS = {
+    "along a row": ((2.5, 17.5), (15.0 - 4e-9, 17.5), (2, 2)),
+    "along a column": ((7.5, 2.5), (7.5, 15.0 - 4e-9), (1, 2)),
+    "to a corner": ((2.5, 2.5), (15.0 - 4e-9, 15.0 - 4e-9), (2, 2)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(NEAR_FACE_LINKS))
+def test_band_visits_compacts_only_the_bands_a_track_stops_short_of(name, monkeypatch):
+    # The box the receiver stops short of is 50 m tall, every other roof
+    # 0 m: a band kept past the exact test would block the link there.
+    (tx_x, tx_y), (rx_x, rx_y), box = NEAR_FACE_LINKS[name]
+    city = toy_city({box: 50.0})
+    link = LinkGeometry.from_nodes(tx=Node(tx_x, tx_y, 60.0), rx=Node(rx_x, rx_y, 1.5))
+    calls = band_visit_spy(monkeypatch)
+    edges = check_los_edges(city, link)
+    assert any(returned < listed for listed, returned, _ in calls)
+    assert {dtypes for *_, dtypes in calls} == {("int64", "int64", "float64", "float64")}
+    dense = check_los_dense(city, link)
+    assert dense.is_los
+    assert_same_outcome(edges, dense)
+
+
+def test_band_visits_keeps_every_band_of_ordinary_tracks(monkeypatch):
+    # Random links end nowhere near a face: every band listed is visited,
+    # so the candidates come back uncompacted, and the outcomes still
+    # match the dense oracle.
+    city = generate_city(ENVIRONMENTS["urban"], 2000.0, 2000.0, 17)
+    rng = np.random.default_rng(31)
+    calls = band_visit_spy(monkeypatch)
+    blocked = 0
+    for _ in range(60):
+        tx = random_free_node(city, rng, 30.0, 300.0)
+        rx = random_free_node(city, rng, 0.0, 20.0)
+        link = LinkGeometry.from_nodes(tx=tx, rx=rx)
+        edges = check_los_edges(city, link)
+        assert_same_outcome(edges, check_los_dense(city, link, step=0.1))
+        blocked += not edges.is_los
+    assert 0 < blocked < 60 and len(calls) == 120
+    assert all(returned == listed for listed, returned, _ in calls)
+    assert sum(listed > 0 for listed, _, _ in calls) > 100
+    assert {dtypes for *_, dtypes in calls} == {("int64", "int64", "float64", "float64")}
+
+
 def test_dense_oracle_keeps_a_near_face_sample():
     # The track enters box (2, 3) through its near face x = p + s, where
     # the roof reaches 0.05 m past the face.  Only the face's crossing
@@ -546,6 +616,30 @@ def test_first_blockers_refuses_endpoints_off_the_extent():
         first_blockers(cities, ([50.0], [-20.0], [60.0]), [0], [50.0], [50.0], 1.5)
 
 
+def test_first_blockers_skips_the_kernel_when_no_window_holds_a_cell(monkeypatch):
+    # Receivers straight under their UAVs, in streets of the toy grid:
+    # no window holds a cell, so no link is blocked, and neither the
+    # window roofs nor the kernel are looked up.  The input checks stay.
+    cities = Cities.of([toy_city({(1, 1): 30.0})] * 2)
+    uavs = ([2.5, 12.5], [7.5, 2.5], [60.0, 60.0])
+    calls = []
+    for name in ("track_entries", "_window_roofs"):
+        monkeypatch.setattr(sim3d, name, lambda *args, name=name: calls.append(name))
+    got = first_blockers(cities, uavs, [0, 1], [2.5, 12.5], [7.5, 2.5], 1.5)
+    assert calls == []
+    assert [a.size for a in got] == [0] * 4
+    assert [a.dtype.name for a in got] == ["int64", "int64", "int64", "float64"]
+    with pytest.raises(OutOfExtent, match="receiver"):
+        first_blockers(cities, uavs, [0, 1], [2.5, -12.5], [7.5, 2.5], 1.5)
+    with pytest.raises(InvalidParams, match="non-decreasing"):
+        first_blockers(cities, uavs, [1, 0], [12.5, 2.5], [2.5, 7.5], 1.5)
+    monkeypatch.undo()
+    # A receiver on the far face x = p of box (1, 1) stands in the closed
+    # box: its window holds that cell, and the box's roof blocks it.
+    got = first_blockers(cities, ([10.0], [7.5], [60.0]), [0], [10.0], [7.5], 1.5)
+    assert [a.tolist() for a in got] == [[0], [1], [1], [0.0]]
+
+
 _FRINGE_EXTENT = 22.5 * derive_layout(ENVIRONMENTS["urban"]).period
 
 
@@ -632,6 +726,45 @@ def test_window_cells_bounds_the_window_of_every_ring(env):
             assert cells_x * cells_y <= sim3d.window_cells(layout, radius, directions)
 
 
+@st.composite
+def _ring_cases(draw):
+    """An environment and a square extent of 1.5 to 30 periods, UAVs on
+    it (anywhere, on band edges or on the extent's edges), and the
+    elevation, user directions and altitude of their rings."""
+    params = ENVIRONMENTS[draw(st.sampled_from(sorted(ENVIRONMENTS)))]
+    period = derive_layout(params).period
+    extent = draw(st.floats(1.5, 30.0)) * period
+    layout = derive_layout(params, extent, extent)
+    edges = [
+        edge for k in range(int(extent // period) + 1)
+        for edge in (k * period, k * period + layout.s) if edge <= extent
+    ]
+    coordinate = st.one_of(st.floats(0.0, extent), st.sampled_from(edges + [extent]))
+    uavs = draw(st.lists(st.tuples(coordinate, coordinate), min_size=1, max_size=8))
+    theta = draw(st.one_of(st.floats(2.0, 89.9), st.just(90.0)))
+    phi = draw(st.one_of(st.none(), st.floats(0.0, 360.0), st.sampled_from([0.0, 90.0, 180.0])))
+    directions = user_directions(theta, draw(st.integers(1, 400)), phi)
+    return layout, uavs, theta, directions, draw(st.floats(5.0, 400.0))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(case=_ring_cases())
+def test_no_window_exceeds_window_cells(case):
+    # Blocks are sized by window_cells: the widest window of a block on
+    # each axis, the tile _window_roofs looks up for every city, may not
+    # hold more cells than it says, for rings and fixed azimuths alike,
+    # and for windows clipped at the grid.
+    layout, uavs, theta, directions, h_uav = case
+    x, y = (np.array(v) for v in zip(*uavs))
+    run, rx_x, rx_y = place_users(layout, (x, y, np.full(x.size, h_uav)), theta, directions)
+    assume(run.size > 0)
+    _, (first_x, last_x), (first_y, last_y) = sim3d._windows(layout, run, x, y, rx_x, rx_y)
+    cells_x = max(int(np.max(last_x - first_x + 1)), 0)
+    cells_y = max(int(np.max(last_y - first_y + 1)), 0)
+    radius = track_length(theta, h_uav, 1.5)
+    assert cells_x * cells_y <= sim3d.window_cells(layout, radius, directions)
+
+
 _URBAN_EXTENT = 60.5 * derive_layout(ENVIRONMENTS["urban"]).period
 _URBAN_LAYOUT = derive_layout(ENVIRONMENTS["urban"], _URBAN_EXTENT, _URBAN_EXTENT)
 #: Coordinates of the urban grid (a 44.7 m period that no float holds
@@ -682,9 +815,8 @@ def test_uncut_tracks_meet_only_boxes_of_their_city_window(rings):
     run = np.array([c for c, (_, rxs) in enumerate(rings) for _ in rxs])
     tx_x, tx_y = (np.array(v) for v in zip(*[tx for tx, _ in rings]))
     rx_x, rx_y = (np.array(v) for v in zip(*[rx for _, rxs in rings for rx in rxs]))
-    owner, (first_x, last_x), (first_y, last_y) = sim3d._windows(
-        layout, run, tx_x, tx_y, rx_x, rx_y
-    )
+    windows = sim3d._windows(layout, run, tx_x, tx_y, rx_x, rx_y)
+    owner, (first_x, last_x), (first_y, last_y) = windows
     assert owner.tolist() == list(range(len(rings)))
     link, ix, iy, _ = track_entries(layout, rx_x, rx_y, tx_x[run], tx_y[run])
     grid = (ix >= 1) & (ix <= 60) & (iy >= 1) & (iy <= 60)
@@ -702,7 +834,7 @@ def test_uncut_tracks_meet_only_boxes_of_their_city_window(rings):
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(Cities, "roofs", recorded)
-        top, roofs, base, ky = sim3d._window_roofs(cities, run, tx_x, tx_y, rx_x, rx_y)
+        top, roofs, base, ky = sim3d._window_roofs(cities, windows)
     at = base[c] + ix[grid] * ky + iy[grid]
     assert np.array_equal(roofs[at], city.heights[ix[grid] - 1, iy[grid] - 1])
     for n in range(len(rings)):

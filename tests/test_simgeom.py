@@ -508,6 +508,205 @@ def test_placement_retries_are_bounded_and_typed(monkeypatch):
         estimate_plos(scenario, 300, 0)
 
 
+def one_round_at_a_time(scenarios, layout, keys, point):
+    """_draw_links as a loop of one placement round per step, each step
+    redrawing every link still rejected once: the reference the passes
+    of _draw_links must reproduce bit for bit."""
+    n = keys.size
+    zone, h_rx = scenarios[0].user_zone, scenarios[0].h_rx
+    if zone == "mixed":
+        w_street = 2.0 * layout.w / (layout.s + 2.0 * layout.w)
+        street = stream_uniforms(keys, 0) < w_street
+    else:
+        street = np.full(n, zone == "street")
+    values = [
+        v[0] if len(set(v)) == 1 else np.array(v)[point]
+        for v in zip(*(simgeom._point_values(scenario) for scenario in scenarios))
+    ]
+    p, s, w = layout.period, layout.s, layout.w
+    placed = np.empty((5, n))
+    city = np.empty(n, dtype=np.uint64)
+    pending = np.arange(n)
+    for r in range(simgeom.PLACEMENT_ROUNDS):
+        tan, cos_fixed, sin_fixed, phi_lo, phi_span, h_lo, h_span = values
+        bits = citygeom.stream_bits(keys[pending, None], 1 + 5 * r + np.arange(5))
+        c = bits[:, 0]
+        u = citygeom.bits_to_uniforms(bits[:, 1:])
+        ux = s * u[:, 0]
+        uy = np.where(street[pending], s + w * u[:, 1], s * u[:, 1])
+        cos_phi, sin_phi = cos_fixed, sin_fixed
+        ranged = phi_span > 0.0
+        if np.any(ranged):
+            phi = np.radians(phi_lo + phi_span * u[:, 2])
+            cos_phi, sin_phi = np.cos(phi), np.sin(phi)
+            if not np.all(ranged):
+                cos_phi = np.where(ranged, cos_phi, cos_fixed)
+                sin_phi = np.where(ranged, sin_phi, sin_fixed)
+        vz = h_lo + h_span * u[:, 3]
+        d = (vz - h_rx) / tan
+        vx = ux + d * cos_phi
+        vy = uy + d * sin_phi
+        rejected = vz <= h_rx
+        over = np.flatnonzero(~rejected & ((vx % p) >= s) & ((vy % p) >= s))
+        ix = (vx[over] // p).astype(np.int64) + 1
+        iy = (vy[over] // p).astype(np.int64) + 1
+        rejected[over] = (
+            citygeom.roof_heights(c[over], ix, iy, scenarios[0].params.gamma) >= vz[over]
+        )
+        placed[:, pending] = ux, uy, vx, vy, vz
+        city[pending] = c
+        if not rejected.any():
+            return (*placed, city)
+        pending = pending[rejected]
+        values = [v[rejected] if np.ndim(v) else v for v in values]
+    low = pending[placed[4, pending] <= h_rx]
+    if low.size:
+        h_uav = scenarios[point[low[0]]].h_uav
+        raise InvalidParams(f"h_uav range {h_uav} never exceeds h_rx={h_rx}")
+    h_uav = scenarios[point[pending[0]]].h_uav
+    raise InvalidParams(f"no free-air UAV placement found at h_uav={h_uav}")
+
+
+def drawn_or_refused(draw, scenarios, n_runs, seed):
+    """draw's links for n_runs links of each scenario, one chunk, from
+    the run keys of seed, or the message of the InvalidParams it raises."""
+    keys = citygeom.run_keys(seed, n_runs * len(scenarios))
+    point = np.repeat(np.arange(len(scenarios)), n_runs)
+    try:
+        return draw(scenarios, scenarios[0].layout(), keys, point)
+    except InvalidParams as error:
+        return str(error)
+
+
+def assert_same_draws(scenarios, n_runs, seed):
+    """_draw_links gives the reference's links bit for bit, or refuses
+    the chunk with the reference's message; returns that outcome."""
+    got = drawn_or_refused(_draw_links, scenarios, n_runs, seed)
+    expected = drawn_or_refused(one_round_at_a_time, scenarios, n_runs, seed)
+    assert type(got) is type(expected)
+    if isinstance(expected, str):
+        assert got == expected
+    else:
+        for a, b in zip(got, expected, strict=True):
+            assert a.dtype == b.dtype
+            assert np.array_equal(a, b)
+    return expected
+
+
+HIGH_RISE = ENVIRONMENTS["high-rise"]
+URBAN = ENVIRONMENTS["urban"]
+#: Chunks of several points, as lists of scenarios: axis-aligned street
+#: links on high-rise, low enough that many rounds are rejected; mixed
+#: urban links with a drawn azimuth, or drawn and fixed azimuths in one
+#: chunk; and altitude ranges that straddle h_rx, where rounds at or
+#: below the user are rejected too.
+DRAW_CHUNKS = {
+    "high-rise phi 0": [
+        GeomScenario(HIGH_RISE, "street", theta, phi_deg=0.0, h_uav=h)
+        for theta in (5.0, 30.0, 60.0, 90.0) for h in (40.0, 100.0)
+    ],
+    "high-rise phi 90": [
+        GeomScenario(HIGH_RISE, "street", theta, phi_deg=90.0, h_uav=h)
+        for theta in (5.0, 45.0, 85.0) for h in (40.0, 100.0)
+    ],
+    "high-rise crossroad": [
+        GeomScenario(HIGH_RISE, "crossroad", theta, phi_deg=phi, h_uav=45.0)
+        for theta, phi in ((10.0, 0.0), (10.0, 90.0), (50.0, 30.0))
+    ],
+    "urban mixed drawn phi": [
+        GeomScenario(URBAN, "mixed", theta, h_uav=h)
+        for theta in (5.0, 40.0, 90.0) for h in (30.0, 100.0, (20.0, 80.0))
+    ],
+    "urban mixed drawn and fixed phi": [
+        GeomScenario(URBAN, "mixed", 20.0, phi_deg=phi, h_uav=35.0)
+        for phi in ((0.0, 90.0), 0.0, 30.0, (10.0, 20.0), 90.0)
+    ],
+    "h_uav straddles h_rx": [
+        GeomScenario(HIGH_RISE, zone, theta, phi_deg=phi, h_uav=h_uav, h_rx=1.5)
+        for zone in ("street",) for theta, phi, h_uav in (
+            (30.0, 0.0, (0.0, 10.0)), (60.0, (0.0, 90.0), (1.0, 3.0)), (90.0, 90.0, (0.5, 40.0)),
+        )
+    ],
+    "h_uav straddles h_rx, mixed": [
+        GeomScenario(URBAN, "mixed", theta, h_uav=(0.0, 12.0), h_rx=h_rx)
+        for theta in (15.0, 75.0) for h_rx in (2.0,)
+    ],
+}
+
+
+@pytest.mark.parametrize("name", sorted(DRAW_CHUNKS))
+def test_placement_passes_match_one_round_at_a_time(name):
+    # Round r of a link is a pure function of its key and r, so drawing
+    # rounds in passes changes no bit of any link.
+    for seed in (1, 7):
+        assert not isinstance(assert_same_draws(DRAW_CHUNKS[name], 300, seed), str)
+
+
+@pytest.mark.parametrize("rounds", [1, 2, 9, 200])
+def test_placement_give_up_matches_one_round_at_a_time(rounds, monkeypatch):
+    # With PLACEMENT_ROUNDS cut to 1 (round 0 alone), 2 (a pass of one
+    # round), 9 (a whole first pass) and 200 (the last pass clipped), the
+    # rounds a link is given up after can end inside a pass.  Either both
+    # draws accept every link alike, or both refuse the chunk with the
+    # same message, naming the same point.  Rayleigh(150) roofs reach a
+    # 30 m UAV over box (1, 1) with probability 0.98, so links there need
+    # about 50 rounds; Rayleigh(1e6) roofs always do.  On a grid of 2.9 m
+    # streets, a UAV drawn at 0 to 3 m and seen at theta 2 from a user at
+    # 1.5 m sits at or below the user in half the rounds and over a
+    # Rayleigh(1e6) roof in most others; which of the two its last round
+    # gives decides the message.
+    monkeypatch.setattr(simgeom, "PLACEMENT_ROUNDS", rounds)
+    hard, stuck = _redraw_scenario(150.0), _redraw_scenario(1e6, h_uav=31.0)
+    free = GeomScenario(hard.params, "street", 45.0, phi_deg=90.0, h_uav=40.0)
+    low = GeomScenario(hard.params, "street", 45.0, phi_deg=90.0, h_uav=(0.0, 1.5000001))
+    rare = GeomScenario(hard.params, "street", 45.0, phi_deg=90.0, h_uav=(0.0, 1.6))
+    narrow = BuiltUpParams(0.9, 300.0, 1e6)
+    walled = GeomScenario(narrow, "street", 50.0, phi_deg=0.0, h_uav=31.0)
+    either = GeomScenario(narrow, "street", 2.0, phi_deg=0.0, h_uav=(0.0, 3.0))
+    outcomes = [
+        assert_same_draws(chunk, n_runs, seed)
+        for chunk, n_runs, seeds in (
+            ([free, hard], 40, (0, 3)), ([hard, stuck], 20, (0, 3)),
+            ([free, stuck, low], 20, (0, 3)), ([hard, rare], 30, (0, 3)),
+            ([free, rare], 30, (0, 3)), ([stuck, hard, free], 1, (0, 3)),
+            ([walled, either], 1, range(10)),
+        )
+        for seed in seeds
+    ]
+    messages = {o for o in outcomes if isinstance(o, str)}
+    assert any("never exceeds" in m for m in messages)
+    assert any("no free-air UAV placement found at h_uav=31.0" in m for m in messages)
+    if rounds == 200:
+        assert any(not isinstance(o, str) for o in outcomes)
+
+
+def test_heatmap_chunks_take_two_placement_passes(monkeypatch):
+    # Each placement pass is one stream_bits call of the engine.  A round
+    # at a time, the 170-point high-rise heatmap at seed 1 took 56 rounds
+    # over its 13 chunks, up to six in one chunk.
+    passes = []
+    stream_bits, draw_links = simgeom.stream_bits, simgeom._draw_links
+
+    def counted_bits(*args):
+        passes[-1] += 1
+        return stream_bits(*args)
+
+    def counted_draw(*args):
+        passes.append(0)
+        return draw_links(*args)
+
+    monkeypatch.setattr(simgeom, "stream_bits", counted_bits)
+    monkeypatch.setattr(simgeom, "_draw_links", counted_draw)
+    spec = SweepSpec(
+        engine="geom", params=ENVIRONMENTS["high-rise"], user_zone="street", n_runs=200,
+        seed=1, axes=(SweepAxis("theta", tuple(range(5, 90, 5))),
+                      SweepAxis("phi", tuple(range(0, 100, 10)))),
+    )
+    assert len(run_sweep(spec).rows) == 170
+    assert len(passes) == 13
+    assert max(passes) <= 2
+
+
 @pytest.mark.parametrize("n_runs", [1, 255, 256, 257, 600])
 def test_estimate_across_chunk_boundaries(n_runs):
     scenario = GeomScenario(
