@@ -52,6 +52,7 @@ __all__ = [
     "GHENT",
     "derive_layout",
     "classify_point",
+    "building_band",
     "track_entries",
     "track_length",
     "tracks_per_call",
@@ -235,6 +236,46 @@ def classify_point(x: float, y: float, layout: CityLayout) -> CellKind:
     return Crossroad()
 
 
+def building_band(v: np.ndarray, p: float, s: float, reach: float):
+    """The 0-based grid period ``v // p`` of each coordinate of v and
+    whether it lies in a building band, ``v % p >= s``: two arrays shaped
+    like v, bit for bit what numpy gives wherever |v| <= reach.  The
+    array form of the band test of :func:`classify_point`, which adds
+    the extent check.
+
+    numpy's float ``%`` and ``//`` cost about 20 ns per element each.
+    This takes q = floor(v/p) and r = v - q*p, which is off from the
+    exact remainder by less than eps*(|v| + p), or by p plus that where
+    v/p rounds up across an integer; r then lies just below 0.  Where r
+    lies farther than tol = 16*eps*(reach + 2p) from 0, s and p, q is
+    the exact floor that ``//`` gives and r >= s decides as ``%`` does;
+    elsewhere np.divmod decides, which random coordinates almost never
+    need.  On a 2-vCPU Xeon this is about 4 times faster than ``%``
+    plus ``//`` on 2 600 coordinates and 5 times on 20 000, and slower
+    below about 400 (12 against 2.4 us on 8).  Switching to numpy's path
+    below 512 coordinates gained nothing on the geometry engine's
+    heatmap, theta sweep or redraw-heavy runs, so this serves every
+    size.  The geometry engine passes a reach of MAX_TRACK_PERIODS + 2
+    periods, which bounds the coordinates of its UAVs above their users,
+    and the 3D engine the larger side of its extent.
+    """
+    q = np.divide(v, p)
+    np.floor(q, out=q)
+    r = q * p
+    np.subtract(v, r, out=r)
+    tol = 16.0 * np.finfo(float).eps * (reach + 2.0 * p)
+    built = r >= s + tol
+    unsure = built != (r > s - tol)
+    unsure |= r < tol
+    unsure |= r > p - tol
+    at = np.flatnonzero(unsure)
+    if at.size:
+        q_at, r_at = np.divmod(v.take(at), p)
+        q.put(at, q_at)
+        built.put(at, r_at >= s)
+    return q, built
+
+
 #: Slack, in grid periods, when listing the bands a track may visit; the
 #: exact t-interval test that follows drops the extra candidates.
 _BAND_SLACK = 1e-9
@@ -243,7 +284,7 @@ _BAND_SLACK = 1e-9
 def _band_visits(c0, dc, t_lo, t_hi, p: float, s: float):
     """Closed bands [i*p + s, (i+1)*p] of one axis visited by c0 + t*dc
     for t in [t_lo, t_hi], one row per (window, band).  t_lo and t_hi
-    are arrays like c0 or scalars.
+    are arrays like c0 or scalars, and a scalar t_lo is 0.
 
     Returns (row, i, lo, hi): the input row, the 0-based band and the
     sub-window of t spent inside that band.  Rows keep the input order,
@@ -259,7 +300,8 @@ def _band_visits(c0, dc, t_lo, t_hi, p: float, s: float):
     as few per-band arrays as it can, since their count bounds the
     working set of a kernel call.
     """
-    ca = c0 + dc * t_lo
+    # c0 + dc*0 is c0 up to the sign of a zero, which ceil and floor drop.
+    ca = c0 if np.ndim(t_lo) == 0 else c0 + dc * t_lo
     hi = c0 + dc * t_hi
     lo = np.minimum(ca, hi)
     np.maximum(ca, hi, out=hi)
@@ -301,10 +343,10 @@ def _band_visits(c0, dc, t_lo, t_hi, p: float, s: float):
     if not dc.all():
         # A coordinate that does not move is inside its band for the
         # whole window or not at all.
-        still = d == 0.0
-        inside = (ta <= c) & (c <= tb)
-        inside |= ~still
-        np.copyto(d, 1.0, where=still)
+        still = np.flatnonzero(d == 0.0)
+        c_still = c.take(still)
+        outside = still[(ta.take(still) > c_still) | (c_still > tb.take(still))]
+        d.put(still, 1.0)
     ta -= c
     tb -= c
     del c
@@ -320,13 +362,13 @@ def _band_visits(c0, dc, t_lo, t_hi, p: float, s: float):
     hi = np.maximum(ta, tb, out=ta)
     del tb
     if still is not None:
-        np.copyto(lo, -np.inf, where=still)
-        np.copyto(hi, np.inf, where=still)
+        lo.put(still, -np.inf)
+        hi.put(still, np.inf)
     np.maximum(lo, t_lo if np.ndim(t_lo) == 0 else t_lo.take(row), out=lo)
     np.minimum(hi, t_hi if np.ndim(t_hi) == 0 else t_hi.take(row), out=hi)
     keep = lo <= hi
     if still is not None:
-        keep &= inside
+        keep.put(outside, False)
     if keep.all():
         return row, i, lo, hi
     keep = np.flatnonzero(keep)
@@ -358,9 +400,14 @@ def track_entries(layout: CityLayout, x_rx, y_rx, x_tx, y_tx, t_max=1.0):
     descending).
     """
     p, s = layout.period, layout.s
-    x0, y0, x1, y1 = np.broadcast_arrays(
-        *(np.atleast_1d(np.asarray(v, dtype=float)) for v in (x_rx, y_rx, x_tx, y_tx))
-    )
+    ends = x_rx, y_rx, x_tx, y_tx
+    if all(isinstance(v, np.ndarray) and v.dtype == np.float64 and v.ndim == 1
+           and v.size == x_rx.size for v in ends):
+        x0, y0, x1, y1 = ends
+    else:
+        x0, y0, x1, y1 = np.broadcast_arrays(
+            *(np.atleast_1d(np.asarray(v, dtype=float)) for v in ends)
+        )
     t1 = np.asarray(t_max, dtype=float)
     if t1.ndim:
         t1 = np.broadcast_to(t1, x0.shape)

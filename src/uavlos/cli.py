@@ -181,19 +181,41 @@ _SUBCOMMANDS: dict[str, dict] = {
 }
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(cmd: str | None = None) -> argparse.ArgumentParser:
+    """The CLI's parser: every subcommand, or only cmd's when it is given
+    (see :func:`_parse_args`)."""
     parser = argparse.ArgumentParser(
         prog="uavlos",
         description="Monte-Carlo estimation of UAV-to-ground line-of-sight probability",
     )
     subparsers = parser.add_subparsers(dest="cmd", required=True)
     for name, info in _SUBCOMMANDS.items():
+        if cmd is not None and name != cmd:
+            continue
         sub = subparsers.add_parser(name, help=info["help"])
         for dest in info["opts"]:
             flag = "--" + dest.replace("_", "-")
             sub.add_argument(flag, dest=dest, default=None, **_OPTS[dest])
         sub.add_argument("--config", help="key=value config file; flags override")
     return parser
+
+
+def _parse_args(argv: list[str] | None) -> argparse.Namespace:
+    """Parse argv as the full parser would, building the subcommands'
+    parsers only when needed.
+
+    A command line that names a known command and parses cleanly goes
+    through that command's parser alone, which is what the full parser
+    hands it to.  Anything else, such as help for the whole CLI, an
+    unknown command or arguments left over, goes through the full
+    parser, whose messages and usage lines list every command.
+    """
+    argv = sys.argv[1:] if argv is None else list(argv)
+    if argv and argv[0] in _SUBCOMMANDS:
+        args, extra = build_parser(argv[0]).parse_known_args(argv)
+        if not extra:
+            return args
+    return build_parser().parse_args(argv)
 
 
 def _read_config(path: str) -> dict[str, str]:
@@ -415,8 +437,7 @@ def _keep_freed_heap() -> bool:
 
 def main(argv: list[str] | None = None) -> int:
     _keep_freed_heap()
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parse_args(argv)
     try:
         opts = _resolve_options(args)
         return _RUNNERS[args.cmd](opts)

@@ -354,8 +354,10 @@ def _estimate_sim3d(
 
 
 def _with_swept_params(base: BuiltUpParams, var: Mapping[str, float]) -> BuiltUpParams:
-    """base with the swept alpha and gamma values of one grid point."""
-    return replace(base, **{name: var[name] for name in ("alpha", "gamma") if name in var})
+    """base with the swept alpha and gamma values of one grid point; base
+    itself when neither is swept."""
+    swept = {name: var[name] for name in ("alpha", "gamma") if name in var}
+    return replace(base, **swept) if swept else base
 
 
 def _resolve_model(spec: SweepSpec, var: Mapping[str, float]) -> BaselineModel:

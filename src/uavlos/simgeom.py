@@ -37,6 +37,7 @@ alone, the chunking bounds memory and leaves every estimate unchanged;
 
 from __future__ import annotations
 
+import functools
 import math
 import time
 from collections.abc import Sequence
@@ -51,6 +52,7 @@ from .citygeom import (
     CityLayout,
     RunKeys,
     bits_to_uniforms,
+    building_band,
     derive_layout,
     roof_heights,
     seed_pools,
@@ -152,9 +154,16 @@ class GeomScenario:
         return self.h_uav[1] if isinstance(self.h_uav, tuple) else self.h_uav
 
     def layout(self) -> CityLayout:
-        # The geometry engine treats the grid as unbounded; the nominal
-        # one-period extent only satisfies the layout contract.
-        return derive_layout(self.params)
+        return _unbounded_layout(self.params)
+
+
+@functools.lru_cache(maxsize=64)
+def _unbounded_layout(params: BuiltUpParams) -> CityLayout:
+    """The layout of params, derived once for every scenario that shares
+    them (a layout is immutable).  The geometry engine treats the grid as
+    unbounded; the nominal one-period extent only satisfies the layout
+    contract."""
+    return derive_layout(params)
 
 
 #: Placement rounds before a link whose UAV keeps landing inside a
@@ -192,15 +201,46 @@ def _point_values(scenario: GeomScenario) -> tuple[float, ...]:
     return tan, cos, sin, lo, hi - lo, h_lo, h_hi - h_lo
 
 
+#: Stream rows of one placement round, as offsets from the position of
+#: its city key: the city key, then the uniforms of user x, user y,
+#: azimuth and altitude.
+_ROUND_ROWS = 5
+
+
+def _round_rows(values) -> np.ndarray:
+    """Offsets of the stream rows that the links of values (see
+    :func:`_point_values`) read in a round: the city key, user x and
+    user y always, the azimuth only where a link draws it, and the
+    altitude likewise."""
+    phi_span, h_span = values[4], values[6]
+    return np.array([0, 1, 2] + [3] * bool(np.any(phi_span > 0.0))
+                    + [4] * bool(np.any(h_span > 0.0)))
+
+
+def _uniforms(bits, rows) -> list:
+    """The uniforms of user x, user y, azimuth and altitude from the
+    stream outputs bits[k] of the rows rows[k] (see :func:`_round_rows`),
+    None for a row not drawn."""
+    u = dict(zip(rows[1:].tolist(), bits_to_uniforms(bits[1:])))
+    return [u.get(k) for k in range(1, _ROUND_ROWS)]
+
+
 def _place(layout: CityLayout, gamma: float, h_rx: float, street, values, city, u):
     """Placement rounds, element by element: round m draws city key
     city[m] and the uniforms u[0][m] to u[3][m] (user x, user y, azimuth
-    and altitude).  street and each of values (see :func:`_point_values`)
-    are scalars or arrays that broadcast against them.
+    and altitude); u[2] and u[3] are None where no round draws them (see
+    :func:`_uniforms`).  street and each of values (see
+    :func:`_point_values`) are scalars or arrays that broadcast against
+    them.
 
     Returns the rounds' (user x, user y, UAV x, UAV y, UAV z) and whether
     each is rejected: its altitude at or below h_rx, or its UAV over a
-    roof of its city at or above it.
+    roof of its city at or above it.  The band test and the cell of a
+    UAV come from :func:`uavlos.citygeom.building_band` with a reach of
+    MAX_TRACK_PERIODS + 2 periods: a UAV above its user lies at most a
+    track of MAX_TRACK_PERIODS periods (:func:`check_track_length`) from
+    a user inside the first period cell, and the band of a UAV at or
+    below its user is not read.
     """
     tan, cos_fixed, sin_fixed, phi_lo, phi_span, h_lo, h_span = values
     p, s, w = layout.period, layout.s, layout.w
@@ -217,26 +257,35 @@ def _place(layout: CityLayout, gamma: float, h_rx: float, street, values, city, 
         if not np.all(ranged):  # fixed and drawn azimuths in one chunk
             cos_phi = np.where(ranged, cos_phi, cos_fixed)
             sin_phi = np.where(ranged, sin_phi, sin_fixed)
-    vz = h_lo + h_span * u[3]
+    # A fixed altitude h is h + 0*u, which is h.
+    vz = np.full(ux.shape, h_lo) if u[3] is None else h_lo + h_span * u[3]
     # Ground offset from the elevation, (vz - h_rx)/tan(theta).
     d = (vz - h_rx) / tan
     vx = ux + d * cos_phi
     vy = uy + d * sin_phi
     rejected = vz <= h_rx
-    over = np.nonzero(~rejected & ((vx % p) >= s) & ((vy % p) >= s))
-    ix = (vx[over] // p).astype(np.int64) + 1
-    iy = (vy[over] // p).astype(np.int64) + 1
-    rejected[over] = roof_heights(city[over], ix, iy, gamma) >= vz[over]
+    reach = (MAX_TRACK_PERIODS + 2) * p
+    ix, x_built = building_band(vx, p, s, reach)
+    iy, y_built = building_band(vy, p, s, reach)
+    x_built &= y_built
+    x_built &= ~rejected
+    over = np.flatnonzero(x_built)
+    ix, iy = ix.take(over).astype(np.int64), iy.take(over).astype(np.int64)
+    ix += 1
+    iy += 1
+    rejected.put(over, roof_heights(city.take(over), ix, iy, gamma) >= vz.take(over))
     return (ux, uy, vx, vy, vz), rejected
 
 
 def _draw_links(
-    scenarios: Sequence[GeomScenario], layout: CityLayout, keys: np.ndarray, point: np.ndarray
+    scenarios: Sequence[GeomScenario], values: np.ndarray, layout: CityLayout,
+    keys: np.ndarray, point: np.ndarray,
 ):
     """Draw the links of keys up to their ground tracks, UAVs in free air.
 
-    Link n belongs to scenarios[point[n]] and draws from fixed positions
-    of the counter-based stream of its key keys[n]
+    Link n belongs to scenarios[point[n]], whose :func:`_point_values`
+    are values[point[n]], and draws from fixed positions of the
+    counter-based stream of its key keys[n]
     (:func:`uavlos.citygeom.stream_bits`):
 
     * position 0, as a uniform, picks the zone for "mixed": street when
@@ -261,13 +310,18 @@ def _draw_links(
 
     Because rounds are pure, they are drawn in passes rather than one
     at a time, which changes no bit: a first pass draws round 0 of every
-    link, stream positions 0 ("mixed" only) to 5 as the rows of one
-    stream call; each later pass draws the links still rejected a block
-    of their next rounds (see _REDRAW_ROUNDS), and each link keeps its
-    first accepted round.  Every chunk of the 170-point high-rise
-    heatmap at seed 1 takes two passes, where a round at a time took up
-    to six.  A link still rejected after PLACEMENT_ROUNDS rounds fails
-    the chunk (InvalidParams), naming the point of the first such link.
+    link as the rows of one stream call, one row per stream position;
+    each later pass draws the links still rejected a block of their next
+    rounds (see _REDRAW_ROUNDS), and each link keeps its first accepted
+    round.  A pass hashes only the positions its links read: position 0
+    for "mixed" only, the azimuth of a round only where some link of
+    the pass draws its azimuth, and the altitude likewise
+    (:func:`_round_rows`).  So a round of fixed azimuth and altitude
+    hashes three positions, not five.  Every chunk of the 170-point
+    high-rise heatmap at seed 1 takes two passes, where a round at a
+    time took up to six.  A link still rejected after PLACEMENT_ROUNDS
+    rounds fails the chunk (InvalidParams), naming the point of the
+    first such link.
 
     Returns arrays (user x, user y, UAV x, UAV y, UAV z, city key) of
     each link's accepted round.
@@ -276,33 +330,36 @@ def _draw_links(
     gamma = scenarios[0].params.gamma
     # A value reaches the links as one scalar when the chunk's points share
     # it, else as one value per link.
-    values = [
-        v[0] if len(set(v)) == 1 else np.array(v)[point]
-        for v in zip(*(_point_values(scenario) for scenario in scenarios))
-    ]
+    shared = (values == values[0]).all(axis=0)
+    values = [float(v[0]) if same else v.take(point) for v, same in zip(values.T, shared)]
     # Round 0 of every link, position-major: the rows are the stream
     # positions, so each draw reads a contiguous row.
-    bits = stream_bits(keys, np.arange(0 if zone == "mixed" else 1, 6)[:, None])
-    city = bits[-5]
-    u = bits_to_uniforms(bits[-4:])
+    rows = _round_rows(values)
+    positions = 1 + rows
+    if zone == "mixed":
+        positions = np.concatenate(([0], positions))
+    bits = stream_bits(keys, positions[:, None])
     if zone == "mixed":
         # Free space splits into two street rectangles (s*w each) and one
         # crossroad square (s*s) per period cell.
         street = bits_to_uniforms(bits[0]) < 2.0 * layout.w / (layout.s + 2.0 * layout.w)
+        bits = bits[1:]
     else:
         street = zone == "street"
-    placed, rejected = _place(layout, gamma, h_rx, street, values, city, u)
+    city = bits[0]
+    placed, rejected = _place(layout, gamma, h_rx, street, values, city, _uniforms(bits, rows))
     pending = np.flatnonzero(rejected)
     r, most = 1, _REDRAW_ROUNDS
     while pending.size and r < PLACEMENT_ROUNDS:
         rounds = min(max(_REDRAW_DRAWS // pending.size, 1), most, PLACEMENT_ROUNDS - r)
+        kept = [v[pending, None] if np.ndim(v) else v for v in (street, *values)]
         # Rounds r to r + rounds - 1 of every pending link, as (position,
         # link, round) blocks.
-        counter = 1 + 5 * (r + np.arange(rounds)) + np.arange(5)[:, None, None]
+        rows = _round_rows(kept[1:])
+        counter = 1 + _ROUND_ROWS * (r + np.arange(rounds)) + rows[:, None, None]
         bits = stream_bits(keys[pending, None], counter)
-        kept = [v[pending, None] if np.ndim(v) else v for v in (street, *values)]
         drawn, rejected = _place(
-            layout, gamma, h_rx, kept[0], kept[1:], bits[0], bits_to_uniforms(bits[1:])
+            layout, gamma, h_rx, kept[0], kept[1:], bits[0], _uniforms(bits, rows)
         )
         # Each link's first accepted round, or its last round if none is.
         accepted = ~rejected
@@ -325,21 +382,23 @@ def _draw_links(
 
 
 def _first_blockers(
-    scenarios: Sequence[GeomScenario], layout: CityLayout, keys: np.ndarray, point: np.ndarray
+    scenarios: Sequence[GeomScenario], values: np.ndarray, layout: CityLayout,
+    keys: np.ndarray, point: np.ndarray,
 ) -> np.ndarray:
-    """Decide the links of keys, link n of scenarios[point[n]], in one
-    kernel call; returns how many links of each scenario are NLoS.
+    """Decide the links of keys, link n of scenarios[point[n]] with the
+    :func:`_point_values` values[point[n]], in one kernel call; returns
+    how many links of each scenario are NLoS.
 
     A link is NLoS when a roof of its accepted city reaches the ray
     height where its ground track enters that roof's building (ties
     block).  The roof under the UAV is looked up like every other, so
     it is the one the placement conditioned.
     """
-    ux, uy, vx, vy, vz, city = _draw_links(scenarios, layout, keys, point)
+    ux, uy, vx, vy, vz, city = _draw_links(scenarios, values, layout, keys, point)
     link, ix, iy, t = track_entries(layout, ux, uy, vx, vy)
     h_rx = scenarios[0].h_rx
-    roof = roof_heights(city[link], ix, iy, scenarios[0].params.gamma)
-    nlos = np.bincount(link[roof >= h_rx + t * (vz[link] - h_rx)], minlength=keys.size) > 0
+    roof = roof_heights(city.take(link), ix, iy, scenarios[0].params.gamma)
+    nlos = np.bincount(link[roof >= h_rx + t * (vz.take(link) - h_rx)], minlength=keys.size) > 0
     return np.bincount(point[nlos], minlength=len(scenarios))
 
 
@@ -395,6 +454,8 @@ def estimate_points(
     if len({(sc.params, sc.user_zone, sc.h_rx) for sc in scenarios}) != 1:
         raise InvalidParams("need one or more scenarios sharing params, user zone and h_rx")
     layout = scenarios[0].layout()
+    # Each point's values, once per call; a chunk takes its points' rows.
+    values = np.array([_point_values(scenario) for scenario in scenarios])
     keys_of = RunKeys(seed_pools(seeds), n_runs)
     nlos = np.zeros(len(scenarios), dtype=np.int64)
     seconds = np.zeros(len(scenarios))
@@ -405,7 +466,7 @@ def estimate_points(
         sizes = stop - start
         points = slice(q[0], q[-1] + 1)
         point = np.repeat(np.arange(q.size), sizes)
-        nlos[points] += _first_blockers(scenarios[points], layout, keys, point)
+        nlos[points] += _first_blockers(scenarios[points], values[points], layout, keys, point)
         now = time.perf_counter()
         seconds[points] += (now - clock) * sizes / keys.size
         clock = now

@@ -26,7 +26,7 @@ from uavlos.citygeom import (
 from uavlos.cli import main as cli_main
 from uavlos.harness import SweepAxis, SweepSpec, compare_engines, run_sweep
 from uavlos.sim3d import check_los_dense, check_los_edges, generate_city
-from uavlos.simgeom import GeomScenario, _draw_links, estimate_plos
+from uavlos.simgeom import GeomScenario, _draw_links, _point_values, estimate_plos
 
 URBAN = ENVIRONMENTS["urban"]
 COMPARE_THETAS = tuple(float(t) for t in range(10, 90, 10))
@@ -249,7 +249,10 @@ def test_criterion_9_geometry_engine_is_cheaper():
     # 20 street links at theta 5 as the geometry engine draws them.
     scenario = GeomScenario(URBAN, "street", theta_deg=5.0, h_uav=100.0)
     keys = np.random.SeedSequence(2).generate_state(20, np.uint64)
-    ux, uy, vx, vy, _, _ = _draw_links([scenario], layout, keys, np.zeros(20, dtype=np.intp))
+    values = np.array([_point_values(scenario)])
+    ux, uy, vx, vy, _, _ = _draw_links(
+        [scenario], values, layout, keys, np.zeros(20, dtype=np.intp)
+    )
 
     nx, ny = city.heights.shape
     cost_3d, cost_geom = [], []

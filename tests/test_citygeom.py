@@ -15,6 +15,7 @@ from uavlos.citygeom import (
     Node,
     RunKeys,
     Street,
+    building_band,
     classify_point,
     mix_entropy,
     point_seeds,
@@ -29,6 +30,7 @@ from uavlos.citygeom import (
     uav_position_from_angles,
 )
 from uavlos.errors import InvalidAngle, InvalidParams, OutOfExtent
+from uavlos.simgeom import MAX_TRACK_PERIODS
 
 
 def test_environment_table():
@@ -123,6 +125,94 @@ def test_classify_point_out_of_extent():
         classify_point(-1.0, 10.0, layout)
     with pytest.raises(OutOfExtent):
         classify_point(10.0, 3000.1, layout)
+
+
+def assert_band_is_divmod(v, p, s, reach):
+    """building_band of v is numpy's v // p, sign of zero included, and
+    v % p >= s."""
+    q, built = building_band(v, p, s, reach)
+    q_np, r_np = np.divmod(v, p)
+    assert q.shape == built.shape == v.shape
+    assert q.dtype == np.float64 and built.dtype == bool
+    np.testing.assert_array_equal(q.view(np.int64), q_np.view(np.int64))
+    np.testing.assert_array_equal(built, r_np >= s)
+
+
+def band_edges(p, s, k):
+    """Coordinates k*p and k*p + s of the periods k, and their float
+    neighbours on both sides."""
+    edges = np.concatenate([k * p, k * p + s])
+    return np.concatenate([edges, np.nextafter(edges, -np.inf), np.nextafter(edges, np.inf)])
+
+
+@pytest.mark.parametrize("env", ["suburban", "urban", "dense-urban", "high-rise"])
+def test_building_band_equals_divmod_on_band_edges(env):
+    # The 3D engine's reach: a 3 km extent, negative coordinates and ring
+    # positions beyond the extent (place_users drops those after the test).
+    extent = 3000.0
+    layout = derive_layout(ENVIRONMENTS[env], extent, extent)
+    p, s = layout.period, layout.s
+    k = np.arange(-(extent // p) - 1, extent // p + 2)
+    v = np.concatenate([band_edges(p, s, k), [extent, 0.0, -0.0]])
+    v = v[np.abs(v) <= extent]
+    # v - floor(v/p)*p alone decides some edges wrongly, so these values
+    # take the exact fallback.
+    assert np.any((v - np.floor(v / p) * p >= s) != (v % p >= s))
+    assert_band_is_divmod(v, p, s, extent)
+    # Cities x directions, as place_users calls it, with the edges spread
+    # over the rows among ordinary ring positions.
+    rng = np.random.default_rng(5)
+    ring = rng.uniform(-extent, extent, (7, 3 * v.size))
+    ring[:, ::3] = v
+    assert_band_is_divmod(ring, p, s, extent)
+
+
+@st.composite
+def band_blocks(draw):
+    """(v, p, s, reach): a layout, a reach up to the geometry engine's,
+    and a 1-D or 2-D block of coordinates with |v| <= reach, mixing band
+    edges of negative and positive periods, their float neighbours and
+    ordinary coordinates."""
+    alpha = draw(st.floats(0.01, 0.95))
+    beta = draw(st.floats(1.0, 5000.0))
+    layout = derive_layout(BuiltUpParams(alpha, beta, 1.0))
+    p, s = layout.period, layout.s
+    periods = draw(st.integers(1, MAX_TRACK_PERIODS + 2))
+    reach = periods * p
+    k = np.array(draw(st.lists(st.integers(-periods, periods), min_size=1, max_size=12)))
+    plain = draw(st.lists(st.floats(-reach, reach), max_size=12))
+    v = np.concatenate([band_edges(p, s, k), plain, [reach, -reach]])
+    v = v[np.abs(v) <= reach]
+    rows = draw(st.sampled_from([0, 1, 2, 5]))
+    if rows:  # a block of rows, as a redraw pass or place_users passes
+        v = np.resize(v, (rows, v.size))
+    return v, p, s, reach
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(block=band_blocks())
+def test_building_band_equals_divmod(block):
+    assert_band_is_divmod(*block)
+
+
+@pytest.mark.parametrize("env", ["urban", "high-rise"])
+def test_classify_point_agrees_with_building_band_on_band_edges(env):
+    # classify_point's scalar % and // and the array helper label every
+    # point on and next to the band edges of a 3 km city alike.
+    extent = 3000.0
+    layout = derive_layout(ENVIRONMENTS[env], extent, extent)
+    p, s = layout.period, layout.s
+    v = band_edges(p, s, np.arange(extent // p + 1))
+    v = np.concatenate([v[(0.0 <= v) & (v <= extent)], [0.0, extent]])
+    x, y = (c.ravel() for c in np.meshgrid(v, v[::7]))
+    ix, x_built = building_band(x, p, s, extent)
+    iy, y_built = building_band(y, p, s, extent)
+    for n in range(x.size):
+        if x_built[n] and y_built[n]:
+            expected = Building(ix=int(ix[n]) + 1, iy=int(iy[n]) + 1)
+        else:
+            expected = Street() if x_built[n] or y_built[n] else Crossroad()
+        assert classify_point(x[n], y[n], layout) == expected
 
 
 def test_classify_area_fractions():

@@ -58,6 +58,35 @@ def test_parser_rejects_unknown_flags_and_commands():
 
 # -- exit codes and output hygiene --------------------------------------------
 
+def parsed_or_exited(parse, argv, capsys):
+    """What parse(argv) prints and gives: (stdout, stderr, exit code or
+    the namespace)."""
+    try:
+        outcome = vars(parse(argv))
+    except SystemExit as exc:
+        outcome = exc.code
+    out, err = capsys.readouterr()
+    return out, err, outcome
+
+
+@pytest.mark.parametrize("argv", [
+    ["-h"], ["--help"], *([cmd, "-h"] for cmd in cli._SUBCOMMANDS),
+    ["nosuch", "--seed", "1"], [], ["--seed", "1"],
+    ["heatmap", "--bad", "1"], ["heatmap", "extra"], ["heatmap", "--seed", "1", "--", "x"],
+    ["heatmap", "--env", "nowhere"], ["heatmap", "--seed", "x"],
+    ["heatmap", "--theta-grid", "10:5:0"], ["plos-vs-theta", "--runs"],
+    ["heatmap", "--he"], ["compare", "--seed", "3", "--env", "urban", "--thetas", "10,20"],
+    ["export-city", "--env", "urban", "--seed", "2"],
+])
+def test_main_parses_as_the_full_parser(argv, capsys):
+    # main builds only the named command's parser, and falls back to the
+    # full one for anything else, so what it prints, exits with and
+    # parses is what the full parser gives.
+    expected = parsed_or_exited(build_parser().parse_args, argv, capsys)
+    assert parsed_or_exited(cli._parse_args, argv, capsys) == expected
+    assert expected[2] in (0, 2) or isinstance(expected[2], dict)
+
+
 def test_seed_is_required(tmp_path, capsys):
     out = tmp_path / "x.csv"
     code = run_cli("plos-vs-theta", "--env", "urban", "--out", out)

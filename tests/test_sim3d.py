@@ -899,29 +899,6 @@ def test_place_users_at_a_fixed_azimuth_or_overhead():
     assert x.size == 0
 
 
-@pytest.mark.parametrize("env", ["suburban", "urban", "dense-urban"])
-def test_street_band_equals_remainder_on_band_edges(env):
-    extent = 3000.0
-    layout = derive_layout(ENVIRONMENTS[env], extent, extent)
-    p, s = layout.period, layout.s
-    k = np.arange(extent // p + 2)
-    edges = np.concatenate([k * p, k * p + s, (k + 1) * p, [extent]])
-    v = np.concatenate([edges, np.nextafter(edges, -np.inf), np.nextafter(edges, np.inf)])
-    expected = v % p < s
-    # v - floor(v/p)*p alone decides some edges wrongly, so these values
-    # take the exact fallback.
-    assert np.any((v - np.floor(v / p) * p < s) != expected)
-    band = sim3d._street_band(v, p, s, extent)
-    assert band.dtype == bool
-    np.testing.assert_array_equal(band, expected)
-    # Cities x directions, as place_users calls it, with the edges spread
-    # over the rows among ordinary ring positions.
-    rng = np.random.default_rng(5)
-    ring = rng.uniform(-extent, 2.0 * extent, (7, 3 * v.size))
-    ring[:, ::3] = v
-    np.testing.assert_array_equal(sim3d._street_band(ring, p, s, extent), ring % p < s)
-
-
 def test_place_users_circle_validation():
     city = toy_city(extent=1000.0)
     uav = Node(500.0, 500.0, 101.5)

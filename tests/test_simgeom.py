@@ -72,12 +72,18 @@ def test_tracks_longer_than_the_memory_bound_fail_before_any_chunk(monkeypatch):
                   n_runs=256, seed=1)
 
 
+def point_values(scenarios):
+    """The per-point values table estimate_points hands its chunks."""
+    return np.array([simgeom._point_values(scenario) for scenario in scenarios])
+
+
 def keyed_links(params, zone, n, seed, h_rx=0.0):
     """User and UAV positions of n links as the geometry engine draws them
     from their keys (a uniform azimuth, a 100 m UAV at theta 30)."""
     scenario = GeomScenario(params, zone, theta_deg=30.0, h_uav=100.0, h_rx=h_rx)
     keys = np.random.SeedSequence(seed).generate_state(n, np.uint64)
-    return _draw_links([scenario], scenario.layout(), keys, np.zeros(n, dtype=np.intp))
+    return _draw_links([scenario], point_values([scenario]), scenario.layout(), keys,
+                       np.zeros(n, dtype=np.intp))
 
 
 def test_sample_user_zones():
@@ -118,7 +124,8 @@ def test_mixed_zone_is_drawn_once_per_link_with_free_area_weights():
     )
     layout = scenario.layout()
     keys = np.random.SeedSequence(5).generate_state(20_000, np.uint64)
-    _, uy, *_ = _draw_links([scenario], layout, keys, np.zeros(keys.size, dtype=np.intp))
+    _, uy, *_ = _draw_links([scenario], point_values([scenario]), layout, keys,
+                            np.zeros(keys.size, dtype=np.intp))
     share = 2.0 * layout.w / (layout.s + 2.0 * layout.w)
     sd = math.sqrt(share * (1 - share) / keys.size)
     assert (uy >= layout.s).mean() == pytest.approx(share, abs=4.0 * sd)
@@ -508,10 +515,12 @@ def test_placement_retries_are_bounded_and_typed(monkeypatch):
         estimate_plos(scenario, 300, 0)
 
 
-def one_round_at_a_time(scenarios, layout, keys, point):
+def one_round_at_a_time(scenarios, values, layout, keys, point):
     """_draw_links as a loop of one placement round per step, each step
-    redrawing every link still rejected once: the reference the passes
-    of _draw_links must reproduce bit for bit."""
+    redrawing every link still rejected once and hashing all five
+    stream positions of its round: the reference the passes of
+    _draw_links must reproduce bit for bit.  It takes each point's
+    values from _point_values itself, not from values."""
     n = keys.size
     zone, h_rx = scenarios[0].user_zone, scenarios[0].h_rx
     if zone == "mixed":
@@ -573,7 +582,7 @@ def drawn_or_refused(draw, scenarios, n_runs, seed):
     keys = citygeom.run_keys(seed, n_runs * len(scenarios))
     point = np.repeat(np.arange(len(scenarios)), n_runs)
     try:
-        return draw(scenarios, scenarios[0].layout(), keys, point)
+        return draw(scenarios, point_values(scenarios), scenarios[0].layout(), keys, point)
     except InvalidParams as error:
         return str(error)
 
@@ -596,10 +605,12 @@ def assert_same_draws(scenarios, n_runs, seed):
 HIGH_RISE = ENVIRONMENTS["high-rise"]
 URBAN = ENVIRONMENTS["urban"]
 #: Chunks of several points, as lists of scenarios: axis-aligned street
-#: links on high-rise, low enough that many rounds are rejected; mixed
-#: urban links with a drawn azimuth, or drawn and fixed azimuths in one
-#: chunk; and altitude ranges that straddle h_rx, where rounds at or
-#: below the user are rejected too.
+#: links on high-rise, low enough that many rounds are rejected, where no
+#: point draws its azimuth or altitude, so a round hashes three stream
+#: positions, or only some points draw their altitude; mixed urban links
+#: with a drawn azimuth, or drawn and fixed azimuths in one chunk; and
+#: altitude ranges that straddle h_rx, where rounds at or below the user
+#: are rejected too.
 DRAW_CHUNKS = {
     "high-rise phi 0": [
         GeomScenario(HIGH_RISE, "street", theta, phi_deg=0.0, h_uav=h)
@@ -608,6 +619,10 @@ DRAW_CHUNKS = {
     "high-rise phi 90": [
         GeomScenario(HIGH_RISE, "street", theta, phi_deg=90.0, h_uav=h)
         for theta in (5.0, 45.0, 85.0) for h in (40.0, 100.0)
+    ],
+    "high-rise some points draw h_uav": [
+        GeomScenario(HIGH_RISE, "street", theta, phi_deg=0.0, h_uav=h)
+        for theta in (10.0, 60.0) for h in (40.0, (30.0, 60.0), 100.0)
     ],
     "high-rise crossroad": [
         GeomScenario(HIGH_RISE, "crossroad", theta, phi_deg=phi, h_uav=45.0)
@@ -654,10 +669,13 @@ def test_placement_give_up_matches_one_round_at_a_time(rounds, monkeypatch):
     # streets, a UAV drawn at 0 to 3 m and seen at theta 2 from a user at
     # 1.5 m sits at or below the user in half the rounds and over a
     # Rayleigh(1e6) roof in most others; which of the two its last round
-    # gives decides the message.
+    # gives decides the message.  The chunks mix points that draw neither
+    # azimuth nor altitude with points that draw one of them, so passes
+    # that hash three, four and five positions per round give up links.
     monkeypatch.setattr(simgeom, "PLACEMENT_ROUNDS", rounds)
     hard, stuck = _redraw_scenario(150.0), _redraw_scenario(1e6, h_uav=31.0)
     free = GeomScenario(hard.params, "street", 45.0, phi_deg=90.0, h_uav=40.0)
+    roam = GeomScenario(hard.params, "street", 45.0, phi_deg=(0.0, 90.0), h_uav=40.0)
     low = GeomScenario(hard.params, "street", 45.0, phi_deg=90.0, h_uav=(0.0, 1.5000001))
     rare = GeomScenario(hard.params, "street", 45.0, phi_deg=90.0, h_uav=(0.0, 1.6))
     narrow = BuiltUpParams(0.9, 300.0, 1e6)
@@ -669,6 +687,7 @@ def test_placement_give_up_matches_one_round_at_a_time(rounds, monkeypatch):
             ([free, hard], 40, (0, 3)), ([hard, stuck], 20, (0, 3)),
             ([free, stuck, low], 20, (0, 3)), ([hard, rare], 30, (0, 3)),
             ([free, rare], 30, (0, 3)), ([stuck, hard, free], 1, (0, 3)),
+            ([roam, stuck, hard], 20, (0, 3)), ([stuck, roam, low], 20, (0, 3)),
             ([walled, either], 1, range(10)),
         )
         for seed in seeds
@@ -683,13 +702,19 @@ def test_placement_give_up_matches_one_round_at_a_time(rounds, monkeypatch):
 def test_heatmap_chunks_take_two_placement_passes(monkeypatch):
     # Each placement pass is one stream_bits call of the engine.  A round
     # at a time, the 170-point high-rise heatmap at seed 1 took 56 rounds
-    # over its 13 chunks, up to six in one chunk.
-    passes = []
+    # over its 13 chunks, up to six in one chunk.  No point draws its
+    # azimuth or altitude, so round 0 hashes three stream positions per
+    # link (city key, user x and user y), where all five once were.
+    passes, round_0_rows = [], []
     stream_bits, draw_links = simgeom.stream_bits, simgeom._draw_links
 
-    def counted_bits(*args):
+    def counted_bits(keys, counter):
+        bits = stream_bits(keys, counter)
+        if not passes[-1]:
+            assert bits.shape[1:] == keys.shape
+            round_0_rows.append(bits.shape[0])
         passes[-1] += 1
-        return stream_bits(*args)
+        return bits
 
     def counted_draw(*args):
         passes.append(0)
@@ -705,6 +730,7 @@ def test_heatmap_chunks_take_two_placement_passes(monkeypatch):
     assert len(run_sweep(spec).rows) == 170
     assert len(passes) == 13
     assert max(passes) <= 2
+    assert round_0_rows == [3] * 13
 
 
 @pytest.mark.parametrize("n_runs", [1, 255, 256, 257, 600])
@@ -820,9 +846,9 @@ def test_estimate_points_equals_estimate_plos_point_by_point(monkeypatch, budget
     chunks = []
     first_blockers = simgeom._first_blockers
 
-    def recorded(scenarios, layout, keys, point):
+    def recorded(scenarios, values, layout, keys, point):
         chunks.append(np.unique(point).size)
-        return first_blockers(scenarios, layout, keys, point)
+        return first_blockers(scenarios, values, layout, keys, point)
 
     monkeypatch.setattr(simgeom, "_first_blockers", recorded)
     estimates, seconds = estimate_points(scenarios, 150, seeds)
@@ -847,9 +873,9 @@ def test_each_call_derives_the_keys_of_its_links_at_once(monkeypatch):
     calls, derived = [], []
     first_blockers, slices = simgeom._first_blockers, citygeom.RunKeys.slices
 
-    def recorded(scenarios, layout, keys, point):
+    def recorded(scenarios, values, layout, keys, point):
         calls.append((keys, point))
-        return first_blockers(scenarios, layout, keys, point)
+        return first_blockers(scenarios, values, layout, keys, point)
 
     def counted(self, *args):
         derived.append(args)
