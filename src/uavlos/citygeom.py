@@ -258,6 +258,12 @@ def building_band(v: np.ndarray, p: float, s: float, reach: float):
     size.  The geometry engine passes a reach of MAX_TRACK_PERIODS + 2
     periods, which bounds the coordinates of its UAVs above their users,
     and the 3D engine the larger side of its extent.
+
+    The error stays below tol as long as eps*(|v| + p) does, so the
+    result is also exact beyond reach, for |v| < 16*reach.  Farther out
+    q and the flag may differ from numpy's; a caller whose coordinates
+    can lie there must drop them itself (as place_users drops ring
+    positions off its extent).
     """
     q = np.divide(v, p)
     np.floor(q, out=q)
@@ -284,7 +290,7 @@ _BAND_SLACK = 1e-9
 def _band_visits(c0, dc, t_lo, t_hi, p: float, s: float):
     """Closed bands [i*p + s, (i+1)*p] of one axis visited by c0 + t*dc
     for t in [t_lo, t_hi], one row per (window, band).  t_lo and t_hi
-    are arrays like c0 or scalars, and a scalar t_lo is 0.
+    are arrays like c0 or scalars.
 
     Returns (row, i, lo, hi): the input row, the 0-based band and the
     sub-window of t spent inside that band.  Rows keep the input order,
@@ -301,7 +307,7 @@ def _band_visits(c0, dc, t_lo, t_hi, p: float, s: float):
     working set of a kernel call.
     """
     # c0 + dc*0 is c0 up to the sign of a zero, which ceil and floor drop.
-    ca = c0 if np.ndim(t_lo) == 0 else c0 + dc * t_lo
+    ca = c0 if np.ndim(t_lo) == 0 and t_lo == 0.0 else c0 + dc * t_lo
     hi = c0 + dc * t_hi
     lo = np.minimum(ca, hi)
     np.maximum(ca, hi, out=hi)
@@ -400,14 +406,9 @@ def track_entries(layout: CityLayout, x_rx, y_rx, x_tx, y_tx, t_max=1.0):
     descending).
     """
     p, s = layout.period, layout.s
-    ends = x_rx, y_rx, x_tx, y_tx
-    if all(isinstance(v, np.ndarray) and v.dtype == np.float64 and v.ndim == 1
-           and v.size == x_rx.size for v in ends):
-        x0, y0, x1, y1 = ends
-    else:
-        x0, y0, x1, y1 = np.broadcast_arrays(
-            *(np.atleast_1d(np.asarray(v, dtype=float)) for v in ends)
-        )
+    x0, y0, x1, y1 = np.broadcast_arrays(
+        *(np.atleast_1d(np.asarray(v, dtype=float)) for v in (x_rx, y_rx, x_tx, y_tx))
+    )
     t1 = np.asarray(t_max, dtype=float)
     if t1.ndim:
         t1 = np.broadcast_to(t1, x0.shape)

@@ -643,6 +643,9 @@ def place_users(layout: CityLayout, uavs: UavPositions, theta_deg: float, direct
     x = ux[:, None] + d[:, None] * cos
     y = uy[:, None] + d[:, None] * sin
     p, s = layout.period, layout.s
+    # At low theta a ring reaches far past the extent, beyond what
+    # building_band decides exactly for this reach; the extent test
+    # drops those positions, so their bands are never read.
     reach = max(layout.extent_x, layout.extent_y)
     kept = (0.0 <= x) & (x <= layout.extent_x) & (0.0 <= y) & (y <= layout.extent_y)
     kept &= ~(building_band(x, p, s, reach)[1] & building_band(y, p, s, reach)[1])

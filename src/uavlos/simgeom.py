@@ -37,7 +37,6 @@ alone, the chunking bounds memory and leaves every estimate unchanged;
 
 from __future__ import annotations
 
-import functools
 import math
 import time
 from collections.abc import Sequence
@@ -154,16 +153,9 @@ class GeomScenario:
         return self.h_uav[1] if isinstance(self.h_uav, tuple) else self.h_uav
 
     def layout(self) -> CityLayout:
-        return _unbounded_layout(self.params)
-
-
-@functools.lru_cache(maxsize=64)
-def _unbounded_layout(params: BuiltUpParams) -> CityLayout:
-    """The layout of params, derived once for every scenario that shares
-    them (a layout is immutable).  The geometry engine treats the grid as
-    unbounded; the nominal one-period extent only satisfies the layout
-    contract."""
-    return derive_layout(params)
+        # The geometry engine treats the grid as unbounded; the nominal
+        # one-period extent only satisfies the layout contract.
+        return derive_layout(self.params)
 
 
 #: Placement rounds before a link whose UAV keeps landing inside a

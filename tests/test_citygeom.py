@@ -147,14 +147,15 @@ def band_edges(p, s, k):
 
 @pytest.mark.parametrize("env", ["suburban", "urban", "dense-urban", "high-rise"])
 def test_building_band_equals_divmod_on_band_edges(env):
-    # The 3D engine's reach: a 3 km extent, negative coordinates and ring
-    # positions beyond the extent (place_users drops those after the test).
+    # The 3D engine's reach, a 3 km extent, with negative coordinates and
+    # ring positions up to twice the extent: the helper stays exact there
+    # (see its docstring), although place_users drops them after the test.
     extent = 3000.0
     layout = derive_layout(ENVIRONMENTS[env], extent, extent)
     p, s = layout.period, layout.s
-    k = np.arange(-(extent // p) - 1, extent // p + 2)
-    v = np.concatenate([band_edges(p, s, k), [extent, 0.0, -0.0]])
-    v = v[np.abs(v) <= extent]
+    k = np.arange(-(extent // p) - 1, extent // p + 3)
+    v = np.concatenate([band_edges(p, s, k), [extent, 2.0 * extent, 0.0, -0.0]])
+    assert v.max() > extent
     # v - floor(v/p)*p alone decides some edges wrongly, so these values
     # take the exact fallback.
     assert np.any((v - np.floor(v / p) * p >= s) != (v % p >= s))
@@ -162,7 +163,7 @@ def test_building_band_equals_divmod_on_band_edges(env):
     # Cities x directions, as place_users calls it, with the edges spread
     # over the rows among ordinary ring positions.
     rng = np.random.default_rng(5)
-    ring = rng.uniform(-extent, extent, (7, 3 * v.size))
+    ring = rng.uniform(-extent, 2.0 * extent, (7, 3 * v.size))
     ring[:, ::3] = v
     assert_band_is_divmod(ring, p, s, extent)
 
@@ -170,7 +171,8 @@ def test_building_band_equals_divmod_on_band_edges(env):
 @st.composite
 def band_blocks(draw):
     """(v, p, s, reach): a layout, a reach up to the geometry engine's,
-    and a 1-D or 2-D block of coordinates with |v| <= reach, mixing band
+    and a 1-D or 2-D block of coordinates with |v| <= reach, or with
+    |v| <= 15*reach (the helper is exact below 16*reach), mixing band
     edges of negative and positive periods, their float neighbours and
     ordinary coordinates."""
     alpha = draw(st.floats(0.01, 0.95))
@@ -179,10 +181,12 @@ def band_blocks(draw):
     p, s = layout.period, layout.s
     periods = draw(st.integers(1, MAX_TRACK_PERIODS + 2))
     reach = periods * p
-    k = np.array(draw(st.lists(st.integers(-periods, periods), min_size=1, max_size=12)))
-    plain = draw(st.lists(st.floats(-reach, reach), max_size=12))
-    v = np.concatenate([band_edges(p, s, k), plain, [reach, -reach]])
-    v = v[np.abs(v) <= reach]
+    span = draw(st.sampled_from([1, 15]))
+    k = np.array(draw(st.lists(st.integers(-span * periods, span * periods),
+                               min_size=1, max_size=12)))
+    plain = draw(st.lists(st.floats(-span * reach, span * reach), max_size=12))
+    v = np.concatenate([band_edges(p, s, k), plain, [span * reach, -span * reach]])
+    v = v[np.abs(v) <= span * reach]
     rows = draw(st.sampled_from([0, 1, 2, 5]))
     if rows:  # a block of rows, as a redraw pass or place_users passes
         v = np.resize(v, (rows, v.size))
