@@ -56,6 +56,7 @@ __all__ = [
     "track_entries",
     "track_length",
     "tracks_per_call",
+    "call_slices",
     "CALL_PERIODS",
     "mix_entropy",
     "seed_pools",
@@ -429,10 +430,15 @@ def track_entries(layout: CityLayout, x_rx, y_rx, x_tx, y_tx, t_max=1.0):
 def track_length(theta_deg: float, h_uav, h_rx):
     """Ground distance (h_uav - h_rx)/tan(theta) from a user at h_rx to a
     UAV at h_uav seen at elevation theta_deg: the length of the link's
-    ground track, 0 at theta = 90.  h_uav and h_rx may be arrays."""
+    ground track, 0 at theta = 90, and infinite above h_rx where theta is
+    so small (below 1.43e-322 degrees) that its tangent rounds to 0.
+    h_uav and h_rx may be arrays."""
     if theta_deg == 90.0:
         return 0.0
-    return (h_uav - h_rx) / math.tan(math.radians(theta_deg))
+    tan = math.tan(math.radians(theta_deg))
+    if tan == 0.0:
+        return (h_uav - h_rx) * math.inf
+    return (h_uav - h_rx) / tan
 
 
 #: Ground-track length, in grid periods, of the links that one
@@ -458,6 +464,22 @@ def tracks_per_call(budget_periods: float, track_m: float, period: float) -> int
     across track lengths.  At least one track goes into every call.
     """
     return max(1, math.floor(budget_periods / (track_m / period + 1.0)))
+
+
+def call_slices(cost):
+    """Split links of the given per-link costs, in grid periods of track
+    (:func:`tracks_per_call`), into consecutive :func:`track_entries`
+    calls of at most CALL_PERIODS periods each, and at least one link.
+
+    Yields each call as a slice of the links.
+    """
+    spent = np.cumsum(cost)
+    start = 0
+    while start < spent.size:
+        before = spent[start - 1] if start else 0.0
+        stop = max(int(np.searchsorted(spent, before + CALL_PERIODS, side="right")), start + 1)
+        yield slice(start, stop)
+        start = stop
 
 
 def _rayleigh_inplace(v: np.ndarray, gamma: float) -> np.ndarray:

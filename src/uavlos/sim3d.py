@@ -435,7 +435,8 @@ def first_blockers(cities: Cities, uavs: UavPositions, run, rx_x, rx_y, h_rx: fl
 
     The cuts are taken once for all links, which are then decided in
     consecutive slices of citygeom.CALL_PERIODS grid periods of cut
-    track, the geometry engine's call budget too: each link counts as
+    track (:func:`uavlos.citygeom.call_slices`), the geometry engine's
+    call budget too: each link counts as
     the part of its track up to its cut plus one, so the calls stay
     full however long the rings are and however many of their positions
     were dropped (at least one link each, across city boundaries).  Each
@@ -466,19 +467,13 @@ def first_blockers(cities: Cities, uavs: UavPositions, run, rx_x, rx_y, h_rx: fl
     cut = (top - h_rx) / np.where(rise > 0.0, rise, 1.0) + _CUT_SLACK
     cut = np.where((rise > 0.0) & (h_rx + cut * rise > top), np.minimum(cut, 1.0), 1.0)
     length = np.hypot(tx_x[run] - rx_x, tx_y[run] - rx_y)
-    spent = np.cumsum(cut[run] * length / layout.period + 1.0)
-    budget = citygeom.CALL_PERIODS
     found = []
-    start = 0
-    while start < run.size:
-        before = spent[start - 1] if start else 0.0
-        stop = max(int(np.searchsorted(spent, before + budget, side="right")), start + 1)
-        part = slice(start, stop)
+    for part in citygeom.call_slices(cut[run] * length / layout.period + 1.0):
         owner = run[part]
         link, ix, iy, t = track_entries(
             layout, rx_x[part], rx_y[part], tx_x[owner], tx_y[owner], cut[owner]
         )
-        link += start
+        link += part.start
         city_of = run.take(link)
         at = ix * ky
         at += iy
@@ -493,7 +488,6 @@ def first_blockers(cities: Cities, uavs: UavPositions, run, rx_x, rx_y, h_rx: fl
         first[1:] = hit_link[1:] != hit_link[:-1]
         hit = hit[first]
         found.append((link.take(hit), ix.take(hit), iy.take(hit), t.take(hit)))
-        start = stop
     return tuple(np.concatenate(parts) for parts in zip(*found))
 
 

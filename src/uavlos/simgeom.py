@@ -22,17 +22,20 @@ same stream, evaluated only under the UAV and at the track's entries
 
 :func:`estimate_points` decides the links of several points (scenarios
 that share params, user zone and h_rx) together, in chunks of
-:data:`uavlos.citygeom.CALL_PERIODS` grid periods of ground track per
-kernel call, the budget the 3D engine's calls take too: each link
-counts as its point's longest track plus one
-(:func:`uavlos.citygeom.tracks_per_call`), and a chunk fills across
-point boundaries, so a 170-point heatmap of 200 short links per point
-takes 13 kernel calls, not 170, while a chunk of long tracks holds few
-links.  A chunk derives the keys of all its links at once
+:data:`uavlos.citygeom.CALL_PERIODS` grid periods of ground track, the
+budget the 3D engine's kernel calls take too: each link counts as its
+point's longest track plus one (:func:`uavlos.citygeom.tracks_per_call`),
+and a chunk fills across point boundaries.  A track longer than
+2*NEAR_PERIODS periods is decided on its first NEAR_PERIODS periods
+from the user first, and only the links left clear there are walked to
+their UAVs (:func:`_first_blockers`), so such a link counts as
+NEAR_PERIODS plus one.  The 170-point high-rise heatmap of 200 links
+per point so takes 8 chunks and 10 kernel calls, not 170.  A chunk
+derives the keys of all its links at once
 (:class:`uavlos.citygeom.RunKeys`).  Theta, azimuth and altitude are
 per-link values of a chunk.  Because a link's draws depend on its key
-alone, the chunking bounds memory and leaves every estimate unchanged;
-:func:`estimate_plos` is its one-point case.
+alone and each stage is exact, the chunking bounds memory and leaves
+every estimate unchanged; :func:`estimate_plos` is its one-point case.
 """
 
 from __future__ import annotations
@@ -52,6 +55,7 @@ from .citygeom import (
     RunKeys,
     bits_to_uniforms,
     building_band,
+    call_slices,
     derive_layout,
     roof_heights,
     seed_pools,
@@ -309,11 +313,11 @@ def _draw_links(
     for "mixed" only, the azimuth of a round only where some link of
     the pass draws its azimuth, and the altitude likewise
     (:func:`_round_rows`).  So a round of fixed azimuth and altitude
-    hashes three positions, not five.  Every chunk of the 170-point
-    high-rise heatmap at seed 1 takes two passes, where a round at a
-    time took up to six.  A link still rejected after PLACEMENT_ROUNDS
-    rounds fails the chunk (InvalidParams), naming the point of the
-    first such link.
+    hashes three positions, not five.  Of the 8 chunks of the 170-point
+    high-rise heatmap at seed 1, seven take two passes and one three,
+    where a round at a time took up to six.  A link still rejected
+    after PLACEMENT_ROUNDS rounds fails the chunk (InvalidParams),
+    naming the point of the first such link.
 
     Returns arrays (user x, user y, UAV x, UAV y, UAV z, city key) of
     each link's accepted round.
@@ -373,32 +377,101 @@ def _draw_links(
     return (*placed, city)
 
 
+#: Part of a long ground track, in grid periods from the user, that is
+#: decided first (see :func:`_first_blockers`).  Compared in process
+#: against 3, which ran 4 to 14% slower on five of six geom command
+#: lines, and 1, which ran 9 to 11% faster on the suburban theta 15 to
+#: 25 and dense-urban street sweeps but 10 to 15% slower on the mostly
+#: clear suburban theta 40 to 44 sweep, whose tracks it stages (warm,
+#: two runs, BENCH_18.json design_runs.near_periods; not end to end).
+NEAR_PERIODS = 2
+
+
+def _near_first(scenario: GeomScenario, period: float) -> bool:
+    """Whether the links of scenario are decided near their users first:
+    whether its longest track is longer than 2*NEAR_PERIODS periods.
+
+    A link left clear near its user walks its track a second time, so a
+    track only a little longer than the near part gains little and, on
+    mostly clear runs, pays twice: staging every track over NEAR_PERIODS
+    made the suburban theta 40 to 44 sweep, tracks of 2.7 to 3.2
+    periods, 1.3 times slower.
+    """
+    track = track_length(scenario.theta_deg, scenario.h_max, scenario.h_rx)
+    return track / period > 2 * NEAR_PERIODS
+
+
+def _blocked(layout: CityLayout, gamma: float, h_rx: float, ux, uy, vx, vy, vz, city,
+             t_max=1.0) -> np.ndarray:
+    """Whether each link is NLoS on its ground track up to the fraction
+    t_max (see :func:`uavlos.citygeom.track_entries`), in one kernel
+    call: whether a roof of its city reaches the ray height where the
+    track enters that roof's building (ties block)."""
+    link, ix, iy, t = track_entries(layout, ux, uy, vx, vy, t_max)
+    roof = roof_heights(city.take(link), ix, iy, gamma)
+    return np.bincount(link[roof >= h_rx + t * (vz.take(link) - h_rx)], minlength=ux.size) > 0
+
+
 def _first_blockers(
     scenarios: Sequence[GeomScenario], values: np.ndarray, layout: CityLayout,
     keys: np.ndarray, point: np.ndarray,
 ) -> np.ndarray:
     """Decide the links of keys, link n of scenarios[point[n]] with the
-    :func:`_point_values` values[point[n]], in one kernel call; returns
-    how many links of each scenario are NLoS.
+    :func:`_point_values` values[point[n]]; returns how many links of
+    each scenario are NLoS.
 
     A link is NLoS when a roof of its accepted city reaches the ray
     height where its ground track enters that roof's building (ties
     block).  The roof under the UAV is looked up like every other, so
     it is the one the placement conditioned.
+
+    The links are decided in two stages.  The first kernel call decides
+    each link of a point decided near its users first
+    (:func:`_near_first`) on its first NEAR_PERIODS periods from the
+    user, and every other link, or one whose own track is no longer, on
+    its whole track; the links it leaves clear short of their UAVs are
+    then decided on their whole tracks, in calls of at most
+    citygeom.CALL_PERIODS periods, each link counting as its track plus
+    one (:func:`uavlos.citygeom.call_slices`); a chunk with no such
+    point has none left.  The result is exact: a cut track lists the
+    uncut track's entries up to the cut, in the same bits, so a link
+    blocked near its user is blocked on its whole track, and a link
+    clear there is decided on its whole track.  Low links are mostly
+    blocked near their users: on urban at theta 5 and 10, 92 to 94% of
+    the blocked links are blocked within two periods of theirs, so the
+    second stage takes few links.
     """
-    ux, uy, vx, vy, vz, city = _draw_links(scenarios, values, layout, keys, point)
-    link, ix, iy, t = track_entries(layout, ux, uy, vx, vy)
-    h_rx = scenarios[0].h_rx
-    roof = roof_heights(city.take(link), ix, iy, scenarios[0].params.gamma)
-    nlos = np.bincount(link[roof >= h_rx + t * (vz.take(link) - h_rx)], minlength=keys.size) > 0
+    links = _draw_links(scenarios, values, layout, keys, point)
+    h_rx, gamma = scenarios[0].h_rx, scenarios[0].params.gamma
+    near = np.array([_near_first(scenario, layout.period) for scenario in scenarios])
+    staged = np.flatnonzero(near.take(point))
+    ux, uy, vx, vy = (v.take(staged) for v in links[:4])
+    length = np.hypot(vx - ux, vy - uy)
+    # reach/max(length, reach) is min(reach/length, 1) to the bit, and 1
+    # for a track too short to round to a positive length.
+    reach = NEAR_PERIODS * layout.period
+    near_cut = reach / np.maximum(length, reach)
+    cut = np.ones(keys.size)
+    cut[staged] = near_cut
+    nlos = _blocked(layout, gamma, h_rx, *links, cut)
+    left = ~nlos.take(staged) & (near_cut < 1.0)
+    rest = staged[left]
+    for part in call_slices(length[left] / layout.period + 1.0):
+        at = rest[part]
+        nlos[at] = _blocked(layout, gamma, h_rx, *(v.take(at) for v in links))
     return np.bincount(point[nlos], minlength=len(scenarios))
 
 
 def _chunks(scenarios: Sequence[GeomScenario], n_runs: int, period: float):
-    """Split the links of every point into kernel calls of
-    citygeom.CALL_PERIODS grid periods of ground track, each link
-    counting as its point's longest track plus one; a chunk fills across
-    point boundaries and takes at least one link.
+    """Split the links of every point into chunks of citygeom.CALL_PERIODS
+    grid periods of ground track, each link counting as its point's
+    longest track plus one, or NEAR_PERIODS plus one where its point is
+    decided near its users first (:func:`_near_first`); a chunk fills
+    across point boundaries and takes at least one link.
+
+    The count bounds the boxes that a chunk's first kernel call lists
+    (see :func:`_first_blockers`); the links left to a second stage go
+    into calls of their own, which the same budget bounds.
 
     Yields each chunk as a list of (point index, start, stop) slices of
     the points' links, of consecutive points.
@@ -406,7 +479,10 @@ def _chunks(scenarios: Sequence[GeomScenario], n_runs: int, period: float):
     budget = citygeom.CALL_PERIODS
     chunk, room = [], budget
     for q, scenario in enumerate(scenarios):
-        track = track_length(scenario.theta_deg, scenario.h_max, scenario.h_rx)
+        if _near_first(scenario, period):
+            track = NEAR_PERIODS * period
+        else:
+            track = track_length(scenario.theta_deg, scenario.h_max, scenario.h_rx)
         cost = track / period + 1.0
         start = 0
         while start < n_runs:
@@ -431,8 +507,11 @@ def estimate_points(
     ``run_keys(seeds[q], n_runs)[i]`` (:func:`uavlos.citygeom.run_keys`),
     drawn as :func:`_draw_links` describes.  The links are decided in
     chunks of citygeom.CALL_PERIODS grid periods of ground track (see
-    :func:`_chunks`), each chunk deriving the keys of its links at once,
-    which bounds memory and leaves every estimate unchanged: each
+    :func:`_chunks`), each chunk deriving the keys of its links at once
+    and deciding its long tracks near their users first
+    (:func:`_first_blockers`).  That bounds memory and leaves every
+    estimate unchanged: a link's draws depend on its key alone, and a
+    link blocked near its user is blocked on its whole track, so each
     estimate equals :func:`estimate_plos` of its point alone.
 
     Returns the estimates and, per point, its share in seconds of each

@@ -3,6 +3,8 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from uavlos import citygeom, harness, sim3d, simgeom
 from uavlos.baselines import GridProduct, Sigmoid, evaluate
@@ -588,6 +590,52 @@ def test_sim3d_point_without_a_valid_user_is_a_runtime_error():
                      axes=(SweepAxis("radius", (706.0,)), SweepAxis("h_uav", (100.0,))))
     with pytest.raises(UavLosError, match="no valid user positions"):
         run_sweep(spec)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(
+    engine=st.sampled_from(["geom", "sim3d"]),
+    env=st.sampled_from(sorted(ENVIRONMENTS)),
+    theta=st.one_of(st.just(90.0), st.floats(0.0, 1.0, exclude_min=True)),
+    h_uav=st.floats(2.0, 500.0),
+)
+@example(engine="geom", env="urban", theta=5e-324, h_uav=100.0)
+@example(engine="sim3d", env="urban", theta=5e-324, h_uav=100.0)
+@example(engine="geom", env="suburban", theta=0.05, h_uav=20.0)
+@example(engine="sim3d", env="urban", theta=0.001, h_uav=2.0)
+def test_theta_near_0_or_90_is_decided_or_refused_with_a_typed_error(engine, env, theta, h_uav):
+    # Theta near 0 puts the UAV far from its user, up to an infinite
+    # track where the tangent of theta rounds to 0; theta 90 puts it
+    # overhead, a track of zero length.  Each point is either decided or
+    # refused with a UavLosError before any kernel call: the geometry
+    # engine bounds its tracks (check_track_length), and the 3D engine
+    # refuses a user ring wider than its extent or a point left with no
+    # user on it.  Overhead, every link is LoS.
+    calls = []
+
+    def counted(track_entries):
+        def kernel(*args, **kwargs):
+            calls.append(args)
+            return track_entries(*args, **kwargs)
+        return kernel
+
+    with pytest.MonkeyPatch.context() as patch:
+        for module in (simgeom, sim3d):
+            patch.setattr(module, "track_entries", counted(module.track_entries))
+        try:
+            spec = SweepSpec(engine=engine, params=ENVIRONMENTS[env], extent=(1000.0, 1000.0),
+                             axes=(SweepAxis("theta", (theta,)),), h_uav=h_uav, n_runs=20,
+                             n_users=20, seed=5)
+            (row,) = run_sweep(spec).rows
+        except UavLosError:
+            assert calls == []
+            return
+    estimate = row.estimate
+    assert 0 <= estimate.k <= estimate.n and estimate.n >= 1
+    if engine == "geom":
+        assert estimate.n == 20
+    if theta == 90.0:
+        assert estimate.k == estimate.n
 
 
 class _NoGenerateState(np.random.SeedSequence):

@@ -699,12 +699,13 @@ def test_placement_give_up_matches_one_round_at_a_time(rounds, monkeypatch):
         assert any(not isinstance(o, str) for o in outcomes)
 
 
-def test_heatmap_chunks_take_two_placement_passes(monkeypatch):
-    # Each placement pass is one stream_bits call of the engine.  A round
-    # at a time, the 170-point high-rise heatmap at seed 1 took 56 rounds
-    # over its 13 chunks, up to six in one chunk.  No point draws its
-    # azimuth or altitude, so round 0 hashes three stream positions per
-    # link (city key, user x and user y), where all five once were.
+def test_heatmap_chunks_take_two_or_three_placement_passes(monkeypatch):
+    # Each placement pass is one stream_bits call of the engine.  The
+    # 170-point high-rise heatmap at seed 1 takes 8 chunks, the long
+    # tracks of theta 5 to 20 counting their near part only; a round at a
+    # time took up to six rounds in a chunk.  No point draws its azimuth
+    # or altitude, so round 0 hashes three stream positions per link
+    # (city key, user x and user y), where all five once were.
     passes, round_0_rows = [], []
     stream_bits, draw_links = simgeom.stream_bits, simgeom._draw_links
 
@@ -728,9 +729,8 @@ def test_heatmap_chunks_take_two_placement_passes(monkeypatch):
                       SweepAxis("phi", tuple(range(0, 100, 10)))),
     )
     assert len(run_sweep(spec).rows) == 170
-    assert len(passes) == 13
-    assert max(passes) <= 2
-    assert round_0_rows == [3] * 13
+    assert sorted(passes) == [2] * 7 + [3]
+    assert round_0_rows == [3] * 8
 
 
 @pytest.mark.parametrize("n_runs", [1, 255, 256, 257, 600])
@@ -775,20 +775,49 @@ def test_estimate_does_not_depend_on_the_chunk_size(monkeypatch):
         assert {n for n, _ in calls} == {links}
 
 
+def kernel_cuts(monkeypatch):
+    """Record the arguments (x_rx, y_rx, x_tx, y_tx, t_max) of every
+    ground-track kernel call the geometry engine makes."""
+    calls = []
+
+    def recorded(layout, x_rx, y_rx, x_tx, y_tx, t_max=1.0):
+        calls.append((x_rx, y_rx, x_tx, y_tx, t_max))
+        return track_entries(layout, x_rx, y_rx, x_tx, y_tx, t_max)
+
+    monkeypatch.setattr(simgeom, "track_entries", recorded)
+    return calls
+
+
 def test_a_chunk_holds_as_many_links_as_fit_its_track_budget(monkeypatch):
     # 2000 links of 1.3 periods (urban, 100 m, theta 60) fit the budget
-    # of one call; at theta 5 each track is 25.2 periods long.
+    # of one call.  At theta 5 each track is 25.2 periods long and counts
+    # its first NEAR_PERIODS plus one, so a chunk takes 4096 links; a
+    # chunk's first call cuts them there, and the links it leaves clear go
+    # to calls of their own, of 469 whole tracks at most.
     calls = kernel_calls(monkeypatch)
     scenario = GeomScenario(ENVIRONMENTS["urban"], "mixed", 60.0, h_uav=100.0)
     assert estimate_plos(scenario, 2000, 1).n == 2000
     assert [n for n, _ in calls] == [2000]
-    calls.clear()
+    cuts = kernel_cuts(monkeypatch)
     scenario = GeomScenario(ENVIRONMENTS["urban"], "mixed", 5.0, h_uav=100.0)
-    estimate_plos(scenario, 2000, 1)
+    estimate_plos(scenario, 10000, 1)
     periods = 98.5 / math.tan(math.radians(5.0)) / scenario.layout().period
+    per_chunk = math.floor(citygeom.CALL_PERIODS / (simgeom.NEAR_PERIODS + 1.0))
     per_call = math.floor(citygeom.CALL_PERIODS / (periods + 1.0))
-    assert per_call < 2000
-    assert [n for n, _ in calls] == [per_call] * (2000 // per_call) + [2000 % per_call]
+    assert (per_chunk, per_call) == (4096, 469)
+    # Each chunk's first call, with its cuts, then that chunk's calls of
+    # whole tracks, every one full but the last.
+    chunks = []
+    for x, *_, t_max in cuts:
+        if np.ndim(t_max):
+            chunks.append((np.size(x), []))
+        else:
+            chunks[-1][1].append(np.size(x))
+    assert [first for first, _ in chunks] == [4096, 4096, 1808]
+    for _, rest in chunks:
+        m = sum(rest)
+        assert rest == [per_call] * (m // per_call) + ([m % per_call] if m % per_call else [])
+    assert sum(len(rest) for _, rest in chunks) > 3
 
 
 @pytest.mark.parametrize("env", ["urban", "high-rise", "suburban"])
@@ -809,6 +838,122 @@ def test_a_chunk_lists_entries_in_proportion_to_its_track_budget(monkeypatch, en
     estimates, _ = estimate_points(batch[::-1], 500, range(6))
     assert [est.n for est in estimates] == [500] * 6
     assert max(entries for _, entries in calls) <= 4 * citygeom.CALL_PERIODS
+    # Under roofs of gamma 0.8 m, long tracks from a 20 m UAV mostly stay
+    # clear near their users, so most of them go on to calls of whole
+    # tracks, which the same budget bounds.
+    calls.clear()
+    low = BuiltUpParams(ENVIRONMENTS[env].alpha, ENVIRONMENTS[env].beta, 0.8)
+    batch = [GeomScenario(low, "mixed", theta, h_uav=20.0) for theta in (0.2, 1.0, 5.0)]
+    estimates, _ = estimate_points(batch, 500, range(3))
+    assert sum(est.k for est in estimates) > 750
+    assert sum(n for n, _ in calls) > 1500 + 750
+    assert max(entries for _, entries in calls) <= 4 * citygeom.CALL_PERIODS
+
+
+#: Urban grid under roofs of gamma 0.8 m: from a 20 m UAV, three in four
+#: of the theta 0.2 links, 118 periods long, stay clear near their users,
+#: and some of those are blocked farther out.
+LOW_ROOFS = BuiltUpParams(0.3, 500.0, 0.8)
+
+
+def altitudes_around_the_staging_threshold(theta):
+    """UAV altitudes whose tracks at theta, from a 1.5 m user on
+    LOW_ROOFS, are just under, exactly at and just over 2*NEAR_PERIODS
+    periods, the longest track decided whole."""
+    period = derive_layout(LOW_ROOFS).period
+
+    def periods(h):
+        return citygeom.track_length(theta, h, 1.5) / period
+
+    at = 1.5 + 2 * simgeom.NEAR_PERIODS * period * math.tan(math.radians(theta))
+    while periods(at) > 2 * simgeom.NEAR_PERIODS:
+        at = np.nextafter(at, 0.0)
+    while periods(at) < 2 * simgeom.NEAR_PERIODS:
+        at = np.nextafter(at, np.inf)
+    under = over = at
+    while periods(under) >= 2 * simgeom.NEAR_PERIODS:
+        under = np.nextafter(under, 0.0)
+    while periods(over) <= 2 * simgeom.NEAR_PERIODS:
+        over = np.nextafter(over, np.inf)
+    assert periods(at) == 2 * simgeom.NEAR_PERIODS
+    return float(under), float(at), float(over)
+
+
+def staged_chunk():
+    """One chunk's points on LOW_ROOFS: overhead links (zero-length
+    tracks), tracks just under, at and just over the staging threshold,
+    tracks of 11.8 and 118 periods, and drawn altitudes whose tracks run
+    from under a period to 49 periods."""
+    return [GeomScenario(LOW_ROOFS, "mixed", theta, h_uav=h) for theta, h in (
+        (90.0, 20.0),
+        *((6.0, h) for h in altitudes_around_the_staging_threshold(6.0)),
+        (2.0, 20.0), (0.2, 20.0), (1.0, (2.0, 40.0)),
+    )]
+
+
+def link_by_link(scenarios, n, seed):
+    """_first_blockers arguments for n links of each scenario in one
+    chunk, each link its own point, so that it returns each link's NLoS
+    count, 0 or 1."""
+    per_link = [scenario for scenario in scenarios for _ in range(n)]
+    keys = citygeom.run_keys(seed, len(per_link))
+    return per_link, point_values(per_link), per_link[0].layout(), keys, np.arange(keys.size)
+
+
+def nlos_on_tracks(scenarios, values, layout, keys, point, t_max=1.0):
+    """Reference: each link NLoS (1) or not (0) on its track up to
+    t_max, every link in one kernel call."""
+    ux, uy, vx, vy, vz, city = _draw_links(scenarios, values, layout, keys, point)
+    link, ix, iy, t = track_entries(layout, ux, uy, vx, vy, t_max)
+    h_rx = scenarios[0].h_rx
+    roof = citygeom.roof_heights(city[link], ix, iy, scenarios[0].params.gamma)
+    nlos = np.zeros(keys.size, dtype=np.int64)
+    nlos[link[roof >= h_rx + t * (vz[link] - h_rx)]] = 1
+    return nlos
+
+
+@pytest.mark.parametrize("order", ["as listed", "reversed"])
+def test_staged_decision_equals_one_call_on_whole_tracks(monkeypatch, order):
+    # Kills a chunk without its second stage (the links blocked beyond
+    # their near part count as LoS), a second stage that walks only from
+    # the cut (its users stand at the cut), and a cut, or the choice of
+    # links to cut, read from the chunk's first point (theta 90 first,
+    # or 0.2 first).
+    scenarios = staged_chunk()[:: 1 if order == "as listed" else -1]
+    args = link_by_link(scenarios, 40, 5)
+    per_link, _, layout, _, _ = args
+    expected = nlos_on_tracks(*args)
+    monkeypatch.setattr(citygeom, "CALL_PERIODS", 50)
+    calls = kernel_cuts(monkeypatch)
+    np.testing.assert_array_equal(simgeom._first_blockers(*args), expected)
+    # The first call cuts each link of a point with tracks over the
+    # threshold at NEAR_PERIODS periods, or not at all if its own track
+    # is no longer, and every other link not at all.
+    x0, y0, x1, y1, cut = calls[0]
+    p = layout.period
+    length = np.hypot(x1 - x0, y1 - y0)
+    staged = np.array([
+        citygeom.track_length(sc.theta_deg, sc.h_max, sc.h_rx) / p > 2 * simgeom.NEAR_PERIODS
+        for sc in per_link
+    ])
+    assert staged.sum() == 4 * 40
+    assert (cut[~staged] == 1.0).all()
+    np.testing.assert_allclose(
+        cut[staged] * length[staged], np.minimum(length[staged], simgeom.NEAR_PERIODS * p),
+        rtol=1e-12,
+    )
+    # Then the links left clear short of their UAVs, on whole tracks from
+    # their users, in calls of at most 50 periods of track plus one each.
+    near = nlos_on_tracks(*args, t_max=cut)
+    rest = np.flatnonzero((near == 0) & (cut < 1.0))
+    assert rest.size > 40 and (expected[rest] == 1).sum() >= 3
+    assert all(np.ndim(t_max) == 0 and t_max == 1.0 for *_, t_max in calls[1:])
+    for got, want in zip(np.concatenate([c[:4] for c in calls[1:]], axis=1),
+                         (x0[rest], y0[rest], x1[rest], y1[rest])):
+        np.testing.assert_array_equal(got, want)
+    tracks = [np.hypot(c[2] - c[0], c[3] - c[1]) / p + 1.0 for c in calls[1:]]
+    assert all(cost.sum() <= 50.0 * (1.0 + 1e-12) or cost.size == 1 for cost in tracks)
+    assert len(tracks) > 10 and max(cost.size for cost in tracks) > 1
 
 
 def test_estimate_builds_no_generator(monkeypatch):
@@ -892,10 +1037,11 @@ def test_each_call_derives_the_keys_of_its_links_at_once(monkeypatch):
 
 
 @pytest.mark.parametrize("run,bound", [
-    # One urban point at theta 5: 2 000 tracks of 25 periods, 5 calls.
+    # One urban point at theta 5: 2 000 tracks of 25 periods, decided on
+    # their first 2 periods in one call, then the links left clear in one more.
     (lambda: estimate_plos(GeomScenario(ENVIRONMENTS["urban"], "mixed", 5.0, h_uav=100.0),
                            2000, 1), 1.41e6),
-    # The 170-point street heatmap on high-rise, 13 calls.
+    # The 170-point street heatmap on high-rise, 10 calls.
     (lambda: run_sweep(SweepSpec(
         engine="geom", params=ENVIRONMENTS["high-rise"], user_zone="street", seed=1, n_runs=200,
         axes=(SweepAxis("theta", tuple(range(5, 90, 5))), SweepAxis("phi", tuple(range(0, 100, 10)))),
