@@ -14,8 +14,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .citygeom import BuiltUpParams
+from .citygeom import BuiltUpParams, derive_layout, track_length
 from .errors import EmptyTable, InvalidAngle, InvalidParams, ParseError
+from .simgeom import check_track_length
 
 __all__ = [
     "GridProduct",
@@ -92,6 +93,10 @@ def evaluate(model: BaselineModel, theta_deg: float, h_uav: float, h_rx: float) 
         h_uav, h_rx: transmitter and receiver heights in metres; only
             GridProduct uses them and needs h_uav > h_rx >= 0.
 
+    GridProduct refuses, with InvalidAngle, a ground distance longer than
+    the geometry engine's bound (:func:`uavlos.simgeom.check_track_length`),
+    as the engines do; theta = 0 is its limit, 0.
+
     Returns:
         P_LoS in [0, 1].
     """
@@ -106,10 +111,10 @@ def evaluate(model: BaselineModel, theta_deg: float, h_uav: float, h_rx: float) 
         if theta_deg == 0.0:
             return 0.0  # infinitely many buildings in the limit
         pr = model.params
-        if theta_deg == 90.0:
-            r = 0.0
-        else:
-            r = (h_uav - h_rx) / math.tan(math.radians(theta_deg))
+        # One factor per building row under the ray: refuse the tracks the
+        # geometry engine refuses, so the loop stays bounded.
+        check_track_length(derive_layout(pr).period, theta_deg, h_uav, h_rx)
+        r = track_length(theta_deg, h_uav, h_rx)
         m = math.floor(r * math.sqrt(pr.alpha * pr.beta) / 1000.0)
         out = 1.0
         for n in range(m + 1):

@@ -22,8 +22,12 @@ through the counter-based stream of the key (:func:`stream_bits`), so a
 roof exists only where it is looked at and every reader of a city sees
 the same value.  Both engines draw their other random numbers from such
 keyed streams too: the 3D engine each city's UAV, the geometry engine
-each link's user, UAV and city keys.  Both take the keys of a point's
-runs from :func:`run_keys` of the point's seed.
+each link's user, UAV and city keys.  Every key of a sweep comes from
+one seed tree of such streams: a seed of any size folds into a key
+(:func:`seed_keys`), and the keys below it are positions 0, 1, 2, ...
+of its stream (:func:`run_keys`): a sweep's master seed gives its grid
+points' seeds, and a point's seed the keys of its runs.  A prefix of
+keys so never depends on how many are taken.
 
 All distances are metres; angles are degrees at every public interface
 and converted to radians only inside trigonometric calls.
@@ -58,11 +62,8 @@ __all__ = [
     "tracks_per_call",
     "call_slices",
     "CALL_PERIODS",
-    "mix_entropy",
-    "seed_pools",
-    "RunKeys",
+    "seed_keys",
     "run_keys",
-    "point_seeds",
     "stream_bits",
     "bits_to_uniforms",
     "stream_uniforms",
@@ -494,199 +495,6 @@ def _rayleigh_inplace(v: np.ndarray, gamma: float) -> np.ndarray:
     return v
 
 
-#: numpy's SeedSequence (O'Neill's seed_seq_fe, 32-bit words): the size of
-#: its default entropy pool, the first hash constant and multiplier of entropy
-#: mixing (A) and of state generation (B), and the two multipliers and the
-#: shift of its mixing function.
-_POOL_SIZE = 4
-_INIT_A = 0x43B0D7E5
-_MULT_A = 0x931E8875
-_INIT_B = 0x8B51F9DD
-_MULT_B = 0x58F38DED
-_MIX_MULT_L = np.uint32(0xCA01F9DD)
-_MIX_MULT_R = np.uint32(0x4973F715)
-_XSHIFT = 16
-
-
-def _hash_constants(init: int, mult: int, n: int) -> np.ndarray:
-    """h_k = init*mult^k mod 2^32 for k < n, as uint32."""
-    hashes = np.full(n, mult, dtype=np.uint32)
-    hashes[0] = init
-    return np.multiply.accumulate(hashes, out=hashes)
-
-
-def _hashmix(value: np.ndarray, hashes: np.ndarray, k: int, m: int) -> np.ndarray:
-    """numpy's hashmix of value broadcast to m columns, column j with
-    hash constant k + j: xor with h_(k+j), multiply by h_(k+j+1), xor
-    with itself shifted right by 16, all mod 2^32 (a new array)."""
-    value = value ^ hashes[k:k + m]
-    value *= hashes[k + 1:k + m + 1]
-    value ^= value >> _XSHIFT
-    return value
-
-
-def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """numpy's mix of two words: L*x - R*y mod 2^32, xored with itself
-    shifted right by 16 (in x's place; y is overwritten)."""
-    x *= _MIX_MULT_L
-    y *= _MIX_MULT_R
-    x -= y
-    x ^= x >> _XSHIFT
-    return x
-
-
-#: For each pool word, the indices of the other pool words, ascending.
-_OTHER_WORDS = [np.delete(np.arange(_POOL_SIZE), src) for src in range(_POOL_SIZE)]
-
-
-def mix_entropy(entropy) -> np.ndarray:
-    """The entropy pool numpy's SeedSequence mixes from each row of 32-bit
-    entropy words, bit for bit; rows hold at least four words.
-
-    numpy mixes one pool in a Python loop; this mixes every row at once,
-    in the same steps: hash the first four words into the pool, mix
-    each pool word into every other, then mix each further word into
-    every pool word, the hash constant h_k = INIT_A*MULT_A^k advancing by
-    one per hashmix.  Each step is one array expression over all rows.
-    """
-    entropy = np.asarray(entropy, dtype=np.uint32)
-    size = entropy.shape[1]
-    hashes = _hash_constants(_INIT_A, _MULT_A, _POOL_SIZE * size + 1)
-    pool = _hashmix(entropy[:, :_POOL_SIZE], hashes, 0, _POOL_SIZE)
-    k = _POOL_SIZE
-    for src, dst in enumerate(_OTHER_WORDS):
-        pool[:, dst] = _mix(pool[:, dst], _hashmix(pool[:, src, None], hashes, k, dst.size))
-        k += dst.size
-    for src in range(_POOL_SIZE, size):
-        _mix(pool, _hashmix(entropy[:, src, None], hashes, k, _POOL_SIZE))
-        k += _POOL_SIZE
-    return pool
-
-
-def _entropy_rows(seeds, size: int) -> np.ndarray:
-    """Non-negative integer seeds as numpy's SeedSequence takes them: one
-    row of size 32-bit words each, least significant first, padded with
-    zeros (which is what hashing the pool out from shorter entropy
-    amounts to)."""
-    data = b"".join(seed.to_bytes(4 * size, "little") for seed in seeds)
-    return np.frombuffer(data, dtype="<u4").reshape(len(seeds), size)
-
-
-def _seed_ints(seeds) -> list[int]:
-    seeds = [operator.index(seed) for seed in seeds]
-    if min(seeds, default=0) < 0:
-        raise InvalidParams(f"seeds must be non-negative integers, got {min(seeds)}")
-    return seeds
-
-
-def _entropy_size(seed: int) -> int:
-    return max(_POOL_SIZE, -(-seed.bit_length() // 32))
-
-
-def seed_pools(seeds) -> np.ndarray:
-    """``SeedSequence(seed).pool`` of each seed, bit for bit, as rows of a
-    uint32 array (:func:`mix_entropy`, once per entropy length)."""
-    seeds = _seed_ints(seeds)
-    sizes = [_entropy_size(seed) for seed in seeds]
-    pools = np.empty((len(seeds), _POOL_SIZE), dtype=np.uint32)
-    for size in set(sizes):
-        at = [q for q, n_words in enumerate(sizes) if n_words == size]
-        pools[at] = mix_entropy(_entropy_rows([seeds[q] for q in at], size))
-    return pools
-
-
-class RunKeys:
-    """The n run keys of each of several entropy pools (:func:`run_keys`),
-    derived a few slices at a time.
-
-    The hash constants of n keys are computed once, here; :meth:`slices`
-    derives the keys of any slices of the pools in one array expression.
-    A caller that spreads a seed's keys over several kernel calls, or
-    fills one call from several seeds, so derives each key once, when a
-    call needs it.  ``RunKeys(seed_pools(seeds), n)`` gives the keys of
-    seeds.
-    """
-
-    def __init__(self, pools: np.ndarray, n: int):
-        self.pools = pools
-        self.hashes = _hash_constants(_INIT_B, _MULT_B, 2 * n + 1)
-
-    def slices(self, seed, start, stop) -> np.ndarray:
-        """For each slice m in turn, the run keys of pool seed[m] from
-        start[m] up to stop[m], concatenated; 0 <= start <= stop <= n.
-
-        numpy's generate_state fills each 32-bit word in a Python loop,
-        about 0.3 us per key; this computes the same words with array
-        operations.  Word w of a pool's keys is word w mod 4 of
-        the pool, xored with the hash constant h_w = INIT_B*MULT_B^w,
-        multiplied by h_(w+1) and xored with itself shifted right by 16,
-        all mod 2^32; key j joins words 2j and 2j + 1 little-endian, as
-        numpy does.
-        """
-        seed, start, stop = (np.asarray(v, dtype=np.int64) for v in (seed, start, stop))
-        words = 2 * (stop - start)
-        # w runs over 2*start to 2*stop - 1 of each slice in turn.
-        shift = np.cumsum(words)
-        shift -= words
-        np.subtract(2 * start, shift, out=shift)
-        w = np.arange(words.sum())
-        w += np.repeat(shift, words)
-        state = self.pools.take(np.repeat(seed * _POOL_SIZE, words) + w % _POOL_SIZE)
-        state ^= self.hashes.take(w)
-        w += 1
-        state *= self.hashes.take(w)
-        state ^= state >> _XSHIFT
-        return state.astype("<u4", copy=False).view("<u8").astype(np.uint64, copy=False)
-
-
-def run_keys(seed: int, n: int) -> np.ndarray:
-    """The n uint64 run keys of a seed:
-    ``SeedSequence(seed).generate_state(n, np.uint64)``, bit for bit
-    (see :meth:`RunKeys.slices`)."""
-    return RunKeys(seed_pools([seed]), n).slices([0], [0], [n])
-
-
-#: PCG64 (O'Neill, "PCG: a family of simple fast space-efficient
-#: statistically good algorithms for random number generation", 2014):
-#: the multiplier of its 128-bit LCG, as numpy uses it.
-_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
-_MASK64 = (1 << 64) - 1
-_MASK128 = (1 << 128) - 1
-
-
-def point_seeds(seed: int, n: int) -> list[int]:
-    """The seeds of n grid points from a master seed: for child q of
-    ``SeedSequence(seed).spawn(n)``, ``default_rng(child).integers(0,
-    2**63)``, bit for bit, without building a Generator.
-
-    Child q's entropy is the seed's words padded to four, then q;
-    its pool (:func:`mix_entropy`) gives the four words of
-    ``generate_state(4, np.uint64)`` (:meth:`RunKeys.slices`).  PCG64
-    seeds from them initstate = s0<<64 | s1 and the increment
-    inc = (s2<<64 | s3)<<1 | 1; seeding and the first draw step the LCG
-    twice after state = inc + initstate, all mod 2^128, and the draw is
-    the XSL-RR output x.  ``integers(0, 2**63)`` is Lemire's method with
-    a rejection threshold of 2^64 mod 2^63 = 0, so it returns x >> 1.
-    Point q's seed does not depend on n.
-    """
-    (seed,) = _seed_ints([seed])
-    size = _entropy_size(seed)
-    entropy = np.empty((n, size + 1), dtype=np.uint32)
-    entropy[:, :-1] = _entropy_rows([seed], size)
-    entropy[:, -1] = np.arange(n)
-    state = RunKeys(mix_entropy(entropy), 4).slices(
-        np.arange(n), np.zeros(n), np.full(n, 4)
-    ).tolist()
-    seeds = []
-    for s0, s1, s2, s3 in zip(*[iter(state)] * 4):
-        inc = ((s2 << 64 | s3) << 1 | 1) & _MASK128
-        lcg = (((inc + (s0 << 64 | s1)) * _PCG_MULT + inc) * _PCG_MULT + inc) & _MASK128
-        x = (lcg >> 64 ^ lcg) & _MASK64
-        rot = lcg >> 122
-        seeds.append(((x >> rot | x << (64 - rot)) & _MASK64) >> 1)
-    return seeds
-
-
 #: splitmix64 (Steele, Lea and Flood, "Fast splittable pseudorandom number
 #: generators", OOPSLA 2014): the Weyl increment of its state and the two
 #: multipliers of its output finalizer.
@@ -717,6 +525,38 @@ def stream_bits(key, counter) -> np.ndarray:
     np.right_shift(z, 31, out=shifted)
     z ^= shifted
     return z.reshape(shape)
+
+
+_MASK64 = (1 << 64) - 1
+
+
+def seed_keys(seeds) -> np.ndarray:
+    """The uint64 key of each non-negative int seed, of any size.
+
+    A seed's 64-bit words, least significant first, are folded through
+    the stream (:func:`stream_bits`) from the word count: the key is
+    position w0 of the stream of the count, then, for each further word
+    w, position w of the stream of the key so far.  The count keeps 0,
+    2^64 and 2^128 apart, and a seed below 2^64 (one word) maps to its
+    key one to one, since the Weyl increment is odd and the splitmix64
+    finalizer is a bijection.
+    """
+    seeds = [operator.index(seed) for seed in seeds]
+    if min(seeds, default=0) < 0:
+        raise InvalidParams(f"seeds must be non-negative integers, got {min(seeds)}")
+    count = np.array([max(1, -(-seed.bit_length() // 64)) for seed in seeds], dtype=np.uint64)
+    key = count
+    for j in range(int(count.max(initial=1))):
+        word = np.array([seed >> 64 * j & _MASK64 for seed in seeds], dtype=np.uint64)
+        key = np.where(count > j, stream_bits(key, word), key)
+    return key
+
+
+def run_keys(seed: int, n: int) -> np.ndarray:
+    """The n uint64 run keys of a seed: positions 0 to n - 1 of the
+    stream of its key (:func:`seed_keys`), so the first n keys of a seed
+    do not depend on n."""
+    return stream_bits(seed_keys([seed]), np.arange(n))
 
 
 def bits_to_uniforms(bits) -> np.ndarray:

@@ -17,24 +17,20 @@ the geometry engine's too (:data:`uavlos.citygeom.CALL_PERIODS`).  The
 geometry engine runs one link per run, with an area-weighted
 street/crossroad mix when no single zone is requested, under the same
 protocol: each link is one uint64 key, from which its placement and
-the roofs its track meets are hashed.  Grid point q of a sweep
-takes its seed from :func:`uavlos.citygeom.point_seeds` of the master
-seed: the 63-bit draw ``default_rng(child).integers(0, 2**63)`` of
-child q of ``SeedSequence(seed).spawn(points)``, computed without a
-Generator.  Both engines take a point's keys from
-:func:`uavlos.citygeom.run_keys` of its seed, numpy's
-``SeedSequence(seed).generate_state``, and derive the keys of all the
-points they decide together from one :class:`uavlos.citygeom.RunKeys`;
-seeds, pools and keys are all computed with array operations, bit for
-bit.
+the roofs its track meets are hashed.  Every key comes from one seed
+tree of counter-based streams (:func:`uavlos.citygeom.stream_bits`):
+grid point q of a sweep takes as its seed key q of the master seed,
+``run_keys(seed, points)[q]``, and run i of a point is key i of the
+point's seed (:func:`uavlos.citygeom.run_keys`).
 The geometry engine decides consecutive points with the same params
 together (:func:`uavlos.simgeom.estimate_points`), so a 170-point
-heatmap shares 13 kernel calls instead of making one per point, and
+heatmap shares 10 kernel calls instead of making one per point, and
 derives the keys of each call's links at once.
-A geometry-engine spec checks every grid point's ground-track length
-when it is created, so a point the engine would refuse is an illegal
-spec; a 3D-engine spec likewise refuses a point whose user ring is
-wider than the extent's diagonal, where no user can stand.
+A geometry-engine or ``baseline:grid`` spec checks every grid point's
+ground-track length when it is created, so a point the engine would
+refuse is an illegal spec; a 3D-engine spec likewise refuses a point
+whose user ring is wider than the extent's diagonal, where no user can
+stand.
 
 CSV files carry a ``# spec:`` echo line followed by one row per grid
 point.  The ms_per_point column is written as zero unless timing is
@@ -58,10 +54,8 @@ import numpy as np
 from .baselines import BaselineModel, GridProduct, evaluate
 from .citygeom import (
     BuiltUpParams,
-    RunKeys,
     derive_layout,
-    point_seeds,
-    seed_pools,
+    run_keys,
     track_length,
 )
 from .errors import IllegalSpec, InvalidAngle, UavLosError
@@ -206,7 +200,7 @@ class SweepSpec:
             raise IllegalSpec(
                 "theta 90 with a building-top UAV puts the one user inside the UAV's building"
             )
-        if self.engine in ("geom", "sim3d"):
+        if self.engine in ("geom", "sim3d", "baseline:grid"):
             # The grid period depends on beta alone, which no axis sweeps.
             period = derive_layout(self.params).period
             # No two points of the extent lie farther apart than its
@@ -214,7 +208,7 @@ class SweepSpec:
             diagonal = math.hypot(*self.extent)
             for combo in self.points():
                 theta, h_uav = _point_angles(self, dict(zip(names, combo)))
-                if self.engine == "geom":
+                if self.engine != "sim3d":
                     try:
                         check_track_length(period, theta, h_uav, self.h_rx)
                     except InvalidAngle as exc:
@@ -417,8 +411,7 @@ def _estimate_points(
     :func:`uavlos.simgeom.estimate_points` call, and each point's time is
     its share of that call's kernel chunks; sim3d and baseline points are
     estimated and timed one by one, each sim3d point from the run keys of
-    its seed (:func:`uavlos.citygeom.run_keys`), all derived from one
-    :class:`uavlos.citygeom.RunKeys` of the points' seeds.
+    its seed (:func:`uavlos.citygeom.run_keys`).
     """
     estimates: list[PLosEstimate] = []
     ms: list[float] = []
@@ -430,14 +423,12 @@ def _estimate_points(
             estimates += group_estimates
             ms += [1000.0 * sec for sec in seconds]
         return estimates, ms
-    if spec.engine == "sim3d":
-        keys_of = RunKeys(seed_pools(seeds), spec.n_runs)
-    for q, var in enumerate(vars):
+    for var, seed in zip(vars, seeds):
         start = time.perf_counter()
         theta, h_uav = _point_angles(spec, var)
         if spec.engine == "sim3d":
             params = _with_swept_params(spec.params, var)
-            keys = keys_of.slices([q], [0], [spec.n_runs])
+            keys = run_keys(seed, spec.n_runs)
             est = _estimate_sim3d(spec, params, theta, var.get("phi", spec.phi), h_uav, keys)
         else:
             est = PLosEstimate.exact(evaluate(_resolve_model(spec, var), theta, h_uav, spec.h_rx))
@@ -450,9 +441,10 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
     """Walk the sweep grid and estimate P_LoS at every point.
 
     Points are evaluated in row-major axis order, each from its own
-    seed, ``point_seeds(spec.seed, points)[q]`` for point q
-    (:func:`uavlos.citygeom.point_seeds`), so results are independent of
-    evaluation order and reproducible from (spec, seed) alone.  A row's
+    seed, ``run_keys(spec.seed, points)[q]`` for point q
+    (:func:`uavlos.citygeom.run_keys`), so results are independent of
+    evaluation order and of the grid size, and reproducible from (spec,
+    seed) alone.  A row's
     ms is its point's estimation time; geometry-engine points share
     kernel calls, and each takes a share of every call's wall time in
     proportion to its links in that call, so the rows sum to the sweep's
@@ -465,7 +457,7 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
         # before any work is done.
         _resolve_model(spec, dict(zip(axis_names, combos[0])))
 
-    seeds = point_seeds(spec.seed, len(combos))
+    seeds = run_keys(spec.seed, len(combos)).tolist()
     vars = [dict(zip(axis_names, combo)) for combo in combos]
     estimates, ms = _estimate_points(spec, vars, seeds)
     rows = tuple(
@@ -494,7 +486,9 @@ def compare_engines(
     mix at the same fixed altitude and a uniform azimuth.  The baselines
     are "grid" (GridProduct on params) and every model in models, which
     "grid" shadows as in a sweep.  Every side is a sweep spec, validated
-    before either engine runs.
+    before either engine runs.  At theta q the 3D side takes as its seed
+    key 2q of the master seed and the geometry side key 2q + 1
+    (:func:`uavlos.citygeom.run_keys`).
     """
     common = dict(
         params=params, extent=extent, axes=(SweepAxis("theta", tuple(thetas)),),
@@ -506,7 +500,7 @@ def compare_engines(
     specgm = SweepSpec(engine="geom", n_runs=ngeom, user_zone="mixed", **common)
     names = ["grid", *sorted(set(models or {}) - {"grid"})]
     baselines = [SweepSpec(engine=f"baseline:{name}", models=models, **common) for name in names]
-    seeds = point_seeds(seed, 2 * len(thetas))
+    seeds = run_keys(seed, 2 * len(thetas)).tolist()
     vars = [{"theta": theta} for theta in thetas]
     est3d, _ = _estimate_points(spec3d, vars, seeds[0::2])
     estgm, _ = _estimate_points(specgm, vars, seeds[1::2])

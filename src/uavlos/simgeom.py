@@ -31,8 +31,8 @@ from the user first, and only the links left clear there are walked to
 their UAVs (:func:`_first_blockers`), so such a link counts as
 NEAR_PERIODS plus one.  The 170-point high-rise heatmap of 200 links
 per point so takes 8 chunks and 10 kernel calls, not 170.  A chunk
-derives the keys of all its links at once
-(:class:`uavlos.citygeom.RunKeys`).  Theta, azimuth and altitude are
+derives the keys of all its links in one
+:func:`uavlos.citygeom.stream_bits` call.  Theta, azimuth and altitude are
 per-link values of a chunk.  Because a link's draws depend on its key
 alone and each stage is exact, the chunking bounds memory and leaves
 every estimate unchanged; :func:`estimate_plos` is its one-point case.
@@ -52,13 +52,12 @@ from . import citygeom
 from .citygeom import (
     BuiltUpParams,
     CityLayout,
-    RunKeys,
     bits_to_uniforms,
     building_band,
     call_slices,
     derive_layout,
     roof_heights,
-    seed_pools,
+    seed_keys,
     stream_bits,
     track_entries,
     track_length,
@@ -91,14 +90,14 @@ MAX_TRACK_PERIODS = 2048
 
 def check_track_length(period: float, theta_deg: float, h_uav: float, h_rx: float) -> None:
     """Refuse a ground track (:func:`uavlos.citygeom.track_length`)
-    longer than MAX_TRACK_PERIODS grid periods."""
+    longer than MAX_TRACK_PERIODS grid periods, or not finite."""
     track = track_length(theta_deg, h_uav, h_rx)
     periods = track / period
-    if periods > MAX_TRACK_PERIODS:
+    if not periods <= MAX_TRACK_PERIODS:
         raise InvalidAngle(
             f"theta {theta_deg} puts the UAV up to {track:.0f} m "
-            f"({periods:.0f} grid periods) from its user; the geometry "
-            f"engine bounds tracks at {MAX_TRACK_PERIODS} periods to bound the work per link"
+            f"({periods:.0f} grid periods) from its user; tracks are "
+            f"bounded at {MAX_TRACK_PERIODS} periods to bound the work per link"
         )
 
 
@@ -507,9 +506,9 @@ def estimate_points(
     ``run_keys(seeds[q], n_runs)[i]`` (:func:`uavlos.citygeom.run_keys`),
     drawn as :func:`_draw_links` describes.  The links are decided in
     chunks of citygeom.CALL_PERIODS grid periods of ground track (see
-    :func:`_chunks`), each chunk deriving the keys of its links at once
-    and deciding its long tracks near their users first
-    (:func:`_first_blockers`).  That bounds memory and leaves every
+    :func:`_chunks`), each chunk deriving the keys of its links in one
+    :func:`uavlos.citygeom.stream_bits` call and deciding its long
+    tracks near their users first (:func:`_first_blockers`).  That bounds memory and leaves every
     estimate unchanged: a link's draws depend on its key alone, and a
     link blocked near its user is blocked on its whole track, so each
     estimate equals :func:`estimate_plos` of its point alone.
@@ -527,16 +526,19 @@ def estimate_points(
     layout = scenarios[0].layout()
     # Each point's values, once per call; a chunk takes its points' rows.
     values = np.array([_point_values(scenario) for scenario in scenarios])
-    keys_of = RunKeys(seed_pools(seeds), n_runs)
+    point_keys = seed_keys(seeds)
     nlos = np.zeros(len(scenarios), dtype=np.int64)
     seconds = np.zeros(len(scenarios))
     clock = time.perf_counter()
     for chunk in _chunks(scenarios, n_runs, layout.period):
         q, start, stop = np.array(chunk).T
-        keys = keys_of.slices(q, start, stop)
         sizes = stop - start
         points = slice(q[0], q[-1] + 1)
         point = np.repeat(np.arange(q.size), sizes)
+        # Link i of point q is position i of the stream of q's key, as in
+        # run_keys: the chunk's positions run from start to stop per point.
+        run = np.arange(point.size) + (start - np.cumsum(sizes) + sizes).take(point)
+        keys = stream_bits(point_keys.take(q).take(point), run)
         nlos[points] += _first_blockers(scenarios[points], values[points], layout, keys, point)
         now = time.perf_counter()
         seconds[points] += (now - clock) * sizes / keys.size

@@ -12,6 +12,7 @@ from uavlos.baselines import (
 )
 from uavlos.citygeom import ENVIRONMENTS, BuiltUpParams
 from uavlos.errors import EmptyTable, InvalidAngle, InvalidParams, ParseError
+from uavlos.simgeom import MAX_TRACK_PERIODS
 
 URBAN_GRID = GridProduct(ENVIRONMENTS["urban"])
 
@@ -37,6 +38,17 @@ def test_grid_product_limits():
     h_mid = 100.0 - 0.5 * (100.0 - 1.5)
     expected = 1.0 - math.exp(-(h_mid**2) / (2.0 * 15.0**2))
     assert evaluate(URBAN_GRID, 90.0, 100.0, 1.5) == pytest.approx(expected, rel=1e-12)
+
+
+def test_grid_product_refuses_the_tracks_the_geometry_engine_refuses():
+    # One factor per building row: before the bound, theta 1e-4 took a
+    # quarter of a second, 1e-9 would take hours and 5e-324, whose
+    # tangent rounds to 0, divided by zero.
+    edge = math.degrees(math.atan(98.5 / (MAX_TRACK_PERIODS * 1000.0 / math.sqrt(500.0))))
+    assert 0.0 < evaluate(URBAN_GRID, edge * (1.0 + 1e-9), 100.0, 1.5) < 1e-100
+    for theta in (edge * (1.0 - 1e-9), 1e-9, 5e-324):
+        with pytest.raises(InvalidAngle, match="periods"):
+            evaluate(URBAN_GRID, theta, 100.0, 1.5)
 
 
 def test_grid_product_is_monotone_in_theta():

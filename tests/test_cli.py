@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 import types
 from pathlib import Path
 
@@ -418,6 +419,18 @@ def test_negative_seed_exits_two_before_any_point(tmp_path, capsys, argv):
     assert run_cli(*argv, "--env", "urban", "--extent", "1000", "--seed", "-1",
                    "--out", out) == 2
     assert "seed must be a non-negative integer" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("theta", ["1e-9", "5e-324"])
+def test_baseline_grid_track_beyond_the_bound_exits_two_at_once(tmp_path, capsys, theta):
+    # As a geometry-engine sweep would: the spec refuses the point.
+    out = tmp_path / "out.csv"
+    start = time.perf_counter()
+    assert run_cli("plos-vs-theta", "--engine", "baseline:grid", "--env", "urban",
+                   "--theta-grid", theta, "--seed", "1", "--out", out) == 2
+    assert time.perf_counter() - start < 1.0
+    assert "periods" in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == []
 
 

@@ -96,6 +96,8 @@ def test_sweep_spec_validation():
     with pytest.raises(IllegalSpec):
         SweepSpec(engine="baseline:grid", params=URBAN,
                   axes=(theta_axis(30), SweepAxis("phi", (0.0,))), seed=0)
+    with pytest.raises(IllegalSpec, match="periods"):
+        SweepSpec(engine="baseline:grid", params=URBAN, axes=(theta_axis(30, 1e-9),), seed=0)
     # theta 90 puts the one user inside a building-top UAV's own building
     top = dict(ok, engine="sim3d", uav_policy="building-top")
     SweepSpec(**top)
@@ -193,7 +195,7 @@ def test_sim3d_sweep_builds_no_grid_and_no_generator_per_run(monkeypatch):
     )
     rows = run_sweep(spec).rows
     assert all(row.estimate.n > 0 for row in rows)
-    assert generators == []  # point seeds come from citygeom.point_seeds
+    assert generators == []  # point seeds come from citygeom.run_keys
 
 
 def test_sim3d_overhead_point_is_exact():
@@ -516,7 +518,7 @@ def test_a_theta_90_sim3d_point_makes_no_kernel_call(monkeypatch):
     )
     blocks, calls, _ = sim3d_work(monkeypatch)
     estimate = sim3d_point(spec, 90.0, None)
-    assert (estimate.n, estimate.k) == (2160, 2160)
+    assert (estimate.n, estimate.k) == (2153, 2153)
     assert blocks and calls == []
 
 
@@ -638,23 +640,28 @@ def test_theta_near_0_or_90_is_decided_or_refused_with_a_typed_error(engine, env
         assert estimate.k == estimate.n
 
 
-class _NoGenerateState(np.random.SeedSequence):
-    def generate_state(self, n_words, dtype=np.uint32):
-        raise AssertionError("run keys derived through SeedSequence.generate_state")
-
-
-def test_engines_derive_run_keys_without_generate_state(monkeypatch):
-    # Both engines take a point's keys from citygeom.run_keys, which reads
-    # only the seed's pool; numpy's word-by-word generate_state is off
-    # their path, and the estimates are the same without it.
-    spec = SweepSpec(engine="sim3d", params=URBAN, axes=(SweepAxis("theta", (30.0,)),),
-                     n_runs=4, n_users=30, seed=3)
-    scenario = simgeom.GeomScenario(URBAN, "mixed", 30.0)
-
-    def estimates():
-        return (simgeom.estimate_plos(scenario, 300, 11),
-                harness._estimate_points(spec, [{"theta": 30.0}], [77])[0][0])
-
-    expected = estimates()
-    monkeypatch.setattr(np.random, "SeedSequence", _NoGenerateState)
-    assert estimates() == expected
+def test_sweep_points_take_the_keys_of_the_master_seed():
+    # Grid point q takes key q of the master seed as its seed, whatever
+    # the grid size; compare gives its 3D side the even keys and its
+    # geometry side the odd ones.
+    thetas = (30.0, 60.0, 75.0)
+    seeds = citygeom.run_keys(9, 6).tolist()
+    geom = SweepSpec(engine="geom", params=URBAN, axes=(theta_axis(*thetas),), n_runs=200, seed=9)
+    rows = run_sweep(geom).rows
+    assert [row.estimate for row in rows] == [
+        simgeom.estimate_plos(simgeom.GeomScenario(URBAN, "mixed", theta, h_uav=100.0), 200, seed)
+        for theta, seed in zip(thetas, seeds)
+    ]
+    shorter = run_sweep(SweepSpec(engine="geom", params=URBAN, axes=(theta_axis(*thetas[:2]),),
+                                  n_runs=200, seed=9)).rows
+    assert [row.estimate for row in shorter] == [row.estimate for row in rows[:2]]
+    spec3d = SweepSpec(engine="sim3d", params=URBAN, extent=(1000.0, 1000.0),
+                       axes=(theta_axis(*thetas),), n_runs=3, n_users=30, seed=9)
+    compared = compare_engines(URBAN, thetas, n3d=3, ngeom=200, seed=9, extent=(1000.0, 1000.0),
+                               n_users=30)
+    vars = [{"theta": theta} for theta in thetas]
+    assert [row.sim3d for row in compared] == harness._estimate_points(spec3d, vars, seeds[0::2])[0]
+    assert [row.geom for row in compared] == [
+        simgeom.estimate_plos(simgeom.GeomScenario(URBAN, "mixed", theta, h_uav=100.0), 200, seed)
+        for theta, seed in zip(thetas, seeds[1::2])
+    ]

@@ -18,9 +18,9 @@ PINS = {
         """\
 # spec: engine=geom alpha=0.3 beta=500 gamma=15 extent=3000x3000 axes=theta:10,45,80 h_uav=100 h_rx=1.5 n_runs=200 seed=11 user_zone=mixed
 theta,n,k,p_hat,ci_lo,ci_hi,ms_per_point
-10,200,29,0.145000,0.102893,0.200488,0.000000
-45,200,124,0.620000,0.551066,0.684411,0.000000
-80,200,187,0.935000,0.891980,0.961624,0.000000
+10,200,24,0.120000,0.081979,0.172344,0.000000
+45,200,144,0.720000,0.654076,0.777632,0.000000
+80,200,190,0.950000,0.910421,0.972618,0.000000
 """,
     ),
     "heatmap": (
@@ -29,11 +29,11 @@ theta,n,k,p_hat,ci_lo,ci_hi,ms_per_point
         """\
 # spec: engine=geom alpha=0.5 beta=300 gamma=50 extent=3000x3000 axes=theta:45,75;phi:0,45,90 h_uav=100 h_rx=1.5 n_runs=150 seed=12 user_zone=street
 theta,phi,n,k,p_hat,ci_lo,ci_hi,ms_per_point
-45,0,150,0,0.000000,0.000000,0.024971,0.000000
-45,45,150,8,0.053333,0.027269,0.101705,0.000000
+45,0,150,3,0.020000,0.006825,0.057148,0.000000
+45,45,150,6,0.040000,0.018459,0.084515,0.000000
 45,90,150,150,1.000000,0.975029,1.000000,0.000000
-75,0,150,32,0.213333,0.155361,0.285622,0.000000
-75,45,150,79,0.526667,0.447099,0.604902,0.000000
+75,0,150,40,0.266667,0.202371,0.342616,0.000000
+75,45,150,69,0.460000,0.382234,0.539763,0.000000
 75,90,150,150,1.000000,0.975029,1.000000,0.000000
 """,
     ),
@@ -43,10 +43,10 @@ theta,phi,n,k,p_hat,ci_lo,ci_hi,ms_per_point
         """\
 # spec: engine=sim3d alpha=0.5 beta=300 gamma=20 extent=3000x3000 axes=theta:30,90;phi:0,45 h_uav=100 h_rx=1.5 n_runs=20 seed=3 uav_policy=random n_users=360
 theta,phi,n,k,p_hat,ci_lo,ci_hi,ms_per_point
-30,0,10,8,0.800000,0.490157,0.943319,0.000000
-30,45,8,1,0.125000,0.022417,0.470895,0.000000
-90,0,12,12,1.000000,0.757499,1.000000,0.000000
-90,45,12,12,1.000000,0.757499,1.000000,0.000000
+30,0,9,4,0.444444,0.188775,0.733353,0.000000
+30,45,9,0,0.000000,0.000000,0.299153,0.000000
+90,0,6,6,1.000000,0.609657,1.000000,0.000000
+90,45,9,9,1.000000,0.700847,1.000000,0.000000
 """,
     ),
     "compare": (
@@ -55,8 +55,8 @@ theta,phi,n,k,p_hat,ci_lo,ci_hi,ms_per_point
         """\
 # spec: engine=compare alpha=0.3 beta=500 gamma=15 extent=3000x3000 thetas=20,60 n3d=4 ngeom=200 h_uav=100 h_rx=1.5 n_users=90 seed=13 models=grid
 theta,n_3d,k_3d,p_3d,ci_lo_3d,ci_hi_3d,n_geom,k_geom,p_geom,ci_lo_geom,ci_hi_geom,abs_delta,grid
-20,214,67,0.313084,0.254708,0.378053,200,59,0.295000,0.236138,0.361588,0.018084,0.332545
-60,259,198,0.764479,0.709169,0.812057,200,150,0.750000,0.685658,0.804919,0.014479,0.996732
+20,232,69,0.297414,0.242279,0.359148,200,56,0.280000,0.222368,0.345924,0.017414,0.332545
+60,259,204,0.787645,0.733819,0.833062,200,141,0.705000,0.638412,0.763862,0.082645,0.996732
 """,
     ),
     "param-surface": (
@@ -65,10 +65,10 @@ theta,n_3d,k_3d,p_3d,ci_lo_3d,ci_hi_3d,n_geom,k_geom,p_geom,ci_lo_geom,ci_hi_geo
         """\
 # spec: engine=geom alpha=0.3 beta=500 gamma=15 extent=3000x3000 axes=gamma:10,30;theta:20,60 h_uav=100 h_rx=1.5 n_runs=150 seed=14 user_zone=mixed
 gamma,theta,n,k,p_hat,ci_lo,ci_hi,ms_per_point
-10,20,150,69,0.460000,0.382234,0.539763,0.000000
-10,60,150,111,0.740000,0.664434,0.803580,0.000000
-30,20,150,19,0.126667,0.082611,0.189368,0.000000
-30,60,150,76,0.506667,0.427496,0.585505,0.000000
+10,20,150,70,0.466667,0.388659,0.546339,0.000000
+10,60,150,129,0.860000,0.795447,0.906574,0.000000
+30,20,150,13,0.086667,0.051347,0.142629,0.000000
+30,60,150,98,0.653333,0.574203,0.724806,0.000000
 """,
     ),
     "plos-vs-radius": (
@@ -77,10 +77,10 @@ gamma,theta,n,k,p_hat,ci_lo,ci_hi,ms_per_point
         """\
 # spec: engine=geom alpha=0.1 beta=750 gamma=8 extent=3000x3000 axes=radius:100,400;h_uav:50,200 h_rx=1.5 n_runs=150 seed=15 user_zone=mixed
 radius,h_uav,n,k,p_hat,ci_lo,ci_hi,ms_per_point
-100,50,150,121,0.806667,0.736136,0.861882,0.000000
-100,200,150,141,0.940000,0.889909,0.968116,0.000000
-400,50,150,51,0.340000,0.269032,0.418959,0.000000
-400,200,150,117,0.780000,0.707175,0.838841,0.000000
+100,50,150,115,0.766667,0.692841,0.827175,0.000000
+100,200,150,138,0.920000,0.865377,0.953647,0.000000
+400,50,150,47,0.313333,0.244548,0.391441,0.000000
+400,200,150,122,0.813333,0.743441,0.867577,0.000000
 """,
     ),
 }

@@ -589,14 +589,14 @@ def test_first_blockers_does_not_depend_on_its_call_budget(budget, monkeypatch):
 
 def test_first_blockers_refuses_a_run_out_of_order_or_past_its_cities():
     # Out of order, the links of a city are no longer contiguous: before
-    # run was checked, this shuffled block lost blocked link 118 (113
-    # blocked links instead of 114) and raised nothing.
+    # run was checked, a shuffled block lost a blocked link and raised
+    # nothing.
     params = ENVIRONMENTS["urban"]
     layout = derive_layout(params, 1500.0, 1500.0)
     cities = Cities(params, layout, run_keys(3, 6))
     uavs = place_uav(cities, RandomOverCity(120.0))
     run, x, y = place_users(layout, uavs, 15.0, user_directions(15.0, 60), 1.5)
-    assert (run.size, first_blockers(cities, uavs, run, x, y, 1.5)[0].size) == (152, 114)
+    assert (run.size, first_blockers(cities, uavs, run, x, y, 1.5)[0].size) == (162, 138)
     order = np.random.default_rng(3).permutation(run.size)
     for bad, at in ((run[order], order), (run - 1, slice(None)), (run + 1, slice(None))):
         with pytest.raises(InvalidParams, match="non-decreasing and index the 6 cities"):

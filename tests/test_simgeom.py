@@ -718,10 +718,12 @@ def test_heatmap_chunks_take_two_or_three_placement_passes(monkeypatch):
         return bits
 
     def counted_draw(*args):
+        # Only the placement's calls: the chunk's key derivation is one more.
         passes.append(0)
-        return draw_links(*args)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(simgeom, "stream_bits", counted_bits)
+            return draw_links(*args)
 
-    monkeypatch.setattr(simgeom, "stream_bits", counted_bits)
     monkeypatch.setattr(simgeom, "_draw_links", counted_draw)
     spec = SweepSpec(
         engine="geom", params=ENVIRONMENTS["high-rise"], user_zone="street", n_runs=200,
@@ -729,7 +731,7 @@ def test_heatmap_chunks_take_two_or_three_placement_passes(monkeypatch):
                       SweepAxis("phi", tuple(range(0, 100, 10)))),
     )
     assert len(run_sweep(spec).rows) == 170
-    assert sorted(passes) == [2] * 7 + [3]
+    assert sorted(passes) == [2] * 8
     assert round_0_rows == [3] * 8
 
 
@@ -946,7 +948,9 @@ def test_staged_decision_equals_one_call_on_whole_tracks(monkeypatch, order):
     # their users, in calls of at most 50 periods of track plus one each.
     near = nlos_on_tracks(*args, t_max=cut)
     rest = np.flatnonzero((near == 0) & (cut < 1.0))
-    assert rest.size > 40 and (expected[rest] == 1).sum() >= 3
+    # Some of them are blocked beyond their near part.
+    left = {"as listed": (147, 2), "reversed": (143, 3)}[order]
+    assert (rest.size, (expected[rest] == 1).sum()) == left
     assert all(np.ndim(t_max) == 0 and t_max == 1.0 for *_, t_max in calls[1:])
     for got, want in zip(np.concatenate([c[:4] for c in calls[1:]], axis=1),
                          (x0[rest], y0[rest], x1[rest], y1[rest])):
@@ -1008,32 +1012,33 @@ def test_estimate_points_equals_estimate_plos_point_by_point(monkeypatch, budget
 def test_each_call_derives_the_keys_of_its_links_at_once(monkeypatch):
     # 151 links per point and a budget of 50 periods: calls of 22 links at
     # theta 60 down to 10 at theta 30 straddle the points.  The keys the
-    # calls decide, in order, are every point's keys, numpy's
-    # generate_state of its seed, and each call derives its keys in one go.
+    # calls decide, in order, are every point's run keys, and each call
+    # derives its keys in one stream_bits call besides its placement's.
     seeds = [0, 2**32, 2**63 - 1, 2**64 + 5]
     scenarios = [GeomScenario(ENVIRONMENTS["urban"], "mixed", theta, h_uav=100.0)
                  for theta in (60.0, 45.0, 30.0, 75.0)]
     alone = [estimate_plos(sc, 151, seed) for sc, seed in zip(scenarios, seeds)]
     monkeypatch.setattr(citygeom, "CALL_PERIODS", 50)
     calls, derived = [], []
-    first_blockers, slices = simgeom._first_blockers, citygeom.RunKeys.slices
+    first_blockers, stream_bits = simgeom._first_blockers, simgeom.stream_bits
 
     def recorded(scenarios, values, layout, keys, point):
         calls.append((keys, point))
-        return first_blockers(scenarios, values, layout, keys, point)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(simgeom, "stream_bits", stream_bits)
+            return first_blockers(scenarios, values, layout, keys, point)
 
-    def counted(self, *args):
-        derived.append(args)
-        return slices(self, *args)
+    def counted(key, counter):
+        derived.append(np.size(counter))
+        return stream_bits(key, counter)
 
     monkeypatch.setattr(simgeom, "_first_blockers", recorded)
-    monkeypatch.setattr(citygeom.RunKeys, "slices", counted)
+    monkeypatch.setattr(simgeom, "stream_bits", counted)
     assert estimate_points(scenarios, 151, seeds)[0] == alone
-    assert len(derived) == len(calls) > 2 * len(seeds)
-    assert any(np.unique(point).size > 1 for _, point in calls)
-    expected = [np.random.SeedSequence(seed).generate_state(151, np.uint64) for seed in seeds]
+    assert len(calls) > 2 * len(seeds) and any(np.unique(point).size > 1 for _, point in calls)
+    assert derived == [keys.size for keys, _ in calls]
     np.testing.assert_array_equal(np.concatenate([keys for keys, _ in calls]),
-                                  np.concatenate(expected))
+                                  np.concatenate([citygeom.run_keys(s, 151) for s in seeds]))
 
 
 @pytest.mark.parametrize("run,bound", [
