@@ -307,6 +307,55 @@ def test_run_keys_are_a_prefix_of_the_seed_stream(seed, n):
     np.testing.assert_array_equal(keys, stream_bits(seed_keys([seed])[0], np.arange(n)))
 
 
+_M64 = 2**64 - 1
+
+
+def _splitmix64(state):
+    # The splitmix64 output of one state, in Python ints.
+    z = state & _M64
+    z = (z ^ z >> 30) * 0xBF58476D1CE4E5B9 & _M64
+    z = (z ^ z >> 27) * 0x94D049BB133111EB & _M64
+    return z ^ z >> 31
+
+
+def _reference_run_keys(seed, n):
+    # The seed tree as seed_keys documents it, without numpy: fold the
+    # seed's words, least significant first, starting from the word count,
+    # then take positions 0 to n - 1 of the key's stream.
+    count = max(1, -(-seed.bit_length() // 64))
+    key = count
+    for j in range(count):
+        key = _splitmix64(key + (seed >> 64 * j & _M64) * 0x9E3779B97F4A7C15)
+    return [_splitmix64(key + i * 0x9E3779B97F4A7C15) for i in range(n)]
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2**63 + 7, 2**64 + 5, 2**128 + 3])
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 200, 2001])
+def test_run_keys_equal_a_reference_splitmix64(seed, n):
+    keys = run_keys(seed, n)
+    assert keys.dtype == np.uint64
+    assert keys.shape == (n,)
+    assert keys.tolist() == _reference_run_keys(seed, n)
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 151])
+def test_keys_of_several_seeds_at_once_equal_their_run_key_slices(n):
+    # Slices of four seeds of one and two words in one call, as a chunk
+    # of the geometry engine takes them: whole, empty, from odd starts to
+    # odd stops, one seed twice and out of order.
+    seeds = [0, 2**32, 2**63 - 1, 2**64 + 5]
+    full = [run_keys(seed, n) for seed in seeds]
+    for seed, keys in zip(seeds, full):
+        assert keys.tolist() == _reference_run_keys(seed, n)
+    slices = [(0, 0, n), (1, n // 2, n), (2, 0, 0), (3, 1, n), (2, n // 3, n - n // 2),
+              (0, n - 1, n), (1, 0, (n + 1) // 2)]
+    point = np.concatenate([np.full(b - a, q) for q, a, b in slices]).astype(np.intp)
+    run = np.concatenate([np.arange(a, b) for _, a, b in slices]).astype(np.intp)
+    keys = stream_bits(seed_keys(seeds).take(point), run)
+    assert keys.dtype == np.uint64
+    np.testing.assert_array_equal(keys, np.concatenate([full[q][a:b] for q, a, b in slices]))
+
+
 def _assert_independent_uniforms(bits, axis):
     # Kolmogorov-Smirnov of the top 53 bits as uniforms, 1% significance,
     # and their lag-1 correlation along axis within three standard errors.
