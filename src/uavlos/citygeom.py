@@ -59,7 +59,6 @@ __all__ = [
     "building_band",
     "track_entries",
     "track_length",
-    "tracks_per_call",
     "call_slices",
     "CALL_PERIODS",
     "seed_keys",
@@ -444,32 +443,19 @@ def track_length(theta_deg: float, h_uav, h_rx):
 
 #: Ground-track length, in grid periods, of the links that one
 #: :func:`track_entries` call of either engine takes, each link counting
-#: as its track in grid periods plus one (:func:`tracks_per_call`).  A
-#: call costs a fixed overhead of numpy calls whatever its size, plus time
-#: and memory in proportion to the boxes it lists, at most about three
-#: per period of budget, so this one budget keeps both the overhead share
-#: and the working set of a call flat at every track length.
+#: as its track in grid periods plus one: the kernel lists about one box
+#: per period a track crosses, and even a zero-length track costs a row
+#: of every array.  A call costs a fixed overhead of numpy calls whatever
+#: its size, plus time and memory in proportion to the boxes it lists, at
+#: most about three per period of budget, so this one budget of track
+#: length, not a count of tracks, keeps both the overhead share and the
+#: working set of a call flat at every track length.
 CALL_PERIODS = 12288
-
-
-def tracks_per_call(budget_periods: float, track_m: float, period: float) -> int:
-    """How many ground tracks of length track_m one :func:`track_entries`
-    call takes under a budget of budget_periods grid periods of track.
-
-    A track counts as its length in grid periods plus one: the kernel
-    lists about one box per period a track crosses, and even a
-    zero-length track costs a row of every array.  A call costs a
-    fixed overhead of numpy calls plus time and memory in proportion
-    to the boxes it lists, so a budget of track length, not a count of
-    tracks, keeps both the overhead share and the working set flat
-    across track lengths.  At least one track goes into every call.
-    """
-    return max(1, math.floor(budget_periods / (track_m / period + 1.0)))
 
 
 def call_slices(cost):
     """Split links of the given per-link costs, in grid periods of track
-    (:func:`tracks_per_call`), into consecutive :func:`track_entries`
+    plus one (see :data:`CALL_PERIODS`), into consecutive :func:`track_entries`
     calls of at most CALL_PERIODS periods each, and at least one link.
 
     Yields each call as a slice of the links.

@@ -2,9 +2,17 @@
 
 Subcommands cover the standard experiment families (theta sweep,
 radius sweep, theta/phi heatmap, gamma/theta surface, engine
-comparison) plus city export.  Options come from flags, with an
-optional line-oriented ``key=value`` config file behind ``--config``;
-flags win over file keys, file keys win over built-in defaults.
+comparison) plus city export.  :data:`_SUBCOMMANDS` is the one table
+of them: each entry lists its option flags in help order, and a sweep
+entry also the axes it sweeps, as (axis name, grid option) pairs.
+Every option's built-in default is in :data:`_DEFAULTS`; an entry
+overrides only its output name and, for the heatmap, the user zone.
+Options come from flags, with an optional line-oriented ``key=value``
+config file behind ``--config``; flags win over file keys, file keys
+win over built-in defaults.  :func:`main` parses, resolves the
+options, and hands any entry with axes to one sweep runner and the
+others to city export or engine comparison; CSV text is rendered by
+:mod:`uavlos.harness`.
 
 Exit codes: 0 success, 2 usage or configuration error, 1 runtime
 failure.  Output files are written to a temp name and renamed, so a
@@ -28,23 +36,22 @@ from .baselines import load_model_set
 from .citygeom import ENVIRONMENTS, BuiltUpParams
 from .errors import IllegalSpec, InvalidParams, ParseError
 from .harness import (
-    DEFAULT_ALTITUDES,
-    DEFAULT_RADIUS_GRID,
-    DEFAULT_THETA_GRID,
     UAV_POLICIES,
     USER_ZONES,
     SweepAxis,
     SweepSpec,
     atomic_write_text,
     compare_engines,
-    result_to_csv,
+    compare_to_csv,
     run_sweep,
+    write_csv,
 )
 from .sim3d import city_to_text, generate_city
 
-DEFAULT_PHI_GRID = tuple(float(p) for p in range(0, 95, 5))
-DEFAULT_GAMMA_GRID = tuple(float(g) for g in range(5, 55, 5))
-DEFAULT_COMPARE_THETAS = tuple(float(t) for t in range(10, 90, 10))
+#: Most values a lo:hi:step grid expands to, 500 times the largest
+#: default grid; a longer range, or one whose values stop growing, is
+#: refused while it expands.
+MAX_GRID_VALUES = 10_000
 
 
 class _ConfigError(Exception):
@@ -62,6 +69,8 @@ def _parse_grid(text: str) -> tuple[float, ...]:
             values = []
             i = 0
             while lo + i * step <= hi + 1e-9:
+                if i == MAX_GRID_VALUES:
+                    raise ValueError(f"more than {MAX_GRID_VALUES} values")
                 values.append(round(lo + i * step, 10))
                 i += 1
         else:
@@ -127,44 +136,50 @@ _OPTS: dict[str, dict] = {
 _PARAM_OPTS = ["env", "alpha", "beta", "gamma"]
 _COMMON = _PARAM_OPTS + ["extent", "seed", "out"]
 
-# dest list and built-in defaults per subcommand; None means "must be
-# given" for seed and "engine decides" elsewhere.
+#: Built-in default of every option that has one; an option without one
+#: resolves to None when not given, which for seed is an error.
+_DEFAULTS: dict = {
+    "extent": (3000.0, 3000.0), "engine": "geom", "runs": 1000,
+    "theta_grid": tuple(float(t) for t in range(5, 95, 5)),
+    "phi_grid": tuple(float(p) for p in range(0, 95, 5)),
+    "gamma_grid": tuple(float(g) for g in range(5, 55, 5)),
+    "radius_grid": tuple(float(r) for r in range(50, 1050, 50)),
+    "altitudes": (100.0, 200.0, 500.0),
+    "thetas": tuple(float(t) for t in range(10, 90, 10)), "runs_3d": 500, "runs_geom": 1000,
+    "uav_height": 100.0, "uav_policy": "random", "rx_height": 1.5, "n_users": 360,
+    "user_zone": "mixed", "timing": False,
+}
+
+
+def _sweep(help: str, axes: tuple[tuple[str, str], ...], **defaults) -> dict:
+    """A sweep subcommand's entry: its axes as (axis name, grid option)
+    pairs, swept in that order, and the defaults it overrides.  Its
+    flags take the grid options in axis order, and --uav-height unless
+    the altitude is swept."""
+    grids = [grid for _, grid in axes]
+    fixed = [] if any(name == "h_uav" for name, _ in axes) else ["uav_height"]
+    opts = _COMMON + ["engine", "runs", *grids, *fixed, "uav_policy", "rx_height",
+                      "n_users", "user_zone", "models", "timing"]
+    return {"opts": opts, "axes": axes, "defaults": defaults, "help": help}
+
+
 _SUBCOMMANDS: dict[str, dict] = {
-    "plos-vs-theta": {
-        "opts": _COMMON + ["engine", "runs", "theta_grid", "uav_height", "uav_policy",
-                           "rx_height", "n_users", "user_zone", "models", "timing"],
-        "defaults": {"engine": "geom", "runs": 1000, "theta_grid": DEFAULT_THETA_GRID,
-                     "uav_height": 100.0, "uav_policy": "random", "rx_height": 1.5,
-                     "n_users": 360, "user_zone": "mixed", "out": "plos_vs_theta.csv"},
-        "help": "sweep P_LoS over elevation angle",
-    },
-    "plos-vs-radius": {
-        "opts": _COMMON + ["engine", "runs", "radius_grid", "altitudes", "uav_policy",
-                           "rx_height", "n_users", "user_zone", "models", "timing"],
-        "defaults": {"engine": "geom", "runs": 1000, "radius_grid": DEFAULT_RADIUS_GRID,
-                     "altitudes": DEFAULT_ALTITUDES, "uav_policy": "random",
-                     "rx_height": 1.5, "n_users": 360, "user_zone": "mixed",
-                     "out": "plos_vs_radius.csv"},
-        "help": "sweep P_LoS over ground radius, one series per altitude",
-    },
-    "heatmap": {
-        "opts": _COMMON + ["engine", "runs", "theta_grid", "phi_grid", "uav_height",
-                           "uav_policy", "rx_height", "n_users", "user_zone", "models", "timing"],
-        "defaults": {"engine": "geom", "runs": 1000, "theta_grid": DEFAULT_THETA_GRID,
-                     "phi_grid": DEFAULT_PHI_GRID, "uav_height": 100.0,
-                     "uav_policy": "random", "rx_height": 1.5, "n_users": 360,
-                     "user_zone": "street", "out": "heatmap.csv"},
-        "help": "sweep P_LoS over elevation and azimuth",
-    },
-    "param-surface": {
-        "opts": _COMMON + ["engine", "runs", "gamma_grid", "theta_grid", "uav_height",
-                           "uav_policy", "rx_height", "n_users", "user_zone", "models", "timing"],
-        "defaults": {"engine": "geom", "runs": 1000, "gamma_grid": DEFAULT_GAMMA_GRID,
-                     "theta_grid": DEFAULT_THETA_GRID, "uav_height": 100.0,
-                     "uav_policy": "random", "rx_height": 1.5, "n_users": 360,
-                     "user_zone": "mixed", "out": "param_surface.csv"},
-        "help": "sweep P_LoS over height scale gamma and elevation",
-    },
+    "plos-vs-theta": _sweep(
+        "sweep P_LoS over elevation angle", (("theta", "theta_grid"),),
+        out="plos_vs_theta.csv",
+    ),
+    "plos-vs-radius": _sweep(
+        "sweep P_LoS over ground radius, one series per altitude",
+        (("radius", "radius_grid"), ("h_uav", "altitudes")), out="plos_vs_radius.csv",
+    ),
+    "heatmap": _sweep(
+        "sweep P_LoS over elevation and azimuth",
+        (("theta", "theta_grid"), ("phi", "phi_grid")), out="heatmap.csv", user_zone="street",
+    ),
+    "param-surface": _sweep(
+        "sweep P_LoS over height scale gamma and elevation",
+        (("gamma", "gamma_grid"), ("theta", "theta_grid")), out="param_surface.csv",
+    ),
     "export-city": {
         "opts": _COMMON,
         "defaults": {"out": "city.txt"},
@@ -173,9 +188,7 @@ _SUBCOMMANDS: dict[str, dict] = {
     "compare": {
         "opts": _COMMON + ["thetas", "runs_3d", "runs_geom", "uav_height", "rx_height",
                            "n_users", "models"],
-        "defaults": {"thetas": DEFAULT_COMPARE_THETAS, "runs_3d": 500, "runs_geom": 1000,
-                     "uav_height": 100.0, "rx_height": 1.5, "n_users": 360,
-                     "out": "compare.csv"},
+        "defaults": {"out": "compare.csv"},
         "help": "run both engines and loaded baselines over a theta grid",
     },
 }
@@ -239,7 +252,9 @@ def _read_config(path: str) -> dict[str, str]:
 
 
 def _resolve_options(args: argparse.Namespace) -> dict:
-    """Merge flag values, config-file keys and built-in defaults."""
+    """Merge flag values, config-file keys and built-in defaults: every
+    default of :data:`_DEFAULTS` and of the subcommand's entry, each of
+    its options overridden by the config file and then by its flag."""
     info = _SUBCOMMANDS[args.cmd]
     known = set(info["opts"])
     config: dict[str, str] = {}
@@ -251,30 +266,23 @@ def _resolve_options(args: argparse.Namespace) -> dict:
             if norm in config:
                 raise _ConfigError(f"config key {key!r} already given as another spelling")
             config[norm] = value
-    opts: dict = {}
+    opts = {**_DEFAULTS, **info["defaults"]}
     for dest in info["opts"]:
         value = getattr(args, dest, None)
-        if value is None:
-            if dest in config:
-                kwargs, key = _OPTS[dest], dest.replace("_", "-")
-                conv = _parse_bool if kwargs.get("action") else kwargs.get("type", str)
-                try:
-                    value = conv(config[dest])
-                except (ValueError, argparse.ArgumentTypeError) as exc:
-                    raise _ConfigError(f"config key {key!r}: {exc}") from exc
-                if "choices" in kwargs and value not in kwargs["choices"]:
-                    raise _ConfigError(
-                        f"config key {key!r}: {value!r} is not one of {kwargs['choices']}"
-                    )
-            else:
-                value = info["defaults"].get(dest)
-        opts[dest] = value
-    if opts.get("timing") is None:
-        opts["timing"] = False
+        if value is None and dest in config:
+            kwargs, key = _OPTS[dest], dest.replace("_", "-")
+            conv = _parse_bool if kwargs.get("action") else kwargs.get("type", str)
+            try:
+                value = conv(config[dest])
+            except (ValueError, argparse.ArgumentTypeError) as exc:
+                raise _ConfigError(f"config key {key!r}: {exc}") from exc
+            if "choices" in kwargs and value not in kwargs["choices"]:
+                raise _ConfigError(
+                    f"config key {key!r}: {value!r} is not one of {kwargs['choices']}"
+                )
+        opts[dest] = opts.get(dest) if value is None else value
     if opts["seed"] is None:
         raise _ConfigError("--seed is required (no silent entropy)")
-    if opts["extent"] is None:
-        opts["extent"] = (3000.0, 3000.0)
     return opts
 
 
@@ -303,114 +311,33 @@ def _load_models(opts: dict):
 
 
 def _run_sweep_command(opts: dict, axes: tuple[SweepAxis, ...]) -> int:
-    uav_height = opts.get("uav_height")
     spec = SweepSpec(
-        engine=opts["engine"],
-        params=_params_from(opts),
-        extent=opts["extent"],
-        axes=axes,
-        h_uav=uav_height if uav_height is not None else 100.0,
-        h_rx=opts["rx_height"],
-        n_runs=opts["runs"],
-        seed=opts["seed"],
-        user_zone=opts["user_zone"],
-        uav_policy=opts["uav_policy"],
-        n_users=opts["n_users"],
-        models=_load_models(opts),
+        engine=opts["engine"], params=_params_from(opts), extent=opts["extent"], axes=axes,
+        h_uav=opts["uav_height"], h_rx=opts["rx_height"], n_runs=opts["runs"],
+        seed=opts["seed"], user_zone=opts["user_zone"], uav_policy=opts["uav_policy"],
+        n_users=opts["n_users"], models=_load_models(opts),
     )
-    result = run_sweep(spec)
-    atomic_write_text(Path(opts["out"]), result_to_csv(result, include_timing=opts["timing"]))
+    write_csv(run_sweep(spec), opts["out"], include_timing=opts["timing"])
     return 0
 
 
-def _cmd_plos_vs_theta(opts: dict) -> int:
-    return _run_sweep_command(opts, (SweepAxis("theta", tuple(opts["theta_grid"])),))
-
-
-def _cmd_plos_vs_radius(opts: dict) -> int:
-    axes = (
-        SweepAxis("radius", tuple(opts["radius_grid"])),
-        SweepAxis("h_uav", tuple(opts["altitudes"])),
-    )
-    return _run_sweep_command(opts, axes)
-
-
-def _cmd_heatmap(opts: dict) -> int:
-    axes = (
-        SweepAxis("theta", tuple(opts["theta_grid"])),
-        SweepAxis("phi", tuple(opts["phi_grid"])),
-    )
-    return _run_sweep_command(opts, axes)
-
-
-def _cmd_param_surface(opts: dict) -> int:
-    axes = (
-        SweepAxis("gamma", tuple(opts["gamma_grid"])),
-        SweepAxis("theta", tuple(opts["theta_grid"])),
-    )
-    return _run_sweep_command(opts, axes)
-
-
-def _cmd_export_city(opts: dict) -> int:
-    params = _params_from(opts)
+def _export_city(opts: dict) -> int:
     extent = opts["extent"]
-    city = generate_city(params, extent[0], extent[1], opts["seed"])
+    city = generate_city(_params_from(opts), extent[0], extent[1], opts["seed"])
     atomic_write_text(Path(opts["out"]), city_to_text(city))
     return 0
 
 
-def _cmd_compare(opts: dict) -> int:
+def _compare(opts: dict) -> int:
     params = _params_from(opts)
-    thetas = tuple(opts["thetas"])
-    rows = compare_engines(
-        params,
-        thetas,
-        n3d=opts["runs_3d"],
-        ngeom=opts["runs_geom"],
-        seed=opts["seed"],
-        extent=opts["extent"],
-        h_uav=opts["uav_height"],
-        h_rx=opts["rx_height"],
+    settings = dict(
+        n3d=opts["runs_3d"], ngeom=opts["runs_geom"], seed=opts["seed"],
+        extent=opts["extent"], h_uav=opts["uav_height"], h_rx=opts["rx_height"],
         n_users=opts["n_users"],
-        models=_load_models(opts),
     )
-    names = list(rows[0].baselines)
-    echo = (
-        f"engine=compare alpha={params.alpha:g} beta={params.beta:g} gamma={params.gamma:g}"
-        f" extent={opts['extent'][0]:g}x{opts['extent'][1]:g}"
-        f" thetas={','.join(f'{t:g}' for t in thetas)}"
-        f" n3d={opts['runs_3d']} ngeom={opts['runs_geom']}"
-        f" h_uav={opts['uav_height']:g} h_rx={opts['rx_height']:g}"
-        f" n_users={opts['n_users']} seed={opts['seed']}"
-        f" models={','.join(names)}"
-    )
-    header = (
-        "theta,n_3d,k_3d,p_3d,ci_lo_3d,ci_hi_3d,"
-        "n_geom,k_geom,p_geom,ci_lo_geom,ci_hi_geom,abs_delta,"
-    ) + ",".join(names)
-    lines = [f"# spec: {echo}", header]
-    for row in rows:
-        a, g = row.sim3d, row.geom
-        cells = [
-            f"{row.theta_deg:g}",
-            str(a.n), str(a.k), f"{a.p_hat:.6f}", f"{a.ci_lo:.6f}", f"{a.ci_hi:.6f}",
-            str(g.n), str(g.k), f"{g.p_hat:.6f}", f"{g.ci_lo:.6f}", f"{g.ci_hi:.6f}",
-            f"{row.abs_delta:.6f}",
-        ]
-        cells += [f"{row.baselines[name]:.6f}" for name in names]
-        lines.append(",".join(cells))
-    atomic_write_text(Path(opts["out"]), "\n".join(lines) + "\n")
+    rows = compare_engines(params, opts["thetas"], models=_load_models(opts), **settings)
+    atomic_write_text(Path(opts["out"]), compare_to_csv(rows, params, **settings))
     return 0
-
-
-_RUNNERS = {
-    "plos-vs-theta": _cmd_plos_vs_theta,
-    "plos-vs-radius": _cmd_plos_vs_radius,
-    "heatmap": _cmd_heatmap,
-    "param-surface": _cmd_param_surface,
-    "export-city": _cmd_export_city,
-    "compare": _cmd_compare,
-}
 
 
 #: glibc's mallopt parameter for the trim threshold: freed memory at the
@@ -440,7 +367,11 @@ def main(argv: list[str] | None = None) -> int:
     args = _parse_args(argv)
     try:
         opts = _resolve_options(args)
-        return _RUNNERS[args.cmd](opts)
+        info = _SUBCOMMANDS[args.cmd]
+        if "axes" in info:
+            axes = tuple(SweepAxis(name, opts[grid]) for name, grid in info["axes"])
+            return _run_sweep_command(opts, axes)
+        return _export_city(opts) if args.cmd == "export-city" else _compare(opts)
     except (_ConfigError, ParseError, IllegalSpec, InvalidParams) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -26,17 +26,21 @@ The geometry engine decides consecutive points with the same params
 together (:func:`uavlos.simgeom.estimate_points`), so a 170-point
 heatmap shares 10 kernel calls instead of making one per point, and
 derives the keys of each call's links at once.
-A geometry-engine or ``baseline:grid`` spec checks every grid point's
-ground-track length when it is created, so a point the engine would
-refuse is an illegal spec; a 3D-engine spec likewise refuses a point
-whose user ring is wider than the extent's diagonal, where no user can
-stand.
+A geometry-engine spec checks every grid point's ground-track length
+when it is created, so a point the engine would refuse is an illegal
+spec; a baseline spec resolves each point's model then, and checks a
+GridProduct's track against its own grid period, whether it is
+``baseline:grid`` or loaded by name.  A 3D-engine spec likewise
+refuses a point whose user ring is wider than the extent's diagonal,
+where no user can stand.
 
 CSV files carry a ``# spec:`` echo line followed by one row per grid
-point.  The ms_per_point column is written as zero unless timing is
-requested, so identical seeds reproduce identical bytes; wall-clock
-readings stay on the in-memory result (see :func:`run_sweep` for how
-points that share kernel calls share their time).
+point (:func:`result_to_csv`, and :func:`compare_to_csv` for an engine
+comparison, both with the same five estimate fields).  The
+ms_per_point column is written as zero unless timing is requested, so
+identical seeds reproduce identical bytes; wall-clock readings stay on
+the in-memory result (see :func:`run_sweep` for how points that share
+kernel calls share their time).
 """
 
 from __future__ import annotations
@@ -83,11 +87,9 @@ __all__ = [
     "run_sweep",
     "compare_engines",
     "result_to_csv",
+    "compare_to_csv",
     "write_csv",
     "PLosEstimate",
-    "DEFAULT_THETA_GRID",
-    "DEFAULT_RADIUS_GRID",
-    "DEFAULT_ALTITUDES",
 ]
 
 AXIS_NAMES = ("theta", "phi", "radius", "h_uav", "gamma", "alpha")
@@ -98,11 +100,6 @@ UAV_POLICIES = {
     "street-center": StreetCenter,
     "building-top": BuildingTop,
 }
-
-#: Default grids used by the command-line sweeps.
-DEFAULT_THETA_GRID = tuple(float(t) for t in range(5, 95, 5))
-DEFAULT_RADIUS_GRID = tuple(float(r) for r in range(50, 1050, 50))
-DEFAULT_ALTITUDES = (100.0, 200.0, 500.0)
 
 
 @dataclass(frozen=True)
@@ -200,20 +197,15 @@ class SweepSpec:
             raise IllegalSpec(
                 "theta 90 with a building-top UAV puts the one user inside the UAV's building"
             )
-        if self.engine in ("geom", "sim3d", "baseline:grid"):
-            # The grid period depends on beta alone, which no axis sweeps.
-            period = derive_layout(self.params).period
-            # No two points of the extent lie farther apart than its
-            # diagonal, so a wider sim3d ring leaves no user on the extent.
-            diagonal = math.hypot(*self.extent)
-            for combo in self.points():
-                theta, h_uav = _point_angles(self, dict(zip(names, combo)))
-                if self.engine != "sim3d":
-                    try:
-                        check_track_length(period, theta, h_uav, self.h_rx)
-                    except InvalidAngle as exc:
-                        raise IllegalSpec(str(exc)) from exc
-                    continue
+        # The grid period depends on beta alone, which no axis sweeps.
+        period = derive_layout(self.params).period
+        # No two points of the extent lie farther apart than its
+        # diagonal, so a wider sim3d ring leaves no user on the extent.
+        diagonal = math.hypot(*self.extent)
+        for combo in self.points():
+            var = dict(zip(names, combo))
+            theta, h_uav = _point_angles(self, var)
+            if self.engine == "sim3d":
                 ring = track_length(theta, h_uav, self.h_rx)
                 if ring > diagonal:
                     raise IllegalSpec(
@@ -222,6 +214,19 @@ class SweepSpec:
                         f"{self.extent[0]:g} x {self.extent[1]:g} m extent, so no user "
                         "stands on the extent; enlarge the extent"
                     )
+                continue
+            if self.engine != "geom":
+                # Unknown names and gamma/alpha sweeps of theta-only
+                # families fail here; a GridProduct bounds its tracks
+                # in its own grid periods.
+                model = _resolve_model(self, var)
+                if not isinstance(model, GridProduct):
+                    continue
+                period = derive_layout(model.params).period
+            try:
+                check_track_length(period, theta, h_uav, self.h_rx)
+            except InvalidAngle as exc:
+                raise IllegalSpec(str(exc)) from exc
 
     def _check_axis(self, axis: SweepAxis) -> None:
         if axis.name == "theta":
@@ -452,11 +457,6 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
     """
     axis_names = tuple(a.name for a in spec.axes)
     combos = spec.points()
-    if spec.engine.startswith("baseline"):
-        # Unknown names and gamma/alpha sweeps of theta-only families fail
-        # before any work is done.
-        _resolve_model(spec, dict(zip(axis_names, combos[0])))
-
     seeds = run_keys(spec.seed, len(combos)).tolist()
     vars = [dict(zip(axis_names, combo)) for combo in combos]
     estimates, ms = _estimate_points(spec, vars, seeds)
@@ -520,16 +520,48 @@ def compare_engines(
     ]
 
 
+def _estimate_fields(est: PLosEstimate) -> str:
+    """n, k, p_hat and the interval bounds of an estimate as CSV fields."""
+    return f"{est.n},{est.k},{est.p_hat:.6f},{est.ci_lo:.6f},{est.ci_hi:.6f}"
+
+
 def result_to_csv(result: SweepResult, include_timing: bool = False) -> str:
     """Render a sweep result as CSV text (spec echo, header, rows)."""
     lines = [f"# spec: {result.spec.echo()}"]
     lines.append(",".join(result.axis_names) + ",n,k,p_hat,ci_lo,ci_hi,ms_per_point")
     for row in result.rows:
-        est = row.estimate
         ms = row.ms if include_timing else 0.0
         lines.append(
             ",".join(f"{v:g}" for v in row.values)
-            + f",{est.n},{est.k},{est.p_hat:.6f},{est.ci_lo:.6f},{est.ci_hi:.6f},{ms:.6f}"
+            + f",{_estimate_fields(row.estimate)},{ms:.6f}"
+        )
+    return "\n".join(lines) + "\n"
+
+
+def compare_to_csv(
+    rows: list[CompareRow], params: BuiltUpParams, n3d: int, ngeom: int, seed: int,
+    extent: tuple[float, float], h_uav: float, h_rx: float, n_users: int,
+) -> str:
+    """Render the rows of :func:`compare_engines` as CSV text: a spec
+    echo of the settings they were run with, a header, and per theta
+    both engines' estimates, their gap and each baseline's value."""
+    names = list(rows[0].baselines)
+    echo = (
+        f"engine=compare alpha={params.alpha:g} beta={params.beta:g} gamma={params.gamma:g}"
+        f" extent={extent[0]:g}x{extent[1]:g}"
+        f" thetas={','.join(f'{row.theta_deg:g}' for row in rows)}"
+        f" n3d={n3d} ngeom={ngeom} h_uav={h_uav:g} h_rx={h_rx:g}"
+        f" n_users={n_users} seed={seed} models={','.join(names)}"
+    )
+    lines = [
+        f"# spec: {echo}",
+        "theta,n_3d,k_3d,p_3d,ci_lo_3d,ci_hi_3d,n_geom,k_geom,p_geom,ci_lo_geom,ci_hi_geom,"
+        "abs_delta," + ",".join(names),
+    ]
+    for row in rows:
+        lines.append(
+            f"{row.theta_deg:g},{_estimate_fields(row.sim3d)},{_estimate_fields(row.geom)},"
+            f"{row.abs_delta:.6f}" + "".join(f",{row.baselines[name]:.6f}" for name in names)
         )
     return "\n".join(lines) + "\n"
 
@@ -540,7 +572,14 @@ def write_csv(result: SweepResult, path: str | Path, include_timing: bool = Fals
 
 
 def atomic_write_text(path: Path, text: str) -> None:
+    """Write text to path through a temp file in place and a rename, so
+    path holds either its old content or all of text; on any failure
+    the temp file is removed."""
     path = Path(path)
     tmp = path.with_name(path.name + f".tmp{os.getpid()}")
-    tmp.write_text(text)
-    os.replace(tmp, path)
+    try:
+        tmp.write_text(text)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise

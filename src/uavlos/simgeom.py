@@ -24,8 +24,8 @@ same stream, evaluated only under the UAV and at the track's entries
 that share params, user zone and h_rx) together, in chunks of
 :data:`uavlos.citygeom.CALL_PERIODS` grid periods of ground track, the
 budget the 3D engine's kernel calls take too: each link counts as its
-point's longest track plus one (:func:`uavlos.citygeom.tracks_per_call`),
-and a chunk fills across point boundaries.  A track longer than
+point's longest track in grid periods plus one, and a chunk fills
+across point boundaries.  A track longer than
 2*NEAR_PERIODS periods is decided on its first NEAR_PERIODS periods
 from the user first, and only the links left clear there are walked to
 their UAVs (:func:`_first_blockers`), so such a link counts as
@@ -61,7 +61,6 @@ from .citygeom import (
     stream_bits,
     track_entries,
     track_length,
-    tracks_per_call,
 )
 from .errors import InvalidAngle, InvalidParams
 from .stats import PLosEstimate
@@ -488,7 +487,7 @@ def _chunks(scenarios: Sequence[GeomScenario], n_runs: int, period: float):
             if chunk and room < cost:
                 yield chunk
                 chunk, room = [], budget
-            take = min(n_runs - start, tracks_per_call(room, track, period))
+            take = min(n_runs - start, max(1, math.floor(room / cost)))
             chunk.append((q, start, start + take))
             room -= take * cost
             start += take

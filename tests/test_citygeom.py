@@ -24,7 +24,6 @@ from uavlos.citygeom import (
     seed_keys,
     stream_bits,
     stream_uniforms,
-    tracks_per_call,
     uav_position_from_angles,
 )
 from uavlos.errors import InvalidAngle, InvalidParams, OutOfExtent
@@ -91,17 +90,6 @@ def test_extent_must_cover_one_period():
 def test_extent_must_be_finite(extent):
     with pytest.raises(InvalidParams, match="finite"):
         derive_layout(ENVIRONMENTS["urban"], *extent)
-
-
-def test_tracks_per_call_fills_a_budget_of_track_length():
-    # A track counts as its length in periods plus one.
-    assert tracks_per_call(6144, 0.0, 10.0) == 6144
-    assert tracks_per_call(6144, 20.0, 10.0) == 2048
-    assert tracks_per_call(6144, 25.0, 10.0) == 1755
-    # A track longer than the budget still gets a call of its own.
-    assert tracks_per_call(100, 5000.0, 10.0) == 1
-    assert tracks_per_call(1, 0.0, 10.0) == 1
-    assert type(tracks_per_call(6144, 25.0, 10.0)) is int
 
 
 def test_classify_point_examples():

@@ -1,6 +1,7 @@
 import argparse
 import math
 import os
+import signal
 import subprocess
 import sys
 import time
@@ -39,6 +40,34 @@ def test_parse_grid_forms():
         _parse_grid(",")
 
 
+@pytest.mark.parametrize("grid", ["1:90:1e-7", "1e300:1e300:1", "0:inf:1"])
+def test_overlong_grid_ranges_exit_two_at_once(tmp_path, capsys, grid):
+    # Too many values, or a range whose values stop growing, is refused
+    # while it expands; the alarm only turns a hang into a failure.
+    def hang(signum, frame):
+        raise TimeoutError(f"grid {grid} still expanding after 1 s")
+
+    previous = signal.signal(signal.SIGALRM, hang)
+    signal.setitimer(signal.ITIMER_REAL, 1.0)
+    try:
+        with pytest.raises(SystemExit) as exc:
+            run_cli("plos-vs-theta", "--env", "urban", "--theta-grid", grid, "--seed", "1",
+                    "--out", tmp_path / "out.csv")
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0.0)
+        signal.signal(signal.SIGALRM, previous)
+    assert exc.value.code == 2
+    assert f"more than {cli.MAX_GRID_VALUES} values" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_grid_ranges_keep_every_value_up_to_the_bound():
+    assert cli.MAX_GRID_VALUES == 10_000
+    assert _parse_grid("1:10000:1") == tuple(float(v) for v in range(1, 10_001))
+    with pytest.raises(argparse.ArgumentTypeError, match="more than 10000 values"):
+        _parse_grid("1:10001:1")
+
+
 def test_parse_extent_forms():
     assert _parse_extent("3000") == (3000.0, 3000.0)
     assert _parse_extent("1000x2000") == (1000.0, 2000.0)
@@ -55,6 +84,67 @@ def test_parser_rejects_unknown_flags_and_commands():
         build_parser().parse_args(["fly"])
     with pytest.raises(SystemExit):
         build_parser().parse_args(["plos-vs-theta", "--env", "atlantis"])
+
+
+_THETAS = tuple(float(t) for t in range(5, 95, 5))
+_PARAMS = {"env": "urban", "alpha": None, "beta": None, "gamma": None,
+           "extent": (3000.0, 3000.0), "seed": 1}
+_SWEEP = {"engine": "geom", "runs": 1000, "uav_policy": "random", "rx_height": 1.5,
+          "n_users": 360, "user_zone": "mixed", "models": None, "timing": False}
+_FLAGS = ["--env", "--alpha", "--beta", "--gamma", "--extent", "--seed", "--out"]
+_SWEEP_FLAGS = ["--uav-policy", "--rx-height", "--n-users", "--user-zone", "--models",
+                "--timing"]
+
+# Each subcommand's option flags in help order, and what it resolves
+# `<cmd> --env urban --seed 1` to.
+TABLE = {
+    "plos-vs-theta": (
+        _FLAGS + ["--engine", "--runs", "--theta-grid", "--uav-height"] + _SWEEP_FLAGS,
+        {**_PARAMS, **_SWEEP, "out": "plos_vs_theta.csv", "theta_grid": _THETAS,
+         "uav_height": 100.0},
+    ),
+    "plos-vs-radius": (
+        _FLAGS + ["--engine", "--runs", "--radius-grid", "--altitudes"] + _SWEEP_FLAGS,
+        {**_PARAMS, **_SWEEP, "out": "plos_vs_radius.csv",
+         "radius_grid": tuple(float(r) for r in range(50, 1050, 50)),
+         "altitudes": (100.0, 200.0, 500.0)},
+    ),
+    "heatmap": (
+        _FLAGS + ["--engine", "--runs", "--theta-grid", "--phi-grid", "--uav-height"]
+        + _SWEEP_FLAGS,
+        {**_PARAMS, **_SWEEP, "out": "heatmap.csv", "theta_grid": _THETAS,
+         "phi_grid": tuple(float(p) for p in range(0, 95, 5)), "uav_height": 100.0,
+         "user_zone": "street"},
+    ),
+    "param-surface": (
+        _FLAGS + ["--engine", "--runs", "--gamma-grid", "--theta-grid", "--uav-height"]
+        + _SWEEP_FLAGS,
+        {**_PARAMS, **_SWEEP, "out": "param_surface.csv",
+         "gamma_grid": tuple(float(g) for g in range(5, 55, 5)), "theta_grid": _THETAS,
+         "uav_height": 100.0},
+    ),
+    "export-city": (_FLAGS, {**_PARAMS, "out": "city.txt"}),
+    "compare": (
+        _FLAGS + ["--thetas", "--runs-3d", "--runs-geom", "--uav-height", "--rx-height",
+                  "--n-users", "--models"],
+        {**_PARAMS, "out": "compare.csv",
+         "thetas": tuple(float(t) for t in range(10, 90, 10)), "runs_3d": 500,
+         "runs_geom": 1000, "uav_height": 100.0, "rx_height": 1.5, "n_users": 360,
+         "models": None},
+    ),
+}
+
+
+@pytest.mark.parametrize("cmd", list(TABLE))
+def test_each_subcommand_has_its_flags_and_defaults(cmd):
+    flags, resolved = TABLE[cmd]
+    subparsers = next(a for a in build_parser(cmd)._actions
+                      if isinstance(a, argparse._SubParsersAction))
+    actions = subparsers.choices[cmd]._actions
+    assert [a.option_strings[-1] for a in actions if a.dest != "help"] == flags + ["--config"]
+    opts = cli._resolve_options(cli._parse_args([cmd, "--env", "urban", "--seed", "1"]))
+    assert {dest: opts[dest] for dest in resolved} == resolved
+    assert list(cli._SUBCOMMANDS) == list(TABLE)
 
 
 # -- exit codes and output hygiene --------------------------------------------
@@ -161,6 +251,19 @@ def test_runtime_failure_exits_one(tmp_path, capsys):
     assert code == 1
     assert "error:" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_failed_write_leaves_no_temp_file(tmp_path, capsys):
+    # The output path is a directory: the rename fails, and the temp file
+    # written next to it goes too.
+    out = tmp_path / "out.csv"
+    out.mkdir()
+    for argv in (_GEOM, ("export-city", "--env", "urban", "--extent", "1000"),
+                 _COMPARE):
+        assert run_cli(*argv, "--seed", "1", "--out", out) == 1
+        assert "error:" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == [out]
+        assert list(out.iterdir()) == []
 
 
 @pytest.mark.parametrize("grid", [("--theta-grid", "45,0.01"),
@@ -422,12 +525,20 @@ def test_negative_seed_exits_two_before_any_point(tmp_path, capsys, argv):
     assert list(tmp_path.iterdir()) == []
 
 
-@pytest.mark.parametrize("theta", ["1e-9", "5e-324"])
-def test_baseline_grid_track_beyond_the_bound_exits_two_at_once(tmp_path, capsys, theta):
-    # As a geometry-engine sweep would: the spec refuses the point.
+EXAMPLE_MODELS = Path(uavlos.__file__).parent / "data" / "example_models.txt"
+
+
+@pytest.mark.parametrize("theta, engine", [
+    ("1e-9", ("baseline:grid",)),
+    ("5e-324", ("baseline:grid",)),
+    ("30,1e-9", ("baseline:urban_grid", "--models", EXAMPLE_MODELS)),
+], ids=["1e-9", "5e-324", "urban_grid-30,1e-9"])
+def test_baseline_grid_track_beyond_the_bound_exits_two_at_once(tmp_path, capsys, theta, engine):
+    # As a geometry-engine sweep would: the spec refuses the point, for
+    # a GridProduct loaded by name too, before any point runs.
     out = tmp_path / "out.csv"
     start = time.perf_counter()
-    assert run_cli("plos-vs-theta", "--engine", "baseline:grid", "--env", "urban",
+    assert run_cli("plos-vs-theta", "--engine", *engine, "--env", "urban",
                    "--theta-grid", theta, "--seed", "1", "--out", out) == 2
     assert time.perf_counter() - start < 1.0
     assert "periods" in capsys.readouterr().err
