@@ -61,6 +61,8 @@ __all__ = [
     "track_length",
     "call_slices",
     "CALL_PERIODS",
+    "NEAR_PERIODS",
+    "blocked_links",
     "seed_keys",
     "run_keys",
     "stream_bits",
@@ -327,13 +329,19 @@ def _band_visits(c0, dc, t_lo, t_hi, p: float, s: float):
     row = np.repeat(np.arange(count.size), count)
     # The k-th band a window visits is last - k where the coordinate
     # grows and first + k elsewhere, which is sign*r + offset for the
-    # visit's row r.
-    growing = dc > 0.0
-    sign = np.where(growing, -1, 1)
+    # visit's row r.  With g = 1 where it grows and 0 elsewhere, sign is
+    # 1 - 2g and the band of k = 0 is first + g*(last - first): integer
+    # arithmetic, where a select on the growing mask branches at random.
+    growing = (dc > 0.0).view(np.int8)
+    sign = growing * -2
+    sign += 1
+    last -= first
+    last *= growing
+    last += first
     offset = np.cumsum(count)
     offset -= count
     offset *= sign
-    np.subtract(np.where(growing, last, first), offset, out=offset)
+    np.subtract(last, offset, out=offset)
     i = np.arange(row.size)
     i *= sign.take(row)
     i += offset.take(row)
@@ -382,7 +390,7 @@ def _band_visits(c0, dc, t_lo, t_hi, p: float, s: float):
     return row.take(keep), i.take(keep), lo.take(keep), hi.take(keep)
 
 
-def track_entries(layout: CityLayout, x_rx, y_rx, x_tx, y_tx, t_max=1.0):
+def track_entries(layout: CityLayout, x_rx, y_rx, x_tx, y_tx, t_max=1.0, t_min=0.0):
     """Building boxes entered by a batch of ground tracks.
 
     Track n runs from the user's ground point (x_rx[n], y_rx[n]) to the
@@ -399,6 +407,13 @@ def track_entries(layout: CityLayout, x_rx, y_rx, x_tx, y_tx, t_max=1.0):
     bits and in the same order, because the cut only lowers the upper
     end of each window the entry points are taken from.
 
+    t_min (at least 0, per track or one for all) starts track n at the
+    fraction t_min[n] instead: a box entered at t >= t_min[n] is listed
+    as the uncut track lists it, same t bits, and a box the track
+    already occupies at t_min[n], entered before it, is listed at
+    t = t_min[n], since the window it is entered in starts there.  A
+    box left before t_min[n] is not listed.  Entries keep their order.
+
     Returns arrays (link, ix, iy, t), one entry per box a track meets:
     the track index, the cell and the fraction t in [0, 1] of the track
     from the user to the point where it enters the box.  With flat
@@ -410,7 +425,9 @@ def track_entries(layout: CityLayout, x_rx, y_rx, x_tx, y_tx, t_max=1.0):
     x0, y0, x1, y1 = np.broadcast_arrays(
         *(np.atleast_1d(np.asarray(v, dtype=float)) for v in (x_rx, y_rx, x_tx, y_tx))
     )
-    t1 = np.asarray(t_max, dtype=float)
+    t0, t1 = (np.asarray(t, dtype=float) for t in (t_min, t_max))
+    if t0.ndim:
+        t0 = np.broadcast_to(t0, x0.shape)
     if t1.ndim:
         t1 = np.broadcast_to(t1, x0.shape)
     dx, dy = x1 - x0, y1 - y0
@@ -419,7 +436,7 @@ def track_entries(layout: CityLayout, x_rx, y_rx, x_tx, y_tx, t_max=1.0):
     # disjoint and ordered along the track, so listing both the columns
     # and the rows within a column latest-visited first orders each
     # track's entries by t descending.
-    link, i, lo, hi = _band_visits(x0, dx, 0.0, t1, p, s)
+    link, i, lo, hi = _band_visits(x0, dx, t0, t1, p, s)
     row, j, t, _ = _band_visits(y0.take(link), dy.take(link), lo, hi, p, s)
     i = i.take(row)
     i += 1
@@ -467,6 +484,90 @@ def call_slices(cost):
         stop = max(int(np.searchsorted(spent, before + CALL_PERIODS, side="right")), start + 1)
         yield slice(start, stop)
         start = stop
+
+
+#: Part of a long ground track, in grid periods from the user, that
+#: :func:`blocked_links` decides first.  Compared in process on the
+#: geometry engine against 3, which ran 4 to 14% slower on five of six
+#: geom command lines, and 1, which ran 9 to 11% faster on the suburban
+#: theta 15 to 25 and dense-urban street sweeps but 10 to 15% slower on
+#: the mostly clear suburban theta 40 to 44 sweep, whose tracks it
+#: stages (warm, two runs, BENCH_18.json design_runs.near_periods; not
+#: end to end).
+NEAR_PERIODS = 2
+
+
+def blocked_links(layout: CityLayout, x_rx, y_rx, x_tx, y_tx, length, h_rx: float, rise,
+                  roofs, t_max=1.0) -> np.ndarray:
+    """Whether a roof blocks each link of a batch: the one link decision
+    of both engines.
+
+    Link n's ground track runs from (x_rx[n], y_rx[n]) to (x_tx[n],
+    y_tx[n]) (arrays of one size), and its ray stands h_rx + t*rise[n]
+    above the ground at the fraction t of the track.  The track is cut
+    at t_max (per link or one for all) as in :func:`track_entries`.
+    roofs(link, ix, iy) is the engine's roof lookup: the roofs of the
+    boxes (ix[m], iy[m]) for the links link[m].  A link is blocked when
+    a roof reaches the ray height where its track enters that roof's
+    box (ties block).  length (per link or one for all) is the ground
+    length of each uncut track; it sizes the calls and the near part.
+
+    A link whose cut track is longer than 2*NEAR_PERIODS periods and
+    whose ray rises (rise > 0) is decided on its first NEAR_PERIODS
+    periods first, and every other link on its whole cut track, in
+    calls of citygeom.CALL_PERIODS periods (:func:`call_slices`), each
+    link counting as the part it walks plus one.  The links left clear
+    there are then walked from the near cut to their cut (t_min of
+    :func:`track_entries`).  The result is exact: a box entered before
+    the near cut is listed in the first stage at its own entry, and if
+    the second stage lists it too, it does so at the near cut, where
+    the rising ray stands higher, so it blocks in neither; every box
+    entered later is listed in the second stage at its own entry.  A
+    track only a little longer than the near part gains little and, on
+    mostly clear runs, pays a second call for most of its links: on the
+    geometry engine, staging every track over NEAR_PERIODS made the
+    suburban theta 40 to 44 sweep, tracks of 2.7 to 3.2 periods, 1.3
+    times slower.
+
+    With no link to stage, t_max goes to the kernel as given, so a
+    scalar is not spread over the links.  Returns a boolean array, one
+    element per link.
+    """
+    def pick(v, at):
+        return v if np.ndim(v) == 0 else v[at]
+
+    p = layout.period
+    reach = NEAR_PERIODS * p
+    blocked = np.zeros(np.size(x_rx), dtype=bool)
+    cut_length = np.broadcast_to(t_max * length, blocked.shape)
+    staged = np.flatnonzero((cut_length > 2.0 * reach) & (rise > 0.0))
+    cost = cut_length / p + 1.0
+    first_cut = t_max
+    if staged.size:
+        near = reach / np.broadcast_to(length, blocked.shape)[staged]
+        first_cut = np.array(np.broadcast_to(t_max, blocked.shape))
+        first_cut[staged] = near
+        cost[staged] = NEAR_PERIODS + 1.0
+
+    def decide(at, t_lo, t_hi):
+        link, ix, iy, t = track_entries(
+            layout, x_rx[at], y_rx[at], x_tx[at], y_tx[at], t_hi, t_lo
+        )
+        link = link + at.start if isinstance(at, slice) else at.take(link)
+        ray = rise.take(link)
+        ray *= t
+        ray += h_rx
+        blocked[link[roofs(link, ix, iy) >= ray]] = True
+
+    for part in call_slices(cost):
+        decide(part, 0.0, pick(first_cut, part))
+    if staged.size:
+        left = ~blocked.take(staged)
+        rest, near = staged[left], near[left]
+        cut = pick(t_max, rest)
+        for part in call_slices((cut - near) * pick(length, rest) / p + 1.0):
+            decide(rest[part], near[part], pick(cut, part))
+    return blocked
 
 
 def _rayleigh_inplace(v: np.ndarray, gamma: float) -> np.ndarray:

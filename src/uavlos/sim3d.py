@@ -16,8 +16,14 @@ enters the box seen from the receiver, and the link is blocked when a
 roof reaches the ray height there.  Flat rooftops make this edge test
 exact, which :func:`check_los_dense` verifies by brute force.  Cities
 decided together look up each roof their links' tracks can meet once,
-in one window per city, and every entry reads its roof from there
-(:func:`first_blockers`).
+in one window per city, and every entry reads its roof from there.  A
+sweep needs only whether each link is blocked (:func:`links_blocked`):
+it goes through :func:`uavlos.citygeom.blocked_links`, the geometry
+engine's link decision too, which decides a long track on its first
+NEAR_PERIODS periods from the receiver first and walks on only the
+links left clear there.  :func:`first_blockers` walks each cut track
+whole, unstaged, for the blocker nearest the transmitter that
+:func:`check_los_edges` reports.
 """
 
 from __future__ import annotations
@@ -36,6 +42,7 @@ from .citygeom import (
     CityLayout,
     LinkGeometry,
     Node,
+    blocked_links,
     building_band,
     classify_point,
     derive_layout,
@@ -70,6 +77,7 @@ __all__ = [
     "ray_height_at",
     "roof_under",
     "first_blockers",
+    "links_blocked",
     "window_cells",
     "check_los_edges",
     "check_los_dense",
@@ -226,17 +234,30 @@ class StreetCenter:
 UavPlacementPolicy = FixedPoint | RandomOverCity | BuildingTop | CrossroadCenter | StreetCenter
 
 
+#: Most building cells :func:`generate_city` materializes: a grid of
+#: 1000 x 1000 cells holds 8 MB of roofs, and its urban export writes
+#: 26 MB of text and peaks at 172 MB RSS.
+MAX_CITY_CELLS = 1_000_000
+
+
 def generate_city(
     params: BuiltUpParams, extent_x: float, extent_y: float, seed: int
 ) -> City:
     """Materialize the city of key ``seed``: heights[ix-1, iy-1] is
     roof_heights(seed, ix, iy, gamma) for every building cell, so every
     (params, extent, seed) triple reproduces the same array bit for bit,
-    and the roofs are those the sweep looks up without a grid.
+    and the roofs are those the sweep looks up without a grid.  A grid
+    of more than MAX_CITY_CELLS cells is refused (InvalidParams) before
+    anything is allocated.
     """
     key = _city_key(seed)
     layout = derive_layout(params, extent_x, extent_y)
     nx, ny = _grid_shape(layout)
+    if nx * ny > MAX_CITY_CELLS:
+        raise InvalidParams(
+            f"extent {extent_x:g} x {extent_y:g} holds {nx} x {ny} building cells, "
+            f"more than the {MAX_CITY_CELLS} a materialized city may hold"
+        )
     ix = np.arange(1, nx + 1)[:, None]
     iy = np.arange(1, ny + 1)[None, :]
     heights = roof_heights(np.uint64(key), ix, iy, params.gamma)
@@ -408,8 +429,47 @@ def _require_on_extent(layout: CityLayout, x, y, label: str) -> None:
         )
 
 
+def _decision_inputs(cities: Cities, uavs: UavPositions, run, rx_x, rx_y, h_rx: float):
+    """The checked links of :func:`first_blockers` and
+    :func:`links_blocked`, their cuts and the roofs their tracks can
+    meet, or None where no track can meet a box of the grid.
+
+    Returns (run, rx_x, rx_y, tx_x, tx_y, rise, cut, roofs): the links
+    and transmitters as float arrays, per city the ray's rise tx.z -
+    h_rx and the cut of its tracks, and the roof lookup roofs(link, ix,
+    iy), which reads the roofs of the boxes (ix[m], iy[m]) met by the
+    links link[m] from their cities' window tiles (:func:`_window_roofs`).
+    """
+    run = np.asarray(run, dtype=np.int64)
+    if run.size == 0:
+        return None
+    rx_x = np.asarray(rx_x, dtype=float)
+    rx_y = np.asarray(rx_y, dtype=float)
+    tx_x, tx_y, tx_z = (np.asarray(c, dtype=float) for c in uavs)
+    layout = cities.layout
+    _require_on_extent(layout, rx_x, rx_y, "receiver")
+    _require_on_extent(layout, tx_x, tx_y, "transmitter")
+    windows = _windows(layout, run, tx_x, tx_y, rx_x, rx_y)
+    _, (first_x, last_x), (first_y, last_y) = windows
+    if not ((first_x <= last_x) & (first_y <= last_y)).any():
+        # No track meets a box of the grid, and beyond it is open space.
+        return None
+    top, tiles, base, ky = _window_roofs(cities, windows)
+    rise = tx_z - h_rx
+    cut = (top - h_rx) / np.where(rise > 0.0, rise, 1.0) + _CUT_SLACK
+    cut = np.where((rise > 0.0) & (h_rx + cut * rise > top), np.minimum(cut, 1.0), 1.0)
+
+    def roofs(link, ix, iy):
+        at = ix * ky
+        at += iy
+        at += base.take(run.take(link))
+        return tiles.take(at)
+
+    return run, rx_x, rx_y, tx_x, tx_y, rise, cut, roofs
+
+
 def first_blockers(cities: Cities, uavs: UavPositions, run, rx_x, rx_y, h_rx: float):
-    """Decide the links of several cities in ground-track kernel calls.
+    """Decide the links of several cities in one ground-track kernel call.
 
     Link n runs from the receiver at (rx_x[n], rx_y[n], h_rx) to the
     transmitter of city run[n], at (x[run[n]], y[run[n]], z[run[n]])
@@ -433,62 +493,52 @@ def first_blockers(cities: Cities, uavs: UavPositions, run, rx_x, rx_y, h_rx: fl
     box entered beyond the cut can block, and the cut changes no
     outcome.  Where tx.z <= h_rx the track is not cut.
 
-    The cuts are taken once for all links, which are then decided in
-    consecutive slices of citygeom.CALL_PERIODS grid periods of cut
-    track (:func:`uavlos.citygeom.call_slices`), the geometry engine's
-    call budget too: each link counts as
-    the part of its track up to its cut plus one, so the calls stay
-    full however long the rings are and however many of their positions
-    were dropped (at least one link each, across city boundaries).  Each
-    link's entries do not depend on the other links of its call, so
-    neither does the result.
+    The cut tracks go to the kernel whole, unstaged, in one call, since
+    the blocker nearest the transmitter may lie anywhere on them.  A
+    sweep, which needs only whether each link is blocked, decides its
+    links in calls of bounded size near their receivers first instead
+    (:func:`links_blocked`).
 
     Returns arrays (link, ix, iy, t) for the blocked links only, one
     entry each: the blocking cell nearest the transmitter and the
     fraction t of the track from the receiver to its entry point.
     """
-    run = np.asarray(run, dtype=np.int64)
-    rx_x = np.asarray(rx_x, dtype=float)
-    rx_y = np.asarray(rx_y, dtype=float)
-    tx_x, tx_y, tx_z = (np.asarray(c, dtype=float) for c in uavs)
-    empty = np.zeros(0, dtype=np.int64)
-    if run.size == 0:
+    inputs = _decision_inputs(cities, uavs, run, rx_x, rx_y, h_rx)
+    if inputs is None:
+        empty = np.zeros(0, dtype=np.int64)
         return empty, empty, empty, np.zeros(0)
-    layout = cities.layout
-    _require_on_extent(layout, rx_x, rx_y, "receiver")
-    _require_on_extent(layout, tx_x, tx_y, "transmitter")
-    windows = _windows(layout, run, tx_x, tx_y, rx_x, rx_y)
-    _, (first_x, last_x), (first_y, last_y) = windows
-    if not ((first_x <= last_x) & (first_y <= last_y)).any():
-        # No track meets a box of the grid, and beyond it is open space.
-        return empty, empty, empty, np.zeros(0)
-    top, roofs, base, ky = _window_roofs(cities, windows)
-    rise = tx_z - h_rx
-    cut = (top - h_rx) / np.where(rise > 0.0, rise, 1.0) + _CUT_SLACK
-    cut = np.where((rise > 0.0) & (h_rx + cut * rise > top), np.minimum(cut, 1.0), 1.0)
-    length = np.hypot(tx_x[run] - rx_x, tx_y[run] - rx_y)
-    found = []
-    for part in citygeom.call_slices(cut[run] * length / layout.period + 1.0):
-        owner = run[part]
-        link, ix, iy, t = track_entries(
-            layout, rx_x[part], rx_y[part], tx_x[owner], tx_y[owner], cut[owner]
-        )
-        link += part.start
-        city_of = run.take(link)
-        at = ix * ky
-        at += iy
-        at += base.take(city_of)
-        ray = rise.take(city_of)
-        ray *= t
-        ray += h_rx
-        hit = np.flatnonzero(roofs.take(at) >= ray)
-        # Entries come nearest the transmitter first within each link.
-        first = np.ones(hit.size, dtype=bool)
-        hit_link = link.take(hit)
-        first[1:] = hit_link[1:] != hit_link[:-1]
-        hit = hit[first]
-        found.append((link.take(hit), ix.take(hit), iy.take(hit), t.take(hit)))
-    return tuple(np.concatenate(parts) for parts in zip(*found))
+    run, rx_x, rx_y, tx_x, tx_y, rise, cut, roofs = inputs
+    link, ix, iy, t = track_entries(cities.layout, rx_x, rx_y, tx_x[run], tx_y[run], cut[run])
+    ray = rise.take(run.take(link))
+    ray *= t
+    ray += h_rx
+    hit = np.flatnonzero(roofs(link, ix, iy) >= ray)
+    # Entries come nearest the transmitter first within each link.
+    first = np.ones(hit.size, dtype=bool)
+    hit_link = link.take(hit)
+    first[1:] = hit_link[1:] != hit_link[:-1]
+    hit = hit[first]
+    return link.take(hit), ix.take(hit), iy.take(hit), t.take(hit)
+
+
+def links_blocked(cities: Cities, uavs: UavPositions, run, rx_x, rx_y, h_rx: float,
+                  length) -> np.ndarray:
+    """Whether each link of :func:`first_blockers`'s arguments is
+    blocked, decided by :func:`uavlos.citygeom.blocked_links` with the
+    same cuts and window roofs, near the receivers first.
+
+    length is the ground length of each track, per link or one for
+    all, as the ring radius of a sweep point's users is; it sizes the
+    kernel calls and the near part, not the result.  Returns a boolean
+    array, one element per link.
+    """
+    inputs = _decision_inputs(cities, uavs, run, rx_x, rx_y, h_rx)
+    if inputs is None:
+        return np.zeros(np.size(run), dtype=bool)
+    run, rx_x, rx_y, tx_x, tx_y, rise, cut, roofs = inputs
+    return blocked_links(
+        cities.layout, rx_x, rx_y, tx_x[run], tx_y[run], length, h_rx, rise[run], roofs, cut[run]
+    )
 
 
 def check_los_edges(city: City, link: LinkGeometry) -> LoSOutcome:

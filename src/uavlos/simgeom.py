@@ -25,12 +25,14 @@ that share params, user zone and h_rx) together, in chunks of
 :data:`uavlos.citygeom.CALL_PERIODS` grid periods of ground track, the
 budget the 3D engine's kernel calls take too: each link counts as its
 point's longest track in grid periods plus one, and a chunk fills
-across point boundaries.  A track longer than
-2*NEAR_PERIODS periods is decided on its first NEAR_PERIODS periods
-from the user first, and only the links left clear there are walked to
-their UAVs (:func:`_first_blockers`), so such a link counts as
-NEAR_PERIODS plus one.  The 170-point high-rise heatmap of 200 links
-per point so takes 8 chunks and 10 kernel calls, not 170.  A chunk
+across point boundaries.  A chunk's links are decided by
+:func:`uavlos.citygeom.blocked_links`, the 3D engine's link decision
+too: a track longer than 2*NEAR_PERIODS periods is decided on its first
+NEAR_PERIODS periods from the user first, and only the links left clear
+there are walked on, from that cut to their UAVs (:func:`_first_blockers`),
+so a link of a point with such tracks counts as NEAR_PERIODS plus one.
+The 170-point high-rise heatmap of 200 links per point so takes 8
+chunks and 10 kernel calls, not 170.  A chunk
 derives the keys of all its links in one
 :func:`uavlos.citygeom.stream_bits` call.  Theta, azimuth and altitude are
 per-link values of a chunk.  Because a link's draws depend on its key
@@ -50,16 +52,16 @@ import numpy as np
 
 from . import citygeom
 from .citygeom import (
+    NEAR_PERIODS,
     BuiltUpParams,
     CityLayout,
     bits_to_uniforms,
+    blocked_links,
     building_band,
-    call_slices,
     derive_layout,
     roof_heights,
     seed_keys,
     stream_bits,
-    track_entries,
     track_length,
 )
 from .errors import InvalidAngle, InvalidParams
@@ -375,39 +377,13 @@ def _draw_links(
     return (*placed, city)
 
 
-#: Part of a long ground track, in grid periods from the user, that is
-#: decided first (see :func:`_first_blockers`).  Compared in process
-#: against 3, which ran 4 to 14% slower on five of six geom command
-#: lines, and 1, which ran 9 to 11% faster on the suburban theta 15 to
-#: 25 and dense-urban street sweeps but 10 to 15% slower on the mostly
-#: clear suburban theta 40 to 44 sweep, whose tracks it stages (warm,
-#: two runs, BENCH_18.json design_runs.near_periods; not end to end).
-NEAR_PERIODS = 2
-
-
 def _near_first(scenario: GeomScenario, period: float) -> bool:
-    """Whether the links of scenario are decided near their users first:
-    whether its longest track is longer than 2*NEAR_PERIODS periods.
-
-    A link left clear near its user walks its track a second time, so a
-    track only a little longer than the near part gains little and, on
-    mostly clear runs, pays twice: staging every track over NEAR_PERIODS
-    made the suburban theta 40 to 44 sweep, tracks of 2.7 to 3.2
-    periods, 1.3 times slower.
+    """Whether the links of scenario are decided near their users first
+    (:func:`uavlos.citygeom.blocked_links`): whether its longest track
+    is longer than 2*NEAR_PERIODS periods.
     """
     track = track_length(scenario.theta_deg, scenario.h_max, scenario.h_rx)
     return track / period > 2 * NEAR_PERIODS
-
-
-def _blocked(layout: CityLayout, gamma: float, h_rx: float, ux, uy, vx, vy, vz, city,
-             t_max=1.0) -> np.ndarray:
-    """Whether each link is NLoS on its ground track up to the fraction
-    t_max (see :func:`uavlos.citygeom.track_entries`), in one kernel
-    call: whether a roof of its city reaches the ray height where the
-    track enters that roof's building (ties block)."""
-    link, ix, iy, t = track_entries(layout, ux, uy, vx, vy, t_max)
-    roof = roof_heights(city.take(link), ix, iy, gamma)
-    return np.bincount(link[roof >= h_rx + t * (vz.take(link) - h_rx)], minlength=ux.size) > 0
 
 
 def _first_blockers(
@@ -423,40 +399,21 @@ def _first_blockers(
     block).  The roof under the UAV is looked up like every other, so
     it is the one the placement conditioned.
 
-    The links are decided in two stages.  The first kernel call decides
-    each link of a point decided near its users first
-    (:func:`_near_first`) on its first NEAR_PERIODS periods from the
-    user, and every other link, or one whose own track is no longer, on
-    its whole track; the links it leaves clear short of their UAVs are
-    then decided on their whole tracks, in calls of at most
-    citygeom.CALL_PERIODS periods, each link counting as its track plus
-    one (:func:`uavlos.citygeom.call_slices`); a chunk with no such
-    point has none left.  The result is exact: a cut track lists the
-    uncut track's entries up to the cut, in the same bits, so a link
-    blocked near its user is blocked on its whole track, and a link
-    clear there is decided on its whole track.  Low links are mostly
-    blocked near their users: on urban at theta 5 and 10, 92 to 94% of
-    the blocked links are blocked within two periods of theirs, so the
-    second stage takes few links.
+    The links go to :func:`uavlos.citygeom.blocked_links`, the 3D
+    engine's link decision too, with their roofs looked up in their
+    accepted cities: a link whose track is longer than 2*NEAR_PERIODS
+    periods is decided on its first NEAR_PERIODS periods from the user
+    first, and the links left clear there are walked from that cut to
+    their UAVs.  Low links are mostly blocked near their users: on urban
+    at theta 5 and 10, 92 to 94% of the blocked links are blocked within
+    two periods of theirs, so the second stage takes few links.
     """
-    links = _draw_links(scenarios, values, layout, keys, point)
+    ux, uy, vx, vy, vz, city = _draw_links(scenarios, values, layout, keys, point)
     h_rx, gamma = scenarios[0].h_rx, scenarios[0].params.gamma
-    near = np.array([_near_first(scenario, layout.period) for scenario in scenarios])
-    staged = np.flatnonzero(near.take(point))
-    ux, uy, vx, vy = (v.take(staged) for v in links[:4])
-    length = np.hypot(vx - ux, vy - uy)
-    # reach/max(length, reach) is min(reach/length, 1) to the bit, and 1
-    # for a track too short to round to a positive length.
-    reach = NEAR_PERIODS * layout.period
-    near_cut = reach / np.maximum(length, reach)
-    cut = np.ones(keys.size)
-    cut[staged] = near_cut
-    nlos = _blocked(layout, gamma, h_rx, *links, cut)
-    left = ~nlos.take(staged) & (near_cut < 1.0)
-    rest = staged[left]
-    for part in call_slices(length[left] / layout.period + 1.0):
-        at = rest[part]
-        nlos[at] = _blocked(layout, gamma, h_rx, *(v.take(at) for v in links))
+    nlos = blocked_links(
+        layout, ux, uy, vx, vy, np.hypot(vx - ux, vy - uy), h_rx, vz - h_rx,
+        lambda link, ix, iy: roof_heights(city.take(link), ix, iy, gamma),
+    )
     return np.bincount(point[nlos], minlength=len(scenarios))
 
 
@@ -467,9 +424,10 @@ def _chunks(scenarios: Sequence[GeomScenario], n_runs: int, period: float):
     decided near its users first (:func:`_near_first`); a chunk fills
     across point boundaries and takes at least one link.
 
-    The count bounds the boxes that a chunk's first kernel call lists
-    (see :func:`_first_blockers`); the links left to a second stage go
-    into calls of their own, which the same budget bounds.
+    The count is what a link costs the first stage of its decision
+    (:func:`_first_blockers`), so that stage mostly fits one kernel
+    call; the links left to a second stage go into calls of their own,
+    which the same budget bounds.
 
     Yields each chunk as a list of (point index, start, stop) slices of
     the points' links, of consecutive points.

@@ -12,10 +12,11 @@ import numpy as np
 import pytest
 
 import uavlos
-from uavlos import cli, harness
+from uavlos import cli, harness, sim3d
 from uavlos.baselines import GridProduct, evaluate
 from uavlos.citygeom import ENVIRONMENTS, roof_heights
 from uavlos.cli import _parse_extent, _parse_grid, build_parser, main
+from uavlos.errors import IllegalSpec, InvalidParams
 from uavlos.sim3d import generate_city, load_city
 
 URBAN = ENVIRONMENTS["urban"]
@@ -582,6 +583,63 @@ def test_package_source_names_no_numpy_random():
     for path in sorted(package.glob("*.py")):
         text = path.read_text()
         assert "np.random" not in text and "numpy.random" not in text, path.name
+
+
+# -- inputs that size memory ---------------------------------------------------
+
+#: Address space of a child run of the CLI: numpy's import and a small run
+#: fit, the allocations the bounded inputs ask for do not.
+_CHILD_ADDRESS_SPACE = 1 << 30
+
+
+def run_cli_limited(tmp_path, *argv):
+    """Run the CLI in a child process whose address space is limited to
+    _CHILD_ADDRESS_SPACE, so that an unbounded allocation fails there
+    instead of loading the machine; the limit is set on the child only."""
+    import resource
+
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (_CHILD_ADDRESS_SPACE, _CHILD_ADDRESS_SPACE))
+
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
+    src = str(Path(uavlos.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
+    )
+    return subprocess.run(
+        [sys.executable, "-m", "uavlos.cli", *map(str, argv)], cwd=tmp_path, env=env,
+        capture_output=True, text=True, timeout=120, preexec_fn=limit,
+    )
+
+
+@pytest.mark.parametrize("argv,message", [
+    (("plos-vs-theta", "--engine", "sim3d", "--env", "urban", "--theta-grid", "30",
+      "--n-users", "2000000000"), "n_users must be in"),
+    (("compare", "--env", "urban", "--thetas", "30", "--n-users", "2000000000"),
+     "n_users must be in"),
+    (("export-city", "--env", "urban", "--extent", "1000000"), "building cells"),
+], ids=["sweep-users", "compare-users", "export-cells"])
+def test_inputs_that_would_exhaust_memory_exit_two(tmp_path, argv, message):
+    # 2e9 ring users would take 14.9 GiB for their directions alone, and
+    # a 1 000 km urban city 22 360 x 22 360 roofs (3.7 GiB): both are
+    # refused by name before anything is allocated.
+    proc = run_cli_limited(tmp_path, *argv, "--seed", "1", "--out", "out.txt")
+    assert (proc.returncode, message in proc.stderr) == (2, True), proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_memory_bounds_admit_inputs_up_to_them(monkeypatch):
+    common = dict(params=URBAN, axes=(harness.SweepAxis("theta", (30.0,)),), seed=1)
+    harness.SweepSpec(engine="sim3d", n_users=harness.MAX_USERS, **common)
+    with pytest.raises(IllegalSpec, match="n_users must be in"):
+        harness.SweepSpec(engine="sim3d", n_users=harness.MAX_USERS + 1, **common)
+    # A 1 000 m urban extent holds 22 x 22 cells.
+    monkeypatch.setattr(sim3d, "MAX_CITY_CELLS", 22 * 22)
+    assert generate_city(URBAN, 1000.0, 1000.0, 3).heights.shape == (22, 22)
+    monkeypatch.setattr(sim3d, "MAX_CITY_CELLS", 22 * 22 - 1)
+    with pytest.raises(InvalidParams, match="22 x 22 building cells"):
+        generate_city(URBAN, 1000.0, 1000.0, 3)
 
 
 # -- heap setting ---------------------------------------------------------------

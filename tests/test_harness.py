@@ -336,14 +336,25 @@ def test_compare_engines_overhead_row():
 
 def test_compare_engines_decides_every_geometry_theta_in_shared_kernel_calls(monkeypatch):
     # 3 x 300 urban links of at most 1.3 periods fit one call's budget.
-    calls = []
-    track_entries = simgeom.track_entries
+    # Only the calls of the geometry engine count; the 3D engine calls
+    # the same kernel.
+    calls, deciding = [], []
+    track_entries, first_blockers = citygeom.track_entries, simgeom._first_blockers
 
     def counted(*args):
-        calls.append(np.size(args[1]))
+        if deciding:
+            calls.append(np.size(args[1]))
         return track_entries(*args)
 
-    monkeypatch.setattr(simgeom, "track_entries", counted)
+    def geom_chunk(*args):
+        deciding.append(True)
+        try:
+            return first_blockers(*args)
+        finally:
+            deciding.pop()
+
+    monkeypatch.setattr(citygeom, "track_entries", counted)
+    monkeypatch.setattr(simgeom, "_first_blockers", geom_chunk)
     rows = compare_engines(URBAN, (60.0, 70.0, 80.0), n3d=2, ngeom=300, seed=0)
     assert [row.geom.n for row in rows] == [300] * 3
     assert calls == [900]
@@ -417,8 +428,9 @@ def sim3d_point(spec, theta, phi):
 
 def sim3d_work(monkeypatch):
     """Record, for every sim3d block, its number of cities, for every
-    sim3d kernel call, its tracks and entries, and for every lookup of a
-    block's window roofs, the roofs it looks up."""
+    sim3d kernel call, its tracks, its entries and its stage (2 where
+    the tracks start at a cut near their users, 1 elsewhere), and for
+    every lookup of a block's window roofs, the roofs it looks up."""
     blocks, calls, lookups = [], [], []
     looking = []
 
@@ -426,11 +438,11 @@ def sim3d_work(monkeypatch):
         blocks.append(cities.keys.size)
         return place_uav(cities, policy)
 
-    track_entries = sim3d.track_entries
+    track_entries = citygeom.track_entries
 
-    def counted_call(layout, x_rx, *rest):
-        out = track_entries(layout, x_rx, *rest)
-        calls.append((np.size(x_rx), out[0].size))
+    def counted_call(layout, x_rx, y_rx, x_tx, y_tx, t_max=1.0, t_min=0.0):
+        out = track_entries(layout, x_rx, y_rx, x_tx, y_tx, t_max, t_min)
+        calls.append((np.size(x_rx), out[0].size, 2 if np.ndim(t_min) else 1))
         return out
 
     window_roofs = sim3d._window_roofs
@@ -450,7 +462,7 @@ def sim3d_work(monkeypatch):
         return roofs(self, run, ix, iy)
 
     monkeypatch.setattr(harness, "place_uav", counted_block)
-    monkeypatch.setattr(sim3d, "track_entries", counted_call)
+    monkeypatch.setattr(citygeom, "track_entries", counted_call)
     monkeypatch.setattr(sim3d, "_window_roofs", windowed)
     monkeypatch.setattr(sim3d.Cities, "roofs", counted_roofs)
     return blocks, calls, lookups
@@ -484,8 +496,17 @@ def test_sim3d_blocks_and_calls_do_not_change_the_estimate(
     sizes, calls, _ = sim3d_work(monkeypatch)
     pooled = sim3d_point(spec, theta, phi)
     assert sizes == ([7, 5] if theta == 3.0 else [12])
-    links = sum(tracks for tracks, _ in calls)
-    assert links == (0 if theta == 90.0 else pooled.n)
+    # Every link goes to the kernel once in the first stage.  Only the
+    # theta 3 tracks are long enough to be staged, and the links they
+    # leave clear near their users go once more in the second.
+    stages = [sum(tracks for tracks, _, stage in calls if stage == k) for k in (1, 2)]
+    if theta == 90.0:
+        assert stages == [0, 0]
+    elif theta == 3.0:
+        assert (pooled.n, stages) == (266, [266, 37])
+    else:
+        assert stages == [pooled.n, 0]
+    links = sum(stages)
     for block, expected in ((1, [1] * 12), (mid_block, blocks)):
         monkeypatch.setattr(harness, "BLOCK_ELEMENTS", block)
         sizes.clear()
@@ -497,7 +518,7 @@ def test_sim3d_blocks_and_calls_do_not_change_the_estimate(
         monkeypatch.setattr(citygeom, "CALL_PERIODS", budget)
         calls.clear()
         assert sim3d_point(spec, theta, phi) == pooled
-        tracks = [n for n, _ in calls]
+        tracks = [n for n, _, _ in calls]
         assert sum(tracks) == links
         if theta == 90.0:
             assert tracks == []
@@ -556,7 +577,7 @@ def test_sim3d_working_set_follows_the_block_and_call_budgets(budget, monkeypatc
                          n_runs=n_runs, seed=3)
         assert sim3d_point(spec, theta, phi).n > 0
     assert max(lookups) <= harness.BLOCK_ELEMENTS
-    assert max(entries for _, entries in calls) <= 4 * citygeom.CALL_PERIODS
+    assert max(entries for _, entries, _ in calls) <= 4 * citygeom.CALL_PERIODS
     assert len(calls) > len(points) and len(lookups) > len(points)
 
 
@@ -622,7 +643,7 @@ def test_theta_near_0_or_90_is_decided_or_refused_with_a_typed_error(engine, env
         return kernel
 
     with pytest.MonkeyPatch.context() as patch:
-        for module in (simgeom, sim3d):
+        for module in (citygeom, sim3d):
             patch.setattr(module, "track_entries", counted(module.track_entries))
         try:
             spec = SweepSpec(engine=engine, params=ENVIRONMENTS[env], extent=(1000.0, 1000.0),

@@ -1,4 +1,4 @@
-"""Byte pins of six short CLI runs.
+"""Byte pins of seven short CLI runs.
 
 Each case runs one subcommand at small sizes and compares the CSV it
 writes with the exact text below.  A change that keeps every random
@@ -81,6 +81,18 @@ radius,h_uav,n,k,p_hat,ci_lo,ci_hi,ms_per_point
 100,200,150,138,0.920000,0.865377,0.953647,0.000000
 400,50,150,47,0.313333,0.244548,0.391441,0.000000
 400,200,150,122,0.813333,0.743441,0.867577,0.000000
+""",
+    ),
+    # Rings of 25.2 and 12.5 grid periods: the 3D engine decides their links
+    # near their users first, then walks the ones left clear.
+    "plos-vs-theta-sim3d-staged": (
+        ["plos-vs-theta", "--engine", "sim3d", "--env", "urban", "--theta-grid", "5,10",
+         "--runs", "4", "--n-users", "90", "--seed", "15"],
+        """\
+# spec: engine=sim3d alpha=0.3 beta=500 gamma=15 extent=3000x3000 axes=theta:5,10 h_uav=100 h_rx=1.5 n_runs=4 seed=15 uav_policy=random n_users=90
+theta,n,k,p_hat,ci_lo,ci_hi,ms_per_point
+5,161,3,0.018634,0.006357,0.053346,0.000000
+10,236,29,0.122881,0.086935,0.170908,0.000000
 """,
     ),
 }

@@ -558,33 +558,34 @@ def test_one_pass_over_several_cities_matches_single_links():
 
 
 @pytest.mark.parametrize("budget", [1, 7, 150])
-def test_first_blockers_does_not_depend_on_its_call_budget(budget, monkeypatch):
+def test_links_blocked_does_not_depend_on_its_call_budget(budget, monkeypatch):
     # Urban rings of 60 users at theta 20 around the UAVs of six implicit
     # cities: a budget of one period decides each link in a call of its
     # own, and 7 and 150 periods cut the calls across city boundaries, so
-    # a wrong link offset in any slice moves an entry.
+    # a wrong link offset in any slice moves a decision.  Each link is
+    # decided as first_blockers, unstaged in one call, decides it.
     params = ENVIRONMENTS["urban"]
     layout = derive_layout(params, 1500.0, 1500.0)
     cities = Cities(params, layout, run_keys(9, 6))
     uavs = place_uav(cities, RandomOverCity(60.0))
+    radius = track_length(20.0, 60.0, 1.5)
     run, x, y = place_users(layout, uavs, 20.0, user_directions(20.0, 60), 1.5)
-    whole = first_blockers(cities, uavs, run, x, y, 1.5)
-    assert 10 < whole[0].size < run.size - 10
+    whole = np.zeros(run.size, dtype=bool)
+    whole[first_blockers(cities, uavs, run, x, y, 1.5)[0]] = True
+    assert 10 < whole.sum() < run.size - 10
     tracks = []
-    track_entries = sim3d.track_entries
+    track_entries = citygeom.track_entries
 
     def counted(layout, x_rx, *rest):
         tracks.append(np.size(x_rx))
         return track_entries(layout, x_rx, *rest)
 
-    monkeypatch.setattr(sim3d, "track_entries", counted)
+    monkeypatch.setattr(citygeom, "track_entries", counted)
     monkeypatch.setattr(citygeom, "CALL_PERIODS", budget)
-    sliced = first_blockers(cities, uavs, run, x, y, 1.5)
-    assert sum(tracks) == run.size and len(tracks) > 1
+    sliced = sim3d.links_blocked(cities, uavs, run, x, y, 1.5, radius)
+    assert sum(tracks) >= run.size and len(tracks) > 1
     assert max(tracks) == 1 if budget == 1 else max(tracks) > 1
-    for a, b in zip(whole, sliced):
-        assert a.dtype == b.dtype
-        assert np.array_equal(a, b)
+    assert sliced.tolist() == whole.tolist()
 
 
 def test_first_blockers_refuses_a_run_out_of_order_or_past_its_cities():
@@ -1031,3 +1032,121 @@ def test_city_parser_rejects_negative_height():
     lines[1] = f"{ix} {iy} -3.0"
     with pytest.raises(ParseError):
         city_from_text("\n".join(lines) + "\n")
+
+
+# -- one link decision for both engines ------------------------------------------
+
+_DECISION_EXTENT = 30.0
+
+
+@st.composite
+def _decision_cases(draw):
+    """Links on an extent of 30 periods, each its own city: users anywhere
+    or on band edges, tracks along an axis (which puts the near cut of a
+    user on a band edge on a band edge too), along a diagonal or in any
+    direction, of zero length (theta 90), about the staging threshold or
+    up to 30 periods, rays that rise, stay level or fall, and a call
+    budget of one period, a few or the default."""
+    params = ENVIRONMENTS[draw(st.sampled_from(sorted(ENVIRONMENTS)))]
+    period = derive_layout(params).period
+    extent = _DECISION_EXTENT * period
+    layout = derive_layout(params, extent, extent)
+    edges = [k * period + e for k in range(int(_DECISION_EXTENT)) for e in (0.0, layout.s)]
+    coordinate = st.one_of(st.floats(0.0, extent), st.sampled_from(edges))
+    threshold = 2 * citygeom.NEAR_PERIODS
+    periods = st.one_of(
+        st.just(0.0), st.floats(0.0, 30.0),
+        st.sampled_from([threshold, float(np.nextafter(threshold, np.inf)), threshold + 0.5]),
+    )
+    link = st.tuples(
+        coordinate, coordinate,
+        st.one_of(st.sampled_from([0.0, 45.0, 90.0, 180.0, 270.0]), st.floats(0.0, 360.0)),
+        periods,
+        st.one_of(st.just(0.0), st.floats(-30.0, 300.0), st.floats(300.0, 3000.0)),
+    )
+    links = draw(st.lists(link, min_size=1, max_size=12))
+    h_rx = draw(st.sampled_from([0.0, 1.5]))
+    budget = draw(st.sampled_from([1, 7, citygeom.CALL_PERIODS]))
+    return params, layout, links, h_rx, budget, draw(st.integers(0, 2**32))
+
+
+def _decision_links(layout, links, h_rx):
+    """User and UAV ground points of each drawn link, the UAV end kept on
+    the extent, and the UAV altitudes."""
+    x0, y0, phi, periods, rise = (np.array(v) for v in zip(*links))
+    reach = periods * layout.period
+    x1 = np.clip(x0 + reach * np.cos(np.radians(phi)), 0.0, layout.extent_x)
+    y1 = np.clip(y0 + reach * np.sin(np.radians(phi)), 0.0, layout.extent_y)
+    return x0, y0, x1, y1, h_rx + rise
+
+
+def _edge_case(env, phi, rise, h_rx, budget, seed):
+    """Rising tracks of 25 periods from users on band edges, along an axis,
+    whose near cuts fall on band edges too."""
+    params = ENVIRONMENTS[env]
+    period = derive_layout(params).period
+    layout = derive_layout(params, _DECISION_EXTENT * period, _DECISION_EXTENT * period)
+    links = [(k * period + layout.s, 2 * period, phi, 25.0, rise) for k in range(4)]
+    return params, layout, links, h_rx, budget, seed
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(case=_decision_cases(), lookup=st.sampled_from(["keyed", "window"]))
+@example(case=_edge_case("urban", 0.0, 20.0, 1.5, 7, 3), lookup="keyed")
+@example(case=_edge_case("high-rise", 90.0, 60.0, 0.0, 1, 9), lookup="window")
+def test_staged_and_unstaged_link_decisions_agree(case, lookup):
+    # citygeom.blocked_links decides long rising tracks near their users
+    # first and walks the links left clear from their near cuts; its
+    # result must equal one unstaged walk of every cut track, for the
+    # geometry engine's keyed roofs and the 3D engine's window tiles, at
+    # every call budget.
+    params, layout, links, h_rx, budget, seed = case
+    x0, y0, x1, y1, tx_z = _decision_links(layout, links, h_rx)
+    length = np.hypot(x1 - x0, y1 - y0)
+    keys = run_keys(seed, x0.size)
+    run = np.arange(x0.size)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(citygeom, "CALL_PERIODS", budget)
+        if lookup == "keyed":
+            t_max = np.where(np.arange(x0.size) % 3 == 2, 0.6, 1.0)
+            rise = tx_z - h_rx
+            got = citygeom.blocked_links(
+                layout, x0, y0, x1, y1, length, h_rx, rise,
+                lambda link, ix, iy: roof_heights(keys.take(link), ix, iy, params.gamma), t_max,
+            )
+            link, ix, iy, t = track_entries(layout, x0, y0, x1, y1, t_max)
+            hit = roof_heights(keys[link], ix, iy, params.gamma) >= h_rx + t * rise[link]
+            expected = np.zeros(x0.size, dtype=bool)
+            expected[link[hit]] = True
+        else:
+            cities = Cities(params, layout, keys)
+            got = sim3d.links_blocked(cities, (x1, y1, tx_z), run, x0, y0, h_rx, length)
+            expected = np.zeros(x0.size, dtype=bool)
+            expected[first_blockers(cities, (x1, y1, tx_z), run, x0, y0, h_rx)[0]] = True
+    assert got.dtype == bool and got.tolist() == expected.tolist()
+
+
+def test_link_decisions_stage_the_long_rising_tracks(monkeypatch):
+    # Each long rising track is walked first to NEAR_PERIODS periods from
+    # its user, and again from there when it is left clear; falling and
+    # short tracks are walked once, whole.
+    params, layout, links, h_rx, _, _ = _edge_case("urban", 0.0, 20.0, 1.5, 7, 3)
+    links += [(100.0, 100.0, 45.0, 25.0, -5.0), (100.0, 100.0, 0.0, 3.0, 20.0)]
+    x0, y0, x1, y1, tx_z = _decision_links(layout, links, h_rx)
+    calls = []
+
+    def recorded(layout, x_rx, y_rx, x_tx, y_tx, t_max=1.0, t_min=0.0):
+        calls.append((np.size(x_rx), t_max, t_min))
+        return track_entries(layout, x_rx, y_rx, x_tx, y_tx, t_max, t_min)
+
+    monkeypatch.setattr(citygeom, "track_entries", recorded)
+    # Flat ground: only the falling ray meets it.
+    got = citygeom.blocked_links(layout, x0, y0, x1, y1, np.hypot(x1 - x0, y1 - y0), h_rx,
+                                 tx_z - h_rx, lambda link, ix, iy: np.zeros(link.size))
+    assert got.tolist() == [False] * 4 + [True, False]
+    (n1, cut, start), (n2, end, near) = calls
+    assert (n1, start) == (6, 0.0) and (n2, end) == (4, 1.0)
+    p = layout.period
+    np.testing.assert_allclose(cut[:4] * 25.0 * p, citygeom.NEAR_PERIODS * p, rtol=1e-12)
+    assert cut[4:].tolist() == [1.0, 1.0]
+    assert near.tolist() == cut[:4].tolist()

@@ -222,6 +222,54 @@ def test_track_entries_cut_keeps_the_uncut_entries_up_to_t_max(t_max):
         assert a.tolist() == b[kept].tolist()
 
 
+def box_exits(layout, ends, link, ix, iy):
+    """Reference: the fraction of track link[m] where it leaves the closed
+    box (ix[m], iy[m]), infinite where it never does."""
+    p, s = layout.period, layout.s
+    leave = np.full(link.size, np.inf)
+    for c0, c1, i in ((ends[0][link], ends[2][link], ix), (ends[1][link], ends[3][link], iy)):
+        d = c1 - c0
+        edge = np.where(d > 0.0, i * p, (i - 1) * p + s)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            leave = np.where(d != 0.0, np.minimum(leave, (edge - c0) / d), leave)
+    return leave
+
+
+@pytest.mark.parametrize("t_min", [0.0, 0.3, 0.7])
+def test_track_entries_start_cut_lists_the_boxes_met_from_t_min(t_min):
+    # A box entered at or after the start is listed as the track without
+    # a start lists it, same t bits; a box the track is inside at the
+    # start is listed there; a box left before it is not.
+    layout = derive_layout(TOY)
+    rng = np.random.default_rng(9)
+    ends = np.hstack([CUT_TRACKS, rng.uniform(-40.0, 40.0, size=(4, 100))])
+    n = ends.shape[1]
+    per_track = rng.uniform(0.0, 1.0, size=n)
+    per_track[: CUT_TRACKS.shape[1]] = t_min
+    upper = np.maximum(per_track, rng.uniform(0.0, 1.2, size=n).clip(max=1.0))
+    for start, t_max in ((t_min, 1.0), (per_track, 1.0), (per_track, upper)):
+        lo = np.broadcast_to(start, (n,))
+        full = track_entries(layout, *ends, t_max=t_max)
+        got = track_entries(layout, *ends, t_max=t_max, t_min=start)
+        assert (got[3] >= lo[got[0]]).all()
+        at_start = got[3] == lo[got[0]]
+        later = full[3] > lo[full[0]]
+        for a, b in zip(got, full):
+            assert a[~at_start].tolist() == b[later].tolist()
+        # Link by link, the UAV end first.
+        link, t = got[0], got[3]
+        assert (np.diff(link) >= 0).all() and (np.diff(t)[np.diff(link) == 0] <= 0.0).all()
+        listed = set(zip(*(a[at_start].tolist() for a in got[:3])))
+        before = ~later
+        entered = list(zip(*(a[before].tolist() for a in full[:3])))
+        assert listed <= set(entered)
+        leave = box_exits(layout, ends, *full[:3])[before]
+        inside = {box for box, x in zip(entered, leave - lo[full[0][before]]) if x > 1e-9}
+        left = {box for box, x in zip(entered, leave - lo[full[0][before]]) if x < -1e-9}
+        assert inside <= listed and not listed & left
+        assert inside and (left or not lo.any())
+
+
 def kernel_guard_tracks():
     """20 000 urban tracks as (x_rx, y_rx, x_tx, y_tx, t_max), drawn from
     the counter-based stream so that no library's RNG can move them, in
@@ -756,7 +804,7 @@ def kernel_calls(monkeypatch):
         calls.append((np.size(x_rx), out[0].size))
         return out
 
-    monkeypatch.setattr(simgeom, "track_entries", counted)
+    monkeypatch.setattr(citygeom, "track_entries", counted)
     return calls
 
 
@@ -778,15 +826,15 @@ def test_estimate_does_not_depend_on_the_chunk_size(monkeypatch):
 
 
 def kernel_cuts(monkeypatch):
-    """Record the arguments (x_rx, y_rx, x_tx, y_tx, t_max) of every
-    ground-track kernel call the geometry engine makes."""
+    """Record the arguments (x_rx, y_rx, x_tx, y_tx, t_max, t_min) of
+    every ground-track kernel call the geometry engine makes."""
     calls = []
 
-    def recorded(layout, x_rx, y_rx, x_tx, y_tx, t_max=1.0):
-        calls.append((x_rx, y_rx, x_tx, y_tx, t_max))
-        return track_entries(layout, x_rx, y_rx, x_tx, y_tx, t_max)
+    def recorded(layout, x_rx, y_rx, x_tx, y_tx, t_max=1.0, t_min=0.0):
+        calls.append((x_rx, y_rx, x_tx, y_tx, t_max, t_min))
+        return track_entries(layout, x_rx, y_rx, x_tx, y_tx, t_max, t_min)
 
-    monkeypatch.setattr(simgeom, "track_entries", recorded)
+    monkeypatch.setattr(citygeom, "track_entries", recorded)
     return calls
 
 
@@ -795,7 +843,8 @@ def test_a_chunk_holds_as_many_links_as_fit_its_track_budget(monkeypatch):
     # of one call.  At theta 5 each track is 25.2 periods long and counts
     # its first NEAR_PERIODS plus one, so a chunk takes 4096 links; a
     # chunk's first call cuts them there, and the links it leaves clear go
-    # to calls of their own, of 469 whole tracks at most.
+    # to calls of their own, of 508 tracks at most, each walked from that
+    # cut to its UAV and counting the 23.2 periods it walks plus one.
     calls = kernel_calls(monkeypatch)
     scenario = GeomScenario(ENVIRONMENTS["urban"], "mixed", 60.0, h_uav=100.0)
     assert estimate_plos(scenario, 2000, 1).n == 2000
@@ -805,15 +854,17 @@ def test_a_chunk_holds_as_many_links_as_fit_its_track_budget(monkeypatch):
     estimate_plos(scenario, 10000, 1)
     periods = 98.5 / math.tan(math.radians(5.0)) / scenario.layout().period
     per_chunk = math.floor(citygeom.CALL_PERIODS / (simgeom.NEAR_PERIODS + 1.0))
-    per_call = math.floor(citygeom.CALL_PERIODS / (periods + 1.0))
-    assert (per_chunk, per_call) == (4096, 469)
+    per_call = math.floor(citygeom.CALL_PERIODS / (periods - simgeom.NEAR_PERIODS + 1.0))
+    assert (per_chunk, per_call) == (4096, 508)
     # Each chunk's first call, with its cuts, then that chunk's calls of
-    # whole tracks, every one full but the last.
+    # tracks from their cuts, every one full but the last.
     chunks = []
-    for x, *_, t_max in cuts:
-        if np.ndim(t_max):
+    for x, *_, t_max, t_min in cuts:
+        if np.ndim(t_min) == 0:
+            assert np.ndim(t_max) and t_min == 0.0
             chunks.append((np.size(x), []))
         else:
+            assert np.ndim(t_max) == 0 and t_max == 1.0
             chunks[-1][1].append(np.size(x))
     assert [first for first, _ in chunks] == [4096, 4096, 1808]
     for _, rest in chunks:
@@ -928,36 +979,45 @@ def test_staged_decision_equals_one_call_on_whole_tracks(monkeypatch, order):
     monkeypatch.setattr(citygeom, "CALL_PERIODS", 50)
     calls = kernel_cuts(monkeypatch)
     np.testing.assert_array_equal(simgeom._first_blockers(*args), expected)
-    # The first call cuts each link of a point with tracks over the
-    # threshold at NEAR_PERIODS periods, or not at all if its own track
-    # is no longer, and every other link not at all.
-    x0, y0, x1, y1, cut = calls[0]
+    # The first stage cuts each link whose own track is over the threshold
+    # at NEAR_PERIODS periods, and every other link not at all: all links
+    # of the points over it, none overhead, links of drawn altitude on
+    # either side, and links of the points under and at it as their
+    # tracks round.  Its calls take at most 50 periods of the track they
+    # walk plus one each.
+    first = [c for c in calls if np.ndim(c[5]) == 0]
+    second = calls[len(first):]
+    assert all(c[5] == 0.0 for c in first) and all(np.ndim(c[5]) for c in second)
+    x0, y0, x1, y1, cut = (np.concatenate([c[k] for c in first]) for k in range(5))
     p = layout.period
     length = np.hypot(x1 - x0, y1 - y0)
-    staged = np.array([
-        citygeom.track_length(sc.theta_deg, sc.h_max, sc.h_rx) / p > 2 * simgeom.NEAR_PERIODS
-        for sc in per_link
-    ])
-    assert staged.sum() == 4 * 40
+    staged = length > 2 * simgeom.NEAR_PERIODS * p
+    drawn = np.array([isinstance(sc.h_uav, tuple) for sc in per_link])
+    track = np.array([citygeom.track_length(sc.theta_deg, sc.h_max, sc.h_rx) / p
+                      for sc in per_link])
+    over = ~drawn & (track > 2 * simgeom.NEAR_PERIODS)
+    assert over.sum() == 120 and staged[over].all() and not staged[track == 0.0].any()
+    counts = {"as listed": (38, 2, 3), "reversed": (36, 4, 7)}[order]
+    assert (staged[drawn].sum(), (~staged[drawn]).sum(), staged[~drawn & ~over].sum()) == counts
     assert (cut[~staged] == 1.0).all()
-    np.testing.assert_allclose(
-        cut[staged] * length[staged], np.minimum(length[staged], simgeom.NEAR_PERIODS * p),
-        rtol=1e-12,
-    )
-    # Then the links left clear short of their UAVs, on whole tracks from
-    # their users, in calls of at most 50 periods of track plus one each.
+    np.testing.assert_array_equal(cut[staged], simgeom.NEAR_PERIODS * p / length[staged])
+    walked = [np.minimum(np.hypot(c[2] - c[0], c[3] - c[1]), simgeom.NEAR_PERIODS * p) / p + 1.0
+              for c in first]
+    assert all(cost.sum() <= 50.0 * (1.0 + 1e-12) or cost.size == 1 for cost in walked)
+    # Then the links left clear near their users, from their cuts to
+    # their UAVs, in calls of at most 50 periods of that part plus one.
     near = nlos_on_tracks(*args, t_max=cut)
-    rest = np.flatnonzero((near == 0) & (cut < 1.0))
+    rest = np.flatnonzero((near == 0) & staged)
     # Some of them are blocked beyond their near part.
-    left = {"as listed": (147, 2), "reversed": (143, 3)}[order]
+    left = {"as listed": (149, 2), "reversed": (148, 3)}[order]
     assert (rest.size, (expected[rest] == 1).sum()) == left
-    assert all(np.ndim(t_max) == 0 and t_max == 1.0 for *_, t_max in calls[1:])
-    for got, want in zip(np.concatenate([c[:4] for c in calls[1:]], axis=1),
-                         (x0[rest], y0[rest], x1[rest], y1[rest])):
+    assert all(np.ndim(c[4]) == 0 and c[4] == 1.0 for c in second)
+    for got, want in zip(np.concatenate([(*c[:4], c[5]) for c in second], axis=1),
+                         (x0[rest], y0[rest], x1[rest], y1[rest], cut[rest])):
         np.testing.assert_array_equal(got, want)
-    tracks = [np.hypot(c[2] - c[0], c[3] - c[1]) / p + 1.0 for c in calls[1:]]
-    assert all(cost.sum() <= 50.0 * (1.0 + 1e-12) or cost.size == 1 for cost in tracks)
-    assert len(tracks) > 10 and max(cost.size for cost in tracks) > 1
+    walked = [(1.0 - c[5]) * np.hypot(c[2] - c[0], c[3] - c[1]) / p + 1.0 for c in second]
+    assert all(cost.sum() <= 50.0 * (1.0 + 1e-12) or cost.size == 1 for cost in walked)
+    assert len(walked) > 10 and max(cost.size for cost in walked) > 1
 
 
 def test_estimate_builds_no_generator(monkeypatch):
