@@ -332,7 +332,7 @@ def _band_visits(c0, dc, t_lo, t_hi, p: float, s: float):
     # visit's row r.  With g = 1 where it grows and 0 elsewhere, sign is
     # 1 - 2g and the band of k = 0 is first + g*(last - first): integer
     # arithmetic, where a select on the growing mask branches at random.
-    growing = (dc > 0.0).view(np.int8)
+    growing = (dc > 0.0).astype(np.int64)
     sign = growing * -2
     sign += 1
     last -= first
@@ -477,6 +477,10 @@ def call_slices(cost):
 
     Yields each call as a slice of the links.
     """
+    if np.sum(cost) <= CALL_PERIODS:
+        # Cheaper than the running sum, and the common case of a chunk.
+        yield slice(0, np.size(cost))
+        return
     spent = np.cumsum(cost)
     start = 0
     while start < spent.size:
@@ -539,7 +543,7 @@ def blocked_links(layout: CityLayout, x_rx, y_rx, x_tx, y_tx, length, h_rx: floa
     p = layout.period
     reach = NEAR_PERIODS * p
     blocked = np.zeros(np.size(x_rx), dtype=bool)
-    cut_length = np.broadcast_to(t_max * length, blocked.shape)
+    cut_length = np.multiply(t_max, length, out=np.empty(blocked.shape))
     staged = np.flatnonzero((cut_length > 2.0 * reach) & (rise > 0.0))
     cost = cut_length / p + 1.0
     first_cut = t_max

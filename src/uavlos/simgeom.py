@@ -410,8 +410,12 @@ def _first_blockers(
     """
     ux, uy, vx, vy, vz, city = _draw_links(scenarios, values, layout, keys, point)
     h_rx, gamma = scenarios[0].h_rx, scenarios[0].params.gamma
+    rise = vz - h_rx
+    # Each track's ground length, the offset (vz - h_rx)/tan(theta) that
+    # placed its UAV (:func:`_place`), 0 overhead.
+    length = rise / values[:, 0].take(point)
     nlos = blocked_links(
-        layout, ux, uy, vx, vy, np.hypot(vx - ux, vy - uy), h_rx, vz - h_rx,
+        layout, ux, uy, vx, vy, length, h_rx, rise,
         lambda link, ix, iy: roof_heights(city.take(link), ix, iy, gamma),
     )
     return np.bincount(point[nlos], minlength=len(scenarios))

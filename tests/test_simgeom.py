@@ -979,26 +979,28 @@ def test_staged_decision_equals_one_call_on_whole_tracks(monkeypatch, order):
     monkeypatch.setattr(citygeom, "CALL_PERIODS", 50)
     calls = kernel_cuts(monkeypatch)
     np.testing.assert_array_equal(simgeom._first_blockers(*args), expected)
-    # The first stage cuts each link whose own track is over the threshold
-    # at NEAR_PERIODS periods, and every other link not at all: all links
-    # of the points over it, none overhead, links of drawn altitude on
-    # either side, and links of the points under and at it as their
-    # tracks round.  Its calls take at most 50 periods of the track they
-    # walk plus one each.
+    # The first stage cuts each link whose own track, the ground offset
+    # (vz - h_rx)/tan(theta) of its UAV, is over the threshold at
+    # NEAR_PERIODS periods, and every other link not at all: all links of
+    # the points over it, none of those at or under it or overhead, and
+    # links of drawn altitude on either side.  Its calls take at most 50
+    # periods of the track they walk plus one each.
     first = [c for c in calls if np.ndim(c[5]) == 0]
     second = calls[len(first):]
     assert all(c[5] == 0.0 for c in first) and all(np.ndim(c[5]) for c in second)
     x0, y0, x1, y1, cut = (np.concatenate([c[k] for c in first]) for k in range(5))
     p = layout.period
-    length = np.hypot(x1 - x0, y1 - y0)
+    vz = _draw_links(*args)[4]
+    length = (vz - per_link[0].h_rx) / args[1][:, 0]
+    np.testing.assert_allclose(length, np.hypot(x1 - x0, y1 - y0), rtol=1e-12, atol=1e-9)
     staged = length > 2 * simgeom.NEAR_PERIODS * p
     drawn = np.array([isinstance(sc.h_uav, tuple) for sc in per_link])
     track = np.array([citygeom.track_length(sc.theta_deg, sc.h_max, sc.h_rx) / p
                       for sc in per_link])
     over = ~drawn & (track > 2 * simgeom.NEAR_PERIODS)
-    assert over.sum() == 120 and staged[over].all() and not staged[track == 0.0].any()
-    counts = {"as listed": (38, 2, 3), "reversed": (36, 4, 7)}[order]
-    assert (staged[drawn].sum(), (~staged[drawn]).sum(), staged[~drawn & ~over].sum()) == counts
+    assert over.sum() == 120 and staged[over].all() and not staged[~drawn & ~over].any()
+    counts = {"as listed": (38, 2), "reversed": (36, 4)}[order]
+    assert (staged[drawn].sum(), (~staged[drawn]).sum()) == counts
     assert (cut[~staged] == 1.0).all()
     np.testing.assert_array_equal(cut[staged], simgeom.NEAR_PERIODS * p / length[staged])
     walked = [np.minimum(np.hypot(c[2] - c[0], c[3] - c[1]), simgeom.NEAR_PERIODS * p) / p + 1.0
@@ -1009,7 +1011,7 @@ def test_staged_decision_equals_one_call_on_whole_tracks(monkeypatch, order):
     near = nlos_on_tracks(*args, t_max=cut)
     rest = np.flatnonzero((near == 0) & staged)
     # Some of them are blocked beyond their near part.
-    left = {"as listed": (149, 2), "reversed": (148, 3)}[order]
+    left = {"as listed": (146, 2), "reversed": (141, 3)}[order]
     assert (rest.size, (expected[rest] == 1).sum()) == left
     assert all(np.ndim(c[4]) == 0 and c[4] == 1.0 for c in second)
     for got, want in zip(np.concatenate([(*c[:4], c[5]) for c in second], axis=1),
