@@ -1,6 +1,7 @@
 import argparse
 import math
 import os
+import resource
 import signal
 import subprocess
 import sys
@@ -596,8 +597,6 @@ def run_cli_limited(tmp_path, *argv):
     """Run the CLI in a child process whose address space is limited to
     _CHILD_ADDRESS_SPACE, so that an unbounded allocation fails there
     instead of loading the machine; the limit is set on the child only."""
-    import resource
-
     def limit():
         resource.setrlimit(resource.RLIMIT_AS, (_CHILD_ADDRESS_SPACE, _CHILD_ADDRESS_SPACE))
 
