@@ -62,6 +62,7 @@ __all__ = [
     "call_slices",
     "CALL_PERIODS",
     "NEAR_PERIODS",
+    "first_stage",
     "blocked_links",
     "seed_keys",
     "run_keys",
@@ -475,12 +476,8 @@ def call_slices(cost):
     plus one (see :data:`CALL_PERIODS`), into consecutive :func:`track_entries`
     calls of at most CALL_PERIODS periods each, and at least one link.
 
-    Yields each call as a slice of the links.
+    Yields each call as a slice of the links, none for no link.
     """
-    if np.sum(cost) <= CALL_PERIODS:
-        # Cheaper than the running sum, and the common case of a chunk.
-        yield slice(0, np.size(cost))
-        return
     spent = np.cumsum(cost)
     start = 0
     while start < spent.size:
@@ -499,6 +496,21 @@ def call_slices(cost):
 #: stages (warm, two runs, BENCH_18.json design_runs.near_periods; not
 #: end to end).
 NEAR_PERIODS = 2
+
+
+def first_stage(cut_length, rise, p: float):
+    """The first stage of :func:`blocked_links` on links of cut ground
+    tracks cut_length and ray rises rise, on a grid of period p: the one
+    staging rule of both engines.
+
+    Returns which links it stages, those whose cut track is longer than
+    2*NEAR_PERIODS periods and whose ray rises (rise > 0), and what each
+    link costs that stage's calls (:func:`call_slices`) in grid periods
+    of the track it walks plus one: NEAR_PERIODS plus one for a staged
+    link, its whole cut track plus one for every other.
+    """
+    staged = (cut_length > 2.0 * NEAR_PERIODS * p) & (rise > 0.0)
+    return staged, np.where(staged, float(NEAR_PERIODS), np.divide(cut_length, p)) + 1.0
 
 
 def blocked_links(layout: CityLayout, x_rx, y_rx, x_tx, y_tx, length, h_rx: float, rise,
@@ -520,9 +532,9 @@ def blocked_links(layout: CityLayout, x_rx, y_rx, x_tx, y_tx, length, h_rx: floa
     whose ray rises (rise > 0) is decided on its first NEAR_PERIODS
     periods first, and every other link on its whole cut track, in
     calls of citygeom.CALL_PERIODS periods (:func:`call_slices`), each
-    link counting as the part it walks plus one.  The links left clear
-    there are then walked from the near cut to their cut (t_min of
-    :func:`track_entries`).  The result is exact: a box entered before
+    link counting as the part it walks plus one (:func:`first_stage`).
+    The links left clear there are then walked from the near cut to
+    their cut (t_min of :func:`track_entries`).  The result is exact: a box entered before
     the near cut is listed in the first stage at its own entry, and if
     the second stage lists it too, it does so at the near cut, where
     the rising ray stands higher, so it blocks in neither; every box
@@ -544,14 +556,13 @@ def blocked_links(layout: CityLayout, x_rx, y_rx, x_tx, y_tx, length, h_rx: floa
     reach = NEAR_PERIODS * p
     blocked = np.zeros(np.size(x_rx), dtype=bool)
     cut_length = np.multiply(t_max, length, out=np.empty(blocked.shape))
-    staged = np.flatnonzero((cut_length > 2.0 * reach) & (rise > 0.0))
-    cost = cut_length / p + 1.0
+    staged, cost = first_stage(cut_length, rise, p)
+    staged = np.flatnonzero(staged)
     first_cut = t_max
     if staged.size:
         near = reach / np.broadcast_to(length, blocked.shape)[staged]
         first_cut = np.array(np.broadcast_to(t_max, blocked.shape))
         first_cut[staged] = near
-        cost[staged] = NEAR_PERIODS + 1.0
 
     def decide(at, t_lo, t_hi):
         link, ix, iy, t = track_entries(

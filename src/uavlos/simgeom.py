@@ -23,14 +23,15 @@ same stream, evaluated only under the UAV and at the track's entries
 :func:`estimate_points` decides the links of several points (scenarios
 that share params, user zone and h_rx) together, in chunks of
 :data:`uavlos.citygeom.CALL_PERIODS` grid periods of ground track, the
-budget the 3D engine's kernel calls take too: each link counts as its
-point's longest track in grid periods plus one, and a chunk fills
-across point boundaries.  A chunk's links are decided by
-:func:`uavlos.citygeom.blocked_links`, the 3D engine's link decision
-too: a track longer than 2*NEAR_PERIODS periods is decided on its first
-NEAR_PERIODS periods from the user first, and only the links left clear
-there are walked on, from that cut to their UAVs (:func:`_first_blockers`),
-so a link of a point with such tracks counts as NEAR_PERIODS plus one.
+budget the 3D engine's kernel calls take too: each link counts as what
+its point's longest track costs the first stage of its decision, and a
+chunk fills across point boundaries (:func:`_chunks`).  A chunk's
+links are decided by :func:`uavlos.citygeom.blocked_links`, the 3D
+engine's link decision too: a track longer than 2*NEAR_PERIODS periods
+is decided on its first NEAR_PERIODS periods from the user first, and
+only the links left clear there are walked on, from that cut to their
+UAVs (:func:`_first_blockers`), so such a link costs the first stage
+NEAR_PERIODS periods plus one, and any other link its track plus one.
 The 170-point high-rise heatmap of 200 links per point so takes 8
 chunks and 10 kernel calls, not 170.  A chunk
 derives the keys of all its links in one
@@ -377,15 +378,6 @@ def _draw_links(
     return (*placed, city)
 
 
-def _near_first(scenario: GeomScenario, period: float) -> bool:
-    """Whether the links of scenario are decided near their users first
-    (:func:`uavlos.citygeom.blocked_links`): whether its longest track
-    is longer than 2*NEAR_PERIODS periods.
-    """
-    track = track_length(scenario.theta_deg, scenario.h_max, scenario.h_rx)
-    return track / period > 2 * NEAR_PERIODS
-
-
 def _first_blockers(
     scenarios: Sequence[GeomScenario], values: np.ndarray, layout: CityLayout,
     keys: np.ndarray, point: np.ndarray,
@@ -423,14 +415,17 @@ def _first_blockers(
 
 def _chunks(scenarios: Sequence[GeomScenario], n_runs: int, period: float):
     """Split the links of every point into chunks of citygeom.CALL_PERIODS
-    grid periods of ground track, each link counting as its point's
-    longest track plus one, or NEAR_PERIODS plus one where its point is
-    decided near its users first (:func:`_near_first`); a chunk fills
-    across point boundaries and takes at least one link.
+    grid periods of ground track, each link counting as what its point's
+    longest track costs the first stage of its decision
+    (:func:`uavlos.citygeom.first_stage`): NEAR_PERIODS plus one if that
+    stage cuts it, its length plus one if not.  A chunk fills across
+    point boundaries and takes at least one link.
 
-    The count is what a link costs the first stage of its decision
-    (:func:`_first_blockers`), so that stage mostly fits one kernel
-    call; the links left to a second stage go into calls of their own,
+    At a fixed altitude every link of a point costs that much, so a
+    chunk's first stage fits one kernel call.  Where altitudes are drawn
+    and the longest track is cut, a shorter track that is not cut costs
+    up to 2*NEAR_PERIODS plus one, and the first stage may take a second
+    call.  The links left to a second stage go into calls of their own,
     which the same budget bounds.
 
     Yields each chunk as a list of (point index, start, stop) slices of
@@ -439,11 +434,8 @@ def _chunks(scenarios: Sequence[GeomScenario], n_runs: int, period: float):
     budget = citygeom.CALL_PERIODS
     chunk, room = [], budget
     for q, scenario in enumerate(scenarios):
-        if _near_first(scenario, period):
-            track = NEAR_PERIODS * period
-        else:
-            track = track_length(scenario.theta_deg, scenario.h_max, scenario.h_rx)
-        cost = track / period + 1.0
+        track = track_length(scenario.theta_deg, scenario.h_max, scenario.h_rx)
+        cost = float(citygeom.first_stage(track, 1.0, period)[1])
         start = 0
         while start < n_runs:
             if chunk and room < cost:

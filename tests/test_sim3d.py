@@ -583,7 +583,7 @@ def test_links_blocked_does_not_depend_on_its_call_budget(budget, monkeypatch):
     monkeypatch.setattr(citygeom, "track_entries", counted)
     monkeypatch.setattr(citygeom, "CALL_PERIODS", budget)
     sliced = sim3d.links_blocked(cities, uavs, run, x, y, 1.5, radius)
-    assert sum(tracks) >= run.size and len(tracks) > 1
+    assert sum(tracks) == run.size and len(tracks) > 1
     assert max(tracks) == 1 if budget == 1 else max(tracks) > 1
     assert sliced.tolist() == whole.tolist()
 
@@ -1150,3 +1150,22 @@ def test_link_decisions_stage_the_long_rising_tracks(monkeypatch):
     np.testing.assert_allclose(cut[:4] * 25.0 * p, citygeom.NEAR_PERIODS * p, rtol=1e-12)
     assert cut[4:].tolist() == [1.0, 1.0]
     assert near.tolist() == cut[:4].tolist()
+
+
+def test_links_blocked_near_their_users_take_no_second_call(monkeypatch):
+    # Roofs everywhere over the rays block every long rising track in its
+    # first NEAR_PERIODS periods, so no link is left to a second stage
+    # and no second kernel call, empty or not, is made.
+    params, layout, links, h_rx, _, _ = _edge_case("urban", 0.0, 20.0, 1.5, 7, 3)
+    x0, y0, x1, y1, tx_z = _decision_links(layout, links, h_rx)
+    calls = []
+
+    def recorded(layout, x_rx, *rest):
+        calls.append(np.size(x_rx))
+        return track_entries(layout, x_rx, *rest)
+
+    monkeypatch.setattr(citygeom, "track_entries", recorded)
+    got = citygeom.blocked_links(layout, x0, y0, x1, y1, np.hypot(x1 - x0, y1 - y0), h_rx,
+                                 tx_z - h_rx, lambda link, ix, iy: np.full(link.size, 1e3))
+    assert got.all() and calls == [4]
+    assert list(citygeom.call_slices(np.zeros(0))) == []

@@ -1022,6 +1022,25 @@ def test_staged_decision_equals_one_call_on_whole_tracks(monkeypatch, order):
     assert len(walked) > 10 and max(cost.size for cost in walked) > 1
 
 
+@pytest.mark.parametrize("side", ["under", "at", "over"])
+def test_a_chunk_charges_what_its_first_stage_walks(monkeypatch, side):
+    # Tracks just under, at and just over the staging threshold: a chunk
+    # charges each link what citygeom.first_stage says its first stage
+    # walks, 2*NEAR_PERIODS periods plus one up to the threshold and
+    # NEAR_PERIODS plus one past it, so each chunk's first stage is one
+    # full call.  A chunk that staged by another rule than the kernel
+    # calls would split those calls or leave them short.
+    h = dict(zip(("under", "at", "over"), altitudes_around_the_staging_threshold(6.0)))[side]
+    scenario = GeomScenario(LOW_ROOFS, "mixed", 6.0, h_uav=h)
+    cost = (citygeom.NEAR_PERIODS if side == "over" else 2 * citygeom.NEAR_PERIODS) + 1
+    per_chunk = math.floor(citygeom.CALL_PERIODS / cost)
+    calls = kernel_cuts(monkeypatch)
+    assert estimate_plos(scenario, 2 * per_chunk + 5, 3).n == 2 * per_chunk + 5
+    first = [np.size(x) for x, *_, t_min in calls if np.ndim(t_min) == 0]
+    assert first == [per_chunk, per_chunk, 5]
+    assert len(calls) > 3 if side == "over" else len(calls) == 3
+
+
 def test_estimate_builds_no_generator(monkeypatch):
     def fail(*args, **kwargs):
         pytest.fail("the geometry engine built a Generator")
