@@ -433,9 +433,9 @@ def _chunks(scenarios: Sequence[GeomScenario], n_runs: int, period: float):
     """
     budget = citygeom.CALL_PERIODS
     chunk, room = [], budget
-    for q, scenario in enumerate(scenarios):
-        track = track_length(scenario.theta_deg, scenario.h_max, scenario.h_rx)
-        cost = float(citygeom.first_stage(track, 1.0, period)[1])
+    tracks = [track_length(sc.theta_deg, sc.h_max, sc.h_rx) for sc in scenarios]
+    costs = citygeom.first_stage(np.array(tracks), 1.0, period)[1].tolist()
+    for q, cost in enumerate(costs):
         start = 0
         while start < n_runs:
             if chunk and room < cost:
