@@ -7,16 +7,17 @@ and returns one :class:`PLosEstimate` per point.  The 3D engine runs
 the fresh-city protocol per run (a new city, its UAV, a ring of circle
 users): each run is one uint64 city key, from which the run's UAV and
 the roofs its users' tracks can meet are hashed, so no run builds a
-Generator or a height grid.  A point's cities are placed and decided a
-block at a time, the block bounded by its ring positions and the cells
-of its cities' tallest-roof windows.  A block hashes each window roof
-once; its links go to the ground-track kernel in calls of a fixed
-length of cut track, near their users first, and every box a track
-enters reads its roof from the window (:func:`uavlos.sim3d.links_blocked`).
-The call budget and the staging are the geometry engine's too
-(:func:`uavlos.citygeom.blocked_links`).  The
-geometry engine runs one link per run, with an area-weighted
-street/crossroad mix when no single zone is requested, under the same
+Generator or a height grid.  A point's cities are keyed, placed and
+decided a block at a time, the block bounded by its ring positions and
+the cells of its cities' tallest-roof windows.  A block hashes each
+window roof once, and :func:`uavlos.sim3d.links_blocked`, the 3D
+engine's one batched link decision, sends its links to the ground-track
+kernel in calls of a fixed length of cut track, near their users first,
+every box a track enters reading its roof from the window.  The call
+budget and the staging are the geometry engine's too
+(:func:`uavlos.citygeom.blocked_links`).  The geometry engine runs one
+link per run, with an area-weighted street/crossroad mix when no
+single zone is requested, under the same
 protocol: each link is one uint64 key, from which its placement and
 the roofs its track meets are hashed.  Every key comes from one seed
 tree of counter-based streams (:func:`uavlos.citygeom.stream_bits`):
@@ -61,6 +62,8 @@ from .citygeom import (
     BuiltUpParams,
     derive_layout,
     run_keys,
+    seed_keys,
+    stream_bits,
     track_length,
 )
 from .errors import IllegalSpec, InvalidAngle, UavLosError
@@ -330,15 +333,16 @@ BLOCK_ELEMENTS = 32768
 
 def _estimate_sim3d(
     spec: SweepSpec, params: BuiltUpParams, theta: float, phi: float | None, h_uav: float,
-    keys: np.ndarray,
+    seed: int,
 ) -> PLosEstimate:
     """Fresh-city protocol at one point of spec: per run, a new city with
     its UAV and the pooled LoS states of every valid user on the theta
     circle (one user at azimuth phi when phi is fixed, or straight under
     the UAV at theta = 90), decided a block of BLOCK_ELEMENTS elements
-    at a time.  Run i is the city key keys[i], one for each of the
-    spec's n_runs runs.  Every user stands the ring radius from its
-    UAV's ground point, so the radius is the ground length of every
+    at a time.  Run i is the city key run_keys(seed, n_runs)[i]
+    (:func:`uavlos.citygeom.run_keys`), derived a block at a time, so no
+    key array outgrows a block.  Every user stands the ring radius from
+    its UAV's ground point, so the radius is the ground length of every
     link's track (sim3d.links_blocked)."""
     policy = UAV_POLICIES[spec.uav_policy](h_uav)
     directions = user_directions(theta, spec.n_users, phi)
@@ -346,10 +350,12 @@ def _estimate_sim3d(
     radius = track_length(theta, h_uav, spec.h_rx)
     per_city = directions[0].size + window_cells(layout, radius, directions)
     per_block = max(1, BLOCK_ELEMENTS // per_city)
+    seed_key = seed_keys([seed])
     k = 0
     n = 0
     for start in range(0, spec.n_runs, per_block):
-        cities = Cities(params, layout, keys[start:start + per_block])
+        keys = stream_bits(seed_key, np.arange(start, min(start + per_block, spec.n_runs)))
+        cities = Cities(params, layout, keys)
         uavs = place_uav(cities, policy)
         run, x, y = place_users(layout, uavs, theta, directions, spec.h_rx)
         n += x.size
@@ -443,8 +449,7 @@ def _estimate_points(
         theta, h_uav = _point_angles(spec, var)
         if spec.engine == "sim3d":
             params = _with_swept_params(spec.params, var)
-            keys = run_keys(seed, spec.n_runs)
-            est = _estimate_sim3d(spec, params, theta, var.get("phi", spec.phi), h_uav, keys)
+            est = _estimate_sim3d(spec, params, theta, var.get("phi", spec.phi), h_uav, seed)
         else:
             est = PLosEstimate.exact(evaluate(_resolve_model(spec, var), theta, h_uav, spec.h_rx))
         estimates.append(est)

@@ -14,16 +14,16 @@ the ground track of each link: :func:`uavlos.citygeom.track_entries`
 lists every closed building box the track meets and the point where it
 enters the box seen from the receiver, and the link is blocked when a
 roof reaches the ray height there.  Flat rooftops make this edge test
-exact, which :func:`check_los_dense` verifies by brute force.  Cities
+exact, which :func:`check_los_dense` verifies by brute force.
+:func:`check_los_edges` decides one link of a materialized city this
+way and reports the blocker nearest the transmitter.  A sweep needs
+only whether each link is blocked (:func:`links_blocked`): the cities
 decided together look up each roof their links' tracks can meet once,
-in one window per city, and every entry reads its roof from there.  A
-sweep needs only whether each link is blocked (:func:`links_blocked`):
-it goes through :func:`uavlos.citygeom.blocked_links`, the geometry
-engine's link decision too, which decides a long track on its first
-NEAR_PERIODS periods from the receiver first and walks on only the
-links left clear there.  :func:`first_blockers` walks each cut track
-whole, unstaged, for the blocker nearest the transmitter that
-:func:`check_los_edges` reports.
+in one window per city, every entry reads its roof from there, and
+the links go through :func:`uavlos.citygeom.blocked_links`, the
+geometry engine's link decision too, which decides a long track on its
+first NEAR_PERIODS periods from the receiver first and walks on only
+the links left clear there.
 """
 
 from __future__ import annotations
@@ -76,7 +76,6 @@ __all__ = [
     "generate_city",
     "ray_height_at",
     "roof_under",
-    "first_blockers",
     "links_blocked",
     "window_cells",
     "check_los_edges",
@@ -275,14 +274,6 @@ def ray_height_at(link: LinkGeometry, r_op: float) -> float:
     return link.tx.z - r_op * (link.tx.z - link.rx.z) / link.r_rx
 
 
-def _require_in_extent(layout: CityLayout, node: Node, label: str) -> None:
-    if not (0.0 <= node.x <= layout.extent_x and 0.0 <= node.y <= layout.extent_y):
-        raise OutOfExtent(
-            f"{label} ({node.x}, {node.y}) outside extent "
-            f"{layout.extent_x} x {layout.extent_y}"
-        )
-
-
 def roof_under(city: City, x: float, y: float) -> tuple[int, int, float] | None:
     """The materialized building cell under a ground point and its roof.
 
@@ -297,17 +288,27 @@ def roof_under(city: City, x: float, y: float) -> tuple[int, int, float] | None:
     return None
 
 
-def _reject_inside_building(city: City, node: Node, label: str) -> None:
-    # Positions with z strictly greater than the rooftop are valid; z at or
-    # below the rooftop inside a footprint is rejected.
-    under = roof_under(city, node.x, node.y)
-    if under is not None and node.z <= under[2]:
-        raise EndpointInsideBuilding(
-            f"{label} at height {node.z} inside building {under[:2]} with roof {under[2]}"
-        )
+def _check_endpoints(city: City, link: LinkGeometry) -> None:
+    """Both endpoints of a single-link check lie on the extent
+    (OutOfExtent otherwise), then both in free air, strictly above any
+    roof under them (EndpointInsideBuilding otherwise)."""
+    layout = city.layout
+    ends = ((link.tx, "transmitter"), (link.rx, "receiver"))
+    for node, label in ends:
+        if not (0.0 <= node.x <= layout.extent_x and 0.0 <= node.y <= layout.extent_y):
+            raise OutOfExtent(
+                f"{label} ({node.x}, {node.y}) outside extent "
+                f"{layout.extent_x} x {layout.extent_y}"
+            )
+    for node, label in ends:
+        under = roof_under(city, node.x, node.y)
+        if under is not None and node.z <= under[2]:
+            raise EndpointInsideBuilding(
+                f"{label} at height {node.z} inside building {under[:2]} with roof {under[2]}"
+            )
 
 
-#: Added to each link's cut (see :func:`first_blockers`) so that the ray,
+#: Added to each link's cut (see :func:`links_blocked`) so that the ray,
 #: computed as in the roof test, clears the tallest roof at the cut.
 _CUT_SLACK = 1e-9
 
@@ -429,47 +430,9 @@ def _require_on_extent(layout: CityLayout, x, y, label: str) -> None:
         )
 
 
-def _decision_inputs(cities: Cities, uavs: UavPositions, run, rx_x, rx_y, h_rx: float):
-    """The checked links of :func:`first_blockers` and
-    :func:`links_blocked`, their cuts and the roofs their tracks can
-    meet, or None where no track can meet a box of the grid.
-
-    Returns (run, rx_x, rx_y, tx_x, tx_y, rise, cut, roofs): the links
-    and transmitters as float arrays, per city the ray's rise tx.z -
-    h_rx and the cut of its tracks, and the roof lookup roofs(link, ix,
-    iy), which reads the roofs of the boxes (ix[m], iy[m]) met by the
-    links link[m] from their cities' window tiles (:func:`_window_roofs`).
-    """
-    run = np.asarray(run, dtype=np.int64)
-    if run.size == 0:
-        return None
-    rx_x = np.asarray(rx_x, dtype=float)
-    rx_y = np.asarray(rx_y, dtype=float)
-    tx_x, tx_y, tx_z = (np.asarray(c, dtype=float) for c in uavs)
-    layout = cities.layout
-    _require_on_extent(layout, rx_x, rx_y, "receiver")
-    _require_on_extent(layout, tx_x, tx_y, "transmitter")
-    windows = _windows(layout, run, tx_x, tx_y, rx_x, rx_y)
-    _, (first_x, last_x), (first_y, last_y) = windows
-    if not ((first_x <= last_x) & (first_y <= last_y)).any():
-        # No track meets a box of the grid, and beyond it is open space.
-        return None
-    top, tiles, base, ky = _window_roofs(cities, windows)
-    rise = tx_z - h_rx
-    cut = (top - h_rx) / np.where(rise > 0.0, rise, 1.0) + _CUT_SLACK
-    cut = np.where((rise > 0.0) & (h_rx + cut * rise > top), np.minimum(cut, 1.0), 1.0)
-
-    def roofs(link, ix, iy):
-        at = ix * ky
-        at += iy
-        at += base.take(run.take(link))
-        return tiles.take(at)
-
-    return run, rx_x, rx_y, tx_x, tx_y, rise, cut, roofs
-
-
-def first_blockers(cities: Cities, uavs: UavPositions, run, rx_x, rx_y, h_rx: float):
-    """Decide the links of several cities in one ground-track kernel call.
+def links_blocked(cities: Cities, uavs: UavPositions, run, rx_x, rx_y, h_rx: float,
+                  length) -> np.ndarray:
+    """Decide whether each link of several cities is blocked.
 
     Link n runs from the receiver at (rx_x[n], rx_y[n], h_rx) to the
     transmitter of city run[n], at (x[run[n]], y[run[n]], z[run[n]])
@@ -491,78 +454,70 @@ def first_blockers(cities: Cities, uavs: UavPositions, run, rx_x, rx_y, h_rx: fl
     and kept only where the ray height there, computed as in the roof
     test, exceeds that roof.  The ray height only grows with t, so no
     box entered beyond the cut can block, and the cut changes no
-    outcome.  Where tx.z <= h_rx the track is not cut.
-
-    The cut tracks go to the kernel whole, unstaged, in one call, since
-    the blocker nearest the transmitter may lie anywhere on them.  A
-    sweep, which needs only whether each link is blocked, decides its
-    links in calls of bounded size near their receivers first instead
-    (:func:`links_blocked`).
-
-    Returns arrays (link, ix, iy, t) for the blocked links only, one
-    entry each: the blocking cell nearest the transmitter and the
-    fraction t of the track from the receiver to its entry point.
-    """
-    inputs = _decision_inputs(cities, uavs, run, rx_x, rx_y, h_rx)
-    if inputs is None:
-        empty = np.zeros(0, dtype=np.int64)
-        return empty, empty, empty, np.zeros(0)
-    run, rx_x, rx_y, tx_x, tx_y, rise, cut, roofs = inputs
-    link, ix, iy, t = track_entries(cities.layout, rx_x, rx_y, tx_x[run], tx_y[run], cut[run])
-    ray = rise.take(run.take(link))
-    ray *= t
-    ray += h_rx
-    hit = np.flatnonzero(roofs(link, ix, iy) >= ray)
-    # Entries come nearest the transmitter first within each link.
-    first = np.ones(hit.size, dtype=bool)
-    hit_link = link.take(hit)
-    first[1:] = hit_link[1:] != hit_link[:-1]
-    hit = hit[first]
-    return link.take(hit), ix.take(hit), iy.take(hit), t.take(hit)
-
-
-def links_blocked(cities: Cities, uavs: UavPositions, run, rx_x, rx_y, h_rx: float,
-                  length) -> np.ndarray:
-    """Whether each link of :func:`first_blockers`'s arguments is
-    blocked, decided by :func:`uavlos.citygeom.blocked_links` with the
-    same cuts and window roofs, near the receivers first.
+    outcome.  Where tx.z <= h_rx the track is not cut.  The cut tracks
+    are decided by :func:`uavlos.citygeom.blocked_links`, near their
+    receivers first.
 
     length is the ground length of each track, per link or one for
     all, as the ring radius of a sweep point's users is; it sizes the
     kernel calls and the near part, not the result.  Returns a boolean
     array, one element per link.
     """
-    inputs = _decision_inputs(cities, uavs, run, rx_x, rx_y, h_rx)
-    if inputs is None:
-        return np.zeros(np.size(run), dtype=bool)
-    run, rx_x, rx_y, tx_x, tx_y, rise, cut, roofs = inputs
+    run = np.asarray(run, dtype=np.int64)
+    blocked = np.zeros(run.size, dtype=bool)
+    if run.size == 0:
+        return blocked
+    rx_x = np.asarray(rx_x, dtype=float)
+    rx_y = np.asarray(rx_y, dtype=float)
+    tx_x, tx_y, tx_z = (np.asarray(c, dtype=float) for c in uavs)
+    layout = cities.layout
+    _require_on_extent(layout, rx_x, rx_y, "receiver")
+    _require_on_extent(layout, tx_x, tx_y, "transmitter")
+    windows = _windows(layout, run, tx_x, tx_y, rx_x, rx_y)
+    _, (first_x, last_x), (first_y, last_y) = windows
+    if not ((first_x <= last_x) & (first_y <= last_y)).any():
+        # No track meets a box of the grid, and beyond it is open space.
+        return blocked
+    top, tiles, base, ky = _window_roofs(cities, windows)
+    rise = tx_z - h_rx
+    cut = (top - h_rx) / np.where(rise > 0.0, rise, 1.0) + _CUT_SLACK
+    cut = np.where((rise > 0.0) & (h_rx + cut * rise > top), np.minimum(cut, 1.0), 1.0)
+
+    def roofs(link, ix, iy):
+        at = ix * ky
+        at += iy
+        at += base.take(run.take(link))
+        return tiles.take(at)
+
     return blocked_links(
-        cities.layout, rx_x, rx_y, tx_x[run], tx_y[run], length, h_rx, rise[run], roofs, cut[run]
+        layout, rx_x, rx_y, tx_x[run], tx_y[run], length, h_rx, rise[run], roofs, cut[run]
     )
 
 
 def check_los_edges(city: City, link: LinkGeometry) -> LoSOutcome:
     """Decide LoS by evaluating the ray at footprint entry edges.
 
-    For every closed building box the ground track meets, the ray
-    height where the track enters the box seen from the receiver is
-    compared with the roof (a roof exactly at ray height blocks).  This
-    is :func:`first_blockers` for one link, after validating both
-    endpoints; a vertical link is a zero-length track.  Returns the
-    blocker with the smallest r_op.
+    For every closed building box of the grid that the ground track
+    meets (:func:`uavlos.citygeom.track_entries`), the ray height where
+    the track enters the box seen from the receiver is compared with
+    the roof (a roof exactly at ray height blocks); cells beyond the
+    grid are open space.  Both endpoints are validated first; a vertical
+    link is a zero-length track.  Returns the blocker with the smallest
+    r_op: the kernel lists a track's entries nearest the transmitter
+    first, so it is the first entry that blocks.
     """
-    _require_in_extent(city.layout, link.tx, "transmitter")
-    _require_in_extent(city.layout, link.rx, "receiver")
-    _reject_inside_building(city, link.tx, "transmitter")
-    _reject_inside_building(city, link.rx, "receiver")
-
-    tx = link.tx
-    _, ix, iy, t = first_blockers(
-        Cities.of([city]), ([tx.x], [tx.y], [tx.z]), [0], [link.rx.x], [link.rx.y], link.rx.z
-    )
-    if t.size == 0:
+    _check_endpoints(city, link)
+    tx, rx = link.tx, link.rx
+    _, ix, iy, t = track_entries(city.layout, rx.x, rx.y, tx.x, tx.y)
+    nx, ny = city.heights.shape
+    grid = (ix >= 1) & (ix <= nx) & (iy >= 1) & (iy <= ny)
+    ix, iy, t = ix[grid], iy[grid], t[grid]
+    hit = np.flatnonzero(city.heights[ix - 1, iy - 1] >= rx.z + t * (tx.z - rx.z))
+    if hit.size == 0:
         return LoSOutcome.los()
-    return LoSOutcome.nlos(Blocker(int(ix[0]), int(iy[0]), float((1.0 - t[0]) * link.r_rx)))
+    first = hit[0]
+    r_op = float((1.0 - t[first]) * link.r_rx)
+    return LoSOutcome.nlos(Blocker(int(ix[first]), int(iy[first]), r_op))
 
 
 def check_los_dense(city: City, link: LinkGeometry, step: float = 0.1) -> LoSOutcome:
@@ -582,10 +537,7 @@ def check_los_dense(city: City, link: LinkGeometry, step: float = 0.1) -> LoSOut
     p, s = layout.period, layout.s
     if not 0.0 < step <= s / 10.0:
         raise InvalidParams(f"step must be in (0, s/10 = {s / 10.0}], got {step}")
-    _require_in_extent(layout, link.tx, "transmitter")
-    _require_in_extent(layout, link.rx, "receiver")
-    _reject_inside_building(city, link.tx, "transmitter")
-    _reject_inside_building(city, link.rx, "receiver")
+    _check_endpoints(city, link)
 
     x0, y0 = link.tx.x, link.tx.y
     dx = link.rx.x - x0

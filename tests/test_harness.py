@@ -422,8 +422,7 @@ def test_compare_engines_is_reproducible():
 def sim3d_point(spec, theta, phi):
     """The 3D engine's estimate at one point of spec on URBAN, with its
     UAVs at 100 m and the run keys of seed 77."""
-    keys = citygeom.run_keys(77, spec.n_runs)
-    return harness._estimate_sim3d(spec, URBAN, theta, phi, 100.0, keys)
+    return harness._estimate_sim3d(spec, URBAN, theta, phi, 100.0, 77)
 
 
 def sim3d_work(monkeypatch):
@@ -543,19 +542,41 @@ def test_a_theta_90_sim3d_point_makes_no_kernel_call(monkeypatch):
     assert blocks and calls == []
 
 
-def test_sim3d_points_take_the_run_keys_of_their_seeds():
-    # A sweep's sim3d points derive their keys from one RunKeys of all
-    # their seeds; each point still decides the run keys of its own seed.
+def test_sim3d_points_derive_their_run_keys_a_block_at_a_time(monkeypatch):
+    # Each sim3d point decides the run keys of its own seed, derived
+    # block by block: no key array outgrows the block that uses it, so a
+    # point of many runs asks for no memory in proportion to them before
+    # its first city.  The mid block bound of the block test fits 5 of
+    # the 12 cities at theta 30.
     spec = SweepSpec(engine="sim3d", params=URBAN, extent=(1000.0, 1000.0),
-                     axes=(SweepAxis("theta", (20.0, 45.0, 70.0)),), n_runs=6, n_users=40)
-    seeds = [5, 2**62 + 3, 77]
-    vars = [{"theta": theta} for theta in (20.0, 45.0, 70.0)]
-    estimates, _ = harness._estimate_points(spec, vars, seeds)
-    assert estimates == [
-        harness._estimate_sim3d(spec, URBAN, var["theta"], None, 100.0,
-                                citygeom.run_keys(seed, 6))
-        for var, seed in zip(vars, seeds)
-    ]
+                     axes=(SweepAxis("theta", (30.0,)),), n_runs=12, n_users=90)
+    derived, blocks = [], []
+    stream_bits, run_keys = citygeom.stream_bits, citygeom.run_keys
+
+    def derived_bits(key, counter):
+        derived.append(stream_bits(key, counter))
+        return derived[-1]
+
+    def derived_run_keys(seed, n):
+        derived.append(run_keys(seed, n))
+        return derived[-1]
+
+    def counted_block(cities, policy):
+        blocks.append(cities.keys.copy())
+        return place_uav(cities, policy)
+
+    monkeypatch.setattr(harness, "stream_bits", derived_bits, raising=False)
+    monkeypatch.setattr(harness, "run_keys", derived_run_keys)
+    monkeypatch.setattr(harness, "place_uav", counted_block)
+    monkeypatch.setattr(harness, "BLOCK_ELEMENTS", 1000)
+    seeds = [5, 2**62 + 3]
+    harness._estimate_points(spec, [{"theta": 30.0}] * 2, seeds)
+    assert [b.size for b in blocks] == [5, 5, 2] * 2
+    assert [d.size for d in derived] == [b.size for b in blocks]
+    for q, seed in enumerate(seeds):
+        np.testing.assert_array_equal(
+            np.concatenate(blocks[3 * q:3 * q + 3]), run_keys(seed, 12)
+        )
 
 
 @pytest.mark.parametrize("budget", [None, 1024], ids=["default", "small"])

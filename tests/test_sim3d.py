@@ -43,7 +43,6 @@ from uavlos.sim3d import (
     check_los_edges,
     city_from_text,
     city_to_text,
-    first_blockers,
     generate_city,
     load_city,
     place_uav,
@@ -70,8 +69,37 @@ def toy_city(heights_by_cell=None, extent=100.0):
 
 
 def xyz(nodes):
-    """Positions (x, y, z) of a list of nodes, as first_blockers takes them."""
+    """Positions (x, y, z) of a list of nodes, as links_blocked takes them."""
     return tuple(np.array([(n.x, n.y, n.z) for n in nodes]).T)
+
+
+def decide(cities, uavs, run, rx_x, rx_y, h_rx):
+    """sim3d.links_blocked, each link's length its own track's."""
+    tx_x, tx_y, _ = (np.asarray(c, dtype=float) for c in uavs)
+    run = np.asarray(run)
+    length = np.hypot(np.asarray(rx_x) - tx_x[run], np.asarray(rx_y) - tx_y[run])
+    return sim3d.links_blocked(cities, uavs, run, rx_x, rx_y, h_rx, length)
+
+
+def materialized(cities):
+    """The City of each key of implicit cities."""
+    layout = cities.layout
+    return [
+        generate_city(cities.params, layout.extent_x, layout.extent_y, key)
+        for key in cities.keys.tolist()
+    ]
+
+
+def edge_checks(grids, uavs, run, rx_x, rx_y, h_rx):
+    """Each link of links_blocked's arguments as a LinkGeometry, with its
+    check_los_edges outcome on the City grids[run[n]]."""
+    checks = []
+    for c, x, y in zip(np.asarray(run).tolist(), np.asarray(rx_x).tolist(),
+                       np.asarray(rx_y).tolist()):
+        tx = Node(*(float(v[c]) for v in uavs))
+        link = LinkGeometry.from_nodes(tx=tx, rx=Node(x, y, h_rx))
+        checks.append((link, check_los_edges(grids[c], link)))
+    return checks
 
 
 def one_uav(city, policy):
@@ -219,16 +247,17 @@ def test_vertical_link_outcomes():
         out = check(tall, face)
         assert not out.is_los
         assert (out.blocker.ix, out.blocker.iy, out.blocker.r_op) == (1, 1, 0.0)
-    link, ix, iy, t = first_blockers(Cities.of([tall]), xyz([face.tx]), [0], [10.0], [7.5], 1.5)
-    assert (link.tolist(), ix.tolist(), iy.tolist()) == ([0], [1], [1])
-    assert float((1.0 - t[0]) * face.r_rx) == 0.0
+    got = sim3d.links_blocked(Cities.of([tall]), xyz([face.tx]), [0], [10.0], [7.5], 1.5, 0.0)
+    assert got.tolist() == [True]
 
     # A receiver standing on the roof sees the UAV above it.
     on_roof = LinkGeometry.from_nodes(tx=Node(7.5, 7.5, 100.0), rx=Node(7.5, 7.5, 50.001))
     assert check_los_edges(shorter, on_roof).is_los
     assert check_los_dense(shorter, on_roof).is_los
-    blocked = first_blockers(Cities.of([shorter]), xyz([on_roof.tx]), [0], [7.5], [7.5], 50.001)
-    assert blocked[0].size == 0
+    got = sim3d.links_blocked(
+        Cities.of([shorter]), xyz([on_roof.tx]), [0], [7.5], [7.5], 50.001, 0.0
+    )
+    assert got.tolist() == [False]
 
 
 def test_endpoint_validation():
@@ -407,25 +436,25 @@ def test_boundary_contact_agrees_with_dense_oracle(name):
 
 
 def assert_pass_matches_dense(runs, h_rx):
-    """first_blockers over runs of (city, transmitter, receivers) in one
-    pass agrees, link by link, with the dense oracle; returns the blocked
-    links and their blocking cells."""
+    """links_blocked over runs of (city, transmitter, receivers) in one
+    pass agrees, link by link, with the dense oracle, and so does
+    check_los_edges, blocking cell and r_op included; returns the
+    blocked links and their blocking cells."""
     cities, txs, rxs = zip(*runs)
     run = [c for c, users in enumerate(rxs) for _ in users]
     users = [rx for users in rxs for rx in users]
-    link, ix, iy, t = first_blockers(
+    got = decide(
         Cities.of(cities), xyz(txs), run, [rx.x for rx in users], [rx.y for rx in users], h_rx
     )
-    blocked = dict(zip(link.tolist(), zip(ix.tolist(), iy.tolist())))
-    entry = dict(zip(link.tolist(), t.tolist()))
+    blocked = {}
     for n, (c, rx) in enumerate(zip(run, users)):
         geometry = LinkGeometry.from_nodes(tx=txs[c], rx=rx)
         dense = check_los_dense(cities[c], geometry)
-        assert (n not in blocked) == dense.is_los
-        if not dense.is_los:
-            assert blocked[n] == (dense.blocker.ix, dense.blocker.iy)
-            r_op = (1.0 - entry[n]) * geometry.r_rx
-            assert r_op == pytest.approx(dense.blocker.r_op, rel=0.0, abs=1e-6)
+        assert got[n] != dense.is_los
+        edges = check_los_edges(cities[c], geometry)
+        assert_same_outcome(edges, dense)
+        if not edges.is_los:
+            blocked[n] = (edges.blocker.ix, edges.blocker.iy)
     return blocked
 
 
@@ -548,13 +577,9 @@ def test_one_pass_over_several_cities_matches_single_links():
         rxs += users
         singles += [check_los_edges(city, LinkGeometry.from_nodes(tx=tx, rx=r)) for r in users]
     run = np.repeat(np.arange(3), 40)
-    link, ix, iy, _ = first_blockers(
-        Cities.of(cities), xyz(txs), run, [r.x for r in rxs], [r.y for r in rxs], 1.5
-    )
-    assert link.tolist() == [i for i, out in enumerate(singles) if not out.is_los]
-    assert 0 < link.size < len(singles)
-    for i, bx, by in zip(link.tolist(), ix.tolist(), iy.tolist()):
-        assert (singles[i].blocker.ix, singles[i].blocker.iy) == (bx, by)
+    got = decide(Cities.of(cities), xyz(txs), run, [r.x for r in rxs], [r.y for r in rxs], 1.5)
+    assert got.tolist() == [not out.is_los for out in singles]
+    assert 0 < got.sum() < len(singles)
 
 
 @pytest.mark.parametrize("budget", [1, 7, 150])
@@ -563,15 +588,15 @@ def test_links_blocked_does_not_depend_on_its_call_budget(budget, monkeypatch):
     # cities: a budget of one period decides each link in a call of its
     # own, and 7 and 150 periods cut the calls across city boundaries, so
     # a wrong link offset in any slice moves a decision.  Each link is
-    # decided as first_blockers, unstaged in one call, decides it.
+    # decided as check_los_edges decides it on its materialized city.
     params = ENVIRONMENTS["urban"]
     layout = derive_layout(params, 1500.0, 1500.0)
     cities = Cities(params, layout, run_keys(9, 6))
     uavs = place_uav(cities, RandomOverCity(60.0))
     radius = track_length(20.0, 60.0, 1.5)
     run, x, y = place_users(layout, uavs, 20.0, user_directions(20.0, 60), 1.5)
-    whole = np.zeros(run.size, dtype=bool)
-    whole[first_blockers(cities, uavs, run, x, y, 1.5)[0]] = True
+    checks = edge_checks(materialized(cities), uavs, run, x, y, 1.5)
+    whole = np.array([not out.is_los for _, out in checks])
     assert 10 < whole.sum() < run.size - 10
     tracks = []
     track_entries = citygeom.track_entries
@@ -588,7 +613,7 @@ def test_links_blocked_does_not_depend_on_its_call_budget(budget, monkeypatch):
     assert sliced.tolist() == whole.tolist()
 
 
-def test_first_blockers_refuses_a_run_out_of_order_or_past_its_cities():
+def test_links_blocked_refuses_a_run_out_of_order_or_past_its_cities():
     # Out of order, the links of a city are no longer contiguous: before
     # run was checked, a shuffled block lost a blocked link and raised
     # nothing.
@@ -596,57 +621,121 @@ def test_first_blockers_refuses_a_run_out_of_order_or_past_its_cities():
     layout = derive_layout(params, 1500.0, 1500.0)
     cities = Cities(params, layout, run_keys(3, 6))
     uavs = place_uav(cities, RandomOverCity(120.0))
+    radius = track_length(15.0, 120.0, 1.5)
     run, x, y = place_users(layout, uavs, 15.0, user_directions(15.0, 60), 1.5)
-    assert (run.size, first_blockers(cities, uavs, run, x, y, 1.5)[0].size) == (162, 138)
+    got = sim3d.links_blocked(cities, uavs, run, x, y, 1.5, radius)
+    assert (run.size, np.count_nonzero(got)) == (162, 138)
     order = np.random.default_rng(3).permutation(run.size)
     for bad, at in ((run[order], order), (run - 1, slice(None)), (run + 1, slice(None))):
         with pytest.raises(InvalidParams, match="non-decreasing and index the 6 cities"):
-            first_blockers(cities, uavs, bad, x[at], y[at], 1.5)
+            sim3d.links_blocked(cities, uavs, bad, x[at], y[at], 1.5, radius)
 
 
-def test_first_blockers_refuses_endpoints_off_the_extent():
+def test_links_blocked_refuses_endpoints_off_the_extent():
     # A track that leaves the extent can meet boxes farther beyond the
     # grid than its city's window of roofs reaches.
     cities = Cities.of([toy_city()])
     on = ([50.0], [50.0], [60.0])
-    assert first_blockers(cities, on, [0], [0.0], [100.0], 1.5)[0].size == 0
+    assert decide(cities, on, [0], [0.0], [100.0], 1.5).tolist() == [False]
     for rx in ((-0.5, 50.0), (50.0, 100.5)):
         with pytest.raises(OutOfExtent, match="receiver"):
-            first_blockers(cities, on, [0], [rx[0]], [rx[1]], 1.5)
+            decide(cities, on, [0], [rx[0]], [rx[1]], 1.5)
     with pytest.raises(OutOfExtent, match="transmitter"):
-        first_blockers(cities, ([50.0], [-20.0], [60.0]), [0], [50.0], [50.0], 1.5)
+        decide(cities, ([50.0], [-20.0], [60.0]), [0], [50.0], [50.0], 1.5)
 
 
-def test_first_blockers_skips_the_kernel_when_no_window_holds_a_cell(monkeypatch):
+def test_links_blocked_skips_the_kernel_when_no_window_holds_a_cell(monkeypatch):
     # Receivers straight under their UAVs, in streets of the toy grid:
     # no window holds a cell, so no link is blocked, and neither the
     # window roofs nor the kernel are looked up.  The input checks stay.
     cities = Cities.of([toy_city({(1, 1): 30.0})] * 2)
     uavs = ([2.5, 12.5], [7.5, 2.5], [60.0, 60.0])
     calls = []
-    for name in ("track_entries", "_window_roofs"):
-        monkeypatch.setattr(sim3d, name, lambda *args, name=name: calls.append(name))
-    got = first_blockers(cities, uavs, [0, 1], [2.5, 12.5], [7.5, 2.5], 1.5)
+    for module, name in ((citygeom, "track_entries"), (sim3d, "_window_roofs")):
+        monkeypatch.setattr(module, name, lambda *args, name=name: calls.append(name))
+    got = sim3d.links_blocked(cities, uavs, [0, 1], [2.5, 12.5], [7.5, 2.5], 1.5, 0.0)
     assert calls == []
-    assert [a.size for a in got] == [0] * 4
-    assert [a.dtype.name for a in got] == ["int64", "int64", "int64", "float64"]
+    assert got.dtype == bool and got.tolist() == [False, False]
     with pytest.raises(OutOfExtent, match="receiver"):
-        first_blockers(cities, uavs, [0, 1], [2.5, -12.5], [7.5, 2.5], 1.5)
+        sim3d.links_blocked(cities, uavs, [0, 1], [2.5, -12.5], [7.5, 2.5], 1.5, 0.0)
     with pytest.raises(InvalidParams, match="non-decreasing"):
-        first_blockers(cities, uavs, [1, 0], [12.5, 2.5], [2.5, 7.5], 1.5)
+        sim3d.links_blocked(cities, uavs, [1, 0], [12.5, 2.5], [2.5, 7.5], 1.5, 0.0)
     monkeypatch.undo()
     # A receiver on the far face x = p of box (1, 1) stands in the closed
     # box: its window holds that cell, and the box's roof blocks it.
-    got = first_blockers(cities, ([10.0], [7.5], [60.0]), [0], [10.0], [7.5], 1.5)
-    assert [a.tolist() for a in got] == [[0], [1], [1], [0.0]]
+    got = sim3d.links_blocked(cities, ([10.0], [7.5], [60.0]), [0], [10.0], [7.5], 1.5, 0.0)
+    assert got.tolist() == [True]
+
+
+@pytest.mark.parametrize("h_uav", [60.0, 120.0])
+@pytest.mark.parametrize("theta,staged", [(2.0, True), (5.0, True), (20.0, False), (60.0, False)])
+def test_links_blocked_equals_check_los_edges_link_by_link(theta, staged, h_uav, monkeypatch):
+    # Rings of 90 users around the UAVs of twelve implicit urban cities
+    # on a 4 km extent, which still holds some of the 3.4 km rings of
+    # theta 2: links_blocked, which stages the long rising tracks of
+    # theta 2 and 5 near their users first, decides each link as
+    # check_los_edges does on the materialized city of the same key.
+    params = ENVIRONMENTS["urban"]
+    layout = derive_layout(params, 4000.0, 4000.0)
+    cities = Cities(params, layout, run_keys(21, 12))
+    uavs = place_uav(cities, RandomOverCity(h_uav))
+    run, x, y = place_users(layout, uavs, theta, user_directions(theta, 90), 1.5)
+    stages = []
+    first_stage = citygeom.first_stage
+
+    def recorded(*args):
+        out = first_stage(*args)
+        stages.append(bool(out[0].any()))
+        return out
+
+    monkeypatch.setattr(citygeom, "first_stage", recorded)
+    got = sim3d.links_blocked(cities, uavs, run, x, y, 1.5, track_length(theta, h_uav, 1.5))
+    monkeypatch.undo()
+    assert stages == [staged]
+    checks = edge_checks(materialized(cities), uavs, run, x, y, 1.5)
+    assert got.tolist() == [not out.is_los for _, out in checks]
+    assert 0 < got.sum() < got.size
+
+
+def test_check_los_edges_makes_one_kernel_call_and_no_window_lookup(monkeypatch):
+    # One link of one materialized city: its track goes to the kernel
+    # once, whole, and its roofs are read from the city's own grid.
+    calls = []
+    track_entries, window_roofs = citygeom.track_entries, sim3d._window_roofs
+
+    def counted(*args):
+        calls.append("track_entries")
+        return track_entries(*args)
+
+    def windowed(*args):
+        calls.append("_window_roofs")
+        return window_roofs(*args)
+
+    for module in (citygeom, sim3d):
+        monkeypatch.setattr(module, "track_entries", counted)
+    monkeypatch.setattr(sim3d, "_window_roofs", windowed)
+    city = toy_city({(2, 1): 45.0})
+    links = [
+        ((2.0, 7.5, 100.0), (32.0, 7.5, 1.5), False),  # blocked by box (2, 1)
+        ((2.0, 17.5, 100.0), (32.0, 17.5, 1.5), True),  # under a clear row
+        ((2.5, 2.5, 100.0), (2.5, 2.5, 1.5), True),  # vertical, in a crossroad
+    ]
+    for tx, rx, is_los in links:
+        calls.clear()
+        link = LinkGeometry.from_nodes(tx=Node(*tx), rx=Node(*rx))
+        assert check_los_edges(city, link).is_los == is_los
+        assert calls == ["track_entries"]
 
 
 _FRINGE_EXTENT = 22.5 * derive_layout(ENVIRONMENTS["urban"]).period
 
 
 def reference_blockers(cities, uavs, run, rx_x, rx_y, h_rx):
-    """first_blockers from every box each uncut track meets in the grid,
-    with the roofs looked up entry by entry through Cities.roofs."""
+    """The blocked links of links_blocked's arguments, as arrays (link,
+    ix, iy, t) of the blocking cell nearest the transmitter and the
+    fraction t of the track from the receiver to its entry, from every
+    box each uncut track meets in the grid, with the roofs looked up
+    entry by entry through Cities.roofs."""
     tx_x, tx_y, tx_z = uavs
     link, ix, iy, t = track_entries(cities.layout, rx_x, rx_y, tx_x[run], tx_y[run])
     nx, ny = sim3d._grid_shape(cities.layout)
@@ -674,12 +763,10 @@ def test_window_gather_matches_a_roof_lookup_per_entry(explicit, h_rx):
     layout = derive_layout(params, _FRINGE_EXTENT, _FRINGE_EXTENT)
     p, s, w = layout.period, layout.s, layout.w
     assert sim3d._grid_shape(layout) == (22, 22) and _FRINGE_EXTENT - 22 * p > s
-    keys = run_keys(8, 12)
-    cities = Cities(params, layout, keys)
+    cities = Cities(params, layout, run_keys(8, 12))
+    grids = materialized(cities)
     if explicit:
-        cities = Cities.of(
-            [generate_city(params, _FRINGE_EXTENT, _FRINGE_EXTENT, k) for k in keys.tolist()]
-        )
+        cities = Cities.of(grids)
     x, y, z = place_uav(cities, RandomOverCity(100.0))
     x[-2:] = y[-2:] = (0.0, _FRINGE_EXTENT)
     face = 22 * p + s
@@ -694,12 +781,19 @@ def test_window_gather_matches_a_roof_lookup_per_entry(explicit, h_rx):
         users = [list(zip(rx_x[run == c], rx_y[run == c])) + edges.get(c, []) for c in range(12)]
         run = np.repeat(np.arange(12), [len(u) for u in users])
         rx_x, rx_y = (np.array(v) for v in zip(*[xy for u in users for xy in u]))
-        got = first_blockers(cities, (x, y, z), run, rx_x, rx_y, h_rx)
-        expected = reference_blockers(cities, (x, y, z), run, rx_x, rx_y, h_rx)
-        assert 0 < got[0].size < run.size
-        for a, b in zip(got, expected):
-            assert a.dtype == b.dtype
-            assert np.array_equal(a, b)
+        got = decide(cities, (x, y, z), run, rx_x, rx_y, h_rx)
+        link, ix, iy, t = reference_blockers(cities, (x, y, z), run, rx_x, rx_y, h_rx)
+        assert 0 < link.size < run.size
+        assert np.flatnonzero(got).tolist() == link.tolist()
+        # check_los_edges on the materialized city finds the same blocker.
+        checks = edge_checks(grids, (x, y, z), run, rx_x, rx_y, h_rx)
+        blockers = [
+            (n, out.blocker) for n, (_, out) in enumerate(checks) if not out.is_los
+        ]
+        assert [n for n, _ in blockers] == link.tolist()
+        for (n, blocker), bx, by, bt in zip(blockers, ix.tolist(), iy.tolist(), t.tolist()):
+            r_op = float((1.0 - bt) * checks[n][0].r_rx)
+            assert (blocker.ix, blocker.iy, blocker.r_op) == (bx, by, r_op)
 
 
 @pytest.mark.parametrize("env", ["urban", "high-rise", "suburban"])
@@ -1122,7 +1216,7 @@ def test_staged_and_unstaged_link_decisions_agree(case, lookup):
             cities = Cities(params, layout, keys)
             got = sim3d.links_blocked(cities, (x1, y1, tx_z), run, x0, y0, h_rx, length)
             expected = np.zeros(x0.size, dtype=bool)
-            expected[first_blockers(cities, (x1, y1, tx_z), run, x0, y0, h_rx)[0]] = True
+            expected[reference_blockers(cities, (x1, y1, tx_z), run, x0, y0, h_rx)[0]] = True
     assert got.dtype == bool and got.tolist() == expected.tolist()
 
 
