@@ -62,7 +62,6 @@ __all__ = [
     "call_slices",
     "CALL_PERIODS",
     "NEAR_PERIODS",
-    "first_stage",
     "blocked_links",
     "seed_keys",
     "run_keys",
@@ -498,21 +497,6 @@ def call_slices(cost):
 NEAR_PERIODS = 2
 
 
-def first_stage(cut_length, rise, p: float):
-    """The first stage of :func:`blocked_links` on links of cut ground
-    tracks cut_length and ray rises rise, on a grid of period p: the one
-    staging rule of both engines.
-
-    Returns which links it stages, those whose cut track is longer than
-    2*NEAR_PERIODS periods and whose ray rises (rise > 0), and what each
-    link costs that stage's calls (:func:`call_slices`) in grid periods
-    of the track it walks plus one: NEAR_PERIODS plus one for a staged
-    link, its whole cut track plus one for every other.
-    """
-    staged = (cut_length > 2.0 * NEAR_PERIODS * p) & (rise > 0.0)
-    return staged, np.where(staged, float(NEAR_PERIODS), np.divide(cut_length, p)) + 1.0
-
-
 def blocked_links(layout: CityLayout, x_rx, y_rx, x_tx, y_tx, length, h_rx: float, rise,
                   roofs, t_max=1.0) -> np.ndarray:
     """Whether a roof blocks each link of a batch: the one link decision
@@ -532,9 +516,11 @@ def blocked_links(layout: CityLayout, x_rx, y_rx, x_tx, y_tx, length, h_rx: floa
     whose ray rises (rise > 0) is decided on its first NEAR_PERIODS
     periods first, and every other link on its whole cut track, in
     calls of citygeom.CALL_PERIODS periods (:func:`call_slices`), each
-    link counting as the part it walks plus one (:func:`first_stage`).
-    The links left clear there are then walked from the near cut to
-    their cut (t_min of :func:`track_entries`).  The result is exact: a box entered before
+    link counting as the part it walks plus one.  This is the one
+    staging rule of both engines, and the one place that sizes their
+    kernel calls.  The links left clear there are then walked from the
+    near cut to their cut (t_min of :func:`track_entries`), in calls of
+    the same budget.  The result is exact: a box entered before
     the near cut is listed in the first stage at its own entry, and if
     the second stage lists it too, it does so at the near cut, where
     the rising ray stands higher, so it blocks in neither; every box
@@ -556,7 +542,8 @@ def blocked_links(layout: CityLayout, x_rx, y_rx, x_tx, y_tx, length, h_rx: floa
     reach = NEAR_PERIODS * p
     blocked = np.zeros(np.size(x_rx), dtype=bool)
     cut_length = np.multiply(t_max, length, out=np.empty(blocked.shape))
-    staged, cost = first_stage(cut_length, rise, p)
+    staged = (cut_length > 2.0 * NEAR_PERIODS * p) & (rise > 0.0)
+    cost = np.where(staged, float(NEAR_PERIODS), np.divide(cut_length, p)) + 1.0
     staged = np.flatnonzero(staged)
     first_cut = t_max
     if staged.size:

@@ -26,8 +26,8 @@ grid point q of a sweep takes as its seed key q of the master seed,
 point's seed (:func:`uavlos.citygeom.run_keys`).
 The geometry engine decides consecutive points with the same params
 together (:func:`uavlos.simgeom.estimate_points`), so a 170-point
-heatmap shares 10 kernel calls instead of making one per point, and
-derives the keys of each call's links at once.
+heatmap shares 12 kernel calls instead of making one per point, and
+derives the keys of each chunk's links at once.
 A geometry-engine spec checks every grid point's ground-track length
 when it is created, so a point the engine would refuse is an illegal
 spec; a baseline spec resolves each point's model then, and checks a
@@ -430,7 +430,7 @@ def _estimate_points(
     Consecutive geometry-engine points with the same params (all of them
     unless alpha or gamma is swept) are decided in one
     :func:`uavlos.simgeom.estimate_points` call, and each point's time is
-    its share of that call's kernel chunks; sim3d and baseline points are
+    its share of that call's chunks; sim3d and baseline points are
     estimated and timed one by one, each sim3d point from the run keys of
     its seed (:func:`uavlos.citygeom.run_keys`).
     """

@@ -233,10 +233,23 @@ class StreetCenter:
 UavPlacementPolicy = FixedPoint | RandomOverCity | BuildingTop | CrossroadCenter | StreetCenter
 
 
-#: Most building cells :func:`generate_city` materializes: a grid of
-#: 1000 x 1000 cells holds 8 MB of roofs, and its urban export writes
-#: 26 MB of text and peaks at 172 MB RSS.
+#: Most building cells :func:`generate_city` and :func:`city_from_text`
+#: materialize: a grid of 1000 x 1000 cells holds 8 MB of roofs, and its
+#: urban export writes 26 MB of text and peaks at 122 MB RSS.
 MAX_CITY_CELLS = 1_000_000
+
+
+def _city_grid(layout: CityLayout) -> tuple[int, int]:
+    """The building cells per axis (:func:`_grid_shape`) of a city to
+    materialize on layout, refused (InvalidParams) over MAX_CITY_CELLS
+    cells."""
+    nx, ny = _grid_shape(layout)
+    if nx * ny > MAX_CITY_CELLS:
+        raise InvalidParams(
+            f"extent {layout.extent_x:g} x {layout.extent_y:g} holds {nx} x {ny} building cells, "
+            f"more than the {MAX_CITY_CELLS} a materialized city may hold"
+        )
+    return nx, ny
 
 
 def generate_city(
@@ -251,12 +264,7 @@ def generate_city(
     """
     key = _city_key(seed)
     layout = derive_layout(params, extent_x, extent_y)
-    nx, ny = _grid_shape(layout)
-    if nx * ny > MAX_CITY_CELLS:
-        raise InvalidParams(
-            f"extent {extent_x:g} x {extent_y:g} holds {nx} x {ny} building cells, "
-            f"more than the {MAX_CITY_CELLS} a materialized city may hold"
-        )
+    nx, ny = _city_grid(layout)
     ix = np.arange(1, nx + 1)[:, None]
     iy = np.arange(1, ny + 1)[None, :]
     heights = roof_heights(np.uint64(key), ix, iy, params.gamma)
@@ -781,15 +789,17 @@ def city_to_text(city: City) -> str:
         f"extent_x={city.layout.extent_x!r} extent_y={city.layout.extent_y!r} "
         f"seed={city.seed}"
     ]
-    nx, ny = city.heights.shape
-    for ix in range(nx):
-        for iy in range(ny):
-            lines.append(f"{ix + 1} {iy + 1} {float(city.heights[ix, iy])!r}")
+    for ix, row in enumerate(city.heights.tolist(), start=1):
+        lines.append("\n".join(f"{ix} {iy} {h!r}" for iy, h in enumerate(row, start=1)))
     return "\n".join(lines) + "\n"
 
 
 def city_from_text(text: str) -> City:
-    """Parse the flat text format back into a City (bit-for-bit)."""
+    """Parse the flat text format back into a City (bit-for-bit).
+
+    A header whose extent holds more than MAX_CITY_CELLS building cells
+    is refused (ParseError at line 1) before the grid is allocated, as
+    :func:`generate_city` refuses it."""
     lines = text.splitlines()
     if not lines or not lines[0].startswith("# city "):
         raise ParseError("missing '# city' header", 1)
@@ -808,10 +818,10 @@ def city_from_text(text: str) -> City:
         extent_x = float(fields["extent_x"])
         extent_y = float(fields["extent_y"])
         seed = _city_key(int(fields["seed"]))
+        layout = derive_layout(params, extent_x, extent_y)
+        nx, ny = _city_grid(layout)
     except (KeyError, ValueError, InvalidParams) as exc:
         raise ParseError(f"bad header: {exc}", 1) from exc
-    layout = derive_layout(params, extent_x, extent_y)
-    nx, ny = _grid_shape(layout)
     heights = np.zeros((nx, ny))
     seen = np.zeros((nx, ny), dtype=bool)
     for line_no, line in enumerate(lines[1:], start=2):

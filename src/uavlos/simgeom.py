@@ -22,23 +22,21 @@ same stream, evaluated only under the UAV and at the track's entries
 
 :func:`estimate_points` decides the links of several points (scenarios
 that share params, user zone and h_rx) together, in chunks of
-:data:`uavlos.citygeom.CALL_PERIODS` grid periods of ground track, the
-budget the 3D engine's kernel calls take too: each link counts as what
-its point's longest track costs the first stage of its decision, and a
-chunk fills across point boundaries (:func:`_chunks`).  A chunk's
+:data:`CHUNK_LINKS` links that fill across point boundaries.  A chunk's
 links are decided by :func:`uavlos.citygeom.blocked_links`, the 3D
-engine's link decision too: a track longer than 2*NEAR_PERIODS periods
-is decided on its first NEAR_PERIODS periods from the user first, and
-only the links left clear there are walked on, from that cut to their
-UAVs (:func:`_first_blockers`), so such a link costs the first stage
-NEAR_PERIODS periods plus one, and any other link its track plus one.
-The 170-point high-rise heatmap of 200 links per point so takes 8
-chunks and 10 kernel calls, not 170.  A chunk
-derives the keys of all its links in one
-:func:`uavlos.citygeom.stream_bits` call.  Theta, azimuth and altitude are
-per-link values of a chunk.  Because a link's draws depend on its key
-alone and each stage is exact, the chunking bounds memory and leaves
-every estimate unchanged; :func:`estimate_plos` is its one-point case.
+engine's link decision too, which alone sizes the kernel calls, by
+:data:`uavlos.citygeom.CALL_PERIODS` grid periods of the ground track
+each call walks: a track longer than 2*NEAR_PERIODS periods is decided
+on its first NEAR_PERIODS periods from the user first, and only the
+links left clear there are walked on, from that cut to their UAVs
+(:func:`_first_blockers`).  The 170-point high-rise heatmap of 200
+links per point so takes 6 chunks and 12 kernel calls, not 170.  A
+chunk derives the keys of all its links in one
+:func:`uavlos.citygeom.stream_bits` call.  Theta, azimuth and altitude
+are per-link values of a chunk.  Because a link's draws depend on its
+key alone and each stage is exact, the chunking bounds memory and
+leaves every estimate unchanged; :func:`estimate_plos` is its one-point
+case.
 """
 
 from __future__ import annotations
@@ -51,9 +49,7 @@ from typing import Literal
 
 import numpy as np
 
-from . import citygeom
 from .citygeom import (
-    NEAR_PERIODS,
     BuiltUpParams,
     CityLayout,
     bits_to_uniforms,
@@ -82,11 +78,11 @@ UserZone = Literal["street", "crossroad", "mixed"]
 USER_ZONES = ("street", "crossroad", "mixed")
 
 #: Longest ground track, in grid periods, that a scenario may ask for.
-#: Chunks are sized by track length, so this bound no longer limits
-#: memory (a 1 000-link urban point at h_uav 100 m and theta 0.1, tracks
-#: of 1262 periods, peaks at 36 MB RSS, against 85 MB with a fixed 256
-#: links per chunk); it limits the work per link, which grows as
-#: 1/tan(theta): theta 0.001 would list 100 times the boxes of theta 0.1.
+#: Kernel calls are sized by track length (citygeom.CALL_PERIODS), so
+#: this bound does not limit memory (a 1 000-link urban point at h_uav
+#: 100 m and theta 0.1, tracks of 1262 periods, peaks at 31 MB RSS); it
+#: limits the work per link, which grows as 1/tan(theta): theta 0.001
+#: would list 100 times the boxes of theta 0.1.
 MAX_TRACK_PERIODS = 2048
 
 
@@ -314,8 +310,8 @@ def _draw_links(
     for "mixed" only, the azimuth of a round only where some link of
     the pass draws its azimuth, and the altitude likewise
     (:func:`_round_rows`).  So a round of fixed azimuth and altitude
-    hashes three positions, not five.  Of the 8 chunks of the 170-point
-    high-rise heatmap at seed 1, seven take two passes and one three,
+    hashes three positions, not five.  Of the 6 chunks of the 170-point
+    high-rise heatmap at seed 1, five take two passes and one three,
     where a round at a time took up to six.  A link still rejected
     after PLACEMENT_ROUNDS rounds fails the chunk (InvalidParams),
     naming the point of the first such link.
@@ -393,12 +389,13 @@ def _first_blockers(
 
     The links go to :func:`uavlos.citygeom.blocked_links`, the 3D
     engine's link decision too, with their roofs looked up in their
-    accepted cities: a link whose track is longer than 2*NEAR_PERIODS
-    periods is decided on its first NEAR_PERIODS periods from the user
-    first, and the links left clear there are walked from that cut to
-    their UAVs.  Low links are mostly blocked near their users: on urban
-    at theta 5 and 10, 92 to 94% of the blocked links are blocked within
-    two periods of theirs, so the second stage takes few links.
+    accepted cities; it sizes the kernel calls.  A link whose track is
+    longer than 2*NEAR_PERIODS periods is decided on its first
+    NEAR_PERIODS periods from the user first, and the links left clear
+    there are walked from that cut to their UAVs.  Low links are mostly
+    blocked near their users: on urban at theta 5 and 10, 92 to 94% of
+    the blocked links are blocked within two periods of theirs, so the
+    second stage takes few links.
     """
     ux, uy, vx, vy, vz, city = _draw_links(scenarios, values, layout, keys, point)
     h_rx, gamma = scenarios[0].h_rx, scenarios[0].params.gamma
@@ -413,39 +410,15 @@ def _first_blockers(
     return np.bincount(point[nlos], minlength=len(scenarios))
 
 
-def _chunks(scenarios: Sequence[GeomScenario], n_runs: int, period: float):
-    """Split the links of every point into chunks of citygeom.CALL_PERIODS
-    grid periods of ground track, each link counting as what its point's
-    longest track costs the first stage of its decision
-    (:func:`uavlos.citygeom.first_stage`): NEAR_PERIODS plus one if that
-    stage cuts it, its length plus one if not.  A chunk fills across
-    point boundaries and takes at least one link.
-
-    At a fixed altitude every link of a point costs that much, so a
-    chunk's first stage fits one kernel call.  Where altitudes are drawn
-    and the longest track is cut, a shorter track that is not cut costs
-    up to 2*NEAR_PERIODS plus one, and the first stage may take a second
-    call.  The links left to a second stage go into calls of their own,
-    which the same budget bounds.
-
-    Yields each chunk as a list of (point index, start, stop) slices of
-    the points' links, of consecutive points.
-    """
-    budget = citygeom.CALL_PERIODS
-    chunk, room = [], budget
-    tracks = [track_length(sc.theta_deg, sc.h_max, sc.h_rx) for sc in scenarios]
-    costs = citygeom.first_stage(np.array(tracks), 1.0, period)[1].tolist()
-    for q, cost in enumerate(costs):
-        start = 0
-        while start < n_runs:
-            if chunk and room < cost:
-                yield chunk
-                chunk, room = [], budget
-            take = min(n_runs - start, max(1, math.floor(room / cost)))
-            chunk.append((q, start, start + take))
-            room -= take * cost
-            start += take
-    yield chunk
+#: Links of the points of one :func:`estimate_points` call that are
+#: drawn and decided together, across point boundaries.  A chunk's draws
+#: take memory in proportion to its links; its kernel calls are sized by
+#: :func:`uavlos.citygeom.blocked_links` alone.  The traced peak of the
+#: 170-point high-rise heatmap is 1.73 MB at 4096 links, 2.11 MB at
+#: 6144, 2.37 MB at 8192 and 3.68 MB at 16384, against the 2.43 MB its
+#: test allows.  In warm runs of the urban theta sweep and that heatmap
+#: on a 2-vCPU machine, 4096 was the slowest of 4096, 6144 and 8192.
+CHUNK_LINKS = 6144
 
 
 def estimate_points(
@@ -457,14 +430,16 @@ def estimate_points(
     The scenarios must share params, user zone and h_rx; theta, azimuth
     and altitude may differ.  Link i of point q is the uint64 key
     ``run_keys(seeds[q], n_runs)[i]`` (:func:`uavlos.citygeom.run_keys`),
-    drawn as :func:`_draw_links` describes.  The links are decided in
-    chunks of citygeom.CALL_PERIODS grid periods of ground track (see
-    :func:`_chunks`), each chunk deriving the keys of its links in one
+    drawn as :func:`_draw_links` describes.  Link j of the group is run
+    j % n_runs of point j // n_runs, and the links are decided in chunks
+    of CHUNK_LINKS consecutive links, across point boundaries, each
+    chunk deriving the keys of its links in one
     :func:`uavlos.citygeom.stream_bits` call and deciding its long
-    tracks near their users first (:func:`_first_blockers`).  That bounds memory and leaves every
-    estimate unchanged: a link's draws depend on its key alone, and a
-    link blocked near its user is blocked on its whole track, so each
-    estimate equals :func:`estimate_plos` of its point alone.
+    tracks near their users first (:func:`_first_blockers`).  That
+    bounds memory and leaves every estimate unchanged: a link's draws
+    depend on its key alone, and a link blocked near its user is blocked
+    on its whole track, so each estimate equals :func:`estimate_plos` of
+    its point alone.
 
     Returns the estimates and, per point, its share in seconds of each
     chunk's wall time, in proportion to its links in that chunk, so the
@@ -482,19 +457,18 @@ def estimate_points(
     point_keys = seed_keys(seeds)
     nlos = np.zeros(len(scenarios), dtype=np.int64)
     seconds = np.zeros(len(scenarios))
+    total = len(scenarios) * n_runs
     clock = time.perf_counter()
-    for chunk in _chunks(scenarios, n_runs, layout.period):
-        q, start, stop = np.array(chunk).T
-        sizes = stop - start
+    for start in range(0, total, CHUNK_LINKS):
+        # Run i of point q is position i of the stream of q's key, as in
+        # run_keys.
+        q, run = np.divmod(np.arange(start, min(start + CHUNK_LINKS, total)), n_runs)
+        keys = stream_bits(point_keys.take(q), run)
         points = slice(q[0], q[-1] + 1)
-        point = np.repeat(np.arange(q.size), sizes)
-        # Link i of point q is position i of the stream of q's key, as in
-        # run_keys: the chunk's positions run from start to stop per point.
-        run = np.arange(point.size) + (start - np.cumsum(sizes) + sizes).take(point)
-        keys = stream_bits(point_keys.take(q).take(point), run)
+        point = q - q[0]
         nlos[points] += _first_blockers(scenarios[points], values[points], layout, keys, point)
         now = time.perf_counter()
-        seconds[points] += (now - clock) * sizes / keys.size
+        seconds[points] += (now - clock) * np.bincount(point) / keys.size
         clock = now
     estimates = [PLosEstimate.from_counts(n_runs - int(k), n_runs) for k in nlos]
     return estimates, seconds.tolist()

@@ -17,7 +17,7 @@ from uavlos import cli, harness, sim3d
 from uavlos.baselines import GridProduct, evaluate
 from uavlos.citygeom import ENVIRONMENTS, roof_heights
 from uavlos.cli import _parse_extent, _parse_grid, build_parser, main
-from uavlos.errors import IllegalSpec, InvalidParams
+from uavlos.errors import IllegalSpec, InvalidParams, ParseError
 from uavlos.sim3d import generate_city, load_city
 
 URBAN = ENVIRONMENTS["urban"]
@@ -593,10 +593,11 @@ def test_package_source_names_no_numpy_random():
 _CHILD_ADDRESS_SPACE = 1 << 30
 
 
-def run_cli_limited(tmp_path, *argv):
-    """Run the CLI in a child process whose address space is limited to
-    _CHILD_ADDRESS_SPACE, so that an unbounded allocation fails there
-    instead of loading the machine; the limit is set on the child only."""
+def run_python_limited(tmp_path, *argv):
+    """Run python with argv in a child process whose address space is
+    limited to _CHILD_ADDRESS_SPACE, so that an unbounded allocation
+    fails there instead of loading the machine; the limit is set on the
+    child only."""
     def limit():
         resource.setrlimit(resource.RLIMIT_AS, (_CHILD_ADDRESS_SPACE, _CHILD_ADDRESS_SPACE))
 
@@ -606,9 +607,14 @@ def run_cli_limited(tmp_path, *argv):
         [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
     )
     return subprocess.run(
-        [sys.executable, "-m", "uavlos.cli", *map(str, argv)], cwd=tmp_path, env=env,
+        [sys.executable, *map(str, argv)], cwd=tmp_path, env=env,
         capture_output=True, text=True, timeout=120, preexec_fn=limit,
     )
+
+
+def run_cli_limited(tmp_path, *argv):
+    """Run the CLI as run_python_limited runs python."""
+    return run_python_limited(tmp_path, "-m", "uavlos.cli", *argv)
 
 
 @pytest.mark.parametrize("argv,message", [
@@ -628,6 +634,22 @@ def test_inputs_that_would_exhaust_memory_exit_two(tmp_path, argv, message):
     assert list(tmp_path.iterdir()) == []
 
 
+def test_a_city_header_that_would_exhaust_memory_is_a_parse_error(tmp_path):
+    # The header of a 1 000 km urban city names 22 360 x 22 360 roofs
+    # (3.7 GiB): the parser refuses it at line 1, as generate_city refuses
+    # the extent, before its grid is allocated.
+    header = ("# city alpha=0.3 beta=500.0 gamma=15.0 extent_x=1000000.0 "
+              "extent_y=1000000.0 seed=1\n")
+    code = ("import sys\nfrom uavlos.errors import ParseError\n"
+            "from uavlos.sim3d import city_from_text\n"
+            "try:\n    city_from_text(sys.argv[1])\n"
+            "except ParseError as exc:\n    print(exc)\n")
+    proc = run_python_limited(tmp_path, "-c", code, header)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("line 1: bad header: ")
+    assert "holds 22360 x 22360 building cells" in proc.stdout
+
+
 def test_memory_bounds_admit_inputs_up_to_them(monkeypatch):
     common = dict(params=URBAN, axes=(harness.SweepAxis("theta", (30.0,)),), seed=1)
     harness.SweepSpec(engine="sim3d", n_users=harness.MAX_USERS, **common)
@@ -636,9 +658,13 @@ def test_memory_bounds_admit_inputs_up_to_them(monkeypatch):
     # A 1 000 m urban extent holds 22 x 22 cells.
     monkeypatch.setattr(sim3d, "MAX_CITY_CELLS", 22 * 22)
     assert generate_city(URBAN, 1000.0, 1000.0, 3).heights.shape == (22, 22)
+    text = sim3d.city_to_text(generate_city(URBAN, 1000.0, 1000.0, 3))
+    assert sim3d.city_from_text(text).heights.shape == (22, 22)
     monkeypatch.setattr(sim3d, "MAX_CITY_CELLS", 22 * 22 - 1)
     with pytest.raises(InvalidParams, match="22 x 22 building cells"):
         generate_city(URBAN, 1000.0, 1000.0, 3)
+    with pytest.raises(ParseError, match="line 1: .*22 x 22 building cells"):
+        sim3d.city_from_text(text)
 
 
 # -- heap setting ---------------------------------------------------------------

@@ -3,7 +3,7 @@ import time
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from uavlos import citygeom, harness, sim3d, simgeom
@@ -334,30 +334,26 @@ def test_compare_engines_overhead_row():
     assert row.abs_delta == 0.0
 
 
-def test_compare_engines_decides_every_geometry_theta_in_shared_kernel_calls(monkeypatch):
+def test_compare_engines_decides_every_geometry_theta_in_shared_kernel_calls(
+    monkeypatch, kernel_calls
+):
     # 3 x 300 urban links of at most 1.3 periods fit one call's budget.
     # Only the calls of the geometry engine count; the 3D engine calls
     # the same kernel.
-    calls, deciding = [], []
-    track_entries, first_blockers = citygeom.track_entries, simgeom._first_blockers
-
-    def counted(*args):
-        if deciding:
-            calls.append(np.size(args[1]))
-        return track_entries(*args)
+    geom = []
+    first_blockers = simgeom._first_blockers
 
     def geom_chunk(*args):
-        deciding.append(True)
+        start = len(kernel_calls)
         try:
             return first_blockers(*args)
         finally:
-            deciding.pop()
+            geom.extend(kernel_calls[start:])
 
-    monkeypatch.setattr(citygeom, "track_entries", counted)
     monkeypatch.setattr(simgeom, "_first_blockers", geom_chunk)
     rows = compare_engines(URBAN, (60.0, 70.0, 80.0), n3d=2, ngeom=300, seed=0)
     assert [row.geom.n for row in rows] == [300] * 3
-    assert calls == [900]
+    assert [call.links for call in geom] == [900]
 
 
 def test_timing_rows_share_the_sweep_estimation_time():
@@ -426,23 +422,15 @@ def sim3d_point(spec, theta, phi):
 
 
 def sim3d_work(monkeypatch):
-    """Record, for every sim3d block, its number of cities, for every
-    sim3d kernel call, its tracks, its entries and its stage (2 where
-    the tracks start at a cut near their users, 1 elsewhere), and for
-    every lookup of a block's window roofs, the roofs it looks up."""
-    blocks, calls, lookups = [], [], []
+    """Record, for every sim3d block, its number of cities, and for
+    every lookup of a block's window roofs, the roofs it looks up (the
+    kernel_calls fixture records the kernel calls)."""
+    blocks, lookups = [], []
     looking = []
 
     def counted_block(cities, policy):
         blocks.append(cities.keys.size)
         return place_uav(cities, policy)
-
-    track_entries = citygeom.track_entries
-
-    def counted_call(layout, x_rx, y_rx, x_tx, y_tx, t_max=1.0, t_min=0.0):
-        out = track_entries(layout, x_rx, y_rx, x_tx, y_tx, t_max, t_min)
-        calls.append((np.size(x_rx), out[0].size, 2 if np.ndim(t_min) else 1))
-        return out
 
     window_roofs = sim3d._window_roofs
 
@@ -461,10 +449,9 @@ def sim3d_work(monkeypatch):
         return roofs(self, run, ix, iy)
 
     monkeypatch.setattr(harness, "place_uav", counted_block)
-    monkeypatch.setattr(citygeom, "track_entries", counted_call)
     monkeypatch.setattr(sim3d, "_window_roofs", windowed)
     monkeypatch.setattr(sim3d.Cities, "roofs", counted_roofs)
-    return blocks, calls, lookups
+    return blocks, lookups
 
 
 @pytest.mark.parametrize(
@@ -478,7 +465,7 @@ def sim3d_work(monkeypatch):
     ids=["circle", "fixed-phi", "theta-90", "theta-3"],
 )
 def test_sim3d_blocks_and_calls_do_not_change_the_estimate(
-    theta, phi, extent, mid_block, blocks, mid_call, monkeypatch
+    theta, phi, extent, mid_block, blocks, mid_call, monkeypatch, kernel_calls
 ):
     # 12 cities of 90 circle users (or one user) fit one block by default
     # but for the theta 3 rings, whose windows span the whole 67 x 67 grid
@@ -492,13 +479,15 @@ def test_sim3d_blocks_and_calls_do_not_change_the_estimate(
         engine="sim3d", params=URBAN, extent=(extent, extent),
         axes=(SweepAxis("theta", (theta,)),), n_runs=12, n_users=90, seed=3,
     )
-    sizes, calls, _ = sim3d_work(monkeypatch)
+    sizes, _ = sim3d_work(monkeypatch)
     pooled = sim3d_point(spec, theta, phi)
     assert sizes == ([7, 5] if theta == 3.0 else [12])
     # Every link goes to the kernel once in the first stage.  Only the
     # theta 3 tracks are long enough to be staged, and the links they
-    # leave clear near their users go once more in the second.
-    stages = [sum(tracks for tracks, _, stage in calls if stage == k) for k in (1, 2)]
+    # leave clear near their users go once more in the second, where
+    # the tracks start at an array of cuts near their users.
+    stages = [sum(call.links for call in kernel_calls if np.ndim(call.t_min) == k)
+              for k in (0, 1)]
     if theta == 90.0:
         assert stages == [0, 0]
     elif theta == 3.0:
@@ -512,12 +501,12 @@ def test_sim3d_blocks_and_calls_do_not_change_the_estimate(
         assert sim3d_point(spec, theta, phi) == pooled
         assert sizes == expected
     monkeypatch.undo()
-    sizes, calls, _ = sim3d_work(monkeypatch)
+    sizes, _ = sim3d_work(monkeypatch)
     for budget in (1, mid_call):
         monkeypatch.setattr(citygeom, "CALL_PERIODS", budget)
-        calls.clear()
+        kernel_calls.clear()
         assert sim3d_point(spec, theta, phi) == pooled
-        tracks = [n for n, _, _ in calls]
+        tracks = [call.links for call in kernel_calls]
         assert sum(tracks) == links
         if theta == 90.0:
             assert tracks == []
@@ -528,7 +517,7 @@ def test_sim3d_blocks_and_calls_do_not_change_the_estimate(
     assert 0 < pooled.k < pooled.n or theta == 90.0
 
 
-def test_a_theta_90_sim3d_point_makes_no_kernel_call(monkeypatch):
+def test_a_theta_90_sim3d_point_makes_no_kernel_call(monkeypatch, kernel_calls):
     # At theta 90 each user stands in a street under its UAV, so no
     # window holds a cell of the grid: the point makes no kernel call,
     # and keeps the estimate it had when every block called the kernel.
@@ -536,10 +525,10 @@ def test_a_theta_90_sim3d_point_makes_no_kernel_call(monkeypatch):
         engine="sim3d", params=URBAN, extent=(1000.0, 1000.0),
         axes=(SweepAxis("theta", (90.0,)),), n_runs=3000, seed=3,
     )
-    blocks, calls, _ = sim3d_work(monkeypatch)
+    blocks, _ = sim3d_work(monkeypatch)
     estimate = sim3d_point(spec, 90.0, None)
     assert (estimate.n, estimate.k) == (2153, 2153)
-    assert blocks and calls == []
+    assert blocks and kernel_calls == []
 
 
 def test_sim3d_points_derive_their_run_keys_a_block_at_a_time(monkeypatch):
@@ -580,7 +569,8 @@ def test_sim3d_points_derive_their_run_keys_a_block_at_a_time(monkeypatch):
 
 
 @pytest.mark.parametrize("budget", [None, 1024], ids=["default", "small"])
-def test_sim3d_working_set_follows_the_block_and_call_budgets(budget, monkeypatch):
+def test_sim3d_working_set_follows_the_block_and_call_budgets(budget, monkeypatch,
+                                                             kernel_calls):
     # A cut track of L periods meets at most about sqrt(2)*L + 3 boxes and
     # counts L + 1 periods of its call's budget, so no call lists more
     # than about 3 entries per period; a block bounds its cities' window
@@ -588,7 +578,7 @@ def test_sim3d_working_set_follows_the_block_and_call_budgets(budget, monkeypatc
     # the 3 000 one-user cities at theta 10 and a fixed azimuth look up
     # 200 000 window cells at once, and with one call per block a theta 10
     # call lists 28 000 entries.
-    _, calls, lookups = sim3d_work(monkeypatch)
+    _, lookups = sim3d_work(monkeypatch)
     if budget is not None:
         monkeypatch.setattr(citygeom, "CALL_PERIODS", budget)
     points = [(theta, None, 60) for theta in (2.0, 3.0, 5.0, 10.0, 30.0, 60.0, 90.0)]
@@ -598,8 +588,8 @@ def test_sim3d_working_set_follows_the_block_and_call_budgets(budget, monkeypatc
                          n_runs=n_runs, seed=3)
         assert sim3d_point(spec, theta, phi).n > 0
     assert max(lookups) <= harness.BLOCK_ELEMENTS
-    assert max(entries for _, entries, _ in calls) <= 4 * citygeom.CALL_PERIODS
-    assert len(calls) > len(points) and len(lookups) > len(points)
+    assert max(call.entries for call in kernel_calls) <= 4 * citygeom.CALL_PERIODS
+    assert len(kernel_calls) > len(points) and len(lookups) > len(points)
 
 
 @pytest.mark.parametrize("axes", [
@@ -636,7 +626,9 @@ def test_sim3d_point_without_a_valid_user_is_a_runtime_error():
         run_sweep(spec)
 
 
-@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+# kernel_calls is not reset between examples, so each example clears it.
+@settings(max_examples=60, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(
     engine=st.sampled_from(["geom", "sim3d"]),
     env=st.sampled_from(sorted(ENVIRONMENTS)),
@@ -647,7 +639,8 @@ def test_sim3d_point_without_a_valid_user_is_a_runtime_error():
 @example(engine="sim3d", env="urban", theta=5e-324, h_uav=100.0)
 @example(engine="geom", env="suburban", theta=0.05, h_uav=20.0)
 @example(engine="sim3d", env="urban", theta=0.001, h_uav=2.0)
-def test_theta_near_0_or_90_is_decided_or_refused_with_a_typed_error(engine, env, theta, h_uav):
+def test_theta_near_0_or_90_is_decided_or_refused_with_a_typed_error(engine, env, theta, h_uav,
+                                                                   kernel_calls):
     # Theta near 0 puts the UAV far from its user, up to an infinite
     # track where the tangent of theta rounds to 0; theta 90 puts it
     # overhead, a track of zero length.  Each point is either decided or
@@ -655,25 +648,15 @@ def test_theta_near_0_or_90_is_decided_or_refused_with_a_typed_error(engine, env
     # engine bounds its tracks (check_track_length), and the 3D engine
     # refuses a user ring wider than its extent or a point left with no
     # user on it.  Overhead, every link is LoS.
-    calls = []
-
-    def counted(track_entries):
-        def kernel(*args, **kwargs):
-            calls.append(args)
-            return track_entries(*args, **kwargs)
-        return kernel
-
-    with pytest.MonkeyPatch.context() as patch:
-        for module in (citygeom, sim3d):
-            patch.setattr(module, "track_entries", counted(module.track_entries))
-        try:
-            spec = SweepSpec(engine=engine, params=ENVIRONMENTS[env], extent=(1000.0, 1000.0),
-                             axes=(SweepAxis("theta", (theta,)),), h_uav=h_uav, n_runs=20,
-                             n_users=20, seed=5)
-            (row,) = run_sweep(spec).rows
-        except UavLosError:
-            assert calls == []
-            return
+    kernel_calls.clear()
+    try:
+        spec = SweepSpec(engine=engine, params=ENVIRONMENTS[env], extent=(1000.0, 1000.0),
+                         axes=(SweepAxis("theta", (theta,)),), h_uav=h_uav, n_runs=20,
+                         n_users=20, seed=5)
+        (row,) = run_sweep(spec).rows
+    except UavLosError:
+        assert kernel_calls == []
+        return
     estimate = row.estimate
     assert 0 <= estimate.k <= estimate.n and estimate.n >= 1
     if engine == "geom":

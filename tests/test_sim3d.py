@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -583,7 +584,7 @@ def test_one_pass_over_several_cities_matches_single_links():
 
 
 @pytest.mark.parametrize("budget", [1, 7, 150])
-def test_links_blocked_does_not_depend_on_its_call_budget(budget, monkeypatch):
+def test_links_blocked_does_not_depend_on_its_call_budget(budget, monkeypatch, kernel_calls):
     # Urban rings of 60 users at theta 20 around the UAVs of six implicit
     # cities: a budget of one period decides each link in a call of its
     # own, and 7 and 150 periods cut the calls across city boundaries, so
@@ -598,16 +599,10 @@ def test_links_blocked_does_not_depend_on_its_call_budget(budget, monkeypatch):
     checks = edge_checks(materialized(cities), uavs, run, x, y, 1.5)
     whole = np.array([not out.is_los for _, out in checks])
     assert 10 < whole.sum() < run.size - 10
-    tracks = []
-    track_entries = citygeom.track_entries
-
-    def counted(layout, x_rx, *rest):
-        tracks.append(np.size(x_rx))
-        return track_entries(layout, x_rx, *rest)
-
-    monkeypatch.setattr(citygeom, "track_entries", counted)
+    kernel_calls.clear()
     monkeypatch.setattr(citygeom, "CALL_PERIODS", budget)
     sliced = sim3d.links_blocked(cities, uavs, run, x, y, 1.5, radius)
+    tracks = [call.links for call in kernel_calls]
     assert sum(tracks) == run.size and len(tracks) > 1
     assert max(tracks) == 1 if budget == 1 else max(tracks) > 1
     assert sliced.tolist() == whole.tolist()
@@ -669,7 +664,7 @@ def test_links_blocked_skips_the_kernel_when_no_window_holds_a_cell(monkeypatch)
 
 @pytest.mark.parametrize("h_uav", [60.0, 120.0])
 @pytest.mark.parametrize("theta,staged", [(2.0, True), (5.0, True), (20.0, False), (60.0, False)])
-def test_links_blocked_equals_check_los_edges_link_by_link(theta, staged, h_uav, monkeypatch):
+def test_links_blocked_equals_check_los_edges_link_by_link(theta, staged, h_uav, kernel_calls):
     # Rings of 90 users around the UAVs of twelve implicit urban cities
     # on a 4 km extent, which still holds some of the 3.4 km rings of
     # theta 2: links_blocked, which stages the long rising tracks of
@@ -680,39 +675,35 @@ def test_links_blocked_equals_check_los_edges_link_by_link(theta, staged, h_uav,
     cities = Cities(params, layout, run_keys(21, 12))
     uavs = place_uav(cities, RandomOverCity(h_uav))
     run, x, y = place_users(layout, uavs, theta, user_directions(theta, 90), 1.5)
-    stages = []
-    first_stage = citygeom.first_stage
-
-    def recorded(*args):
-        out = first_stage(*args)
-        stages.append(bool(out[0].any()))
-        return out
-
-    monkeypatch.setattr(citygeom, "first_stage", recorded)
-    got = sim3d.links_blocked(cities, uavs, run, x, y, 1.5, track_length(theta, h_uav, 1.5))
-    monkeypatch.undo()
-    assert stages == [staged]
+    radius = track_length(theta, h_uav, 1.5)
+    got = sim3d.links_blocked(cities, uavs, run, x, y, 1.5, radius)
+    # The kernel's arguments show the staging: the first stage walks a
+    # staged link's track up to its near cut, NEAR_PERIODS periods from
+    # its user, and the second stage starts the links left clear there
+    # at their near cuts, an array t_min.
+    first = [call for call in kernel_calls if np.ndim(call.t_min) == 0]
+    second = kernel_calls[len(first):]
+    assert first and all(call.t_min == 0.0 for call in first)
+    near = citygeom.NEAR_PERIODS * layout.period / radius
+    cuts = np.concatenate([np.broadcast_to(call.t_max, call.links) for call in first])
+    assert (cuts == near).any() == staged
+    assert bool(second) == staged
+    assert all(np.ndim(call.t_min) and (call.t_min == near).all() for call in second)
     checks = edge_checks(materialized(cities), uavs, run, x, y, 1.5)
     assert got.tolist() == [not out.is_los for _, out in checks]
     assert 0 < got.sum() < got.size
 
 
-def test_check_los_edges_makes_one_kernel_call_and_no_window_lookup(monkeypatch):
+def test_check_los_edges_makes_one_kernel_call_and_no_window_lookup(monkeypatch, kernel_calls):
     # One link of one materialized city: its track goes to the kernel
     # once, whole, and its roofs are read from the city's own grid.
-    calls = []
-    track_entries, window_roofs = citygeom.track_entries, sim3d._window_roofs
-
-    def counted(*args):
-        calls.append("track_entries")
-        return track_entries(*args)
+    lookups = []
+    window_roofs = sim3d._window_roofs
 
     def windowed(*args):
-        calls.append("_window_roofs")
+        lookups.append(args)
         return window_roofs(*args)
 
-    for module in (citygeom, sim3d):
-        monkeypatch.setattr(module, "track_entries", counted)
     monkeypatch.setattr(sim3d, "_window_roofs", windowed)
     city = toy_city({(2, 1): 45.0})
     links = [
@@ -721,10 +712,11 @@ def test_check_los_edges_makes_one_kernel_call_and_no_window_lookup(monkeypatch)
         ((2.5, 2.5, 100.0), (2.5, 2.5, 1.5), True),  # vertical, in a crossroad
     ]
     for tx, rx, is_los in links:
-        calls.clear()
+        kernel_calls.clear()
         link = LinkGeometry.from_nodes(tx=Node(*tx), rx=Node(*rx))
         assert check_los_edges(city, link).is_los == is_los
-        assert calls == ["track_entries"]
+        assert [(call.links, call.t_max, call.t_min) for call in kernel_calls] == [(1, 1.0, 0.0)]
+        assert lookups == []
 
 
 _FRINGE_EXTENT = 22.5 * derive_layout(ENVIRONMENTS["urban"]).period
@@ -1090,6 +1082,23 @@ def test_city_round_trip_is_exact():
     assert city_to_text(back) == text
 
 
+#: sha256 of city_to_text of generate_city(env, 300.0, 250.0, 7), a grid
+#: of unequal sides, per environment.  The round-trip tests compare an
+#: export only with itself; these pin its bytes.
+CITY_TEXT_SHA256 = {
+    "dense-urban": "d437d2be6b00cd9702d631c8838cee4d0eae90d4ac9bb8df7dbfcd7f3cf390c0",
+    "high-rise": "6ce770d3bcb66e269fdfa962b5799ac9596739b6656c266f00ec3db9f52a8a00",
+    "suburban": "313e6937e092ea9e9091e10f1bf78464d612b3507776cc2c67bc24f0a4c1d313",
+    "urban": "856747dac8caa216597a929b579592b70d7090cf3f545cd7248baf0c28e3e8eb",
+}
+
+
+@pytest.mark.parametrize("env", sorted(CITY_TEXT_SHA256))
+def test_city_export_bytes_are_pinned(env):
+    text = city_to_text(generate_city(ENVIRONMENTS[env], 300.0, 250.0, 7))
+    assert hashlib.sha256(text.encode()).hexdigest() == CITY_TEXT_SHA256[env]
+
+
 def test_save_and_load_city(tmp_path):
     city = generate_city(ENVIRONMENTS["urban"], 300.0, 300.0, 4)
     path = tmp_path / "city.txt"
@@ -1105,6 +1114,7 @@ def test_save_and_load_city(tmp_path):
         (lambda t: "not a header\n" + t.partition("\n")[2], "header"),
         (lambda t: t.replace("alpha=", "aleph=", 1), "header"),
         (lambda t: t.replace(" seed=4", " seed=-4", 1), "header"),
+        (lambda t: t.replace("extent_x=300.0", "extent_x=1.0", 1), "header"),
         (lambda t: t + "2 2 17.0\n", "duplicate"),
         (lambda t: t + "99 99 17.0\n", "outside"),
         (lambda t: t.replace(" ", "", 1), "header"),
@@ -1220,25 +1230,18 @@ def test_staged_and_unstaged_link_decisions_agree(case, lookup):
     assert got.dtype == bool and got.tolist() == expected.tolist()
 
 
-def test_link_decisions_stage_the_long_rising_tracks(monkeypatch):
+def test_link_decisions_stage_the_long_rising_tracks(kernel_calls):
     # Each long rising track is walked first to NEAR_PERIODS periods from
     # its user, and again from there when it is left clear; falling and
     # short tracks are walked once, whole.
     params, layout, links, h_rx, _, _ = _edge_case("urban", 0.0, 20.0, 1.5, 7, 3)
     links += [(100.0, 100.0, 45.0, 25.0, -5.0), (100.0, 100.0, 0.0, 3.0, 20.0)]
     x0, y0, x1, y1, tx_z = _decision_links(layout, links, h_rx)
-    calls = []
-
-    def recorded(layout, x_rx, y_rx, x_tx, y_tx, t_max=1.0, t_min=0.0):
-        calls.append((np.size(x_rx), t_max, t_min))
-        return track_entries(layout, x_rx, y_rx, x_tx, y_tx, t_max, t_min)
-
-    monkeypatch.setattr(citygeom, "track_entries", recorded)
     # Flat ground: only the falling ray meets it.
     got = citygeom.blocked_links(layout, x0, y0, x1, y1, np.hypot(x1 - x0, y1 - y0), h_rx,
                                  tx_z - h_rx, lambda link, ix, iy: np.zeros(link.size))
     assert got.tolist() == [False] * 4 + [True, False]
-    (n1, cut, start), (n2, end, near) = calls
+    (n1, cut, start), (n2, end, near) = ((c.links, c.t_max, c.t_min) for c in kernel_calls)
     assert (n1, start) == (6, 0.0) and (n2, end) == (4, 1.0)
     p = layout.period
     np.testing.assert_allclose(cut[:4] * 25.0 * p, citygeom.NEAR_PERIODS * p, rtol=1e-12)
@@ -1246,20 +1249,13 @@ def test_link_decisions_stage_the_long_rising_tracks(monkeypatch):
     assert near.tolist() == cut[:4].tolist()
 
 
-def test_links_blocked_near_their_users_take_no_second_call(monkeypatch):
+def test_links_blocked_near_their_users_take_no_second_call(kernel_calls):
     # Roofs everywhere over the rays block every long rising track in its
     # first NEAR_PERIODS periods, so no link is left to a second stage
     # and no second kernel call, empty or not, is made.
     params, layout, links, h_rx, _, _ = _edge_case("urban", 0.0, 20.0, 1.5, 7, 3)
     x0, y0, x1, y1, tx_z = _decision_links(layout, links, h_rx)
-    calls = []
-
-    def recorded(layout, x_rx, *rest):
-        calls.append(np.size(x_rx))
-        return track_entries(layout, x_rx, *rest)
-
-    monkeypatch.setattr(citygeom, "track_entries", recorded)
     got = citygeom.blocked_links(layout, x0, y0, x1, y1, np.hypot(x1 - x0, y1 - y0), h_rx,
                                  tx_z - h_rx, lambda link, ix, iy: np.full(link.size, 1e3))
-    assert got.all() and calls == [4]
+    assert got.all() and [call.links for call in kernel_calls] == [4]
     assert list(citygeom.call_slices(np.zeros(0))) == []

@@ -749,11 +749,11 @@ def test_placement_give_up_matches_one_round_at_a_time(rounds, monkeypatch):
 
 def test_heatmap_chunks_take_two_or_three_placement_passes(monkeypatch):
     # Each placement pass is one stream_bits call of the engine.  The
-    # 170-point high-rise heatmap at seed 1 takes 8 chunks, the long
-    # tracks of theta 5 to 20 counting their near part only; a round at a
-    # time took up to six rounds in a chunk.  No point draws its azimuth
-    # or altitude, so round 0 hashes three stream positions per link
-    # (city key, user x and user y), where all five once were.
+    # 170-point high-rise heatmap at seed 1, 34 000 links, takes 6 chunks
+    # of CHUNK_LINKS links; a round at a time took up to six rounds in a
+    # chunk.  No point draws its azimuth or altitude, so round 0 hashes
+    # three stream positions per link (city key, user x and user y),
+    # where all five once were.
     passes, round_0_rows = [], []
     stream_bits, draw_links = simgeom.stream_bits, simgeom._draw_links
 
@@ -779,8 +779,8 @@ def test_heatmap_chunks_take_two_or_three_placement_passes(monkeypatch):
                       SweepAxis("phi", tuple(range(0, 100, 10)))),
     )
     assert len(run_sweep(spec).rows) == 170
-    assert sorted(passes) == [2] * 8
-    assert round_0_rows == [3] * 8
+    assert sorted(passes) == [2] * 5 + [3]
+    assert round_0_rows == [3] * 6
 
 
 @pytest.mark.parametrize("n_runs", [1, 255, 256, 257, 600])
@@ -794,103 +794,81 @@ def test_estimate_across_chunk_boundaries(n_runs):
     assert estimate_plos(scenario, n_runs, 9) == est
 
 
-def kernel_calls(monkeypatch):
-    """Record the number of tracks and of entries of every ground-track
-    kernel call the geometry engine makes."""
-    calls = []
-
-    def counted(layout, x_rx, *rest):
-        out = track_entries(layout, x_rx, *rest)
-        calls.append((np.size(x_rx), out[0].size))
-        return out
-
-    monkeypatch.setattr(citygeom, "track_entries", counted)
-    return calls
-
-
-def test_estimate_does_not_depend_on_the_chunk_size(monkeypatch):
+def test_estimate_does_not_depend_on_the_chunk_size(monkeypatch, kernel_calls):
     scenario = GeomScenario(
         params=ENVIRONMENTS["high-rise"], user_zone="mixed", theta_deg=40.0,
         h_uav=(20.0, 150.0),
     )
     est = estimate_plos(scenario, 300, 4)
-    calls = kernel_calls(monkeypatch)
-    # A budget of one period gives every link a call of its own; the
-    # longest track, 150 m at theta 40, is 3.1 periods, so a budget of
-    # 50 periods gives 12 links per call.
-    for budget, links in ((1, 1), (50, 12)):
+    # Chunks of one link give every link a call of its own, and chunks of
+    # 50 a call per chunk: the longest track, 150 m at theta 40, is 3.1
+    # periods, so 50 links fit the default budget.  A budget of one
+    # period gives every link of one chunk a call of its own too.
+    for chunk, budget, links in ((1, citygeom.CALL_PERIODS, 1), (50, citygeom.CALL_PERIODS, 50),
+                                 (simgeom.CHUNK_LINKS, 1, 1)):
+        monkeypatch.setattr(simgeom, "CHUNK_LINKS", chunk)
         monkeypatch.setattr(citygeom, "CALL_PERIODS", budget)
-        calls.clear()
+        kernel_calls.clear()
         assert estimate_plos(scenario, 300, 4) == est
-        assert {n for n, _ in calls} == {links}
+        assert {call.links for call in kernel_calls} == {links}
+        assert sum(call.links for call in kernel_calls) == 300
 
 
-def kernel_cuts(monkeypatch):
-    """Record the arguments (x_rx, y_rx, x_tx, y_tx, t_max, t_min) of
-    every ground-track kernel call the geometry engine makes."""
-    calls = []
-
-    def recorded(layout, x_rx, y_rx, x_tx, y_tx, t_max=1.0, t_min=0.0):
-        calls.append((x_rx, y_rx, x_tx, y_tx, t_max, t_min))
-        return track_entries(layout, x_rx, y_rx, x_tx, y_tx, t_max, t_min)
-
-    monkeypatch.setattr(citygeom, "track_entries", recorded)
-    return calls
-
-
-def test_a_chunk_holds_as_many_links_as_fit_its_track_budget(monkeypatch):
+def test_a_kernel_call_holds_as_many_links_as_fit_its_track_budget(kernel_calls):
     # 2000 links of 1.3 periods (urban, 100 m, theta 60) fit the budget
     # of one call.  At theta 5 each track is 25.2 periods long and counts
-    # its first NEAR_PERIODS plus one, so a chunk takes 4096 links; a
-    # chunk's first call cuts them there, and the links it leaves clear go
-    # to calls of their own, of 508 tracks at most, each walked from that
-    # cut to its UAV and counting the 23.2 periods it walks plus one.
-    calls = kernel_calls(monkeypatch)
+    # its first NEAR_PERIODS plus one, so a call of the first stage takes
+    # 4096 links, and a chunk of CHUNK_LINKS links takes two such calls;
+    # the links a chunk leaves clear go to calls of their own, of 508
+    # tracks at most, each walked from that cut to its UAV and counting
+    # the 23.2 periods it walks plus one.
     scenario = GeomScenario(ENVIRONMENTS["urban"], "mixed", 60.0, h_uav=100.0)
     assert estimate_plos(scenario, 2000, 1).n == 2000
-    assert [n for n, _ in calls] == [2000]
-    cuts = kernel_cuts(monkeypatch)
+    assert [call.links for call in kernel_calls] == [2000]
+    kernel_calls.clear()
     scenario = GeomScenario(ENVIRONMENTS["urban"], "mixed", 5.0, h_uav=100.0)
     estimate_plos(scenario, 10000, 1)
     periods = 98.5 / math.tan(math.radians(5.0)) / scenario.layout().period
-    per_chunk = math.floor(citygeom.CALL_PERIODS / (simgeom.NEAR_PERIODS + 1.0))
-    per_call = math.floor(citygeom.CALL_PERIODS / (periods - simgeom.NEAR_PERIODS + 1.0))
-    assert (per_chunk, per_call) == (4096, 508)
-    # Each chunk's first call, with its cuts, then that chunk's calls of
-    # tracks from their cuts, every one full but the last.
+    per_call = math.floor(citygeom.CALL_PERIODS / (citygeom.NEAR_PERIODS + 1.0))
+    per_rest = math.floor(citygeom.CALL_PERIODS / (periods - citygeom.NEAR_PERIODS + 1.0))
+    assert (simgeom.CHUNK_LINKS, per_call, per_rest) == (6144, 4096, 508)
+    # Each chunk's first-stage calls, with their cuts, then that chunk's
+    # calls of tracks from their cuts, every one full but the last.
     chunks = []
-    for x, *_, t_max, t_min in cuts:
-        if np.ndim(t_min) == 0:
-            assert np.ndim(t_max) and t_min == 0.0
-            chunks.append((np.size(x), []))
+    for call in kernel_calls:
+        if np.ndim(call.t_min) == 0:
+            assert np.ndim(call.t_max) and call.t_min == 0.0
+            if not chunks or chunks[-1][1]:
+                chunks.append(([], []))
+            chunks[-1][0].append(call.links)
         else:
-            assert np.ndim(t_max) == 0 and t_max == 1.0
-            chunks[-1][1].append(np.size(x))
-    assert [first for first, _ in chunks] == [4096, 4096, 1808]
+            assert np.ndim(call.t_max) == 0 and call.t_max == 1.0
+            chunks[-1][1].append(call.links)
+    assert [first for first, _ in chunks] == [[4096, 2048], [3856]]
     for _, rest in chunks:
         m = sum(rest)
-        assert rest == [per_call] * (m // per_call) + ([m % per_call] if m % per_call else [])
-    assert sum(len(rest) for _, rest in chunks) > 3
+        assert rest == [per_rest] * (m // per_rest) + ([m % per_rest] if m % per_rest else [])
+    assert [len(rest) for _, rest in chunks] == [2, 1]
 
 
 @pytest.mark.parametrize("env", ["urban", "high-rise", "suburban"])
-def test_a_chunk_lists_entries_in_proportion_to_its_track_budget(monkeypatch, env):
+def test_a_chunk_lists_entries_in_proportion_to_its_track_budget(kernel_calls, env):
     # A track of L periods meets at most about sqrt(2)*L + 3 boxes, and a
-    # chunk holds at most budget/(L + 1) tracks, so no call lists more
+    # call holds at most budget/(L + 1) tracks, so no call lists more
     # than about 3 entries per period of budget.  A fixed link count per
     # call would list 500 links' entries at theta 0.1.
-    calls = kernel_calls(monkeypatch)
+    calls = kernel_calls
     thetas = (0.1, 1.0, 5.0, 30.0, 60.0, 90.0)
     for theta in thetas:
         scenario = GeomScenario(ENVIRONMENTS[env], "mixed", theta, h_uav=100.0)
         assert estimate_plos(scenario, 500, 2).n == 500
     assert len(calls) > 6
-    # One batch, short tracks first: a chunk that sized every link by its
+    # One batch, short tracks first: a call that sized every link by its
     # first point's track would take the theta 1 and 0.1 links whole.
     batch = [GeomScenario(ENVIRONMENTS[env], "mixed", theta, h_uav=100.0) for theta in thetas]
     estimates, _ = estimate_points(batch[::-1], 500, range(6))
     assert [est.n for est in estimates] == [500] * 6
-    assert max(entries for _, entries in calls) <= 4 * citygeom.CALL_PERIODS
+    assert max(call.entries for call in calls) <= 4 * citygeom.CALL_PERIODS
     # Under roofs of gamma 0.8 m, long tracks from a 20 m UAV mostly stay
     # clear near their users, so most of them go on to calls of whole
     # tracks, which the same budget bounds.
@@ -899,8 +877,8 @@ def test_a_chunk_lists_entries_in_proportion_to_its_track_budget(monkeypatch, en
     batch = [GeomScenario(low, "mixed", theta, h_uav=20.0) for theta in (0.2, 1.0, 5.0)]
     estimates, _ = estimate_points(batch, 500, range(3))
     assert sum(est.k for est in estimates) > 750
-    assert sum(n for n, _ in calls) > 1500 + 750
-    assert max(entries for _, entries in calls) <= 4 * citygeom.CALL_PERIODS
+    assert sum(call.links for call in calls) > 1500 + 750
+    assert max(call.entries for call in calls) <= 4 * citygeom.CALL_PERIODS
 
 
 #: Urban grid under roofs of gamma 0.8 m: from a 20 m UAV, three in four
@@ -918,17 +896,17 @@ def altitudes_around_the_staging_threshold(theta):
     def periods(h):
         return citygeom.track_length(theta, h, 1.5) / period
 
-    at = 1.5 + 2 * simgeom.NEAR_PERIODS * period * math.tan(math.radians(theta))
-    while periods(at) > 2 * simgeom.NEAR_PERIODS:
+    at = 1.5 + 2 * citygeom.NEAR_PERIODS * period * math.tan(math.radians(theta))
+    while periods(at) > 2 * citygeom.NEAR_PERIODS:
         at = np.nextafter(at, 0.0)
-    while periods(at) < 2 * simgeom.NEAR_PERIODS:
+    while periods(at) < 2 * citygeom.NEAR_PERIODS:
         at = np.nextafter(at, np.inf)
     under = over = at
-    while periods(under) >= 2 * simgeom.NEAR_PERIODS:
+    while periods(under) >= 2 * citygeom.NEAR_PERIODS:
         under = np.nextafter(under, 0.0)
-    while periods(over) <= 2 * simgeom.NEAR_PERIODS:
+    while periods(over) <= 2 * citygeom.NEAR_PERIODS:
         over = np.nextafter(over, np.inf)
-    assert periods(at) == 2 * simgeom.NEAR_PERIODS
+    assert periods(at) == 2 * citygeom.NEAR_PERIODS
     return float(under), float(at), float(over)
 
 
@@ -966,7 +944,7 @@ def nlos_on_tracks(scenarios, values, layout, keys, point, t_max=1.0):
 
 
 @pytest.mark.parametrize("order", ["as listed", "reversed"])
-def test_staged_decision_equals_one_call_on_whole_tracks(monkeypatch, order):
+def test_staged_decision_equals_one_call_on_whole_tracks(monkeypatch, kernel_calls, order):
     # Kills a chunk without its second stage (the links blocked beyond
     # their near part count as LoS), a second stage that walks only from
     # the cut (its users stand at the cut), and a cut, or the choice of
@@ -977,8 +955,8 @@ def test_staged_decision_equals_one_call_on_whole_tracks(monkeypatch, order):
     per_link, _, layout, _, _ = args
     expected = nlos_on_tracks(*args)
     monkeypatch.setattr(citygeom, "CALL_PERIODS", 50)
-    calls = kernel_cuts(monkeypatch)
     np.testing.assert_array_equal(simgeom._first_blockers(*args), expected)
+    calls = [(*call.ends, call.t_max, call.t_min) for call in kernel_calls]
     # The first stage cuts each link whose own track, the ground offset
     # (vz - h_rx)/tan(theta) of its UAV, is over the threshold at
     # NEAR_PERIODS periods, and every other link not at all: all links of
@@ -993,17 +971,17 @@ def test_staged_decision_equals_one_call_on_whole_tracks(monkeypatch, order):
     vz = _draw_links(*args)[4]
     length = (vz - per_link[0].h_rx) / args[1][:, 0]
     np.testing.assert_allclose(length, np.hypot(x1 - x0, y1 - y0), rtol=1e-12, atol=1e-9)
-    staged = length > 2 * simgeom.NEAR_PERIODS * p
+    staged = length > 2 * citygeom.NEAR_PERIODS * p
     drawn = np.array([isinstance(sc.h_uav, tuple) for sc in per_link])
     track = np.array([citygeom.track_length(sc.theta_deg, sc.h_max, sc.h_rx) / p
                       for sc in per_link])
-    over = ~drawn & (track > 2 * simgeom.NEAR_PERIODS)
+    over = ~drawn & (track > 2 * citygeom.NEAR_PERIODS)
     assert over.sum() == 120 and staged[over].all() and not staged[~drawn & ~over].any()
     counts = {"as listed": (38, 2), "reversed": (36, 4)}[order]
     assert (staged[drawn].sum(), (~staged[drawn]).sum()) == counts
     assert (cut[~staged] == 1.0).all()
-    np.testing.assert_array_equal(cut[staged], simgeom.NEAR_PERIODS * p / length[staged])
-    walked = [np.minimum(np.hypot(c[2] - c[0], c[3] - c[1]), simgeom.NEAR_PERIODS * p) / p + 1.0
+    np.testing.assert_array_equal(cut[staged], citygeom.NEAR_PERIODS * p / length[staged])
+    walked = [np.minimum(np.hypot(c[2] - c[0], c[3] - c[1]), citygeom.NEAR_PERIODS * p) / p + 1.0
               for c in first]
     assert all(cost.sum() <= 50.0 * (1.0 + 1e-12) or cost.size == 1 for cost in walked)
     # Then the links left clear near their users, from their cuts to
@@ -1023,22 +1001,22 @@ def test_staged_decision_equals_one_call_on_whole_tracks(monkeypatch, order):
 
 
 @pytest.mark.parametrize("side", ["under", "at", "over"])
-def test_a_chunk_charges_what_its_first_stage_walks(monkeypatch, side):
-    # Tracks just under, at and just over the staging threshold: a chunk
-    # charges each link what citygeom.first_stage says its first stage
-    # walks, 2*NEAR_PERIODS periods plus one up to the threshold and
-    # NEAR_PERIODS plus one past it, so each chunk's first stage is one
-    # full call.  A chunk that staged by another rule than the kernel
-    # calls would split those calls or leave them short.
+def test_a_kernel_call_charges_what_its_first_stage_walks(monkeypatch, kernel_calls, side):
+    # Tracks just under, at and just over the staging threshold, all in
+    # one chunk: a first-stage call charges each link what it walks,
+    # 2*NEAR_PERIODS periods plus one up to the threshold and
+    # NEAR_PERIODS plus one past it, so each first-stage call but the
+    # last is full.  A call sized by another rule than the staging would
+    # split those calls or leave them short.
     h = dict(zip(("under", "at", "over"), altitudes_around_the_staging_threshold(6.0)))[side]
     scenario = GeomScenario(LOW_ROOFS, "mixed", 6.0, h_uav=h)
     cost = (citygeom.NEAR_PERIODS if side == "over" else 2 * citygeom.NEAR_PERIODS) + 1
-    per_chunk = math.floor(citygeom.CALL_PERIODS / cost)
-    calls = kernel_cuts(monkeypatch)
-    assert estimate_plos(scenario, 2 * per_chunk + 5, 3).n == 2 * per_chunk + 5
-    first = [np.size(x) for x, *_, t_min in calls if np.ndim(t_min) == 0]
-    assert first == [per_chunk, per_chunk, 5]
-    assert len(calls) > 3 if side == "over" else len(calls) == 3
+    per_call = math.floor(citygeom.CALL_PERIODS / cost)
+    monkeypatch.setattr(simgeom, "CHUNK_LINKS", 2 * per_call + 5)
+    assert estimate_plos(scenario, 2 * per_call + 5, 3).n == 2 * per_call + 5
+    first = [call.links for call in kernel_calls if np.ndim(call.t_min) == 0]
+    assert first == [per_call, per_call, 5]
+    assert len(kernel_calls) > 3 if side == "over" else len(kernel_calls) == 3
 
 
 def test_estimate_builds_no_generator(monkeypatch):
@@ -1065,13 +1043,17 @@ def mixed_points():
     ]
 
 
-@pytest.mark.parametrize("budget", [1, 50, citygeom.CALL_PERIODS])
-def test_estimate_points_equals_estimate_plos_point_by_point(monkeypatch, budget):
+@pytest.mark.parametrize("chunk,budget", [
+    (1, citygeom.CALL_PERIODS), (64, 50), (simgeom.CHUNK_LINKS, 1),
+])
+def test_estimate_points_equals_estimate_plos_point_by_point(monkeypatch, chunk, budget):
     # Kills a fixed azimuth, a theta or an altitude read from a chunk's
-    # first point, and NLoS counted per chunk instead of per point.
+    # first point, and NLoS counted per chunk instead of per point, at
+    # every chunk size and call budget.
     scenarios = mixed_points()
     seeds = [101 + q for q in range(len(scenarios))]
     alone = [estimate_plos(sc, 150, seed) for sc, seed in zip(scenarios, seeds)]
+    monkeypatch.setattr(simgeom, "CHUNK_LINKS", chunk)
     monkeypatch.setattr(citygeom, "CALL_PERIODS", budget)
     chunks = []
     first_blockers = simgeom._first_blockers
@@ -1084,22 +1066,22 @@ def test_estimate_points_equals_estimate_plos_point_by_point(monkeypatch, budget
     estimates, seconds = estimate_points(scenarios, 150, seeds)
     assert estimates == alone
     assert len(seconds) == len(scenarios) and min(seconds) > 0.0
-    if budget == 1:
+    if chunk == 1:
         assert chunks == [1] * (150 * len(scenarios))
     else:
         assert max(chunks) > 1  # a chunk straddles a point boundary
 
 
 def test_each_call_derives_the_keys_of_its_links_at_once(monkeypatch):
-    # 151 links per point and a budget of 50 periods: calls of 22 links at
-    # theta 60 down to 10 at theta 30 straddle the points.  The keys the
-    # calls decide, in order, are every point's run keys, and each call
-    # derives its keys in one stream_bits call besides its placement's.
+    # 151 links per point and chunks of 50 links: the chunks straddle the
+    # points.  The keys the chunks decide, in order, are every point's run
+    # keys, and each chunk derives its keys in one stream_bits call
+    # besides its placement's.
     seeds = [0, 2**32, 2**63 - 1, 2**64 + 5]
     scenarios = [GeomScenario(ENVIRONMENTS["urban"], "mixed", theta, h_uav=100.0)
                  for theta in (60.0, 45.0, 30.0, 75.0)]
     alone = [estimate_plos(sc, 151, seed) for sc, seed in zip(scenarios, seeds)]
-    monkeypatch.setattr(citygeom, "CALL_PERIODS", 50)
+    monkeypatch.setattr(simgeom, "CHUNK_LINKS", 50)
     calls, derived = [], []
     first_blockers, stream_bits = simgeom._first_blockers, simgeom.stream_bits
 
@@ -1127,16 +1109,18 @@ def test_each_call_derives_the_keys_of_its_links_at_once(monkeypatch):
     # their first 2 periods in one call, then the links left clear in one more.
     (lambda: estimate_plos(GeomScenario(ENVIRONMENTS["urban"], "mixed", 5.0, h_uav=100.0),
                            2000, 1), 1.41e6),
-    # The 170-point street heatmap on high-rise, 10 calls.
+    # The 170-point street heatmap on high-rise, 6 chunks and 12 calls.
     (lambda: run_sweep(SweepSpec(
         engine="geom", params=ENVIRONMENTS["high-rise"], user_zone="street", seed=1, n_runs=200,
         axes=(SweepAxis("theta", tuple(range(5, 90, 5))), SweepAxis("phi", tuple(range(0, 100, 10)))),
     )), 2.43e6),
 ], ids=["urban-theta-5", "heatmap"])
 def test_geom_working_set_stays_small(run, bound):
-    # The traced peak of every allocation, numpy's included, with about
-    # 15% over the 1.23 MB and 2.11 MB measured: a kernel whose per-entry
-    # temporaries grow, or a call budget that grows, fails.
+    # The traced peak of every allocation, numpy's included.  The bounds
+    # sit about 15% over the 1.23 MB and 2.11 MB once measured; with
+    # chunks of CHUNK_LINKS links the runs peak at 0.78 MB and 2.11 MB.
+    # A kernel whose per-entry temporaries grow, or a call budget or
+    # chunk size that grows, fails.
     run()
     tracemalloc.start()
     try:
@@ -1176,15 +1160,15 @@ def test_points_of_one_call_share_params_zone_and_receiver_height():
         estimate_points([base, base], 10, [1])
 
 
-def test_a_heatmap_shares_kernel_calls_across_its_points(monkeypatch):
+def test_a_heatmap_shares_kernel_calls_across_its_points(kernel_calls):
     # 170 points of 200 short high-rise links: one call per point would
     # pay a call's fixed numpy cost 170 times.
-    calls = kernel_calls(monkeypatch)
+    calls = kernel_calls
     spec = SweepSpec(
         engine="geom", params=ENVIRONMENTS["high-rise"], user_zone="street", n_runs=200,
         seed=1, axes=(SweepAxis("theta", tuple(range(5, 90, 5))),
                       SweepAxis("phi", tuple(range(0, 100, 10)))),
     )
     assert len(run_sweep(spec).rows) == 170
-    assert sum(n for n, _ in calls) >= 170 * 200  # redraws never add tracks
+    assert sum(call.links for call in calls) >= 170 * 200  # redraws never add tracks
     assert len(calls) <= 30
