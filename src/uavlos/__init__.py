@@ -62,7 +62,7 @@ from .sim3d import (
     save_city,
 )
 from .simgeom import GeomScenario, estimate_plos, estimate_points
-from .stats import PLosEstimate, wilson_interval
+from .stats import PLosEstimate, PLosEstimates, wilson_interval
 
 __version__ = "0.1.0"
 
@@ -118,6 +118,7 @@ __all__ = [
     "result_to_csv",
     "write_csv",
     "PLosEstimate",
+    "PLosEstimates",
     "wilson_interval",
     # errors
     "UavLosError",

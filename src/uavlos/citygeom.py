@@ -628,8 +628,11 @@ def seed_keys(seeds) -> np.ndarray:
     w, position w of the stream of the key so far.  The count keeps 0,
     2^64 and 2^128 apart, and a seed below 2^64 (one word) maps to its
     key one to one, since the Weyl increment is odd and the splitmix64
-    finalizer is a bijection.
+    finalizer is a bijection.  A uint64 array of seeds, such as the keys
+    of :func:`run_keys`, is all one-word seeds, folded in one stream call.
     """
+    if isinstance(seeds, np.ndarray) and seeds.dtype == np.uint64:
+        return stream_bits(1, seeds)
     seeds = [operator.index(seed) for seed in seeds]
     if min(seeds, default=0) < 0:
         raise InvalidParams(f"seeds must be non-negative integers, got {min(seeds)}")

@@ -376,7 +376,8 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # noqa: BLE001 - runtime failures map to exit 1
-        print(f"error: {exc}", file=sys.stderr)
+        # An exception with no text, such as a MemoryError, is named by its type.
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 1
 
 

@@ -24,13 +24,21 @@ tree of counter-based streams (:func:`uavlos.citygeom.stream_bits`):
 grid point q of a sweep takes as its seed key q of the master seed,
 ``run_keys(seed, points)[q]``, and run i of a point is key i of the
 point's seed (:func:`uavlos.citygeom.run_keys`).
-The geometry engine decides consecutive points with the same params
-together (:func:`uavlos.simgeom.estimate_points`), so a 170-point
-heatmap shares 12 kernel calls instead of making one per point, and
-derives the keys of each chunk's links at once.
-A geometry-engine spec checks every grid point's ground-track length
-when it is created, so a point the engine would refuse is an illegal
-spec; a baseline spec resolves each point's model then, and checks a
+A geometry-engine sweep carries its points as arrays from the spec to
+the CSV rows: each point's values (tan theta, the cosine and sine of its
+azimuth, its azimuth and altitude ranges) are built from the grid, with
+one scalar evaluation per axis value, and handed with the points' uint64
+keys to the engine's array core (:func:`uavlos.simgeom.los_counts`),
+which decides consecutive points with the same params together, so a
+170-point heatmap shares 12 kernel calls instead of making one per point
+and derives the keys of each chunk's links at once; the Wilson bounds of
+all points are one array expression (:class:`uavlos.stats.PLosEstimates`).
+No point builds a scenario or an estimate object unless a caller reads
+:attr:`SweepResult.rows`.
+A spec holds at most MAX_POINTS grid points, checked from its axis
+lengths.  A geometry-engine spec checks every grid point's ground-track
+length when it is created, so a point the engine would refuse is an
+illegal spec; a baseline spec resolves each point's model then, and checks a
 GridProduct's track against its own grid period, whether it is
 ``baseline:grid`` or loaded by name.  A 3D-engine spec likewise
 refuses a point whose user ring is wider than the extent's diagonal,
@@ -51,7 +59,6 @@ import math
 import os
 import time
 from dataclasses import dataclass, field, replace
-from itertools import groupby
 from pathlib import Path
 from typing import Mapping
 
@@ -79,8 +86,15 @@ from .sim3d import (
     user_directions,
     window_cells,
 )
-from .simgeom import USER_ZONES, GeomScenario, check_track_length, estimate_points
-from .stats import PLosEstimate
+from .simgeom import (
+    USER_ZONES,
+    azimuth_cos_sin,
+    check_track_length,
+    elevation_tan,
+    los_counts,
+    value_rows,
+)
+from .stats import PLosEstimate, PLosEstimates
 
 __all__ = [
     "SweepAxis",
@@ -112,6 +126,16 @@ UAV_POLICIES = {
 #: at theta 5 and 30 peak at 41 MB RSS, against 31 MB with 360 users.
 MAX_USERS = 100_000
 
+#: Most grid points of one sweep, the product of its axis lengths
+#: (each at most cli.MAX_GRID_VALUES long).  A geometry-engine point
+#: holds a row of values, a key, its counts and bounds and a CSV line.
+MAX_POINTS = 1_000_000
+
+#: Axes that set a point's elevation and altitude, and axes that set its
+#: city params.
+_ANGLE_AXES = ("theta", "radius", "h_uav")
+_PARAM_AXES = ("gamma", "alpha")
+
 
 @dataclass(frozen=True)
 class SweepAxis:
@@ -132,7 +156,8 @@ class SweepSpec:
     """A reproducible sweep: engine, environment, axes and fixed values.
 
     Exactly one of theta/radius must be available (as an axis or a
-    fixed value).  n_runs counts cities per point for sim3d and links
+    fixed value), and the axes hold at most MAX_POINTS grid points
+    together.  n_runs counts cities per point for sim3d and links
     per point for geom.  models supplies named baselines; the name
     "grid" is always available and binds GridProduct to the
     environment parameters.
@@ -166,6 +191,10 @@ class SweepSpec:
         names = [a.name for a in self.axes]
         if len(set(names)) != len(names):
             raise IllegalSpec(f"duplicate axis in {names}")
+        if self.size > MAX_POINTS:
+            raise IllegalSpec(
+                f"the grid has {self.size} points, more than the {MAX_POINTS} a sweep may have"
+            )
         if not 0.0 <= self.h_rx < math.inf:
             raise IllegalSpec(f"h_rx must be finite and non-negative, got {self.h_rx}")
         if not all(math.isfinite(e) for e in self.extent):
@@ -213,8 +242,11 @@ class SweepSpec:
         # No two points of the extent lie farther apart than its
         # diagonal, so a wider sim3d ring leaves no user on the extent.
         diagonal = math.hypot(*self.extent)
-        for combo in self.points():
-            var = dict(zip(names, combo))
+        # An engine's check reads a point's angles alone, so it runs once
+        # per combination of the angle axes, in grid order; a baseline's
+        # reads its model too.
+        angle_axes = _ANGLE_AXES if self.engine in ("sim3d", "geom") else AXIS_NAMES
+        for var in self._grid(angle_axes):
             theta, h_uav = _point_angles(self, var)
             if self.engine == "sim3d":
                 ring = track_length(theta, h_uav, self.h_rx)
@@ -255,12 +287,32 @@ class SweepSpec:
         if bad:
             raise IllegalSpec(f"axis {axis.name!r} has out-of-domain values {bad}")
 
+    @property
+    def size(self) -> int:
+        """The number of grid points."""
+        return math.prod(len(axis.values) for axis in self.axes)
+
     def points(self) -> list[tuple[float, ...]]:
         """Grid points as tuples of axis values, in row-major axis order."""
-        combos: list[tuple[float, ...]] = [()]
+        return [tuple(var.values()) for var in self._grid(AXIS_NAMES)]
+
+    def _grid(self, names) -> list[dict[str, float]]:
+        """The grid of the axes named in names, in row-major axis order,
+        as one {axis name: value} dict per combination."""
+        grid: list[dict[str, float]] = [{}]
         for axis in self.axes:
-            combos = [prior + (v,) for prior in combos for v in axis.values]
-        return combos
+            if axis.name in names:
+                grid = [{**var, axis.name: v} for var in grid for v in axis.values]
+        return grid
+
+    def _grid_index(self, names) -> np.ndarray:
+        """The index into self._grid(names) of each grid point."""
+        shape = [len(axis.values) for axis in self.axes]
+        index = np.unravel_index(np.arange(self.size), shape)
+        kept = [i for i, axis in enumerate(self.axes) if axis.name in names]
+        if not kept:
+            return np.zeros(self.size, dtype=np.intp)
+        return np.ravel_multi_index([index[i] for i in kept], [shape[i] for i in kept])
 
     def echo(self) -> str:
         """Canonical one-line description recorded in CSV output."""
@@ -298,11 +350,23 @@ class SweepRow:
     ms: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SweepResult:
+    """A sweep's estimates as columns, point q of spec.points() being
+    element q, with each point's estimation time in milliseconds."""
+
     spec: SweepSpec
     axis_names: tuple[str, ...]
-    rows: tuple[SweepRow, ...]
+    estimates: PLosEstimates
+    ms: np.ndarray
+
+    @property
+    def rows(self) -> tuple[SweepRow, ...]:
+        """One SweepRow per grid point, in row-major axis order."""
+        return tuple(
+            SweepRow(values=values, estimate=est, ms=t)
+            for values, est, t in zip(self.spec.points(), self.estimates, self.ms.tolist())
+        )
 
 
 @dataclass(frozen=True)
@@ -333,15 +397,16 @@ BLOCK_ELEMENTS = 32768
 
 def _estimate_sim3d(
     spec: SweepSpec, params: BuiltUpParams, theta: float, phi: float | None, h_uav: float,
-    seed: int,
+    key: np.ndarray,
 ) -> PLosEstimate:
     """Fresh-city protocol at one point of spec: per run, a new city with
     its UAV and the pooled LoS states of every valid user on the theta
     circle (one user at azimuth phi when phi is fixed, or straight under
     the UAV at theta = 90), decided a block of BLOCK_ELEMENTS elements
-    at a time.  Run i is the city key run_keys(seed, n_runs)[i]
-    (:func:`uavlos.citygeom.run_keys`), derived a block at a time, so no
-    key array outgrows a block.  Every user stands the ring radius from
+    at a time.  Run i is the city key run_keys(seed, n_runs)[i] of the
+    point's seed (:func:`uavlos.citygeom.run_keys`), position i of the
+    stream of its one-element key array key, derived a block at a time,
+    so no key array outgrows a block.  Every user stands the ring radius from
     its UAV's ground point, so the radius is the ground length of every
     link's track (sim3d.links_blocked)."""
     policy = UAV_POLICIES[spec.uav_policy](h_uav)
@@ -350,11 +415,10 @@ def _estimate_sim3d(
     radius = track_length(theta, h_uav, spec.h_rx)
     per_city = directions[0].size + window_cells(layout, radius, directions)
     per_block = max(1, BLOCK_ELEMENTS // per_city)
-    seed_key = seed_keys([seed])
     k = 0
     n = 0
     for start in range(0, spec.n_runs, per_block):
-        keys = stream_bits(seed_key, np.arange(start, min(start + per_block, spec.n_runs)))
+        keys = stream_bits(key, np.arange(start, min(start + per_block, spec.n_runs)))
         cities = Cities(params, layout, keys)
         uavs = place_uav(cities, policy)
         run, x, y = place_users(layout, uavs, theta, directions, spec.h_rx)
@@ -410,51 +474,81 @@ def _point_angles(spec: SweepSpec, var: Mapping[str, float]) -> tuple[float, flo
     return theta, h_uav
 
 
-def _geom_scenario(spec: SweepSpec, var: Mapping[str, float]) -> GeomScenario:
-    """The geometry-engine scenario of one grid point of spec."""
-    theta, h_uav = _point_angles(spec, var)
-    phi = var.get("phi", spec.phi)
-    return GeomScenario(
-        _with_swept_params(spec.params, var), spec.user_zone, theta,
-        phi_deg=(0.0, 90.0) if phi is None else phi, h_uav=h_uav, h_rx=spec.h_rx,
-    )
+def _estimate_points(spec: SweepSpec, keys: np.ndarray) -> tuple[PLosEstimates, np.ndarray]:
+    """P_LoS and milliseconds at each grid point of spec, in row-major
+    order, point q estimated by spec's engine from the uint64 key keys[q]
+    (:func:`uavlos.citygeom.seed_keys` of its seed).
 
-
-def _estimate_points(
-    spec: SweepSpec, vars: list[Mapping[str, float]], seeds: list[int]
-) -> tuple[list[PLosEstimate], list[float]]:
-    """P_LoS and milliseconds at each grid point of spec: spec's fixed
-    values overridden by the swept values in vars[i], estimated by spec's
-    engine from seeds[i].
-
-    Consecutive geometry-engine points with the same params (all of them
-    unless alpha or gamma is swept) are decided in one
-    :func:`uavlos.simgeom.estimate_points` call, and each point's time is
-    its share of that call's chunks; sim3d and baseline points are
-    estimated and timed one by one, each sim3d point from the run keys of
-    its seed (:func:`uavlos.citygeom.run_keys`).
+    A geometry-engine sweep goes to :func:`_estimate_geom`; sim3d and
+    baseline points are estimated and timed one by one, each sim3d point
+    from the run keys of its key.
     """
+    if spec.engine == "geom":
+        return _estimate_geom(spec, keys)
     estimates: list[PLosEstimate] = []
     ms: list[float] = []
-    if spec.engine == "geom":
-        points = [(_geom_scenario(spec, var), seed) for var, seed in zip(vars, seeds)]
-        for _, group in groupby(points, key=lambda point: point[0].params):
-            scenarios, group_seeds = zip(*group)
-            group_estimates, seconds = estimate_points(scenarios, spec.n_runs, group_seeds)
-            estimates += group_estimates
-            ms += [1000.0 * sec for sec in seconds]
-        return estimates, ms
-    for var, seed in zip(vars, seeds):
+    names = [axis.name for axis in spec.axes]
+    for q, combo in enumerate(spec.points()):
+        var = dict(zip(names, combo))
         start = time.perf_counter()
         theta, h_uav = _point_angles(spec, var)
         if spec.engine == "sim3d":
             params = _with_swept_params(spec.params, var)
-            est = _estimate_sim3d(spec, params, theta, var.get("phi", spec.phi), h_uav, seed)
+            est = _estimate_sim3d(
+                spec, params, theta, var.get("phi", spec.phi), h_uav, keys[q:q + 1]
+            )
         else:
             est = PLosEstimate.exact(evaluate(_resolve_model(spec, var), theta, h_uav, spec.h_rx))
         estimates.append(est)
         ms.append((time.perf_counter() - start) * 1000.0)
-    return estimates, ms
+    return PLosEstimates.stack(estimates), np.array(ms)
+
+
+def _geom_values(spec: SweepSpec) -> tuple[np.ndarray, list[float]]:
+    """Each grid point's :func:`uavlos.simgeom._point_values` row, built
+    from the grid, and its altitude: tan theta once per combination of
+    the angle axes, the cosine and sine of a fixed azimuth once per
+    azimuth, each by the scalar calls a scenario's row makes
+    (:func:`uavlos.simgeom.value_rows`)."""
+    angles = [_point_angles(spec, var) for var in spec._grid(_ANGLE_AXES)]
+    at = spec._grid_index(_ANGLE_AXES).tolist()
+    tan = [elevation_tan(theta) for theta, _ in angles]
+    h_uav = [angles[i][1] for i in at]
+    cos_sin = None
+    if spec.phi is not None or any(axis.name == "phi" for axis in spec.axes):
+        azimuths = [azimuth_cos_sin(var.get("phi", spec.phi)) for var in spec._grid(("phi",))]
+        cos_sin = np.array(azimuths).take(spec._grid_index(("phi",)), axis=0)
+    return value_rows(np.take(tan, at), h_uav, cos_sin), h_uav
+
+
+def _estimate_geom(spec: SweepSpec, keys: np.ndarray) -> tuple[PLosEstimates, np.ndarray]:
+    """:func:`_estimate_points` of a geometry-engine spec, with its points
+    as arrays (:func:`_geom_values`).
+
+    Consecutive points with the same swept alpha and gamma (all of them
+    unless one is swept) are decided in one
+    :func:`uavlos.simgeom.los_counts` call, each point's time being its
+    share of that call's chunks.  Every group's params and layout are
+    built, and so checked, before the first is decided.
+    """
+    values, h_uav = _geom_values(spec)
+    groups = [
+        (derive_layout(params), params.gamma)
+        for params in (_with_swept_params(spec.params, var) for var in spec._grid(_PARAM_AXES))
+    ]
+    group = spec._grid_index(_PARAM_AXES)
+    cuts = [0, *(np.flatnonzero(np.diff(group)) + 1).tolist(), spec.size]
+    los, seconds = [], []
+    for start, stop in zip(cuts, cuts[1:]):
+        layout, gamma = groups[group[start]]
+        k, sec = los_counts(
+            layout, gamma, spec.user_zone, spec.h_rx, values[start:stop], keys[start:stop],
+            spec.n_runs, h_uav[start:stop],
+        )
+        los.append(k)
+        seconds.append(sec)
+    estimates = PLosEstimates.from_counts(np.concatenate(los), spec.n_runs)
+    return estimates, 1000.0 * np.concatenate(seconds)
 
 
 def run_sweep(spec: SweepSpec) -> SweepResult:
@@ -464,21 +558,20 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
     seed, ``run_keys(spec.seed, points)[q]`` for point q
     (:func:`uavlos.citygeom.run_keys`), so results are independent of
     evaluation order and of the grid size, and reproducible from (spec,
-    seed) alone.  A row's
+    seed) alone.  The points travel as arrays: their seeds become their
+    uint64 keys in one array call, a geometry-engine sweep builds its
+    points' values from the grid and decides them in the engine's array
+    core (:func:`_estimate_geom`), and the result holds its estimates as
+    columns.  A row's
     ms is its point's estimation time; geometry-engine points share
     kernel calls, and each takes a share of every call's wall time in
     proportion to its links in that call, so the rows sum to the sweep's
     estimation time.
     """
-    axis_names = tuple(a.name for a in spec.axes)
-    combos = spec.points()
-    seeds = run_keys(spec.seed, len(combos)).tolist()
-    vars = [dict(zip(axis_names, combo)) for combo in combos]
-    estimates, ms = _estimate_points(spec, vars, seeds)
-    rows = tuple(
-        SweepRow(values=combo, estimate=est, ms=t) for combo, est, t in zip(combos, estimates, ms)
+    estimates, ms = _estimate_points(spec, seed_keys(run_keys(spec.seed, spec.size)))
+    return SweepResult(
+        spec=spec, axis_names=tuple(a.name for a in spec.axes), estimates=estimates, ms=ms
     )
-    return SweepResult(spec=spec, axis_names=axis_names, rows=rows)
 
 
 def compare_engines(
@@ -515,12 +608,11 @@ def compare_engines(
     specgm = SweepSpec(engine="geom", n_runs=ngeom, user_zone="mixed", **common)
     names = ["grid", *sorted(set(models or {}) - {"grid"})]
     baselines = [SweepSpec(engine=f"baseline:{name}", models=models, **common) for name in names]
-    seeds = run_keys(seed, 2 * len(thetas)).tolist()
-    vars = [{"theta": theta} for theta in thetas]
-    est3d, _ = _estimate_points(spec3d, vars, seeds[0::2])
-    estgm, _ = _estimate_points(specgm, vars, seeds[1::2])
+    keys = seed_keys(run_keys(seed, 2 * len(thetas)))
+    est3d, _ = _estimate_points(spec3d, keys[0::2])
+    estgm, _ = _estimate_points(specgm, keys[1::2])
     values = {
-        name: [est.p_hat for est in _estimate_points(spec, vars, [seed] * len(vars))[0]]
+        name: _estimate_points(spec, keys[0::2])[0].p_hat.tolist()
         for name, spec in zip(names, baselines)
     }
     return [
@@ -535,21 +627,31 @@ def compare_engines(
     ]
 
 
-def _estimate_fields(est: PLosEstimate) -> str:
-    """n, k, p_hat and the interval bounds of an estimate as CSV fields."""
-    return f"{est.n},{est.k},{est.p_hat:.6f},{est.ci_lo:.6f},{est.ci_hi:.6f}"
+def _estimate_fields(est: PLosEstimates) -> list[str]:
+    """n, k, p_hat and the interval bounds of each estimate as CSV fields."""
+    columns = (est.n, est.k, est.p_hat, est.ci_lo, est.ci_hi)
+    return [
+        f"{n},{k},{p:.6f},{lo:.6f},{hi:.6f}"
+        for n, k, p, lo, hi in zip(*(column.tolist() for column in columns))
+    ]
 
 
 def result_to_csv(result: SweepResult, include_timing: bool = False) -> str:
-    """Render a sweep result as CSV text (spec echo, header, rows)."""
-    lines = [f"# spec: {result.spec.echo()}"]
-    lines.append(",".join(result.axis_names) + ",n,k,p_hat,ci_lo,ci_hi,ms_per_point")
-    for row in result.rows:
-        ms = row.ms if include_timing else 0.0
-        lines.append(
-            ",".join(f"{v:g}" for v in row.values)
-            + f",{_estimate_fields(row.estimate)},{ms:.6f}"
-        )
+    """Render a sweep result as CSV text (spec echo, header, rows), each
+    row's axis values formatted once per axis value."""
+    labels = [""]
+    for axis in result.spec.axes:
+        texts = [f"{v:g}," for v in axis.values]
+        labels = [label + text for label in labels for text in texts]
+    ms = result.ms.tolist() if include_timing else [0.0] * len(labels)
+    lines = [
+        f"# spec: {result.spec.echo()}",
+        ",".join(result.axis_names) + ",n,k,p_hat,ci_lo,ci_hi,ms_per_point",
+        *(
+            f"{label}{fields},{t:.6f}"
+            for label, fields, t in zip(labels, _estimate_fields(result.estimates), ms)
+        ),
+    ]
     return "\n".join(lines) + "\n"
 
 
@@ -573,9 +675,11 @@ def compare_to_csv(
         "theta,n_3d,k_3d,p_3d,ci_lo_3d,ci_hi_3d,n_geom,k_geom,p_geom,ci_lo_geom,ci_hi_geom,"
         "abs_delta," + ",".join(names),
     ]
-    for row in rows:
+    fields3d = _estimate_fields(PLosEstimates.stack([row.sim3d for row in rows]))
+    fieldsgm = _estimate_fields(PLosEstimates.stack([row.geom for row in rows]))
+    for row, a, g in zip(rows, fields3d, fieldsgm):
         lines.append(
-            f"{row.theta_deg:g},{_estimate_fields(row.sim3d)},{_estimate_fields(row.geom)},"
+            f"{row.theta_deg:g},{a},{g},"
             f"{row.abs_delta:.6f}" + "".join(f",{row.baselines[name]:.6f}" for name in names)
         )
     return "\n".join(lines) + "\n"

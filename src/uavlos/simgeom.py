@@ -20,8 +20,12 @@ is :func:`uavlos.citygeom.roof_heights` of a city key taken from the
 same stream, evaluated only under the UAV and at the track's entries
 (see :func:`_draw_links`).  No Generator is built.
 
-:func:`estimate_points` decides the links of several points (scenarios
-that share params, user zone and h_rx) together, in chunks of
+:func:`los_counts`, the engine's one decision path, decides the links
+of several points that share params, user zone and h_rx together, each
+point given as one row of values (:func:`_point_values`) and one uint64
+key; :func:`estimate_points` and :func:`estimate_plos` hand it the rows
+and keys of :class:`GeomScenario` points, and a sweep builds them from
+its grid without one.  It decides the links in chunks of
 :data:`CHUNK_LINKS` links that fill across point boundaries.  A chunk's
 links are decided by :func:`uavlos.citygeom.blocked_links`, the 3D
 engine's link decision too, which alone sizes the kernel calls, by
@@ -62,7 +66,7 @@ from .citygeom import (
     track_length,
 )
 from .errors import InvalidAngle, InvalidParams
-from .stats import PLosEstimate
+from .stats import PLosEstimate, PLosEstimates
 
 __all__ = [
     "GeomScenario",
@@ -70,6 +74,7 @@ __all__ = [
     "check_track_length",
     "estimate_plos",
     "estimate_points",
+    "los_counts",
 ]
 
 UserZone = Literal["street", "crossroad", "mixed"]
@@ -175,23 +180,49 @@ _REDRAW_ROUNDS = 8
 _REDRAW_DRAWS = 2048
 
 
+def elevation_tan(theta_deg: float) -> float:
+    """tan theta of a point's elevation, infinite at theta 90, so that the
+    ground offset of its UAV is zero."""
+    return math.inf if theta_deg == 90.0 else math.tan(math.radians(theta_deg))
+
+
+def azimuth_cos_sin(phi_deg: float) -> tuple[float, float]:
+    """The cosine and sine of a point's fixed azimuth."""
+    phi = math.radians(phi_deg)
+    return np.cos(phi), np.sin(phi)
+
+
 def _point_values(scenario: GeomScenario) -> tuple[float, ...]:
     """The values of one point that its links' draws share: tan theta
-    (infinite at theta 90, so the ground offset is zero), the cosine and
-    sine of a fixed azimuth, the azimuth range as (lo, hi - lo), with a
+    (:func:`elevation_tan`), the cosine and sine of a fixed azimuth
+    (:func:`azimuth_cos_sin`), the azimuth range as (lo, hi - lo), with a
     span of 0 for a fixed azimuth, and the altitude range as (lo, hi - lo),
     a fixed altitude h being (h, 0)."""
-    theta = scenario.theta_deg
-    tan = math.inf if theta == 90.0 else math.tan(math.radians(theta))
+    tan = elevation_tan(scenario.theta_deg)
     if isinstance(scenario.phi_deg, tuple):
         lo, hi = scenario.phi_deg
         cos = sin = 0.0
     else:
-        phi = math.radians(scenario.phi_deg)
-        cos, sin = np.cos(phi), np.sin(phi)
+        cos, sin = azimuth_cos_sin(scenario.phi_deg)
         lo = hi = 0.0
     h_lo, h_hi = scenario.h_uav if isinstance(scenario.h_uav, tuple) else (scenario.h_uav,) * 2
     return tan, cos, sin, lo, hi - lo, h_lo, h_hi - h_lo
+
+
+def value_rows(tan, h_uav, cos_sin=None) -> np.ndarray:
+    """The :func:`_point_values` rows of points at fixed altitudes: point
+    i at elevation tangent tan[i] (:func:`elevation_tan`) and altitude
+    h_uav[i], at the fixed azimuth whose cosine and sine are row i of
+    cos_sin (:func:`azimuth_cos_sin`), or, without cos_sin, at an azimuth
+    drawn over the quadrant [0, 90]."""
+    rows = np.zeros((len(tan), 7))
+    rows[:, 0] = tan
+    rows[:, 5] = h_uav
+    if cos_sin is None:
+        rows[:, 4] = 90.0
+    else:
+        rows[:, 1:3] = cos_sin
+    return rows
 
 
 #: Stream rows of one placement round, as offsets from the position of
@@ -271,21 +302,23 @@ def _place(layout: CityLayout, gamma: float, h_rx: float, street, values, city, 
 
 
 def _draw_links(
-    scenarios: Sequence[GeomScenario], values: np.ndarray, layout: CityLayout,
-    keys: np.ndarray, point: np.ndarray,
+    layout: CityLayout, gamma: float, zone: str, h_rx: float, values: np.ndarray,
+    keys: np.ndarray, point: np.ndarray, h_uav: Sequence,
 ):
     """Draw the links of keys up to their ground tracks, UAVs in free air.
 
-    Link n belongs to scenarios[point[n]], whose :func:`_point_values`
-    are values[point[n]], and draws from fixed positions of the
-    counter-based stream of its key keys[n]
+    The links' points share the grid of layout, roof scale gamma, user
+    zone and user height h_rx.  Link n belongs to point point[n], whose
+    :func:`_point_values` are values[point[n]] and whose altitude, as a
+    failure names it, is h_uav[point[n]], and draws from fixed positions
+    of the counter-based stream of its key keys[n]
     (:func:`uavlos.citygeom.stream_bits`):
 
     * position 0, as a uniform, picks the zone for "mixed": street when
       below the street share of free area;
     * position 1 + 5r, as 64 bits, is the key of round r's city;
     * positions 2 + 5r to 5 + 5r, as uniforms, are round r's user x,
-      user y, azimuth and altitude, each used only when its scenario
+      user y, azimuth and altitude, each used only when its point
       draws it.
 
     Crossroad users fill the square [0, s]^2; street users fill the
@@ -293,13 +326,12 @@ def _draw_links(
     [s, s + w]), which by the grid's diagonal symmetry stands for both
     street orientations when the azimuth is drawn uniformly.
 
-    Round r is a pure function of (keys[n], r) and the link's scenario.
+    Round r is a pure function of (keys[n], r) and the link's point.
     Every round is a fresh city: a round whose altitude is at or below
     the user, or whose UAV hovers over a roof of its city
     (:func:`roof_heights`) at or above it, is rejected, and the link
     takes round r + 1, zone kept.  The accepted round conditions only
-    the roof under its UAV.  The scenarios share params, user zone and
-    h_rx.
+    the roof under its UAV.
 
     Because rounds are pure, they are drawn in passes rather than one
     at a time, which changes no bit: a first pass draws round 0 of every
@@ -319,8 +351,6 @@ def _draw_links(
     Returns arrays (user x, user y, UAV x, UAV y, UAV z, city key) of
     each link's accepted round.
     """
-    zone, h_rx = scenarios[0].user_zone, scenarios[0].h_rx
-    gamma = scenarios[0].params.gamma
     # A value reaches the links as one scalar when the chunk's points share
     # it, else as one value per link.
     shared = (values == values[0]).all(axis=0)
@@ -367,20 +397,18 @@ def _draw_links(
         # Name the point of the first link given up.
         low = pending[placed[4][pending] <= h_rx]
         if low.size:
-            h_uav = scenarios[point[low[0]]].h_uav
-            raise InvalidParams(f"h_uav range {h_uav} never exceeds h_rx={h_rx}")
-        h_uav = scenarios[point[pending[0]]].h_uav
-        raise InvalidParams(f"no free-air UAV placement found at h_uav={h_uav}")
+            raise InvalidParams(f"h_uav range {h_uav[point[low[0]]]} never exceeds h_rx={h_rx}")
+        raise InvalidParams(f"no free-air UAV placement found at h_uav={h_uav[point[pending[0]]]}")
     return (*placed, city)
 
 
 def _first_blockers(
-    scenarios: Sequence[GeomScenario], values: np.ndarray, layout: CityLayout,
-    keys: np.ndarray, point: np.ndarray,
+    layout: CityLayout, gamma: float, zone: str, h_rx: float, values: np.ndarray,
+    keys: np.ndarray, point: np.ndarray, h_uav: Sequence,
 ) -> np.ndarray:
-    """Decide the links of keys, link n of scenarios[point[n]] with the
-    :func:`_point_values` values[point[n]]; returns how many links of
-    each scenario are NLoS.
+    """Decide the links of keys, drawn as :func:`_draw_links` draws them
+    from the same arguments; returns how many links of each point (each
+    row of values) are NLoS.
 
     A link is NLoS when a roof of its accepted city reaches the ray
     height where its ground track enters that roof's building (ties
@@ -397,8 +425,9 @@ def _first_blockers(
     the blocked links are blocked within two periods of theirs, so the
     second stage takes few links.
     """
-    ux, uy, vx, vy, vz, city = _draw_links(scenarios, values, layout, keys, point)
-    h_rx, gamma = scenarios[0].h_rx, scenarios[0].params.gamma
+    ux, uy, vx, vy, vz, city = _draw_links(
+        layout, gamma, zone, h_rx, values, keys, point, h_uav
+    )
     rise = vz - h_rx
     # Each track's ground length, the offset (vz - h_rx)/tan(theta) that
     # placed its UAV (:func:`_place`), 0 overhead.
@@ -407,12 +436,12 @@ def _first_blockers(
         layout, ux, uy, vx, vy, length, h_rx, rise,
         lambda link, ix, iy: roof_heights(city.take(link), ix, iy, gamma),
     )
-    return np.bincount(point[nlos], minlength=len(scenarios))
+    return np.bincount(point[nlos], minlength=len(values))
 
 
-#: Links of the points of one :func:`estimate_points` call that are
-#: drawn and decided together, across point boundaries.  A chunk's draws
-#: take memory in proportion to its links; its kernel calls are sized by
+#: Links of the points of one :func:`los_counts` call that are drawn
+#: and decided together, across point boundaries.  A chunk's draws take
+#: memory in proportion to its links; its kernel calls are sized by
 #: :func:`uavlos.citygeom.blocked_links` alone.  The traced peak of the
 #: 170-point high-rise heatmap is 1.73 MB at 4096 links, 2.11 MB at
 #: 6144, 2.37 MB at 8192 and 3.68 MB at 16384, against the 2.43 MB its
@@ -421,43 +450,36 @@ def _first_blockers(
 CHUNK_LINKS = 6144
 
 
-def estimate_points(
-    scenarios: Sequence[GeomScenario], n_runs: int, seeds: Sequence[int]
-) -> tuple[list[PLosEstimate], list[float]]:
-    """Monte-Carlo P_LoS estimates of several points over independent
-    links, n_runs links per point, decided together.
+def los_counts(
+    layout: CityLayout, gamma: float, zone: str, h_rx: float, values: np.ndarray,
+    point_keys: np.ndarray, n_runs: int, h_uav: Sequence,
+) -> tuple[np.ndarray, np.ndarray]:
+    """LoS counts of several points over independent links, n_runs links
+    per point, decided together: the array core of the geometry engine.
 
-    The scenarios must share params, user zone and h_rx; theta, azimuth
-    and altitude may differ.  Link i of point q is the uint64 key
-    ``run_keys(seeds[q], n_runs)[i]`` (:func:`uavlos.citygeom.run_keys`),
-    drawn as :func:`_draw_links` describes.  Link j of the group is run
-    j % n_runs of point j // n_runs, and the links are decided in chunks
-    of CHUNK_LINKS consecutive links, across point boundaries, each
-    chunk deriving the keys of its links in one
-    :func:`uavlos.citygeom.stream_bits` call and deciding its long
-    tracks near their users first (:func:`_first_blockers`).  That
-    bounds memory and leaves every estimate unchanged: a link's draws
-    depend on its key alone, and a link blocked near its user is blocked
-    on its whole track, so each estimate equals :func:`estimate_plos` of
-    its point alone.
+    The points share the grid of layout, roof scale gamma, user zone and
+    user height h_rx.  Point q has the :func:`_point_values` row
+    values[q], the uint64 key point_keys[q] (:func:`uavlos.citygeom.seed_keys`
+    of its seed) and the altitude h_uav[q], read only to name a point
+    whose placement fails.  Link i of point q is position i of the stream
+    of its key, ``run_keys(seed, n_runs)[i]`` for its seed
+    (:func:`uavlos.citygeom.run_keys`), drawn as :func:`_draw_links`
+    describes.  Link j of the call is run j % n_runs of point j // n_runs,
+    and the links are decided in chunks of CHUNK_LINKS consecutive links,
+    across point boundaries, each chunk deriving the keys of its links in
+    one :func:`uavlos.citygeom.stream_bits` call and deciding its long
+    tracks near their users first (:func:`_first_blockers`).  That bounds
+    memory and leaves every count unchanged: a link's draws depend on its
+    key alone, and a link blocked near its user is blocked on its whole
+    track, so each count is that of its point alone.
 
-    Returns the estimates and, per point, its share in seconds of each
+    Returns each point's LoS count and its share in seconds of each
     chunk's wall time, in proportion to its links in that chunk, so the
     shares sum to the time spent deciding the chunks.
     """
-    if n_runs < 1:
-        raise InvalidParams(f"need at least one run, got {n_runs}")
-    if len(seeds) != len(scenarios):
-        raise InvalidParams(f"need one seed per scenario, got {len(seeds)} for {len(scenarios)}")
-    if len({(sc.params, sc.user_zone, sc.h_rx) for sc in scenarios}) != 1:
-        raise InvalidParams("need one or more scenarios sharing params, user zone and h_rx")
-    layout = scenarios[0].layout()
-    # Each point's values, once per call; a chunk takes its points' rows.
-    values = np.array([_point_values(scenario) for scenario in scenarios])
-    point_keys = seed_keys(seeds)
-    nlos = np.zeros(len(scenarios), dtype=np.int64)
-    seconds = np.zeros(len(scenarios))
-    total = len(scenarios) * n_runs
+    nlos = np.zeros(len(values), dtype=np.int64)
+    seconds = np.zeros(len(values))
+    total = len(values) * n_runs
     clock = time.perf_counter()
     for start in range(0, total, CHUNK_LINKS):
         # Run i of point q is position i of the stream of q's key, as in
@@ -466,12 +488,45 @@ def estimate_points(
         keys = stream_bits(point_keys.take(q), run)
         points = slice(q[0], q[-1] + 1)
         point = q - q[0]
-        nlos[points] += _first_blockers(scenarios[points], values[points], layout, keys, point)
+        nlos[points] += _first_blockers(
+            layout, gamma, zone, h_rx, values[points], keys, point, h_uav[points]
+        )
         now = time.perf_counter()
         seconds[points] += (now - clock) * np.bincount(point) / keys.size
         clock = now
-    estimates = [PLosEstimate.from_counts(n_runs - int(k), n_runs) for k in nlos]
-    return estimates, seconds.tolist()
+    return n_runs - nlos, seconds
+
+
+def estimate_points(
+    scenarios: Sequence[GeomScenario], n_runs: int, seeds: Sequence[int]
+) -> tuple[list[PLosEstimate], list[float]]:
+    """Monte-Carlo P_LoS estimates of several points over independent
+    links, n_runs links per point, decided together: a wrapper that hands
+    the scenarios' :func:`_point_values` rows and the keys of seeds to the
+    array core :func:`los_counts`.
+
+    The scenarios must share params, user zone and h_rx; theta, azimuth
+    and altitude may differ.  Link i of point q is the uint64 key
+    ``run_keys(seeds[q], n_runs)[i]`` (:func:`uavlos.citygeom.run_keys`),
+    and each estimate equals :func:`estimate_plos` of its point alone.
+
+    Returns the estimates and, per point, its share in seconds of the
+    wall time of the chunks its links were decided in (see
+    :func:`los_counts`).
+    """
+    if n_runs < 1:
+        raise InvalidParams(f"need at least one run, got {n_runs}")
+    if len(seeds) != len(scenarios):
+        raise InvalidParams(f"need one seed per scenario, got {len(seeds)} for {len(scenarios)}")
+    if len({(sc.params, sc.user_zone, sc.h_rx) for sc in scenarios}) != 1:
+        raise InvalidParams("need one or more scenarios sharing params, user zone and h_rx")
+    first = scenarios[0]
+    los, seconds = los_counts(
+        first.layout(), first.params.gamma, first.user_zone, first.h_rx,
+        np.array([_point_values(scenario) for scenario in scenarios]), seed_keys(seeds),
+        n_runs, [scenario.h_uav for scenario in scenarios],
+    )
+    return list(PLosEstimates.from_counts(los, n_runs)), seconds.tolist()
 
 
 def estimate_plos(scenario: GeomScenario, n_runs: int, seed: int) -> PLosEstimate:

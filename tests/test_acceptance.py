@@ -251,7 +251,8 @@ def test_criterion_9_geometry_engine_is_cheaper():
     keys = np.random.SeedSequence(2).generate_state(20, np.uint64)
     values = np.array([_point_values(scenario)])
     ux, uy, vx, vy, _, _ = _draw_links(
-        [scenario], values, layout, keys, np.zeros(20, dtype=np.intp)
+        layout, URBAN.gamma, "street", scenario.h_rx, values, keys, np.zeros(20, dtype=np.intp),
+        [scenario.h_uav],
     )
 
     nx, ny = city.heights.shape

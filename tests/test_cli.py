@@ -276,7 +276,7 @@ def test_overlong_geom_track_exits_two_before_any_point(tmp_path, capsys, monkey
     def fail(*args, **kwargs):
         pytest.fail("a grid point was estimated")
 
-    monkeypatch.setattr(harness, "estimate_points", fail)
+    monkeypatch.setattr(harness, "los_counts", fail)
     command = "plos-vs-theta" if grid[0] == "--theta-grid" else "plos-vs-radius"
     out = tmp_path / "sweep.csv"
     assert run_cli(command, "--engine", "geom", "--env", "urban", "--runs", "20000",
@@ -300,7 +300,7 @@ def test_sim3d_ring_beyond_the_extent_exits_two_before_any_point(
         pytest.fail("a grid point was estimated")
 
     monkeypatch.setattr(harness, "_estimate_sim3d", fail)
-    monkeypatch.setattr(harness, "estimate_points", fail)
+    monkeypatch.setattr(harness, "los_counts", fail)
     out = tmp_path / "out.csv"
     extent = "1000" if argv[0] == "compare" else "3000"
     assert run_cli(*argv, "--env", "urban", "--extent", extent, "--seed", "1",
@@ -634,6 +634,29 @@ def test_inputs_that_would_exhaust_memory_exit_two(tmp_path, argv, message):
     assert list(tmp_path.iterdir()) == []
 
 
+def test_a_sweep_of_too_many_grid_points_exits_two(tmp_path):
+    # Each grid holds at most MAX_GRID_VALUES values, but two axes
+    # multiply: 9 888 x 9 999 points would be 10^8 tuples before the
+    # first point ran.  The spec refuses them from the axis lengths.
+    proc = run_cli_limited(tmp_path, "heatmap", "--engine", "geom", "--env", "urban",
+                           "--theta-grid", "1:89.99:0.009", "--phi-grid", "0:89.99:0.009",
+                           "--runs", "1", "--seed", "1", "--out", "out.csv")
+    assert proc.returncode == 2, proc.stderr
+    assert f"more than the {harness.MAX_POINTS} a sweep may have" in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_a_failure_with_no_text_is_named_by_its_type(tmp_path, monkeypatch, capsys):
+    def exhausted(spec):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "run_sweep", exhausted)
+    assert run_cli(*_GEOM, "--seed", "1", "--out", tmp_path / "out.csv") == 1
+    assert capsys.readouterr().err == "error: MemoryError\n"
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_a_city_header_that_would_exhaust_memory_is_a_parse_error(tmp_path):
     # The header of a 1 000 km urban city names 22 360 x 22 360 roofs
     # (3.7 GiB): the parser refuses it at line 1, as generate_city refuses
@@ -655,6 +678,15 @@ def test_memory_bounds_admit_inputs_up_to_them(monkeypatch):
     harness.SweepSpec(engine="sim3d", n_users=harness.MAX_USERS, **common)
     with pytest.raises(IllegalSpec, match="n_users must be in"):
         harness.SweepSpec(engine="sim3d", n_users=harness.MAX_USERS + 1, **common)
+    # 1 000 x 1 000 grid points are a legal sweep, one more row is not.
+    thetas = harness.SweepAxis("theta", tuple(np.linspace(0.09, 90.0, 1000)))
+    phis = tuple(np.linspace(0.0, 90.0, 1000))
+    spec = harness.SweepSpec(engine="geom", params=URBAN, seed=1,
+                             axes=(thetas, harness.SweepAxis("phi", phis)))
+    assert spec.size == harness.MAX_POINTS
+    with pytest.raises(IllegalSpec, match="1001000 points"):
+        harness.SweepSpec(engine="geom", params=URBAN, seed=1,
+                          axes=(thetas, harness.SweepAxis("phi", phis + (45.0,))))
     # A 1 000 m urban extent holds 22 x 22 cells.
     monkeypatch.setattr(sim3d, "MAX_CITY_CELLS", 22 * 22)
     assert generate_city(URBAN, 1000.0, 1000.0, 3).heights.shape == (22, 22)

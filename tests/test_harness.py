@@ -6,7 +6,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from uavlos import citygeom, harness, sim3d, simgeom
+from uavlos import citygeom, harness, sim3d, simgeom, stats
 from uavlos.baselines import GridProduct, Sigmoid, evaluate
 from uavlos.citygeom import ENVIRONMENTS, BuiltUpParams
 from uavlos.errors import IllegalSpec, InvalidCounts, UavLosError
@@ -19,7 +19,8 @@ from uavlos.harness import (
     write_csv,
 )
 from uavlos.sim3d import place_uav
-from uavlos.stats import PLosEstimate, wilson_interval
+from uavlos.cli import _parse_grid
+from uavlos.stats import PLosEstimate, PLosEstimates, wilson_bounds, wilson_interval
 
 URBAN = ENVIRONMENTS["urban"]
 
@@ -52,6 +53,91 @@ def test_estimate_containers():
         PLosEstimate(n=10, k=11, p_hat=1.1, ci_lo=0.0, ci_hi=1.0)
     with pytest.raises(InvalidCounts):
         PLosEstimate.exact(1.5)
+
+
+def bits(values) -> np.ndarray:
+    """The IEEE bits of float values, so that equal means bit for bit."""
+    return np.asarray(values, dtype=float).view(np.uint64)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 150, 200, 2000, 6000])
+def test_array_wilson_bounds_are_the_scalar_bounds_bit_for_bit(n):
+    # A sweep's points take their bounds from one array expression; the
+    # CSV prints them to six decimals, so a last-bit drift could move a
+    # printed digit.
+    k = np.arange(n + 1)
+    lo, hi = wilson_bounds(k, n)
+    scalar = np.array([wilson_interval(i, n) for i in range(n + 1)])
+    np.testing.assert_array_equal(bits(lo), bits(scalar[:, 0]))
+    np.testing.assert_array_equal(bits(hi), bits(scalar[:, 1]))
+    estimates = PLosEstimates.from_counts(k, n)
+    assert list(estimates) == [PLosEstimate.from_counts(i, n) for i in range(n + 1)]
+
+
+def test_array_estimates_are_checked_as_one_estimate_is():
+    with pytest.raises(InvalidCounts, match="k=11, n=10"):
+        wilson_bounds([3, 11], 10)
+    with pytest.raises(InvalidCounts):
+        wilson_bounds([0], [0])
+    with pytest.raises(InvalidCounts):
+        PLosEstimates.from_counts([1], 2, z=0.0)
+    with pytest.raises(InvalidCounts):
+        PLosEstimates(n=np.array([10]), k=np.array([5]), p_hat=np.array([0.5]),
+                      ci_lo=np.array([0.6]), ci_hi=np.array([0.7]))
+
+
+@pytest.mark.parametrize("axes,fixed", [
+    ((SweepAxis("theta", _parse_grid("0.1:90:0.1")), SweepAxis("phi", (0.0, 0.5, 45.0, 89.9, 90.0))),
+     dict(user_zone="street")),
+    ((SweepAxis("radius", _parse_grid("5:1000:5")), SweepAxis("h_uav", (2.0, 37.5, 100.0, 500.0))),
+     dict(h_rx=1.5)),
+    ((SweepAxis("h_uav", _parse_grid("2:300:2.5")), SweepAxis("theta", (0.7, 30.0, 60.1, 90.0))),
+     dict(phi=12.5, h_rx=0.0)),
+], ids=["theta-phi", "radius-h_uav", "h_uav-theta"])
+def test_sweep_point_rows_are_the_scenario_rows_bit_for_bit(axes, fixed):
+    # A geometry-engine sweep builds its points' values from the grid,
+    # once per axis value, by the scalar calls a scenario's row makes:
+    # numpy's vector tan and arctan2 differ from math's in the last bit
+    # on some angles, so this pins the scalar calls.
+    spec = SweepSpec(engine="geom", params=URBAN, axes=axes, seed=0, **fixed)
+    values, h_uav = harness._geom_values(spec)
+    names = [axis.name for axis in axes]
+    expected = []
+    for combo in spec.points():
+        var = dict(zip(names, combo))
+        theta, h = harness._point_angles(spec, var)
+        phi = var.get("phi", spec.phi)
+        scenario = simgeom.GeomScenario(
+            URBAN, spec.user_zone, theta, phi_deg=(0.0, 90.0) if phi is None else phi, h_uav=h,
+            h_rx=spec.h_rx,
+        )
+        expected.append(simgeom._point_values(scenario))
+    np.testing.assert_array_equal(bits(values), bits(expected))
+    assert h_uav == [harness._point_angles(spec, dict(zip(names, c)))[1] for c in spec.points()]
+
+
+def test_a_geometry_sweep_builds_no_scenario_and_no_scalar_interval(monkeypatch):
+    # P points travel as arrays: no GeomScenario per point, and the Wilson
+    # bounds of all of them in one array expression.
+    built, intervals = [], []
+    check, interval = simgeom.GeomScenario.__post_init__, stats.wilson_interval
+
+    def counted_check(self):
+        built.append(self)
+        check(self)
+
+    def counted_interval(*args, **kwargs):
+        intervals.append(args)
+        return interval(*args, **kwargs)
+
+    monkeypatch.setattr(simgeom.GeomScenario, "__post_init__", counted_check)
+    monkeypatch.setattr(stats, "wilson_interval", counted_interval)
+    spec = SweepSpec(engine="geom", params=ENVIRONMENTS["high-rise"], user_zone="street",
+                     n_runs=20, seed=1, axes=(theta_axis(10, 45, 80),
+                                              SweepAxis("phi", (0.0, 30.0, 90.0))))
+    text = result_to_csv(run_sweep(spec))
+    assert len(text.splitlines()) == 2 + 9
+    assert (len(built), len(intervals)) == (0, 0)
 
 
 def theta_axis(*values):
@@ -418,7 +504,7 @@ def test_compare_engines_is_reproducible():
 def sim3d_point(spec, theta, phi):
     """The 3D engine's estimate at one point of spec on URBAN, with its
     UAVs at 100 m and the run keys of seed 77."""
-    return harness._estimate_sim3d(spec, URBAN, theta, phi, 100.0, 77)
+    return harness._estimate_sim3d(spec, URBAN, theta, phi, 100.0, citygeom.seed_keys([77]))
 
 
 def sim3d_work(monkeypatch):
@@ -538,7 +624,7 @@ def test_sim3d_points_derive_their_run_keys_a_block_at_a_time(monkeypatch):
     # its first city.  The mid block bound of the block test fits 5 of
     # the 12 cities at theta 30.
     spec = SweepSpec(engine="sim3d", params=URBAN, extent=(1000.0, 1000.0),
-                     axes=(SweepAxis("theta", (30.0,)),), n_runs=12, n_users=90)
+                     axes=(SweepAxis("theta", (30.0, 30.0)),), n_runs=12, n_users=90)
     derived, blocks = [], []
     stream_bits, run_keys = citygeom.stream_bits, citygeom.run_keys
 
@@ -559,7 +645,7 @@ def test_sim3d_points_derive_their_run_keys_a_block_at_a_time(monkeypatch):
     monkeypatch.setattr(harness, "place_uav", counted_block)
     monkeypatch.setattr(harness, "BLOCK_ELEMENTS", 1000)
     seeds = [5, 2**62 + 3]
-    harness._estimate_points(spec, [{"theta": 30.0}] * 2, seeds)
+    harness._estimate_points(spec, citygeom.seed_keys(seeds))
     assert [b.size for b in blocks] == [5, 5, 2] * 2
     assert [d.size for d in derived] == [b.size for b in blocks]
     for q, seed in enumerate(seeds):
@@ -684,8 +770,9 @@ def test_sweep_points_take_the_keys_of_the_master_seed():
                        axes=(theta_axis(*thetas),), n_runs=3, n_users=30, seed=9)
     compared = compare_engines(URBAN, thetas, n3d=3, ngeom=200, seed=9, extent=(1000.0, 1000.0),
                                n_users=30)
-    vars = [{"theta": theta} for theta in thetas]
-    assert [row.sim3d for row in compared] == harness._estimate_points(spec3d, vars, seeds[0::2])[0]
+    assert [row.sim3d for row in compared] == list(
+        harness._estimate_points(spec3d, citygeom.seed_keys(seeds[0::2]))[0]
+    )
     assert [row.geom for row in compared] == [
         simgeom.estimate_plos(simgeom.GeomScenario(URBAN, "mixed", theta, h_uav=100.0), 200, seed)
         for theta, seed in zip(thetas, seeds[1::2])

@@ -1,4 +1,4 @@
-"""Byte pins of seven short CLI runs.
+"""Byte pins of seven short CLI runs, and digests of the benchmark heatmap.
 
 Each case runs one subcommand at small sizes and compares the CSV it
 writes with the exact text below.  A change that keeps every random
@@ -6,6 +6,8 @@ draw, every geometric decision and every formatting rule passes; any
 change to the RNG stream, the ground-track rules or the CSV layout
 fails here and has to update the pinned text on purpose.
 """
+
+import hashlib
 
 import pytest
 
@@ -104,3 +106,22 @@ def test_cli_csv_bytes_are_pinned(name, tmp_path):
     out = tmp_path / f"{name}.csv"
     assert main(argv + ["--out", str(out)]) == 0
     assert out.read_text() == expected
+
+
+#: sha256 of the CSV of the benchmark's heatmap-highrise-street command
+#: line (170 points of 200 links) at two seeds: every row's counts and
+#: bounds, and the layout of the rows built from arrays.
+HEATMAP_DIGESTS = {
+    1: "8ccae5cf28ebeb99a9226a356240fabf71ca093704b39c2b8b6271624618f534",
+    7: "d3ac8b809805a5020f73469672cc9d586b9b0c73b1fbf40e0e87baae50187c79",
+}
+
+
+@pytest.mark.parametrize("seed", sorted(HEATMAP_DIGESTS))
+def test_benchmark_heatmap_csv_digest_is_pinned(seed, tmp_path):
+    out = tmp_path / "heatmap.csv"
+    argv = ["heatmap", "--engine", "geom", "--env", "high-rise", "--user-zone", "street",
+            "--theta-grid", "5:85:5", "--phi-grid", "0:90:10", "--runs", "200",
+            "--seed", str(seed), "--out", str(out)]
+    assert main(argv) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == HEATMAP_DIGESTS[seed]

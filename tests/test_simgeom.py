@@ -77,13 +77,22 @@ def point_values(scenarios):
     return np.array([simgeom._point_values(scenario) for scenario in scenarios])
 
 
+def engine_args(scenarios, values, layout, keys, point):
+    """The arguments of _draw_links and _first_blockers for the links of
+    keys on layout, link n of scenarios[point[n]] with the values
+    values[point[n]]."""
+    first = scenarios[0]
+    return (layout, first.params.gamma, first.user_zone, first.h_rx, values, keys, point,
+            [scenario.h_uav for scenario in scenarios])
+
+
 def keyed_links(params, zone, n, seed, h_rx=0.0):
     """User and UAV positions of n links as the geometry engine draws them
     from their keys (a uniform azimuth, a 100 m UAV at theta 30)."""
     scenario = GeomScenario(params, zone, theta_deg=30.0, h_uav=100.0, h_rx=h_rx)
     keys = np.random.SeedSequence(seed).generate_state(n, np.uint64)
-    return _draw_links([scenario], point_values([scenario]), scenario.layout(), keys,
-                       np.zeros(n, dtype=np.intp))
+    return _draw_links(*engine_args([scenario], point_values([scenario]), scenario.layout(),
+                                    keys, np.zeros(n, dtype=np.intp)))
 
 
 def test_sample_user_zones():
@@ -124,8 +133,8 @@ def test_mixed_zone_is_drawn_once_per_link_with_free_area_weights():
     )
     layout = scenario.layout()
     keys = np.random.SeedSequence(5).generate_state(20_000, np.uint64)
-    _, uy, *_ = _draw_links([scenario], point_values([scenario]), layout, keys,
-                            np.zeros(keys.size, dtype=np.intp))
+    _, uy, *_ = _draw_links(*engine_args([scenario], point_values([scenario]), layout, keys,
+                                         np.zeros(keys.size, dtype=np.intp)))
     share = 2.0 * layout.w / (layout.s + 2.0 * layout.w)
     sd = math.sqrt(share * (1 - share) / keys.size)
     assert (uy >= layout.s).mean() == pytest.approx(share, abs=4.0 * sd)
@@ -638,7 +647,7 @@ def drawn_or_refused(draw, scenarios, n_runs, seed):
 def assert_same_draws(scenarios, n_runs, seed):
     """_draw_links gives the reference's links bit for bit, or refuses
     the chunk with the reference's message; returns that outcome."""
-    got = drawn_or_refused(_draw_links, scenarios, n_runs, seed)
+    got = drawn_or_refused(lambda *args: _draw_links(*engine_args(*args)), scenarios, n_runs, seed)
     expected = drawn_or_refused(one_round_at_a_time, scenarios, n_runs, seed)
     assert type(got) is type(expected)
     if isinstance(expected, str):
@@ -923,21 +932,23 @@ def staged_chunk():
 
 
 def link_by_link(scenarios, n, seed):
-    """_first_blockers arguments for n links of each scenario in one
-    chunk, each link its own point, so that it returns each link's NLoS
-    count, 0 or 1."""
+    """The scenario of each of n links of each scenario, and
+    _first_blockers arguments for them in one chunk, each link its own
+    point, so that it returns each link's NLoS count, 0 or 1."""
     per_link = [scenario for scenario in scenarios for _ in range(n)]
     keys = citygeom.run_keys(seed, len(per_link))
-    return per_link, point_values(per_link), per_link[0].layout(), keys, np.arange(keys.size)
+    return per_link, engine_args(per_link, point_values(per_link), per_link[0].layout(), keys,
+                                 np.arange(keys.size))
 
 
-def nlos_on_tracks(scenarios, values, layout, keys, point, t_max=1.0):
-    """Reference: each link NLoS (1) or not (0) on its track up to
-    t_max, every link in one kernel call."""
-    ux, uy, vx, vy, vz, city = _draw_links(scenarios, values, layout, keys, point)
+def nlos_on_tracks(*args, t_max=1.0):
+    """Reference: each link of the _first_blockers arguments args NLoS
+    (1) or not (0) on its track up to t_max, every link in one kernel
+    call."""
+    layout, gamma, _, h_rx, _, keys = args[:6]
+    ux, uy, vx, vy, vz, city = _draw_links(*args)
     link, ix, iy, t = track_entries(layout, ux, uy, vx, vy, t_max)
-    h_rx = scenarios[0].h_rx
-    roof = citygeom.roof_heights(city[link], ix, iy, scenarios[0].params.gamma)
+    roof = citygeom.roof_heights(city[link], ix, iy, gamma)
     nlos = np.zeros(keys.size, dtype=np.int64)
     nlos[link[roof >= h_rx + t * (vz[link] - h_rx)]] = 1
     return nlos
@@ -951,8 +962,8 @@ def test_staged_decision_equals_one_call_on_whole_tracks(monkeypatch, kernel_cal
     # links to cut, read from the chunk's first point (theta 90 first,
     # or 0.2 first).
     scenarios = staged_chunk()[:: 1 if order == "as listed" else -1]
-    args = link_by_link(scenarios, 40, 5)
-    per_link, _, layout, _, _ = args
+    per_link, args = link_by_link(scenarios, 40, 5)
+    layout = args[0]
     expected = nlos_on_tracks(*args)
     monkeypatch.setattr(citygeom, "CALL_PERIODS", 50)
     np.testing.assert_array_equal(simgeom._first_blockers(*args), expected)
@@ -969,7 +980,7 @@ def test_staged_decision_equals_one_call_on_whole_tracks(monkeypatch, kernel_cal
     x0, y0, x1, y1, cut = (np.concatenate([c[k] for c in first]) for k in range(5))
     p = layout.period
     vz = _draw_links(*args)[4]
-    length = (vz - per_link[0].h_rx) / args[1][:, 0]
+    length = (vz - per_link[0].h_rx) / args[4][:, 0]
     np.testing.assert_allclose(length, np.hypot(x1 - x0, y1 - y0), rtol=1e-12, atol=1e-9)
     staged = length > 2 * citygeom.NEAR_PERIODS * p
     drawn = np.array([isinstance(sc.h_uav, tuple) for sc in per_link])
@@ -1058,9 +1069,9 @@ def test_estimate_points_equals_estimate_plos_point_by_point(monkeypatch, chunk,
     chunks = []
     first_blockers = simgeom._first_blockers
 
-    def recorded(scenarios, values, layout, keys, point):
+    def recorded(layout, gamma, zone, h_rx, values, keys, point, h_uav):
         chunks.append(np.unique(point).size)
-        return first_blockers(scenarios, values, layout, keys, point)
+        return first_blockers(layout, gamma, zone, h_rx, values, keys, point, h_uav)
 
     monkeypatch.setattr(simgeom, "_first_blockers", recorded)
     estimates, seconds = estimate_points(scenarios, 150, seeds)
@@ -1085,11 +1096,11 @@ def test_each_call_derives_the_keys_of_its_links_at_once(monkeypatch):
     calls, derived = [], []
     first_blockers, stream_bits = simgeom._first_blockers, simgeom.stream_bits
 
-    def recorded(scenarios, values, layout, keys, point):
+    def recorded(layout, gamma, zone, h_rx, values, keys, point, h_uav):
         calls.append((keys, point))
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(simgeom, "stream_bits", stream_bits)
-            return first_blockers(scenarios, values, layout, keys, point)
+            return first_blockers(layout, gamma, zone, h_rx, values, keys, point, h_uav)
 
     def counted(key, counter):
         derived.append(np.size(counter))
