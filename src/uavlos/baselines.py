@@ -34,10 +34,17 @@ class GridProduct:
 
     m = floor(r * sqrt(alpha*beta) / 1000) buildings are assumed over
     the ground distance r; each contributes the probability that a
-    Rayleigh(gamma) roof stays below the ray at its midpoint.
+    Rayleigh(gamma) roof stays below the ray at its midpoint.  A gamma
+    so small that 2*gamma*gamma underflows to 0, the factors' divisor,
+    is refused.
     """
 
     params: BuiltUpParams
+
+    def __post_init__(self):
+        gamma = self.params.gamma
+        if 2.0 * gamma * gamma == 0.0:
+            raise InvalidParams(f"GridProduct needs 2*gamma^2 above 0, got gamma={gamma}")
 
 
 @dataclass(frozen=True)

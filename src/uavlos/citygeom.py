@@ -69,6 +69,7 @@ __all__ = [
     "bits_to_uniforms",
     "stream_uniforms",
     "roof_heights",
+    "MAX_AXIS_CELLS",
     "uav_position_from_angles",
 ]
 
@@ -664,13 +665,19 @@ def stream_uniforms(key, counter) -> np.ndarray:
     return bits_to_uniforms(stream_bits(key, counter))
 
 
+#: Most building cells a city may have per axis: :func:`roof_heights`
+#: reads cell (ix, iy) at stream position (ix << 32) | iy of an int64.
+MAX_AXIS_CELLS = 2**31 - 1
+
+
 def roof_heights(key, ix, iy, gamma: float) -> np.ndarray:
     """Roof heights of the 1-based cells (ix, iy) of the city ``key``.
 
     Each roof is the Rayleigh(gamma) inverse CDF of position
     (ix << 32) | iy of the key's stream (:func:`stream_uniforms`), so it
     is independent of every other cell and key and needs no grid: a city
-    is its key.  key, ix and iy broadcast; ix and iy lie in [1, 2^31).
+    is its key.  key, ix and iy broadcast; ix and iy lie in
+    [1, MAX_AXIS_CELLS].
     """
     if gamma <= 0.0:
         raise InvalidParams(f"gamma must be positive, got {gamma}")

@@ -9,10 +9,20 @@ Every option's built-in default is in :data:`_DEFAULTS`; an entry
 overrides only its output name and, for the heatmap, the user zone.
 Options come from flags, with an optional line-oriented ``key=value``
 config file behind ``--config``; flags win over file keys, file keys
-win over built-in defaults.  :func:`main` parses, resolves the
-options, and hands any entry with axes to one sweep runner and the
-others to city export or engine comparison; CSV text is rendered by
-:mod:`uavlos.harness`.
+win over built-in defaults.
+
+A clean command line, one that names a subcommand and gives each of its
+exact long flags a value not starting with "-", is read straight from
+:data:`_SUBCOMMANDS` and the option table :data:`_OPTS`, and builds no
+argparse parser, which costs a fresh process a few milliseconds.  Every
+other line goes to the full argparse parser, which prints help and usage
+errors.  That includes any value starting with "-", since only
+argparse's rules say whether such a value is a negative number or a
+flag.  Both paths give the same namespace.
+
+:func:`main` parses, resolves the options, and hands any entry with axes
+to one sweep runner and the others to city export or engine comparison;
+CSV text is rendered by :mod:`uavlos.harness`.
 
 Exit codes: 0 success, 2 usage or configuration error, 1 runtime
 failure.  Output files are written to a temp name and renamed, so a
@@ -104,8 +114,9 @@ def _parse_bool(text: str) -> bool:
     raise argparse.ArgumentTypeError(f"bad boolean {text!r}")
 
 
-# dest -> argparse kwargs; config-file values go through the same type (a
-# boolean for store-true flags) and choices
+# dest -> argparse kwargs, --config's too, which every subcommand takes;
+# config-file values go through the same type (a boolean for store-true
+# flags) and choices
 _OPTS: dict[str, dict] = {
     "env": dict(choices=sorted(ENVIRONMENTS), help="named environment"),
     "alpha": dict(type=float, help="built-up area ratio (with --beta --gamma)"),
@@ -131,6 +142,7 @@ _OPTS: dict[str, dict] = {
     "thetas": dict(type=_parse_grid, help="comparison theta grid"),
     "runs_3d": dict(type=int, help="3D engine runs per point"),
     "runs_geom": dict(type=int, help="geometry engine runs per point"),
+    "config": dict(help="key=value config file; flags override"),
 }
 
 _PARAM_OPTS = ["env", "alpha", "beta", "gamma"]
@@ -194,41 +206,74 @@ _SUBCOMMANDS: dict[str, dict] = {
 }
 
 
-def build_parser(cmd: str | None = None) -> argparse.ArgumentParser:
-    """The CLI's parser: every subcommand, or only cmd's when it is given
-    (see :func:`_parse_args`)."""
+def build_parser() -> argparse.ArgumentParser:
+    """The CLI's full parser, every subcommand and its help (see
+    :func:`_parse_args`)."""
     parser = argparse.ArgumentParser(
         prog="uavlos",
         description="Monte-Carlo estimation of UAV-to-ground line-of-sight probability",
     )
     subparsers = parser.add_subparsers(dest="cmd", required=True)
     for name, info in _SUBCOMMANDS.items():
-        if cmd is not None and name != cmd:
-            continue
         sub = subparsers.add_parser(name, help=info["help"])
-        for dest in info["opts"]:
+        for dest in [*info["opts"], "config"]:
             flag = "--" + dest.replace("_", "-")
             sub.add_argument(flag, dest=dest, default=None, **_OPTS[dest])
-        sub.add_argument("--config", help="key=value config file; flags override")
     return parser
 
 
-def _parse_args(argv: list[str] | None) -> argparse.Namespace:
-    """Parse argv as the full parser would, building the subcommands'
-    parsers only when needed.
+def _read_table(argv: list[str]) -> argparse.Namespace | None:
+    """The namespace the full parser gives a clean command line, read
+    straight from :data:`_SUBCOMMANDS` and :data:`_OPTS`; None for any
+    other line.
 
-    A command line that names a known command and parses cleanly goes
-    through that command's parser alone, which is what the full parser
-    hands it to.  Anything else, such as help for the whole CLI, an
-    unknown command or arguments left over, goes through the full
-    parser, whose messages and usage lines list every command.
+    A clean line names a subcommand, then gives only that subcommand's
+    exact long flags, each but --timing followed by a value that does
+    not start with "-".  Each value goes through its option's type and
+    choices, and a repeated flag keeps its last value.
+    """
+    if not argv or argv[0] not in _SUBCOMMANDS:
+        return None
+    dests = [*_SUBCOMMANDS[argv[0]]["opts"], "config"]
+    flags = {"--" + dest.replace("_", "-"): dest for dest in dests}
+    values = dict.fromkeys(dests)
+    rest = iter(argv[1:])
+    for flag in rest:
+        dest = flags.get(flag)
+        if dest is None:
+            return None
+        kwargs = _OPTS[dest]
+        if kwargs.get("action"):
+            values[dest] = True
+            continue
+        text = next(rest, None)
+        if text is None or text.startswith("-"):
+            return None
+        try:
+            value = kwargs.get("type", str)(text)
+        except (ValueError, TypeError, argparse.ArgumentTypeError):
+            return None
+        if "choices" in kwargs and value not in kwargs["choices"]:
+            return None
+        values[dest] = value
+    return argparse.Namespace(cmd=argv[0], **values)
+
+
+def _parse_args(argv: list[str] | None) -> argparse.Namespace:
+    """Parse argv as the full parser would, building it only when needed.
+
+    A clean command line is read straight from the subcommand table
+    (:func:`_read_table`), which builds no parser.  Anything else goes
+    through the full parser: help, an unknown command, an abbreviated
+    or unknown flag, a --flag=value form, a missing value or one that
+    fails its type or choices.  So does any value that starts with "-",
+    such as -1 or -inf, since only argparse's own rules say whether such
+    a value is a number or a flag; its messages and usage lines are
+    argparse's.
     """
     argv = sys.argv[1:] if argv is None else list(argv)
-    if argv and argv[0] in _SUBCOMMANDS:
-        args, extra = build_parser(argv[0]).parse_known_args(argv)
-        if not extra:
-            return args
-    return build_parser().parse_args(argv)
+    args = _read_table(argv)
+    return build_parser().parse_args(argv) if args is None else args
 
 
 def _read_config(path: str) -> dict[str, str]:

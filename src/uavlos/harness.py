@@ -36,13 +36,15 @@ all points are one array expression (:class:`uavlos.stats.PLosEstimates`).
 No point builds a scenario or an estimate object unless a caller reads
 :attr:`SweepResult.rows`.
 A spec holds at most MAX_POINTS grid points, checked from its axis
-lengths.  A geometry-engine spec checks every grid point's ground-track
-length when it is created, so a point the engine would refuse is an
-illegal spec; a baseline spec resolves each point's model then, and checks a
-GridProduct's track against its own grid period, whether it is
-``baseline:grid`` or loaded by name.  A 3D-engine spec likewise
-refuses a point whose user ring is wider than the extent's diagonal,
-where no user can stand.
+lengths, and fewer than 2^63 runs over all of them.  A geometry-engine
+spec checks every grid point's ground-track length when it is created,
+so a point the engine would refuse is an illegal spec; a baseline spec
+resolves each point's model then, and checks a GridProduct's track
+against its own grid period, whether it is ``baseline:grid`` or loaded
+by name.  A 3D-engine spec likewise refuses a point whose user ring is
+wider than the extent's diagonal, where no user can stand, and an
+extent of more than MAX_AXIS_CELLS building cells per axis, whose cell
+indices :func:`uavlos.citygeom.roof_heights` could not hold.
 
 CSV files carry a ``# spec:`` echo line followed by one row per grid
 point (:func:`result_to_csv`, and :func:`compare_to_csv` for an engine
@@ -66,6 +68,7 @@ import numpy as np
 
 from .baselines import BaselineModel, GridProduct, evaluate
 from .citygeom import (
+    MAX_AXIS_CELLS,
     BuiltUpParams,
     derive_layout,
     run_keys,
@@ -157,10 +160,10 @@ class SweepSpec:
 
     Exactly one of theta/radius must be available (as an axis or a
     fixed value), and the axes hold at most MAX_POINTS grid points
-    together.  n_runs counts cities per point for sim3d and links
-    per point for geom.  models supplies named baselines; the name
-    "grid" is always available and binds GridProduct to the
-    environment parameters.
+    together, of n_runs runs each, fewer than 2^63 in all.  n_runs
+    counts cities per point for sim3d and links per point for geom.
+    models supplies named baselines; the name "grid" is always
+    available and binds GridProduct to the environment parameters.
     """
 
     engine: str
@@ -220,6 +223,11 @@ class SweepSpec:
             raise IllegalSpec(f"h_uav {self.h_uav} must be finite and exceed h_rx {self.h_rx}")
         if self.n_runs < 1:
             raise IllegalSpec(f"n_runs must be at least 1, got {self.n_runs}")
+        if self.n_runs * self.size >= 2**63:
+            raise IllegalSpec(
+                f"n_runs {self.n_runs} at each of {self.size} grid points makes 2^63 runs "
+                "or more, past what an int64 run index holds"
+            )
         if self.seed < 0:
             raise IllegalSpec(f"seed must be a non-negative integer, got {self.seed}")
         if not 1 <= self.n_users <= MAX_USERS:
@@ -239,6 +247,11 @@ class SweepSpec:
             )
         # The grid period depends on beta alone, which no axis sweeps.
         period = derive_layout(self.params).period
+        if self.engine == "sim3d" and max(self.extent) // period > MAX_AXIS_CELLS:
+            raise IllegalSpec(
+                f"extent {self.extent[0]:g} x {self.extent[1]:g} holds more than the "
+                f"{MAX_AXIS_CELLS} building cells per axis a sim3d city may have"
+            )
         # No two points of the extent lie farther apart than its
         # diagonal, so a wider sim3d ring leaves no user on the extent.
         diagonal = math.hypot(*self.extent)

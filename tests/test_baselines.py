@@ -51,6 +51,16 @@ def test_grid_product_refuses_the_tracks_the_geometry_engine_refuses():
             evaluate(URBAN_GRID, theta, 100.0, 1.5)
 
 
+def test_grid_product_refuses_a_gamma_whose_divisor_underflows():
+    # Each factor divides by 2*gamma*gamma, which is 0 in floating point
+    # at gamma 1e-162; at 1e-161 it is 2e-322, and every factor is 1.
+    with pytest.raises(InvalidParams, match="2\\*gamma\\^2"):
+        GridProduct(BuiltUpParams(0.3, 500.0, 1e-162))
+    assert evaluate(GridProduct(BuiltUpParams(0.3, 500.0, 1e-161)), 45.0, 100.0, 1.5) == 1.0
+    with pytest.raises(ParseError, match="line 2: .*2\\*gamma\\^2"):
+        load_model_set("# tiny\ng gridproduct alpha=0.3 beta=500 gamma=1e-300\n")
+
+
 def test_grid_product_is_monotone_in_theta():
     prev = -1.0
     for i in range(0, 901):

@@ -1,4 +1,6 @@
 import argparse
+import contextlib
+import io
 import math
 import os
 import resource
@@ -11,11 +13,14 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from test_cli_contract import _EDGES, _HUGE_INT
 
 import uavlos
 from uavlos import cli, harness, sim3d
 from uavlos.baselines import GridProduct, evaluate
-from uavlos.citygeom import ENVIRONMENTS, roof_heights
+from uavlos.citygeom import ENVIRONMENTS, derive_layout, roof_heights
 from uavlos.cli import _parse_extent, _parse_grid, build_parser, main
 from uavlos.errors import IllegalSpec, InvalidParams, ParseError
 from uavlos.sim3d import generate_city, load_city
@@ -140,7 +145,7 @@ TABLE = {
 @pytest.mark.parametrize("cmd", list(TABLE))
 def test_each_subcommand_has_its_flags_and_defaults(cmd):
     flags, resolved = TABLE[cmd]
-    subparsers = next(a for a in build_parser(cmd)._actions
+    subparsers = next(a for a in build_parser()._actions
                       if isinstance(a, argparse._SubParsersAction))
     actions = subparsers.choices[cmd]._actions
     assert [a.option_strings[-1] for a in actions if a.dest != "help"] == flags + ["--config"]
@@ -151,15 +156,17 @@ def test_each_subcommand_has_its_flags_and_defaults(cmd):
 
 # -- exit codes and output hygiene --------------------------------------------
 
-def parsed_or_exited(parse, argv, capsys):
+def parsed_or_exited(parse, argv):
     """What parse(argv) prints and gives: (stdout, stderr, exit code or
-    the namespace)."""
+    the namespace's sorted items by repr, so that NaN values compare
+    equal)."""
+    out, err = io.StringIO(), io.StringIO()
     try:
-        outcome = vars(parse(argv))
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            outcome = repr(sorted(vars(parse(argv)).items()))
     except SystemExit as exc:
         outcome = exc.code
-    out, err = capsys.readouterr()
-    return out, err, outcome
+    return out.getvalue(), err.getvalue(), outcome
 
 
 @pytest.mark.parametrize("argv", [
@@ -170,14 +177,91 @@ def parsed_or_exited(parse, argv, capsys):
     ["heatmap", "--theta-grid", "10:5:0"], ["plos-vs-theta", "--runs"],
     ["heatmap", "--he"], ["compare", "--seed", "3", "--env", "urban", "--thetas", "10,20"],
     ["export-city", "--env", "urban", "--seed", "2"],
+    ["heatmap", "--runs", "-1"], ["heatmap", "--uav-height", "-inf"], ["heatmap", "--seed=1"],
+    ["heatmap", "--se", "1"], ["heatmap", "--timing", "yes"], ["heatmap", "--timing", "--timing"],
+    ["heatmap", "--seed", "1", "--seed", "2"], ["heatmap", "--seed", "2", "--seed", "x"],
+    ["heatmap", "--user-zone", "moon"], ["heatmap", "--out", ""], ["heatmap", "--config"],
+    ["export-city", "--runs", "5"], ["param-surface", "--gamma", "5", "--gamma-grid", "5,10"],
+    ["plos-vs-theta", "--seed", _HUGE_INT, "--extent", "3000x"],
+    ["compare", "--runs-3d", "nan"], ["heatmap", "heatmap"],
 ])
-def test_main_parses_as_the_full_parser(argv, capsys):
-    # main builds only the named command's parser, and falls back to the
-    # full one for anything else, so what it prints, exits with and
-    # parses is what the full parser gives.
-    expected = parsed_or_exited(build_parser().parse_args, argv, capsys)
-    assert parsed_or_exited(cli._parse_args, argv, capsys) == expected
-    assert expected[2] in (0, 2) or isinstance(expected[2], dict)
+def test_main_parses_as_the_full_parser(argv):
+    # A clean line is read from the subcommand table and anything else
+    # goes to the full parser, so what main prints, exits with and parses
+    # is what the full parser gives.
+    expected = parsed_or_exited(build_parser().parse_args, argv)
+    assert parsed_or_exited(cli._parse_args, argv) == expected
+    assert expected[2] in (0, 2) or isinstance(expected[2], str)
+
+
+#: Each flag's values: the contract test's edge values, and the
+#: "-"-prefixed numbers and flags and the stray words that only the full
+#: parser may read.
+_EDGE_VALUES = {dest: _EDGES.get(dest, st.just("run.cfg")).filter(lambda v: isinstance(v, str))
+                for dest in cli._OPTS if dest != "timing"}
+_ODD_VALUES = st.sampled_from(["-1", "-inf", "-", "--", "--seed", "-h", "", "extra", "heatmap"])
+
+
+@st.composite
+def any_command_lines(draw):
+    """A subcommand, or an unknown one, then up to six flags.  A clean
+    line gives its own flags edge values; any other line may also give
+    two other commands' flags, odd values, and abbreviated, bare or
+    --flag=value forms, help, "--" and stray words."""
+    cmd = draw(st.sampled_from([*cli._SUBCOMMANDS, "nosuch"]))
+    dests = [*cli._SUBCOMMANDS.get(cmd, {"opts": []})["opts"], "config"]
+    clean = draw(st.booleans())
+    if not clean:
+        dests += ["runs_3d", "phi_grid"]
+    argv = [cmd]
+    for _ in range(draw(st.integers(0, 6))):
+        dest = draw(st.sampled_from(dests))
+        flag = "--" + dest.replace("_", "-")
+        if dest == "timing":
+            argv.append(flag)
+            continue
+        value = draw(_EDGE_VALUES[dest] if clean else st.one_of(_EDGE_VALUES[dest], _ODD_VALUES))
+        form = "pair" if clean else draw(st.sampled_from(
+            ["pair", "pair", "bare", "abbrev", "equals", "other"]))
+        if form == "pair":
+            argv += [flag, value]
+        elif form == "bare":
+            argv.append(flag)
+        elif form == "abbrev":
+            argv += [flag[:draw(st.integers(3, len(flag) - 1))], value]
+        elif form == "equals":
+            argv.append(f"{flag}={value}")
+        else:
+            argv.append(draw(st.sampled_from(["-h", "--help", "--", "extra", "--bogus"])))
+    return argv
+
+
+@settings(max_examples=250, deadline=None, derandomize=True, database=None)
+@given(argv=any_command_lines())
+def test_any_command_line_parses_as_the_full_parser(argv):
+    expected = parsed_or_exited(build_parser().parse_args, argv)
+    assert parsed_or_exited(cli._parse_args, argv) == expected
+
+
+@pytest.mark.parametrize("argv", [
+    ["plos-vs-theta", "--engine", "geom", "--env", "urban", "--user-zone", "mixed",
+     "--runs", "2000", "--seed", "1", "--out", "out.csv"],
+    ["compare", "--env", "urban", "--runs-3d", "150", "--runs-geom", "6000", "--seed", "1",
+     "--out", "out.csv"],
+    ["heatmap", "--engine", "geom", "--env", "high-rise", "--user-zone", "street",
+     "--theta-grid", "5:85:5", "--phi-grid", "0:90:10", "--runs", "200", "--seed", "1",
+     "--out", "out.csv"],
+    ["plos-vs-theta", "--env", "urban", "--seed", "1", "--timing"],
+    ["export-city", "--config", "city.cfg", "--seed", "2"],
+], ids=["geom-theta-sweep", "compare-urban", "heatmap-highrise-street", "timing", "config"])
+def test_clean_command_lines_build_no_parser(monkeypatch, argv):
+    expected = parsed_or_exited(build_parser().parse_args, argv)
+
+    def refuse(*args):
+        pytest.fail("a clean command line built an argparse parser")
+
+    monkeypatch.setattr(cli, "build_parser", refuse)
+    assert parsed_or_exited(cli._parse_args, argv) == expected
 
 
 def test_seed_is_required(tmp_path, capsys):
@@ -328,6 +412,50 @@ def test_non_finite_heights_and_extents_exit_two(tmp_path, capsys, argv):
     assert run_cli(*argv, "--seed", "1", "--out", out) == 2
     assert "finite" in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("argv,message", [
+    (_SIM3D + ("--extent", "1e300"), "building cells per axis"),
+    (_COMPARE + ("--extent", "1e300"), "building cells per axis"),
+    (("plos-vs-radius", "--engine", "baseline:grid", "--alpha", "0.3", "--beta", "500",
+      "--gamma", "1e-300", "--radius-grid", "100", "--altitudes", "100"), "2*gamma^2"),
+    (("param-surface", "--engine", "baseline:grid", "--env", "urban", "--gamma-grid",
+      "15,1e-300", "--theta-grid", "30"), "2*gamma^2"),
+    (_GEOM + ("--runs", _HUGE_INT), "2^63"),
+    (_SIM3D + ("--runs", _HUGE_INT), "2^63"),
+    (_COMPARE + ("--runs-3d", _HUGE_INT), "2^63"),
+    (_COMPARE + ("--runs-geom", _HUGE_INT), "2^63"),
+], ids=["sim3d-extent", "compare-extent", "grid-gamma", "grid-gamma-axis", "geom-runs",
+        "sim3d-runs", "compare-runs-3d", "compare-runs-geom"])
+def test_indices_past_int64_and_a_vanishing_divisor_exit_two_before_any_point(
+        tmp_path, capsys, monkeypatch, argv, message):
+    # Cell indices past 2^31 per axis, 2^63 runs or more, and a gamma
+    # whose 2*gamma^2 underflows to 0 are refused by the spec with one
+    # typed line, before any point runs.
+    def fail(*args, **kwargs):
+        pytest.fail("a grid point was estimated")
+
+    for name in ("_estimate_sim3d", "los_counts", "evaluate"):
+        monkeypatch.setattr(harness, name, fail)
+    assert run_cli(*argv, "--seed", "1", "--out", tmp_path / "out.csv") == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and message in err, err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_index_bounds_admit_specs_up_to_them():
+    thetas = harness.SweepAxis("theta", (30.0, 60.0))
+    common = dict(params=URBAN, axes=(thetas,), seed=1)
+    harness.SweepSpec(engine="geom", n_runs=2**62 - 1, **common)
+    with pytest.raises(IllegalSpec, match="2\\^63"):
+        harness.SweepSpec(engine="geom", n_runs=2**62, **common)
+    # Cells per axis are whole periods of the extent, at most 2^31 - 1.
+    period = derive_layout(URBAN).period
+    harness.SweepSpec(engine="sim3d", extent=((2**31 - 0.5) * period, 1000.0), **common)
+    with pytest.raises(IllegalSpec, match="building cells per axis"):
+        harness.SweepSpec(engine="sim3d", extent=(1000.0, 2**31 * period), **common)
+    # The geometry engine has no city grid, so no extent bounds it.
+    harness.SweepSpec(engine="geom", extent=(1e300, 1e300), **common)
 
 
 # -- sweep subcommands ---------------------------------------------------------

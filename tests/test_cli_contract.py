@@ -4,7 +4,8 @@ Each example is one command line of one subcommand whose options are
 drawn from edge values: 0, negatives, nan, inf, 1e-300, 1e300, huge
 ints, and the urban grid's period and street width, where coordinates
 meet the band edges.  Run counts and ring sizes are drawn small, so
-that every legal command line is a short job.  The command runs
+that every legal command line is a short job, or past 2^63, which the
+spec must refuse at once.  The command runs
 :func:`uavlos.cli.main` in a forked child, one at a time, under an
 address-space limit and an alarm set on that child only, and must end
 with exit 0, or with exit 1 or 2 and a one-line error message: no
@@ -68,7 +69,8 @@ _EDGES = {
     "extent": st.sampled_from([None, "0", "-1", "nan", "inf", "1e300", "1e-300", _URBAN_PERIOD,
                                f"{_URBAN_PERIOD}x1e300", "3000x"]),
     "engine": st.sampled_from([None, "baseline:none", "x"]),
-    **{name: st.sampled_from(_SMALL_INTS) for name in ("runs", "runs_3d", "runs_geom")},
+    **{name: st.sampled_from([*_SMALL_INTS, _HUGE_INT])
+       for name in ("runs", "runs_3d", "runs_geom")},
     "seed": st.sampled_from([None, "0", "-1", _HUGE_INT, "nan"]),
     "uav_height": st.sampled_from([None, *_FLOATS]),
     "rx_height": st.sampled_from([None, *_FLOATS]),
@@ -145,6 +147,9 @@ def run_in_child(argv, cwd):
 # before they are expanded.
 @example(argv=["heatmap", "--env=urban", "--theta-grid=1:89.99:0.009",
                "--phi-grid=0:89.99:0.009", "--runs=1", "--seed=1", "--out", "out.csv"])
+# 10^30 sim3d cities per point, refused before the first city.
+@example(argv=["plos-vs-theta", "--env=urban", "--engine=sim3d", f"--runs={_HUGE_INT}",
+               "--seed=1", "--theta-grid=30,60", "--n-users=3", "--out", "out.csv"])
 def test_every_command_line_exits_cleanly(argv):
     with tempfile.TemporaryDirectory() as cwd:
         status, stderr = run_in_child(argv, cwd)
