@@ -308,7 +308,7 @@ def _band_visits(c0, dc, t_lo, t_hi, p: float, s: float):
     never do, so the candidates are returned as they are when it drops
     none and compacted only otherwise.  The arithmetic runs in place on
     as few per-band arrays as it can, since their count bounds the
-    working set of a kernel call.
+    working set of a kernel call; each is deleted after its last use.
     """
     # c0 + dc*0 is c0 up to the sign of a zero, which ceil and floor drop.
     ca = c0 if np.ndim(t_lo) == 0 and t_lo == 0.0 else c0 + dc * t_lo
@@ -338,11 +338,15 @@ def _band_visits(c0, dc, t_lo, t_hi, p: float, s: float):
     sign += 1
     last -= first
     last *= growing
+    del growing
     last += first
+    del first
     offset = np.cumsum(count)
     offset -= count
+    del count
     offset *= sign
     np.subtract(last, offset, out=offset)
+    del last
     i = np.arange(row.size)
     i *= sign.take(row)
     i += offset.take(row)
@@ -355,8 +359,12 @@ def _band_visits(c0, dc, t_lo, t_hi, p: float, s: float):
     tb += 1.0
     tb *= p
     c, d = c0.take(row), dc.take(row)
+    moving = dc.all()
+    # The second pass's c0 and dc are gathered for it alone, so this
+    # frees them.
+    del c0, dc
     still = None
-    if not dc.all():
+    if not moving:
         # A coordinate that does not move is inside its band for the
         # whole window or not at all.
         still = np.flatnonzero(d == 0.0)
@@ -467,8 +475,14 @@ def track_length(theta_deg: float, h_uav, h_rx):
 #: its size, plus time and memory in proportion to the boxes it lists, at
 #: most about three per period of budget, so this one budget of track
 #: length, not a count of tracks, keeps both the overhead share and the
-#: working set of a call flat at every track length.
-CALL_PERIODS = 12288
+#: working set of a call flat at every track length.  The kernel frees
+#: each temporary after its last use, and blocked_links holds no
+#: per-link copy of its owners' values, which made room for twice the
+#: 12 288 periods this budget had: the benchmark's command lines list
+#: the same entries at seed 1 in 8, 46 and 8 calls instead of 13, 83
+#: and 12, and the 170-point heatmap's traced peak reads 2.32 MB
+#: against 2.06 MB before (1.65 MB with the frees at the old budget).
+CALL_PERIODS = 24576
 
 
 def call_slices(cost):
@@ -499,19 +513,24 @@ NEAR_PERIODS = 2
 
 
 def blocked_links(layout: CityLayout, x_rx, y_rx, x_tx, y_tx, length, h_rx: float, rise,
-                  roofs, t_max=1.0) -> np.ndarray:
+                  roofs, t_max=1.0, owner=None) -> np.ndarray:
     """Whether a roof blocks each link of a batch: the one link decision
     of both engines.
 
-    Link n's ground track runs from (x_rx[n], y_rx[n]) to (x_tx[n],
-    y_tx[n]) (arrays of one size), and its ray stands h_rx + t*rise[n]
-    above the ground at the fraction t of the track.  The track is cut
-    at t_max (per link or one for all) as in :func:`track_entries`.
-    roofs(link, ix, iy) is the engine's roof lookup: the roofs of the
-    boxes (ix[m], iy[m]) for the links link[m].  A link is blocked when
-    a roof reaches the ray height where its track enters that roof's
-    box (ties block).  length (per link or one for all) is the ground
-    length of each uncut track; it sizes the calls and the near part.
+    Link n's ground track runs from (x_rx[n], y_rx[n]) to (x_tx[o],
+    y_tx[o]), and its ray stands h_rx + t*rise[o] above the ground at
+    the fraction t of the track, o being the link's owner: owner[n], an
+    index into the per-owner arrays x_tx, y_tx, rise and t_max, such as
+    the 3D engine's city of each link, or the link itself where owner is
+    None, as each geometry-engine link is its own.  The track is cut at
+    t_max (per owner or one for all) as in :func:`track_entries`.  Each
+    call gathers its links' owner values, so a batch holds no per-link
+    copy of them.  roofs(link, ix, iy) is the engine's roof lookup: the
+    roofs of the boxes (ix[m], iy[m]) for the links link[m].  A link is
+    blocked when a roof reaches the ray height where its track enters
+    that roof's box (ties block).  length (per link or one for all) is
+    the ground length of each uncut track; it sizes the calls and the
+    near part.
 
     A link whose cut track is longer than 2*NEAR_PERIODS periods and
     whose ray rises (rise > 0) is decided on its first NEAR_PERIODS
@@ -519,9 +538,11 @@ def blocked_links(layout: CityLayout, x_rx, y_rx, x_tx, y_tx, length, h_rx: floa
     calls of citygeom.CALL_PERIODS periods (:func:`call_slices`), each
     link counting as the part it walks plus one.  This is the one
     staging rule of both engines, and the one place that sizes their
-    kernel calls.  The links left clear there are then walked from the
-    near cut to their cut (t_min of :func:`track_entries`), in calls of
-    the same budget.  The result is exact: a box entered before
+    kernel calls; the calls of a stage are sized before the first of
+    them is made, so the per-link costs are not held while it runs.
+    The links left clear there are then walked from the near cut to
+    their cut (t_min of :func:`track_entries`), in calls of the same
+    budget.  The result is exact: a box entered before
     the near cut is listed in the first stage at its own entry, and if
     the second stage lists it too, it does so at the near cut, where
     the rising ray stands higher, so it blocks in neither; every box
@@ -539,36 +560,44 @@ def blocked_links(layout: CityLayout, x_rx, y_rx, x_tx, y_tx, length, h_rx: floa
     def pick(v, at):
         return v if np.ndim(v) == 0 else v[at]
 
+    def owned(v, at):
+        return pick(v, at if owner is None else owner[at])
+
     p = layout.period
     reach = NEAR_PERIODS * p
     blocked = np.zeros(np.size(x_rx), dtype=bool)
-    cut_length = np.multiply(t_max, length, out=np.empty(blocked.shape))
-    staged = (cut_length > 2.0 * NEAR_PERIODS * p) & (rise > 0.0)
+    every = slice(None)
+    cut_length = np.multiply(owned(t_max, every), length, out=np.empty(blocked.shape))
+    staged = (cut_length > 2.0 * NEAR_PERIODS * p) & (owned(rise, every) > 0.0)
     cost = np.where(staged, float(NEAR_PERIODS), np.divide(cut_length, p)) + 1.0
+    del cut_length
     staged = np.flatnonzero(staged)
-    first_cut = t_max
+    parts = list(call_slices(cost))
+    del cost
+    first_cut = None
     if staged.size:
         near = reach / np.broadcast_to(length, blocked.shape)[staged]
-        first_cut = np.array(np.broadcast_to(t_max, blocked.shape))
+        first_cut = np.array(np.broadcast_to(owned(t_max, every), blocked.shape))
         first_cut[staged] = near
 
     def decide(at, t_lo, t_hi):
         link, ix, iy, t = track_entries(
-            layout, x_rx[at], y_rx[at], x_tx[at], y_tx[at], t_hi, t_lo
+            layout, x_rx[at], y_rx[at], owned(x_tx, at), owned(y_tx, at), t_hi, t_lo
         )
         link = link + at.start if isinstance(at, slice) else at.take(link)
-        ray = rise.take(link)
+        ray = rise.take(link if owner is None else owner.take(link))
         ray *= t
         ray += h_rx
         blocked[link[roofs(link, ix, iy) >= ray]] = True
 
-    for part in call_slices(cost):
-        decide(part, 0.0, pick(first_cut, part))
+    for part in parts:
+        decide(part, 0.0, owned(t_max, part) if first_cut is None else first_cut[part])
     if staged.size:
+        del first_cut
         left = ~blocked.take(staged)
         rest, near = staged[left], near[left]
-        cut = pick(t_max, rest)
-        for part in call_slices((cut - near) * pick(length, rest) / p + 1.0):
+        cut = owned(t_max, rest)
+        for part in list(call_slices((cut - near) * pick(length, rest) / p + 1.0)):
             decide(rest[part], near[part], pick(cut, part))
     return blocked
 

@@ -28,11 +28,12 @@ Exit codes: 0 success, 2 usage or configuration error, 1 runtime
 failure.  Output files are written to a temp name and renamed, so a
 failed run never leaves a partial file behind.
 
-:func:`main` owns its process, so it also tells glibc to keep freed
-heap memory (:func:`_keep_freed_heap`): the engines allocate and free
-the same working set once per kernel call, and a heap trimmed after
-every call must fault its pages back in on the next.  Importing the
-package changes no allocator setting.
+:func:`main` owns its process, so it also tells glibc to serve arrays
+from the heap and keep freed heap memory (:func:`_keep_freed_heap`):
+the engines allocate and free the same working set once per kernel
+call, and a heap trimmed after every call, or an array mapped anew on
+every allocation, must fault its pages back in on the next.  Importing
+the package changes no allocator setting.
 """
 
 from __future__ import annotations
@@ -385,26 +386,40 @@ def _compare(opts: dict) -> int:
     return 0
 
 
-#: glibc's mallopt parameter for the trim threshold: freed memory at the
-#: top of the heap is handed back to the system only above this many bytes.
+#: glibc's mallopt parameters for the trim threshold, above which freed
+#: memory at the top of the heap is handed back to the system, and the
+#: mmap threshold, from which a request gets a mapping of its own that
+#: is unmapped when freed.
 _M_TRIM_THRESHOLD = -1
+_M_MMAP_THRESHOLD = -3
 #: Trim threshold the CLI sets, above what one kernel call allocates and
 #: frees (glibc's default is 128 KiB).
 HEAP_TRIM_BYTES = 64 << 20
+#: Mmap threshold the CLI sets: 32 MiB, glibc's ceiling for the threshold
+#: it raises by itself as mapped blocks are freed, which setting either
+#: threshold stops.  Left at its 128 KiB start, every larger array the
+#: free heap cannot hold, such as a 3D-engine block's window roofs, is
+#: mapped, faulted in page by page and unmapped again each time: the
+#: first sim3d urban run at theta 2, 5 and 10 took about 6 000 page
+#: faults instead of about 600.
+HEAP_MMAP_BYTES = 32 << 20
 
 
 def _keep_freed_heap() -> bool:
-    """Raise glibc's heap trim threshold to HEAP_TRIM_BYTES, so the
-    memory one kernel call frees stays mapped for the next instead of
-    being returned and faulted in again.  Does nothing where libc cannot
-    be loaded or has no mallopt; returns whether the setting took."""
+    """Raise glibc's mmap threshold to HEAP_MMAP_BYTES and its heap trim
+    threshold to HEAP_TRIM_BYTES, so that arrays come from the heap and
+    the memory one kernel call frees stays mapped for the next instead
+    of being returned and faulted in again.  Does nothing where libc
+    cannot be loaded or has no mallopt; returns whether both settings
+    took."""
     try:
         mallopt = ctypes.CDLL("libc.so.6").mallopt
     except (OSError, AttributeError):
         return False
     mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
     mallopt.restype = ctypes.c_int
-    return mallopt(_M_TRIM_THRESHOLD, HEAP_TRIM_BYTES) == 1
+    mapped = mallopt(_M_MMAP_THRESHOLD, HEAP_MMAP_BYTES) == 1
+    return mallopt(_M_TRIM_THRESHOLD, HEAP_TRIM_BYTES) == 1 and mapped
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -30,7 +30,7 @@ azimuth, its azimuth and altitude ranges) are built from the grid, with
 one scalar evaluation per axis value, and handed with the points' uint64
 keys to the engine's array core (:func:`uavlos.simgeom.los_counts`),
 which decides consecutive points with the same params together, so a
-170-point heatmap shares 12 kernel calls instead of making one per point
+170-point heatmap shares 8 kernel calls instead of making one per point
 and derives the keys of each chunk's links at once; the Wilson bounds of
 all points are one array expression (:class:`uavlos.stats.PLosEstimates`).
 No point builds a scenario or an estimate object unless a caller reads
@@ -126,7 +126,7 @@ UAV_POLICIES = {
 #: Most users on one sim3d city's ring (n_users).  A block holds at least
 #: one city (see BLOCK_ELEMENTS), so the ring alone sizes the arrays of
 #: its user placement and link decision.  At this bound three urban runs
-#: at theta 5 and 30 peak at 41 MB RSS, against 31 MB with 360 users.
+#: at theta 5 and 30 peak at 40 MB RSS, against 31 MB with 360 users.
 MAX_USERS = 100_000
 
 #: Most grid points of one sweep, the product of its axis lengths
@@ -404,8 +404,12 @@ class CompareRow:
 #: its cities, and sim3d.links_blocked splits its links into kernel calls
 #: of citygeom.CALL_PERIODS periods of the cut track they walk, so the
 #: block size trades that fixed cost against the working set and not
-#: against call size.
-BLOCK_ELEMENTS = 32768
+#: against call size.  A block's links hold no per-link copy of their
+#: city's UAV, rise or cut (sim3d.links_blocked), which made room for
+#: twice the 32 768 elements this bound had: the 3D side of the
+#: benchmark's compare-urban line takes 12 blocks instead of 21 at seed
+#: 1, and its traced peak reads 3.23 MB against 2.91 MB before.
+BLOCK_ELEMENTS = 65536
 
 
 def _estimate_sim3d(

@@ -464,7 +464,9 @@ def links_blocked(cities: Cities, uavs: UavPositions, run, rx_x, rx_y, h_rx: flo
     box entered beyond the cut can block, and the cut changes no
     outcome.  Where tx.z <= h_rx the track is not cut.  The cut tracks
     are decided by :func:`uavlos.citygeom.blocked_links`, near their
-    receivers first.
+    receivers first, with run as the owner index of the links: each
+    kernel call gathers its links' transmitters, rises and cuts from the
+    per-city arrays, so the block holds no per-link copy of them.
 
     length is the ground length of each track, per link or one for
     all, as the ring radius of a sweep point's users is; it sizes the
@@ -497,9 +499,7 @@ def links_blocked(cities: Cities, uavs: UavPositions, run, rx_x, rx_y, h_rx: flo
         at += base.take(run.take(link))
         return tiles.take(at)
 
-    return blocked_links(
-        layout, rx_x, rx_y, tx_x[run], tx_y[run], length, h_rx, rise[run], roofs, cut[run]
-    )
+    return blocked_links(layout, rx_x, rx_y, tx_x, tx_y, length, h_rx, rise, roofs, cut, run)
 
 
 def check_los_edges(city: City, link: LinkGeometry) -> LoSOutcome:

@@ -34,7 +34,7 @@ each call walks: a track longer than 2*NEAR_PERIODS periods is decided
 on its first NEAR_PERIODS periods from the user first, and only the
 links left clear there are walked on, from that cut to their UAVs
 (:func:`_first_blockers`).  The 170-point high-rise heatmap of 200
-links per point so takes 6 chunks and 12 kernel calls, not 170.  A
+links per point so takes 6 chunks and 8 kernel calls, not 170.  A
 chunk derives the keys of all its links in one
 :func:`uavlos.citygeom.stream_bits` call.  Theta, azimuth and altitude
 are per-link values of a chunk.  Because a link's draws depend on its
@@ -85,7 +85,7 @@ USER_ZONES = ("street", "crossroad", "mixed")
 #: Longest ground track, in grid periods, that a scenario may ask for.
 #: Kernel calls are sized by track length (citygeom.CALL_PERIODS), so
 #: this bound does not limit memory (a 1 000-link urban point at h_uav
-#: 100 m and theta 0.1, tracks of 1262 periods, peaks at 31 MB RSS); it
+#: 100 m and theta 0.1, tracks of 1262 periods, peaks at 32 MB RSS); it
 #: limits the work per link, which grows as 1/tan(theta): theta 0.001
 #: would list 100 times the boxes of theta 0.1.
 MAX_TRACK_PERIODS = 2048
@@ -442,11 +442,13 @@ def _first_blockers(
 #: Links of the points of one :func:`los_counts` call that are drawn
 #: and decided together, across point boundaries.  A chunk's draws take
 #: memory in proportion to its links; its kernel calls are sized by
-#: :func:`uavlos.citygeom.blocked_links` alone.  The traced peak of the
-#: 170-point high-rise heatmap is 1.73 MB at 4096 links, 2.11 MB at
-#: 6144, 2.37 MB at 8192 and 3.68 MB at 16384, against the 2.43 MB its
-#: test allows.  In warm runs of the urban theta sweep and that heatmap
-#: on a 2-vCPU machine, 4096 was the slowest of 4096, 6144 and 8192.
+#: :func:`uavlos.citygeom.blocked_links` alone, and a chunk of that
+#: heatmap's links fits one call of CALL_PERIODS periods, so the chunk
+#: bounds the call too.  The traced peak of the 170-point high-rise
+#: heatmap is 1.61 MB at 4096 links, 2.32 MB at 6144, 2.63 MB at 8192
+#: and 3.71 MB at 16384, against the 2.43 MB its test allows.  In warm
+#: runs of the urban theta sweep and that heatmap on a 2-vCPU machine,
+#: 4096 was the slowest of 4096, 6144 and 8192.
 CHUNK_LINKS = 6144
 
 

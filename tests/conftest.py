@@ -1,5 +1,6 @@
 """Fixtures shared by the test modules."""
 
+import tracemalloc
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,3 +46,22 @@ def kernel_calls():
         for module in (citygeom, sim3d):
             patch.setattr(module, "track_entries", recorded)
         yield calls
+
+
+@pytest.fixture
+def traced_peak():
+    """A function that runs a callable twice, the second time under
+    tracemalloc, and returns the traced peak of that second run in
+    bytes: every allocation, numpy's included, with the first run's
+    one-time costs (imports, caches) left out."""
+
+    def peak(run) -> int:
+        run()
+        tracemalloc.start()
+        try:
+            run()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    return peak

@@ -842,8 +842,10 @@ def test_main_raises_the_heap_trim_threshold(tmp_path, monkeypatch):
     calls = []
     monkeypatch.setattr(cli.ctypes, "CDLL", lambda name: fake_libc(calls))
     assert run_cli(*_GEOM, "--seed", "1", "--out", tmp_path / "out.csv") == 0
-    # M_TRIM_THRESHOLD is -1 in glibc's malloc.h.
-    assert calls == [(-1, 64 * 2**20)]
+    # M_MMAP_THRESHOLD is -3 and M_TRIM_THRESHOLD -1 in glibc's malloc.h.
+    # Setting the trim threshold freezes the mmap threshold, so main
+    # raises that too.
+    assert calls == [(-3, 32 * 2**20), (-1, 64 * 2**20)]
 
 
 def _no_libc(name):

@@ -541,33 +541,34 @@ def sim3d_work(monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "theta,phi,extent,mid_block,blocks,mid_call",
+    "theta,phi,extent,n_runs,mid_block,blocks,mid_call",
     [
-        (30.0, None, 1000.0, 1000, [5, 5, 2], 100),
-        (45.0, 30.0, 1000.0, 35, [5, 5, 2], 4),
-        (90.0, None, 1000.0, 6, [3, 3, 3, 3], 5),
-        (3.0, None, 3000.0, 22895, [5, 5, 2], 100),
+        (30.0, None, 1000.0, 12, 1000, [5, 5, 2], 100),
+        (45.0, 30.0, 1000.0, 12, 35, [5, 5, 2], 4),
+        (90.0, None, 1000.0, 12, 6, [3, 3, 3, 3], 5),
+        (3.0, None, 3000.0, 20, 22895, [5, 5, 5, 5], 100),
     ],
     ids=["circle", "fixed-phi", "theta-90", "theta-3"],
 )
 def test_sim3d_blocks_and_calls_do_not_change_the_estimate(
-    theta, phi, extent, mid_block, blocks, mid_call, monkeypatch, kernel_calls
+    theta, phi, extent, n_runs, mid_block, blocks, mid_call, monkeypatch, kernel_calls
 ):
-    # 12 cities of 90 circle users (or one user) fit one block by default
-    # but for the theta 3 rings, whose windows span the whole 67 x 67 grid
-    # of the 3 km extent: 7 cities of 4 579 elements, then 5.  A block
-    # bound of 1 gives every city a block of its own; the mid bound fits
-    # 5 cities of 171 elements at theta 30, 5 of 7 at fixed phi, 3 of 2
-    # at theta 90 and 5 at theta 3.  A call budget of 1 decides every
-    # link in a call of its own; the mid budget takes several links.  At
-    # theta 90 no window holds a cell, so no link reaches the kernel.
+    # 12 cities of 90 circle users (or one user) fit one block by default.
+    # The theta 3 rings' windows span the whole 67 x 67 grid of the 3 km
+    # extent, 4 579 elements a city, so a default block holds 14 of them,
+    # and that case takes 20 cities: 14, then 6.  A block bound of 1
+    # gives every city a block of its own; the mid bound fits 5 cities of
+    # 171 elements at theta 30, 5 of 7 at fixed phi, 3 of 2 at theta 90
+    # and 5 at theta 3.  A call budget of 1 decides every link in a call
+    # of its own; the mid budget takes several links.  At theta 90 no
+    # window holds a cell, so no link reaches the kernel.
     spec = SweepSpec(
         engine="sim3d", params=URBAN, extent=(extent, extent),
-        axes=(SweepAxis("theta", (theta,)),), n_runs=12, n_users=90, seed=3,
+        axes=(SweepAxis("theta", (theta,)),), n_runs=n_runs, n_users=90, seed=3,
     )
     sizes, _ = sim3d_work(monkeypatch)
     pooled = sim3d_point(spec, theta, phi)
-    assert sizes == ([7, 5] if theta == 3.0 else [12])
+    assert sizes == ([14, 6] if theta == 3.0 else [12])
     # Every link goes to the kernel once in the first stage.  Only the
     # theta 3 tracks are long enough to be staged, and the links they
     # leave clear near their users go once more in the second, where
@@ -577,11 +578,11 @@ def test_sim3d_blocks_and_calls_do_not_change_the_estimate(
     if theta == 90.0:
         assert stages == [0, 0]
     elif theta == 3.0:
-        assert (pooled.n, stages) == (266, [266, 37])
+        assert (pooled.n, stages) == (412, [412, 52])
     else:
         assert stages == [pooled.n, 0]
     links = sum(stages)
-    for block, expected in ((1, [1] * 12), (mid_block, blocks)):
+    for block, expected in ((1, [1] * n_runs), (mid_block, blocks)):
         monkeypatch.setattr(harness, "BLOCK_ELEMENTS", block)
         sizes.clear()
         assert sim3d_point(spec, theta, phi) == pooled
@@ -676,6 +677,19 @@ def test_sim3d_working_set_follows_the_block_and_call_budgets(budget, monkeypatc
     assert max(lookups) <= harness.BLOCK_ELEMENTS
     assert max(call.entries for call in kernel_calls) <= 4 * citygeom.CALL_PERIODS
     assert len(kernel_calls) > len(points) and len(lookups) > len(points)
+
+
+def test_sim3d_working_set_stays_small(traced_peak):
+    # The 3D engine's side of the benchmark's compare-urban command line:
+    # 150 cities of 360 users at each theta of 10..80.  The sweep peaks
+    # at 3.23 MB, in blocks of harness.BLOCK_ELEMENTS elements whose
+    # links go to kernel calls of citygeom.CALL_PERIODS periods without
+    # a per-link copy of their city's values; the bound sits about 15%
+    # over that.  A block or call budget that grows, or a block that
+    # holds more per link, fails.
+    spec = SweepSpec(engine="sim3d", params=URBAN, seed=1, n_runs=150, n_users=360,
+                     axes=(SweepAxis("theta", tuple(range(10, 90, 10))),))
+    assert traced_peak(lambda: run_sweep(spec)) < 3.7e6
 
 
 @pytest.mark.parametrize("axes", [

@@ -1,4 +1,5 @@
-"""Byte pins of seven short CLI runs, and digests of the benchmark heatmap.
+"""Byte pins of seven short CLI runs, and digests and work counts of the
+benchmark's command lines.
 
 Each case runs one subcommand at small sizes and compares the CSV it
 writes with the exact text below.  A change that keeps every random
@@ -11,6 +12,7 @@ import hashlib
 
 import pytest
 
+from uavlos import harness
 from uavlos.cli import main
 
 PINS = {
@@ -108,6 +110,25 @@ def test_cli_csv_bytes_are_pinned(name, tmp_path):
     assert out.read_text() == expected
 
 
+#: The benchmark's command lines (perfbench/workloads.py), without
+#: --seed and --out.
+BENCHMARK_LINES = {
+    "geom-theta-sweep": ["plos-vs-theta", "--engine", "geom", "--env", "urban",
+                         "--user-zone", "mixed", "--runs", "2000"],
+    "compare-urban": ["compare", "--env", "urban", "--runs-3d", "150", "--runs-geom", "6000"],
+    "heatmap-highrise-street": ["heatmap", "--engine", "geom", "--env", "high-rise",
+                                "--user-zone", "street", "--theta-grid", "5:85:5",
+                                "--phi-grid", "0:90:10", "--runs", "200"],
+}
+
+
+def benchmark_csv(name, seed, tmp_path) -> bytes:
+    """The CSV bytes the benchmark command line name writes at seed."""
+    out = tmp_path / f"{name}.csv"
+    assert main(BENCHMARK_LINES[name] + ["--seed", str(seed), "--out", str(out)]) == 0
+    return out.read_bytes()
+
+
 #: sha256 of the CSV of the benchmark's heatmap-highrise-street command
 #: line (170 points of 200 links) at two seeds: every row's counts and
 #: bounds, and the layout of the rows built from arrays.
@@ -119,9 +140,66 @@ HEATMAP_DIGESTS = {
 
 @pytest.mark.parametrize("seed", sorted(HEATMAP_DIGESTS))
 def test_benchmark_heatmap_csv_digest_is_pinned(seed, tmp_path):
-    out = tmp_path / "heatmap.csv"
-    argv = ["heatmap", "--engine", "geom", "--env", "high-rise", "--user-zone", "street",
-            "--theta-grid", "5:85:5", "--phi-grid", "0:90:10", "--runs", "200",
-            "--seed", str(seed), "--out", str(out)]
-    assert main(argv) == 0
-    assert hashlib.sha256(out.read_bytes()).hexdigest() == HEATMAP_DIGESTS[seed]
+    csv = benchmark_csv("heatmap-highrise-street", seed, tmp_path)
+    assert hashlib.sha256(csv).hexdigest() == HEATMAP_DIGESTS[seed]
+
+
+#: sha256 of the CSV of the benchmark's other two command lines at two
+#: seeds: both engines and the baseline over theta 10..80, and the
+#: geometry engine over theta 5..90.
+BENCHMARK_DIGESTS = {
+    ("compare-urban", 1): "f261857db7b5d60e26c71666d127f14d6f7a58ced0e5b42eaf6d01f903601ed4",
+    ("compare-urban", 7): "daa325b06a1216c9657110f7f8740733d8ca19ab98851dd29a5cddf40ebd60af",
+    ("geom-theta-sweep", 1): "26460dd6787bfde888fe53ab77ae3b5f0e212efe2c4ecb1b8a584bda39305261",
+    ("geom-theta-sweep", 7): "154c3d3520dadbafbde03795e977bbaa7097f9e0d4e863b580fb679920facc24",
+}
+
+
+@pytest.mark.parametrize("name,seed", sorted(BENCHMARK_DIGESTS))
+def test_benchmark_csv_digest_is_pinned(name, seed, tmp_path):
+    csv = benchmark_csv(name, seed, tmp_path)
+    assert hashlib.sha256(csv).hexdigest() == BENCHMARK_DIGESTS[name, seed]
+
+
+#: Work of each benchmark command line at seed 1: the entries every
+#: ground-track kernel call lists, summed, the kernel calls and the 3D
+#: engine's blocks.  The entries depend only on the links and the
+#: staging rule, not on how calls and blocks split them.
+#:
+#: - geom-theta-sweep: 36 000 links in 6 chunks of CHUNK_LINKS = 6144.
+#:   Each chunk's first stage fits one call of CALL_PERIODS = 24 576
+#:   periods, a link counting its first NEAR_PERIODS + 1 = 3 periods
+#:   where staged and its track plus one elsewhere; the two chunks of
+#:   the staged theta 5..25 links each take a second-stage call: 8.
+#: - heatmap-highrise-street: 34 000 links in 6 chunks, one first-stage
+#:   call each, and a second-stage call for each of the two chunks of
+#:   the staged low thetas: 8.
+#: - compare-urban, geometry side: 48 000 links in 8 chunks, one
+#:   first-stage call each but for the chunk of most theta 30 links,
+#:   3.81 periods long and counting 4.81, of which a call takes 5 104,
+#:   and two second-stage calls for the staged theta 10 and 20 links:
+#:   11.  3D side: a city counts its 360 ring positions plus its window
+#:   cells, 1 036 at theta 10, 529 at 20 and 441 at 30, so a block of
+#:   BLOCK_ELEMENTS = 65 536 elements holds 63, 123 and 148 cities, and
+#:   the 150 cities of a point take 3, 2 and 2 blocks there and one at
+#:   each of theta 40..80: 12 blocks, whose links fill 35 calls.
+BENCHMARK_WORK = {
+    "geom-theta-sweep": (56_004, 8, 0),
+    "compare-urban": (339_474, 46, 12),
+    "heatmap-highrise-street": (52_947, 8, 0),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BENCHMARK_WORK))
+def test_benchmark_work_is_counted_exactly(name, tmp_path, kernel_calls, monkeypatch):
+    blocks = []
+    place_uav = harness.place_uav
+
+    def counted(cities, policy):
+        blocks.append(cities.keys.size)
+        return place_uav(cities, policy)
+
+    monkeypatch.setattr(harness, "place_uav", counted)
+    benchmark_csv(name, 1, tmp_path)
+    work = (sum(call.entries for call in kernel_calls), len(kernel_calls), len(blocks))
+    assert work == BENCHMARK_WORK[name]

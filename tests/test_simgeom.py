@@ -1,6 +1,5 @@
 import hashlib
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -825,22 +824,31 @@ def test_estimate_does_not_depend_on_the_chunk_size(monkeypatch, kernel_calls):
 
 def test_a_kernel_call_holds_as_many_links_as_fit_its_track_budget(kernel_calls):
     # 2000 links of 1.3 periods (urban, 100 m, theta 60) fit the budget
-    # of one call.  At theta 5 each track is 25.2 periods long and counts
-    # its first NEAR_PERIODS plus one, so a call of the first stage takes
-    # 4096 links, and a chunk of CHUNK_LINKS links takes two such calls;
-    # the links a chunk leaves clear go to calls of their own, of 508
-    # tracks at most, each walked from that cut to its UAV and counting
-    # the 23.2 periods it walks plus one.
+    # of one call.  At theta 30 each track is 3.81 periods long, too short
+    # to stage, and counts 4.81 periods, so a chunk of CHUNK_LINKS links
+    # takes a call of 5104 links and one of the other 1040.  At theta 5
+    # each track is 25.2 periods long and counts its first NEAR_PERIODS
+    # plus one, so a call of the first stage could take 8192 links, and a
+    # chunk takes one such call; the links a chunk leaves clear go to
+    # calls of their own, of 1016 tracks at most, each walked from that
+    # cut to its UAV and counting the 23.2 periods it walks plus one.
     scenario = GeomScenario(ENVIRONMENTS["urban"], "mixed", 60.0, h_uav=100.0)
     assert estimate_plos(scenario, 2000, 1).n == 2000
     assert [call.links for call in kernel_calls] == [2000]
+    kernel_calls.clear()
+    scenario = GeomScenario(ENVIRONMENTS["urban"], "mixed", 30.0, h_uav=100.0)
+    estimate_plos(scenario, simgeom.CHUNK_LINKS, 1)
+    periods = 98.5 / math.tan(math.radians(30.0)) / scenario.layout().period
+    per_call = math.floor(citygeom.CALL_PERIODS / (periods + 1.0))
+    assert per_call == 5104
+    assert [call.links for call in kernel_calls] == [per_call, simgeom.CHUNK_LINKS - per_call]
     kernel_calls.clear()
     scenario = GeomScenario(ENVIRONMENTS["urban"], "mixed", 5.0, h_uav=100.0)
     estimate_plos(scenario, 10000, 1)
     periods = 98.5 / math.tan(math.radians(5.0)) / scenario.layout().period
     per_call = math.floor(citygeom.CALL_PERIODS / (citygeom.NEAR_PERIODS + 1.0))
     per_rest = math.floor(citygeom.CALL_PERIODS / (periods - citygeom.NEAR_PERIODS + 1.0))
-    assert (simgeom.CHUNK_LINKS, per_call, per_rest) == (6144, 4096, 508)
+    assert (simgeom.CHUNK_LINKS, per_call, per_rest) == (6144, 8192, 1016)
     # Each chunk's first-stage calls, with their cuts, then that chunk's
     # calls of tracks from their cuts, every one full but the last.
     chunks = []
@@ -853,11 +861,11 @@ def test_a_kernel_call_holds_as_many_links_as_fit_its_track_budget(kernel_calls)
         else:
             assert np.ndim(call.t_max) == 0 and call.t_max == 1.0
             chunks[-1][1].append(call.links)
-    assert [first for first, _ in chunks] == [[4096, 2048], [3856]]
+    assert [first for first, _ in chunks] == [[6144], [3856]]
     for _, rest in chunks:
         m = sum(rest)
         assert rest == [per_rest] * (m // per_rest) + ([m % per_rest] if m % per_rest else [])
-    assert [len(rest) for _, rest in chunks] == [2, 1]
+    assert [len(rest) for _, rest in chunks] == [1, 1]
 
 
 @pytest.mark.parametrize("env", ["urban", "high-rise", "suburban"])
@@ -1120,26 +1128,20 @@ def test_each_call_derives_the_keys_of_its_links_at_once(monkeypatch):
     # their first 2 periods in one call, then the links left clear in one more.
     (lambda: estimate_plos(GeomScenario(ENVIRONMENTS["urban"], "mixed", 5.0, h_uav=100.0),
                            2000, 1), 1.41e6),
-    # The 170-point street heatmap on high-rise, 6 chunks and 12 calls.
+    # The 170-point street heatmap on high-rise, 6 chunks and 8 calls.
     (lambda: run_sweep(SweepSpec(
         engine="geom", params=ENVIRONMENTS["high-rise"], user_zone="street", seed=1, n_runs=200,
         axes=(SweepAxis("theta", tuple(range(5, 90, 5))), SweepAxis("phi", tuple(range(0, 100, 10)))),
     )), 2.43e6),
 ], ids=["urban-theta-5", "heatmap"])
-def test_geom_working_set_stays_small(run, bound):
-    # The traced peak of every allocation, numpy's included.  The bounds
-    # sit about 15% over the 1.23 MB and 2.11 MB once measured; with
-    # chunks of CHUNK_LINKS links the runs peak at 0.78 MB and 2.11 MB.
-    # A kernel whose per-entry temporaries grow, or a call budget or
-    # chunk size that grows, fails.
-    run()
-    tracemalloc.start()
-    try:
-        run()
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < bound
+def test_geom_working_set_stays_small(run, bound, traced_peak):
+    # The bounds sit about 15% over the 1.23 MB and 2.11 MB once
+    # measured; with chunks of CHUNK_LINKS links, kernel calls of
+    # citygeom.CALL_PERIODS periods and the kernel's temporaries freed
+    # after their last use, the runs peak at 0.64 MB and 2.32 MB.  A
+    # kernel whose per-entry temporaries grow, or a call budget or chunk
+    # size that grows, fails.
+    assert traced_peak(run) < bound
 
 
 def test_a_placement_failure_names_the_failing_point(monkeypatch):
