@@ -61,7 +61,7 @@ from .sim3d import (
     place_users_circle,
     save_city,
 )
-from .simgeom import GeomScenario, estimate_plos, estimate_points
+from .simgeom import GeomScenario, estimate_plos
 from .stats import PLosEstimate, PLosEstimates, wilson_interval
 
 __version__ = "0.1.0"
@@ -101,7 +101,6 @@ __all__ = [
     # geometry engine
     "GeomScenario",
     "estimate_plos",
-    "estimate_points",
     # baselines
     "GridProduct",
     "Sigmoid",

@@ -3,7 +3,8 @@
 A :class:`SweepSpec` names an engine ("sim3d", "geom" or
 "baseline:<name>"), an environment and one or two swept variables;
 :func:`run_sweep` walks the grid deterministically from a master seed
-and returns one :class:`PLosEstimate` per point.  The 3D engine runs
+and returns the estimates of all points as the columns of one
+:class:`PLosEstimates`.  The 3D engine runs
 the fresh-city protocol per run (a new city, its UAV, a ring of circle
 users): each run is one uint64 city key, from which the run's UAV and
 the roofs its users' tracks can meet are hashed, so no run builds a
@@ -31,9 +32,11 @@ one scalar evaluation per axis value, and handed with the points' uint64
 keys to the engine's array core (:func:`uavlos.simgeom.los_counts`),
 which decides consecutive points with the same params together, so a
 170-point heatmap shares 8 kernel calls instead of making one per point
-and derives the keys of each chunk's links at once; the Wilson bounds of
-all points are one array expression (:class:`uavlos.stats.PLosEstimates`).
-No point builds a scenario or an estimate object unless a caller reads
+and derives the keys of each chunk's links at once.  Every engine's
+points become estimates in one :class:`uavlos.stats.PLosEstimates`
+call: the LoS counts of sim3d and geom points, whose Wilson bounds are
+one array expression, or the values of baseline models.  No point
+builds a scenario or an estimate object unless a caller reads
 :attr:`SweepResult.rows`.
 A spec holds at most MAX_POINTS grid points, checked from its axis
 lengths, and fewer than 2^63 runs over all of them.  A geometry-engine
@@ -415,9 +418,9 @@ BLOCK_ELEMENTS = 65536
 def _estimate_sim3d(
     spec: SweepSpec, params: BuiltUpParams, theta: float, phi: float | None, h_uav: float,
     key: np.ndarray,
-) -> PLosEstimate:
+) -> tuple[int, int]:
     """Fresh-city protocol at one point of spec: per run, a new city with
-    its UAV and the pooled LoS states of every valid user on the theta
+    its UAV and the LoS states of every valid user on the theta
     circle (one user at azimuth phi when phi is fixed, or straight under
     the UAV at theta = 90), decided a block of BLOCK_ELEMENTS elements
     at a time.  Run i is the city key run_keys(seed, n_runs)[i] of the
@@ -425,7 +428,10 @@ def _estimate_sim3d(
     stream of its one-element key array key, derived a block at a time,
     so no key array outgrows a block.  Every user stands the ring radius from
     its UAV's ground point, so the radius is the ground length of every
-    link's track (sim3d.links_blocked)."""
+    link's track (sim3d.links_blocked).
+
+    Returns the point's counts (k, n), pooled over its cities: users with
+    LoS and users kept."""
     policy = UAV_POLICIES[spec.uav_policy](h_uav)
     directions = user_directions(theta, spec.n_users, phi)
     layout = derive_layout(params, *spec.extent)
@@ -446,7 +452,7 @@ def _estimate_sim3d(
             "no valid user positions over the whole sweep point; "
             "enlarge the extent or the user count"
         )
-    return PLosEstimate.from_counts(k, n)
+    return k, n
 
 
 def _with_swept_params(base: BuiltUpParams, var: Mapping[str, float]) -> BuiltUpParams:
@@ -497,12 +503,14 @@ def _estimate_points(spec: SweepSpec, keys: np.ndarray) -> tuple[PLosEstimates, 
     (:func:`uavlos.citygeom.seed_keys` of its seed).
 
     A geometry-engine sweep goes to :func:`_estimate_geom`; sim3d and
-    baseline points are estimated and timed one by one, each sim3d point
-    from the run keys of its key.
+    baseline points are run and timed one by one, each sim3d point from
+    the run keys of its key, and their counts (sim3d) or model values
+    (baselines) become the sweep's estimates in one
+    :class:`PLosEstimates` call.
     """
     if spec.engine == "geom":
         return _estimate_geom(spec, keys)
-    estimates: list[PLosEstimate] = []
+    results: list = []
     ms: list[float] = []
     names = [axis.name for axis in spec.axes]
     for q, combo in enumerate(spec.points()):
@@ -511,14 +519,17 @@ def _estimate_points(spec: SweepSpec, keys: np.ndarray) -> tuple[PLosEstimates, 
         theta, h_uav = _point_angles(spec, var)
         if spec.engine == "sim3d":
             params = _with_swept_params(spec.params, var)
-            est = _estimate_sim3d(
+            results.append(_estimate_sim3d(
                 spec, params, theta, var.get("phi", spec.phi), h_uav, keys[q:q + 1]
-            )
+            ))
         else:
-            est = PLosEstimate.exact(evaluate(_resolve_model(spec, var), theta, h_uav, spec.h_rx))
-        estimates.append(est)
+            results.append(evaluate(_resolve_model(spec, var), theta, h_uav, spec.h_rx))
         ms.append((time.perf_counter() - start) * 1000.0)
-    return PLosEstimates.stack(estimates), np.array(ms)
+    if spec.engine == "sim3d":
+        estimates = PLosEstimates.from_counts(*np.array(results, dtype=np.int64).T)
+    else:
+        estimates = PLosEstimates.exact(results)
+    return estimates, np.array(ms)
 
 
 def _geom_values(spec: SweepSpec) -> tuple[np.ndarray, list[float]]:
@@ -644,13 +655,9 @@ def compare_engines(
     ]
 
 
-def _estimate_fields(est: PLosEstimates) -> list[str]:
-    """n, k, p_hat and the interval bounds of each estimate as CSV fields."""
-    columns = (est.n, est.k, est.p_hat, est.ci_lo, est.ci_hi)
-    return [
-        f"{n},{k},{p:.6f},{lo:.6f},{hi:.6f}"
-        for n, k, p, lo, hi in zip(*(column.tolist() for column in columns))
-    ]
+def _estimate_fields(n: int, k: int, p_hat: float, ci_lo: float, ci_hi: float) -> str:
+    """n, k, p_hat and the interval bounds of one estimate as CSV fields."""
+    return f"{n},{k},{p_hat:.6f},{ci_lo:.6f},{ci_hi:.6f}"
 
 
 def result_to_csv(result: SweepResult, include_timing: bool = False) -> str:
@@ -661,12 +668,14 @@ def result_to_csv(result: SweepResult, include_timing: bool = False) -> str:
         texts = [f"{v:g}," for v in axis.values]
         labels = [label + text for label in labels for text in texts]
     ms = result.ms.tolist() if include_timing else [0.0] * len(labels)
+    est = result.estimates
+    fields = zip(*(c.tolist() for c in (est.n, est.k, est.p_hat, est.ci_lo, est.ci_hi)))
     lines = [
         f"# spec: {result.spec.echo()}",
         ",".join(result.axis_names) + ",n,k,p_hat,ci_lo,ci_hi,ms_per_point",
         *(
-            f"{label}{fields},{t:.6f}"
-            for label, fields, t in zip(labels, _estimate_fields(result.estimates), ms)
+            f"{label}{_estimate_fields(*point)},{t:.6f}"
+            for label, point, t in zip(labels, fields, ms)
         ),
     ]
     return "\n".join(lines) + "\n"
@@ -692,9 +701,10 @@ def compare_to_csv(
         "theta,n_3d,k_3d,p_3d,ci_lo_3d,ci_hi_3d,n_geom,k_geom,p_geom,ci_lo_geom,ci_hi_geom,"
         "abs_delta," + ",".join(names),
     ]
-    fields3d = _estimate_fields(PLosEstimates.stack([row.sim3d for row in rows]))
-    fieldsgm = _estimate_fields(PLosEstimates.stack([row.geom for row in rows]))
-    for row, a, g in zip(rows, fields3d, fieldsgm):
+    for row in rows:
+        a, g = (
+            _estimate_fields(e.n, e.k, e.p_hat, e.ci_lo, e.ci_hi) for e in (row.sim3d, row.geom)
+        )
         lines.append(
             f"{row.theta_deg:g},{a},{g},"
             f"{row.abs_delta:.6f}" + "".join(f",{row.baselines[name]:.6f}" for name in names)

@@ -23,9 +23,9 @@ same stream, evaluated only under the UAV and at the track's entries
 :func:`los_counts`, the engine's one decision path, decides the links
 of several points that share params, user zone and h_rx together, each
 point given as one row of values (:func:`_point_values`) and one uint64
-key; :func:`estimate_points` and :func:`estimate_plos` hand it the rows
-and keys of :class:`GeomScenario` points, and a sweep builds them from
-its grid without one.  It decides the links in chunks of
+key; :func:`estimate_plos` hands it the row and key of one
+:class:`GeomScenario`, and a sweep builds them from its grid without
+one.  It decides the links in chunks of
 :data:`CHUNK_LINKS` links that fill across point boundaries.  A chunk's
 links are decided by :func:`uavlos.citygeom.blocked_links`, the 3D
 engine's link decision too, which alone sizes the kernel calls, by
@@ -39,8 +39,7 @@ chunk derives the keys of all its links in one
 :func:`uavlos.citygeom.stream_bits` call.  Theta, azimuth and altitude
 are per-link values of a chunk.  Because a link's draws depend on its
 key alone and each stage is exact, the chunking bounds memory and
-leaves every estimate unchanged; :func:`estimate_plos` is its one-point
-case.
+leaves every count unchanged.
 """
 
 from __future__ import annotations
@@ -73,7 +72,6 @@ __all__ = [
     "USER_ZONES",
     "check_track_length",
     "estimate_plos",
-    "estimate_points",
     "los_counts",
 ]
 
@@ -499,39 +497,15 @@ def los_counts(
     return n_runs - nlos, seconds
 
 
-def estimate_points(
-    scenarios: Sequence[GeomScenario], n_runs: int, seeds: Sequence[int]
-) -> tuple[list[PLosEstimate], list[float]]:
-    """Monte-Carlo P_LoS estimates of several points over independent
-    links, n_runs links per point, decided together: a wrapper that hands
-    the scenarios' :func:`_point_values` rows and the keys of seeds to the
-    array core :func:`los_counts`.
-
-    The scenarios must share params, user zone and h_rx; theta, azimuth
-    and altitude may differ.  Link i of point q is the uint64 key
-    ``run_keys(seeds[q], n_runs)[i]`` (:func:`uavlos.citygeom.run_keys`),
-    and each estimate equals :func:`estimate_plos` of its point alone.
-
-    Returns the estimates and, per point, its share in seconds of the
-    wall time of the chunks its links were decided in (see
-    :func:`los_counts`).
-    """
+def estimate_plos(scenario: GeomScenario, n_runs: int, seed: int) -> PLosEstimate:
+    """Monte-Carlo P_LoS estimate of one scenario over n_runs independent
+    links, link i being the uint64 key ``run_keys(seed, n_runs)[i]``
+    (:func:`uavlos.citygeom.run_keys`): the one-point case of
+    :func:`los_counts`, with the scenario's :func:`_point_values` row."""
     if n_runs < 1:
         raise InvalidParams(f"need at least one run, got {n_runs}")
-    if len(seeds) != len(scenarios):
-        raise InvalidParams(f"need one seed per scenario, got {len(seeds)} for {len(scenarios)}")
-    if len({(sc.params, sc.user_zone, sc.h_rx) for sc in scenarios}) != 1:
-        raise InvalidParams("need one or more scenarios sharing params, user zone and h_rx")
-    first = scenarios[0]
-    los, seconds = los_counts(
-        first.layout(), first.params.gamma, first.user_zone, first.h_rx,
-        np.array([_point_values(scenario) for scenario in scenarios]), seed_keys(seeds),
-        n_runs, [scenario.h_uav for scenario in scenarios],
+    los, _ = los_counts(
+        scenario.layout(), scenario.params.gamma, scenario.user_zone, scenario.h_rx,
+        np.array([_point_values(scenario)]), seed_keys([seed]), n_runs, [scenario.h_uav],
     )
-    return list(PLosEstimates.from_counts(los, n_runs)), seconds.tolist()
-
-
-def estimate_plos(scenario: GeomScenario, n_runs: int, seed: int) -> PLosEstimate:
-    """Monte-Carlo P_LoS estimate of one scenario over independent links:
-    the one-point case of :func:`estimate_points`."""
-    return estimate_points([scenario], n_runs, [seed])[0][0]
+    return PLosEstimates.from_counts(los, n_runs)[0]

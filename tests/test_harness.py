@@ -20,9 +20,42 @@ from uavlos.harness import (
 )
 from uavlos.sim3d import place_uav
 from uavlos.cli import _parse_grid
-from uavlos.stats import PLosEstimate, PLosEstimates, wilson_bounds, wilson_interval
+from uavlos.stats import Z95, PLosEstimate, PLosEstimates, wilson_bounds, wilson_interval
 
 URBAN = ENVIRONMENTS["urban"]
+
+
+def scalar_wilson_interval(k: int, n: int, z: float = Z95) -> tuple[float, float]:
+    """Wilson score interval for a Bernoulli proportion, one count pair at
+    a time in Python floats: the reference that the array expression of
+    stats.wilson_bounds must reproduce bit for bit.
+
+    Args:
+        k: success count, 0 <= k <= n.
+        n: trial count, n >= 1.
+        z: normal quantile (default 1.96 for 95%).
+
+    Returns:
+        (lo, hi) clamped to [0, 1]; lo = 0 exactly when k = 0 and
+        hi = 1 exactly when k = n.
+    """
+    if n < 1 or k < 0 or k > n:
+        raise InvalidCounts(f"need 0 <= k <= n with n >= 1, got k={k}, n={n}")
+    if z <= 0.0:
+        raise InvalidCounts(f"z must be positive, got {z}")
+    p = k / n
+    denom = 1.0 + z * z / n
+    center = (p + z * z / (2.0 * n)) / denom
+    half = (z / denom) * math.sqrt(p * (1.0 - p) / n + z * z / (4.0 * n * n))
+    lo = max(0.0, center - half)
+    hi = min(1.0, center + half)
+    # the degenerate endpoints are exactly 0 and 1 analytically; rounding
+    # in the quotient above can miss them by one ulp
+    if k == 0:
+        lo = 0.0
+    if k == n:
+        hi = 1.0
+    return lo, hi
 
 
 def test_wilson_frozen_examples():
@@ -42,17 +75,30 @@ def test_wilson_validation():
         wilson_interval(11, 10)
 
 
+@pytest.mark.parametrize("z", [math.nan, math.inf])
+def test_a_wilson_z_that_is_not_finite_and_positive_is_refused(z):
+    # A NaN z passes a "z <= 0" check and turns every bound to NaN, and
+    # an infinite one gives (0, 1) whatever the counts.
+    with pytest.raises(InvalidCounts, match="z must be finite and positive"):
+        wilson_bounds([5], 10, z=z)
+    with pytest.raises(InvalidCounts, match="z must be finite and positive"):
+        wilson_interval(5, 10, z=z)
+    with pytest.raises(InvalidCounts, match="z must be finite and positive"):
+        PLosEstimates.from_counts([5], 10, z=z)
+
+
 def test_estimate_containers():
-    est = PLosEstimate.from_counts(50, 100)
+    est = PLosEstimates.from_counts([50], [100])[0]
     assert est.p_hat == 0.5
     assert est.ci_lo < 0.5 < est.ci_hi
-    exact = PLosEstimate.exact(0.75)
-    assert (exact.n, exact.k) == (1, 1)
-    assert exact.ci_lo == exact.p_hat == exact.ci_hi == 0.75
+    exact = PLosEstimates.exact([0.75, 0.5, 0.25])
+    assert (exact.n.tolist(), exact.k.tolist()) == ([1, 1, 1], [1, 0, 0])
+    assert exact[0] == PLosEstimate(n=1, k=1, p_hat=0.75, ci_lo=0.75, ci_hi=0.75)
     with pytest.raises(InvalidCounts):
         PLosEstimate(n=10, k=11, p_hat=1.1, ci_lo=0.0, ci_hi=1.0)
-    with pytest.raises(InvalidCounts):
-        PLosEstimate.exact(1.5)
+    for bad in (1.5, -0.25, math.nan):
+        with pytest.raises(InvalidCounts):
+            PLosEstimates.exact([0.5, bad])
 
 
 def bits(values) -> np.ndarray:
@@ -67,11 +113,15 @@ def test_array_wilson_bounds_are_the_scalar_bounds_bit_for_bit(n):
     # printed digit.
     k = np.arange(n + 1)
     lo, hi = wilson_bounds(k, n)
-    scalar = np.array([wilson_interval(i, n) for i in range(n + 1)])
+    scalar = np.array([scalar_wilson_interval(i, n) for i in range(n + 1)])
     np.testing.assert_array_equal(bits(lo), bits(scalar[:, 0]))
     np.testing.assert_array_equal(bits(hi), bits(scalar[:, 1]))
+    assert [wilson_interval(i, n) for i in range(n + 1)] == [tuple(b) for b in scalar.tolist()]
     estimates = PLosEstimates.from_counts(k, n)
-    assert list(estimates) == [PLosEstimate.from_counts(i, n) for i in range(n + 1)]
+    assert list(estimates) == [
+        PLosEstimate(n=n, k=i, p_hat=i / n, ci_lo=a, ci_hi=b)
+        for i, (a, b) in enumerate(scalar.tolist())
+    ]
 
 
 def test_array_estimates_are_checked_as_one_estimate_is():
@@ -84,6 +134,21 @@ def test_array_estimates_are_checked_as_one_estimate_is():
     with pytest.raises(InvalidCounts):
         PLosEstimates(n=np.array([10]), k=np.array([5]), p_hat=np.array([0.5]),
                       ci_lo=np.array([0.6]), ci_hi=np.array([0.7]))
+
+
+def test_estimate_columns_of_unequal_length_are_refused():
+    # Three counts with two estimates would say len() == 3 and fail on
+    # the third with an untyped IndexError.
+    three = np.array([10, 10, 10])
+    two = dict(p_hat=np.array([0.5, 0.5]), ci_lo=np.array([0.2, 0.2]), ci_hi=np.array([0.8, 0.8]))
+    with pytest.raises(InvalidCounts, match="one length"):
+        PLosEstimates(n=three, k=three // 2, **two)
+    with pytest.raises(InvalidCounts, match="one length"):
+        PLosEstimates(n=three[:2], k=three[:2] // 2, **{**two, "ci_hi": np.array([0.8] * 3)})
+    # Columns are one-dimensional: a scalar count makes no column.
+    with pytest.raises(InvalidCounts, match="one-dimensional"):
+        PLosEstimates.from_counts(5, 10)
+    assert len(PLosEstimates(n=three[:2], k=three[:2] // 2, **two)) == 2
 
 
 @pytest.mark.parametrize("axes,fixed", [
@@ -118,9 +183,13 @@ def test_sweep_point_rows_are_the_scenario_rows_bit_for_bit(axes, fixed):
 
 def test_a_geometry_sweep_builds_no_scenario_and_no_scalar_interval(monkeypatch):
     # P points travel as arrays: no GeomScenario per point, and the Wilson
-    # bounds of all of them in one array expression.
-    built, intervals = [], []
-    check, interval = simgeom.GeomScenario.__post_init__, stats.wilson_interval
+    # bounds of all of them in one array expression.  Every engine takes
+    # that one estimate path: a sim3d sweep's bounds are one array call
+    # too, a baseline sweep's values need none, and compare makes one per
+    # engine.  No sweep computes a scalar interval.
+    built, intervals, bounds = [], [], []
+    check = simgeom.GeomScenario.__post_init__
+    interval, array_bounds = stats.wilson_interval, stats.wilson_bounds
 
     def counted_check(self):
         built.append(self)
@@ -130,14 +199,30 @@ def test_a_geometry_sweep_builds_no_scenario_and_no_scalar_interval(monkeypatch)
         intervals.append(args)
         return interval(*args, **kwargs)
 
+    def counted_bounds(*args, **kwargs):
+        bounds.append(args)
+        return array_bounds(*args, **kwargs)
+
     monkeypatch.setattr(simgeom.GeomScenario, "__post_init__", counted_check)
     monkeypatch.setattr(stats, "wilson_interval", counted_interval)
+    monkeypatch.setattr(stats, "wilson_bounds", counted_bounds)
     spec = SweepSpec(engine="geom", params=ENVIRONMENTS["high-rise"], user_zone="street",
                      n_runs=20, seed=1, axes=(theta_axis(10, 45, 80),
                                               SweepAxis("phi", (0.0, 30.0, 90.0))))
     text = result_to_csv(run_sweep(spec))
     assert len(text.splitlines()) == 2 + 9
-    assert (len(built), len(intervals)) == (0, 0)
+    assert (len(built), len(intervals), len(bounds)) == (0, 0, 1)
+    common = dict(params=URBAN, extent=(1000.0, 1000.0), axes=(theta_axis(30, 60, 90),), seed=1)
+    for engine, calls in (("sim3d", 1), ("baseline:grid", 0)):
+        bounds.clear()
+        result = run_sweep(SweepSpec(engine=engine, n_runs=3, n_users=20, **common))
+        assert len(result_to_csv(result).splitlines()) == 2 + 3
+        assert (len(intervals), len(bounds)) == (0, calls)
+    bounds.clear()
+    rows = compare_engines(URBAN, (30.0, 60.0, 90.0), n3d=3, ngeom=20, seed=1,
+                           extent=(1000.0, 1000.0), n_users=20)
+    assert len(rows) == 3
+    assert (len(built), len(intervals), len(bounds)) == (0, 0, 2)
 
 
 def theta_axis(*values):
@@ -503,8 +588,9 @@ def test_compare_engines_is_reproducible():
 
 def sim3d_point(spec, theta, phi):
     """The 3D engine's estimate at one point of spec on URBAN, with its
-    UAVs at 100 m and the run keys of seed 77."""
-    return harness._estimate_sim3d(spec, URBAN, theta, phi, 100.0, citygeom.seed_keys([77]))
+    UAVs at 100 m and the run keys of seed 77, from the point's counts."""
+    k, n = harness._estimate_sim3d(spec, URBAN, theta, phi, 100.0, citygeom.seed_keys([77]))
+    return PLosEstimates.from_counts([k], [n])[0]
 
 
 def sim3d_work(monkeypatch):

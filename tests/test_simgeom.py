@@ -20,7 +20,7 @@ from uavlos.citygeom import (
 from uavlos import citygeom, simgeom
 from uavlos.errors import IllegalSpec, InvalidAngle, InvalidParams
 from uavlos.harness import SweepAxis, SweepSpec, run_sweep
-from uavlos.simgeom import GeomScenario, _draw_links, estimate_plos, estimate_points
+from uavlos.simgeom import GeomScenario, _draw_links, estimate_plos
 
 TOY = BuiltUpParams(0.25, 10000.0, 10.0)  # p=10, s=w=5
 
@@ -72,8 +72,19 @@ def test_tracks_longer_than_the_memory_bound_fail_before_any_chunk(monkeypatch):
 
 
 def point_values(scenarios):
-    """The per-point values table estimate_points hands its chunks."""
+    """The per-point values table los_counts hands its chunks."""
     return np.array([simgeom._point_values(scenario) for scenario in scenarios])
+
+
+def scenario_counts(scenarios, n_runs, seeds):
+    """los_counts of scenarios that share params, user zone and h_rx,
+    point q keyed by seeds[q]: each point's LoS count and seconds."""
+    first = scenarios[0]
+    return simgeom.los_counts(
+        first.layout(), first.params.gamma, first.user_zone, first.h_rx,
+        point_values(scenarios), citygeom.seed_keys(seeds), n_runs,
+        [scenario.h_uav for scenario in scenarios],
+    )
 
 
 def engine_args(scenarios, values, layout, keys, point):
@@ -883,8 +894,8 @@ def test_a_chunk_lists_entries_in_proportion_to_its_track_budget(kernel_calls, e
     # One batch, short tracks first: a call that sized every link by its
     # first point's track would take the theta 1 and 0.1 links whole.
     batch = [GeomScenario(ENVIRONMENTS[env], "mixed", theta, h_uav=100.0) for theta in thetas]
-    estimates, _ = estimate_points(batch[::-1], 500, range(6))
-    assert [est.n for est in estimates] == [500] * 6
+    los, _ = scenario_counts(batch[::-1], 500, range(6))
+    assert ((0 <= los) & (los <= 500)).all() and los.size == 6
     assert max(call.entries for call in calls) <= 4 * citygeom.CALL_PERIODS
     # Under roofs of gamma 0.8 m, long tracks from a 20 m UAV mostly stay
     # clear near their users, so most of them go on to calls of whole
@@ -892,8 +903,8 @@ def test_a_chunk_lists_entries_in_proportion_to_its_track_budget(kernel_calls, e
     calls.clear()
     low = BuiltUpParams(ENVIRONMENTS[env].alpha, ENVIRONMENTS[env].beta, 0.8)
     batch = [GeomScenario(low, "mixed", theta, h_uav=20.0) for theta in (0.2, 1.0, 5.0)]
-    estimates, _ = estimate_points(batch, 500, range(3))
-    assert sum(est.k for est in estimates) > 750
+    los, _ = scenario_counts(batch, 500, range(3))
+    assert los.sum() > 750
     assert sum(call.links for call in calls) > 1500 + 750
     assert max(call.entries for call in calls) <= 4 * citygeom.CALL_PERIODS
 
@@ -1065,7 +1076,7 @@ def mixed_points():
 @pytest.mark.parametrize("chunk,budget", [
     (1, citygeom.CALL_PERIODS), (64, 50), (simgeom.CHUNK_LINKS, 1),
 ])
-def test_estimate_points_equals_estimate_plos_point_by_point(monkeypatch, chunk, budget):
+def test_los_counts_equal_estimate_plos_point_by_point(monkeypatch, chunk, budget):
     # Kills a fixed azimuth, a theta or an altitude read from a chunk's
     # first point, and NLoS counted per chunk instead of per point, at
     # every chunk size and call budget.
@@ -1082,8 +1093,8 @@ def test_estimate_points_equals_estimate_plos_point_by_point(monkeypatch, chunk,
         return first_blockers(layout, gamma, zone, h_rx, values, keys, point, h_uav)
 
     monkeypatch.setattr(simgeom, "_first_blockers", recorded)
-    estimates, seconds = estimate_points(scenarios, 150, seeds)
-    assert estimates == alone
+    los, seconds = scenario_counts(scenarios, 150, seeds)
+    assert los.tolist() == [est.k for est in alone]
     assert len(seconds) == len(scenarios) and min(seconds) > 0.0
     if chunk == 1:
         assert chunks == [1] * (150 * len(scenarios))
@@ -1116,7 +1127,7 @@ def test_each_call_derives_the_keys_of_its_links_at_once(monkeypatch):
 
     monkeypatch.setattr(simgeom, "_first_blockers", recorded)
     monkeypatch.setattr(simgeom, "stream_bits", counted)
-    assert estimate_points(scenarios, 151, seeds)[0] == alone
+    assert scenario_counts(scenarios, 151, seeds)[0].tolist() == [est.k for est in alone]
     assert len(calls) > 2 * len(seeds) and any(np.unique(point).size > 1 for _, point in calls)
     assert derived == [keys.size for keys, _ in calls]
     np.testing.assert_array_equal(np.concatenate([keys for keys, _ in calls]),
@@ -1152,25 +1163,10 @@ def test_a_placement_failure_names_the_failing_point(monkeypatch):
     stuck = _redraw_scenario(1e6)
     free = GeomScenario(stuck.params, "street", 45.0, phi_deg=90.0, h_uav=40.0)
     with pytest.raises(InvalidParams, match=r"at h_uav=30\.0$"):
-        estimate_points([free, stuck], 100, [0, 1])
+        scenario_counts([free, stuck], 100, [0, 1])
     low = GeomScenario(free.params, "street", 45.0, phi_deg=90.0, h_uav=(0.0, 1.5000001))
     with pytest.raises(InvalidParams, match=r"h_uav range \(0\.0, 1\.5000001\) never"):
-        estimate_points([free, low], 100, [0, 1])
-
-
-def test_points_of_one_call_share_params_zone_and_receiver_height():
-    base = GeomScenario(ENVIRONMENTS["urban"], "mixed", 45.0, h_uav=100.0)
-    for other in (
-        GeomScenario(ENVIRONMENTS["suburban"], "mixed", 45.0, h_uav=100.0),
-        GeomScenario(ENVIRONMENTS["urban"], "street", 45.0, h_uav=100.0),
-        GeomScenario(ENVIRONMENTS["urban"], "mixed", 45.0, h_uav=100.0, h_rx=2.0),
-    ):
-        with pytest.raises(InvalidParams, match="sharing params"):
-            estimate_points([base, other], 10, [1, 2])
-    with pytest.raises(InvalidParams, match="sharing params"):
-        estimate_points([], 10, [])
-    with pytest.raises(InvalidParams, match="one seed per scenario"):
-        estimate_points([base, base], 10, [1])
+        scenario_counts([free, low], 100, [0, 1])
 
 
 def test_a_heatmap_shares_kernel_calls_across_its_points(kernel_calls):
