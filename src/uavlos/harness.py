@@ -47,7 +47,9 @@ against its own grid period, whether it is ``baseline:grid`` or loaded
 by name.  A 3D-engine spec likewise refuses a point whose user ring is
 wider than the extent's diagonal, where no user can stand, and an
 extent of more than MAX_AXIS_CELLS building cells per axis, whose cell
-indices :func:`uavlos.citygeom.roof_heights` could not hold.
+indices :func:`uavlos.citygeom.roof_heights` could not hold, and with a
+building-top UAV an extent of more than sim3d.MAX_CITY_CELLS building
+cells, since that policy draws each UAV from every roof of its grid.
 
 CSV files carry a ``# spec:`` echo line followed by one row per grid
 point (:func:`result_to_csv`, and :func:`compare_to_csv` for an engine
@@ -81,6 +83,7 @@ from .citygeom import (
 )
 from .errors import IllegalSpec, InvalidAngle, UavLosError
 from .sim3d import (
+    MAX_CITY_CELLS,
     BuildingTop,
     Cities,
     CrossroadCenter,
@@ -255,6 +258,14 @@ class SweepSpec:
                 f"extent {self.extent[0]:g} x {self.extent[1]:g} holds more than the "
                 f"{MAX_AXIS_CELLS} building cells per axis a sim3d city may have"
             )
+        if self.engine == "sim3d" and self.uav_policy == "building-top":
+            # A building-top UAV is drawn from every roof of its city's grid.
+            cells = math.prod(max(e // period, 0.0) for e in self.extent)
+            if cells > MAX_CITY_CELLS:
+                raise IllegalSpec(
+                    f"extent {self.extent[0]:g} x {self.extent[1]:g} holds {cells:.0f} building "
+                    f"cells, more than the {MAX_CITY_CELLS} a building-top UAV may be drawn from"
+                )
         # No two points of the extent lie farther apart than its
         # diagonal, so a wider sim3d ring leaves no user on the extent.
         diagonal = math.hypot(*self.extent)

@@ -161,9 +161,9 @@ class Cities:
         ix, iy = ix.astype(np.int64), iy.astype(np.int64)
         ix += 1
         iy += 1
-        built = x_built & y_built & (ix <= nx) & (iy <= ny)
+        at = np.flatnonzero(x_built & y_built & (ix <= nx) & (iy <= ny))
         roof = np.zeros(x.size)
-        roof[built] = self.roofs(run[built], ix[built], iy[built])
+        roof[at] = self.roofs(run.take(at), ix.take(at), iy.take(at))
         return roof
 
 
@@ -342,10 +342,15 @@ def _windows(layout: CityLayout, run, tx_x, tx_y, rx_x, rx_y):
     each run of equal entries of run, and its window's first and last
     1-based cells per axis; last < first where the window holds no cell.
     run must be non-decreasing and index the transmitters (InvalidParams
-    otherwise), so that each city owns one run.
+    otherwise), so that each city owns one run.  The runs start at the
+    first link and wherever a link's city differs from the one before
+    it, found by one comparison of neighbours.
     """
     p, s = layout.period, layout.s
-    starts = np.flatnonzero(np.diff(run, prepend=-1))
+    new = np.empty(run.size, dtype=bool)
+    new[0] = True
+    np.not_equal(run[1:], run[:-1], out=new[1:])
+    starts = np.flatnonzero(new)
     owner = run[starts]
     if run[0] < 0 or owner[-1] >= tx_x.size or (owner[1:] <= owner[:-1]).any():
         raise InvalidParams(f"run must be non-decreasing and index the {tx_x.size} cities")
@@ -638,8 +643,10 @@ def place_users(layout: CityLayout, uavs: UavPositions, theta_deg: float, direct
     building footprint are dropped.
 
     Returns arrays (run, x, y) of the kept positions: the index of the
-    UAV each user sees and its ground position, ordered by UAV, then by
-    direction.
+    UAV each user sees (int64) and its ground position, ordered by UAV,
+    then by direction.  The kept positions are selected through one
+    index array into the (UAV, direction) grid: its quotient by the
+    direction count is run, and x and y are taken at it.
     """
     cos, sin = directions
     ux, uy, uz = (np.asarray(c, dtype=float) for c in uavs)
@@ -653,7 +660,8 @@ def place_users(layout: CityLayout, uavs: UavPositions, theta_deg: float, direct
     reach = max(layout.extent_x, layout.extent_y)
     kept = (0.0 <= x) & (x <= layout.extent_x) & (0.0 <= y) & (y <= layout.extent_y)
     kept &= ~(building_band(x, p, s, reach)[1] & building_band(y, p, s, reach)[1])
-    return np.nonzero(kept)[0], x[kept], y[kept]
+    at = np.flatnonzero(kept)
+    return at // kept.shape[1], x.ravel().take(at), y.ravel().take(at)
 
 
 def place_users_circle(
@@ -701,7 +709,9 @@ def place_uav(cities: Cities, policy: UavPlacementPolicy) -> UavPositions:
     whole extent and redraws, up to UAV_PLACEMENT_TRIES times, until
     the UAV is above any roof under it.  The policy height must be
     positive, and BuildingTop only considers cells whose roof lies
-    below it.
+    below it; it hashes every roof of the grid, so a grid of more than
+    MAX_CITY_CELLS cells is refused (InvalidParams), as a materialized
+    city is.
     """
     layout = cities.layout
     p, s, w = layout.period, layout.s, layout.w
@@ -724,7 +734,8 @@ def place_uav(cities: Cities, policy: UavPlacementPolicy) -> UavPositions:
         for i in range(UAV_PLACEMENT_TRIES):
             x[pending] = ex * stream_uniforms(keys[pending], 2 * i)
             y[pending] = ey * stream_uniforms(keys[pending], 2 * i + 1)
-            pending = pending[cities.roofs_under(pending, x[pending], y[pending]) >= policy.h]
+            over = cities.roofs_under(pending, x.take(pending), y.take(pending)) >= policy.h
+            pending = pending.take(np.flatnonzero(over))
             if pending.size == 0:
                 return x, y, z
         raise InvalidParams(
@@ -735,8 +746,8 @@ def place_uav(cities: Cities, policy: UavPlacementPolicy) -> UavPositions:
     u = stream_uniforms(keys[:, None], np.arange(2))
 
     if isinstance(policy, BuildingTop):
-        # The roofs of one whole grid at a time.
-        nx, ny = _grid_shape(layout)
+        # The roofs of one whole grid at a time, as a materialized city.
+        nx, ny = _city_grid(layout)
         cell_x, cell_y = np.divmod(np.arange(nx * ny), ny)
         x, y = np.empty(n), np.empty(n)
         for c in range(n):

@@ -388,7 +388,7 @@ def _draw_links(
         pick = np.arange(pending.size), np.where(done, accepted.argmax(axis=1), rounds - 1)
         for out, v in zip((*placed, city), (*drawn, bits[0])):
             out[pending] = v[pick]
-        pending = pending[~done]
+        pending = pending.take(np.flatnonzero(~done))
         r += rounds
         most *= 2
     if pending.size:
@@ -434,7 +434,7 @@ def _first_blockers(
         layout, ux, uy, vx, vy, length, h_rx, rise,
         lambda link, ix, iy: roof_heights(city.take(link), ix, iy, gamma),
     )
-    return np.bincount(point[nlos], minlength=len(values))
+    return np.bincount(point.take(np.flatnonzero(nlos)), minlength=len(values))
 
 
 #: Links of the points of one :func:`los_counts` call that are drawn

@@ -9,7 +9,8 @@ spec must refuse at once.  The command runs
 :func:`uavlos.cli.main` in a forked child, one at a time, under an
 address-space limit and an alarm set on that child only, and must end
 with exit 0, or with exit 1 or 2 and a one-line error message: no
-traceback, no MemoryError, no timeout.
+traceback, no MemoryError (numpy's says "Unable to allocate"), no
+timeout.
 """
 
 import contextlib
@@ -150,6 +151,11 @@ def run_in_child(argv, cwd):
 # 10^30 sim3d cities per point, refused before the first city.
 @example(argv=["plos-vs-theta", "--env=urban", "--engine=sim3d", f"--runs={_HUGE_INT}",
                "--seed=1", "--theta-grid=30,60", "--n-users=3", "--out", "out.csv"])
+# A building-top UAV drawn from the 5 * 10^8 roofs of a 1e6 m extent,
+# refused before the first city.
+@example(argv=["plos-vs-theta", "--env=urban", "--engine=sim3d", "--uav-policy=building-top",
+               "--extent=1e6", "--runs=1", "--n-users=3", "--theta-grid=30", "--seed=1",
+               "--out", "out.csv"])
 def test_every_command_line_exits_cleanly(argv):
     with tempfile.TemporaryDirectory() as cwd:
         status, stderr = run_in_child(argv, cwd)
@@ -157,6 +163,8 @@ def test_every_command_line_exits_cleanly(argv):
     assert os.WIFEXITED(status), f"{argv}: killed by signal {os.WTERMSIG(status)} (timeout)"
     code = os.WEXITSTATUS(status)
     assert "Traceback" not in stderr and "MemoryError" not in stderr, (argv, stderr)
+    # numpy's MemoryError subclass, whose message does not name the type.
+    assert "Unable to allocate" not in stderr, (argv, stderr)
     if code == 0:
         assert leftovers == ["out.csv"], (argv, leftovers)
         return

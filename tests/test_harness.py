@@ -278,6 +278,25 @@ def test_sweep_spec_validation():
         SweepSpec(**{**top, "axes": (SweepAxis("phi", (0.0,)),), "theta": 90.0})
 
 
+def test_a_building_top_extent_is_bounded_by_the_cells_a_city_may_hold():
+    # A building-top UAV is drawn from every roof of its city's grid, so
+    # the spec refuses an extent of more than MAX_CITY_CELLS building
+    # cells before any point runs: urban's 44.72 m period puts 1 000
+    # cells on 44 750 m and 1 001 on 44 770 m, and 1e6 m holds 22 360
+    # per axis, whose roofs would take gigabytes.
+    top = dict(engine="sim3d", params=URBAN, axes=(theta_axis(30),), seed=1,
+               uav_policy="building-top", n_runs=1, n_users=3)
+    assert sim3d.MAX_CITY_CELLS == 1000 * 1000
+    SweepSpec(**top, extent=(44750.0, 44750.0))
+    with pytest.raises(IllegalSpec, match="1001000 building cells, more than the 1000000"):
+        SweepSpec(**top, extent=(44750.0, 44770.0))
+    with pytest.raises(IllegalSpec, match="499969600 building cells"):
+        SweepSpec(**top, extent=(1e6, 1e6))
+    # Other policies and engines place no UAV from the whole grid.
+    SweepSpec(**{**top, "uav_policy": "random"}, extent=(1e6, 1e6))
+    SweepSpec(**{**top, "engine": "geom"}, extent=(1e6, 1e6))
+
+
 @pytest.mark.parametrize("engine", ["geom", "sim3d", "baseline:grid"])
 @pytest.mark.parametrize("bad", [
     dict(h_rx=math.nan), dict(h_rx=math.inf), dict(h_uav=math.nan), dict(h_uav=math.inf),

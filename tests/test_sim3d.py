@@ -986,6 +986,63 @@ def test_place_users_at_a_fixed_azimuth_or_overhead():
     assert x.size == 0
 
 
+def place_users_oracle(layout, uavs, theta, directions, h_rx):
+    """place_users position by position: UAV m's user along direction k
+    is kept when it stands on the extent, off every building footprint
+    (classify_point)."""
+    kept = []
+    for m, (ux, uy, uz) in enumerate(zip(*(np.asarray(c, dtype=float).tolist() for c in uavs))):
+        d = track_length(theta, uz, h_rx)
+        for cos, sin in zip(*(np.asarray(c).tolist() for c in directions)):
+            x, y = ux + d * cos, uy + d * sin
+            on_extent = 0.0 <= x <= layout.extent_x and 0.0 <= y <= layout.extent_y
+            if on_extent and not isinstance(classify_point(x, y, layout), Building):
+                kept.append((m, x, y))
+    return kept
+
+
+def _street_ring():
+    """Five UAVs over the middle of the toy grid's first x street band, each
+    with users 30 m east and west of it: every position lies in a street."""
+    uavs = (np.linspace(300.0, 700.0, 5), np.full(5, 2.5), np.full(5, 31.5))
+    return uavs, 45.0, (np.array([1.0, -1.0]), np.zeros(2))
+
+
+@pytest.mark.parametrize("case", [
+    "random", "no city", "none kept", "all kept", "one direction", "overhead",
+])
+def test_place_users_keeps_the_positions_of_a_per_position_oracle(case):
+    # place_users selects the kept (UAV, direction) positions through one
+    # index array; its run, x and y must be the oracle's, bit for bit and
+    # in its order (by UAV, then by direction), and run an int64 array.
+    layout = toy_city(extent=1000.0).layout
+    rng = np.random.default_rng(5)
+    uavs = (rng.uniform(0.0, 1000.0, 40), rng.uniform(0.0, 1000.0, 40),
+            rng.uniform(20.0, 300.0, 40))
+    theta, directions = 20.0, user_directions(20.0, 24)
+    if case == "no city":
+        uavs = (np.zeros(0), np.zeros(0), np.zeros(0))
+    elif case == "none kept":
+        theta = 0.5  # every ring lies far off the extent
+    elif case == "all kept":
+        uavs, theta, directions = _street_ring()
+    elif case == "one direction":
+        directions = user_directions(20.0, 24, phi_deg=30.0)
+    elif case == "overhead":
+        theta, directions = 90.0, user_directions(90.0, 24)
+    run, x, y = place_users(layout, uavs, theta, directions, 1.5)
+    expected = place_users_oracle(layout, uavs, theta, directions, 1.5)
+    assert run.dtype == np.int64
+    assert list(zip(run.tolist(), x.tolist(), y.tolist())) == expected
+    n_positions = uavs[0].size * directions[0].size
+    if case in ("no city", "none kept"):
+        assert expected == []
+    elif case == "all kept":
+        assert len(expected) == n_positions
+    else:
+        assert 0 < len(expected) < n_positions
+
+
 def test_place_users_circle_validation():
     city = toy_city(extent=1000.0)
     uav = Node(500.0, 500.0, 101.5)
@@ -1032,6 +1089,18 @@ def test_place_uav_policies():
 
     with pytest.raises(InvalidParams):
         one_uav(city, RandomOverCity(h=0.0))
+
+
+def test_building_top_placement_refuses_a_grid_larger_than_a_city(monkeypatch):
+    # BuildingTop hashes every roof of the grid, as a materialized city
+    # holds them, and is bounded the same way: the toy 200 m extent has
+    # 20 x 20 cells.
+    cities = Cities(TOY, derive_layout(TOY, 200.0, 200.0), np.array([3], dtype=np.uint64))
+    monkeypatch.setattr(sim3d, "MAX_CITY_CELLS", 20 * 20)
+    place_uav(cities, BuildingTop(h=50.0))
+    monkeypatch.setattr(sim3d, "MAX_CITY_CELLS", 20 * 20 - 1)
+    with pytest.raises(InvalidParams, match="20 x 20 building cells"):
+        place_uav(cities, BuildingTop(h=50.0))
 
 
 def test_place_uav_is_reproducible():
@@ -1259,3 +1328,43 @@ def test_links_blocked_near_their_users_take_no_second_call(kernel_calls):
                                  tx_z - h_rx, lambda link, ix, iy: np.full(link.size, 1e3))
     assert got.all() and [call.links for call in kernel_calls] == [4]
     assert list(citygeom.call_slices(np.zeros(0))) == []
+
+
+@pytest.mark.parametrize("owned", [False, True], ids=["own links", "owner index"])
+@pytest.mark.parametrize("batch", ["none blocked", "all blocked", "staged blocked near"])
+def test_link_batches_blocked_nowhere_everywhere_or_near_their_users_only(
+    batch, owned, kernel_calls
+):
+    # The edge cases of blocked_links' index selections: no link blocked,
+    # every link blocked, and every staged link blocked near its user and
+    # every other link clear, so the second stage gets no link.  Four
+    # long rising tracks are staged; a long falling and a short rising
+    # one are not.
+    params, layout, links, h_rx, _, _ = _edge_case("urban", 0.0, 20.0, 1.5, 7, 3)
+    row = 2 * layout.period + layout.s + 1.0  # inside a row of buildings
+    links += [(100.0, 100.0, 45.0, 25.0, -5.0), (100.0, row, 0.0, 3.0, 20.0)]
+    x0, y0, x1, y1, tx_z = _decision_links(layout, links, h_rx)
+    rise = tx_z - h_rx
+    staged = np.arange(x0.size) < 4
+    high = {"none blocked": np.zeros_like(staged), "all blocked": np.ones_like(staged),
+            "staged blocked near": staged}[batch]
+
+    def roofs(link, ix, iy):
+        return np.where(high.take(link), 1e3, -1e3)
+
+    link, ix, iy, t = track_entries(layout, x0, y0, x1, y1)
+    expected = np.zeros(x0.size, dtype=bool)
+    expected[link[roofs(link, ix, iy) >= h_rx + t * rise[link]]] = True
+    assert expected.tolist() == high.tolist()
+    owner = np.arange(x0.size)[::-1].copy() if owned else None
+    per_owner = []
+    for v in (x1, y1, rise):
+        if owned:
+            v = v.copy()
+            v[owner] = v.copy()
+        per_owner.append(v)
+    got = citygeom.blocked_links(layout, x0, y0, *per_owner[:2], np.hypot(x1 - x0, y1 - y0),
+                                 h_rx, per_owner[2], roofs, 1.0, owner)
+    assert got.dtype == bool and got.tolist() == expected.tolist()
+    calls = [call.links for call in kernel_calls]
+    assert calls == ([6, 4] if batch == "none blocked" else [6])
