@@ -343,10 +343,9 @@ def _band_visits(c0, dc, t_lo, t_hi, p: float, s: float):
     # against 0.3 for a multiply.  A where between two computed arrays,
     # as simgeom._place's street select, stays: assigning the street
     # rows at their indices measured 1.6 times slower there.  np.divmod
-    # costs 3.5 ns against 0.8 for //, but // and a subtraction need one
-    # more temporary; in simgeom.los_counts that raised the geometry
-    # sweep's peak RSS by 0.1 to 0.3 MB to save 8 us a chunk, 0.2% of
-    # the sweep, so divmod stays.
+    # costs 3.5 ns against 0.8 for //; simgeom.los_counts takes a chunk's
+    # points by // and its runs by % of a second arange, so that neither
+    # is held while the chunk is decided.
     growing = (dc > 0.0).astype(np.int64)
     sign = growing * -2
     sign += 1
@@ -372,22 +371,26 @@ def _band_visits(c0, dc, t_lo, t_hi, p: float, s: float):
     ta += s
     tb += 1.0
     tb *= p
-    c, d = c0.take(row), dc.take(row)
+    # c is subtracted before d is gathered, so that the two are never
+    # held together.
+    c = c0.take(row)
+    ta -= c
+    tb -= c
+    del c
     moving = dc.all()
-    # The second pass's c0 and dc are gathered for it alone, so this
-    # frees them.
+    d = dc.take(row)
+    # The caller passes dc, and in the second pass c0, as temporaries,
+    # so this frees them.
     del c0, dc
     still = None
     if not moving:
         # A coordinate that does not move is inside its band for the
-        # whole window or not at all.
+        # whole window or not at all: outside where c < i*p + s or
+        # c > (i + 1)*p, that is where ta - c > 0 or tb - c < 0, since a
+        # rounded difference keeps the sign of the exact one.
         still = np.flatnonzero(d == 0.0)
-        c_still = c.take(still)
-        outside = still[(ta.take(still) > c_still) | (c_still > tb.take(still))]
+        outside = still[(ta.take(still) > 0.0) | (tb.take(still) < 0.0)]
         d.put(still, 1.0)
-    ta -= c
-    tb -= c
-    del c
     # A coordinate that moves by a tiny amount, such as a subnormal one,
     # can put a fraction beyond the float range: it overflows to the
     # infinity of its sign, its exact limit, which the clamp to the
@@ -453,14 +456,18 @@ def track_entries(layout: CityLayout, x_rx, y_rx, x_tx, y_tx, t_max=1.0, t_min=0
         t0 = np.broadcast_to(t0, x0.shape)
     if t1.ndim:
         t1 = np.broadcast_to(t1, x0.shape)
-    dx, dy = x1 - x0, y1 - y0
     # Column bands over the whole track, then the row bands crossed while
     # the track stays inside each column band.  Column windows are
     # disjoint and ordered along the track, so listing both the columns
     # and the rows within a column latest-visited first orders each
-    # track's entries by t descending.
-    link, i, lo, hi = _band_visits(x0, dx, t0, t1, p, s)
-    row, j, t, _ = _band_visits(y0.take(link), dy.take(link), lo, hi, p, s)
+    # track's entries by t descending.  Each pass's moves go to it as
+    # temporaries, which it frees, so no pass holds the other's.  Taking
+    # each track's first pass on its axis of smaller |d| lists the same
+    # entries in the same order with 23 to 28% fewer first-pass windows
+    # on the benchmark lines, but the per-link gathers that choose the
+    # axes cost more: kernel time rose 9 to 22%.
+    link, i, lo, hi = _band_visits(x0, x1 - x0, t0, t1, p, s)
+    row, j, t, _ = _band_visits(y0.take(link), (y1 - y0).take(link), lo, hi, p, s)
     i = i.take(row)
     i += 1
     j += 1
@@ -492,10 +499,12 @@ def track_length(theta_deg: float, h_uav, h_rx):
 #: working set of a call flat at every track length.  The kernel frees
 #: each temporary after its last use, and blocked_links holds no
 #: per-link copy of its owners' values, which made room for twice the
-#: 12 288 periods this budget had: the benchmark's command lines list
-#: the same entries at seed 1 in 8, 46 and 8 calls instead of 13, 83
-#: and 12, and the 170-point heatmap's traced peak reads 2.32 MB
-#: against 2.06 MB before (1.65 MB with the frees at the old budget).
+#: 12 288 periods this budget had: with the geometry engine's chunks of
+#: 6 144 links, the benchmark's command lines listed the same entries
+#: at seed 1 in 8, 46 and 8 calls instead of 13, 83 and 12, and the
+#: 170-point heatmap's traced peak read 2.32 MB against 2.06 MB before
+#: (1.65 MB with the frees at the old budget).  With chunks of 12 288
+#: links they take 6, 44 and 6 calls, and that peak reads 2.13 MB.
 CALL_PERIODS = 24576
 
 
@@ -568,12 +577,16 @@ def blocked_links(layout: CityLayout, x_rx, y_rx, x_tx, y_tx, length, h_rx: floa
     times slower.
 
     With no link to stage, t_max goes to the kernel as given, so a
-    scalar is not spread over the links.  The staged links, the links
-    a call finds blocked and the staged links left clear are selected
-    through index arrays, and the per-link costs are the cut lengths in
-    periods, overwritten at the staged links, with no select on a mask
-    (see the selection rule in :func:`_band_visits`).  Returns a boolean
-    array, one element per link.
+    scalar is not spread over the links; otherwise each first-stage call
+    builds the cuts of its own links, and from the staging on only the
+    staged links' lengths are kept, so a caller that passes length as a
+    temporary holds no per-link length while the calls run.  The
+    staged links, the links a call finds blocked and the staged links
+    left clear are selected through index arrays, and the per-link
+    costs are the cut lengths in periods, overwritten at the staged
+    links, with no select on a mask (see the selection rule in
+    :func:`_band_visits`).  Returns a boolean array, one element per
+    link.
     """
     def pick(v, at):
         return v if np.ndim(v) == 0 else v[at]
@@ -593,30 +606,43 @@ def blocked_links(layout: CityLayout, x_rx, y_rx, x_tx, y_tx, length, h_rx: floa
     cost += 1.0
     parts = list(call_slices(cost))
     del cost
-    first_cut = None
-    if staged.size:
-        near = reach / np.broadcast_to(length, blocked.shape)[staged]
-        first_cut = np.array(np.broadcast_to(owned(t_max, every), blocked.shape))
-        first_cut[staged] = near
+    # From here on only the staged links' lengths are read, and each
+    # call computes the near cuts of its staged links from them.
+    length = np.broadcast_to(length, blocked.shape)[staged]
+
+    def first_cut(part):
+        # The cut of each link of a first-stage call: its near cut where
+        # staged, else its own.
+        cut = owned(t_max, part)
+        if not staged.size:
+            return cut
+        cut = np.array(np.broadcast_to(cut, (part.stop - part.start,)))
+        a, b = np.searchsorted(staged, (part.start, part.stop))
+        cut[staged[a:b] - part.start] = reach / length[a:b]
+        return cut
 
     def decide(at, t_lo, t_hi):
         link, ix, iy, t = track_entries(
             layout, x_rx[at], y_rx[at], owned(x_tx, at), owned(y_tx, at), t_hi, t_lo
         )
-        link = link + at.start if isinstance(at, slice) else at.take(link)
+        if isinstance(at, slice):
+            link += at.start
+        else:
+            link = at.take(link)
         ray = rise.take(link if owner is None else owner.take(link))
         ray *= t
+        del t
         ray += h_rx
         blocked[link.take(np.flatnonzero(roofs(link, ix, iy) >= ray))] = True
 
     for part in parts:
-        decide(part, 0.0, owned(t_max, part) if first_cut is None else first_cut[part])
+        decide(part, 0.0, first_cut(part))
     if staged.size:
-        del first_cut
         left = np.flatnonzero(~blocked.take(staged))
-        rest, near = staged.take(left), near.take(left)
+        rest, length = staged.take(left), length.take(left)
+        near = reach / length
         cut = owned(t_max, rest)
-        for part in list(call_slices((cut - near) * pick(length, rest) / p + 1.0)):
+        for part in list(call_slices((cut - near) * length / p + 1.0)):
             decide(rest[part], near[part], pick(cut, part))
     return blocked
 

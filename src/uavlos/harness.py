@@ -31,7 +31,7 @@ azimuth, its azimuth and altitude ranges) are built from the grid, with
 one scalar evaluation per axis value, and handed with the points' uint64
 keys to the engine's array core (:func:`uavlos.simgeom.los_counts`),
 which decides consecutive points with the same params together, so a
-170-point heatmap shares 8 kernel calls instead of making one per point
+170-point heatmap shares 6 kernel calls instead of making one per point
 and derives the keys of each chunk's links at once.  Every engine's
 points become estimates in one :class:`uavlos.stats.PLosEstimates`
 call: the LoS counts of sim3d and geom points, whose Wilson bounds are

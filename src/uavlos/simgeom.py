@@ -34,12 +34,16 @@ each call walks: a track longer than 2*NEAR_PERIODS periods is decided
 on its first NEAR_PERIODS periods from the user first, and only the
 links left clear there are walked on, from that cut to their UAVs
 (:func:`_first_blockers`).  The 170-point high-rise heatmap of 200
-links per point so takes 6 chunks and 8 kernel calls, not 170.  A
+links per point so takes 3 chunks and 6 kernel calls, not 170.  A
 chunk derives the keys of all its links in one
-:func:`uavlos.citygeom.stream_bits` call.  Theta, azimuth and altitude
-are per-link values of a chunk.  Because a link's draws depend on its
-key alone and each stage is exact, the chunking bounds memory and
-leaves every count unchanged.
+:func:`uavlos.citygeom.stream_bits` call, and frees them, its other
+stream rows and its link indices once its links are drawn: while it is
+decided it holds each link's user, UAV, rise and city key, an int32
+point index, and the ground lengths of the links it stages, about 71 B
+a link on that heatmap.  Theta, azimuth and altitude are per-link
+values of a chunk.  Because a link's draws depend on its key alone and
+each stage is exact, the chunking bounds memory and leaves every count
+unchanged.
 """
 
 from __future__ import annotations
@@ -340,8 +344,8 @@ def _draw_links(
     for "mixed" only, the azimuth of a round only where some link of
     the pass draws its azimuth, and the altitude likewise
     (:func:`_round_rows`).  So a round of fixed azimuth and altitude
-    hashes three positions, not five.  Of the 6 chunks of the 170-point
-    high-rise heatmap at seed 1, five take two passes and one three,
+    hashes three positions, not five.  Of the 3 chunks of the 170-point
+    high-rise heatmap at seed 1, one takes two passes and two three,
     where a round at a time took up to six.  A link still rejected
     after PLACEMENT_ROUNDS rounds fails the chunk (InvalidParams),
     naming the point of the first such link.
@@ -367,7 +371,8 @@ def _draw_links(
         bits = bits[1:]
     else:
         street = zone == "street"
-    city = bits[0]
+    # A copy, so that no view holds the round-0 block past the placement.
+    city = bits[0].copy()
     placed, rejected = _place(layout, gamma, h_rx, street, values, city, _uniforms(bits, rows))
     pending = np.flatnonzero(rejected)
     r, most = 1, _REDRAW_ROUNDS
@@ -423,31 +428,37 @@ def _first_blockers(
     the blocked links are blocked within two periods of theirs, so the
     second stage takes few links.
     """
-    ux, uy, vx, vy, vz, city = _draw_links(
+    ux, uy, vx, vy, rise, city = _draw_links(
         layout, gamma, zone, h_rx, values, keys, point, h_uav
     )
-    rise = vz - h_rx
+    # The keys are not read again; los_counts passes them as a temporary,
+    # so this frees them before the decision (on CPython 3.11 and later;
+    # 3.10 holds a call's arguments until it returns).
+    del keys
+    rise -= h_rx
     # Each track's ground length, the offset (vz - h_rx)/tan(theta) that
-    # placed its UAV (:func:`_place`), 0 overhead.
-    length = rise / values[:, 0].take(point)
+    # placed its UAV (:func:`_place`), 0 overhead, goes as a temporary
+    # too: blocked_links keeps it only at the links it stages.
     nlos = blocked_links(
-        layout, ux, uy, vx, vy, length, h_rx, rise,
+        layout, ux, uy, vx, vy, rise / values[:, 0].take(point), h_rx, rise,
         lambda link, ix, iy: roof_heights(city.take(link), ix, iy, gamma),
     )
     return np.bincount(point.take(np.flatnonzero(nlos)), minlength=len(values))
 
 
 #: Links of the points of one :func:`los_counts` call that are drawn
-#: and decided together, across point boundaries.  A chunk's draws take
-#: memory in proportion to its links; its kernel calls are sized by
-#: :func:`uavlos.citygeom.blocked_links` alone, and a chunk of that
-#: heatmap's links fits one call of CALL_PERIODS periods, so the chunk
-#: bounds the call too.  The traced peak of the 170-point high-rise
-#: heatmap is 1.61 MB at 4096 links, 2.32 MB at 6144, 2.63 MB at 8192
-#: and 3.71 MB at 16384, against the 2.43 MB its test allows.  In warm
-#: runs of the urban theta sweep and that heatmap on a 2-vCPU machine,
-#: 4096 was the slowest of 4096, 6144 and 8192.
-CHUNK_LINKS = 6144
+#: and decided together, across point boundaries.  A chunk pays about
+#: 0.5 ms of numpy calls whatever its size (placement passes, key
+#: derivation, staging), and holds memory in proportion to its links
+#: while it is decided; its kernel calls are sized by
+#: :func:`uavlos.citygeom.blocked_links` alone, by track length.  The
+#: 170-point high-rise heatmap takes 3 chunks and 6 calls of
+#: CALL_PERIODS periods, and so does the urban theta sweep of 36 000
+#: links.  The heatmap's traced peak is 1.71 MB at 6144 links, 1.88 MB
+#: at 8192, 2.13 MB at 12288 and 2.82 MB at 16384, against the 2.43 MB
+#: its test allows.  12288 fits because a chunk holds about 71 B a link when a
+#: kernel call starts (see the module docstring).
+CHUNK_LINKS = 12288
 
 
 def los_counts(
@@ -482,17 +493,20 @@ def los_counts(
     total = len(values) * n_runs
     clock = time.perf_counter()
     for start in range(0, total, CHUNK_LINKS):
+        stop = min(start + CHUNK_LINKS, total)
+        points = slice(start // n_runs, (stop - 1) // n_runs + 1)
+        point = np.subtract(np.arange(start, stop) // n_runs, points.start, dtype=np.int32)
         # Run i of point q is position i of the stream of q's key, as in
-        # run_keys.
-        q, run = np.divmod(np.arange(start, min(start + CHUNK_LINKS, total)), n_runs)
-        keys = stream_bits(point_keys.take(q), run)
-        points = slice(q[0], q[-1] + 1)
-        point = q - q[0]
+        # run_keys.  The keys go as a temporary, which _first_blockers
+        # frees once the links are drawn, so that point is the one array
+        # of this frame that a chunk's decision holds.
         nlos[points] += _first_blockers(
-            layout, gamma, zone, h_rx, values[points], keys, point, h_uav[points]
+            layout, gamma, zone, h_rx, values[points],
+            stream_bits(point_keys[points].take(point), np.arange(start, stop) % n_runs),
+            point, h_uav[points],
         )
         now = time.perf_counter()
-        seconds[points] += (now - clock) * np.bincount(point) / keys.size
+        seconds[points] += (now - clock) * np.bincount(point) / point.size
         clock = now
     return n_runs - nlos, seconds
 

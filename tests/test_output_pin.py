@@ -166,27 +166,29 @@ def test_benchmark_csv_digest_is_pinned(name, seed, tmp_path):
 #: engine's blocks.  The entries depend only on the links and the
 #: staging rule, not on how calls and blocks split them.
 #:
-#: - geom-theta-sweep: 36 000 links in 6 chunks of CHUNK_LINKS = 6144.
-#:   Each chunk's first stage fits one call of CALL_PERIODS = 24 576
-#:   periods, a link counting its first NEAR_PERIODS + 1 = 3 periods
-#:   where staged and its track plus one elsewhere; the two chunks of
-#:   the staged theta 5..25 links each take a second-stage call: 8.
-#: - heatmap-highrise-street: 34 000 links in 6 chunks, one first-stage
-#:   call each, and a second-stage call for each of the two chunks of
-#:   the staged low thetas: 8.
-#: - compare-urban, geometry side: 48 000 links in 8 chunks, one
-#:   first-stage call each but for the chunk of most theta 30 links,
-#:   3.81 periods long and counting 4.81, of which a call takes 5 104,
-#:   and two second-stage calls for the staged theta 10 and 20 links:
-#:   11.  3D side: a city counts its 360 ring positions plus its window
+#: - geom-theta-sweep: 36 000 links in 3 chunks of CHUNK_LINKS = 12 288.
+#:   A first-stage call takes CALL_PERIODS = 24 576 periods, a link
+#:   counting its first NEAR_PERIODS + 1 = 3 periods where staged and
+#:   its track plus one elsewhere, so each full chunk takes two; the
+#:   first chunk, which holds the staged theta 5..25 links, takes the
+#:   one second-stage call: 6.
+#: - heatmap-highrise-street: 34 000 links in 3 chunks, two first-stage
+#:   calls for each full chunk and one for the last, and a second-stage
+#:   call for the staged low thetas of the first: 6.
+#: - compare-urban, geometry side: 48 000 links in 4 chunks: two
+#:   first-stage calls for each full chunk, but three for the one of
+#:   most theta 30 links, 3.81 periods long and counting 4.81, of which
+#:   a call takes 5 104; one for the last; and one second-stage call,
+#:   for the staged theta 10 and 20 links of the first chunk: 9.
+#:   3D side: a city counts its 360 ring positions plus its window
 #:   cells, 1 036 at theta 10, 529 at 20 and 441 at 30, so a block of
 #:   BLOCK_ELEMENTS = 65 536 elements holds 63, 123 and 148 cities, and
 #:   the 150 cities of a point take 3, 2 and 2 blocks there and one at
 #:   each of theta 40..80: 12 blocks, whose links fill 35 calls.
 BENCHMARK_WORK = {
-    "geom-theta-sweep": (56_004, 8, 0),
-    "compare-urban": (339_474, 46, 12),
-    "heatmap-highrise-street": (52_947, 8, 0),
+    "geom-theta-sweep": (56_004, 6, 0),
+    "compare-urban": (339_474, 44, 12),
+    "heatmap-highrise-street": (52_947, 6, 0),
 }
 
 
