@@ -12,8 +12,8 @@ ground truth.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
+from ._record import record
 from .citygeom import BuiltUpParams, derive_layout, track_length
 from .errors import EmptyTable, InvalidAngle, InvalidParams, ParseError
 from .simgeom import check_track_length
@@ -28,7 +28,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@record
 class GridProduct:
     """Blockage product over m + 1 equally spaced buildings.
 
@@ -47,7 +47,7 @@ class GridProduct:
             raise InvalidParams(f"GridProduct needs 2*gamma^2 above 0, got gamma={gamma}")
 
 
-@dataclass(frozen=True)
+@record
 class Sigmoid:
     """Logistic curve 1 / (1 + a*exp(-b*(theta - a)))."""
 
@@ -59,7 +59,7 @@ class Sigmoid:
             raise InvalidParams(f"sigmoid coefficients must be positive, got a={self.a}, b={self.b}")
 
 
-@dataclass(frozen=True)
+@record
 class StepTable:
     """Piecewise-constant P_LoS over elevation bins partitioning [0, 90].
 

@@ -37,10 +37,10 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
 
 import numpy as np
 
+from ._record import record
 from .errors import InvalidAngle, InvalidParams, OutOfExtent
 
 __all__ = [
@@ -74,7 +74,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@record
 class BuiltUpParams:
     """Built-up parameter triple (alpha, beta, gamma).
 
@@ -108,7 +108,7 @@ ENVIRONMENTS: dict[str, BuiltUpParams] = {
 GHENT = BuiltUpParams(0.435, 4679.0, 8.8)
 
 
-@dataclass(frozen=True)
+@record
 class CityLayout:
     """Derived grid dimensions plus the simulated extent, all in metres."""
 
@@ -119,7 +119,7 @@ class CityLayout:
     extent_y: float
 
 
-@dataclass(frozen=True)
+@record
 class Node:
     """A 3D position in metres; z is height above ground."""
 
@@ -128,7 +128,7 @@ class Node:
     z: float
 
 
-@dataclass(frozen=True)
+@record
 class LinkGeometry:
     """A transmitter-receiver pair with its derived link quantities.
 
@@ -161,7 +161,7 @@ class LinkGeometry:
         return cls(tx=tx, rx=rx, r_rx=r_rx, theta_deg=theta, phi_deg=phi)
 
 
-@dataclass(frozen=True)
+@record
 class Building:
     """Building cell, indices 1-based from the origin."""
 
@@ -169,12 +169,12 @@ class Building:
     iy: int
 
 
-@dataclass(frozen=True)
+@record
 class Street:
     """Street segment between two building faces."""
 
 
-@dataclass(frozen=True)
+@record
 class Crossroad:
     """Open square where two streets cross."""
 

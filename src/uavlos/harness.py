@@ -65,12 +65,12 @@ from __future__ import annotations
 import math
 import os
 import time
-from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Mapping
 
 import numpy as np
 
+from ._record import record, replace
 from .baselines import BaselineModel, GridProduct, evaluate
 from .citygeom import (
     MAX_AXIS_CELLS,
@@ -146,7 +146,7 @@ _ANGLE_AXES = ("theta", "radius", "h_uav")
 _PARAM_AXES = ("gamma", "alpha")
 
 
-@dataclass(frozen=True)
+@record
 class SweepAxis:
     """One swept variable and its grid values, in sweep order."""
 
@@ -160,7 +160,7 @@ class SweepAxis:
             raise IllegalSpec(f"axis {self.name!r} has no values")
 
 
-@dataclass(frozen=True)
+@record
 class SweepSpec:
     """A reproducible sweep: engine, environment, axes and fixed values.
 
@@ -186,7 +186,7 @@ class SweepSpec:
     user_zone: str = "mixed"
     uav_policy: str = "random"
     n_users: int = 360
-    models: Mapping[str, BaselineModel] | None = field(default=None)
+    models: Mapping[str, BaselineModel] | None = None
 
     def __post_init__(self):
         if self.engine not in ("sim3d", "geom"):
@@ -370,14 +370,14 @@ class SweepSpec:
         return " ".join(parts)
 
 
-@dataclass(frozen=True)
+@record
 class SweepRow:
     values: tuple[float, ...]
     estimate: PLosEstimate
     ms: float
 
 
-@dataclass(frozen=True, eq=False)
+@record(eq=False)
 class SweepResult:
     """A sweep's estimates as columns, point q of spec.points() being
     element q, with each point's estimation time in milliseconds."""
@@ -396,7 +396,7 @@ class SweepResult:
         )
 
 
-@dataclass(frozen=True)
+@record
 class CompareRow:
     """Both engines' estimates at one theta, their gap, and the value of
     each baseline model by name ("grid" first, then loaded names in

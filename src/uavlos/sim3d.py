@@ -29,13 +29,13 @@ the links left clear there.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 
 from . import citygeom
+from ._record import record
 from .citygeom import (
     Building,
     BuiltUpParams,
@@ -91,7 +91,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True, eq=False)
+@record(eq=False)
 class City:
     """A materialized city: layout plus one roof height per building cell.
 
@@ -119,7 +119,7 @@ def _city_key(seed: int) -> int:
     return int(seed)
 
 
-@dataclass(frozen=True, eq=False)
+@record(eq=False)
 class Cities:
     """Cities of one layout decided together, one per key.
 
@@ -170,7 +170,7 @@ class Cities:
 UavPositions = tuple[np.ndarray, np.ndarray, np.ndarray]
 
 
-@dataclass(frozen=True)
+@record
 class Blocker:
     """The blocking building of an NLoS link: its 1-based cell (ix, iy)
     and r_op, the ground distance from the transmitter to the point
@@ -183,7 +183,7 @@ class Blocker:
     r_op: float
 
 
-@dataclass(frozen=True)
+@record
 class LoSOutcome:
     """LoS/NLoS state; NLoS carries the blocking building."""
 
@@ -205,27 +205,27 @@ class LoSOutcome:
         return cls(is_los=False, blocker=blocker)
 
 
-@dataclass(frozen=True)
+@record
 class FixedPoint:
     node: Node
 
 
-@dataclass(frozen=True)
+@record
 class RandomOverCity:
     h: float
 
 
-@dataclass(frozen=True)
+@record
 class BuildingTop:
     h: float
 
 
-@dataclass(frozen=True)
+@record
 class CrossroadCenter:
     h: float
 
 
-@dataclass(frozen=True)
+@record
 class StreetCenter:
     h: float
 

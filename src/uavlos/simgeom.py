@@ -51,11 +51,11 @@ from __future__ import annotations
 import math
 import time
 from collections.abc import Sequence
-from dataclasses import dataclass
 from typing import Literal
 
 import numpy as np
 
+from ._record import record
 from .citygeom import (
     BuiltUpParams,
     CityLayout,
@@ -112,7 +112,7 @@ def _check_range(name: str, rng_: tuple[float, float], lo: float, hi: float) -> 
         raise InvalidParams(f"{name} range must satisfy {lo} <= lo < hi <= {hi}, got {rng_}")
 
 
-@dataclass(frozen=True)
+@record
 class GeomScenario:
     """One Monte-Carlo scenario for the geometry engine.
 

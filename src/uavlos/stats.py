@@ -3,10 +3,10 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
+from ._record import record
 from .errors import InvalidCounts
 
 __all__ = ["Z95", "wilson_interval", "wilson_bounds", "PLosEstimate", "PLosEstimates"]
@@ -47,7 +47,7 @@ def wilson_interval(k: int, n: int, z: float = Z95) -> tuple[float, float]:
     return float(lo), float(hi)
 
 
-@dataclass(frozen=True)
+@record
 class PLosEstimate:
     """A LoS-probability estimate with its Wilson 95% bounds: point i of
     a :class:`PLosEstimates`, as indexing it gives.
@@ -73,7 +73,7 @@ class PLosEstimate:
             )
 
 
-@dataclass(frozen=True, eq=False)
+@record(eq=False)
 class PLosEstimates:
     """The estimates of several points as columns: element i of n, k,
     p_hat, ci_lo and ci_hi is the :class:`PLosEstimate` of point i, which
