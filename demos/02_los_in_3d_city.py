@@ -10,28 +10,29 @@ never disagree.
 
 from uavlos import (
     ENVIRONMENTS,
-    Cities,
     RandomOverCity,
     check_los_dense,
     check_los_edges,
     generate_city,
     place_uav,
-    place_users_circle,
 )
 from uavlos.citygeom import LinkGeometry, Node
+from uavlos.sim3d import place_users, user_directions
 
 SEED = 7
 
 
 def main() -> None:
     params = ENVIRONMENTS["urban"]
-    city = generate_city(params, 1000.0, 1000.0, seed=SEED)
-    heights = city.heights
+    city = generate_city(params, 1000.0, 1000.0, seed=SEED)  # a one-city Cities
+    heights = city.heights[0]
     print(f"city: {heights.shape[0]} x {heights.shape[1]} buildings, "
           f"mean roof {heights.mean():.1f} m, tallest {heights.max():.1f} m")
 
-    uav = Node(*(float(c[0]) for c in place_uav(Cities.of([city]), RandomOverCity(h=100.0))))
-    users = place_users_circle(city, uav, theta_deg=30.0, n=12)
+    uavs = place_uav(city, RandomOverCity(h=100.0))
+    uav = Node(*(float(c[0]) for c in uavs))
+    _, x, y = place_users(city.layout, uavs, 30.0, user_directions(30.0, 12))
+    users = [Node(ux, uy, 1.5) for ux, uy in zip(x.tolist(), y.tolist())]
     print(f"UAV at ({uav.x:.0f}, {uav.y:.0f}, {uav.z:.0f}), "
           f"{len(users)} of 12 circle users fall on open ground\n")
 

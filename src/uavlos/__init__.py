@@ -48,7 +48,6 @@ from .harness import (
 from .sim3d import (
     BuildingTop,
     Cities,
-    City,
     CrossroadCenter,
     FixedPoint,
     RandomOverCity,
@@ -58,7 +57,6 @@ from .sim3d import (
     generate_city,
     load_city,
     place_uav,
-    place_users_circle,
     save_city,
 )
 from .simgeom import GeomScenario, estimate_plos
@@ -84,13 +82,11 @@ __all__ = [
     "track_entries",
     "uav_position_from_angles",
     # 3D engine
-    "City",
     "Cities",
     "generate_city",
     "check_los_edges",
     "check_los_dense",
     "place_uav",
-    "place_users_circle",
     "FixedPoint",
     "RandomOverCity",
     "BuildingTop",

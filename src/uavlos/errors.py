@@ -31,10 +31,6 @@ class EndpointInsideBuilding(UavLosError, ValueError):
     """A link endpoint sits strictly inside a building volume."""
 
 
-class DegenerateCircle(UavLosError, ValueError):
-    """The user circle has zero radius."""
-
-
 class NoSuchCell(UavLosError, ValueError):
     """The extent holds no grid cell of the requested kind."""
 

@@ -419,10 +419,8 @@ class CompareRow:
 #: of citygeom.CALL_PERIODS periods of the cut track they walk, so the
 #: block size trades that fixed cost against the working set and not
 #: against call size.  A block's links hold no per-link copy of their
-#: city's UAV, rise or cut (sim3d.links_blocked), which made room for
-#: twice the 32 768 elements this bound had: the 3D side of the
-#: benchmark's compare-urban line takes 12 blocks instead of 21 at seed
-#: 1, and its traced peak reads 3.23 MB against 2.91 MB before.
+#: city's UAV, rise or cut (sim3d.links_blocked); BENCH_27.json has the
+#: blocks and traced peaks this size gives.
 BLOCK_ELEMENTS = 65536
 
 

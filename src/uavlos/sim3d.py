@@ -3,11 +3,12 @@
 A generated city is implicit: its key fixes one Rayleigh roof per
 building cell of the grid described in :mod:`uavlos.citygeom`, given by
 :func:`uavlos.citygeom.roof_heights`, and the key's stream also draws
-its UAV.  :class:`Cities` holds the keys of several cities that are
-decided together and looks a roof up only where a UAV placement or a
-ground track needs it; :func:`generate_city` materializes a whole grid
-as a :class:`City` for export, the dense oracle and the demos, and
-explicit cities (toy grids, loaded files) keep their own heights.
+its UAV.  :class:`Cities`, the one city record, holds the keys of the
+cities that are decided together and looks a roof up only where a UAV
+placement or a ground track needs it.  Explicit cities (toy grids,
+loaded files) hold their own heights instead: :func:`generate_city`
+materializes the grid of one key as a one-city Cities for export, the
+dense oracle and the demos.
 
 Line-of-sight between a transmitter and its receivers is decided from
 the ground track of each link: :func:`uavlos.citygeom.track_entries`
@@ -15,8 +16,8 @@ lists every closed building box the track meets and the point where it
 enters the box seen from the receiver, and the link is blocked when a
 roof reaches the ray height there.  Flat rooftops make this edge test
 exact, which :func:`check_los_dense` verifies by brute force.
-:func:`check_los_edges` decides one link of a materialized city this
-way and reports the blocker nearest the transmitter.  A sweep needs
+:func:`check_los_edges` decides one link of a one-city Cities this way
+and reports the blocker nearest the transmitter.  A sweep needs
 only whether each link is blocked (:func:`links_blocked`): the cities
 decided together look up each roof their links' tracks can meet once,
 in one window per city, every entry reads its roof from there, and
@@ -30,21 +31,18 @@ from __future__ import annotations
 
 import math
 from pathlib import Path
-from typing import Sequence
 
 import numpy as np
 
 from . import citygeom
 from ._record import record
 from .citygeom import (
-    Building,
     BuiltUpParams,
     CityLayout,
     LinkGeometry,
     Node,
     blocked_links,
     building_band,
-    classify_point,
     derive_layout,
     roof_heights,
     stream_uniforms,
@@ -52,10 +50,8 @@ from .citygeom import (
     track_length,
 )
 from .errors import (
-    DegenerateCircle,
     DegenerateLink,
     EndpointInsideBuilding,
-    InvalidAngle,
     InvalidParams,
     NoSuchCell,
     OutOfExtent,
@@ -63,7 +59,6 @@ from .errors import (
 )
 
 __all__ = [
-    "City",
     "Cities",
     "Blocker",
     "LoSOutcome",
@@ -75,37 +70,18 @@ __all__ = [
     "UavPlacementPolicy",
     "generate_city",
     "ray_height_at",
-    "roof_under",
     "links_blocked",
     "window_cells",
     "check_los_edges",
     "check_los_dense",
     "user_directions",
     "place_users",
-    "place_users_circle",
     "place_uav",
     "city_to_text",
     "city_from_text",
     "save_city",
     "load_city",
 ]
-
-
-@record(eq=False)
-class City:
-    """A materialized city: layout plus one roof height per building cell.
-
-    ``heights[ix, iy]`` (0-based) is the roof of the 1-based building
-    cell (ix+1, iy+1).  Exactly floor(extent/period) cells per axis are
-    materialized; the fringe strip beyond the last full period holds no
-    buildings.  ``seed`` is the city key: a generated city's heights are
-    its roof_heights, and the key's stream draws its UAV (place_uav).
-    """
-
-    params: BuiltUpParams
-    layout: CityLayout
-    heights: np.ndarray
-    seed: int
 
 
 def _grid_shape(layout: CityLayout) -> tuple[int, int]:
@@ -125,10 +101,11 @@ class Cities:
 
     City n is implicit: the roof of its cell (ix, iy) is
     roof_heights(keys[n], ix, iy, params.gamma), evaluated only where it
-    is looked up.  Explicit cities instead stack their roofs in heights,
-    heights[n] being city n's City.heights (see :meth:`of`).  Either
-    way the grid holds floor(extent/period) cells per axis, and keys[n]
-    seeds city n's UAV draws (see :func:`place_uav`).
+    is looked up.  Explicit cities instead hold it in heights[n, ix-1,
+    iy-1], of shape (keys.size, nx, ny) (InvalidParams otherwise).  Either
+    way the grid holds nx x ny cells, floor(extent/period) per axis
+    (:func:`_grid_shape`), and keys[n] seeds city n's UAV draws (see
+    :func:`place_uav`).
     """
 
     params: BuiltUpParams
@@ -136,12 +113,10 @@ class Cities:
     keys: np.ndarray
     heights: np.ndarray | None = None
 
-    @classmethod
-    def of(cls, cities: Sequence[City]) -> "Cities":
-        """Materialized cities, which share one layout, keyed by their seeds."""
-        keys = np.array([_city_key(c.seed) for c in cities], dtype=np.uint64)
-        heights = np.stack([c.heights for c in cities])
-        return cls(cities[0].params, cities[0].layout, keys, heights)
+    def __post_init__(self):
+        shape = (self.keys.size, *_grid_shape(self.layout))
+        if self.heights is not None and self.heights.shape != shape:
+            raise InvalidParams(f"heights of shape {self.heights.shape}, expected {shape}")
 
     def roofs(self, run, ix, iy) -> np.ndarray:
         """Roofs of the 1-based grid cells (ix[m], iy[m]) of the cities
@@ -151,8 +126,9 @@ class Cities:
         return self.heights[run, ix - 1, iy - 1]
 
     def roofs_under(self, run, x, y) -> np.ndarray:
-        """Roof under each ground point (x[m], y[m]) of city run[m], 0 over
-        streets, crossroads and the unbuilt fringe (as in roof_under)."""
+        """Roof under each ground point (x[m], y[m]) of city run[m], -inf
+        over streets, crossroads and the unbuilt fringe, where no height
+        is inside a building."""
         layout = self.layout
         nx, ny = _grid_shape(layout)
         reach = max(layout.extent_x, layout.extent_y)
@@ -162,7 +138,7 @@ class Cities:
         ix += 1
         iy += 1
         at = np.flatnonzero(x_built & y_built & (ix <= nx) & (iy <= ny))
-        roof = np.zeros(x.size)
+        roof = np.full(x.size, -np.inf)
         roof[at] = self.roofs(run.take(at), ix.take(at), iy.take(at))
         return roof
 
@@ -195,14 +171,6 @@ class LoSOutcome:
             raise InvalidParams("LoS outcome cannot carry a blocker")
         if not self.is_los and self.blocker is None:
             raise InvalidParams("NLoS outcome requires a blocker")
-
-    @classmethod
-    def los(cls) -> "LoSOutcome":
-        return cls(is_los=True)
-
-    @classmethod
-    def nlos(cls, blocker: Blocker) -> "LoSOutcome":
-        return cls(is_los=False, blocker=blocker)
 
 
 @record
@@ -252,24 +220,28 @@ def _city_grid(layout: CityLayout) -> tuple[int, int]:
     return nx, ny
 
 
+def _grid_roofs(city: Cities) -> np.ndarray:
+    """Every roof of a one-city Cities, as an (nx, ny) array."""
+    nx, ny = _grid_shape(city.layout)
+    return city.roofs(0, np.arange(1, nx + 1)[:, None], np.arange(1, ny + 1)[None, :])
+
+
 def generate_city(
     params: BuiltUpParams, extent_x: float, extent_y: float, seed: int
-) -> City:
-    """Materialize the city of key ``seed``: heights[ix-1, iy-1] is
-    roof_heights(seed, ix, iy, gamma) for every building cell, so every
-    (params, extent, seed) triple reproduces the same array bit for bit,
-    and the roofs are those the sweep looks up without a grid.  A grid
-    of more than MAX_CITY_CELLS cells is refused (InvalidParams) before
-    anything is allocated.
+) -> Cities:
+    """Materialize the city of key ``seed`` as a one-city Cities, keys
+    [seed]: heights[0, ix-1, iy-1] is roof_heights(seed, ix, iy, gamma)
+    for every building cell, so every (params, extent, seed) triple
+    reproduces the same array bit for bit, and the roofs are those the
+    sweep looks up without a grid.  A grid of more than MAX_CITY_CELLS
+    cells is refused (InvalidParams) before anything is allocated.
     """
-    key = _city_key(seed)
+    keys = np.array([_city_key(seed)], dtype=np.uint64)
     layout = derive_layout(params, extent_x, extent_y)
-    nx, ny = _city_grid(layout)
-    ix = np.arange(1, nx + 1)[:, None]
-    iy = np.arange(1, ny + 1)[None, :]
-    heights = roof_heights(np.uint64(key), ix, iy, params.gamma)
+    _city_grid(layout)
+    heights = _grid_roofs(Cities(params, layout, keys))[None]
     heights.setflags(write=False)
-    return City(params=params, layout=layout, heights=heights, seed=key)
+    return Cities(params, layout, keys, heights)
 
 
 def ray_height_at(link: LinkGeometry, r_op: float) -> float:
@@ -282,37 +254,28 @@ def ray_height_at(link: LinkGeometry, r_op: float) -> float:
     return link.tx.z - r_op * (link.tx.z - link.rx.z) / link.r_rx
 
 
-def roof_under(city: City, x: float, y: float) -> tuple[int, int, float] | None:
-    """The materialized building cell under a ground point and its roof.
-
-    Returns (ix, iy, roof) with 1-based indices, or None over streets,
-    crossroads and the unbuilt fringe of the extent.
-    """
-    cell = classify_point(x, y, city.layout)
-    if isinstance(cell, Building):
-        nx, ny = city.heights.shape
-        if cell.ix <= nx and cell.iy <= ny:
-            return cell.ix, cell.iy, city.heights[cell.ix - 1, cell.iy - 1]
-    return None
+def _one_city(cities: Cities) -> int:
+    """The key of a one-city Cities (InvalidParams for any other count)."""
+    if cities.keys.size != 1:
+        raise InvalidParams(f"expected one city, got {cities.keys.size}")
+    return int(cities.keys[0])
 
 
-def _check_endpoints(city: City, link: LinkGeometry) -> None:
-    """Both endpoints of a single-link check lie on the extent
-    (OutOfExtent otherwise), then both in free air, strictly above any
-    roof under them (EndpointInsideBuilding otherwise)."""
-    layout = city.layout
-    ends = ((link.tx, "transmitter"), (link.rx, "receiver"))
-    for node, label in ends:
-        if not (0.0 <= node.x <= layout.extent_x and 0.0 <= node.y <= layout.extent_y):
-            raise OutOfExtent(
-                f"{label} ({node.x}, {node.y}) outside extent "
-                f"{layout.extent_x} x {layout.extent_y}"
-            )
-    for node, label in ends:
-        under = roof_under(city, node.x, node.y)
-        if under is not None and node.z <= under[2]:
+def _check_endpoints(city: Cities, link: LinkGeometry) -> None:
+    """city holds one city (InvalidParams otherwise), both endpoints of
+    a single-link check lie on the extent (OutOfExtent otherwise), then
+    both in free air, strictly above any roof under them
+    (EndpointInsideBuilding otherwise)."""
+    _one_city(city)
+    ends = {"transmitter": link.tx, "receiver": link.rx}
+    for label, node in ends.items():
+        _require_on_extent(city.layout, np.array([node.x]), np.array([node.y]), label)
+    x, y = np.array([link.tx.x, link.rx.x]), np.array([link.tx.y, link.rx.y])
+    roofs = city.roofs_under(np.zeros(2, dtype=np.int64), x, y).tolist()
+    for (label, node), roof in zip(ends.items(), roofs):
+        if node.z <= roof:
             raise EndpointInsideBuilding(
-                f"{label} at height {node.z} inside building {under[:2]} with roof {under[2]}"
+                f"{label} at height {node.z} inside a building with roof {roof}"
             )
 
 
@@ -507,34 +470,36 @@ def links_blocked(cities: Cities, uavs: UavPositions, run, rx_x, rx_y, h_rx: flo
     return blocked_links(layout, rx_x, rx_y, tx_x, tx_y, length, h_rx, rise, roofs, cut, run)
 
 
-def check_los_edges(city: City, link: LinkGeometry) -> LoSOutcome:
-    """Decide LoS by evaluating the ray at footprint entry edges.
+def check_los_edges(city: Cities, link: LinkGeometry) -> LoSOutcome:
+    """Decide LoS in a one-city Cities at footprint entry edges.
 
     For every closed building box of the grid that the ground track
     meets (:func:`uavlos.citygeom.track_entries`), the ray height where
     the track enters the box seen from the receiver is compared with
     the roof (a roof exactly at ray height blocks); cells beyond the
-    grid are open space.  Both endpoints are validated first; a vertical
-    link is a zero-length track.  Returns the blocker with the smallest
-    r_op: the kernel lists a track's entries nearest the transmitter
-    first, so it is the first entry that blocks.
+    grid are open space.  The city and both endpoints are validated
+    first (:func:`_check_endpoints`); a vertical link is a zero-length
+    track.  Returns the blocker with the smallest r_op: the kernel lists
+    a track's entries nearest the transmitter first, so it is the first
+    entry that blocks.
     """
     _check_endpoints(city, link)
     tx, rx = link.tx, link.rx
     _, ix, iy, t = track_entries(city.layout, rx.x, rx.y, tx.x, tx.y)
-    nx, ny = city.heights.shape
+    nx, ny = _grid_shape(city.layout)
     grid = (ix >= 1) & (ix <= nx) & (iy >= 1) & (iy <= ny)
     ix, iy, t = ix[grid], iy[grid], t[grid]
-    hit = np.flatnonzero(city.heights[ix - 1, iy - 1] >= rx.z + t * (tx.z - rx.z))
+    hit = np.flatnonzero(city.roofs(0, ix, iy) >= rx.z + t * (tx.z - rx.z))
     if hit.size == 0:
-        return LoSOutcome.los()
+        return LoSOutcome(True)
     first = hit[0]
     r_op = float((1.0 - t[first]) * link.r_rx)
-    return LoSOutcome.nlos(Blocker(int(ix[first]), int(iy[first]), r_op))
+    return LoSOutcome(False, Blocker(int(ix[first]), int(iy[first]), r_op))
 
 
-def check_los_dense(city: City, link: LinkGeometry, step: float = 0.1) -> LoSOutcome:
-    """Brute-force LoS oracle sampling the ray along the ground track.
+def check_los_dense(city: Cities, link: LinkGeometry, step: float = 0.1) -> LoSOutcome:
+    """Brute-force LoS oracle for a one-city Cities, sampling the ray
+    along the ground track.
 
     Samples every ``step`` metres plus every band-boundary crossing and
     both endpoints, and tests each sample against the closed building
@@ -588,7 +553,7 @@ def check_los_dense(city: City, link: LinkGeometry, step: float = 0.1) -> LoSOut
     # axis.  The quotient can round a sample on a near face i*p + s into
     # box i - 1, so each index is settled against the face values
     # themselves, computed as the crossing samples were.
-    nx, ny = city.heights.shape
+    nx, ny = _grid_shape(layout)
     i, j = (np.floor((c - s) / p).astype(np.int64) for c in (xs, ys))
     i += (xs >= (i + 1) * p + s).astype(np.int64) - (xs < i * p + s)
     j += (ys >= (j + 1) * p + s).astype(np.int64) - (ys < j * p + s)
@@ -600,19 +565,19 @@ def check_los_dense(city: City, link: LinkGeometry, step: float = 0.1) -> LoSOut
         & (j >= 0)
         & (j < ny)
     )
-    roofs = city.heights[np.clip(i, 0, nx - 1), np.clip(j, 0, ny - 1)]
+    at = np.flatnonzero(inside)
     rays = link.tx.z - ts * (link.tx.z - link.rx.z)
-    blocked = inside & (roofs >= rays)
+    blocked = np.zeros(ts.size, dtype=bool)
+    blocked[at] = city.roofs(0, i[at] + 1, j[at] + 1) >= rays[at]
     if not blocked.any():
-        return LoSOutcome.los()
+        return LoSOutcome(True)
     # The box nearest the transmitter blocks; the ray falls toward the
     # receiver, so the box's last sample, where the track enters it seen
     # from the receiver, is blocked too and gives r_op.
     first = int(np.argmax(blocked))
     in_box = np.flatnonzero(blocked & (i == i[first]) & (j == j[first]))
-    return LoSOutcome.nlos(
-        Blocker(int(i[first]) + 1, int(j[first]) + 1, float(ts[in_box[-1]] * r_rx))
-    )
+    blocker = Blocker(int(i[first]) + 1, int(j[first]) + 1, float(ts[in_box[-1]] * r_rx))
+    return LoSOutcome(False, blocker)
 
 
 def user_directions(theta_deg: float, n: int, phi_deg: float | None = None):
@@ -662,29 +627,6 @@ def place_users(layout: CityLayout, uavs: UavPositions, theta_deg: float, direct
     kept &= ~(building_band(x, p, s, reach)[1] & building_band(y, p, s, reach)[1])
     at = np.flatnonzero(kept)
     return at // kept.shape[1], x.ravel().take(at), y.ravel().take(at)
-
-
-def place_users_circle(
-    city: City, uav: Node, theta_deg: float, n: int, h_rx: float = 1.5
-) -> list[Node]:
-    """Users on the ground circle where the UAV is seen at elevation theta.
-
-    n azimuths are spaced uniformly starting at 0 degrees; positions
-    outside the extent or inside a building footprint are dropped, so
-    fewer than n users may come back (see :func:`place_users`).
-    """
-    if n < 1:
-        raise InvalidParams(f"need at least one user, got n={n}")
-    if not 0.0 < theta_deg < 90.0:
-        raise InvalidAngle(f"theta must be in (0, 90) for a circle, got {theta_deg}")
-    if uav.z < h_rx:
-        raise InvalidParams(f"UAV height {uav.z} below user height {h_rx}")
-    if uav.z == h_rx:
-        raise DegenerateCircle(f"zero-radius circle (uav.z = h_rx = {h_rx})")
-    _, x, y = place_users(
-        city.layout, ([uav.x], [uav.y], [uav.z]), theta_deg, user_directions(theta_deg, n), h_rx
-    )
-    return [Node(xi, yi, h_rx) for xi, yi in zip(x.tolist(), y.tolist())]
 
 
 def _count_from(first: float, limit: float, p: float) -> int:
@@ -791,22 +733,23 @@ def place_uav(cities: Cities, policy: UavPlacementPolicy) -> UavPositions:
     raise InvalidParams(f"unknown placement policy {policy!r}")
 
 
-def city_to_text(city: City) -> str:
-    """Serialize a city to the flat text format (header, then one
-    'ix iy height' line per building, full repr precision)."""
+def city_to_text(city: Cities) -> str:
+    """Serialize a one-city Cities to the flat text format (header, then
+    one 'ix iy height' line per building, full repr precision)."""
     pr = city.params
     lines = [
         f"# city alpha={pr.alpha!r} beta={pr.beta!r} gamma={pr.gamma!r} "
         f"extent_x={city.layout.extent_x!r} extent_y={city.layout.extent_y!r} "
-        f"seed={city.seed}"
+        f"seed={_one_city(city)}"
     ]
-    for ix, row in enumerate(city.heights.tolist(), start=1):
+    for ix, row in enumerate(_grid_roofs(city).tolist(), start=1):
         lines.append("\n".join(f"{ix} {iy} {h!r}" for iy, h in enumerate(row, start=1)))
     return "\n".join(lines) + "\n"
 
 
-def city_from_text(text: str) -> City:
-    """Parse the flat text format back into a City (bit-for-bit).
+def city_from_text(text: str) -> Cities:
+    """Parse the flat text format back into a one-city Cities
+    (bit-for-bit).
 
     A header whose extent holds more than MAX_CITY_CELLS building cells
     is refused (ParseError at line 1) before the grid is allocated, as
@@ -859,12 +802,12 @@ def city_from_text(text: str) -> City:
             f"missing height for cell ({missing[0] + 1}, {missing[1] + 1})"
         )
     heights.setflags(write=False)
-    return City(params=params, layout=layout, heights=heights, seed=seed)
+    return Cities(params, layout, np.array([seed], dtype=np.uint64), heights[None])
 
 
-def save_city(city: City, path: str | Path) -> None:
+def save_city(city: Cities, path: str | Path) -> None:
     Path(path).write_text(city_to_text(city))
 
 
-def load_city(path: str | Path) -> City:
+def load_city(path: str | Path) -> Cities:
     return city_from_text(Path(path).read_text())

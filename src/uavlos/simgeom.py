@@ -39,11 +39,11 @@ chunk derives the keys of all its links in one
 :func:`uavlos.citygeom.stream_bits` call, and frees them, its other
 stream rows and its link indices once its links are drawn: while it is
 decided it holds each link's user, UAV, rise and city key, an int32
-point index, and the ground lengths of the links it stages, about 71 B
-a link on that heatmap.  Theta, azimuth and altitude are per-link
-values of a chunk.  Because a link's draws depend on its key alone and
-each stage is exact, the chunking bounds memory and leaves every count
-unchanged.
+point index, and the ground lengths of the links it stages
+(BENCH_30.json has the bytes per link).  Theta, azimuth and altitude
+are per-link values of a chunk.  Because a link's draws depend on its
+key alone and each stage is exact, the chunking bounds memory and
+leaves every count unchanged.
 """
 
 from __future__ import annotations
@@ -173,11 +173,10 @@ PLACEMENT_ROUNDS = 100_000
 #: Redraw passes (see :func:`_draw_links`): each draws the links still
 #: rejected a block of their next rounds, at most _REDRAW_ROUNDS rounds
 #: in the first pass and twice as many as the pass before in each later
-#: one, and at most _REDRAW_DRAWS link-rounds (at least one round).  A
-#: pass costs about 60 us of numpy calls plus about 0.1 us per
-#: link-round on a 2-vCPU Xeon, so its draws stay within a few times
-#: its fixed cost whether many links need a few rounds or a few links
-#: need many.
+#: one, and at most _REDRAW_DRAWS link-rounds (at least one round), so
+#: a pass's draws stay within a few times its fixed cost of numpy calls
+#: whether many links need a few rounds or a few links need many
+#: (BENCH_15.json).
 _REDRAW_ROUNDS = 8
 _REDRAW_DRAWS = 2048
 
@@ -451,13 +450,9 @@ def _first_blockers(
 #: 0.5 ms of numpy calls whatever its size (placement passes, key
 #: derivation, staging), and holds memory in proportion to its links
 #: while it is decided; its kernel calls are sized by
-#: :func:`uavlos.citygeom.blocked_links` alone, by track length.  The
-#: 170-point high-rise heatmap takes 3 chunks and 6 calls of
-#: CALL_PERIODS periods, and so does the urban theta sweep of 36 000
-#: links.  The heatmap's traced peak is 1.71 MB at 6144 links, 1.88 MB
-#: at 8192, 2.13 MB at 12288 and 2.82 MB at 16384, against the 2.43 MB
-#: its test allows.  12288 fits because a chunk holds about 71 B a link when a
-#: kernel call starts (see the module docstring).
+#: :func:`uavlos.citygeom.blocked_links` alone, by track length.  This
+#: size keeps the heatmap's traced peak under the bound its test allows
+#: (BENCH_30.json has the peak at each size).
 CHUNK_LINKS = 12288
 
 

@@ -71,9 +71,9 @@ def _random_free_node(city, rng, z_lo, z_hi):
         z = rng.uniform(z_lo, z_hi)
         cell = classify_point(x, y, layout)
         if isinstance(cell, Building):
-            nx, ny = city.heights.shape
+            _, nx, ny = city.heights.shape
             # partial band at the far edge holds no generated building
-            if cell.ix <= nx and cell.iy <= ny and city.heights[cell.ix - 1, cell.iy - 1] >= z:
+            if cell.ix <= nx and cell.iy <= ny and city.heights[0, cell.ix - 1, cell.iy - 1] >= z:
                 continue
         return Node(x, y, z)
 
@@ -255,7 +255,7 @@ def test_criterion_9_geometry_engine_is_cheaper():
         [scenario.h_uav],
     )
 
-    nx, ny = city.heights.shape
+    _, nx, ny = city.heights.shape
     cost_3d, cost_geom = [], []
     for n in range(20):
         _, ix, iy, _ = track_entries(layout, ux[n], uy[n], vx[n], vy[n])

@@ -586,7 +586,7 @@ def test_export_city_round_trip(tmp_path):
     assert city.heights.shape == direct.heights.shape
     assert (city.heights == direct.heights).all()
     # The exported roofs are the roof function of the key the sweep uses.
-    nx, ny = city.heights.shape
+    _, nx, ny = city.heights.shape
     hashed = roof_heights(3, np.arange(1, nx + 1)[:, None], np.arange(1, ny + 1), URBAN.gamma)
     assert (city.heights == hashed).all()
 
@@ -817,9 +817,9 @@ def test_memory_bounds_admit_inputs_up_to_them(monkeypatch):
                           axes=(thetas, harness.SweepAxis("phi", phis + (45.0,))))
     # A 1 000 m urban extent holds 22 x 22 cells.
     monkeypatch.setattr(sim3d, "MAX_CITY_CELLS", 22 * 22)
-    assert generate_city(URBAN, 1000.0, 1000.0, 3).heights.shape == (22, 22)
+    assert generate_city(URBAN, 1000.0, 1000.0, 3).heights.shape == (1, 22, 22)
     text = sim3d.city_to_text(generate_city(URBAN, 1000.0, 1000.0, 3))
-    assert sim3d.city_from_text(text).heights.shape == (22, 22)
+    assert sim3d.city_from_text(text).heights.shape == (1, 22, 22)
     monkeypatch.setattr(sim3d, "MAX_CITY_CELLS", 22 * 22 - 1)
     with pytest.raises(InvalidParams, match="22 x 22 building cells"):
         generate_city(URBAN, 1000.0, 1000.0, 3)

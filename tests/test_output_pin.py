@@ -205,3 +205,23 @@ def test_benchmark_work_is_counted_exactly(name, tmp_path, kernel_calls, monkeyp
     benchmark_csv(name, 1, tmp_path)
     work = (sum(call.entries for call in kernel_calls), len(kernel_calls), len(blocks))
     assert work == BENCHMARK_WORK[name]
+
+
+#: sha256 of the city file export-city writes for these arguments: the
+#: header and every roof at full repr precision, on square and unequal
+#: extents.
+EXPORT_CITY_DIGESTS = {
+    ("--env", "urban", "--extent", "1000", "--seed", "1"):
+        "aad45d3b88fe646ee723da7c48740d9c9f0466ac4f8059c195f615139f05e59a",
+    ("--env", "urban", "--extent", "1000", "--seed", "7"):
+        "0f938dc7561c3381cb5c26e72bfe7e38c887811434ced502fd257e996b0abc6b",
+    ("--env", "high-rise", "--extent", "1000x700", "--seed", "3"):
+        "1be37bf892ed705816293376c299de47fbe3bea99632f8fe57e89f36469dd7b6",
+}
+
+
+@pytest.mark.parametrize("args", sorted(EXPORT_CITY_DIGESTS), ids=lambda a: "-".join(a[1::2]))
+def test_export_city_digest_is_pinned(args, tmp_path):
+    out = tmp_path / "city.txt"
+    assert main(["export-city", *args, "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == EXPORT_CITY_DIGESTS[args]

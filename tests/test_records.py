@@ -25,7 +25,6 @@ from uavlos import (
     BuildingTop,
     BuiltUpParams,
     Cities,
-    City,
     CityLayout,
     CompareRow,
     Crossroad,
@@ -132,8 +131,10 @@ _ESTIMATES = (
 #: The same for the records compared by identity: their fields hold arrays.
 BY_IDENTITY = [
     (
-        lambda: City(PARAMS, LAYOUT, np.array([[12.5], [20.0]]), 7),
-        f"City(params={_P}, layout={_L}, heights=array([[12.5],\n       [20. ]]), seed=7)",
+        lambda: Cities(PARAMS, LAYOUT, np.array([7], dtype=np.uint64),
+                       np.array([[[12.5], [20.0]]])),
+        f"Cities(params={_P}, layout={_L}, keys=array([7], dtype=uint64), "
+        "heights=array([[[12.5],\n        [20. ]]]))",
     ),
     (
         lambda: Cities(PARAMS, LAYOUT, np.array([7, 8], dtype=np.uint64)),

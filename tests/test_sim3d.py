@@ -23,10 +23,8 @@ from uavlos.citygeom import (
     track_length,
 )
 from uavlos.errors import (
-    DegenerateCircle,
     DegenerateLink,
     EndpointInsideBuilding,
-    InvalidAngle,
     InvalidParams,
     NoSuchCell,
     OutOfExtent,
@@ -35,7 +33,6 @@ from uavlos.errors import (
 from uavlos.sim3d import (
     BuildingTop,
     Cities,
-    City,
     CrossroadCenter,
     FixedPoint,
     RandomOverCity,
@@ -48,9 +45,7 @@ from uavlos.sim3d import (
     load_city,
     place_uav,
     place_users,
-    place_users_circle,
     ray_height_at,
-    roof_under,
     save_city,
     user_directions,
 )
@@ -58,15 +53,35 @@ from uavlos.sim3d import (
 TOY = BuiltUpParams(0.25, 10000.0, 10.0)  # 5 m buildings on a 10 m period
 
 
-def toy_city(heights_by_cell=None, extent=100.0):
-    """City on the 10 m toy grid with all-zero roofs unless overridden."""
+def toy_city(*heights_by_cell, extent=100.0):
+    """Explicit cities on the 10 m toy grid, all of key 0, one per dict of
+    roofs by cell (one when none is given), all-zero roofs elsewhere."""
     layout = derive_layout(TOY, extent, extent)
     n = int(extent // layout.period)
-    heights = np.zeros((n, n))
-    for (ix, iy), h in (heights_by_cell or {}).items():
-        heights[ix - 1, iy - 1] = h
+    cells = heights_by_cell or ({},)
+    heights = np.zeros((len(cells), n, n))
+    for c, roofs in enumerate(cells):
+        for (ix, iy), h in roofs.items():
+            heights[c, ix - 1, iy - 1] = h
     heights.setflags(write=False)
-    return City(params=TOY, layout=layout, heights=heights, seed=0)
+    return Cities(TOY, layout, np.zeros(len(cells), dtype=np.uint64), heights)
+
+
+def city_of(cities, c):
+    """City c of cities as a one-city Cities: its key, and its heights
+    if the cities are explicit."""
+    heights = None if cities.heights is None else cities.heights[c:c + 1]
+    return Cities(cities.params, cities.layout, cities.keys[c:c + 1], heights)
+
+
+def roof_at(city, x, y):
+    """The roof of a one-city Cities over a ground point, from its cell
+    (classify_point), or None over streets, crossroads and the fringe."""
+    cell = classify_point(x, y, city.layout)
+    nx, ny = sim3d._grid_shape(city.layout)
+    if isinstance(cell, Building) and cell.ix <= nx and cell.iy <= ny:
+        return float(city.roofs(0, cell.ix, cell.iy))
+    return None
 
 
 def xyz(nodes):
@@ -82,37 +97,28 @@ def decide(cities, uavs, run, rx_x, rx_y, h_rx):
     return sim3d.links_blocked(cities, uavs, run, rx_x, rx_y, h_rx, length)
 
 
-def materialized(cities):
-    """The City of each key of implicit cities."""
-    layout = cities.layout
-    return [
-        generate_city(cities.params, layout.extent_x, layout.extent_y, key)
-        for key in cities.keys.tolist()
-    ]
-
-
-def edge_checks(grids, uavs, run, rx_x, rx_y, h_rx):
+def edge_checks(cities, uavs, run, rx_x, rx_y, h_rx):
     """Each link of links_blocked's arguments as a LinkGeometry, with its
-    check_los_edges outcome on the City grids[run[n]]."""
+    check_los_edges outcome on city run[n] of cities alone."""
     checks = []
     for c, x, y in zip(np.asarray(run).tolist(), np.asarray(rx_x).tolist(),
                        np.asarray(rx_y).tolist()):
         tx = Node(*(float(v[c]) for v in uavs))
         link = LinkGeometry.from_nodes(tx=tx, rx=Node(x, y, h_rx))
-        checks.append((link, check_los_edges(grids[c], link)))
+        checks.append((link, check_los_edges(city_of(cities, c), link)))
     return checks
 
 
 def one_uav(city, policy):
     """place_uav for one city: the n = 1 case of its batch."""
-    x, y, z = place_uav(Cities.of([city]), policy)
+    x, y, z = place_uav(city, policy)
     assert x.shape == y.shape == z.shape == (1,)
     return Node(float(x[0]), float(y[0]), float(z[0]))
 
 
 def test_generate_city_shape_and_determinism():
     city = generate_city(ENVIRONMENTS["urban"], 3000.0, 3000.0, 42)
-    assert city.heights.shape == (67, 67)
+    assert city.keys.tolist() == [42] and city.heights.shape == (1, 67, 67)
     assert float(city.heights.mean()) == pytest.approx(19.040441701850057, rel=1e-12)
     again = generate_city(ENVIRONMENTS["urban"], 3000.0, 3000.0, 42)
     assert (city.heights == again.heights).all()
@@ -123,12 +129,12 @@ def test_generate_city_shape_and_determinism():
 def test_generated_heights_are_the_roof_function_of_the_key():
     params = ENVIRONMENTS["urban"]
     city = generate_city(params, 3000.0, 2000.0, 2**64 - 5)
-    nx, ny = city.heights.shape
-    assert (nx, ny) == (67, 44)
+    nx, ny = sim3d._grid_shape(city.layout)
+    assert city.heights.shape == (1, nx, ny) == (1, 67, 44)
     for ix in range(1, nx + 1):
         for iy in range(1, ny + 1):
             roof = roof_heights(2**64 - 5, ix, iy, params.gamma)
-            assert city.heights[ix - 1, iy - 1] == roof
+            assert city.heights[0, ix - 1, iy - 1] == roof
     # The implicit city of the same key looks up the same roofs.
     ix, iy = np.divmod(np.arange(nx * ny), ny)
     implicit = Cities(params, city.layout, np.array([2**64 - 5], dtype=np.uint64))
@@ -144,7 +150,7 @@ def test_city_keys_outside_uint64_are_rejected():
 def test_generated_heights_are_locked():
     city = generate_city(ENVIRONMENTS["urban"], 3000.0, 3000.0, 1)
     with pytest.raises(ValueError):
-        city.heights[0, 0] = 99.0
+        city.heights[0, 0, 0] = 99.0
 
 
 def test_city_mean_height_matches_rayleigh_mean():
@@ -152,6 +158,65 @@ def test_city_mean_height_matches_rayleigh_mean():
     city = generate_city(params, 10_000.0, 10_000.0, 7)
     expected = params.gamma * math.sqrt(math.pi / 2.0)
     assert float(city.heights.mean()) == pytest.approx(expected, rel=0.02)
+
+
+@pytest.mark.parametrize("shape", [(1, 5, 5), (1, 22, 22, 1), (2, 22, 22), (1, 30, 30)])
+def test_cities_refuse_heights_of_another_shape(shape):
+    # A 1 000 m urban extent holds 22 x 22 cells.  Unchecked, heights of
+    # the first two shapes raised a raw IndexError or ValueError in
+    # place_uav and links_blocked, and the last two read cells that are
+    # not the city's.
+    params = ENVIRONMENTS["urban"]
+    layout = derive_layout(params, 1000.0, 1000.0)
+    keys = np.array([1], dtype=np.uint64)
+    assert Cities(params, layout, keys, np.zeros((1, 22, 22))).heights.shape == (1, 22, 22)
+    with pytest.raises(InvalidParams, match=r"heights of shape .*, expected \(1, 22, 22\)"):
+        Cities(params, layout, keys, np.zeros(shape))
+
+
+@pytest.mark.parametrize("env", sorted(ENVIRONMENTS))
+def test_an_implicit_city_checks_and_exports_as_its_materialized_grid(env):
+    # The one-city functions read roofs only through Cities.roofs, so the
+    # implicit city of a key decides every link as generate_city's grid
+    # of it does, blocker included, refuses the same endpoints and
+    # exports the same text.
+    params = ENVIRONMENTS[env]
+    city = generate_city(params, 1000.0, 1000.0, 23)
+    implicit = Cities(params, city.layout, city.keys)
+    rng = np.random.default_rng(37)
+    blocked = 0
+    for _ in range(60):
+        tx = random_free_node(city, rng, 30.0, 150.0)
+        rx = random_free_node(city, rng, 0.0, 5.0)
+        link = LinkGeometry.from_nodes(tx=tx, rx=rx)
+        edges = check_los_edges(implicit, link)
+        assert edges == check_los_edges(city, link)
+        assert check_los_dense(implicit, link) == check_los_dense(city, link)
+        blocked += not edges.is_los
+    assert 0 < blocked < 60
+    ix, iy = np.unravel_index(np.argmax(city.heights[0]), city.heights.shape[1:])
+    layout = city.layout
+    center = [k * layout.period + layout.s + layout.w / 2.0 for k in (ix, iy)]
+    inside = LinkGeometry.from_nodes(tx=Node(2.0, 2.0, 200.0), rx=Node(*center, 1.5))
+    for check in (check_los_edges, check_los_dense):
+        for c in (implicit, city):
+            with pytest.raises(EndpointInsideBuilding, match="receiver"):
+                check(c, inside)
+    assert city_to_text(implicit) == city_to_text(city)
+
+
+def test_one_city_functions_refuse_several_cities(tmp_path):
+    params = ENVIRONMENTS["urban"]
+    two = Cities(params, derive_layout(params, 1000.0, 1000.0), np.array([1, 2], dtype=np.uint64))
+    link = LinkGeometry.from_nodes(tx=Node(2.0, 2.0, 100.0), rx=Node(30.0, 2.0, 1.5))
+    for check in (check_los_edges, check_los_dense):
+        with pytest.raises(InvalidParams, match="expected one city, got 2"):
+            check(two, link)
+        # City 1 of them alone is decided.
+        assert check(city_of(two, 1), link) == check(generate_city(params, 1000.0, 1000.0, 2), link)
+    with pytest.raises(InvalidParams, match="expected one city, got 2"):
+        save_city(two, tmp_path / "city.txt")
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_ray_height_endpoints_and_midpoint():
@@ -248,16 +313,14 @@ def test_vertical_link_outcomes():
         out = check(tall, face)
         assert not out.is_los
         assert (out.blocker.ix, out.blocker.iy, out.blocker.r_op) == (1, 1, 0.0)
-    got = sim3d.links_blocked(Cities.of([tall]), xyz([face.tx]), [0], [10.0], [7.5], 1.5, 0.0)
+    got = sim3d.links_blocked(tall, xyz([face.tx]), [0], [10.0], [7.5], 1.5, 0.0)
     assert got.tolist() == [True]
 
     # A receiver standing on the roof sees the UAV above it.
     on_roof = LinkGeometry.from_nodes(tx=Node(7.5, 7.5, 100.0), rx=Node(7.5, 7.5, 50.001))
     assert check_los_edges(shorter, on_roof).is_los
     assert check_los_dense(shorter, on_roof).is_los
-    got = sim3d.links_blocked(
-        Cities.of([shorter]), xyz([on_roof.tx]), [0], [7.5], [7.5], 50.001, 0.0
-    )
+    got = sim3d.links_blocked(shorter, xyz([on_roof.tx]), [0], [7.5], [7.5], 50.001, 0.0)
     assert got.tolist() == [False]
 
 
@@ -291,12 +354,9 @@ def random_free_node(city, rng, z_lo, z_hi):
         x = rng.uniform(0.0, layout.extent_x)
         y = rng.uniform(0.0, layout.extent_y)
         z = rng.uniform(z_lo, z_hi)
-        cell = classify_point(x, y, layout)
-        if isinstance(cell, Building):
-            nx, ny = city.heights.shape
-            if cell.ix <= nx and cell.iy <= ny and city.heights[cell.ix - 1, cell.iy - 1] >= z:
-                continue
-        return Node(x, y, z)
+        roof = roof_at(city, x, y)
+        if roof is None or roof < z:
+            return Node(x, y, z)
 
 
 def assert_same_outcome(edges, dense):
@@ -403,7 +463,7 @@ def test_dense_oracle_keeps_a_near_face_sample():
     n = int(1000.0 // p)
     heights = np.zeros((n, n))
     heights[1, 2] = 1.5 + 3.05 * slope
-    city = City(params=params, layout=layout, heights=heights, seed=0)
+    city = Cities(params, layout, np.zeros(1, dtype=np.uint64), heights[None])
     link = LinkGeometry.from_nodes(tx=tx, rx=rx)
     dense = check_los_dense(city, link)
     assert not dense.is_los
@@ -436,23 +496,21 @@ def test_boundary_contact_agrees_with_dense_oracle(name):
     assert_same_outcome(check_los_edges(city, link), dense)
 
 
-def assert_pass_matches_dense(runs, h_rx):
-    """links_blocked over runs of (city, transmitter, receivers) in one
-    pass agrees, link by link, with the dense oracle, and so does
-    check_los_edges, blocking cell and r_op included; returns the
-    blocked links and their blocking cells."""
-    cities, txs, rxs = zip(*runs)
+def assert_pass_matches_dense(cities, runs, h_rx):
+    """links_blocked over runs of (transmitter, receivers), one per city
+    of cities, in one pass agrees, link by link, with the dense oracle,
+    and so does check_los_edges, blocking cell and r_op included;
+    returns the blocked links and their blocking cells."""
+    txs, rxs = zip(*runs)
     run = [c for c, users in enumerate(rxs) for _ in users]
     users = [rx for users in rxs for rx in users]
-    got = decide(
-        Cities.of(cities), xyz(txs), run, [rx.x for rx in users], [rx.y for rx in users], h_rx
-    )
+    got = decide(cities, xyz(txs), run, [rx.x for rx in users], [rx.y for rx in users], h_rx)
     blocked = {}
     for n, (c, rx) in enumerate(zip(run, users)):
         geometry = LinkGeometry.from_nodes(tx=txs[c], rx=rx)
-        dense = check_los_dense(cities[c], geometry)
+        dense = check_los_dense(city_of(cities, c), geometry)
         assert got[n] != dense.is_los
-        edges = check_los_edges(cities[c], geometry)
+        edges = check_los_edges(city_of(cities, c), geometry)
         assert_same_outcome(edges, dense)
         if not edges.is_los:
             blocked[n] = (edges.blocker.ix, edges.blocker.iy)
@@ -468,30 +526,30 @@ def test_cut_keeps_the_tallest_roof_at_ray_height():
     tie = 1.5 + t * (50.0 - 1.5)
     city = toy_city({(1, 1): 5.0, (2, 1): tie, (3, 1): 10.0})
     assert tie == city.heights.max() and (tie - 1.5) / (50.0 - 1.5) < t
-    assert assert_pass_matches_dense([(city, tx, [rx])], 1.5) == {0: (2, 1)}
+    assert assert_pass_matches_dense(city, [(tx, [rx])], 1.5) == {0: (2, 1)}
 
 
 def test_cut_of_a_horizontal_link_keeps_the_whole_track():
     # tx.z == h_rx: the ray is level with the tallest roof all along.
-    city = toy_city({(1, 1): 20.0, (2, 1): 30.0})
+    roofs = {(1, 1): 20.0, (2, 1): 30.0}
     rx = Node(2.0, 7.5, 30.0)
-    runs = [(city, Node(32.0, 7.5, 30.0), [rx]), (city, Node(12.0, 7.5, 30.0), [rx])]
-    assert assert_pass_matches_dense(runs, 30.0) == {0: (2, 1)}
+    runs = [(Node(32.0, 7.5, 30.0), [rx]), (Node(12.0, 7.5, 30.0), [rx])]
+    assert assert_pass_matches_dense(toy_city(roofs, roofs), runs, 30.0) == {0: (2, 1)}
 
 
 def test_cut_is_taken_per_city_in_a_pass():
     # Every roof of the first city is below the users, so its tracks are
     # cut before they start; the second city's are not.
-    low = toy_city({(ix, iy): 1.0 for ix in range(1, 11) for iy in range(1, 11)})
-    tall = toy_city({(2, 1): 40.0})
+    low = {(ix, iy): 1.0 for ix in range(1, 11) for iy in range(1, 11)}
+    cities = toy_city(low, {(2, 1): 40.0})
     tx, rx = Node(32.0, 7.5, 50.0), Node(2.0, 7.5, 2.0)
-    runs = [(low, tx, [rx]), (tall, tx, [rx, Node(32.0, 17.5, 2.0)])]
-    assert assert_pass_matches_dense(runs, 2.0) == {1: (2, 1)}
+    runs = [(tx, [rx]), (tx, [rx, Node(32.0, 17.5, 2.0)])]
+    assert assert_pass_matches_dense(cities, runs, 2.0) == {1: (2, 1)}
 
 
 def toy_free_node(city, x, y, z):
-    under = roof_under(city, x, y)
-    return Node(x, y, z) if under is None or under[2] < z else None
+    roof = roof_at(city, x, y)
+    return Node(x, y, z) if roof is None or roof < z else None
 
 
 @st.composite
@@ -568,17 +626,18 @@ def test_edges_match_dense_on_corner_grazing_toy_links(
 def test_one_pass_over_several_cities_matches_single_links():
     params = ENVIRONMENTS["dense-urban"]
     rng = np.random.default_rng(41)
-    cities, txs, rxs, singles = [], [], [], []
+    txs, rxs, singles = [], [], []
     for seed in (1, 2, 3):
         city = generate_city(params, 1000.0, 1000.0, seed)
         tx = random_free_node(city, rng, 30.0, 120.0)
         users = [random_free_node(city, rng, 1.5, 1.5) for _ in range(40)]
-        cities.append(city)
         txs.append(tx)
         rxs += users
         singles += [check_los_edges(city, LinkGeometry.from_nodes(tx=tx, rx=r)) for r in users]
+    # The implicit cities of the same keys, decided in one pass.
+    cities = Cities(params, city.layout, np.array([1, 2, 3], dtype=np.uint64))
     run = np.repeat(np.arange(3), 40)
-    got = decide(Cities.of(cities), xyz(txs), run, [r.x for r in rxs], [r.y for r in rxs], 1.5)
+    got = decide(cities, xyz(txs), run, [r.x for r in rxs], [r.y for r in rxs], 1.5)
     assert got.tolist() == [not out.is_los for out in singles]
     assert 0 < got.sum() < len(singles)
 
@@ -589,14 +648,14 @@ def test_links_blocked_does_not_depend_on_its_call_budget(budget, monkeypatch, k
     # cities: a budget of one period decides each link in a call of its
     # own, and 7 and 150 periods cut the calls across city boundaries, so
     # a wrong link offset in any slice moves a decision.  Each link is
-    # decided as check_los_edges decides it on its materialized city.
+    # decided as check_los_edges decides it on its city alone.
     params = ENVIRONMENTS["urban"]
     layout = derive_layout(params, 1500.0, 1500.0)
     cities = Cities(params, layout, run_keys(9, 6))
     uavs = place_uav(cities, RandomOverCity(60.0))
     radius = track_length(20.0, 60.0, 1.5)
     run, x, y = place_users(layout, uavs, 20.0, user_directions(20.0, 60), 1.5)
-    checks = edge_checks(materialized(cities), uavs, run, x, y, 1.5)
+    checks = edge_checks(cities, uavs, run, x, y, 1.5)
     whole = np.array([not out.is_los for _, out in checks])
     assert 10 < whole.sum() < run.size - 10
     kernel_calls.clear()
@@ -629,7 +688,7 @@ def test_links_blocked_refuses_a_run_out_of_order_or_past_its_cities():
 def test_links_blocked_refuses_endpoints_off_the_extent():
     # A track that leaves the extent can meet boxes farther beyond the
     # grid than its city's window of roofs reaches.
-    cities = Cities.of([toy_city()])
+    cities = toy_city()
     on = ([50.0], [50.0], [60.0])
     assert decide(cities, on, [0], [0.0], [100.0], 1.5).tolist() == [False]
     for rx in ((-0.5, 50.0), (50.0, 100.5)):
@@ -643,7 +702,7 @@ def test_links_blocked_skips_the_kernel_when_no_window_holds_a_cell(monkeypatch)
     # Receivers straight under their UAVs, in streets of the toy grid:
     # no window holds a cell, so no link is blocked, and neither the
     # window roofs nor the kernel are looked up.  The input checks stay.
-    cities = Cities.of([toy_city({(1, 1): 30.0})] * 2)
+    cities = toy_city({(1, 1): 30.0}, {(1, 1): 30.0})
     uavs = ([2.5, 12.5], [7.5, 2.5], [60.0, 60.0])
     calls = []
     for module, name in ((citygeom, "track_entries"), (sim3d, "_window_roofs")):
@@ -669,7 +728,7 @@ def test_links_blocked_equals_check_los_edges_link_by_link(theta, staged, h_uav,
     # on a 4 km extent, which still holds some of the 3.4 km rings of
     # theta 2: links_blocked, which stages the long rising tracks of
     # theta 2 and 5 near their users first, decides each link as
-    # check_los_edges does on the materialized city of the same key.
+    # check_los_edges does on its city alone.
     params = ENVIRONMENTS["urban"]
     layout = derive_layout(params, 4000.0, 4000.0)
     cities = Cities(params, layout, run_keys(21, 12))
@@ -689,14 +748,14 @@ def test_links_blocked_equals_check_los_edges_link_by_link(theta, staged, h_uav,
     assert (cuts == near).any() == staged
     assert bool(second) == staged
     assert all(np.ndim(call.t_min) and (call.t_min == near).all() for call in second)
-    checks = edge_checks(materialized(cities), uavs, run, x, y, 1.5)
+    checks = edge_checks(cities, uavs, run, x, y, 1.5)
     assert got.tolist() == [not out.is_los for _, out in checks]
     assert 0 < got.sum() < got.size
 
 
 def test_check_los_edges_makes_one_kernel_call_and_no_window_lookup(monkeypatch, kernel_calls):
-    # One link of one materialized city: its track goes to the kernel
-    # once, whole, and its roofs are read from the city's own grid.
+    # One link of one explicit city: its track goes to the kernel once,
+    # whole, and its roofs are read from the city's own grid.
     lookups = []
     window_roofs = sim3d._window_roofs
 
@@ -756,9 +815,10 @@ def test_window_gather_matches_a_roof_lookup_per_entry(explicit, h_rx):
     p, s, w = layout.period, layout.s, layout.w
     assert sim3d._grid_shape(layout) == (22, 22) and _FRINGE_EXTENT - 22 * p > s
     cities = Cities(params, layout, run_keys(8, 12))
-    grids = materialized(cities)
     if explicit:
-        cities = Cities.of(grids)
+        ix, iy = np.arange(1, 23)[:, None], np.arange(1, 23)
+        heights = roof_heights(cities.keys[:, None, None], ix, iy, params.gamma)
+        cities = Cities(params, layout, cities.keys, heights)
     x, y, z = place_uav(cities, RandomOverCity(100.0))
     x[-2:] = y[-2:] = (0.0, _FRINGE_EXTENT)
     face = 22 * p + s
@@ -777,8 +837,8 @@ def test_window_gather_matches_a_roof_lookup_per_entry(explicit, h_rx):
         link, ix, iy, t = reference_blockers(cities, (x, y, z), run, rx_x, rx_y, h_rx)
         assert 0 < link.size < run.size
         assert np.flatnonzero(got).tolist() == link.tolist()
-        # check_los_edges on the materialized city finds the same blocker.
-        checks = edge_checks(grids, (x, y, z), run, rx_x, rx_y, h_rx)
+        # check_los_edges on each city alone finds the same blocker.
+        checks = edge_checks(cities, (x, y, z), run, rx_x, rx_y, h_rx)
         blockers = [
             (n, out.blocker) for n, (_, out) in enumerate(checks) if not out.is_los
         ]
@@ -898,7 +958,7 @@ def test_uncut_tracks_meet_only_boxes_of_their_city_window(rings):
     # city whose window holds no cell keeps top 0 and reads no roof.
     city = generate_city(ENVIRONMENTS["urban"], _URBAN_EXTENT, _URBAN_EXTENT, 5)
     layout = city.layout
-    assert city.heights.shape == (60, 60)
+    assert city.heights.shape == (1, 60, 60)
     run = np.array([c for c, (_, rxs) in enumerate(rings) for _ in rxs])
     tx_x, tx_y = (np.array(v) for v in zip(*[tx for tx, _ in rings]))
     rx_x, rx_y = (np.array(v) for v in zip(*[rx for _, rxs in rings for rx in rxs]))
@@ -911,7 +971,8 @@ def test_uncut_tracks_meet_only_boxes_of_their_city_window(rings):
     assert ((first_x[c] <= ix[grid]) & (ix[grid] <= last_x[c])).all()
     assert ((first_y[c] <= iy[grid]) & (iy[grid] <= last_y[c])).all()
 
-    cities = Cities.of([city] * len(rings))
+    # The implicit cities of the materialized city's key, one per ring.
+    cities = Cities(city.params, layout, np.repeat(city.keys, len(rings)))
     read = []
     roofs = Cities.roofs
 
@@ -923,12 +984,12 @@ def test_uncut_tracks_meet_only_boxes_of_their_city_window(rings):
         patch.setattr(Cities, "roofs", recorded)
         top, roofs, base, ky = sim3d._window_roofs(cities, windows)
     at = base[c] + ix[grid] * ky + iy[grid]
-    assert np.array_equal(roofs[at], city.heights[ix[grid] - 1, iy[grid] - 1])
+    assert np.array_equal(roofs[at], city.heights[0, ix[grid] - 1, iy[grid] - 1])
     for n in range(len(rings)):
         if first_x[n] > last_x[n] or first_y[n] > last_y[n]:
             assert top[n] == 0.0 and n not in read
         else:
-            window = city.heights[first_x[n] - 1:last_x[n], first_y[n] - 1:last_y[n]]
+            window = city.heights[0, first_x[n] - 1:last_x[n], first_y[n] - 1:last_y[n]]
             assert top[n] == window.max()
 
 
@@ -936,12 +997,7 @@ def test_outcome_survives_transposition():
     # swapping x and y everywhere maps the grid onto itself
     params = ENVIRONMENTS["urban"]
     city = generate_city(params, 2000.0, 2000.0, 31)
-    flipped = City(
-        params=params,
-        layout=city.layout,
-        heights=np.ascontiguousarray(city.heights.T),
-        seed=city.seed,
-    )
+    flipped = Cities(params, city.layout, city.keys, city.heights.transpose(0, 2, 1))
     rng = np.random.default_rng(12)
     for _ in range(200):
         tx = random_free_node(city, rng, 30.0, 300.0)
@@ -957,27 +1013,15 @@ def test_outcome_survives_transposition():
             assert (a.blocker.ix, a.blocker.iy) == (b.blocker.iy, b.blocker.ix)
 
 
-def test_place_users_circle_geometry():
-    city = toy_city(extent=1000.0)
-    uav = Node(500.0, 500.0, 101.5)
-    users = place_users_circle(city, uav, 45.0, 36, h_rx=1.5)
-    assert 0 < len(users) <= 36
-    for u in users:
-        assert u.z == 1.5
-        r = math.hypot(u.x - uav.x, u.y - uav.y)
-        assert r == pytest.approx(100.0, rel=1e-12)
-        assert not isinstance(classify_point(u.x, u.y, city.layout), Building)
-    # first azimuth is 0 degrees: due east of the UAV, if it survived
-    assert users[0].x == pytest.approx(600.0, rel=1e-12)
-    assert users[0].y == pytest.approx(500.0, abs=1e-9)
-
-
 def test_place_users_at_a_fixed_azimuth_or_overhead():
     city = toy_city(extent=1000.0)
     uav = Node(500.0, 500.0, 101.5)
-    east = user_directions(45.0, 36, phi_deg=90.0)
-    _, x, y = place_users(city.layout, xyz([uav]), 45.0, east, h_rx=1.5)
+    north = user_directions(45.0, 36, phi_deg=90.0)
+    _, x, y = place_users(city.layout, xyz([uav]), 45.0, north, h_rx=1.5)
     assert x.tolist() == pytest.approx([500.0]) and y.tolist() == pytest.approx([600.0])
+    # a ring's first azimuth is 0 degrees: due east of the UAV
+    _, x, y = place_users(city.layout, xyz([uav]), 45.0, user_directions(45.0, 36), h_rx=1.5)
+    assert x[0] == pytest.approx(600.0, rel=1e-12) and y[0] == pytest.approx(500.0, abs=1e-9)
     overhead = user_directions(90.0, 36)
     _, x, y = place_users(city.layout, xyz([uav]), 90.0, overhead, h_rx=1.5)
     assert (x.tolist(), y.tolist()) == ([500.0], [500.0])
@@ -1043,19 +1087,6 @@ def test_place_users_keeps_the_positions_of_a_per_position_oracle(case):
         assert 0 < len(expected) < n_positions
 
 
-def test_place_users_circle_validation():
-    city = toy_city(extent=1000.0)
-    uav = Node(500.0, 500.0, 101.5)
-    with pytest.raises(InvalidAngle):
-        place_users_circle(city, uav, 90.0, 10)
-    with pytest.raises(InvalidAngle):
-        place_users_circle(city, uav, 0.0, 10)
-    with pytest.raises(InvalidParams):
-        place_users_circle(city, uav, 45.0, 0)
-    with pytest.raises(DegenerateCircle):
-        place_users_circle(city, Node(500.0, 500.0, 1.5), 45.0, 10, h_rx=1.5)
-
-
 def test_place_uav_policies():
     city = toy_city({(3, 4): 60.0}, extent=200.0)
 
@@ -1076,15 +1107,10 @@ def test_place_uav_policies():
     top = one_uav(city, BuildingTop(h=50.0))
     cell = classify_point(top.x, top.y, city.layout)
     assert isinstance(cell, Building)
-    assert city.heights[cell.ix - 1, cell.iy - 1] < 50.0
+    assert city.heights[0, cell.ix - 1, cell.iy - 1] < 50.0
 
     with pytest.raises(NoSuchCell):
-        empty = City(
-            params=TOY,
-            layout=city.layout,
-            heights=np.full((20, 20), 90.0),
-            seed=0,
-        )
+        empty = Cities(TOY, city.layout, city.keys, np.full((1, 20, 20), 90.0))
         one_uav(empty, BuildingTop(h=50.0))
 
     with pytest.raises(InvalidParams):
@@ -1118,7 +1144,9 @@ def test_place_uav_draws_each_city_from_its_key(policy):
     # A batch places each city's UAV as that city alone would.
     city = generate_city(ENVIRONMENTS["urban"], 1000.0, 1000.0, 9)
     other = generate_city(ENVIRONMENTS["urban"], 1000.0, 1000.0, 10)
-    batch = place_uav(Cities.of([city, other, city]), policy)
+    explicit = Cities(city.params, city.layout, np.array([9, 10, 9], dtype=np.uint64),
+                      np.concatenate([city.heights, other.heights, city.heights]))
+    batch = place_uav(explicit, policy)
     alone = [one_uav(c, policy) for c in (city, other)]
     assert [Node(*map(float, p)) for p in zip(*batch)] == [alone[0], alone[1], alone[0]]
     assert alone[0] != alone[1]
@@ -1131,11 +1159,11 @@ def test_random_uav_retries_are_bounded_and_typed(monkeypatch):
     # 9 m buildings on a 10 m period, every roof above the 100 m UAV: the
     # first six draws of key 2 all land over a roof.
     params = BuiltUpParams(0.81, 10000.0, 10.0)
-    city = City(params=params, layout=derive_layout(params, 100.0, 100.0),
-                heights=np.full((10, 10), 200.0), seed=2)
+    city = Cities(params, derive_layout(params, 100.0, 100.0), np.array([2], dtype=np.uint64),
+                  np.full((1, 10, 10), 200.0))
     assert sim3d.UAV_PLACEMENT_TRIES == 1000
     uav = one_uav(city, RandomOverCity(h=100.0))
-    assert uav.z == 100.0 and roof_under(city, uav.x, uav.y) is None
+    assert uav.z == 100.0 and roof_at(city, uav.x, uav.y) is None
     monkeypatch.setattr(sim3d, "UAV_PLACEMENT_TRIES", 5)
     with pytest.raises(InvalidParams, match="clear of rooftops after 5 tries"):
         one_uav(city, RandomOverCity(h=100.0))
@@ -1145,7 +1173,7 @@ def test_city_round_trip_is_exact():
     city = generate_city(ENVIRONMENTS["dense-urban"], 500.0, 500.0, 99)
     text = city_to_text(city)
     back = city_from_text(text)
-    assert back.params == city.params
+    assert back.params == city.params and back.keys.tolist() == city.keys.tolist() == [99]
     assert back.heights.shape == city.heights.shape
     assert (back.heights == city.heights).all()
     assert city_to_text(back) == text
