@@ -38,7 +38,10 @@ def show_one_link() -> None:
     r_rx = float(np.hypot(dx, dy))
     print(f"{'entry at':>18} {'r_op':>8} {'building':>10}")
     _, ix, iy, t = track_entries(layout, user.x, user.y, uav.x, uav.y)
-    for bx, by, tb in zip(ix.tolist(), iy.tolist(), t.tolist()):
+    # The kernel lists the boxes by column, then row; print them along
+    # the track, nearest the UAV first.
+    order = np.argsort(-t, kind="stable")
+    for bx, by, tb in zip(ix[order].tolist(), iy[order].tolist(), t[order].tolist()):
         print(f"({user.x + tb * dx:>7.1f}, {user.y + tb * dy:>7.1f}) "
               f"{(1.0 - tb) * r_rx:>8.1f} {f'({bx}, {by})':>10}")
 

@@ -28,7 +28,6 @@ from .citygeom import (
     uav_position_from_angles,
 )
 from .errors import (
-    DegenerateLink,
     IllegalSpec,
     InvalidAngle,
     InvalidParams,
@@ -119,7 +118,6 @@ __all__ = [
     "UavLosError",
     "InvalidParams",
     "InvalidAngle",
-    "DegenerateLink",
     "IllegalSpec",
     "ParseError",
 ]

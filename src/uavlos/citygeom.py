@@ -298,7 +298,8 @@ def _band_visits(c0, dc, t_lo, t_hi, p: float, s: float):
 
     Returns (row, i, lo, hi): the input row, the 0-based band and the
     sub-window of t spent inside that band.  Rows keep the input order,
-    and the bands of one window come latest-visited first.
+    and the bands of one window come in ascending band order, whichever
+    way the coordinate moves.
 
     The band range of each window is widened by _BAND_SLACK against
     rounding, and an exact test of the t-interval then drops the bands
@@ -325,19 +326,22 @@ def _band_visits(c0, dc, t_lo, t_hi, p: float, s: float):
     hi += _BAND_SLACK
     last = np.floor(hi, out=hi).astype(np.int64)
     del lo, hi
-    count = last - first + 1
-    np.maximum(count, 0, out=count)
+    count = np.maximum(last - first + 1, 0)
+    del last
     row = np.repeat(np.arange(count.size), count)
-    # The k-th band a window visits is last - k where the coordinate
-    # grows and first + k elsewhere, which is sign*r + offset for the
-    # visit's row r.  With g = 1 where it grows and 0 elsewhere, sign is
-    # 1 - 2g and the band of k = 0 is first + g*(last - first): integer
-    # arithmetic, where a select on the growing mask branches at random.
+    # Band k of a window, at row r, is first + k, where k is r less the
+    # window's first row.
+    first -= np.cumsum(count)
+    first += count
+    del count
+    i = np.arange(row.size)
+    i += first.take(row)
+    del first
     # Both engines follow one rule on per-link, per-entry and per-ring-
-    # position arrays for the same reason: select through an index array
-    # (np.flatnonzero, then take or an assignment at it), not a boolean
-    # mask.  At 50 000 elements and half of a mask set, on a 2-vCPU Xeon
-    # with numpy 2.4.6, a[mask] costs 5.7 ns an element against 1.1 for
+    # position arrays: select through an index array (np.flatnonzero,
+    # then take or an assignment at it), not a boolean mask.  At 50 000
+    # elements and half of a mask set, on a 2-vCPU Xeon with numpy
+    # 2.4.6, a[mask] costs 5.7 ns an element against 1.1 for
     # a.take(np.flatnonzero(mask)), np.nonzero of a 2-D mask 8.3 against
     # 1.3 for np.flatnonzero and //, and a three-argument np.where 5.0
     # against 0.3 for a multiply.  A where between two computed arrays,
@@ -346,24 +350,6 @@ def _band_visits(c0, dc, t_lo, t_hi, p: float, s: float):
     # costs 3.5 ns against 0.8 for //; simgeom.los_counts takes a chunk's
     # points by // and its runs by % of a second arange, so that neither
     # is held while the chunk is decided.
-    growing = (dc > 0.0).astype(np.int64)
-    sign = growing * -2
-    sign += 1
-    last -= first
-    last *= growing
-    del growing
-    last += first
-    del first
-    offset = np.cumsum(count)
-    offset -= count
-    del count
-    offset *= sign
-    np.subtract(last, offset, out=offset)
-    del last
-    i = np.arange(row.size)
-    i *= sign.take(row)
-    i += offset.take(row)
-    del sign, offset
     # The fractions of the track where it crosses the band's edges,
     # (i*p + s - c)/d and ((i + 1)*p - c)/d.
     tb = i.astype(np.float64)
@@ -444,8 +430,10 @@ def track_entries(layout: CityLayout, x_rx, y_rx, x_tx, y_tx, t_max=1.0, t_min=0
     the track index, the cell and the fraction t in [0, 1] of the track
     from the user to the point where it enters the box.  With flat
     roofs the ray is lowest over a box exactly there.  Entries are
-    ordered by link, then from the UAV end toward the user (t
-    descending).
+    ordered by link, then column (ix), then row (iy), each ascending,
+    whichever way the track runs; a caller that needs them along the
+    track orders them itself (as :func:`uavlos.sim3d.check_los_edges`
+    picks the box the track enters last).
     """
     p, s = layout.period, layout.s
     x0, y0, x1, y1 = np.broadcast_arrays(
@@ -457,15 +445,15 @@ def track_entries(layout: CityLayout, x_rx, y_rx, x_tx, y_tx, t_max=1.0, t_min=0
     if t1.ndim:
         t1 = np.broadcast_to(t1, x0.shape)
     # Column bands over the whole track, then the row bands crossed while
-    # the track stays inside each column band.  Column windows are
-    # disjoint and ordered along the track, so listing both the columns
-    # and the rows within a column latest-visited first orders each
-    # track's entries by t descending.  Each pass's moves go to it as
-    # temporaries, which it frees, so no pass holds the other's.  Taking
-    # each track's first pass on its axis of smaller |d| lists the same
-    # entries in the same order with 23 to 28% fewer first-pass windows
-    # on the benchmark lines, but the per-link gathers that choose the
-    # axes cost more: kernel time rose 9 to 22%.
+    # the track stays inside each column band, both in ascending band
+    # order: an entry's t does not depend on where it is listed, and the
+    # link decision reads no order, so the kernel keeps no per-window
+    # direction to list them along the track.  Each pass's moves go to it
+    # as temporaries, which it frees, so no pass holds the other's.
+    # Taking each track's first pass on its axis of smaller |d| lists the
+    # same entries with 23 to 28% fewer first-pass windows on the
+    # benchmark lines, but the per-link gathers that choose the axes cost
+    # more: kernel time rose 9 to 22%.
     link, i, lo, hi = _band_visits(x0, x1 - x0, t0, t1, p, s)
     row, j, t, _ = _band_visits(y0.take(link), (y1 - y0).take(link), lo, hi, p, s)
     i = i.take(row)
@@ -676,8 +664,13 @@ def stream_bits(key, counter) -> np.ndarray:
     dtype uint64, is a pure function of the pair.
     """
     counter = np.asarray(counter, dtype=np.uint64)
-    z = np.add(np.multiply(counter, _WEYL), np.asarray(key, dtype=np.uint64))
-    shape = np.shape(z)
+    key = np.asarray(key, dtype=np.uint64)
+    # One array of the broadcast shape holds the state, where a product
+    # and a sum would hold two.
+    z = np.empty(np.broadcast_shapes(counter.shape, key.shape), np.uint64)
+    np.multiply(counter, _WEYL, out=z)
+    z += key
+    shape = z.shape
     z = np.atleast_1d(z)
     shifted = np.empty_like(z)
     np.right_shift(z, 30, out=shifted)
@@ -735,8 +728,11 @@ def bits_to_uniforms(bits) -> np.ndarray:
 
 def stream_uniforms(key, counter) -> np.ndarray:
     """Uniforms in [0, 1) from the counter-based stream of a uint64 key:
-    :func:`bits_to_uniforms` of :func:`stream_bits` at the same positions."""
-    return bits_to_uniforms(stream_bits(key, counter))
+    :func:`bits_to_uniforms` of :func:`stream_bits` at the same positions,
+    with the fresh bits shifted in place."""
+    bits = stream_bits(key, counter)
+    bits >>= np.uint64(11)
+    return np.multiply(bits, 2.0**-53, out=np.empty(bits.shape))
 
 
 #: Most building cells a city may have per axis: :func:`roof_heights`
@@ -755,7 +751,9 @@ def roof_heights(key, ix, iy, gamma: float) -> np.ndarray:
     """
     if gamma <= 0.0:
         raise InvalidParams(f"gamma must be positive, got {gamma}")
-    cell = np.left_shift(ix, 32, dtype=np.int64) | np.asarray(iy, dtype=np.int64)
+    ix, iy = np.broadcast_arrays(ix, iy)
+    cell = np.left_shift(ix, 32, dtype=np.int64)
+    cell |= iy
     return _rayleigh_inplace(stream_uniforms(key, cell.view(np.uint64)), gamma)
 
 

@@ -23,10 +23,6 @@ class InvalidAngle(UavLosError, ValueError):
     """An elevation or azimuth angle is outside its legal range."""
 
 
-class DegenerateLink(UavLosError, ValueError):
-    """The link has zero ground range where a finite one is required."""
-
-
 class EndpointInsideBuilding(UavLosError, ValueError):
     """A link endpoint sits strictly inside a building volume."""
 

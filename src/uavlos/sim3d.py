@@ -50,7 +50,6 @@ from .citygeom import (
     track_length,
 )
 from .errors import (
-    DegenerateLink,
     EndpointInsideBuilding,
     InvalidParams,
     NoSuchCell,
@@ -69,7 +68,6 @@ __all__ = [
     "StreetCenter",
     "UavPlacementPolicy",
     "generate_city",
-    "ray_height_at",
     "links_blocked",
     "window_cells",
     "check_los_edges",
@@ -242,16 +240,6 @@ def generate_city(
     heights = _grid_roofs(Cities(params, layout, keys))[None]
     heights.setflags(write=False)
     return Cities(params, layout, keys, heights)
-
-
-def ray_height_at(link: LinkGeometry, r_op: float) -> float:
-    """Height of the straight tx-rx ray above the ground point at
-    distance r_op from the transmitter along the ground projection."""
-    if link.r_rx == 0.0:
-        raise DegenerateLink("vertical link has no ground parametrization")
-    if not 0.0 <= r_op <= link.r_rx:
-        raise InvalidParams(f"r_op must be in [0, {link.r_rx}], got {r_op}")
-    return link.tx.z - r_op * (link.tx.z - link.rx.z) / link.r_rx
 
 
 def _one_city(cities: Cities) -> int:
@@ -479,9 +467,11 @@ def check_los_edges(city: Cities, link: LinkGeometry) -> LoSOutcome:
     the roof (a roof exactly at ray height blocks); cells beyond the
     grid are open space.  The city and both endpoints are validated
     first (:func:`_check_endpoints`); a vertical link is a zero-length
-    track.  Returns the blocker with the smallest r_op: the kernel lists
-    a track's entries nearest the transmitter first, so it is the first
-    entry that blocks.
+    track.  Returns the blocker with the smallest r_op, the blocking box
+    the track enters last: the kernel lists entries by column, then row,
+    ascending, so this takes the latest-visited column, then row, the
+    lexicographic maximum of (sx*ix, sy*iy), where sx is 1 if the track
+    runs toward +x (tx.x > rx.x) and -1 otherwise, and sy likewise.
     """
     _check_endpoints(city, link)
     tx, rx = link.tx, link.rx
@@ -492,9 +482,11 @@ def check_los_edges(city: Cities, link: LinkGeometry) -> LoSOutcome:
     hit = np.flatnonzero(city.roofs(0, ix, iy) >= rx.z + t * (tx.z - rx.z))
     if hit.size == 0:
         return LoSOutcome(True)
-    first = hit[0]
-    r_op = float((1.0 - t[first]) * link.r_rx)
-    return LoSOutcome(False, Blocker(int(ix[first]), int(iy[first]), r_op))
+    sx = 1 if tx.x > rx.x else -1
+    sy = 1 if tx.y > rx.y else -1
+    last = hit[np.lexsort((sy * iy[hit], sx * ix[hit]))[-1]]
+    r_op = float((1.0 - t[last]) * link.r_rx)
+    return LoSOutcome(False, Blocker(int(ix[last]), int(iy[last]), r_op))
 
 
 def check_los_dense(city: Cities, link: LinkGeometry, step: float = 0.1) -> LoSOutcome:

@@ -1,5 +1,6 @@
 import hashlib
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -23,7 +24,6 @@ from uavlos.citygeom import (
     track_length,
 )
 from uavlos.errors import (
-    DegenerateLink,
     EndpointInsideBuilding,
     InvalidParams,
     NoSuchCell,
@@ -45,7 +45,6 @@ from uavlos.sim3d import (
     load_city,
     place_uav,
     place_users,
-    ray_height_at,
     save_city,
     user_directions,
 )
@@ -219,27 +218,14 @@ def test_one_city_functions_refuse_several_cities(tmp_path):
     assert list(tmp_path.iterdir()) == []
 
 
-def test_ray_height_endpoints_and_midpoint():
-    link = LinkGeometry.from_nodes(tx=Node(0.0, 0.0, 100.0), rx=Node(100.0, 0.0, 0.0))
-    assert ray_height_at(link, 0.0) == 100.0
-    assert ray_height_at(link, 100.0) == 0.0
-    assert ray_height_at(link, 25.0) == pytest.approx(75.0, rel=1e-12)
-    with pytest.raises(InvalidParams):
-        ray_height_at(link, -1.0)
-    with pytest.raises(InvalidParams):
-        ray_height_at(link, 100.1)
-    vertical = LinkGeometry.from_nodes(tx=Node(5.0, 5.0, 50.0), rx=Node(5.0, 5.0, 1.5))
-    with pytest.raises(DegenerateLink):
-        ray_height_at(vertical, 0.0)
-
-
 def test_footprint_crossings_along_a_row():
     layout = toy_city().layout
     # y = 7.5 runs through the iy=1 building band; the track from the user
     # at x=32 to the UAV at x=2 meets boxes at [25,30], [15,20], [5,10]
     link, ix, iy, t = track_entries(layout, 32.0, 7.5, 2.0, 7.5)
     assert link.tolist() == [0, 0, 0]
-    assert list(zip(ix.tolist(), iy.tolist())) == [(1, 1), (2, 1), (3, 1)]  # UAV end first
+    # In column order, which on this track runs from the UAV end.
+    assert list(zip(ix.tolist(), iy.tolist())) == [(1, 1), (2, 1), (3, 1)]
     # entry points x = 10, 20, 30 lie 8, 18 and 28 m from the UAV
     assert (1.0 - t).tolist() == pytest.approx([8 / 30, 18 / 30, 28 / 30], rel=1e-12)
 
@@ -275,6 +261,75 @@ def test_first_blocker_has_smallest_r_op():
     out = check_los_edges(city, link)
     assert (out.blocker.ix, out.blocker.iy) == (1, 1)
     assert out.blocker.r_op == pytest.approx(8.0, rel=1e-12)
+
+
+def latest_visited_box(layout, rx, tx):
+    """Reference for the blocker of a city where every box blocks: of the
+    grid boxes the track from rx to tx meets, the one in the column band
+    it visits last, and in the row band it visits last within that
+    column, with its exact entry fraction t, by exact rational clipping
+    of the track to each box in turn; None if it meets none."""
+    p, s = Fraction(layout.period), Fraction(layout.s)
+    nx, ny = sim3d._grid_shape(layout)
+
+    def window(c0, c1, lo, hi):
+        # The t-interval of [0, 1] where c0 + t*(c1 - c0) lies in [lo, hi].
+        c0, c1 = Fraction(c0), Fraction(c1)
+        if c0 == c1:
+            return (Fraction(0), Fraction(1)) if lo <= c0 <= hi else None
+        a, b = sorted(((lo - c0) / (c1 - c0), (hi - c0) / (c1 - c0)))
+        a, b = max(a, Fraction(0)), min(b, Fraction(1))
+        return (a, b) if a <= b else None
+
+    best = None
+    for ix in range(1, nx + 1):
+        col = window(rx.x, tx.x, (ix - 1) * p + s, ix * p)
+        if col is None:
+            continue
+        for iy in range(1, ny + 1):
+            row = window(rx.y, tx.y, (iy - 1) * p + s, iy * p)
+            if row is None or max(col[0], row[0]) > min(col[1], row[1]):
+                continue
+            key = (col[0], max(col[0], row[0]))
+            if best is None or key > best[0]:
+                best = (key, ix, iy)
+    return None if best is None else (best[1], best[2], best[0][1])
+
+
+def test_blocker_is_the_latest_visited_column_then_row():
+    # Every roof of the toy grid blocks, so the blocker is the box the
+    # track enters last, whatever order the kernel lists the boxes in:
+    # tracks through box corners only (y = x -/+ 5 and their mirrors),
+    # along near and far faces, along diagonals through box corners,
+    # random tracks, and a zero-length track on a far corner, each both
+    # ways where it has length.
+    city = Cities(TOY, derive_layout(TOY, 100.0, 100.0), np.zeros(1, dtype=np.uint64),
+                  np.full((1, 10, 10), 200.0))
+    tracks = [
+        (5.0, 0.0, 95.0, 90.0), (95.0, 0.0, 5.0, 90.0), (0.0, 5.0, 90.0, 95.0),
+        (2.0, 5.0, 92.0, 5.0), (10.0, 2.0, 10.0, 92.0), (5.0, 2.0, 5.0, 92.0),
+        (20.0, 95.0, 20.0, 3.0), (2.0, 2.0, 92.0, 92.0), (92.0, 2.0, 2.0, 92.0),
+        (10.0, 10.0, 10.0, 10.0),
+    ]
+    tracks += [(x1, y1, x0, y0) for x0, y0, x1, y1 in tracks]
+    rng = np.random.default_rng(21)
+    while len(tracks) < 80:
+        x0, y0, x1, y1 = rng.uniform(0.0, 100.0, 4).tolist()
+        if all(roof_at(city, x, y) is None for x, y in ((x0, y0), (x1, y1))):
+            tracks.append((x0, y0, x1, y1))
+    met = 0
+    for x0, y0, x1, y1 in tracks:
+        link = LinkGeometry.from_nodes(tx=Node(x1, y1, 100.0), rx=Node(x0, y0, 1.5))
+        out = check_los_edges(city, link)
+        want = latest_visited_box(city.layout, link.rx, link.tx)
+        if want is None:
+            assert out.is_los
+            continue
+        met += 1
+        ix, iy, t = want
+        assert (out.blocker.ix, out.blocker.iy) == (ix, iy)
+        assert out.blocker.r_op == pytest.approx(float(1 - t) * link.r_rx, rel=1e-12, abs=1e-12)
+    assert met > 60
 
 
 def test_raising_the_transmitter_never_loses_los():
@@ -786,7 +841,10 @@ def reference_blockers(cities, uavs, run, rx_x, rx_y, h_rx):
     ix, iy, t) of the blocking cell nearest the transmitter and the
     fraction t of the track from the receiver to its entry, from every
     box each uncut track meets in the grid, with the roofs looked up
-    entry by entry through Cities.roofs."""
+    entry by entry through Cities.roofs.  The blocker is the box in the
+    column the track visits last, and in the row it visits last there:
+    the largest ix, or the smallest where the track runs toward -x or
+    along y, and likewise iy."""
     tx_x, tx_y, tx_z = uavs
     link, ix, iy, t = track_entries(cities.layout, rx_x, rx_y, tx_x[run], tx_y[run])
     nx, ny = sim3d._grid_shape(cities.layout)
@@ -795,7 +853,10 @@ def reference_blockers(cities, uavs, run, rx_x, rx_y, h_rx):
     city = run[link]
     blocked = cities.roofs(city, ix, iy) >= h_rx + t * (tx_z[city] - h_rx)
     link, ix, iy, t = link[blocked], ix[blocked], iy[blocked], t[blocked]
-    first = np.unique(link, return_index=True)[1]
+    sx = np.where(tx_x[run[link]] > rx_x[link], 1, -1)
+    sy = np.where(tx_y[run[link]] > rx_y[link], 1, -1)
+    order = np.lexsort((-sy * iy, -sx * ix, link))
+    first = order[np.unique(link[order], return_index=True)[1]]
     return link[first], ix[first], iy[first], t[first]
 
 

@@ -161,7 +161,7 @@ def zone_user(layout, zone, rng, h_rx=0.0):
 
 def candidate_r_ops(user, uav, layout):
     """Ground distances from the UAV of the track's building entry points,
-    nearest the UAV first."""
+    in the kernel's order: by column, then row."""
     _, _, _, t = track_entries(layout, user.x, user.y, uav.x, uav.y)
     return ((1.0 - t) * math.hypot(uav.x - user.x, uav.y - user.y)).tolist()
 
@@ -173,43 +173,54 @@ def test_candidate_ops_worked_example():
     r = math.hypot(30.0, 20.0)
     _, ix, iy, t = track_entries(layout, user.x, user.y, uav.x, uav.y)
     cells = list(zip(ix.tolist(), iy.tolist()))
-    assert cells == [(3, 3), (2, 2), (1, 1)]  # sorted by distance from the UAV
+    assert cells == [(1, 1), (2, 2), (3, 3)]  # by column, then row
     assert candidate_r_ops(user, uav, layout) == pytest.approx(
-        [0.1 * r, (17 / 30) * r, 0.9 * r], rel=1e-12
+        [0.9 * r, (17 / 30) * r, 0.1 * r], rel=1e-12
     )
-    # entry points lie on the user-facing faces: y = 25, x = 15, x = 5
+    # entry points lie on the user-facing faces: x = 5, x = 15, y = 25
     x = user.x + t * (uav.x - user.x)
     y = user.y + t * (uav.y - user.y)
-    assert y[0] == 25.0
+    assert x[0] == 5.0
     assert x[1] == 15.0
-    assert x[2] == 5.0
+    assert y[2] == 25.0
+
+
+def in_band_order(link, ix, iy):
+    """Whether entries are ordered by link, then column, then row, each
+    ascending, with no box listed twice for one link."""
+    dl, dx, dy = np.diff(link), np.diff(ix), np.diff(iy)
+    return bool(((dl > 0) | (dl == 0) & ((dx > 0) | (dx == 0) & (dy > 0))).all())
 
 
 def test_track_entries_in_any_direction():
     layout = derive_layout(TOY)
     # The worked example mirrored through x = 7.5, which maps the grid onto
     # itself with column ix going to 2 - ix: the same boxes are entered at
-    # the same fractions of the track.
+    # the same fractions of the track, listed in the opposite column order.
     _, ix, iy, t = track_entries(layout, 2.0, 7.0, 32.0, 27.0)
     _, mx, my, mt = track_entries(layout, 13.0, 7.0, -17.0, 27.0)
-    assert (2 - mx).tolist() == ix.tolist()
-    assert my.tolist() == iy.tolist()
-    assert mt.tolist() == pytest.approx(t.tolist(), rel=1e-12)
+    assert (2 - mx).tolist() == ix.tolist()[::-1]
+    assert my.tolist() == iy.tolist()[::-1]
+    assert mt.tolist() == pytest.approx(t.tolist()[::-1], rel=1e-12)
     # Reversing the track enters the same boxes from the other side.
     _, rx, ry, _ = track_entries(layout, 32.0, 27.0, 2.0, 7.0)
     assert sorted(zip(rx.tolist(), ry.tolist())) == sorted(zip(ix.tolist(), iy.tolist()))
     # A batch of tracks in every direction: each track's entries equal a
-    # call of its own, grouped by link and nearest the UAV end first.
+    # call of its own, in band order.  Listed by the latest-visited
+    # column, then row, the order check_los_edges picks its blocker by,
+    # they run from the UAV end toward the user.
     rng = np.random.default_rng(4)
     ends = rng.uniform(-60.0, 60.0, size=(4, 200))
     link, bx, by, bt = track_entries(layout, *ends)
-    assert (np.diff(link) >= 0).all()
+    assert in_band_order(link, bx, by)
     for n in range(200):
         _, sx, sy, st = track_entries(layout, *ends[:, n])
         mine = link == n
         assert bx[mine].tolist() == sx.tolist() and by[mine].tolist() == sy.tolist()
         assert bt[mine].tolist() == st.tolist()
-        assert (np.diff(st) <= 0.0).all()
+        x0, y0, x1, y1 = ends[:, n]
+        visit = np.lexsort((np.where(y1 > y0, -sy, sy), np.where(x1 > x0, -sx, sx)))
+        assert (np.diff(st[visit]) < 0.0).all()
 
 
 #: Toy-grid tracks as (x_rx, y_rx, x_tx, y_tx): along a row and a column,
@@ -277,9 +288,8 @@ def test_track_entries_start_cut_lists_the_boxes_met_from_t_min(t_min):
         later = full[3] > lo[full[0]]
         for a, b in zip(got, full):
             assert a[~at_start].tolist() == b[later].tolist()
-        # Link by link, the UAV end first.
-        link, t = got[0], got[3]
-        assert (np.diff(link) >= 0).all() and (np.diff(t)[np.diff(link) == 0] <= 0.0).all()
+        # Link by link, in band order.
+        assert in_band_order(*got[:3])
         listed = set(zip(*(a[at_start].tolist() for a in got[:3])))
         before = ~later
         entered = list(zip(*(a[before].tolist() for a in full[:3])))
@@ -343,11 +353,13 @@ def kernel_guard_tracks():
 
 
 def test_track_entries_keep_their_bits():
-    # A digest of every output byte of the kernel on a fixed batch,
-    # recorded before the kernel's arithmetic was rewritten in place: any
-    # change to an entry, its order, its t bits or the output dtypes moves
-    # it.  The dense-oracle tests check that the entries are right; this
-    # checks that they stay what they were.
+    # A digest of every output byte of the kernel on a fixed batch, its
+    # entries taken in the canonical order link, ix, iy, recorded before
+    # the kernel listed them in that order instead of along each track:
+    # any change to an entry, its t bits or the output dtypes moves it,
+    # and the in-band-order tests check the order itself.  The
+    # dense-oracle tests check that the entries are right; this checks
+    # that they stay what they were.
     layout, (x0, y0, x1, y1, t_max) = kernel_guard_tracks()
     assert ((x0 == x1) & (y0 == y1)).sum() == 2500
     assert ((x0 == x1) ^ (y0 == y1)).sum() > 5000
@@ -355,10 +367,11 @@ def test_track_entries_keep_their_bits():
     out = track_entries(layout, x0, y0, x1, y1, t_max=t_max)
     assert [a.dtype for a in out] == [np.dtype(np.int64)] * 3 + [np.dtype(np.float64)]
     assert out[0].size == 112964 and np.unique(out[0]).size == 15478
+    canonical = np.lexsort((out[2], out[1], out[0]))
     digest = hashlib.sha256()
     for a in out:
-        digest.update(a.astype(a.dtype.newbyteorder("<")).tobytes())
-    assert digest.hexdigest() == "61f0a6a6197171500758055f413733d29598e5a175f9565d8f950fdb19bcb9f9"
+        digest.update(a.take(canonical).astype(a.dtype.newbyteorder("<")).tobytes())
+    assert digest.hexdigest() == "7ec5d2de282c4cf7dc516054f9138208037fc0ed3a0656d1d25fcd1d1762c7e3"
 
 
 @pytest.mark.parametrize("end", [(0.0, 2.2e-311), (5e-324, 0.0), (0.0, 1e-307), (-1e-307, 1e-307)])
@@ -429,10 +442,13 @@ def test_candidate_count_bound_and_order():
             user, rng.uniform(2.0, 80.0), rng.uniform(0.0, 90.0), rng.uniform(30.0, 300.0)
         )
         r_rx = math.hypot(uav.x - user.x, uav.y - user.y)
-        _, _, _, t = track_entries(layout, user.x, user.y, uav.x, uav.y)
+        link, ix, iy, t = track_entries(layout, user.x, user.y, uav.x, uav.y)
         assert len(t) <= 2 * math.ceil(r_rx / layout.period) + 2
+        assert in_band_order(link, ix, iy)
+        # The UAV lies up and to the right of its user (phi in [0, 90]),
+        # so ascending bands run from the user toward the UAV.
         r_ops = candidate_r_ops(user, uav, layout)
-        assert r_ops == sorted(r_ops)
+        assert r_ops == sorted(r_ops, reverse=True)
         assert all(0.0 < r < r_rx for r in r_ops)
         # entry points sit on a user-facing face line
         for ti in t:
