@@ -38,7 +38,7 @@ def show_one_link() -> None:
     r_rx = float(np.hypot(dx, dy))
     print(f"{'entry at':>18} {'r_op':>8} {'building':>10}")
     _, ix, iy, t = track_entries(layout, user.x, user.y, uav.x, uav.y)
-    # The kernel lists the boxes by column, then row; print them along
+    # The kernel lists the boxes in no specified order; print them along
     # the track, nearest the UAV first.
     order = np.argsort(-t, kind="stable")
     for bx, by, tb in zip(ix[order].tolist(), iy[order].tolist(), t[order].tolist()):

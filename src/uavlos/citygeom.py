@@ -240,6 +240,10 @@ def classify_point(x: float, y: float, layout: CityLayout) -> CellKind:
     return Crossroad()
 
 
+#: Machine epsilon of float64.
+_EPS = float(np.finfo(float).eps)
+
+
 def building_band(v: np.ndarray, p: float, s: float, reach: float):
     """The 0-based grid period ``v // p`` of each coordinate of v and
     whether it lies in a building band, ``v % p >= s``: two arrays shaped
@@ -273,7 +277,7 @@ def building_band(v: np.ndarray, p: float, s: float, reach: float):
     np.floor(q, out=q)
     r = q * p
     np.subtract(v, r, out=r)
-    tol = 16.0 * np.finfo(float).eps * (reach + 2.0 * p)
+    tol = 16.0 * _EPS * (reach + 2.0 * p)
     built = r >= s + tol
     unsure = built != (r > s - tol)
     unsure |= r < tol
@@ -290,6 +294,69 @@ def building_band(v: np.ndarray, p: float, s: float, reach: float):
 #: exact t-interval test that follows drops the extra candidates.
 _BAND_SLACK = 1e-9
 
+#: Bands that :func:`_band_rows` lists by one scan of the window counts
+#: each; the windows that hold more list the rest together.
+_BAND_SCANS = 3
+#: Fewest windows for which :func:`_band_rows` scans at all.
+_SCAN_WINDOWS = 1024
+
+
+def _band_rows(first, count):
+    """One row per band of each window w, the count[w] bands first[w],
+    first[w] + 1, ... (none where count[w] <= 0): arrays (row, i) of the
+    window and the band of each row, in a deterministic order that is
+    not specified.
+
+    Most windows hold 0 to 2 bands, so the rows are listed band-major:
+    the windows that hold band k are one scan of the counts,
+    (count > k).nonzero()[0] (np.flatnonzero without its 1.3 us Python
+    wrapper), for each k below _BAND_SCANS, and their band is first plus
+    k.  The windows that hold more, low-theta tracks with tens to
+    hundreds of bands, list the rest through one np.repeat over them
+    alone, so that no track length makes a scan per band.  On a 2-vCPU
+    Xeon with numpy 2.4.6, with the window counts of compare-urban's
+    second pass, a scan costs 1 to 1.6 ns a window, against 11 to 16 for
+    listing every window through np.repeat and np.cumsum; below about
+    1 000 windows the scans' fixed cost of numpy calls outweighs that,
+    so a call of fewer than _SCAN_WINDOWS windows lists all its rows
+    through the repeat.  Three scans leave 2.9% of the first pass's
+    windows and 0.4% of the second's to the repeat on the compare-urban
+    line (BENCH_34.json has the window counts of each pass on each
+    benchmark line).
+    """
+    if count.size < _SCAN_WINDOWS:
+        return _repeated(first, np.maximum(count, 0))
+    bands = [(count > k).nonzero()[0] for k in range(_BAND_SCANS)]
+    longer = bands[-1].take((count.take(bands[-1]) > _BAND_SCANS).nonzero()[0])
+    if longer.size:
+        at, rest = _repeated(first.take(longer) + _BAND_SCANS, count.take(longer) - _BAND_SCANS)
+        bands.append(longer.take(at))
+        del at
+    sizes = [b.size for b in bands]
+    row = np.concatenate(bands)
+    del bands
+    i = first.take(row)
+    a = sizes[0]
+    for k in range(1, _BAND_SCANS):
+        i[a:a + sizes[k]] += k
+        a += sizes[k]
+    if longer.size:
+        i[a:] = rest
+    return row, i
+
+
+def _repeated(first, count):
+    """Each index w of count, count[w] >= 0 times, with the bands first[w],
+    first[w] + 1, ... of its copies: arrays (at, i), in index order."""
+    at = np.repeat(np.arange(count.size), count)
+    # The band of a copy is first plus its place among the copies of its
+    # index: its position less the number of copies before them.
+    first = first - np.cumsum(count)
+    first += count
+    i = np.arange(at.size)
+    i += first.take(at)
+    return at, i
+
 
 def _band_visits(c0, dc, t_lo, t_hi, p: float, s: float):
     """Closed bands [i*p + s, (i+1)*p] of one axis visited by c0 + t*dc
@@ -297,9 +364,9 @@ def _band_visits(c0, dc, t_lo, t_hi, p: float, s: float):
     are arrays like c0 or scalars.
 
     Returns (row, i, lo, hi): the input row, the 0-based band and the
-    sub-window of t spent inside that band.  Rows keep the input order,
-    and the bands of one window come in ascending band order, whichever
-    way the coordinate moves.
+    sub-window of t spent inside that band, listed by :func:`_band_rows`
+    in a deterministic order that is not specified: the same rows with
+    the same bits whatever the order.
 
     The band range of each window is widened by _BAND_SLACK against
     rounding, and an exact test of the t-interval then drops the bands
@@ -324,19 +391,12 @@ def _band_visits(c0, dc, t_lo, t_hi, p: float, s: float):
     hi -= s
     hi /= p
     hi += _BAND_SLACK
-    last = np.floor(hi, out=hi).astype(np.int64)
+    count = np.floor(hi, out=hi).astype(np.int64)
     del lo, hi
-    count = np.maximum(last - first + 1, 0)
-    del last
-    row = np.repeat(np.arange(count.size), count)
-    # Band k of a window, at row r, is first + k, where k is r less the
-    # window's first row.
-    first -= np.cumsum(count)
-    first += count
-    del count
-    i = np.arange(row.size)
-    i += first.take(row)
-    del first
+    count -= first
+    count += 1
+    row, i = _band_rows(first, count)
+    del first, count
     # Both engines follow one rule on per-link, per-entry and per-ring-
     # position arrays: select through an index array (np.flatnonzero,
     # then take or an assignment at it), not a boolean mask.  At 50 000
@@ -416,24 +476,25 @@ def track_entries(layout: CityLayout, x_rx, y_rx, x_tx, y_tx, t_max=1.0, t_min=0
     fraction t_max[n] from the user: only boxes entered at t <= t_max[n]
     are listed, and a negative t_max lists none.  The entries kept are
     exactly the uncut track's entries with t <= t_max, with the same t
-    bits and in the same order, because the cut only lowers the upper
-    end of each window the entry points are taken from.
+    bits, because the cut only lowers the upper end of each window the
+    entry points are taken from.
 
     t_min (at least 0, per track or one for all) starts track n at the
     fraction t_min[n] instead: a box entered at t >= t_min[n] is listed
     as the uncut track lists it, same t bits, and a box the track
     already occupies at t_min[n], entered before it, is listed at
     t = t_min[n], since the window it is entered in starts there.  A
-    box left before t_min[n] is not listed.  Entries keep their order.
+    box left before t_min[n] is not listed.
 
     Returns arrays (link, ix, iy, t), one entry per box a track meets:
     the track index, the cell and the fraction t in [0, 1] of the track
     from the user to the point where it enters the box.  With flat
-    roofs the ray is lowest over a box exactly there.  Entries are
-    ordered by link, then column (ix), then row (iy), each ascending,
-    whichever way the track runs; a caller that needs them along the
-    track orders them itself (as :func:`uavlos.sim3d.check_los_edges`
-    picks the box the track enters last).
+    roofs the ray is lowest over a box exactly there.  The same tracks
+    give the same entries with the same t bits, in a deterministic order
+    that is not specified, and that a cut or a start may change; a
+    caller that needs an order sorts the entries itself (as
+    :func:`uavlos.sim3d.check_los_edges` picks the box the track enters
+    last).
     """
     p, s = layout.period, layout.s
     x0, y0, x1, y1 = np.broadcast_arrays(
@@ -445,10 +506,9 @@ def track_entries(layout: CityLayout, x_rx, y_rx, x_tx, y_tx, t_max=1.0, t_min=0
     if t1.ndim:
         t1 = np.broadcast_to(t1, x0.shape)
     # Column bands over the whole track, then the row bands crossed while
-    # the track stays inside each column band, both in ascending band
-    # order: an entry's t does not depend on where it is listed, and the
-    # link decision reads no order, so the kernel keeps no per-window
-    # direction to list them along the track.  Each pass's moves go to it
+    # the track stays inside each column band, both listed band-major
+    # (_band_rows): an entry's t does not depend on where it is listed,
+    # and the link decision reads no order.  Each pass's moves go to it
     # as temporaries, which it frees, so no pass holds the other's.
     # Taking each track's first pass on its axis of smaller |d| lists the
     # same entries with 23 to 28% fewer first-pass windows on the
@@ -536,12 +596,13 @@ def blocked_links(layout: CityLayout, x_rx, y_rx, x_tx, y_tx, length, h_rx: floa
     None, as each geometry-engine link is its own.  The track is cut at
     t_max (per owner or one for all) as in :func:`track_entries`.  Each
     call gathers its links' owner values, so a batch holds no per-link
-    copy of them.  roofs(link, ix, iy) is the engine's roof lookup: the
-    roofs of the boxes (ix[m], iy[m]) for the links link[m].  A link is
-    blocked when a roof reaches the ray height where its track enters
-    that roof's box (ties block).  length (per link or one for all) is
-    the ground length of each uncut track; it sizes the calls and the
-    near part.
+    copy of them.  roofs(own, ix, iy) is the engine's roof lookup: the
+    roofs of the boxes (ix[m], iy[m]) for the owners own[m], own[m]
+    being the owner of entry m's link, which each call gathers once per
+    entry for both the ray and the roofs.  A link is blocked when a roof
+    reaches the ray height where its track enters that roof's box (ties
+    block).  length (per link or one for all) is the ground length of
+    each uncut track; it sizes the calls and the near part.
 
     A link whose cut track is longer than 2*NEAR_PERIODS periods and
     whose ray rises (rise > 0) is decided on its first NEAR_PERIODS
@@ -617,11 +678,12 @@ def blocked_links(layout: CityLayout, x_rx, y_rx, x_tx, y_tx, length, h_rx: floa
             link += at.start
         else:
             link = at.take(link)
-        ray = rise.take(link if owner is None else owner.take(link))
+        own = link if owner is None else owner.take(link)
+        ray = rise.take(own)
         ray *= t
         del t
         ray += h_rx
-        blocked[link.take(np.flatnonzero(roofs(link, ix, iy) >= ray))] = True
+        blocked[link.take(np.flatnonzero(roofs(own, ix, iy) >= ray))] = True
 
     for part in parts:
         decide(part, 0.0, first_cut(part))

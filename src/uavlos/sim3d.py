@@ -449,10 +449,10 @@ def links_blocked(cities: Cities, uavs: UavPositions, run, rx_x, rx_y, h_rx: flo
     cut = (top - h_rx) / np.where(rise > 0.0, rise, 1.0) + _CUT_SLACK
     cut = np.where((rise > 0.0) & (h_rx + cut * rise > top), np.minimum(cut, 1.0), 1.0)
 
-    def roofs(link, ix, iy):
+    def roofs(city, ix, iy):
         at = ix * ky
         at += iy
-        at += base.take(run.take(link))
+        at += base.take(city)
         return tiles.take(at)
 
     return blocked_links(layout, rx_x, rx_y, tx_x, tx_y, length, h_rx, rise, roofs, cut, run)
@@ -468,8 +468,8 @@ def check_los_edges(city: Cities, link: LinkGeometry) -> LoSOutcome:
     grid are open space.  The city and both endpoints are validated
     first (:func:`_check_endpoints`); a vertical link is a zero-length
     track.  Returns the blocker with the smallest r_op, the blocking box
-    the track enters last: the kernel lists entries by column, then row,
-    ascending, so this takes the latest-visited column, then row, the
+    the track enters last: the kernel lists entries in no specified
+    order, so this takes the latest-visited column, then row, the
     lexicographic maximum of (sx*ix, sy*iy), where sx is 1 if the track
     runs toward +x (tx.x > rx.x) and -1 otherwise, and sy likewise.
     """

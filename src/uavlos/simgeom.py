@@ -440,7 +440,7 @@ def _first_blockers(
     # too: blocked_links keeps it only at the links it stages.
     nlos = blocked_links(
         layout, ux, uy, vx, vy, rise / values[:, 0].take(point), h_rx, rise,
-        lambda link, ix, iy: roof_heights(city.take(link), ix, iy, gamma),
+        lambda own, ix, iy: roof_heights(city.take(own), ix, iy, gamma),
     )
     return np.bincount(point.take(np.flatnonzero(nlos)), minlength=len(values))
 

@@ -1447,13 +1447,18 @@ def test_link_batches_blocked_nowhere_everywhere_or_near_their_users_only(
     assert expected.tolist() == high.tolist()
     owner = np.arange(x0.size)[::-1].copy() if owned else None
     per_owner = []
-    for v in (x1, y1, rise):
+    for v in (x1, y1, rise, high):
         if owned:
             v = v.copy()
             v[owner] = v.copy()
         per_owner.append(v)
+
+    def owner_roofs(own, ix, iy):
+        # blocked_links looks roofs up by each entry's owner.
+        return np.where(per_owner[3].take(own), 1e3, -1e3)
+
     got = citygeom.blocked_links(layout, x0, y0, *per_owner[:2], np.hypot(x1 - x0, y1 - y0),
-                                 h_rx, per_owner[2], roofs, 1.0, owner)
+                                 h_rx, per_owner[2], owner_roofs, 1.0, owner)
     assert got.dtype == bool and got.tolist() == expected.tolist()
     calls = [call.links for call in kernel_calls]
     assert calls == ([6, 4] if batch == "none blocked" else [6])

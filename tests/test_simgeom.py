@@ -159,10 +159,17 @@ def zone_user(layout, zone, rng, h_rx=0.0):
     return Node(rng.uniform(0.0, layout.s), rng.uniform(y_lo, y_hi), h_rx)
 
 
+def canonical(link, ix, iy, t):
+    """Entries as lists sorted by link, then column, then row: the kernel
+    lists them in an order it does not specify."""
+    order = np.lexsort((iy, ix, link))
+    return [a.take(order).tolist() for a in (link, ix, iy, t)]
+
+
 def candidate_r_ops(user, uav, layout):
     """Ground distances from the UAV of the track's building entry points,
-    in the kernel's order: by column, then row."""
-    _, _, _, t = track_entries(layout, user.x, user.y, uav.x, uav.y)
+    by column, then row."""
+    t = np.array(canonical(*track_entries(layout, user.x, user.y, uav.x, uav.y))[3])
     return ((1.0 - t) * math.hypot(uav.x - user.x, uav.y - user.y)).tolist()
 
 
@@ -171,8 +178,9 @@ def test_candidate_ops_worked_example():
     user = Node(2.0, 7.0, 0.0)
     uav = Node(32.0, 27.0, 100.0)
     r = math.hypot(30.0, 20.0)
-    _, ix, iy, t = track_entries(layout, user.x, user.y, uav.x, uav.y)
-    cells = list(zip(ix.tolist(), iy.tolist()))
+    _, ix, iy, t = canonical(*track_entries(layout, user.x, user.y, uav.x, uav.y))
+    t = np.array(t)
+    cells = list(zip(ix, iy))
     assert cells == [(1, 1), (2, 2), (3, 3)]  # by column, then row
     assert candidate_r_ops(user, uav, layout) == pytest.approx(
         [0.9 * r, (17 / 30) * r, 0.1 * r], rel=1e-12
@@ -185,39 +193,39 @@ def test_candidate_ops_worked_example():
     assert y[2] == 25.0
 
 
-def in_band_order(link, ix, iy):
-    """Whether entries are ordered by link, then column, then row, each
-    ascending, with no box listed twice for one link."""
-    dl, dx, dy = np.diff(link), np.diff(ix), np.diff(iy)
-    return bool(((dl > 0) | (dl == 0) & ((dx > 0) | (dx == 0) & (dy > 0))).all())
+def no_box_twice(link, ix, iy):
+    """Whether no box is listed twice for one link."""
+    return np.unique(np.stack([link, ix, iy]), axis=1).shape[1] == link.size
 
 
 def test_track_entries_in_any_direction():
     layout = derive_layout(TOY)
     # The worked example mirrored through x = 7.5, which maps the grid onto
     # itself with column ix going to 2 - ix: the same boxes are entered at
-    # the same fractions of the track, listed in the opposite column order.
+    # the same fractions of the track.
     _, ix, iy, t = track_entries(layout, 2.0, 7.0, 32.0, 27.0)
     _, mx, my, mt = track_entries(layout, 13.0, 7.0, -17.0, 27.0)
-    assert (2 - mx).tolist() == ix.tolist()[::-1]
-    assert my.tolist() == iy.tolist()[::-1]
-    assert mt.tolist() == pytest.approx(t.tolist()[::-1], rel=1e-12)
+    direct = sorted(zip(ix.tolist(), iy.tolist(), t.tolist()))
+    mirrored = sorted(zip((2 - mx).tolist(), my.tolist(), mt.tolist()))
+    assert [e[:2] for e in mirrored] == [e[:2] for e in direct]
+    assert [e[2] for e in mirrored] == pytest.approx([e[2] for e in direct], rel=1e-12)
     # Reversing the track enters the same boxes from the other side.
     _, rx, ry, _ = track_entries(layout, 32.0, 27.0, 2.0, 7.0)
     assert sorted(zip(rx.tolist(), ry.tolist())) == sorted(zip(ix.tolist(), iy.tolist()))
     # A batch of tracks in every direction: each track's entries equal a
-    # call of its own, in band order.  Listed by the latest-visited
-    # column, then row, the order check_los_edges picks its blocker by,
-    # they run from the UAV end toward the user.
+    # call of its own.  Listed by the latest-visited column, then row, the
+    # order check_los_edges picks its blocker by, they run from the UAV
+    # end toward the user.
     rng = np.random.default_rng(4)
     ends = rng.uniform(-60.0, 60.0, size=(4, 200))
     link, bx, by, bt = track_entries(layout, *ends)
-    assert in_band_order(link, bx, by)
+    assert no_box_twice(link, bx, by)
     for n in range(200):
         _, sx, sy, st = track_entries(layout, *ends[:, n])
         mine = link == n
-        assert bx[mine].tolist() == sx.tolist() and by[mine].tolist() == sy.tolist()
-        assert bt[mine].tolist() == st.tolist()
+        assert canonical(link[mine], bx[mine], by[mine], bt[mine]) == canonical(
+            np.full(sx.size, n), sx, sy, st
+        )
         x0, y0, x1, y1 = ends[:, n]
         visit = np.lexsort((np.where(y1 > y0, -sy, sy), np.where(x1 > x0, -sx, sx)))
         assert (np.diff(st[visit]) < 0.0).all()
@@ -242,16 +250,14 @@ def test_track_entries_cut_keeps_the_uncut_entries_up_to_t_max(t_max):
     full = track_entries(layout, *ends)
     kept = full[3] <= t_max
     cut = track_entries(layout, *ends, t_max=t_max)
-    for a, b in zip(cut, full):
-        assert a.tolist() == b[kept].tolist()
+    assert canonical(*cut) == canonical(*(b[kept] for b in full))
     assert 0 < kept.sum() <= full[3].size
     # One cut per track, negative ones included.
     per_track = rng.uniform(-0.2, 1.0, size=ends.shape[1])
     per_track[: CUT_TRACKS.shape[1]] = t_max
     kept = full[3] <= per_track[full[0]]
     cut = track_entries(layout, *ends, t_max=per_track)
-    for a, b in zip(cut, full):
-        assert a.tolist() == b[kept].tolist()
+    assert canonical(*cut) == canonical(*(b[kept] for b in full))
 
 
 def box_exits(layout, ends, link, ix, iy):
@@ -286,10 +292,8 @@ def test_track_entries_start_cut_lists_the_boxes_met_from_t_min(t_min):
         assert (got[3] >= lo[got[0]]).all()
         at_start = got[3] == lo[got[0]]
         later = full[3] > lo[full[0]]
-        for a, b in zip(got, full):
-            assert a[~at_start].tolist() == b[later].tolist()
-        # Link by link, in band order.
-        assert in_band_order(*got[:3])
+        assert canonical(*(a[~at_start] for a in got)) == canonical(*(b[later] for b in full))
+        assert no_box_twice(*got[:3])
         listed = set(zip(*(a[at_start].tolist() for a in got[:3])))
         before = ~later
         entered = list(zip(*(a[before].tolist() for a in full[:3])))
@@ -374,6 +378,105 @@ def test_track_entries_keep_their_bits():
     assert digest.hexdigest() == "7ec5d2de282c4cf7dc516054f9138208037fc0ed3a0656d1d25fcd1d1762c7e3"
 
 
+def repeat_expansion(first, count):
+    """Reference for citygeom._band_rows: the kernel's band listing before
+    it scanned bands, every window through one np.repeat and np.cumsum,
+    window by window, each window's bands ascending."""
+    count = np.maximum(count, 0)
+    row = np.repeat(np.arange(count.size), count)
+    first = first - np.cumsum(count)
+    first += count
+    i = np.arange(row.size)
+    i += first.take(row)
+    return row, i
+
+
+def reference_band_visits(c0, dc, t_lo, t_hi, p, s):
+    """Reference for citygeom._band_visits: the kernel before it listed
+    bands band-major, every candidate band through repeat_expansion, with
+    no in-place arithmetic and masks instead of index arrays."""
+    ca = c0 + dc * t_lo
+    hi = c0 + dc * t_hi
+    first = np.ceil(np.minimum(ca, hi) / p - 1.0 - citygeom._BAND_SLACK).astype(np.int64)
+    last = np.floor((np.maximum(ca, hi) - s) / p + citygeom._BAND_SLACK).astype(np.int64)
+    row, i = repeat_expansion(first, last - first + 1)
+    tb = i.astype(np.float64)
+    ta = tb * p + s - c0.take(row)
+    tb = (tb + 1.0) * p - c0.take(row)
+    d = dc.take(row)
+    still = d == 0.0
+    outside = still & ((ta > 0.0) | (tb < 0.0))
+    d[still] = 1.0
+    with np.errstate(over="ignore"):
+        lo, hi = np.minimum(ta / d, tb / d), np.maximum(ta / d, tb / d)
+    lo[still], hi[still] = -np.inf, np.inf
+    lo = np.maximum(lo, t_lo if np.ndim(t_lo) == 0 else t_lo.take(row))
+    hi = np.minimum(hi, t_hi if np.ndim(t_hi) == 0 else t_hi.take(row))
+    keep = (lo <= hi) & ~outside
+    return row[keep], i[keep], lo[keep], hi[keep]
+
+
+def entry_multiset(link, ix, iy, t):
+    """Entries with their t bits, sorted: equal for equal multisets."""
+    bits = t.view(np.uint64)
+    order = np.lexsort((bits, iy, ix, link))
+    return [a.take(order) for a in (link, ix, iy, bits)]
+
+
+def mixed_tracks(seed, n):
+    """n urban tracks as (x_rx, y_rx, x_tx, y_tx, t_min, t_max): zero-length,
+    along x or y, along a face line, short in any direction and, one in
+    50, 500 periods long; each with its own start and cut, some cuts
+    below their starts or below 0."""
+    layout = derive_layout(ENVIRONMENTS["urban"])
+    p, s = layout.period, layout.s
+    rng = np.random.default_rng(seed)
+    x0, y0 = rng.uniform(-300.0, 3000.0, size=(2, n))
+    angle = rng.uniform(0.0, 2.0 * np.pi, n)
+    length = np.where(rng.random(n) < 0.02, 500.0 * p, rng.uniform(0.0, 3.0 * p, n))
+    x1, y1 = x0 + length * np.cos(angle), y0 + length * np.sin(angle)
+    kind = rng.integers(0, 5, n)
+    x1 = np.where(kind == 0, x0, x1)  # zero length, or along y
+    y1 = np.where((kind == 0) | (kind == 1), y0, y1)  # zero length, or along x
+    face = rng.integers(0, 60, n) * p + np.where(rng.random(n) < 0.5, s, 0.0)
+    y0 = np.where(kind == 2, face, y0)  # along a face line
+    y1 = np.where(kind == 2, face, y1)
+    t_min = np.where(rng.random(n) < 0.5, 0.0, rng.uniform(0.0, 1.0, n))
+    t_max = np.where(rng.random(n) < 0.5, 1.0, rng.uniform(-0.2, 1.0, n))
+    return layout, (x0, y0, x1, y1, t_min, t_max)
+
+
+@pytest.mark.parametrize("seed, n", [(1, 3000), (2, 3000), (3, 400)])
+def test_track_entries_list_the_entries_of_the_repeat_expansion(seed, n, monkeypatch):
+    # Band-major scans list the same entries, t bits included, as the
+    # window-by-window expansion, in the batches that scan and in the
+    # smaller ones that do not.
+    layout, (x0, y0, x1, y1, t_min, t_max) = mixed_tracks(seed, n)
+    got = track_entries(layout, x0, y0, x1, y1, t_max=t_max, t_min=t_min)
+    assert no_box_twice(*got[:3])
+    with monkeypatch.context() as m:
+        m.setattr(citygeom, "_band_visits", reference_band_visits)
+        want = track_entries(layout, x0, y0, x1, y1, t_max=t_max, t_min=t_min)
+    # Some tracks list hundreds of boxes, through the repeat after the scans.
+    assert np.bincount(want[0]).max() > 400
+    for a, b in zip(entry_multiset(*got), entry_multiset(*want)):
+        assert a.dtype == b.dtype and np.array_equal(a, b)
+
+
+def test_band_rows_list_each_band_of_each_window_once():
+    # Windows of 0 to 600 bands, and negative counts, at the sizes below
+    # and above the scans' threshold.
+    rng = np.random.default_rng(7)
+    for n in (0, 1, citygeom._SCAN_WINDOWS - 1, citygeom._SCAN_WINDOWS, 5000):
+        count = np.where(rng.random(n) < 0.05, rng.integers(-3, 600, n), rng.integers(-1, 4, n))
+        first = rng.integers(-1000, 1000, n)
+        row, i = citygeom._band_rows(first, count)
+        want_row, want_i = repeat_expansion(first, count)
+        order = np.lexsort((i, row))
+        assert row.dtype == want_row.dtype and i.dtype == want_i.dtype
+        assert np.array_equal(row[order], want_row) and np.array_equal(i[order], want_i)
+
+
 @pytest.mark.parametrize("end", [(0.0, 2.2e-311), (5e-324, 0.0), (0.0, 1e-307), (-1e-307, 1e-307)])
 def test_a_tiny_track_meets_the_boxes_of_its_point(end):
     # From the origin, a corner of box (0, 0) of the urban grid, a track
@@ -444,7 +547,7 @@ def test_candidate_count_bound_and_order():
         r_rx = math.hypot(uav.x - user.x, uav.y - user.y)
         link, ix, iy, t = track_entries(layout, user.x, user.y, uav.x, uav.y)
         assert len(t) <= 2 * math.ceil(r_rx / layout.period) + 2
-        assert in_band_order(link, ix, iy)
+        assert no_box_twice(link, ix, iy)
         # The UAV lies up and to the right of its user (phi in [0, 90]),
         # so ascending bands run from the user toward the UAV.
         r_ops = candidate_r_ops(user, uav, layout)
